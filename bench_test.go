@@ -402,7 +402,7 @@ func benchServer(b *testing.B, users int, sequential bool) *core.Server {
 		}
 		scfg := core.DefaultSessionConfig()
 		scfg.Codec.GOPSize = 4
-		if _, err := srv.AddSession(src, scfg); err != nil {
+		if _, err := srv.Submit(src, scfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -594,7 +594,7 @@ func BenchmarkFleetRun_Churn(b *testing.B) {
 			}
 			scfg := core.DefaultSessionConfig()
 			scfg.Codec.GOPSize = 4
-			if _, err := fleet.Submit(src, scfg); err != nil {
+			if _, err := fleet.SubmitWith(serve.SubmitRequest{Source: src, Config: scfg}); err != nil {
 				b.Fatal(err)
 			}
 			submitted++

@@ -21,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -31,35 +30,11 @@ import (
 	"repro/internal/tenancy"
 )
 
-type distOpts struct {
-	masterAddr string
-	agentAddr  string
-	submitURL  string
-
-	name            string
-	masterURL       string
-	advertiseURL    string
-	heartbeatEvery  time.Duration
-	heartbeatGrace  time.Duration
-	checkpointEvery int
-	eventsPath      string
-
-	// Shared with the local fleet modes.
-	users, shards, width, height, frames int
-	seed                                 int64
-	allocator, sink                      string
-	metricsAddr                          string
-
-	tenant        string
-	priority      int
-	tenantsConfig string
-}
-
 // runMaster serves the routing/supervision node until the context is
 // cancelled. Its operational journal (agent joins/deaths, re-imports,
 // lost sessions) goes to -events as JSONL — the artifact the dist-smoke
 // CI job asserts failover against.
-func runMaster(ctx context.Context, o distOpts) error {
+func runMaster(ctx context.Context, o options) error {
 	var events *json.Encoder
 	if o.eventsPath != "" {
 		f, err := os.Create(o.eventsPath)
@@ -107,7 +82,7 @@ func runMaster(ctx context.Context, o distOpts) error {
 // fleet options mirror the local -users mode where they make sense for
 // a long-running node; the telemetry sink and the per-agent-labeled
 // metrics endpoint come from the same flags.
-func runAgent(ctx context.Context, o distOpts) error {
+func runAgent(ctx context.Context, o options) error {
 	sink, _, closeSink, err := buildSink(o.sink)
 	if err != nil {
 		return err
@@ -183,7 +158,7 @@ func serveMetrics(addr string, msink *metrics.Sink) (*http.Server, error) {
 // endpoint shape works against a standalone agent, which answers without
 // the routed agent name). Sources are sent by spec — regenerated on the
 // serving node — so the submitting process streams no pixels.
-func runSubmit(ctx context.Context, o distOpts) error {
+func runSubmit(ctx context.Context, o options) error {
 	client := dist.DefaultClient()
 	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone, medgen.SpinalCord}
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}

@@ -48,92 +48,132 @@ import (
 	"repro/internal/workload"
 )
 
+// options is where every flag lands: main binds the flags straight onto
+// its fields, and each mode reads the ones it needs.
+type options struct {
+	class, motion         string
+	frames, width, height int
+	seed                  int64
+	mode                  string
+	workers               int
+	verbose               bool
+	yuv                   string
+
+	users, shards         int
+	allocator, sink, luts string
+
+	tenant, tenantsConfig string
+	priority              int
+	tenantPlan            string
+
+	cpuProfile, memProfile string
+
+	minShards, maxShards int
+	targetUtil           float64
+	scaleWindow          int
+	resizeAt             string
+	stagger              int
+	shardSessions        int
+
+	shardCoresSpec string
+	shardCores     []int // shardCoresSpec, parsed
+	pixPerCore     float64
+	fourkEvery     int
+
+	hotClass  string
+	rebFactor float64
+	rebWindow int
+
+	metricsAddr  string
+	metricsGrace time.Duration
+	costJoule    float64
+	costMiss     float64
+
+	masterAddr, agentAddr, submitURL string
+
+	name, masterURL, advertiseURL  string
+	heartbeatEvery, heartbeatGrace time.Duration
+	checkpointEvery                int
+	eventsPath                     string
+}
+
 func main() {
-	var (
-		classFlag  = flag.String("class", "brain", "body-part class: brain|chest|bone|spinal-cord|ligament")
-		motionFlag = flag.String("motion", "rotate", "motion script: still|pan|rotate|sweep")
-		frames     = flag.Int("frames", 48, "number of frames")
-		width      = flag.Int("width", 640, "frame width")
-		height     = flag.Int("height", 480, "frame height")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		modeFlag   = flag.String("mode", "proposed", "pipeline mode: proposed|baseline")
-		workers    = flag.Int("workers", 4, "tile-encoding workers")
-		verbose    = flag.Bool("v", false, "print per-frame rows")
-		yuvPath    = flag.String("yuv", "", "transcode a raw planar I420 file instead of a synthetic study (uses -width/-height/-class)")
-		users      = flag.Int("users", 1, "serve N concurrent synthetic sessions through the fleet serving loop")
-		shards     = flag.Int("shards", 1, "initial number of platform shards behind the fleet dispatcher")
-		allocator  = flag.String("allocator", sched.NameContentAware,
-			fmt.Sprintf("stage-D2 allocation policy: %s", strings.Join(sched.Names(), "|")))
-		sinkFlag = flag.String("sink", "report", "telemetry sink: report|jsonl|jsonl:PATH|none")
-		lutsPath = flag.String("luts", "", "persist warmed workload LUTs at PATH (loaded on start, saved on clean exit)")
+	var o options
+	flag.StringVar(&o.class, "class", "brain", "body-part class: brain|chest|bone|spinal-cord|ligament")
+	flag.StringVar(&o.motion, "motion", "rotate", "motion script: still|pan|rotate|sweep")
+	flag.IntVar(&o.frames, "frames", 48, "number of frames")
+	flag.IntVar(&o.width, "width", 640, "frame width")
+	flag.IntVar(&o.height, "height", 480, "frame height")
+	flag.Int64Var(&o.seed, "seed", 1, "generator seed")
+	flag.StringVar(&o.mode, "mode", "proposed", "pipeline mode: proposed|baseline")
+	flag.IntVar(&o.workers, "workers", 4, "tile-encoding workers")
+	flag.BoolVar(&o.verbose, "v", false, "print per-frame rows")
+	flag.StringVar(&o.yuv, "yuv", "", "transcode a raw planar I420 file instead of a synthetic study (uses -width/-height/-class)")
+	flag.IntVar(&o.users, "users", 1, "serve N concurrent synthetic sessions through the fleet serving loop")
+	flag.IntVar(&o.shards, "shards", 1, "initial number of platform shards behind the fleet dispatcher")
+	flag.StringVar(&o.allocator, "allocator", sched.NameContentAware,
+		fmt.Sprintf("stage-D2 allocation policy: %s", strings.Join(sched.Names(), "|")))
+	flag.StringVar(&o.sink, "sink", "report", "telemetry sink: report|jsonl|jsonl:PATH|none")
+	flag.StringVar(&o.luts, "luts", "", "persist warmed workload LUTs at PATH (loaded on start, saved on clean exit)")
 
-		tenantFlag = flag.String("tenant", "", "tenant id submitted sessions belong to (empty = the default tenant)")
-		tenantsCfg = flag.String("tenants-config", "", "per-tenant QoS policy (weights, priority classes, admission rates) as tenancy JSON at PATH")
-		priorityFl = flag.Int("priority", 0, "priority class for submitted sessions (0 = tenant default / best effort; higher preempts under overload)")
-		tenantPlan = flag.String("tenant-plan", "", "assign the -users sessions to tenants in submission order: TENANT[:COUNT][@PRIORITY],... (overrides -tenant/-priority; counts must sum to -users)")
+	flag.StringVar(&o.tenant, "tenant", "", "tenant id submitted sessions belong to (empty = the default tenant)")
+	flag.StringVar(&o.tenantsConfig, "tenants-config", "", "per-tenant QoS policy (weights, priority classes, admission rates) as tenancy JSON at PATH")
+	flag.IntVar(&o.priority, "priority", 0, "priority class for submitted sessions (0 = tenant default / best effort; higher preempts under overload)")
+	flag.StringVar(&o.tenantPlan, "tenant-plan", "", "assign the -users sessions to tenants in submission order: TENANT[:COUNT][@PRIORITY],... (overrides -tenant/-priority; counts must sum to -users)")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to PATH, stopped and flushed on clean shutdown")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to PATH on clean shutdown (after a final GC)")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to PATH, stopped and flushed on clean shutdown")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to PATH on clean shutdown (after a final GC)")
 
-		minShards  = flag.Int("min-shards", 0, "autoscaler floor (0 = -shards); the fleet never shrinks below this")
-		maxShards  = flag.Int("max-shards", 0, "autoscaler ceiling (0 = -shards); the fleet never grows beyond this")
-		targetUtil = flag.Float64("target-util", 0.75, "autoscaler target demand-normalized utilization (summed core demand over summed capacity)")
-		scaleAfter = flag.Int("scale-window", 2, "consecutive saturated/idle observations before the autoscaler resizes")
-		resizeAt   = flag.String("resize-at", "", "forced resize schedule ROUND:SHARDS[,ROUND:SHARDS...] on total fleet rounds (e.g. 6:4,14:3)")
-		stagger    = flag.Int("stagger", 0, "submit one user every N fleet rounds instead of all upfront (0 = upfront)")
-		shardSess  = flag.Int("shard-sessions", 0, "cap each shard's live sessions for routing; overflow spills to the least-utilized shard (0 = even share of the users)")
+	flag.IntVar(&o.minShards, "min-shards", 0, "autoscaler floor (0 = -shards); the fleet never shrinks below this")
+	flag.IntVar(&o.maxShards, "max-shards", 0, "autoscaler ceiling (0 = -shards); the fleet never grows beyond this")
+	flag.Float64Var(&o.targetUtil, "target-util", 0.75, "autoscaler target demand-normalized utilization (summed core demand over summed capacity)")
+	flag.IntVar(&o.scaleWindow, "scale-window", 2, "consecutive saturated/idle observations before the autoscaler resizes")
+	flag.StringVar(&o.resizeAt, "resize-at", "", "forced resize schedule ROUND:SHARDS[,ROUND:SHARDS...] on total fleet rounds (e.g. 6:4,14:3)")
+	flag.IntVar(&o.stagger, "stagger", 0, "submit one user every N fleet rounds instead of all upfront (0 = upfront)")
+	flag.IntVar(&o.shardSessions, "shard-sessions", 0, "cap each shard's live sessions for routing; overflow spills to the least-utilized shard (0 = even share of the users)")
 
-		shardCores = flag.String("shard-cores", "", "per-shard core counts N[,N...] (e.g. 8,16,32): builds a heterogeneous fleet (overrides -shards) and turns on demand-aware placement")
-		pixPerCore = flag.Float64("pixels-per-core", 0, "demand-aware placement price: luma pixels per second one core transcodes (0 = serve default)")
-		fourkEvery = flag.Int("fourk-every", 0, "give every Nth user a doubled-resolution stream in a separate \"-4k\" workload class (0 = off)")
+	flag.StringVar(&o.shardCoresSpec, "shard-cores", "", "per-shard core counts N[,N...] (e.g. 8,16,32): builds a heterogeneous fleet (overrides -shards) and turns on demand-aware placement")
+	flag.Float64Var(&o.pixPerCore, "pixels-per-core", 0, "demand-aware placement price: luma pixels per second one core transcodes (0 = serve default)")
+	flag.IntVar(&o.fourkEvery, "fourk-every", 0, "give every Nth user a doubled-resolution stream in a separate \"-4k\" workload class (0 = off)")
 
-		hotClass  = flag.String("hot-class", "", "give every user this body-part class (skews the class routing onto one shard)")
-		rebFactor = flag.Float64("rebalance-factor", 0, "shed a shard whose utilization exceeds this multiple of the fleet mean (0 = rebalancing off, must be > 1)")
-		rebWindow = flag.Int("rebalance-window", 2, "consecutive hot rounds before a shard sheds sessions")
+	flag.StringVar(&o.hotClass, "hot-class", "", "give every user this body-part class (skews the class routing onto one shard)")
+	flag.Float64Var(&o.rebFactor, "rebalance-factor", 0, "shed a shard whose utilization exceeds this multiple of the fleet mean (0 = rebalancing off, must be > 1)")
+	flag.IntVar(&o.rebWindow, "rebalance-window", 2, "consecutive hot rounds before a shard sheds sessions")
 
-		metricsAddr  = flag.String("metrics-addr", "", "serve a Prometheus /metrics endpoint on ADDR (e.g. 127.0.0.1:9090) during fleet runs")
-		metricsGrace = flag.Duration("metrics-grace", 0, "keep the /metrics endpoint up this long after the run drains (for a final scrape)")
-		costJoule    = flag.Float64("cost-per-joule", 0, "cost-model dollars per joule behind repro_cost_dollars_total")
-		costMiss     = flag.Float64("cost-per-miss", 0, "cost-model dollars per frame-deadline miss")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a Prometheus /metrics endpoint on ADDR (e.g. 127.0.0.1:9090) during fleet runs")
+	flag.DurationVar(&o.metricsGrace, "metrics-grace", 0, "keep the /metrics endpoint up this long after the run drains (for a final scrape)")
+	flag.Float64Var(&o.costJoule, "cost-per-joule", 0, "cost-model dollars per joule behind repro_cost_dollars_total")
+	flag.Float64Var(&o.costMiss, "cost-per-miss", 0, "cost-model dollars per frame-deadline miss")
 
-		masterAddr = flag.String("master", "", "run the distributed master (routing + supervision) on ADDR (e.g. 127.0.0.1:7600)")
-		agentAddr  = flag.String("agent", "", "run one distributed agent node on ADDR; -name identifies it, -master-url registers it")
-		submitURL  = flag.String("submit", "", "submit -users synthetic sessions to the master (or agent) at URL and exit")
+	flag.StringVar(&o.masterAddr, "master", "", "run the distributed master (routing + supervision) on ADDR (e.g. 127.0.0.1:7600)")
+	flag.StringVar(&o.agentAddr, "agent", "", "run one distributed agent node on ADDR; -name identifies it, -master-url registers it")
+	flag.StringVar(&o.submitURL, "submit", "", "submit -users synthetic sessions to the master (or agent) at URL and exit")
 
-		agentName    = flag.String("name", "", "this agent's stable identity on the master's ring (required with -agent)")
-		masterURL    = flag.String("master-url", "", "master base URL the agent heartbeats to (empty = standalone agent)")
-		advertiseURL = flag.String("advertise-url", "", "base URL peers reach this agent at (empty = the bound address)")
-		hbEvery      = flag.Duration("heartbeat-every", time.Second, "agent heartbeat period")
-		hbGrace      = flag.Duration("heartbeat-grace", 5*time.Second, "master-side silence before an agent is declared dead and failed over")
-		ckptEvery    = flag.Int("checkpoint-every", 2, "agent wire-checkpoint cadence in settled rounds per shard")
-		eventsPath   = flag.String("events", "", "master operational journal (agent deaths, re-imports) as JSONL at PATH")
-	)
+	flag.StringVar(&o.name, "name", "", "this agent's stable identity on the master's ring (required with -agent)")
+	flag.StringVar(&o.masterURL, "master-url", "", "master base URL the agent heartbeats to (empty = standalone agent)")
+	flag.StringVar(&o.advertiseURL, "advertise-url", "", "base URL peers reach this agent at (empty = the bound address)")
+	flag.DurationVar(&o.heartbeatEvery, "heartbeat-every", time.Second, "agent heartbeat period")
+	flag.DurationVar(&o.heartbeatGrace, "heartbeat-grace", 5*time.Second, "master-side silence before an agent is declared dead and failed over")
+	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 2, "agent wire-checkpoint cadence in settled rounds per shard")
+	flag.StringVar(&o.eventsPath, "events", "", "master operational journal (agent deaths, re-imports) as JSONL at PATH")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer stopProfiles()
 
-	if *masterAddr != "" || *agentAddr != "" || *submitURL != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		o := distOpts{
-			masterAddr: *masterAddr, agentAddr: *agentAddr, submitURL: *submitURL,
-			name: *agentName, masterURL: *masterURL, advertiseURL: *advertiseURL,
-			heartbeatEvery: *hbEvery, heartbeatGrace: *hbGrace,
-			checkpointEvery: *ckptEvery, eventsPath: *eventsPath,
-			users: *users, shards: *shards, width: *width, height: *height,
-			frames: *frames, seed: *seed,
-			allocator: *allocator, sink: *sinkFlag, metricsAddr: *metricsAddr,
-			tenant: *tenantFlag, priority: *priorityFl, tenantsConfig: *tenantsCfg,
-		}
+	// An interrupt cancels cleanly at the next tile boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	if o.masterAddr != "" || o.agentAddr != "" || o.submitURL != "" {
 		var err error
 		switch {
-		case *masterAddr != "":
+		case o.masterAddr != "":
 			err = runMaster(ctx, o)
-		case *agentAddr != "":
+		case o.agentAddr != "":
 			err = runAgent(ctx, o)
 		default:
 			err = runSubmit(ctx, o)
@@ -144,31 +184,12 @@ func main() {
 		return
 	}
 
-	cores, err := parseShardCores(*shardCores)
-	if err != nil {
+	if o.shardCores, err = parseShardCores(o.shardCoresSpec); err != nil {
 		fatalf("%v", err)
 	}
 
-	// An interrupt cancels cleanly at the next tile boundary.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *users > 1 || *shards > 1 || len(cores) > 0 {
-		err := serveFleet(ctx, fleetOpts{
-			users: *users, shards: *shards, width: *width, height: *height,
-			frames: *frames, seed: *seed, mode: *modeFlag,
-			allocator: *allocator, sink: *sinkFlag, luts: *lutsPath,
-			minShards: *minShards, maxShards: *maxShards,
-			targetUtil: *targetUtil, scaleWindow: *scaleAfter,
-			resizeAt: *resizeAt, stagger: *stagger, shardSessions: *shardSess,
-			shardCores: cores, pixPerCore: *pixPerCore, fourkEvery: *fourkEvery,
-			hotClass: *hotClass, rebFactor: *rebFactor, rebWindow: *rebWindow,
-			metricsAddr: *metricsAddr, metricsGrace: *metricsGrace,
-			costJoule: *costJoule, costMiss: *costMiss,
-			tenant: *tenantFlag, priority: *priorityFl,
-			tenantsConfig: *tenantsCfg, tenantPlan: *tenantPlan,
-		})
-		if err != nil {
+	if o.users > 1 || o.shards > 1 || len(o.shardCores) > 0 {
+		if err := serveFleet(ctx, o); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "transcode: interrupted")
 				os.Exit(130)
@@ -179,19 +200,19 @@ func main() {
 	}
 
 	cfg := medgen.Default()
-	cfg.Width, cfg.Height = *width, *height
-	cfg.Frames = *frames
-	cfg.Seed = *seed
+	cfg.Width, cfg.Height = o.width, o.height
+	cfg.Frames = o.frames
+	cfg.Seed = o.seed
 	var ok bool
-	if cfg.Class, ok = classByName(*classFlag); !ok {
-		fatalf("unknown class %q", *classFlag)
+	if cfg.Class, ok = classByName(o.class); !ok {
+		fatalf("unknown class %q", o.class)
 	}
-	if cfg.Motion, ok = motionByName(*motionFlag); !ok {
-		fatalf("unknown motion %q", *motionFlag)
+	if cfg.Motion, ok = motionByName(o.motion); !ok {
+		fatalf("unknown motion %q", o.motion)
 	}
 	var src core.FrameSource
-	if *yuvPath != "" {
-		s, err := core.NewYUVFileSource(*yuvPath, cfg.Width, cfg.Height, cfg.FPS, cfg.Class.String())
+	if o.yuv != "" {
+		s, err := core.NewYUVFileSource(o.yuv, cfg.Width, cfg.Height, cfg.FPS, cfg.Class.String())
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -210,14 +231,14 @@ func main() {
 	}
 
 	scfg := core.DefaultSessionConfig()
-	scfg.Workers = *workers
-	switch *modeFlag {
+	scfg.Workers = o.workers
+	switch o.mode {
 	case "proposed":
 		scfg.Mode = core.ModeProposed
 	case "baseline":
 		scfg.Mode = core.ModeBaseline
 	default:
-		fatalf("unknown mode %q", *modeFlag)
+		fatalf("unknown mode %q", o.mode)
 	}
 
 	sess, err := core.NewSession(0, src, scfg, workload.NewLUT())
@@ -230,7 +251,7 @@ func main() {
 
 	gopIdx := 0
 	for !sess.Finished() {
-		gop, err := sess.EncodeGOPContext(ctx, *workers)
+		gop, err := sess.EncodeGOPContext(ctx, o.workers)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "transcode: interrupted")
 			os.Exit(130)
@@ -248,7 +269,7 @@ func main() {
 		if err := tbl.Render(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-		if *verbose {
+		if o.verbose {
 			for _, fr := range gop.Frames {
 				fmt.Printf("  frame %3d [%s] %6d bits  %.1f dB  %v\n",
 					fr.Frame, fr.Type, fr.Bits, fr.PSNR, fr.EncodeTime.Round(100))
@@ -257,37 +278,6 @@ func main() {
 		fmt.Println()
 		gopIdx++
 	}
-}
-
-type fleetOpts struct {
-	users, shards, width, height, frames int
-	seed                                 int64
-	mode, allocator, sink, luts          string
-
-	minShards, maxShards int
-	targetUtil           float64
-	scaleWindow          int
-	resizeAt             string
-	stagger              int
-	shardSessions        int
-
-	shardCores []int
-	pixPerCore float64
-	fourkEvery int
-
-	hotClass  string
-	rebFactor float64
-	rebWindow int
-
-	metricsAddr  string
-	metricsGrace time.Duration
-	costJoule    float64
-	costMiss     float64
-
-	tenant        string
-	priority      int
-	tenantsConfig string
-	tenantPlan    string
 }
 
 // tenantAssignment is one user's QoS identity under -tenant-plan.
@@ -412,7 +402,7 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 // span a range or -resize-at forces it — the serve-layer autoscaler
 // (serve.WithAutoscale). All scaling policy lives in internal/serve;
 // this function only maps flags onto configs.
-func serveFleet(ctx context.Context, o fleetOpts) error {
+func serveFleet(ctx context.Context, o options) error {
 	mode := core.ModeProposed
 	switch o.mode {
 	case "proposed":
@@ -721,15 +711,11 @@ func serveFleet(ctx context.Context, o fleetOpts) error {
 		if sr.Err != nil {
 			status = sr.Err.Error()
 		}
-		if sr.Report == nil {
-			fmt.Printf("  shard %d: never served [%s]\n", sr.Shard, status)
-			continue
-		}
 		fmt.Printf("  shard %d: %d rounds, %d completed, %d migrated away, %d restarts [%s]\n",
 			sr.Shard, sr.Report.Rounds, len(sr.Report.Completed), len(sr.Report.Migrated), sr.Restarts, status)
 	}
 	if ring != nil {
-		if e, tiles := ring.Report(-1).MeanEstimateErr(0); tiles > 0 {
+		if e, tiles := core.MeanEstimateErr(ring.Outcomes(), 0); tiles > 0 {
 			fmt.Printf("  mean stage-D1 estimate error %.1f%% over %d tiles (ring sink, %d rounds dropped)\n",
 				100*e, tiles, ring.Dropped())
 		}

@@ -69,7 +69,7 @@ func main() {
 		}
 		cfg := core.DefaultSessionConfig()
 		cfg.Retile.MinTileW, cfg.Retile.MinTileH = 48, 48
-		p, err := fleet.Submit(src, cfg)
+		p, err := fleet.SubmitWith(serve.SubmitRequest{Source: src, Config: cfg})
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func main() {
 		rep.Rounds, len(rep.Shards), wall.Round(time.Millisecond), rep.Completed, rep.Submitted, rep.Rejected, rep.Failed)
 	fmt.Printf("%d frames served, %.1f J simulated (avg %.1f W, peak %.1f W), %d deadline misses\n",
 		rep.FramesEncoded, rep.Energy.EnergyJ, rep.Energy.AvgPowerW(), rep.Energy.PeakPowerW, rep.Energy.DeadlineMisses)
-	if e, tiles := ring.Report(-1).MeanEstimateErr(0); tiles > 0 {
+	if e, tiles := core.MeanEstimateErr(ring.Outcomes(), 0); tiles > 0 {
 		fmt.Printf("mean stage-D1 estimate error %.1f%% over %d tiles (ring sink)\n", 100*e, tiles)
 	}
 	if added, removed := ring.Resizes(); added+removed > 0 {
@@ -188,9 +188,6 @@ func main() {
 		fmt.Printf("rebalancing: %d consultation(s) shed off a hot shard\n", n)
 	}
 	for _, sr := range rep.Shards {
-		if sr.Report == nil {
-			continue
-		}
 		fmt.Printf("shard %d: %d rounds, completed %v, migrated away %v\n",
 			sr.Shard, sr.Report.Rounds, sr.Report.Completed, sr.Report.Migrated)
 	}

@@ -236,7 +236,7 @@ func TestServerServesMultipleUsers(t *testing.T) {
 	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone}
 	for i := 0; i < 3; i++ {
 		src := testSource(t, classes[i], medgen.Rotate, 4)
-		if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestServerServeAllCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := testSource(t, medgen.Brain, medgen.Pan, 8)
-	if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 	outs, err := srv.ServeAll(10)
@@ -288,10 +288,10 @@ func TestServerSharesLUTAcrossSameClassSessions(t *testing.T) {
 	}
 	a := testSource(t, medgen.Brain, medgen.Rotate, 4)
 	b := testSource(t, medgen.Brain, medgen.Pan, 4)
-	if _, err := srv.AddSession(a, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(a, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(b, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(b, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.ServeGOP(); err != nil {
@@ -316,7 +316,7 @@ func TestServerBaselineAllocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := testSource(t, medgen.Chest, medgen.Rotate, 4)
-	if _, err := srv.AddSession(src, testSessionConfig(ModeBaseline)); err != nil {
+	if _, err := srv.Submit(src, testSessionConfig(ModeBaseline)); err != nil {
 		t.Fatal(err)
 	}
 	out, err := srv.ServeGOP()

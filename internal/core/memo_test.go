@@ -65,10 +65,10 @@ func TestAllocatorMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(steadySource(t, medgen.Brain, 64), steadyConfig()); err != nil {
+	if _, err := srv.Submit(steadySource(t, medgen.Brain, 64), steadyConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(steadySource(t, medgen.Chest, 64), steadyConfig()); err != nil {
+	if _, err := srv.Submit(steadySource(t, medgen.Chest, 64), steadyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	round := func() {
@@ -139,7 +139,7 @@ func TestAllocatorMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := donor.AddSession(steadySource(t, medgen.SpinalCord, 8), steadyConfig()); err != nil {
+	if _, err := donor.Submit(steadySource(t, medgen.SpinalCord, 8), steadyConfig()); err != nil {
 		t.Fatal(err)
 	}
 	snaps, err := donor.ExportSessions()

@@ -119,36 +119,49 @@ func (s *Server) ExportSessions() ([]*SessionSnapshot, error) {
 		}
 	}
 	var snaps []*SessionSnapshot
-	var ids []int
 	for id, rec := range s.records {
-		if rec.state != StateQueued {
-			continue
+		if rec.state == StateQueued {
+			snaps = append(snaps, s.exportLocked(id))
 		}
-		sess := rec.sess
-		snaps = append(snaps, &SessionSnapshot{
-			Session:    sess,
-			Class:      sess.Class(),
-			DonorID:    id,
-			Frame:      sess.NextFrame(),
-			QPOffset:   sess.QPOffset(),
-			Degraded:   sess.Degraded(),
-			RateHalved: sess.RateHalved(),
-			Demand:     rec.lastDemand,
-			Rung:       rec.rung,
-			Waited:     rec.waited,
-			SkipRound:  rec.skipRound,
-			Tenant:     rec.tenant,
-			Priority:   rec.priority,
-		})
-		rec.state = StateMigrated
-		rec.sess = nil // ownership transferred; a stale reference is a bug
-		ids = append(ids, id)
 	}
 	s.mu.Unlock()
-	for _, id := range ids {
-		s.notifyState(id, StateMigrated, nil)
+	for _, snap := range snaps {
+		s.notifyState(snap.DonorID, StateMigrated, nil)
 	}
 	return snaps, nil
+}
+
+// snapshot names record id's exportable serving state. It reads the live
+// session, so callers hold s.mu and honour the export contract: no encode
+// of the session in flight.
+func (s *Server) snapshot(id int) *SessionSnapshot {
+	rec := s.records[id]
+	sess := rec.sess
+	return &SessionSnapshot{
+		Session:    sess,
+		Class:      sess.Class(),
+		DonorID:    id,
+		Frame:      sess.NextFrame(),
+		QPOffset:   sess.QPOffset(),
+		Degraded:   sess.Degraded(),
+		RateHalved: sess.RateHalved(),
+		Demand:     rec.lastDemand,
+		Rung:       rec.rung,
+		Waited:     rec.waited,
+		SkipRound:  rec.skipRound,
+		Tenant:     rec.tenant,
+		Priority:   rec.priority,
+	}
+}
+
+// exportLocked detaches queued session id from the server: its record
+// flips to StateMigrated and the session's ownership leaves with the
+// snapshot. Callers hold s.mu and notify the transition after unlocking.
+func (s *Server) exportLocked(id int) *SessionSnapshot {
+	snap := s.snapshot(id)
+	s.records[id].state = StateMigrated
+	s.records[id].sess = nil // ownership transferred; a stale reference is a bug
+	return snap
 }
 
 // ExportSession removes one queued session from the server and returns
@@ -178,24 +191,7 @@ func (s *Server) ExportSession(id int) (*SessionSnapshot, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: session %d is mid-GOP (frame %d) — cannot export", id, rec.sess.NextFrame())
 	}
-	sess := rec.sess
-	snap := &SessionSnapshot{
-		Session:    sess,
-		Class:      sess.Class(),
-		DonorID:    id,
-		Frame:      sess.NextFrame(),
-		QPOffset:   sess.QPOffset(),
-		Degraded:   sess.Degraded(),
-		RateHalved: sess.RateHalved(),
-		Demand:     rec.lastDemand,
-		Rung:       rec.rung,
-		Waited:     rec.waited,
-		SkipRound:  rec.skipRound,
-		Tenant:     rec.tenant,
-		Priority:   rec.priority,
-	}
-	rec.state = StateMigrated
-	rec.sess = nil // ownership transferred; a stale reference is a bug
+	snap := s.exportLocked(id)
 	s.mu.Unlock()
 	s.notifyState(id, StateMigrated, nil)
 	return snap, nil
@@ -235,21 +231,6 @@ func (s *Server) Import(snap *SessionSnapshot) (*Session, error) {
 	s.wake()
 	s.notifyState(sess.ID, StateQueued, nil)
 	return sess, nil
-}
-
-// Imported reports how many of the server's sessions were adopted from
-// other shards (Import) rather than submitted here. Safe from any
-// goroutine.
-func (s *Server) Imported() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, rec := range s.records {
-		if rec.imported {
-			n++
-		}
-	}
-	return n
 }
 
 // FailSession departs one session as StateFailed with err — the

@@ -304,10 +304,7 @@ func TestExportSessionDuringRunBitIdentical(t *testing.T) {
 	}
 
 	target.Close()
-	targetRep, err := target.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	targetRep, targetOuts := runKeeping(t, target)
 	if len(targetRep.Completed) != 1 || targetRep.Imported != 1 {
 		t.Fatalf("target report %+v, want the adopted session completed", targetRep)
 	}
@@ -317,7 +314,7 @@ func TestExportSessionDuringRunBitIdentical(t *testing.T) {
 
 	// Zero loss: the victim's GOPs split exactly across the two servers.
 	got := gopDigests(donorOuts, 1)
-	got = append(got, gopDigests(targetRep.Outcomes, 0)...)
+	got = append(got, gopDigests(targetOuts, 0)...)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("handed-off digest chain differs from the solo run:\n got %v\nwant %v", got, want)
 	}
@@ -411,7 +408,7 @@ func TestFailSessionDeadLettersDuringRun(t *testing.T) {
 // weighted share and preemption rights on the target shard.
 func TestMigrationCarriesTenantIdentity(t *testing.T) {
 	donor := newMigrationServer(t)
-	if _, err := donor.SubmitWith(speccedSource(t, medgen.Brain, medgen.Rotate, 8),
+	if _, err := donor.Submit(speccedSource(t, medgen.Brain, medgen.Rotate, 8),
 		testSessionConfig(ModeProposed), SubmitOptions{Tenant: "er", Priority: 9}); err != nil {
 		t.Fatal(err)
 	}

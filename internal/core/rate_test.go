@@ -33,10 +33,7 @@ func TestHalveRateServesEveryOtherRound(t *testing.T) {
 		t.Fatal("HalveRate flag wrong")
 	}
 	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := runKeeping(t, srv)
 	if len(rep.Completed) != 2 {
 		t.Fatalf("completed %v, want both sessions", rep.Completed)
 	}
@@ -45,7 +42,7 @@ func TestHalveRateServesEveryOtherRound(t *testing.T) {
 	// 4) and then — alone in the queue, where skipping would only idle
 	// the platform — is served back-to-back for its last GOP (5).
 	var fullRounds, halvedRounds []int
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.AdmittedUsers {
 			if id == full.ID {
 				fullRounds = append(fullRounds, out.Round)
@@ -132,10 +129,7 @@ func TestRateRungRecovery(t *testing.T) {
 	}
 	halved.HalveRate()
 	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := runKeeping(t, srv)
 	if len(rep.Completed) != 2 {
 		t.Fatalf("completed %v, want both", rep.Completed)
 	}
@@ -143,7 +137,7 @@ func TestRateRungRecovery(t *testing.T) {
 		t.Fatal("session still rate-halved despite sustained headroom")
 	}
 	var halvedRounds, recoveredAt []int
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.AdmittedUsers {
 			if id == halved.ID {
 				halvedRounds = append(halvedRounds, out.Round)

@@ -187,12 +187,11 @@ type sessionRecord struct {
 // admitted session, each budgeted with the tile parallelism its allocation
 // planned (DESIGN.md §6).
 //
-// Concurrency contract: Submit, AddSession, Close, Sessions, Store and
-// StateOf are safe to call from any goroutine, at any time — including
+// Concurrency contract: Submit, Close, Sessions, Store, StateOf and
+// Report are safe to call from any goroutine, at any time — including
 // while Run is serving. The serving methods themselves (Run, ServeGOP,
-// ServeGOPContext, ServeAll, ServeAllContext) must be driven by a single
-// goroutine at a time; Run enforces this by failing when a Run is already
-// active.
+// ServeGOPContext, ServeAll) must be driven by a single goroutine at a
+// time; Run enforces this by failing when a Run is already active.
 type Server struct {
 	cfg   ServerConfig
 	store *workload.Store
@@ -204,13 +203,16 @@ type Server struct {
 	// draining makes Run return at the next GOP boundary with the
 	// sessions still queued (see Drain/ExportSessions in migrate.go).
 	draining bool
-	rounds   int
 	// arrival wakes an idle Run loop when Submit or Close changes what
 	// there is to do.
 	arrival chan struct{}
-	// energy accumulates every settled round's slot report — the
-	// authoritative per-shard platform ledger EnergyTotals exposes.
-	energy mpsoc.Totals
+	// The ledger: what every settled round delivered, cumulative over the
+	// server's life. With the records' lifecycle states it is everything
+	// Report snapshots — the one place these counts are kept.
+	rounds     int
+	frames     int
+	gopReports int
+	energy     mpsoc.Totals
 
 	// Serving-goroutine-only state (never touched by the concurrent API,
 	// so deliberately outside mu): the allocator memo and the stage-D1
@@ -273,16 +275,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Store exposes the per-class workload LUT store (shared across sessions).
 func (s *Server) Store() *workload.Store { return s.store }
 
-// AddSession creates a session for src and registers it. The session
-// shares the workload LUT of its body-part class. It is Submit under the
-// historical name.
-func (s *Server) AddSession(src FrameSource, cfg SessionConfig) (*Session, error) {
-	return s.Submit(src, cfg)
-}
-
-// SubmitOptions carries a submission's QoS identity — the per-request
-// half of the unified submit surface (serve.SubmitRequest is the fleet-
-// level struct; these options are its core-layer projection).
+// SubmitOptions carries a submission's QoS identity — the core-layer
+// projection of the fleet's serve.SubmitRequest.
 type SubmitOptions struct {
 	// Tenant is the owning tenant's id ("" = the default tenant).
 	Tenant string
@@ -292,18 +286,23 @@ type SubmitOptions struct {
 	Priority int
 }
 
-// Submit enqueues a new session for service under the default tenant:
-// the next round (of Run or ServeGOP) includes it in admission. Safe to
+// Submit enqueues a new session for service: the next round (of Run or
+// ServeGOP) includes it in admission, sharing the workload LUT of its
+// class. At most one SubmitOptions may follow the config; without it the
+// session belongs to the default tenant at best-effort priority. Safe to
 // call from any goroutine, before or while the server is running; fails
 // after Close.
-func (s *Server) Submit(src FrameSource, cfg SessionConfig) (*Session, error) {
-	return s.SubmitWith(src, cfg, SubmitOptions{})
-}
-
-// SubmitWith is Submit carrying the session's tenant and priority class.
-func (s *Server) SubmitWith(src FrameSource, cfg SessionConfig, opts SubmitOptions) (*Session, error) {
+func (s *Server) Submit(src FrameSource, cfg SessionConfig, options ...SubmitOptions) (*Session, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil frame source")
+	}
+	var opts SubmitOptions
+	switch len(options) {
+	case 0:
+	case 1:
+		opts = options[0]
+	default:
+		return nil, fmt.Errorf("core: Submit takes at most one SubmitOptions, got %d", len(options))
 	}
 	if opts.Tenant == tenancy.DefaultID {
 		opts.Tenant = ""
@@ -462,8 +461,8 @@ type GOPOutcome struct {
 	Ladder map[int]LadderState
 	// Totals is the server's cumulative platform ledger (energy, peak
 	// power, deadline misses, simulated time) including this round — a
-	// copy of EnergyTotals taken at settlement, so a telemetry sink can
-	// export exact lifetime totals from round events alone.
+	// copy of the ledger's Energy taken at settlement, so a telemetry
+	// sink can export exact lifetime totals from round events alone.
 	Totals mpsoc.Totals
 }
 
@@ -642,6 +641,10 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 	s.mu.Lock()
 	s.rounds++
 	s.energy.Add(out.Energy)
+	for _, gop := range out.GOPs {
+		s.gopReports++
+		s.frames += len(gop.Frames)
+	}
 	out.Totals = s.energy
 	out.Ladder = make(map[int]LadderState)
 	for _, rec := range s.records {
@@ -656,18 +659,6 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 	}
 	s.mu.Unlock()
 	return out, sessErrs, nil
-}
-
-// EnergyTotals reports the cumulative platform ledger over every round
-// this server settled: summed energy and simulated time, peak per-slot
-// power, and deadline misses. The same accumulation a caller would get
-// by adding each outcome's Energy in round order — kept here so exact
-// lifetime totals survive outcomes falling out of bounded sinks. Safe
-// from any goroutine.
-func (s *Server) EnergyTotals() mpsoc.Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.energy
 }
 
 // recoverRates is the rate-rung recovery pass (the reverse of the
@@ -735,8 +726,8 @@ func (s *Server) estimateRound(live []*roundSession) error {
 // analysed and refreshes the per-tile workload keys.
 func (s *Server) prepareKeys(rs *roundSession) error {
 	sess := rs.rec.sess
-	if err := sess.PrepareForEstimation(); err != nil {
-		return fmt.Errorf("core: session %d: %w", sess.ID, err)
+	if err := guardSession(sess, sess.PrepareForEstimation); err != nil {
+		return err
 	}
 	keys, err := sess.appendEstimationKeys(rs.keys[:0])
 	if err != nil {
@@ -901,6 +892,23 @@ func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
 	return ts.EncodeTime
 }
 
+// guardSession runs one session's share of a round and returns its
+// failure, labelled with the session id. A panic counts as one: a
+// FrameSource reports an I/O error the only way its signature allows
+// (YUVFileSource panics), and that must cost the session its stream, not
+// the process every other session is served from.
+func guardSession(sess *Session, fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: session %d: panic: %v", sess.ID, r)
+		}
+	}()
+	if err := fn(); err != nil {
+		return fmt.Errorf("core: session %d: %w", sess.ID, err)
+	}
+	return nil
+}
+
 // encodeSequential is the reference serving path: admitted sessions encode
 // one after another with the server's fixed worker budget. A failure stops
 // the round (later sessions are not started and stay queued), but the
@@ -908,11 +916,17 @@ func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
 // holds the failing session's error.
 func (s *Server) encodeSequential(ctx context.Context, alloc *sched.Result, byID map[int]*roundSession, out *GOPOutcome) map[int]error {
 	for _, id := range alloc.Admitted {
-		gop, err := byID[id].rec.sess.EncodeGOPContext(ctx, 0)
+		sess := byID[id].rec.sess
+		err := guardSession(sess, func() error {
+			gop, err := sess.EncodeGOPContext(ctx, 0)
+			if err == nil {
+				out.GOPs[id] = gop
+			}
+			return err
+		})
 		if err != nil {
-			return map[int]error{id: fmt.Errorf("core: session %d: %w", id, err)}
+			return map[int]error{id: err}
 		}
-		out.GOPs[id] = gop
 	}
 	return nil
 }
@@ -932,20 +946,22 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 		wg.Add(1)
 		go func(i int, sess *Session) {
 			defer wg.Done()
-			gop, err := sess.EncodeGOPContext(ctx, alloc.CoresOf(sess.ID))
-			if err != nil {
-				errs[i] = fmt.Errorf("core: session %d: %w", sess.ID, err)
-				return
-			}
-			gops[i] = gop
-			// Estimate-ahead: prepare the next GOP's stages A–C now, while
-			// slower sessions are still encoding, so the next round's
-			// estimation loop finds the analysis already done.
-			if !sess.Finished() {
-				if err := sess.PrepareForEstimation(); err != nil {
-					errs[i] = fmt.Errorf("core: session %d: estimate-ahead: %w", sess.ID, err)
+			errs[i] = guardSession(sess, func() error {
+				gop, err := sess.EncodeGOPContext(ctx, alloc.CoresOf(sess.ID))
+				if err != nil {
+					return err
 				}
-			}
+				gops[i] = gop
+				// Estimate-ahead: prepare the next GOP's stages A–C now,
+				// while slower sessions are still encoding, so the next
+				// round's estimation loop finds the analysis already done.
+				if !sess.Finished() {
+					if err := sess.PrepareForEstimation(); err != nil {
+						return fmt.Errorf("estimate-ahead: %w", err)
+					}
+				}
+				return nil
+			})
 		}(i, byID[id].rec.sess)
 	}
 	wg.Wait()
@@ -967,30 +983,13 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 // ServeAll runs ServeGOP until every session finishes or maxRounds is
 // reached, returning all outcomes. Sessions rejected in one round compete
 // again in the next (the paper's saturated-queue regime keeps the rejected
-// users waiting).
+// users waiting). On a round error the outcomes returned include that
+// round's partial outcome (if any), so the completed sessions' work
+// remains accountable.
 func (s *Server) ServeAll(maxRounds int) ([]*GOPOutcome, error) {
-	return s.ServeAllContext(context.Background(), maxRounds)
-}
-
-// ServeAllContext is ServeAll with cancellation. On a round error the
-// outcomes returned include that round's partial outcome (if any), so the
-// completed sessions' work remains accountable.
-func (s *Server) ServeAllContext(ctx context.Context, maxRounds int) ([]*GOPOutcome, error) {
 	var outs []*GOPOutcome
-	for round := 0; round < maxRounds; round++ {
-		s.mu.Lock()
-		done := true
-		for _, rec := range s.records {
-			if rec.state == StateQueued && !rec.sess.Finished() {
-				done = false
-				break
-			}
-		}
-		s.mu.Unlock()
-		if done {
-			return outs, nil
-		}
-		out, err := s.ServeGOPContext(ctx)
+	for round := 0; round < maxRounds && s.hasServable(); round++ {
+		out, err := s.ServeGOP()
 		if out != nil {
 			outs = append(outs, out)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func fourUserServer(t *testing.T, sequential bool) *Server {
 	}
 	for _, sp := range specs {
 		src := testSource(t, sp.class, sp.motion, 8)
-		if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,10 +158,10 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 	}
 	victim := testSource(t, medgen.Brain, medgen.Rotate, 8)
 	other := testSource(t, medgen.Chest, medgen.Pan, 8)
-	if _, err := srv.AddSession(victim, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(victim, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(other, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(other, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,10 +232,10 @@ func TestServeGOPReturnsPartialOutcomeOnError(t *testing.T) {
 		}
 		good := testSource(t, medgen.Brain, medgen.Rotate, 8)
 		bad := &badAfterSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 8), badFrom: 1}
-		if _, err := srv.AddSession(good, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(good, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.AddSession(bad, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(bad, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
 		out, err := srv.ServeGOP()
@@ -254,6 +255,67 @@ func TestServeGOPReturnsPartialOutcomeOnError(t *testing.T) {
 		}
 		if out.GOPs[1] != nil {
 			t.Fatal("failed session has a GOP report")
+		}
+	}
+}
+
+// panicAtSource panics when asked for frame panicAt — how a FrameSource
+// whose signature has no error return reports an I/O failure
+// (YUVFileSource does exactly this).
+type panicAtSource struct {
+	FrameSource
+	panicAt int
+}
+
+func (p *panicAtSource) Frame(n int) *video.Frame {
+	if n == p.panicAt {
+		panic(fmt.Sprintf("panicAtSource: read frame %d: simulated I/O error", n))
+	}
+	return p.FrameSource.Frame(n)
+}
+
+// TestPanickingSourceFailsOneSession is the regression test for a source
+// panic killing the process from inside a session's encode goroutine: the
+// panic must cost that one session its stream (StateFailed, with the
+// cause) while the round settles and the other session keeps streaming,
+// bit-identical to being served alone. Frame 5 panics mid-GOP inside the
+// encode; frame 4 panics in the estimate-ahead analysis of the next GOP.
+func TestPanickingSourceFailsOneSession(t *testing.T) {
+	serve := func(sequential bool, victimPanicsAt int) (*ServiceReport, []uint64) {
+		srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24, Sequential: sequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Submit(testSource(t, medgen.Brain, medgen.Rotate, 12), testSessionConfig(ModeProposed)); err != nil {
+			t.Fatal(err)
+		}
+		if victimPanicsAt >= 0 {
+			victim := &panicAtSource{testSource(t, medgen.Chest, medgen.Pan, 12), victimPanicsAt}
+			if _, err := srv.Submit(victim, testSessionConfig(ModeProposed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		rep, outs := runKeeping(t, srv)
+		return rep, gopDigests(outs, 0)
+	}
+	_, solo := serve(false, -1)
+	if len(solo) != 3 {
+		t.Fatalf("solo control served %d GOPs, want 3", len(solo))
+	}
+	for _, tc := range []struct {
+		sequential bool
+		panicAt    int
+	}{{false, 5}, {false, 4}, {true, 5}} {
+		rep, survivor := serve(tc.sequential, tc.panicAt)
+		if fmt.Sprint(rep.Completed) != "[0]" || fmt.Sprint(rep.Failed) != "[1]" {
+			t.Fatalf("%+v: completed %v failed %v, want the survivor completed and the victim failed", tc, rep.Completed, rep.Failed)
+		}
+		if err := rep.Errors[1]; err == nil || !strings.Contains(err.Error(), "simulated I/O error") {
+			t.Fatalf("%+v: victim's error %v does not carry the panic", tc, err)
+		}
+		if fmt.Sprint(survivor) != fmt.Sprint(solo) {
+			t.Fatalf("%+v: survivor's digest chain differs from its solo run:\n got %x\nwant %x", tc, survivor, solo)
 		}
 	}
 }

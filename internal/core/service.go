@@ -7,17 +7,19 @@ import (
 	"repro/internal/mpsoc"
 )
 
-// ServiceReport summarizes a Run: the service-level view the ROADMAP's
-// heavy-traffic north star cares about, where GOPOutcome is the per-round
-// view.
+// ServiceReport is a snapshot of the server's ledger: the service-level
+// view the ROADMAP's heavy-traffic north star cares about, where
+// GOPOutcome is the per-round view. It is cumulative over the server's
+// life — every round any serving method settled, every session ever
+// registered — and holds no per-round state, so a server can run
+// indefinitely without its report growing.
 type ServiceReport struct {
-	// Rounds is the number of GOP rounds served.
+	// Rounds is the number of GOP rounds settled.
 	Rounds int
 	// Submitted counts every session that entered the arrival queue.
 	Submitted int
 	// Completed, Rejected and Failed list the session ids per terminal
-	// state (ascending). Sessions still queued when Run returned early
-	// (cancellation, round error) appear in none of them.
+	// state (ascending). Sessions still queued appear in none of them.
 	Completed, Rejected, Failed []int
 	// Migrated lists sessions that left this shard through
 	// ExportSessions (ascending donor ids); they live on under new ids
@@ -37,18 +39,18 @@ type ServiceReport struct {
 	Energy mpsoc.Totals
 	// Errors holds the terminal error of every failed session.
 	Errors map[int]error
-	// Outcomes holds every served round in order.
-	Outcomes []*GOPOutcome
 }
 
 // MeanEstimateErr returns the tile-weighted mean relative stage-D1
-// estimation error over the rounds with index ≥ fromRound (0 covers the
-// whole run). The second return is the number of measured tiles behind
-// the mean; 0 tiles yields (0, 0).
-func (r *ServiceReport) MeanEstimateErr(fromRound int) (float64, int) {
+// estimation error over the outcomes with round index ≥ fromRound (0
+// covers them all) — whichever rounds the caller chose to keep: a
+// RingSink's retained window, or everything an OnRound hook collected.
+// The second return is the number of measured tiles behind the mean;
+// 0 tiles yields (0, 0).
+func MeanEstimateErr(outs []*GOPOutcome, fromRound int) (float64, int) {
 	var sum float64
 	var tiles int
-	for _, out := range r.Outcomes {
+	for _, out := range outs {
 		if out.Round >= fromRound && out.EstimateTiles > 0 {
 			sum += out.EstimateErr * float64(out.EstimateTiles)
 			tiles += out.EstimateTiles
@@ -60,40 +62,45 @@ func (r *ServiceReport) MeanEstimateErr(fromRound int) (float64, int) {
 	return sum / float64(tiles), tiles
 }
 
-// absorb folds one round into the report.
-func (r *ServiceReport) absorb(out *GOPOutcome) {
-	r.Rounds++
-	r.Outcomes = append(r.Outcomes, out)
-	r.Energy.Add(out.Energy)
-	for _, gop := range out.GOPs {
-		r.GOPReports++
-		r.FramesEncoded += len(gop.Frames)
-	}
-}
-
-// finalize snapshots the terminal session states.
-func (s *Server) finalize(r *ServiceReport) {
+// Report snapshots the server's ledger: the settled-round counters and
+// the lifecycle state of every session registered so far. Safe from any
+// goroutine, at any time — including while Run is serving.
+func (s *Server) Report() *ServiceReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.Submitted = len(s.records)
-	r.Completed, r.Rejected, r.Failed, r.Migrated = nil, nil, nil, nil
-	r.Imported = 0
-	r.Errors = make(map[int]error)
+	r := &ServiceReport{
+		Rounds:        s.rounds,
+		FramesEncoded: s.frames,
+		GOPReports:    s.gopReports,
+		Energy:        s.energy,
+		Errors:        make(map[int]error),
+	}
 	for id, rec := range s.records {
 		if rec.imported {
 			r.Imported++
 		}
-		switch rec.state {
-		case StateCompleted:
-			r.Completed = append(r.Completed, id)
-		case StateRejected:
-			r.Rejected = append(r.Rejected, id)
-		case StateFailed:
-			r.Failed = append(r.Failed, id)
-			r.Errors[id] = rec.err
-		case StateMigrated:
-			r.Migrated = append(r.Migrated, id)
-		}
+		r.Book(id, rec.state, rec.err)
+	}
+	return r
+}
+
+// Book enters one session into the report: counted as submitted, and
+// listed under its terminal state if it reached one (err is the terminal
+// error of a failed session). Callers book ids in ascending order. It is
+// what keeps the ledger view (Server.Report) and an event-derived view
+// (serve.RingSink) classifying sessions identically.
+func (r *ServiceReport) Book(id int, state SessionState, err error) {
+	r.Submitted++
+	switch state {
+	case StateCompleted:
+		r.Completed = append(r.Completed, id)
+	case StateRejected:
+		r.Rejected = append(r.Rejected, id)
+	case StateFailed:
+		r.Failed = append(r.Failed, id)
+		r.Errors[id] = err
+	case StateMigrated:
+		r.Migrated = append(r.Migrated, id)
 	}
 }
 
@@ -124,8 +131,9 @@ func (s *Server) isClosed() bool {
 // state, when ctx is cancelled, when Drain asks it to stop at the next
 // GOP boundary (sessions stay queued, ready for ExportSessions), or on a
 // round-level error (allocator or platform failure, or nobody admitted
-// with the admission ladder disabled). The report covers everything
-// served up to that point.
+// with the admission ladder disabled). Whatever the exit, the report is
+// the ledger as it stands (Server.Report): a restarted Run carries on
+// from it rather than starting a new one.
 //
 // A single session's encode failure does not stop the service: the
 // session departs as StateFailed and its error is collected; the other
@@ -147,45 +155,42 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 		s.running = false
 		s.mu.Unlock()
 	}()
+	err := s.serve(ctx)
+	return s.Report(), err
+}
 
-	rep := &ServiceReport{}
+// serve is Run's loop; nil means a clean stop (closed and drained, or
+// Drain).
+func (s *Server) serve(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
-			s.finalize(rep)
-			return rep, err
+			return err
 		}
 		if s.isDraining() {
 			// Drain: stop at the GOP boundary with the sessions still
 			// queued — the caller exports them (see migrate.go).
-			s.finalize(rep)
-			return rep, nil
+			return nil
 		}
 		if !s.hasServable() {
 			if s.isClosed() {
 				// Re-check under the arrival race: a Submit may have
 				// landed between the two tests.
 				if !s.hasServable() {
-					s.finalize(rep)
-					return rep, nil
+					return nil
 				}
 				continue
 			}
 			select {
 			case <-ctx.Done():
-				s.finalize(rep)
-				return rep, ctx.Err()
+				return ctx.Err()
 			case <-s.arrival:
 			}
 			continue
 		}
 
 		out, _, err := s.serveRound(ctx)
-		if out != nil {
-			rep.absorb(out)
-		}
 		if err != nil {
-			s.finalize(rep)
-			return rep, err
+			return err
 		}
 		// Failed sessions have departed (serveRound set their states and
 		// stored their errors); service continues for the rest.
@@ -193,8 +198,7 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 			s.cfg.OnRound(out)
 		}
 		if len(out.AdmittedUsers) == 0 && len(out.TimedOut) == 0 && !s.cfg.Admission.Enabled {
-			s.finalize(rep)
-			return rep, fmt.Errorf("core: no user admitted in round %d — demands exceed platform (enable the admission ladder to shed load)", out.Round)
+			return fmt.Errorf("core: no user admitted in round %d — demands exceed platform (enable the admission ladder to shed load)", out.Round)
 		}
 	}
 }

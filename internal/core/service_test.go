@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,10 +27,30 @@ func driftModel() func(codec.TileStats) time.Duration {
 	}
 }
 
+// runKeeping drives srv.Run to its end and keeps every round's outcome
+// through the OnRound hook (chained ahead of a hook already installed) —
+// the per-round record the cumulative ServiceReport does not hold.
+func runKeeping(t *testing.T, srv *Server) (*ServiceReport, []*GOPOutcome) {
+	t.Helper()
+	var outs []*GOPOutcome
+	hook := srv.cfg.OnRound
+	srv.cfg.OnRound = func(out *GOPOutcome) {
+		outs = append(outs, out)
+		if hook != nil {
+			hook(out)
+		}
+	}
+	rep, err := srv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, outs
+}
+
 // churnService runs the acceptance scenario: two sessions are submitted
 // up front, two more arrive at staggered times (after rounds 0 and 1) from
 // the OnRound hook, and the queue closes once everyone is in.
-func churnService(t *testing.T, calibrate bool) (*ServiceReport, *Server) {
+func churnService(t *testing.T, calibrate bool) (*ServiceReport, []*GOPOutcome, *Server) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Platform:    mpsoc.XeonE5_2667V4(),
@@ -58,18 +79,15 @@ func churnService(t *testing.T, calibrate bool) (*ServiceReport, *Server) {
 			srv.Close()
 		}
 	}
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, srv
+	rep, outs := runKeeping(t, srv)
+	return rep, outs, srv
 }
 
 // TestRunServesChurnWithoutLosingReports is the acceptance scenario:
 // sessions submitted at staggered times are admitted, served and completed
 // by Run with zero lost GOP reports.
 func TestRunServesChurnWithoutLosingReports(t *testing.T) {
-	rep, srv := churnService(t, true)
+	rep, outs, srv := churnService(t, true)
 
 	if rep.Submitted != 4 {
 		t.Fatalf("submitted %d, want 4", rep.Submitted)
@@ -94,11 +112,11 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 	}
 	// The late arrivals really were late: round 0 served only sessions
 	// 0 and 1, and some later round served all four.
-	if got := rep.Outcomes[0].AdmittedUsers; len(got) != 2 {
+	if got := outs[0].AdmittedUsers; len(got) != 2 {
 		t.Fatalf("round 0 admitted %v, want the two initial sessions", got)
 	}
 	sawFour := false
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		if len(out.AdmittedUsers) == 4 {
 			sawFour = true
 		}
@@ -118,23 +136,23 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 // "measurements" (driftModel), so the comparison is exact, not a timing
 // race.
 func TestCalibrationLowersEstimateError(t *testing.T) {
-	repOff, _ := churnService(t, false)
-	repOn, _ := churnService(t, true)
+	repOff, outsOff, _ := churnService(t, false)
+	repOn, outsOn, _ := churnService(t, true)
 
 	if repOn.Rounds != repOff.Rounds {
 		t.Fatalf("calibration changed the round count: %d vs %d", repOn.Rounds, repOff.Rounds)
 	}
 	// Calibration corrects estimates, never bits: both runs must produce
 	// identical bitstreams.
-	for r := range repOn.Outcomes {
-		for id, gop := range repOn.Outcomes[r].GOPs {
-			if other := repOff.Outcomes[r].GOPs[id]; other == nil || other.Digest != gop.Digest {
+	for r := range outsOn {
+		for id, gop := range outsOn[r].GOPs {
+			if other := outsOff[r].GOPs[id]; other == nil || other.Digest != gop.Digest {
 				t.Fatalf("round %d session %d: calibration changed the bitstream", r, id)
 			}
 		}
 	}
-	errOn, tilesOn := repOn.MeanEstimateErr(3)
-	errOff, tilesOff := repOff.MeanEstimateErr(3)
+	errOn, tilesOn := MeanEstimateErr(outsOn, 3)
+	errOff, tilesOff := MeanEstimateErr(outsOff, 3)
 	if tilesOn == 0 || tilesOn != tilesOff {
 		t.Fatalf("tile coverage differs: %d vs %d", tilesOn, tilesOff)
 	}
@@ -149,7 +167,7 @@ func TestCalibrationLowersEstimateError(t *testing.T) {
 
 // goldenService runs two deterministic medgen sequences through Run and
 // returns per-session digest chains plus the report.
-func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Server, map[int][]uint64) {
+func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, []*GOPOutcome, *Server, map[int][]uint64) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Platform:   mpsoc.XeonE5_2667V4(),
@@ -175,17 +193,14 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Se
 		}
 	}
 	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := runKeeping(t, srv)
 	digests := make(map[int][]uint64)
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.AdmittedUsers {
 			digests[id] = append(digests[id], out.GOPs[id].Digest)
 		}
 	}
-	return rep, srv, digests
+	return rep, outs, srv, digests
 }
 
 // TestRunGoldenRegression locks the service loop's output down: digests
@@ -193,9 +208,9 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Se
 // Sequential reference mode, and the retained bitstreams decode back to
 // exactly the quality the encoder reported.
 func TestRunGoldenRegression(t *testing.T) {
-	_, _, first := goldenService(t, false, false)
-	_, _, second := goldenService(t, false, false)
-	repSeq, _, seq := goldenService(t, true, false)
+	_, _, _, first := goldenService(t, false, false)
+	_, _, _, second := goldenService(t, false, false)
+	repSeq, _, _, seq := goldenService(t, true, false)
 
 	if len(first) != 2 {
 		t.Fatalf("digest chains for %d sessions, want 2", len(first))
@@ -222,14 +237,14 @@ func TestRunGoldenRegression(t *testing.T) {
 
 	// Decode round-trip on retained bitstreams: the decoder must
 	// reconstruct exactly what the encoder measured, frame for frame.
-	rep, srv, _ := goldenService(t, false, true)
+	_, outs, srv, _ := goldenService(t, false, true)
 	for _, sess := range srv.Sessions() {
 		dec, err := codec.NewDecoder(sess.Config().Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decoded := 0
-		for _, out := range rep.Outcomes {
+		for _, out := range outs {
 			gop := out.GOPs[sess.ID]
 			if gop == nil {
 				continue
@@ -306,15 +321,12 @@ func TestAdmissionLadderDegradesAndServes(t *testing.T) {
 		}
 	}
 	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := runKeeping(t, srv)
 	if len(rep.Completed) != 2 || len(rep.Rejected) != 0 || len(rep.Failed) != 0 {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
 	// The overloaded round refused session 1 and the ladder degraded it.
-	if got := rep.Outcomes[0].RejectedUsers; len(got) != 1 || got[0] != 1 {
+	if got := outs[0].RejectedUsers; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("round 0 rejected %v, want [1]", got)
 	}
 	victim := srv.Sessions()[1]
@@ -357,10 +369,7 @@ func TestAdmissionDeadlineRejectsStarvedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := runKeeping(t, srv)
 	if fmt.Sprint(rep.Completed) != "[0]" || fmt.Sprint(rep.Rejected) != "[1]" {
 		t.Fatalf("completed %v rejected %v", rep.Completed, rep.Rejected)
 	}
@@ -368,7 +377,7 @@ func TestAdmissionDeadlineRejectsStarvedSession(t *testing.T) {
 		t.Fatalf("victim state %v, want rejected", st)
 	}
 	sawTimeout := false
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.TimedOut {
 			if id == 1 {
 				sawTimeout = true
@@ -512,12 +521,60 @@ func TestSessionsReturnsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(testSource(t, medgen.Brain, medgen.Still, 4), testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(testSource(t, medgen.Brain, medgen.Still, 4), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 	got := srv.Sessions()
 	got[0] = nil
 	if again := srv.Sessions(); again[0] == nil {
 		t.Fatal("Sessions returned the internal slice — callers can corrupt server state")
+	}
+}
+
+// TestReportHoldsNoPerRoundState: the report is a ledger, not a log.
+// After a 200-round Run it counts all 200 rounds, yet nothing in it —
+// checked field by field, so a future per-round field trips this too —
+// holds more entries than there are sessions.
+func TestReportHoldsNoPerRoundState(t *testing.T) {
+	const rounds = 200
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One rendered frame, repeated, one frame per round: 200 cheap rounds.
+	frame := testSource(t, medgen.Brain, medgen.Still, 1).Frame(0)
+	frames := make([]*video.Frame, rounds)
+	for i := range frames {
+		frames[i] = frame
+	}
+	src, err := SourceFromSequence(&video.Sequence{Frames: frames, FPS: 24}, "brain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testSessionConfig(ModeProposed)
+	cfg.Codec.GOPSize = 1
+	if _, err := srv.Submit(src, cfg); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	rep, err := srv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rounds != rounds || rep.GOPReports != rounds || rep.FramesEncoded != rounds || rep.Energy.Slots != rounds {
+		t.Fatalf("ledger %+v, want %d rounds, GOP reports, frames and energy slots", rep, rounds)
+	}
+	v := reflect.ValueOf(*rep)
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice, reflect.Map:
+			if f.Len() > rep.Submitted {
+				t.Errorf("ServiceReport.%s holds %d entries after %d rounds of %d session(s) — per-round state",
+					v.Type().Field(i).Name, f.Len(), rounds, rep.Submitted)
+			}
+		case reflect.Ptr, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("ServiceReport.%s is a %s — the ledger snapshot should be plain counters and per-session lists",
+				v.Type().Field(i).Name, f.Kind())
+		}
 	}
 }

@@ -320,35 +320,16 @@ func (s *Server) CheckpointSessions() ([]*SessionWire, error) {
 	s.mu.Lock()
 	var snaps []*SessionSnapshot
 	for id, rec := range s.records {
-		if rec.state != StateQueued {
+		if rec.state != StateQueued || !rec.sess.AtGOPBoundary() {
 			continue
 		}
-		snaps = append(snaps, &SessionSnapshot{
-			Session:   rec.sess,
-			Class:     rec.sess.Class(),
-			DonorID:   id,
-			Demand:    rec.lastDemand,
-			Rung:      rec.rung,
-			Waited:    rec.waited,
-			SkipRound: rec.skipRound,
-			Tenant:    rec.tenant,
-			Priority:  rec.priority,
-		})
+		if _, ok := rec.sess.src.(SpeccedSource); ok {
+			snaps = append(snaps, s.snapshot(id))
+		}
 	}
 	s.mu.Unlock()
 	var wires []*SessionWire
 	for _, snap := range snaps {
-		sess := snap.Session
-		if !sess.AtGOPBoundary() {
-			continue
-		}
-		if _, ok := sess.src.(SpeccedSource); !ok {
-			continue
-		}
-		snap.Frame = sess.NextFrame()
-		snap.QPOffset = sess.QPOffset()
-		snap.Degraded = sess.Degraded()
-		snap.RateHalved = sess.RateHalved()
 		w, err := snap.Wire()
 		if err != nil {
 			return nil, err

@@ -199,8 +199,8 @@ func TestSessionWireThroughServerImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target.Imported() != 1 {
-		t.Fatalf("target Imported() = %d", target.Imported())
+	if n := target.Report().Imported; n != 1 {
+		t.Fatalf("target imported %d sessions, want 1", n)
 	}
 	targetOuts, err := target.ServeAll(32)
 	if err != nil {

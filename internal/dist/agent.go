@@ -46,9 +46,8 @@ type AgentConfig struct {
 	Client *Client
 	// Binder re-opens submitted and imported sources (nil = BindSource).
 	Binder core.SourceBinder
-	// Sink receives the fleet's telemetry (optional). The agent composes
-	// it with its own session counters, so pass the sink here rather
-	// than as a serve.WithSink option.
+	// Sink receives the fleet's telemetry (optional); it is handed to the
+	// embedded fleet as its serve.WithSink.
 	Sink serve.Sink
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
@@ -62,7 +61,6 @@ type Agent struct {
 	cfg    AgentConfig
 	fleet  *serve.Fleet
 	client *Client
-	counts *counterSink
 
 	mu          sync.Mutex
 	checkpoints map[int][]*core.SessionWire // shard → latest wires
@@ -75,38 +73,10 @@ type Agent struct {
 	runErr  error
 }
 
-// counterSink tallies terminal session states — the lifetime counters
-// an agent reports in heartbeats.
-type counterSink struct {
-	serve.NopSink
-	mu                          sync.Mutex
-	completed, failed, rejected int
-}
-
-func (c *counterSink) OnSessionStateChange(e serve.SessionEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch e.State {
-	case core.StateCompleted:
-		c.completed++
-	case core.StateFailed:
-		c.failed++
-	case core.StateRejected:
-		c.rejected++
-	}
-}
-
-func (c *counterSink) totals() (completed, failed, rejected int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.completed, c.failed, c.rejected
-}
-
 // NewAgent builds an agent and its fleet. fleetOpts configure the
 // embedded serve.Fleet (shards, platforms, allocator, ...); the agent
-// adds its own checkpoint hook and telemetry counters on top, so do not
-// pass serve.WithCheckpoint or serve.WithSink here — use
-// AgentConfig.CheckpointEvery and AgentConfig.Sink.
+// adds its own checkpoint hook on top, so do not pass
+// serve.WithCheckpoint here — use AgentConfig.CheckpointEvery.
 func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("dist: agent needs a name")
@@ -132,18 +102,14 @@ func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 	a := &Agent{
 		cfg:         cfg,
 		client:      cfg.Client,
-		counts:      &counterSink{},
 		checkpoints: make(map[int][]*core.SessionWire),
 		done:        make(chan struct{}),
 	}
-	sink := serve.Sink(a.counts)
-	if cfg.Sink != nil {
-		sink = serve.MultiSink(a.counts, cfg.Sink)
-	}
 	opts := append(append([]serve.Option(nil), fleetOpts...),
-		serve.WithSink(sink),
-		serve.WithCheckpoint(cfg.CheckpointEvery, a.storeCheckpoint),
-	)
+		serve.WithCheckpoint(cfg.CheckpointEvery, a.storeCheckpoint))
+	if cfg.Sink != nil {
+		opts = append(opts, serve.WithSink(cfg.Sink))
+	}
 	fleet, err := serve.New(opts...)
 	if err != nil {
 		return nil, err
@@ -251,7 +217,7 @@ func (a *Agent) heartbeat() Heartbeat {
 		wires = append(wires, a.checkpoints[shard]...)
 	}
 	a.mu.Unlock()
-	completed, failed, rejected := a.counts.totals()
+	rep := a.fleet.Report()
 	hb := Heartbeat{
 		Version:     ProtocolVersion,
 		Name:        a.cfg.Name,
@@ -259,9 +225,9 @@ func (a *Agent) heartbeat() Heartbeat {
 		Seq:         a.seq.Add(1),
 		Loads:       a.fleet.Loads(),
 		Checkpoints: wires,
-		Completed:   completed,
-		Failed:      failed,
-		Rejected:    rejected,
+		Completed:   rep.Completed,
+		Failed:      rep.Failed,
+		Rejected:    rep.Rejected,
 	}
 	var buf bytes.Buffer
 	if err := a.fleet.StoreSnapshot().Save(&buf); err == nil {
@@ -315,6 +281,34 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), status)
 }
 
+// maxRequestBytes bounds every request body a node will read. The
+// largest legitimate body is a heartbeat: one wire checkpoint per live
+// session — its encoder's reference frame in base64, 0.6 MB at 640×480 —
+// plus the node's LUT store, so the cap leaves room for a hundred such
+// sessions on one agent, several times what its shards can serve.
+const maxRequestBytes = 64 << 20
+
+// decodeRequest is the front half of every POST handler: it reads at most
+// maxRequestBytes of body into dst and, for the versioned messages
+// (version points into dst), refuses a peer speaking another protocol
+// version before the handler looks at anything else in the payload. On
+// failure the 4xx is already written and the handler must just return.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, dst any, version *int) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(dst)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s body over %d bytes", what, maxRequestBytes)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "decode %s: %v", what, err)
+	case version != nil && *version != ProtocolVersion:
+		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", *version, ProtocolVersion)
+	default:
+		return true
+	}
+	return false
+}
+
 func (a *Agent) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Version: ProtocolVersion, Name: a.cfg.Name})
 }
@@ -325,12 +319,7 @@ func (a *Agent) handleLoads(w http.ResponseWriter, r *http.Request) {
 
 func (a *Agent) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode submit: %v", err)
-		return
-	}
-	if req.Version != ProtocolVersion {
-		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", req.Version, ProtocolVersion)
+	if !decodeRequest(w, r, "submit", &req, &req.Version) {
 		return
 	}
 	src, err := a.cfg.Binder(req.Source)
@@ -357,12 +346,7 @@ func (a *Agent) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 	var req ImportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode import: %v", err)
-		return
-	}
-	if req.Version != ProtocolVersion {
-		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", req.Version, ProtocolVersion)
+	if !decodeRequest(w, r, "import", &req, &req.Version) {
 		return
 	}
 	if req.Session == nil {
@@ -404,7 +388,7 @@ func (a *Agent) exportOne(ctx context.Context, shard, session int) (*core.Sessio
 		err  error
 	}
 	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh core.Shard) {
+	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
 		snap, err := sh.ExportSession(session)
 		if err != nil {
 			ch <- result{nil, err}
@@ -436,8 +420,7 @@ func (a *Agent) exportOne(ctx context.Context, shard, session int) (*core.Sessio
 
 func (a *Agent) handleExport(w http.ResponseWriter, r *http.Request) {
 	var req ExportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode export: %v", err)
+	if !decodeRequest(w, r, "export", &req, nil) {
 		return
 	}
 	wire, err := a.exportOne(r.Context(), req.Shard, req.Session)
@@ -477,7 +460,7 @@ func (a *Agent) drainShard(ctx context.Context, shard int) ([]*core.SessionWire,
 		err   error
 	}
 	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh core.Shard) {
+	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
 		wires, err := sh.CheckpointSessions()
 		if err != nil {
 			ch <- result{nil, err}

@@ -374,12 +374,7 @@ func (m *Master) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-		httpError(w, http.StatusBadRequest, "decode heartbeat: %v", err)
-		return
-	}
-	if hb.Version != ProtocolVersion {
-		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", hb.Version, ProtocolVersion)
+	if !decodeRequest(w, r, "heartbeat", &hb, &hb.Version) {
 		return
 	}
 	if hb.Name == "" || hb.URL == "" {
@@ -433,12 +428,7 @@ func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (m *Master) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode submit: %v", err)
-		return
-	}
-	if req.Version != ProtocolVersion {
-		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", req.Version, ProtocolVersion)
+	if !decodeRequest(w, r, "submit", &req, &req.Version) {
 		return
 	}
 	if m.cfg.Tenancy != nil {

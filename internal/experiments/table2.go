@@ -161,7 +161,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 			cfg.Mode = mode
 			cfg.BaselineTiles = baselineTiles
 			cfg.TimeModel = model
-			if _, err := srv.AddSession(src, cfg); err != nil {
+			if _, err := srv.Submit(src, cfg); err != nil {
 				return side, err
 			}
 		}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/medgen"
+	"repro/internal/mpsoc"
 	"repro/internal/serve"
 )
 
@@ -157,7 +159,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	// the main goroutine between observable phases instead.
 	classes := homedClasses(t, f, 3)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +170,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	}()
 
 	// Wait for live rounds, then scrape mid-churn.
-	waitFor(t, func() bool { return ring.Report(-1).Rounds >= 2 })
+	waitFor(t, func() bool { return ring.Report().Rounds >= 2 })
 	mid := scrape(t, srv.URL)
 	midSamples := parseExposition(t, mid)
 	if len(midSamples) == 0 {
@@ -185,7 +187,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	}
 	grown := homedClasses(t, f, 4)
 	for i, class := range grown[3:] {
-		if _, err := f.Submit(testSource(t, class, int64(10+i), 32), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, class, int64(10+i), 32), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,10 +208,10 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	}
 
 	// Final reconciliation: exact equality per shard against the
-	// RingSink's (shard, id)-keyed fleet view.
+	// RingSink's per-shard sub-reports.
 	samples := parseExposition(t, scrape(t, srv.URL))
-	fleet := ring.FleetReport()
-	for shard, rep := range fleet.Shards {
+	for shard, sr := range ring.Report().Shards {
+		rep := sr.Report
 		if rep.Rounds == 0 {
 			continue // a shard that never settled a round exports nothing
 		}
@@ -270,7 +272,7 @@ func TestExporterBoundsClassCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := f.Submit(testSource(t, fmt.Sprintf("flood-%d", i), int64(i+1), 4), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, fmt.Sprintf("flood-%d", i), int64(i+1), 4), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +296,7 @@ func TestExporterBoundsClassCardinality(t *testing.T) {
 	if !classes["other"] {
 		t.Fatalf("flood classes were not folded into \"other\": %v", classes)
 	}
-	if got, want := sum(parseExposition(t, b.String()), "repro_gops_total", nil), float64(ring.Report(-1).GOPReports); got != want {
+	if got, want := sum(parseExposition(t, b.String()), "repro_gops_total", nil), float64(ring.Report().GOPReports); got != want {
 		t.Fatalf("folding lost GOPs: exported %v, ring %v", got, want)
 	}
 }
@@ -361,7 +363,7 @@ func TestExporterAgentLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.Submit(testSource(t, "brain", 1, 8), testSessionConfig()); err != nil {
+	if _, err := fleet.SubmitWith(serve.SubmitRequest{Source: testSource(t, "brain", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	fleet.Close()
@@ -432,7 +434,86 @@ func TestExporterBoundsTenantCardinality(t *testing.T) {
 	if !tenants["other"] {
 		t.Fatalf("flood tenants were not folded into \"other\": %v", tenants)
 	}
-	if got, want := sum(samples, "repro_tenant_gops_total", nil), float64(ring.Report(-1).GOPReports); got != want {
+	if got, want := sum(samples, "repro_tenant_gops_total", nil), float64(ring.Report().GOPReports); got != want {
 		t.Fatalf("folding lost per-tenant GOPs: exported %v, ring %v", got, want)
+	}
+}
+
+// migrationLog keeps the migration events a fleet delivers.
+type migrationLog struct {
+	serve.NopSink
+	events []serve.MigrationEvent
+}
+
+func (l *migrationLog) OnSessionMigrated(e serve.MigrationEvent) { l.events = append(l.events, e) }
+
+// TestReimportKeepsTenantBilling is the regression test for the
+// cross-process re-import dropping its tenant: a session checkpointed
+// under tenant "clinic" on one server and adopted through Fleet.Import —
+// the failover path, FromShard -1 — must arrive with its tenant on the
+// migration event, so the exporter keeps billing its GOPs to "clinic"
+// instead of rebinding the session to the default tenant.
+func TestReimportKeepsTenantBilling(t *testing.T) {
+	vc := medgen.Default()
+	vc.Width, vc.Height = 256, 192
+	vc.Frames = 12
+	src, err := dist.NewMedgenSource(vc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := core.NewServer(core.ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.Submit(src, testSessionConfig(), core.SubmitOptions{Tenant: "clinic"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.ServeGOP(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := donor.ExportSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := snap.Wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := wire.Restore(dist.BindSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sink := NewSink(SinkConfig{})
+	log := &migrationLog{}
+	fleet, err := serve.New(serve.WithShards(1), serve.WithSink(log), serve.WithMetrics(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Import(restored); err != nil {
+		t.Fatal(err)
+	}
+	fleet.Close()
+	rep, err := fleet.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 1 || rep.GOPReports != 2 {
+		t.Fatalf("report %+v, want the adopted session's remaining 2 GOPs served", rep)
+	}
+
+	if len(log.events) != 1 || log.events[0].FromShard != -1 || log.events[0].Tenant != "clinic" {
+		t.Fatalf("migration events %+v, want one cross-process re-import carrying tenant clinic", log.events)
+	}
+	var buf strings.Builder
+	if err := sink.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples := parseExposition(t, buf.String())
+	if got := sum(samples, "repro_tenant_gops_total", map[string]string{"tenant": "clinic"}); got != 2 {
+		t.Fatalf("repro_tenant_gops_total{tenant=clinic} = %v, want 2", got)
+	}
+	if got := sum(samples, "repro_tenant_gops_total", nil); got != 2 {
+		t.Fatalf("repro_tenant_gops_total over all tenants = %v, want 2 — GOPs billed to the wrong tenant", got)
 	}
 }

@@ -287,6 +287,20 @@ func (t *Totals) Add(r *SlotReport) {
 	}
 }
 
+// Merge folds another accumulation into the totals — how a fleet sums
+// its platforms: counts, time and energy add up, the peak is the higher
+// of the two.
+func (t *Totals) Merge(o Totals) {
+	t.Slots += o.Slots
+	t.Time += o.Time
+	t.EnergyJ += o.EnergyJ
+	if o.PeakPowerW > t.PeakPowerW {
+		t.PeakPowerW = o.PeakPowerW
+	}
+	t.DeadlineMisses += o.DeadlineMisses
+	t.CarryOver += o.CarryOver
+}
+
 // AvgPowerW returns the average power over all accumulated slots (0 when
 // empty).
 func (t *Totals) AvgPowerW() float64 {

@@ -142,7 +142,7 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := f.Submit(testSource(t, "auto", int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "auto", int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestFleetAutoscaleScheduleDrivesResizes(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 32), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 32), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -123,7 +123,7 @@ func TestFleetElasticChurn(t *testing.T) {
 	// resizes.
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 24), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 24), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestFleetElasticChurn(t *testing.T) {
 	// the shrink will remove.
 	victimClass := classHomedOn(t, f, 3)
 	const victimFrames = 32
-	p, err := f.Submit(testSource(t, victimClass, 7, victimFrames), testSessionConfig())
+	p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, victimClass, 7, victimFrames), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 	}
 	class := classHomedOn(t, f, 2) // homed on the shard the shrink removes
 	for j := 0; j < 2; j++ {
-		if p, err := f.Submit(testSource(t, class, int64(j+1), 16), testSessionConfig()); err != nil {
+		if p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(j+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		} else if p.Shard != 2 {
 			t.Fatalf("session routed to shard %d, want home 2", p.Shard)
@@ -276,7 +276,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 	}
 	// A post-shrink arrival of the same class routes to the new home —
 	// never to the removed shard.
-	late, err := f.Submit(testSource(t, class, 3, 8), testSessionConfig())
+	late, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 3, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestResizeUpThenImmediatelyDown(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,10 +366,10 @@ func TestResizeIdleFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes := classesPerShard(t, f)
-	if _, err := f.Submit(testSource(t, classes[0], 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[0], 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, classes[1], 2, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[1], 2, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	loads := f.Loads()

@@ -52,44 +52,22 @@ func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 	if snap == nil || snap.Session == nil {
 		return Placement{}, errors.New("serve: import of nil snapshot")
 	}
-	var lastErr error
-	for _, ti := range f.routeOrder(f.HomeShard(snap.Class)) {
-		sess, err := f.shardAt(ti).srv.Import(snap)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		f.dispatchMigration(MigrationEvent{
-			FromShard:   -1,
-			FromSession: snap.DonorID,
-			ToShard:     ti,
-			ToSession:   sess.ID,
-			Class:       snap.Class,
-			Frame:       snap.Frame,
-		})
-		f.mu.Lock()
-		t := f.shards[ti]
-		if f.running && t.routable() && !t.supervising {
-			f.startSupervisorLocked(f.runCtx, t)
-		}
-		f.mu.Unlock()
-		return Placement{Shard: ti, Session: sess}, nil
+	p, err := f.adopt(snap, -1, f.placeOrder(f.HomeShard(snap.Class), 0), Sink.OnSessionMigrated)
+	if err != nil {
+		return Placement{}, fmt.Errorf("serve: import: %w", err)
 	}
-	if lastErr == nil {
-		lastErr = errors.New("serve: no live shard")
-	}
-	return Placement{}, fmt.Errorf("serve: import: %w", lastErr)
+	return p, nil
 }
 
 // OnNextRound schedules fn to run on shard's serving goroutine at its
 // next round boundary — between rounds, where every session sits at a GOP
 // boundary and ExportSession/CheckpointSessions are legal while the Run
-// is live. fn receives the shard handle; it must not block and must not
+// is live. fn receives the shard's server; it must not block and must not
 // call fleet methods that take the fleet lock. The callback fires at most
 // once; it never fires if the shard serves no further round (an idle
 // shard settles no rounds), so callers waiting on a reply channel must
 // time out. Fails for a shard that is not routable.
-func (f *Fleet) OnNextRound(shard int, fn func(core.Shard)) error {
+func (f *Fleet) OnNextRound(shard int, fn func(*core.Server)) error {
 	if fn == nil {
 		return errors.New("serve: nil round callback")
 	}

@@ -85,7 +85,7 @@ func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, i
 		cfg := testSessionConfig()
 		cfg.Retile.MinTileW, cfg.Retile.MinTileH = 84, 64
 		cfg.TimeModel = pixelCostModel(800)
-		p, err := f.Submit(testSource(t, lightClass, int64(i+1), 16), cfg)
+		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, lightClass, int64(i+1), 16), Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, i
 	heavyCfg := testSessionConfig()
 	heavyCfg.Retile.MinTileW, heavyCfg.Retile.MinTileH = 208, 160
 	heavyCfg.TimeModel = pixelCostModel(800)
-	heavy, err := f.Submit(testSource4K(t, heavyClass, 7, 16), heavyCfg)
+	heavy, err := f.SubmitWith(SubmitRequest{Source: testSource4K(t, heavyClass, 7, 16), Config: heavyCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLoadReportInvariants(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cfg := testSessionConfig()
 		cfg.TimeModel = pixelCostModel(800)
-		if _, err := f.Submit(testSource(t, classes[0], int64(i+1), 8), cfg); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[0], int64(i+1), 8), Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}

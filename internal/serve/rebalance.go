@@ -14,7 +14,7 @@ import (
 // handoff, minus the drain: when a shard's demand-normalized utilization
 // (core.LoadReport) exceeds the fleet mean by a configurable factor for K
 // consecutive rounds, it hands sessions to less-utilized peers through the
-// narrow core.Shard.ExportSession path, right after its round settles —
+// narrow core.Server.ExportSession path, right after its round settles —
 // the one moment every session on the shard sits at a GOP boundary with no
 // encode in flight, and the one goroutine allowed to touch them is the
 // very one running the check. Sessions are picked by how well their core
@@ -210,8 +210,7 @@ func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64,
 		if doMerge {
 			target.srv.Store().MergeClass(s.srv.Store(), snap.Class)
 		}
-		sess, ierr := target.srv.Import(snap)
-		if ierr != nil {
+		if _, ierr := f.adopt(snap, s.index, []int{target.index}, Sink.OnSessionRebalanced); ierr != nil {
 			// Never strand the session: re-adopt it locally under a fresh
 			// id; only if even that fails does it dead-letter.
 			if _, herr := s.srv.Import(snap); herr != nil {
@@ -223,18 +222,6 @@ func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64,
 		f.mu.Lock()
 		f.rebalanced++
 		f.mu.Unlock()
-		f.dispatchRebalance(MigrationEvent{
-			FromShard:   s.index,
-			FromSession: snap.DonorID,
-			ToShard:     target.index,
-			ToSession:   sess.ID,
-			Class:       snap.Class,
-			Frame:       snap.Frame,
-			Tenant:      snap.Tenant,
-		})
-		// Wake or revive the adopter: a closed fleet drains shards as they
-		// empty, so an idle target may have no supervisor anymore.
-		f.reviveSupervisor(target)
 		gap -= v.demand
 		moves++
 	}
@@ -269,25 +256,4 @@ func (f *Fleet) pickRebalanceTarget(donor int) (*shardState, core.LoadReport) {
 		}
 	}
 	return best, bestRep
-}
-
-// reviveSupervisor restarts a live target's serving supervisor if the
-// fleet is running and the target's previous supervisor already returned
-// (an empty shard of a closed fleet drains its loop).
-func (f *Fleet) reviveSupervisor(t *shardState) {
-	f.mu.Lock()
-	if f.running && t.routable() && !t.supervising {
-		f.startSupervisorLocked(f.runCtx, t)
-	}
-	f.mu.Unlock()
-}
-
-// dispatchRebalance delivers a session-rebalanced event to the sink.
-func (f *Fleet) dispatchRebalance(e MigrationEvent) {
-	if f.opts.sink == nil {
-		return
-	}
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	f.opts.sink.OnSessionRebalanced(e)
 }

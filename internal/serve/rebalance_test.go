@@ -34,7 +34,7 @@ func TestRebalanceShedsHotShardBitIdentical(t *testing.T) {
 	f, class, home := hotFleet(t, 2, RebalanceConfig{Factor: 1.2, Windows: 1}, sink)
 	const sessions = 4
 	for i := 0; i < sessions; i++ {
-		p, err := f.Submit(testSource(t, class, int64(i+1), frames), testSessionConfig())
+		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), frames), Config: testSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestRebalanceQuietOnBalancedFleet(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 8), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestRebalanceHysteresisHoldsWithinWindow(t *testing.T) {
 	sink := &recordingSink{}
 	f, class, home := hotFleet(t, 2, RebalanceConfig{Factor: 1.2, Windows: 100}, sink)
 	for i := 0; i < 3; i++ {
-		p, err := f.Submit(testSource(t, class, int64(i+1), 8), testSessionConfig())
+		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

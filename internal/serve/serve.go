@@ -182,8 +182,8 @@ func WithTimeScale(scale float64) Option {
 }
 
 // WithSink streams the fleet's telemetry to s (see Sink for the delivery
-// contract). Without a sink the fleet still aggregates per-shard
-// ServiceReports into its Run result.
+// contract). The fleet's own Report does not depend on it: that is read
+// from the shards' ledgers.
 func WithSink(s Sink) Option {
 	return func(o *options) { o.sink = s }
 }
@@ -237,14 +237,14 @@ func WithMaxRestarts(n int) Option {
 }
 
 // Fleet is the multi-shard serving front door. Build with New, feed with
-// Submit, drive with Run, scale with Resize, stop with Close (drain) or
-// context cancellation (abort).
+// SubmitWith, drive with Run, scale with Resize, stop with Close (drain)
+// or context cancellation (abort).
 //
-// Concurrency: Submit, Close, Resize, Load, Loads, Shards, HomeShard and
-// SaveLUTs are safe from any goroutine; Run must be called once at a
-// time. Resize must not be called from a round hook or a sink — a shard
-// being drained cannot wait for its own serving goroutine; give the
-// autoscaler its own goroutine.
+// Concurrency: SubmitWith, Close, Resize, Report, Load, Loads, Shards,
+// HomeShard and SaveLUTs are safe from any goroutine; Run must be called
+// once at a time. Resize must not be called from a round hook or a sink
+// — a shard being drained cannot wait for its own serving goroutine;
+// give the autoscaler its own goroutine.
 type Fleet struct {
 	opts options
 	// proto is the platform prototype shards added by Resize run on: the
@@ -268,9 +268,6 @@ type Fleet struct {
 	// shards only ever grows; a removed shard keeps its slot (indices
 	// are stable identities in telemetry) with removed set.
 	shards []*shardState
-	// reports accumulates per-shard outcomes across supervisor
-	// incarnations and resizes, keyed by shard index.
-	reports map[int]*ShardReport
 	// active counts live supervisor goroutines; Run returns at zero.
 	active  int
 	running bool
@@ -306,7 +303,7 @@ type Fleet struct {
 // are guarded by Fleet.mu.
 type shardState struct {
 	index int
-	srv   core.Shard
+	srv   *core.Server
 	// dead: the supervisor gave the shard up; routing skips it.
 	dead bool
 	// draining: a Resize is removing the shard; routing skips it, its
@@ -323,7 +320,13 @@ type shardState struct {
 	// pending holds callbacks scheduled by Fleet.OnNextRound, drained on
 	// the shard's serving goroutine at the next round boundary — the safe
 	// point for ExportSession/CheckpointSessions (guarded by Fleet.mu).
-	pending []func(core.Shard)
+	pending []func(*core.Server)
+	// The supervisor's side of the shard's report (everything else is the
+	// server's own ledger): loop restarts performed, the give-up error,
+	// and the sessions failed by a give-up or an unexportable drain.
+	restarts int
+	err      error
+	aborted  []int
 }
 
 // New validates the options and builds the fleet's shards.
@@ -406,7 +409,6 @@ func New(opts ...Option) (*Fleet, error) {
 		opts:       o,
 		seed:       seed,
 		ring:       newHashRing(seqMembers(n), o.replicas),
-		reports:    make(map[int]*ShardReport),
 		hotRuns:    make(map[int]int),
 		shedMerged: make(map[shedKey]bool),
 	}
@@ -456,7 +458,7 @@ func (f *Fleet) newShardState(index int, platform *mpsoc.Platform, allocName str
 		Tenancy:     f.opts.tenancy,
 		Store:       store,
 		OnRound: func(out *core.GOPOutcome) {
-			f.dispatchRound(shard, out)
+			f.deliverRound(shard, out)
 			// Control loop: the round boundary is the safe point for a hot
 			// shard to shed (every session at a GOP boundary, this very
 			// goroutine the only one serving them), and the tick feeding
@@ -483,7 +485,9 @@ func (f *Fleet) newShardState(index int, platform *mpsoc.Platform, allocName str
 			}
 		},
 		OnSessionState: func(id int, state core.SessionState, err error) {
-			f.dispatchState(shard.index, id, state, err)
+			f.deliver(func(s Sink) {
+				s.OnSessionStateChange(SessionEvent{Shard: shard.index, Session: id, State: state, Err: err})
+			})
 		},
 	})
 	if err != nil {
@@ -578,8 +582,7 @@ type Placement struct {
 // door: the video source, its session configuration, and the QoS
 // identity — which tenant the session bills to and what priority class
 // it competes at. The zero values mean "the default tenant, best
-// effort", so SubmitRequest{Source: src, Config: cfg} is exactly the
-// old two-argument Submit.
+// effort".
 type SubmitRequest struct {
 	// Source is the session's frame source (required).
 	Source core.FrameSource
@@ -594,17 +597,6 @@ type SubmitRequest struct {
 	// admits first and preempts lower classes under overload). With
 	// WithTenancy, 0 is resolved to the tenant's registered default.
 	Priority int
-}
-
-// Submit routes a session to its class's home shard for the default
-// tenant at best-effort priority — the historical two-argument front
-// door, kept for callers that predate multi-tenant QoS.
-//
-// Deprecated: use SubmitWith, which carries the tenant id and priority
-// class in a SubmitRequest. Submit(src, cfg) is exactly
-// SubmitWith(SubmitRequest{Source: src, Config: cfg}).
-func (f *Fleet) Submit(src core.FrameSource, cfg core.SessionConfig) (Placement, error) {
-	return f.SubmitWith(SubmitRequest{Source: src, Config: cfg})
 }
 
 // SubmitWith routes a session to its class's home shard, falling back to
@@ -643,7 +635,7 @@ func (f *Fleet) SubmitWith(req SubmitRequest) (Placement, error) {
 	opts := core.SubmitOptions{Tenant: req.Tenant, Priority: priority}
 	var lastErr error
 	for _, si := range f.placeOrder(home, demand) {
-		sess, err := f.shardAt(si).srv.SubmitWith(src, cfg, opts)
+		sess, err := f.shardAt(si).srv.Submit(src, cfg, opts)
 		if err == nil {
 			e := PlacementEvent{
 				Shard:       si,
@@ -657,7 +649,7 @@ func (f *Fleet) SubmitWith(req SubmitRequest) (Placement, error) {
 			if e.DemandCores < 1 {
 				e.DemandCores = 1
 			}
-			f.dispatchPlaced(e)
+			f.deliver(func(s Sink) { s.OnSessionPlaced(e) })
 			return Placement{Shard: si, Session: sess}, nil
 		}
 		lastErr = err
@@ -675,15 +667,7 @@ func (f *Fleet) shardAt(i int) *shardState {
 	return f.shards[i]
 }
 
-// routeOrder returns the shard indices to try for a session with no
-// demand estimate: the home shard first — unless it is unroutable or at
-// capacity — then the remaining routable shards in ascending
-// (utilization, sessions, index) order.
-func (f *Fleet) routeOrder(home int) []int {
-	return f.placeOrder(home, 0)
-}
-
-// Close closes every shard's arrival queue: no further Submit succeeds
+// Close closes every shard's arrival queue: no further SubmitWith succeeds
 // and Run returns once the submitted sessions drain. Shards added by a
 // later Resize are born closed. Safe to call from any goroutine, more
 // than once.
@@ -697,12 +681,11 @@ func (f *Fleet) Close() {
 	}
 }
 
-// ShardReport is one shard's outcome of a fleet Run.
+// ShardReport is one shard's part of a fleet Report.
 type ShardReport struct {
 	Shard int
-	// Report merges the shard's service reports across restarts: counters
-	// and outcomes accumulate; the terminal-state lists are the final
-	// snapshot.
+	// Report is the shard server's ledger (core.Server.Report): cumulative
+	// over the server's life, so it spans supervisor restarts unaided.
 	Report *core.ServiceReport
 	// Restarts counts serving-loop restarts the supervisor performed.
 	Restarts int
@@ -713,7 +696,10 @@ type ShardReport struct {
 	Aborted []int
 }
 
-// Report aggregates a fleet Run.
+// Report is the fleet-wide view: every shard's report (indexed by shard,
+// retired slots included) and their sums. Fleet.Report reads it from the
+// shards' ledgers; RingSink.Report derives the same type from the event
+// stream.
 type Report struct {
 	Shards []ShardReport
 	// Fleet-wide aggregates over all shards. Submitted counts unique
@@ -774,41 +760,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		// the report is snapshotted.
 		scaler.stop()
 	}
-	f.mu.Lock()
-	reports := make([]ShardReport, len(f.shards))
-	removed := 0
-	for i, s := range f.shards {
-		if r := f.reports[i]; r != nil {
-			reports[i] = *r
-		} else {
-			reports[i] = ShardReport{Shard: i}
-		}
-		if s.removed {
-			removed++
-		}
-	}
-	rebalanced := f.rebalanced
-	f.mu.Unlock()
-
-	rep := &Report{Shards: reports, Rebalanced: rebalanced}
-	deadShards := 0
-	for _, sr := range reports {
-		if sr.Err != nil {
-			deadShards++
-		}
-		if sr.Report == nil {
-			continue
-		}
-		rep.Rounds += sr.Report.Rounds
-		rep.Submitted += sr.Report.Submitted - sr.Report.Imported
-		rep.Completed += len(sr.Report.Completed)
-		rep.Rejected += len(sr.Report.Rejected)
-		rep.Failed += len(sr.Report.Failed)
-		rep.Migrated += len(sr.Report.Migrated)
-		rep.FramesEncoded += sr.Report.FramesEncoded
-		rep.GOPReports += sr.Report.GOPReports
-		addTotals(&rep.Energy, sr.Report.Energy)
-	}
+	rep := f.Report()
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
@@ -819,17 +771,69 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	}
 	// "Every shard died" is judged over the shards that could still
 	// serve: slots retired by a clean Resize drain don't count either way.
-	if serving := len(reports) - removed; deadShards == serving && serving > 0 {
-		first := error(nil)
-		for _, sr := range reports {
-			if sr.Err != nil {
-				first = sr.Err
-				break
+	f.mu.Lock()
+	serving, deadShards, first := 0, 0, error(nil)
+	for _, s := range f.shards {
+		if !s.removed {
+			serving++
+		}
+		if s.err != nil {
+			deadShards++
+			if first == nil {
+				first = s.err
 			}
 		}
+	}
+	f.mu.Unlock()
+	if deadShards == serving && serving > 0 {
 		return rep, fmt.Errorf("serve: all %d serving shards failed, first: %w", deadShards, first)
 	}
 	return rep, nil
+}
+
+// Report builds the fleet-wide view from the shards' ledgers, at any
+// time: each shard's core.Server.Report beside what its supervisor did,
+// and the sums over shards. Safe from any goroutine, including while Run
+// is serving; every counter is cumulative over the fleet's life. Run
+// returns exactly this.
+func (f *Fleet) Report() *Report {
+	f.mu.Lock()
+	shards := make([]ShardReport, len(f.shards))
+	srvs := make([]*core.Server, len(f.shards))
+	for i, s := range f.shards {
+		shards[i] = ShardReport{
+			Shard:    i,
+			Restarts: s.restarts,
+			Err:      s.err,
+			Aborted:  append([]int(nil), s.aborted...),
+		}
+		srvs[i] = s.srv
+	}
+	rebalanced := f.rebalanced
+	f.mu.Unlock()
+	for i, srv := range srvs {
+		shards[i].Report = srv.Report()
+	}
+	return sumShards(shards, rebalanced)
+}
+
+// sumShards completes a Report over the given per-shard reports — the
+// one place the fleet-wide sums are taken, so the ledger view and the
+// event-derived view add up the same way.
+func sumShards(shards []ShardReport, rebalanced int) *Report {
+	rep := &Report{Shards: shards, Rebalanced: rebalanced}
+	for _, sr := range shards {
+		rep.Rounds += sr.Report.Rounds
+		rep.Submitted += sr.Report.Submitted - sr.Report.Imported
+		rep.Completed += len(sr.Report.Completed)
+		rep.Rejected += len(sr.Report.Rejected)
+		rep.Failed += len(sr.Report.Failed)
+		rep.Migrated += len(sr.Report.Migrated)
+		rep.FramesEncoded += sr.Report.FramesEncoded
+		rep.GOPReports += sr.Report.GOPReports
+		rep.Energy.Merge(sr.Report.Energy)
+	}
+	return rep
 }
 
 // startSupervisorLocked launches the supervisor goroutine for one shard.
@@ -839,9 +843,8 @@ func (f *Fleet) startSupervisorLocked(ctx context.Context, s *shardState) {
 	f.active++
 	go func() {
 		for {
-			sr := f.supervise(ctx, s)
+			f.supervise(ctx, s)
 			f.mu.Lock()
-			f.mergeReportLocked(sr)
 			// Exit when the shard is finished — but not while it is
 			// draining un-removed (the next supervise pass completes the
 			// drain), and not when sessions slipped into the queue while
@@ -868,62 +871,51 @@ func (f *Fleet) startSupervisorLocked(ctx context.Context, s *shardState) {
 	}()
 }
 
-// mergeReportLocked folds one supervisor pass's report into the shard's
-// accumulated report. Callers hold f.mu.
-func (f *Fleet) mergeReportLocked(sr ShardReport) {
-	dst := f.reports[sr.Shard]
-	if dst == nil {
-		cp := sr
-		f.reports[sr.Shard] = &cp
-		return
-	}
-	mergeServiceReport(dst, sr.Report)
-	dst.Restarts += sr.Restarts
-	if sr.Err != nil {
-		dst.Err = sr.Err
-	}
-	dst.Aborted = append(dst.Aborted, sr.Aborted...)
-}
-
 // supervise drives one shard's serving loop with restart-on-error and
-// drain handling.
-func (f *Fleet) supervise(ctx context.Context, s *shardState) ShardReport {
-	sr := ShardReport{Shard: s.index}
-	for {
-		rep, err := s.srv.Run(ctx)
-		mergeServiceReport(&sr, rep)
+// drain handling. Each pass has its own budget of WithMaxRestarts
+// restarts; the shard's report counts them all.
+func (f *Fleet) supervise(ctx context.Context, s *shardState) {
+	for restarts := 0; ; restarts++ {
+		_, err := s.srv.Run(ctx)
 		if f.isDrainingShard(s) {
 			// A Resize is removing this shard: migrate its sessions and
 			// retire it, whatever the loop returned.
-			f.finishDrain(s, &sr, ctx)
-			return sr
+			f.finishDrain(s, ctx)
+			return
 		}
-		switch {
-		case err == nil:
-			return sr
-		case ctx.Err() != nil:
-			// Cancellation is fleet-wide, not a shard fault.
-			return sr
-		case sr.Restarts < f.opts.maxRestarts:
-			sr.Restarts++
-		default:
-			// Give the shard up: stop accepting arrivals, fail what
-			// cannot be served, let the rest of the fleet carry on.
+		// Cancellation is fleet-wide, not a shard fault.
+		if err == nil || ctx.Err() != nil {
+			return
+		}
+		if restarts < f.opts.maxRestarts {
 			f.mu.Lock()
-			s.dead = true
+			s.restarts++
 			f.mu.Unlock()
-			s.srv.Close()
-			sr.Err = fmt.Errorf("serve: shard %d gave up after %d restarts: %w", s.index, sr.Restarts, err)
-			if ids, aerr := s.srv.Abort(sr.Err); aerr == nil {
-				sr.Aborted = ids
-			}
-			// The abort flipped queued sessions to failed after the last
-			// report snapshot; refresh the terminal lists from the live
-			// states so the shard report tells the truth.
-			refreshStates(&sr, s.srv)
-			return sr
+			continue
 		}
+		// Give the shard up: stop accepting arrivals, fail what cannot
+		// be served, let the rest of the fleet carry on.
+		err = fmt.Errorf("serve: shard %d gave up after %d restarts: %w", s.index, restarts, err)
+		f.mu.Lock()
+		s.dead = true
+		s.err = err
+		f.mu.Unlock()
+		s.srv.Close()
+		f.abort(s, err)
+		return
 	}
+}
+
+// abort fails every session the shard can no longer serve and books them
+// on the shard's report.
+func (f *Fleet) abort(s *shardState, err error) {
+	ids, aerr := s.srv.Abort(err)
+	if aerr != nil {
+		return
+	}
+	f.mu.Lock()
+	s.aborted = append(s.aborted, ids...)
+	f.mu.Unlock()
 }
 
 // isDrainingShard reads the shard's draining flag.
@@ -951,7 +943,7 @@ func (f *Fleet) markRemoved(s *shardState) {
 // its new shard (home first, least-loaded fallback), and retires the
 // shard. Runs on the shard's supervisor goroutine while the fleet is
 // running, or on the Resize caller's goroutine otherwise — never both.
-func (f *Fleet) finishDrain(s *shardState, sr *ShardReport, ctx context.Context) {
+func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	if ctx != nil && ctx.Err() != nil {
 		// The fleet is being cancelled: nobody is left to serve a
 		// migrated session, so just retire the shard.
@@ -963,9 +955,7 @@ func (f *Fleet) finishDrain(s *shardState, sr *ShardReport, ctx context.Context)
 		// Unexportable sessions (mid-GOP strays after a cancelled Run, or
 		// a racing serving loop): fail them loudly rather than stranding
 		// them in a shard that is going away.
-		if ids, aerr := s.srv.Abort(fmt.Errorf("serve: shard %d drain: %w", s.index, err)); aerr == nil {
-			sr.Aborted = append(sr.Aborted, ids...)
-		}
+		f.abort(s, fmt.Errorf("serve: shard %d drain: %w", s.index, err))
 	}
 
 	// Hand the donor's estimation state to each class's new home before
@@ -978,56 +968,63 @@ func (f *Fleet) finishDrain(s *shardState, sr *ShardReport, ctx context.Context)
 		}
 	}
 
-	targets := make(map[int]bool)
 	for _, snap := range snaps {
-		placed := false
-		for _, ti := range f.routeOrder(f.HomeShard(snap.Class)) {
-			if ti == s.index {
-				continue
-			}
-			sess, ierr := f.shardAt(ti).srv.Import(snap)
-			if ierr != nil {
-				continue
-			}
-			f.dispatchMigration(MigrationEvent{
-				FromShard:   s.index,
-				FromSession: snap.DonorID,
-				ToShard:     ti,
-				ToSession:   sess.ID,
-				Class:       snap.Class,
-				Frame:       snap.Frame,
-				Tenant:      snap.Tenant,
-			})
-			targets[ti] = true
-			placed = true
-			break
-		}
-		if !placed {
+		order := f.placeOrder(f.HomeShard(snap.Class), 0)
+		if _, err := f.adopt(snap, s.index, order, Sink.OnSessionMigrated); err != nil {
 			_ = s.srv.FailSession(snap.DonorID, fmt.Errorf(
 				"serve: no shard would adopt session %d migrating off shard %d", snap.DonorID, s.index))
 		}
 	}
 
-	// Wake or revive the adopters: a target whose supervisor already
-	// returned (a closed fleet drains shards as they empty) gets a fresh
-	// one so the imported sessions are served.
+	// The draining shard already left the routable set when the Resize
+	// marked it, so the live count needs no adjustment.
 	f.mu.Lock()
-	for ti := range targets {
-		t := f.shards[ti]
+	live := f.liveCountLocked()
+	f.mu.Unlock()
+	f.deliver(func(sink Sink) { sink.OnShardRemoved(ShardEvent{Shard: s.index, Live: live}) })
+	f.markRemoved(s)
+}
+
+// adopt lands a session snapshot on the first of the candidate shards
+// that will import it: the one migration step a resize drain, a hot-shard
+// shed and a cross-process re-import share. from is the donor shard (-1
+// when the donor is outside this fleet; never a landing spot itself), and
+// report is the Sink method the hop is announced through
+// (Sink.OnSessionMigrated or Sink.OnSessionRebalanced), after the
+// target's StateQueued event. A target whose supervisor already returned
+// — a closed fleet winds shards down as they empty — gets a fresh one, so
+// the adopted session is served. On failure the snapshot is still the
+// caller's to place or dead-letter.
+func (f *Fleet) adopt(snap *core.SessionSnapshot, from int, candidates []int, report func(Sink, MigrationEvent)) (Placement, error) {
+	lastErr := errors.New("serve: no live shard")
+	for _, ti := range candidates {
+		if ti == from {
+			continue
+		}
+		t := f.shardAt(ti)
+		sess, err := t.srv.Import(snap)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		e := MigrationEvent{
+			FromShard:   from,
+			FromSession: snap.DonorID,
+			ToShard:     ti,
+			ToSession:   sess.ID,
+			Class:       snap.Class,
+			Frame:       snap.Frame,
+			Tenant:      snap.Tenant,
+		}
+		f.deliver(func(s Sink) { report(s, e) })
+		f.mu.Lock()
 		if f.running && t.routable() && !t.supervising {
 			f.startSupervisorLocked(f.runCtx, t)
 		}
+		f.mu.Unlock()
+		return Placement{Shard: ti, Session: sess}, nil
 	}
-	// The draining shard already left the routable set when the Resize
-	// marked it, so the live count needs no adjustment.
-	live := f.liveCountLocked()
-	f.mu.Unlock()
-
-	// Export and failure happened after the drained Run's finalize;
-	// refresh the terminal lists so the shard report tells the truth.
-	refreshStates(sr, s.srv)
-	f.dispatchShardRemoved(ShardEvent{Shard: s.index, Live: live})
-	f.markRemoved(s)
+	return Placement{}, lastErr
 }
 
 // Resize grows or shrinks the fleet to n live shards, while Run is live
@@ -1117,7 +1114,8 @@ func (f *Fleet) Resize(n int) error {
 			}
 		}
 		for _, st := range added {
-			f.dispatchShardAdded(ShardEvent{Shard: st.index, Live: liveN})
+			e := ShardEvent{Shard: st.index, Live: liveN}
+			f.deliver(func(s Sink) { s.OnShardAdded(e) })
 		}
 		return nil
 	}
@@ -1144,83 +1142,10 @@ func (f *Fleet) Resize(n int) error {
 			// The victim's supervisor completes the drain and migration.
 			<-v.migrated
 		} else {
-			sr := ShardReport{Shard: v.index}
-			f.finishDrain(v, &sr, nil)
-			f.mu.Lock()
-			f.mergeReportLocked(sr)
-			f.mu.Unlock()
+			f.finishDrain(v, nil)
 		}
 	}
 	return nil
-}
-
-// mergeServiceReport folds one Run's report into the shard report:
-// counters and outcomes accumulate across restarts, the terminal-state
-// snapshot is replaced by the newer one.
-func mergeServiceReport(sr *ShardReport, rep *core.ServiceReport) {
-	if rep == nil {
-		return
-	}
-	if sr.Report == nil {
-		sr.Report = rep
-		return
-	}
-	dst := sr.Report
-	dst.Rounds += rep.Rounds
-	dst.FramesEncoded += rep.FramesEncoded
-	dst.GOPReports += rep.GOPReports
-	dst.Outcomes = append(dst.Outcomes, rep.Outcomes...)
-	addTotals(&dst.Energy, rep.Energy)
-	dst.Submitted = rep.Submitted
-	dst.Imported = rep.Imported
-	dst.Completed = rep.Completed
-	dst.Rejected = rep.Rejected
-	dst.Failed = rep.Failed
-	dst.Migrated = rep.Migrated
-	dst.Errors = rep.Errors
-}
-
-// refreshStates re-derives the session counts and terminal-state lists
-// from the shard's live session states (after an Abort or a migration,
-// both of which land after the last Run's finalize — or on a shard that
-// was drained before it ever ran).
-func refreshStates(sr *ShardReport, srv core.Shard) {
-	if sr.Report == nil {
-		sr.Report = &core.ServiceReport{}
-	}
-	rep := sr.Report
-	rep.Completed, rep.Rejected, rep.Failed, rep.Migrated = nil, nil, nil, nil
-	rep.Submitted = 0
-	rep.Imported = srv.Imported()
-	for id := 0; ; id++ {
-		st, ok := srv.StateOf(id)
-		if !ok {
-			break
-		}
-		rep.Submitted++
-		switch st {
-		case core.StateCompleted:
-			rep.Completed = append(rep.Completed, id)
-		case core.StateRejected:
-			rep.Rejected = append(rep.Rejected, id)
-		case core.StateFailed:
-			rep.Failed = append(rep.Failed, id)
-		case core.StateMigrated:
-			rep.Migrated = append(rep.Migrated, id)
-		}
-	}
-}
-
-// addTotals folds one mpsoc.Totals into another.
-func addTotals(dst *mpsoc.Totals, src mpsoc.Totals) {
-	dst.Slots += src.Slots
-	dst.Time += src.Time
-	dst.EnergyJ += src.EnergyJ
-	if src.PeakPowerW > dst.PeakPowerW {
-		dst.PeakPowerW = src.PeakPowerW
-	}
-	dst.DeadlineMisses += src.DeadlineMisses
-	dst.CarryOver += src.CarryOver
 }
 
 // SaveLUTs merges every shard's workload store and writes it atomically
@@ -1266,45 +1191,33 @@ func (f *Fleet) Load() int {
 	return n
 }
 
-// dispatchState delivers a session lifecycle event to the sink.
-func (f *Fleet) dispatchState(shard, id int, state core.SessionState, err error) {
+// deliver hands the fleet's sink to fn under the fleet-wide dispatch lock
+// — the Sink contract's "no two methods run concurrently". A fleet
+// without a sink delivers nothing.
+func (f *Fleet) deliver(fn func(Sink)) {
 	if f.opts.sink == nil {
 		return
 	}
 	f.sinkMu.Lock()
 	defer f.sinkMu.Unlock()
-	f.opts.sink.OnSessionStateChange(SessionEvent{Shard: shard, Session: id, State: state, Err: err})
+	fn(f.opts.sink)
 }
 
-// dispatchRound delivers a settled round to the sink: per-session GOPs
-// in ascending id, then the round metrics carrying the shard's load
+// deliverRound delivers a settled round in one lock hold: per-session
+// GOPs in ascending id, then the round metrics carrying the shard's load
 // report as of the settlement.
-func (f *Fleet) dispatchRound(s *shardState, out *core.GOPOutcome) {
-	if f.opts.sink == nil {
-		return
-	}
-	load := s.srv.LoadReport()
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	ids := make([]int, 0, len(out.GOPs))
-	for id := range out.GOPs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f.opts.sink.OnGOP(GOPEvent{Shard: s.index, Session: id, Round: out.Round, GOP: out.GOPs[id]})
-	}
-	f.opts.sink.OnRoundMetrics(RoundEvent{Shard: s.index, Outcome: out, Load: load})
-}
-
-// dispatchPlaced delivers a session-placement decision to the sink.
-func (f *Fleet) dispatchPlaced(e PlacementEvent) {
-	if f.opts.sink == nil {
-		return
-	}
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	f.opts.sink.OnSessionPlaced(e)
+func (f *Fleet) deliverRound(s *shardState, out *core.GOPOutcome) {
+	f.deliver(func(sink Sink) {
+		ids := make([]int, 0, len(out.GOPs))
+		for id := range out.GOPs {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			sink.OnGOP(GOPEvent{Shard: s.index, Session: id, Round: out.Round, GOP: out.GOPs[id]})
+		}
+		sink.OnRoundMetrics(RoundEvent{Shard: s.index, Outcome: out, Load: s.srv.LoadReport()})
+	})
 }
 
 // tickRound advances the fleet-wide settled-round counter and feeds the
@@ -1317,34 +1230,4 @@ func (f *Fleet) tickRound() {
 	if sc != nil {
 		sc.tick(rounds)
 	}
-}
-
-// dispatchMigration delivers a session-migration event to the sink.
-func (f *Fleet) dispatchMigration(e MigrationEvent) {
-	if f.opts.sink == nil {
-		return
-	}
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	f.opts.sink.OnSessionMigrated(e)
-}
-
-// dispatchShardAdded delivers a shard-added event to the sink.
-func (f *Fleet) dispatchShardAdded(e ShardEvent) {
-	if f.opts.sink == nil {
-		return
-	}
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	f.opts.sink.OnShardAdded(e)
-}
-
-// dispatchShardRemoved delivers a shard-removed event to the sink.
-func (f *Fleet) dispatchShardRemoved(e ShardEvent) {
-	if f.opts.sink == nil {
-		return
-	}
-	f.sinkMu.Lock()
-	defer f.sinkMu.Unlock()
-	f.opts.sink.OnShardRemoved(e)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,7 +81,7 @@ func TestFleetRoutesByClassAndCompletes(t *testing.T) {
 	perShard := make([]int, 3)
 	for i, class := range classes {
 		for j := 0; j < 2; j++ {
-			p, err := f.Submit(testSource(t, class, int64(i*10+j+1), 8), testSessionConfig())
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,10 +123,10 @@ func TestLeastLoadedFallback(t *testing.T) {
 	classes := classesPerShard(t, f)
 	class := classes[0]
 	// Pre-load shard 2 so the fallback has a load gradient to follow.
-	if _, err := f.Submit(testSource(t, classes[2], 77, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[2], 77, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.Submit(testSource(t, class, 1, 8), testSessionConfig())
+	first, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 1, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestLeastLoadedFallback(t *testing.T) {
 		t.Fatalf("first session of class %q on shard %d, want home 0", class, first.Shard)
 	}
 	// Home shard 0 is at capacity; shard 1 is empty, shard 2 holds one.
-	second, err := f.Submit(testSource(t, class, 2, 8), testSessionConfig())
+	second, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 2, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestFleetSubmitRefusedEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := f.Submit(testSource(t, "any", 1, 4), testSessionConfig()); err == nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "any", 1, 4), Config: testSessionConfig()}); err == nil {
 		t.Fatal("Submit succeeded on a closed fleet")
 	}
 }
@@ -251,7 +252,7 @@ func TestShardCrashIsolation(t *testing.T) {
 	perShard := make([]int, 3)
 	for i, class := range classes {
 		for j := 0; j < 2; j++ {
-			p, err := f.Submit(testSource(t, class, int64(i*10+j+1), 8), testSessionConfig())
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +330,7 @@ func TestShardRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if _, err := f.Submit(testSource(t, "warm", int64(j+1), 8), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "warm", int64(j+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,7 +358,7 @@ func TestFleetCancellation(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,10 +385,12 @@ func driftModel() func(codec.TileStats) time.Duration {
 }
 
 // churnDirect runs the PR 2 churn acceptance scenario on a bare
-// core.Server and returns its ServiceReport — the old API's ground truth.
-func churnDirect(t *testing.T) *core.ServiceReport {
+// core.Server and returns its report and every round's outcome — the
+// ground truth a one-shard fleet must reproduce.
+func churnDirect(t *testing.T) (*core.ServiceReport, []*core.GOPOutcome) {
 	t.Helper()
 	var srv *core.Server
+	var outs []*core.GOPOutcome
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
 	submitted := 0
 	submit := func() {
@@ -418,6 +421,7 @@ func churnDirect(t *testing.T) *core.ServiceReport {
 		FPS:         24,
 		Calibration: core.CalibrationConfig{Enabled: true, Alpha: 0.6},
 		OnRound: func(out *core.GOPOutcome) {
+			outs = append(outs, out)
 			switch out.Round {
 			case 0:
 				submit()
@@ -436,15 +440,16 @@ func churnDirect(t *testing.T) *core.ServiceReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return rep, outs
 }
 
-// TestRingSinkMatchesServiceReport is the redesign's compatibility
-// criterion: on the existing churn scenario, a single-shard fleet with a
-// ring-buffer sink reconstructs exactly the ServiceReport the old API
-// produced — nothing the old report could tell you is lost.
+// TestRingSinkMatchesServiceReport is the fleet layer's compatibility
+// criterion: on the existing churn scenario, a single-shard fleet reports
+// exactly what the bare server does — through its ledger and through a
+// ring-buffer sink's event-derived view alike — and the ring's retained
+// outcomes are the bare server's rounds, bit for bit.
 func TestRingSinkMatchesServiceReport(t *testing.T) {
-	want := churnDirect(t)
+	want, wantOuts := churnDirect(t)
 
 	sink := NewRingSink(64)
 	var f *Fleet
@@ -467,7 +472,7 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Submit(src, cfg); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 		submitted++
@@ -492,45 +497,37 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 	}
 	submit()
 	submit()
-	if _, err := f.Run(context.Background()); err != nil {
+	rep, err := f.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	got := sink.Report(0)
 	if sink.Dropped() != 0 {
 		t.Fatalf("ring dropped %d outcomes — capacity too small for the scenario", sink.Dropped())
 	}
-	if got.Rounds != want.Rounds || got.Submitted != want.Submitted {
-		t.Fatalf("rounds/submitted %d/%d, want %d/%d", got.Rounds, got.Submitted, want.Rounds, want.Submitted)
+	if got := rep.Shards[0].Report; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet ledger differs from the bare server's:\n got %+v\nwant %+v", got, want)
 	}
-	if fmt.Sprint(got.Completed) != fmt.Sprint(want.Completed) ||
-		fmt.Sprint(got.Rejected) != fmt.Sprint(want.Rejected) ||
-		fmt.Sprint(got.Failed) != fmt.Sprint(want.Failed) {
-		t.Fatalf("terminal states %v/%v/%v, want %v/%v/%v",
-			got.Completed, got.Rejected, got.Failed, want.Completed, want.Rejected, want.Failed)
+	if got := sink.Report().Shards[0].Report; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring view differs from the bare server's report:\n got %+v\nwant %+v", got, want)
 	}
-	if got.FramesEncoded != want.FramesEncoded || got.GOPReports != want.GOPReports {
-		t.Fatalf("frames/GOPs %d/%d, want %d/%d", got.FramesEncoded, got.GOPReports, want.FramesEncoded, want.GOPReports)
+	gotOuts := sink.Outcomes()
+	if len(gotOuts) != len(wantOuts) {
+		t.Fatalf("%d outcomes, want %d", len(gotOuts), len(wantOuts))
 	}
-	if got.Energy != want.Energy {
-		t.Fatalf("energy totals %+v, want %+v", got.Energy, want.Energy)
-	}
-	if len(got.Outcomes) != len(want.Outcomes) {
-		t.Fatalf("%d outcomes, want %d", len(got.Outcomes), len(want.Outcomes))
-	}
-	for r := range got.Outcomes {
-		g, w := got.Outcomes[r], want.Outcomes[r]
+	for r := range gotOuts {
+		g, w := gotOuts[r], wantOuts[r]
 		if g.Round != w.Round || g.EstimateErr != w.EstimateErr || g.EstimateTiles != w.EstimateTiles {
 			t.Fatalf("round %d metrics differ: %+v vs %+v", r, g, w)
 		}
 		for id, gop := range w.GOPs {
 			if g.GOPs[id] == nil || g.GOPs[id].Digest != gop.Digest {
-				t.Fatalf("round %d session %d bitstream differs from the old serving path", r, id)
+				t.Fatalf("round %d session %d bitstream differs from the bare serving path", r, id)
 			}
 		}
 	}
-	ge, gt := got.MeanEstimateErr(3)
-	we, wt := want.MeanEstimateErr(3)
+	ge, gt := core.MeanEstimateErr(gotOuts, 3)
+	we, wt := core.MeanEstimateErr(wantOuts, 3)
 	if ge != we || gt != wt {
 		t.Fatalf("MeanEstimateErr (%v,%d), want (%v,%d)", ge, gt, we, wt)
 	}
@@ -544,23 +541,23 @@ func TestRingSinkBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "c", 1, 16), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "c", 1, 16), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	if _, err := f.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rep := sink.Report(0)
+	rep := sink.Report()
 	if rep.Rounds != 4 || rep.GOPReports != 4 || rep.FramesEncoded != 16 {
 		t.Fatalf("aggregates %d/%d/%d, want 4 rounds, 4 GOPs, 16 frames", rep.Rounds, rep.GOPReports, rep.FramesEncoded)
 	}
-	if len(rep.Outcomes) != 2 || sink.Dropped() != 2 {
-		t.Fatalf("ring kept %d outcomes (dropped %d), want the last 2", len(rep.Outcomes), sink.Dropped())
+	outs := sink.Outcomes()
+	if len(outs) != 2 || sink.Dropped() != 2 {
+		t.Fatalf("ring kept %d outcomes (dropped %d), want the last 2", len(outs), sink.Dropped())
 	}
-	if rep.Outcomes[0].Round != 2 || rep.Outcomes[1].Round != 3 {
-		t.Fatalf("ring outcomes are rounds %d,%d — want the most recent 2,3",
-			rep.Outcomes[0].Round, rep.Outcomes[1].Round)
+	if outs[0].Round != 2 || outs[1].Round != 3 {
+		t.Fatalf("ring outcomes are rounds %d,%d — want the most recent 2,3", outs[0].Round, outs[1].Round)
 	}
 }
 
@@ -575,7 +572,7 @@ func TestFleetLUTPersistence(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 8), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}

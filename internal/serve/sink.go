@@ -93,11 +93,11 @@ type MigrationEvent struct {
 	Tenant string
 }
 
-// Sink receives the fleet's streaming telemetry. It replaces the
-// grow-forever ServiceReport as the service-level observation channel: a
-// sink sees every event as it happens and decides what to keep, so a
-// fleet can run indefinitely without accumulating per-GOP state it will
-// never look at again.
+// Sink receives the fleet's streaming telemetry — the service-level
+// observation channel for everything per-round: a sink sees every event
+// as it happens and decides what to keep, and nothing else does (the
+// reports hold counters only), so a fleet can run indefinitely without
+// accumulating per-GOP state it will never look at again.
 //
 // Delivery contract (see DESIGN.md §8): the fleet serializes all sink
 // calls — no two methods run concurrently, so implementations need no
@@ -213,52 +213,44 @@ func (m multiSink) OnSessionRebalanced(e MigrationEvent) {
 	}
 }
 
-// RingSink is the bounded-memory replacement for ServiceReport: it keeps
-// exact aggregate counters (rounds, frames, GOP reports, energy totals,
-// terminal states) forever and the most recent Capacity round outcomes in
-// a ring buffer. When the service fits inside the ring — as every test
-// scenario does — Report reconstructs the old ServiceReport exactly; on a
-// long-running fleet the aggregates stay exact while memory stays
-// bounded.
+// RingSink is the bounded-memory sink: it keeps exact counters per shard
+// (rounds, frames, GOP reports, energy totals, session lifecycle states)
+// forever and the most recent Capacity round outcomes in a ring buffer.
+// Report folds the counters into the same serve.Report the fleet reads
+// from its ledgers — the event-derived view of the same facts — and
+// Outcomes hands out the retained rounds; on a long-running fleet the
+// counters stay exact while memory stays bounded.
 //
 // Safe for concurrent use: the On* path is serialized by the fleet, and
-// Report may be called from any goroutine at any time.
+// the accessors may be called from any goroutine at any time.
 type RingSink struct {
 	mu sync.Mutex
 
 	capacity int
-	outcomes []ringEntry // ring buffer
-	next     int         // write position
-	total    int         // outcomes ever seen
+	outcomes []*core.GOPOutcome // ring buffer
+	next     int                // write position
+	total    int                // outcomes ever seen
 
-	rounds     int
-	frames     int
-	gopReports int
-	energy     mpsoc.Totals
-
-	// Per-shard slices of the aggregates above, keyed by shard index —
-	// what FleetReport scopes its sub-reports with.
-	roundsBy map[int]int
-	framesBy map[int]int
-	gopsBy   map[int]int
-	energyBy map[int]mpsoc.Totals
+	// shards is indexed by shard and grows to cover every index an event
+	// named.
+	shards []ringShard
 
 	migrations    int
 	rebalances    int
 	shardsAdded   int
 	shardsRemoved int
 	placements    int
-
-	states map[[2]int]core.SessionState // (shard, session) → latest state
-	errs   map[[2]int]error
-	loads  map[int]core.LoadReport // shard → latest load report
 }
 
-// ringEntry tags a retained round outcome with the shard it settled on,
-// so FleetReport can scope the ring per shard.
-type ringEntry struct {
-	shard   int
-	outcome *core.GOPOutcome
+// ringShard is one shard's slice of the event stream.
+type ringShard struct {
+	rounds, frames, gops int
+	energy               mpsoc.Totals
+	// imported counts migration and rebalance hops that landed here.
+	imported int
+	states   map[int]core.SessionState // session → latest state
+	errs     map[int]error
+	load     core.LoadReport // as of the latest settled round
 }
 
 // NewRingSink builds a sink retaining the last capacity round outcomes
@@ -267,43 +259,45 @@ func NewRingSink(capacity int) *RingSink {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &RingSink{
-		capacity: capacity,
-		states:   make(map[[2]int]core.SessionState),
-		errs:     make(map[[2]int]error),
-		loads:    make(map[int]core.LoadReport),
-		roundsBy: make(map[int]int),
-		framesBy: make(map[int]int),
-		gopsBy:   make(map[int]int),
-		energyBy: make(map[int]mpsoc.Totals),
+	return &RingSink{capacity: capacity}
+}
+
+// shard returns shard i's counters, growing the table to reach it. Caller
+// holds s.mu.
+func (s *RingSink) shard(i int) *ringShard {
+	for len(s.shards) <= i {
+		s.shards = append(s.shards, ringShard{
+			states: make(map[int]core.SessionState),
+			errs:   make(map[int]error),
+		})
 	}
+	return &s.shards[i]
 }
 
 func (s *RingSink) OnGOP(e GOPEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gopReports++
-	s.frames += len(e.GOP.Frames)
-	s.gopsBy[e.Shard]++
-	s.framesBy[e.Shard] += len(e.GOP.Frames)
+	sh := s.shard(e.Shard)
+	sh.gops++
+	sh.frames += len(e.GOP.Frames)
 }
 
 func (s *RingSink) OnSessionStateChange(e SessionEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := [2]int{e.Shard, e.Session}
+	sh := s.shard(e.Shard)
 	// The StateQueued event is the one delivery unsynchronized with the
 	// serving stream (see the Sink contract): if it arrives after the
 	// session already reached a terminal state, keep the terminal state —
 	// a session must never vanish from the reconstructed report.
 	if e.State == core.StateQueued {
-		if cur, seen := s.states[k]; seen && cur != core.StateQueued {
+		if cur, seen := sh.states[e.Session]; seen && cur != core.StateQueued {
 			return
 		}
 	}
-	s.states[k] = e.State
+	sh.states[e.Session] = e.State
 	if e.Err != nil {
-		s.errs[k] = e.Err
+		sh.errs[e.Session] = e.Err
 	}
 }
 
@@ -316,25 +310,23 @@ func (s *RingSink) OnSessionPlaced(PlacementEvent) {
 func (s *RingSink) OnRoundMetrics(e RoundEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rounds++
-	s.loads[e.Shard] = e.Load
-	s.energy.Add(e.Outcome.Energy)
-	s.roundsBy[e.Shard]++
-	perShard := s.energyBy[e.Shard]
-	perShard.Add(e.Outcome.Energy)
-	s.energyBy[e.Shard] = perShard
+	sh := s.shard(e.Shard)
+	sh.rounds++
+	sh.energy.Add(e.Outcome.Energy)
+	sh.load = e.Load
 	if len(s.outcomes) < s.capacity {
-		s.outcomes = append(s.outcomes, ringEntry{e.Shard, e.Outcome})
+		s.outcomes = append(s.outcomes, e.Outcome)
 	} else {
-		s.outcomes[s.next] = ringEntry{e.Shard, e.Outcome}
+		s.outcomes[s.next] = e.Outcome
 	}
 	s.next = (s.next + 1) % s.capacity
 	s.total++
 }
 
-func (s *RingSink) OnShardAdded(ShardEvent) {
+func (s *RingSink) OnShardAdded(e ShardEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.shard(e.Shard) // the new shard has a report even before its first event
 	s.shardsAdded++
 }
 
@@ -344,15 +336,17 @@ func (s *RingSink) OnShardRemoved(ShardEvent) {
 	s.shardsRemoved++
 }
 
-func (s *RingSink) OnSessionMigrated(MigrationEvent) {
+func (s *RingSink) OnSessionMigrated(e MigrationEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.shard(e.ToShard).imported++
 	s.migrations++
 }
 
-func (s *RingSink) OnSessionRebalanced(MigrationEvent) {
+func (s *RingSink) OnSessionRebalanced(e MigrationEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.shard(e.ToShard).imported++
 	s.rebalances++
 }
 
@@ -372,7 +366,7 @@ func (s *RingSink) Rebalances() int {
 }
 
 // Placements reports how many session-placement decisions the sink saw
-// (one per successful Submit).
+// (one per successful SubmitWith).
 func (s *RingSink) Placements() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,8 +378,10 @@ func (s *RingSink) Placements() int {
 func (s *RingSink) ShardLoad(shard int) (core.LoadReport, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.loads[shard]
-	return r, ok
+	if shard < 0 || shard >= len(s.shards) {
+		return core.LoadReport{}, false
+	}
+	return s.shards[shard].load, s.shards[shard].rounds > 0
 }
 
 // Resizes reports how many shards were added and removed.
@@ -406,173 +402,52 @@ func (s *RingSink) Dropped() int {
 	return s.total - s.capacity
 }
 
-// Report reconstructs a ServiceReport from the retained telemetry:
-// aggregates are exact for the whole service lifetime; Outcomes holds the
-// rounds still in the ring (all of them when the service fit). Session
-// ids are shard-local — on a multi-shard fleet two shards both have a
-// session 0 — so the id lists are only meaningful per shard; pass the
-// shard index to scope the report, or -1 for the fleet-wide view of a
-// single-shard fleet (ids collide otherwise, counts stay correct).
-func (s *RingSink) Report(shard int) *core.ServiceReport {
+// Report derives the fleet-wide view from the events seen so far: the
+// same type, with the same meaning field for field, that Fleet.Report
+// reads from the shards' ledgers — session ids stay shard-local under
+// each shard's sub-report, so colliding ids never merge. Two things an
+// event stream cannot show are left zero: the supervisor's side of a
+// ShardReport (Restarts, Err, Aborted), and any trailing shard that never
+// produced an event.
+func (s *RingSink) Report() *Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep := &core.ServiceReport{
-		Rounds:        s.rounds,
-		FramesEncoded: s.frames,
-		GOPReports:    s.gopReports,
-		Energy:        s.energy,
-		Errors:        make(map[int]error),
-	}
-	keys := make([][2]int, 0, len(s.states))
-	for k := range s.states {
-		if shard >= 0 && k[0] != shard {
-			continue
+	shards := make([]ShardReport, len(s.shards))
+	for i, sh := range s.shards {
+		rep := &core.ServiceReport{
+			Rounds:        sh.rounds,
+			Imported:      sh.imported,
+			FramesEncoded: sh.frames,
+			GOPReports:    sh.gops,
+			Energy:        sh.energy,
+			Errors:        make(map[int]error),
 		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+		ids := make([]int, 0, len(sh.states))
+		for id := range sh.states {
+			ids = append(ids, id)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		// A migrated key is the donor-side shadow of a session that lives
-		// on under its target key: the target's StateQueued (and later
-		// terminal) entry represents the session, so counting the shadow
-		// too would double-count it.
-		if s.states[k] == core.StateMigrated {
-			rep.Migrated = append(rep.Migrated, k[1])
-			continue
+		sort.Ints(ids)
+		for _, id := range ids {
+			rep.Book(id, sh.states[id], sh.errs[id])
 		}
-		rep.Submitted++
-		switch s.states[k] {
-		case core.StateCompleted:
-			rep.Completed = append(rep.Completed, k[1])
-		case core.StateRejected:
-			rep.Rejected = append(rep.Rejected, k[1])
-		case core.StateFailed:
-			rep.Failed = append(rep.Failed, k[1])
-			rep.Errors[k[1]] = s.errs[k]
-		}
+		shards[i] = ShardReport{Shard: i, Report: rep}
 	}
-	// Ring contents in arrival order (oldest first).
-	for _, entry := range s.ringOrderLocked() {
-		rep.Outcomes = append(rep.Outcomes, entry.outcome)
-	}
-	return rep
+	return sumShards(shards, s.rebalances)
 }
 
-// ringOrderLocked returns the retained ring entries oldest-first. Caller
-// holds s.mu.
-func (s *RingSink) ringOrderLocked() []ringEntry {
+// Outcomes returns the retained round outcomes of every shard in arrival
+// order (oldest first) — all of them while the service fits the ring.
+func (s *RingSink) Outcomes() []*core.GOPOutcome {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.total <= s.capacity {
-		return s.outcomes
+		return append([]*core.GOPOutcome(nil), s.outcomes...)
 	}
-	ordered := make([]ringEntry, 0, s.capacity)
+	ordered := make([]*core.GOPOutcome, 0, s.capacity)
 	for i := 0; i < s.capacity; i++ {
 		ordered = append(ordered, s.outcomes[(s.next+i)%s.capacity])
 	}
 	return ordered
-}
-
-// FleetReport is the collision-free multi-shard answer to Report(-1):
-// session ids are shard-local, so a fleet-wide ServiceReport built by
-// merging id lists silently collapses distinct sessions that share an id
-// across shards (two shards' session 0 become one entry, and one failed
-// session's error overwrites the other's). FleetReport keeps every
-// session under its own shard's sub-report and carries only id-free
-// aggregates at the fleet level.
-type FleetReport struct {
-	// Shards maps shard index → that shard's scoped ServiceReport (ids,
-	// errors, counters and retained round outcomes all shard-local).
-	// Only shards the sink saw telemetry from appear.
-	Shards map[int]*core.ServiceReport
-
-	// Fleet-wide aggregates. Session counts are exact — each session is
-	// counted under the one (shard, id) key it lives at, migrated
-	// donor-side shadows excluded — even when shard-local ids collide.
-	Rounds        int
-	Submitted     int
-	Completed     int
-	Rejected      int
-	Failed        int
-	Migrated      int
-	FramesEncoded int
-	GOPReports    int
-	Energy        mpsoc.Totals
-}
-
-// FleetReport builds the fleet-wide view with per-shard sub-reports.
-// Unlike Report(-1) — which keeps its single-shard semantics unchanged —
-// the result is safe on any fleet size: sessions with colliding
-// shard-local ids stay distinct under their shards.
-func (s *RingSink) FleetReport() *FleetReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fleet := &FleetReport{
-		Shards:        make(map[int]*core.ServiceReport),
-		Rounds:        s.rounds,
-		FramesEncoded: s.frames,
-		GOPReports:    s.gopReports,
-		Energy:        s.energy,
-	}
-	sub := func(shard int) *core.ServiceReport {
-		rep, ok := fleet.Shards[shard]
-		if !ok {
-			rep = &core.ServiceReport{
-				Rounds:        s.roundsBy[shard],
-				FramesEncoded: s.framesBy[shard],
-				GOPReports:    s.gopsBy[shard],
-				Energy:        s.energyBy[shard],
-				Errors:        make(map[int]error),
-			}
-			fleet.Shards[shard] = rep
-		}
-		return rep
-	}
-	// Shards that settled rounds but have no session state yet still get
-	// a sub-report with their counters.
-	for shard := range s.roundsBy {
-		sub(shard)
-	}
-	keys := make([][2]int, 0, len(s.states))
-	for k := range s.states {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		rep := sub(k[0])
-		if s.states[k] == core.StateMigrated {
-			rep.Migrated = append(rep.Migrated, k[1])
-			fleet.Migrated++
-			continue
-		}
-		rep.Submitted++
-		fleet.Submitted++
-		switch s.states[k] {
-		case core.StateCompleted:
-			rep.Completed = append(rep.Completed, k[1])
-			fleet.Completed++
-		case core.StateRejected:
-			rep.Rejected = append(rep.Rejected, k[1])
-			fleet.Rejected++
-		case core.StateFailed:
-			rep.Failed = append(rep.Failed, k[1])
-			rep.Errors[k[1]] = s.errs[k]
-			fleet.Failed++
-		}
-	}
-	for _, entry := range s.ringOrderLocked() {
-		rep := sub(entry.shard)
-		rep.Outcomes = append(rep.Outcomes, entry.outcome)
-	}
-	return fleet
 }
 
 // JSONLPolicy selects what a buffered JSONLSink does when its buffer is

@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mpsoc"
+	"repro/internal/video"
 )
 
 // TestJSONLSinkStreamsParseableEvents: every event becomes one valid JSON
@@ -22,7 +25,7 @@ func TestJSONLSinkStreamsParseableEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "stream", 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "stream", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -161,7 +164,7 @@ func TestBufferedJSONLSinkServesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "buffered", 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "buffered", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -187,89 +190,182 @@ func TestBufferedJSONLSinkServesFleet(t *testing.T) {
 	}
 }
 
-// TestFleetReportKeepsCollidingSessionIDsDistinct is the regression test
-// for the multi-shard Report(-1) collision: session ids are shard-local,
-// so when two shards both fail their session 0, the merged fleet view
-// collapses them into one entry and one error silently overwrites the
-// other. FleetReport keys by (shard, id): both sessions must stay
-// distinct under their shards, with exact per-shard counters.
-func TestFleetReportKeepsCollidingSessionIDsDistinct(t *testing.T) {
-	sink := NewRingSink(8)
-	errA := errors.New("shard 0: source truncated")
-	errB := errors.New("shard 1: encoder fault")
-	gop := func(frames int) *core.GOPReport {
-		return &core.GOPReport{Frames: make([]core.FrameReport, frames)}
+// failingSource panics when asked for frame failAt — how a file-backed
+// source reports an I/O error mid-stream (core.YUVFileSource).
+type failingSource struct {
+	core.FrameSource
+	failAt int
+}
+
+func (s failingSource) Frame(n int) *video.Frame {
+	if n == s.failAt {
+		panic("failingSource: simulated I/O error")
 	}
-	round := func(shard int, joules float64, misses int) RoundEvent {
-		return RoundEvent{
-			Shard:   shard,
-			Outcome: &core.GOPOutcome{Energy: &mpsoc.SlotReport{EnergyJ: joules, DeadlineMisses: misses}},
-			Load:    core.LoadReport{Sessions: 1},
+	return s.FrameSource.Frame(n)
+}
+
+// describe renders a report's per-shard ledgers for a failure message.
+func describe(r *Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fleet %+v", *r)
+	for _, sr := range r.Shards {
+		fmt.Fprintf(&b, "\n  shard %d: %+v (restarts %d, err %v, aborted %v)", sr.Shard, *sr.Report, sr.Restarts, sr.Err, sr.Aborted)
+	}
+	return b.String()
+}
+
+// TestRingReportMatchesFleetLedger: the two views of the service — the
+// fleet's Report, read from the shards' ledgers, and the RingSink's,
+// derived from the event stream alone — are one type and must agree field
+// for field, on a run that exercises everything that moves a session
+// between the books: a hot shard shedding (rebalance hop), a shard
+// drained away mid-stream (resize migration) and a session failing on a
+// panicking source. Session ids are shard-local, so the run also has
+// three shards' "session 0" meet three different fates; neither view may
+// merge them.
+func TestRingReportMatchesFleetLedger(t *testing.T) {
+	ring := NewRingSink(256)
+	leavingServed := make(chan struct{})
+	var once sync.Once
+	f, err := New(
+		WithShards(3),
+		WithRebalance(RebalanceConfig{Factor: 1.2, Windows: 1}),
+		WithSink(ring),
+		WithRoundHook(func(shard int, _ *core.GOPOutcome) {
+			if shard == 2 {
+				once.Do(func() { close(leavingServed) })
+			}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(src core.FrameSource, wantShard int) {
+		t.Helper()
+		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: testSessionConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Shard != wantShard {
+			t.Fatalf("class %q landed on shard %d, want %d", src.Class(), p.Shard, wantShard)
 		}
 	}
+	hot := classHomedOn(t, f, 0)
+	for i := 0; i < 4; i++ {
+		submit(testSource(t, hot, int64(i+1), 24), 0)
+	}
+	submit(failingSource{testSource(t, classHomedOn(t, f, 1), 7, 16), 5}, 1)
+	submit(testSource(t, classHomedOn(t, f, 2), 9, 40), 2)
 
-	// Two shards each run their shard-local session 0 to a different
-	// failure, in the order the fleet would deliver it: shard 0 serves one
-	// round, shard 1 two.
-	sink.OnSessionStateChange(SessionEvent{Shard: 0, Session: 0, State: core.StateQueued})
-	sink.OnSessionStateChange(SessionEvent{Shard: 1, Session: 0, State: core.StateQueued})
-	sink.OnGOP(GOPEvent{Shard: 0, Session: 0, GOP: gop(4)})
-	sink.OnRoundMetrics(round(0, 2.5, 1))
-	sink.OnGOP(GOPEvent{Shard: 1, Session: 0, GOP: gop(4)})
-	sink.OnRoundMetrics(round(1, 4.0, 0))
-	sink.OnGOP(GOPEvent{Shard: 1, Session: 0, GOP: gop(4)})
-	sink.OnRoundMetrics(round(1, 3.0, 2))
-	sink.OnSessionStateChange(SessionEvent{Shard: 0, Session: 0, State: core.StateFailed, Err: errA})
-	sink.OnSessionStateChange(SessionEvent{Shard: 1, Session: 0, State: core.StateFailed, Err: errB})
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := f.Run(context.Background())
+		done <- result{rep, err}
+	}()
+	<-leavingServed
+	if err := f.Resize(2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	rep := res.rep
 
-	fleet := sink.FleetReport()
-	if fleet.Submitted != 2 || fleet.Failed != 2 {
-		t.Fatalf("fleet counts submitted=%d failed=%d, want 2/2 — colliding ids collapsed",
-			fleet.Submitted, fleet.Failed)
+	// The scenario really happened.
+	if rep.Submitted != 6 || rep.Completed != 5 || rep.Failed != 1 || rep.Rejected != 0 {
+		t.Fatalf("want 6 unique sessions, 5 completed, 1 failed:\n%s", describe(rep))
 	}
-	if len(fleet.Shards) != 2 {
-		t.Fatalf("fleet has %d shard sub-reports, want 2", len(fleet.Shards))
+	if rep.Rebalanced == 0 || rep.Migrated <= rep.Rebalanced {
+		t.Fatalf("want at least one rebalance hop and one resize migration, got %d hops, %d of them rebalances",
+			rep.Migrated, rep.Rebalanced)
 	}
-	s0, s1 := fleet.Shards[0], fleet.Shards[1]
-	if s0 == nil || s1 == nil {
-		t.Fatalf("missing shard sub-report: %v", fleet.Shards)
+	if rep.FramesEncoded != 4*24+4+40 {
+		t.Fatalf("%d frames encoded, want %d (the failed session delivered its first GOP)", rep.FramesEncoded, 4*24+4+40)
 	}
-	if got := s0.Errors[0]; got != errA {
-		t.Fatalf("shard 0 session 0 error = %v, want %v", got, errA)
+	// Colliding shard-local ids stay distinct: shard 1's session 0 failed
+	// with its cause, shard 2's session 0 migrated away.
+	if s1 := rep.Shards[1].Report; fmt.Sprint(s1.Failed) != "[0]" || s1.Errors[0] == nil ||
+		!strings.Contains(s1.Errors[0].Error(), "simulated I/O error") {
+		t.Fatalf("shard 1 failed %v errors %v, want session 0 failed on the source panic", s1.Failed, s1.Errors)
 	}
-	if got := s1.Errors[0]; got != errB {
-		t.Fatalf("shard 1 session 0 error = %v, want %v — one error overwrote the other", got, errB)
-	}
-	// Per-shard counters are shard-scoped, not fleet-wide.
-	if s0.Rounds != 1 || s1.Rounds != 2 || fleet.Rounds != 3 {
-		t.Fatalf("rounds s0=%d s1=%d fleet=%d, want 1/2/3", s0.Rounds, s1.Rounds, fleet.Rounds)
-	}
-	if s0.FramesEncoded != 4 || s1.FramesEncoded != 8 || s0.GOPReports != 1 || s1.GOPReports != 2 {
-		t.Fatalf("frames s0=%d s1=%d gops s0=%d s1=%d, want 4/8 and 1/2",
-			s0.FramesEncoded, s1.FramesEncoded, s0.GOPReports, s1.GOPReports)
-	}
-	if s0.Energy.EnergyJ != 2.5 || s1.Energy.EnergyJ != 7.0 || fleet.Energy.EnergyJ != 9.5 {
-		t.Fatalf("energy s0=%v s1=%v fleet=%v, want 2.5/7/9.5",
-			s0.Energy.EnergyJ, s1.Energy.EnergyJ, fleet.Energy.EnergyJ)
-	}
-	if s0.Energy.DeadlineMisses != 1 || s1.Energy.DeadlineMisses != 2 {
-		t.Fatalf("deadline misses s0=%d s1=%d, want 1/2",
-			s0.Energy.DeadlineMisses, s1.Energy.DeadlineMisses)
-	}
-	if len(s0.Outcomes) != 1 || len(s1.Outcomes) != 2 {
-		t.Fatalf("retained outcomes s0=%d s1=%d, want 1/2", len(s0.Outcomes), len(s1.Outcomes))
+	if s2 := rep.Shards[2].Report; len(s2.Migrated) == 0 || s2.Migrated[0] != 0 || len(s2.Failed) != 0 {
+		t.Fatalf("shard 2 migrated %v failed %v, want session 0 drained away", s2.Migrated, s2.Failed)
 	}
 
-	// Report(shard) keeps its documented behavior: shard-scoped id lists,
-	// fleet-wide counters.
-	r0 := sink.Report(0)
-	if len(r0.Failed) != 1 || r0.Errors[0] != errA || r0.Rounds != 3 {
-		t.Fatalf("Report(0) changed: failed=%v errors=%v rounds=%d", r0.Failed, r0.Errors, r0.Rounds)
+	if got := f.Report(); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("Report after Run differs from what Run returned:\n got %s\nwant %s", describe(got), describe(rep))
 	}
-	// And the documented -1 collision is exactly why FleetReport exists:
-	// the merged view cannot tell the two session-0s apart.
-	if merged := sink.Report(-1); len(merged.Errors) >= 2 {
-		t.Fatalf("Report(-1) now disambiguates colliding ids (%v) — update FleetReport docs", merged.Errors)
+	if got := ring.Report(); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("event-derived view differs from the ledger:\n ring %s\nfleet %s", describe(got), describe(rep))
+	}
+}
+
+// TestReportMonotoneDuringRun polls Fleet.Report from another goroutine
+// while shards serve, shed and complete: every snapshot is consistent
+// enough that no counter ever moves backwards (run under -race).
+func TestReportMonotoneDuringRun(t *testing.T) {
+	f, class, _ := hotFleet(t, 2, RebalanceConfig{Factor: 1.2, Windows: 1}, nil)
+	for i := 0; i < 4; i++ {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	stop := make(chan struct{})
+	polled := make(chan int, 1)
+	go func() {
+		n := 0
+		prev := f.Report()
+		for {
+			cur := f.Report()
+			n++
+			for _, c := range []struct {
+				name       string
+				was, isNow int
+			}{
+				{"Rounds", prev.Rounds, cur.Rounds},
+				{"Submitted", prev.Submitted, cur.Submitted},
+				{"Completed", prev.Completed, cur.Completed},
+				{"Rejected", prev.Rejected, cur.Rejected},
+				{"Failed", prev.Failed, cur.Failed},
+				{"Migrated", prev.Migrated, cur.Migrated},
+				{"Rebalanced", prev.Rebalanced, cur.Rebalanced},
+				{"FramesEncoded", prev.FramesEncoded, cur.FramesEncoded},
+				{"GOPReports", prev.GOPReports, cur.GOPReports},
+				{"Energy.Slots", prev.Energy.Slots, cur.Energy.Slots},
+			} {
+				if c.isNow < c.was {
+					t.Errorf("%s went backwards: %d → %d", c.name, c.was, c.isNow)
+				}
+			}
+			if cur.Energy.EnergyJ < prev.Energy.EnergyJ {
+				t.Errorf("energy went backwards: %v → %v", prev.Energy.EnergyJ, cur.Energy.EnergyJ)
+			}
+			prev = cur
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+		}
+	}()
+	rep, err := f.Run(context.Background())
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Fatal("poller never ran")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != 4 || rep.Completed != 4 || rep.Rebalanced == 0 {
+		t.Fatalf("report %+v, want 4 completed with at least one rebalance", rep)
 	}
 }
 
@@ -280,7 +376,7 @@ func TestMultiSinkFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "fan", 1, 4), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "fan", 1, 4), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -33,68 +33,6 @@ func tenantSessionConfig() core.SessionConfig {
 	return cfg
 }
 
-// TestSubmitShimEquivalence pins the deprecated two-argument front door:
-// Fleet.Submit(src, cfg) must behave exactly like SubmitWith with the
-// zero QoS identity — same placement, same default-tenant labeling, and
-// bit-identical output.
-func TestSubmitShimEquivalence(t *testing.T) {
-	run := func(legacy bool) (*Report, *recordingSink, Placement) {
-		sink := &recordingSink{}
-		f, err := New(WithShards(2), WithSink(sink))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := testSource(t, "shim-class", 5, 8)
-		var p Placement
-		if legacy {
-			p, err = f.Submit(src, testSessionConfig())
-		} else {
-			p, err = f.SubmitWith(SubmitRequest{Source: src, Config: testSessionConfig()})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		rep, err := f.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, sink, p
-	}
-
-	oldRep, oldSink, oldP := run(true)
-	newRep, newSink, newP := run(false)
-
-	if oldP.Shard != newP.Shard || oldP.Session.ID != newP.Session.ID {
-		t.Fatalf("placement diverged: legacy shard %d session %d, request shard %d session %d",
-			oldP.Shard, oldP.Session.ID, newP.Shard, newP.Session.ID)
-	}
-	if oldRep.Completed != 1 || newRep.Completed != 1 ||
-		oldRep.FramesEncoded != newRep.FramesEncoded || oldRep.GOPReports != newRep.GOPReports {
-		t.Fatalf("reports diverged: legacy %+v, request %+v", oldRep, newRep)
-	}
-	oldDigests, _ := stitchDigests(oldSink, oldP.Shard, oldP.Session.ID)
-	newDigests, _ := stitchDigests(newSink, newP.Shard, newP.Session.ID)
-	if len(oldDigests) != len(newDigests) || len(oldDigests) == 0 {
-		t.Fatalf("digest chains: legacy %d GOPs, request %d", len(oldDigests), len(newDigests))
-	}
-	for i := range oldDigests {
-		if oldDigests[i] != newDigests[i] {
-			t.Fatalf("GOP %d digest diverged between the shim and SubmitWith", i)
-		}
-	}
-	// Both spell the default tenant the same way on telemetry.
-	for _, sink := range []*recordingSink{oldSink, newSink} {
-		sink.mu.Lock()
-		for _, e := range sink.placements {
-			if e.Tenant != "" || e.Priority != 0 {
-				t.Fatalf("placement carries QoS identity %q/%d, want the zero default", e.Tenant, e.Priority)
-			}
-		}
-		sink.mu.Unlock()
-	}
-}
-
 // TestMixedTenantChurn drives three tenants (one rate-limited) plus
 // legacy default-tenant submissions through a two-shard fleet: every
 // admitted session completes, placements carry the right tenant, the
@@ -142,7 +80,7 @@ func TestMixedTenantChurn(t *testing.T) {
 		t.Fatalf("over-rate submission returned %v, want ErrRateLimited", err)
 	}
 	// The deprecated shim rides along as the default tenant.
-	if _, err := f.Submit(testSource(t, "churn-default", 40, 8), tenantSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "churn-default", 40, 8), Config: tenantSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	want[""]++
