@@ -309,12 +309,12 @@ func BenchmarkAblation_ParallelTiles(b *testing.B) {
 			for i := range params {
 				params[i] = codec.TileParams{QP: 32, Searcher: motion.Hexagon{}, Window: 16}
 			}
-			if _, _, err := enc.EncodeFrameParallel(frames[0], grid, params, workers); err != nil {
+			if _, _, err := enc.EncodeFrameContext(context.Background(), frames[0], grid, params, workers); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := enc.EncodeFrameParallel(frames[1], grid, params, workers); err != nil {
+				if _, _, err := enc.EncodeFrameContext(context.Background(), frames[1], grid, params, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,7 +350,7 @@ func BenchmarkAblation_WavefrontVsTiles(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := enc.EncodeFrameParallel(frames[1], grid, params, 4); err != nil {
+			if _, _, err := enc.EncodeFrameContext(context.Background(), frames[1], grid, params, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -97,6 +97,11 @@ func (c Config) Validate() error {
 	if c.BlockSize <= 0 || c.BlockSize%8 != 0 {
 		return fmt.Errorf("codec: block size %d must be a positive multiple of 8", c.BlockSize)
 	}
+	// Per-block scratch is BlockSize² samples: a block the frame cannot
+	// hold would let a config from the wire size an allocation.
+	if c.BlockSize > c.Width || c.BlockSize > c.Height {
+		return fmt.Errorf("codec: block size %d exceeds the %dx%d frame", c.BlockSize, c.Width, c.Height)
+	}
 	if c.TransformSize != transform.Size4 && c.TransformSize != transform.Size8 {
 		return fmt.Errorf("codec: transform size %d must be 4 or 8", c.TransformSize)
 	}

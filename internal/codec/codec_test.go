@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/medgen"
@@ -267,7 +268,7 @@ func TestParallelEncodeMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, b2, err := encPar.EncodeFrameParallel(f, grid, uniformParams(4, 30), 4)
+		s2, b2, err := encPar.EncodeFrameContext(context.Background(), f, grid, uniformParams(4, 30), 4)
 		if err != nil {
 			t.Fatal(err)
 		}

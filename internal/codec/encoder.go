@@ -17,7 +17,7 @@ import (
 
 // Encoder encodes a sequence frame by frame, maintaining the reconstructed
 // reference picture. It is safe to encode the tiles of one frame from
-// multiple goroutines (EncodeFrameParallel); distinct frames must be
+// multiple goroutines (EncodeFrameContext); distinct frames must be
 // encoded in order.
 type Encoder struct {
 	cfg Config
@@ -88,26 +88,22 @@ func (e *Encoder) Restore(ref *video.Frame, frames int) error {
 // EncodeFrame encodes frame f over the given tile grid with per-tile
 // parameters (len(params) must equal the tile count). The frame type is
 // derived from the configured intra period and the encoder's frame counter.
-// Tiles are processed sequentially; see EncodeFrameParallel for the
+// Tiles are processed sequentially; see EncodeFrameContext for the
 // tile-parallel variant.
 func (e *Encoder) EncodeFrame(f *video.Frame, grid *tiling.Grid, params []TileParams) (*FrameStats, *Bitstream, error) {
 	return e.encode(context.Background(), f, grid, params, 1)
 }
 
-// EncodeFrameParallel is EncodeFrame with tiles encoded by up to workers
-// goroutines. Tiles are fully independent (separate bitstreams, disjoint
-// reconstruction regions, read-only shared reference), which is exactly the
-// property the paper's thread-level parallelization relies on. The worker
-// budget is per call, so a serving loop can give each frame exactly the
-// parallelism its session's core allocation planned.
-func (e *Encoder) EncodeFrameParallel(f *video.Frame, grid *tiling.Grid, params []TileParams, workers int) (*FrameStats, *Bitstream, error) {
-	return e.EncodeFrameContext(context.Background(), f, grid, params, workers)
-}
-
-// EncodeFrameContext is EncodeFrameParallel with cancellation: tile
-// dispatch stops at the first cancelled tile boundary and ctx's error is
-// returned. On any error — cancellation included — the encoder's reference
-// and frame counter are left untouched, so the same frame can be retried.
+// EncodeFrameContext is EncodeFrame with tiles encoded by up to workers
+// goroutines, and cancellation. Tiles are fully independent (separate
+// bitstreams, disjoint reconstruction regions, read-only shared
+// reference), which is exactly the property the paper's thread-level
+// parallelization relies on. The worker budget is per call, so a serving
+// loop can give each frame exactly the parallelism its session's core
+// allocation planned. Tile dispatch stops at the first cancelled tile
+// boundary and ctx's error is returned. On any error — cancellation
+// included — the encoder's reference and frame counter are left untouched,
+// so the same frame can be retried.
 func (e *Encoder) EncodeFrameContext(ctx context.Context, f *video.Frame, grid *tiling.Grid, params []TileParams, workers int) (*FrameStats, *Bitstream, error) {
 	if workers < 1 {
 		workers = 1

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -153,7 +154,7 @@ func TestWavefrontVsTilesParallelEfficiency(t *testing.T) {
 		params[i] = wppParams(32)
 	}
 	tilesTime := wall(func(enc *Encoder) error {
-		_, _, err := enc.EncodeFrameParallel(frames[1], grid, params, 4)
+		_, _, err := enc.EncodeFrameContext(context.Background(), frames[1], grid, params, 4)
 		return err
 	})
 	wppTime := wall(func(enc *Encoder) error {

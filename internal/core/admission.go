@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"sort"
 
 	"repro/internal/mpsoc"
@@ -85,24 +83,6 @@ func (s *Server) allocate(live []*roundSession) (*sched.Result, []int, []int, er
 		byID[rs.rec.sess.ID] = rs
 	}
 
-	// Allocator memoization: the allocator is a deterministic function of
-	// the roster (who competes, what their tiles cost, which ladder rungs
-	// apply, and — with tenancy — each session's tenant and priority), so
-	// when this round's fingerprint matches the previous round's — and
-	// that round admitted everyone, making the ladder a no-op — the
-	// cached result is the answer. Any roster change (join, depart,
-	// retile, QP rung, degrade, rate-halve, migration import) perturbs
-	// the fingerprint and forces a fresh solve. Keys, not raw durations,
-	// represent demand: estimates are pure functions of the keys given a
-	// quiescent LUT, and within a key's calibration drift the admission
-	// decision is stable (DESIGN.md §14).
-	fp := appendAllocFingerprint(s.fpScratch[:0], live)
-	s.fpScratch = fp
-	if s.allocCached != nil && bytes.Equal(fp, s.allocFP) {
-		alloc, timedOut, err := s.finishRound(s.allocCached, byID, live)
-		return alloc, timedOut, nil, err
-	}
-
 	alloc, err := s.solveTenants(live)
 	if err != nil {
 		return nil, nil, nil, err
@@ -158,23 +138,12 @@ func (s *Server) allocate(live []*roundSession) (*sched.Result, []int, []int, er
 		}
 	}
 
-	// Cache a clean solve for the next round; a round with rejections must
-	// re-solve every round so drifting estimates can admit queued
-	// sessions. Re-fingerprint: the ladder may have changed session state
-	// (and thus rs.keys) since the entry fingerprint was taken.
-	if len(alloc.Rejected) == 0 {
-		s.allocFP = appendAllocFingerprint(s.allocFP[:0], live)
-		s.allocCached = alloc
-	} else {
-		s.allocCached = nil
-	}
 	var pushed []int
 	for id := range preempted {
 		pushed = append(pushed, id)
 	}
 	sort.Ints(pushed)
-	allocOut, timedOut, err := s.finishRound(alloc, byID, live)
-	return allocOut, timedOut, pushed, err
+	return alloc, s.finishRound(alloc, byID, live), pushed, nil
 }
 
 // maxAdmittedPriority returns the highest priority class among the
@@ -293,41 +262,11 @@ func (s *Server) solveTenants(live []*roundSession) (*sched.Result, error) {
 	return merged, nil
 }
 
-// appendAllocFingerprint serializes the roster state the allocator's
-// result depends on: for each live session (in roster order) its id,
-// tenant, priority class, ladder rung, QP offset, degrade/rate flags,
-// and the per-tile workload keys stage D1 priced. Byte-equal
-// fingerprints mean the allocator would be solving the same problem
-// (modulo within-key calibration drift).
-func appendAllocFingerprint(dst []byte, live []*roundSession) []byte {
-	for _, rs := range live {
-		sess := rs.rec.sess
-		dst = binary.AppendVarint(dst, int64(sess.ID))
-		dst = binary.AppendVarint(dst, int64(len(rs.rec.tenant)))
-		dst = append(dst, rs.rec.tenant...)
-		dst = binary.AppendVarint(dst, int64(rs.rec.priority))
-		dst = binary.AppendVarint(dst, int64(rs.rec.rung))
-		dst = binary.AppendVarint(dst, int64(sess.QPOffset()))
-		var flags byte
-		if sess.Degraded() {
-			flags |= 1
-		}
-		if sess.RateHalved() {
-			flags |= 2
-		}
-		dst = append(dst, flags)
-		dst = binary.AppendVarint(dst, int64(len(rs.keys)))
-		for _, k := range rs.keys {
-			dst = append(dst, byte(k.AreaClass), byte(k.Texture), byte(k.Motion), byte(k.QPBucket), byte(k.SearchLevel))
-		}
-	}
-	return dst
-}
-
-// finishRound applies the post-allocation queue bookkeeping shared by
-// fresh and memoized results: admitted sessions reset their wait;
-// refused sessions at the end of the ladder accumulate it and time out.
-func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, live []*roundSession) (*sched.Result, []int, error) {
+// finishRound applies the post-allocation queue bookkeeping: admitted
+// sessions reset their wait; refused sessions at the end of the ladder
+// accumulate it and time out. It returns the ids that timed out (ascending,
+// already StateRejected).
+func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, live []*roundSession) []int {
 	var timedOut []int
 	s.mu.Lock()
 	for _, rs := range live {
@@ -353,7 +292,7 @@ func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, li
 	for _, id := range timedOut {
 		s.notifyState(id, StateRejected, nil)
 	}
-	return alloc, timedOut, nil
+	return timedOut
 }
 
 // escalate applies the next admission-ladder rung to a refused session.

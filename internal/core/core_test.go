@@ -184,6 +184,29 @@ func TestBaselineUsesUniformGrid(t *testing.T) {
 	}
 }
 
+// TestBaselineProbeFollowsTimeModel: the capacity probe sizes [19]'s tiles
+// through the session's TimeModel, like everything else that prices a
+// tile. The model here reads tile area only, so the count is fixed by the
+// 256×192 frame and the 41.7 ms slot — 3 µs/pixel is 3.5 slots, 6 µs/pixel
+// 7.1 — whatever this host's stopwatch says (it used to read the raw
+// EncodeTime, which on any fast host clamps to 2).
+func TestBaselineProbeFollowsTimeModel(t *testing.T) {
+	for _, tc := range []struct{ nsPerPixel, want int }{{3000, 4}, {6000, 8}} {
+		cfg := testSessionConfig(ModeBaseline)
+		cfg.BaselineTiles = 0 // derive from the probe
+		cfg.TimeModel = func(ts codec.TileStats) time.Duration {
+			return time.Duration(tc.nsPerPixel * ts.Tile.Area())
+		}
+		s, err := NewSession(0, testSource(t, medgen.Brain, medgen.Rotate, 8), cfg, workload.NewLUT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.probeBaselineTiles(); got != tc.want {
+			t.Fatalf("%d ns/pixel: probe sized %d tiles, want %d", tc.nsPerPixel, got, tc.want)
+		}
+	}
+}
+
 func absInt(v int) int {
 	if v < 0 {
 		return -v

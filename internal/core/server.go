@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/mpsoc"
 	"repro/internal/sched"
 	"repro/internal/tenancy"
@@ -214,24 +213,10 @@ type Server struct {
 	gopReports int
 	energy     mpsoc.Totals
 
-	// Serving-goroutine-only state (never touched by the concurrent API,
-	// so deliberately outside mu): the allocator memo and the stage-D1
-	// batching scratch.
-	//
-	// allocFP/allocCached memoize stage D2: when the roster fingerprint
-	// (session set, per-tile workload keys, ladder rungs — see
-	// appendAllocFingerprint) is byte-identical to the previous round's
-	// and that round admitted everyone, the allocator is skipped and the
-	// cached Result reused. Results are immutable once returned, so
-	// sharing one across rounds is safe. Only clean (no-rejection)
-	// results are cached: under admission pressure the ladder must re-run
-	// every round so drifting estimates can eventually admit a queued
-	// session.
-	allocFP     []byte
-	allocCached *sched.Result
-	fpScratch   []byte
 	// estGroups pools the per-class key→estimate maps resolveEstimates
 	// reuses each round (bounded by the number of workload classes).
+	// Serving-goroutine-only state, never touched by the concurrent API, so
+	// deliberately outside mu.
 	estGroups map[*workload.LUT]map[workload.Key]time.Duration
 }
 
@@ -479,8 +464,7 @@ type LadderState struct {
 // roundSession carries one live session through a round.
 type roundSession struct {
 	rec *sessionRecord
-	// keys are the per-tile workload keys stage D1 looked up — the
-	// session's contribution to the allocator-memoization fingerprint.
+	// keys are the per-tile workload keys stage D1 looks up.
 	keys []workload.Key
 	// estimates are the pre-round per-tile LUT predictions (unscaled).
 	estimates []time.Duration
@@ -500,7 +484,8 @@ func (s *Server) ServeGOP() (*GOPOutcome, error) {
 // already prepared (estimate-ahead, overlapping the slower sessions'
 // encodes). If any session fails, the round's partial outcome is returned
 // alongside the error: the other sessions' completed GOP reports are in
-// GOPs. After a cancellation, sessions may be stopped mid-GOP and the
+// GOPs (the outcome is nil when every live session failed in stages A–C,
+// before there was a round to serve). After a cancellation, sessions may be stopped mid-GOP and the
 // server must not be reused.
 func (s *Server) ServeGOPContext(ctx context.Context) (*GOPOutcome, error) {
 	out, sessErrs, err := s.serveRound(ctx)
@@ -521,8 +506,9 @@ func (s *Server) ServeGOPContext(ctx context.Context) (*GOPOutcome, error) {
 }
 
 // serveRound is the shared round implementation. It returns the round's
-// outcome, the per-session encode errors (the failed sessions are already
-// marked StateFailed), and a round-level error (invalid state,
+// outcome (nil when every live session failed stages A–C, so no round was
+// served), the per-session errors (the failed sessions are already marked
+// StateFailed), and a round-level error (invalid state,
 // cancellation, allocator or platform failure) on which no outcome
 // bookkeeping beyond the partial outcome should be trusted.
 func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, error) {
@@ -569,9 +555,11 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 	}
 
 	// Stage D1: prepare and estimate the live sessions, batching the LUT
-	// resolution across sessions of the same workload class.
-	if err := s.estimateRound(live); err != nil {
-		return nil, nil, err
+	// resolution across sessions of the same workload class. A session
+	// whose stages A–C fail departs here; the round serves the rest.
+	live, sessErrs := s.estimateRound(live)
+	if len(live) == 0 {
+		return nil, sessErrs, nil
 	}
 
 	// Stage D2 with the admission ladder (admission.go).
@@ -622,12 +610,11 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 			out.TenantCores[rs.rec.tenant]++
 		}
 	}
-	var sessErrs map[int]error
+	encode := s.encodeConcurrent
 	if s.cfg.Sequential {
-		sessErrs = s.encodeSequential(ctx, alloc, byID, out)
-	} else {
-		sessErrs = s.encodeConcurrent(ctx, alloc, byID, out)
+		encode = s.encodeSequential
 	}
+	encErrs := encode(ctx, alloc, byID, out)
 
 	// A cancelled round aborts service; sessions may be mid-GOP and are
 	// not marked failed (the historical "server must not be reused after
@@ -636,7 +623,10 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 		return out, nil, ctx.Err()
 	}
 
-	s.settleRound(byID, out, sessErrs)
+	s.settleRound(byID, out, encErrs)
+	for id, err := range encErrs {
+		sessErrs[id] = err
+	}
 	s.recoverRates(out)
 	s.mu.Lock()
 	s.rounds++
@@ -712,14 +702,35 @@ func (s *Server) estimate(rs *roundSession) error {
 
 // estimateRound is stage D1 for the whole round: stages A–C (when
 // needed) per session, then one batched LUT pass per workload class
-// instead of a locked lookup per tile per session.
-func (s *Server) estimateRound(live []*roundSession) error {
+// instead of a locked lookup per tile per session. A session whose
+// stages A–C fail — a source that panics on its first GOP, or on any GOP
+// in Sequential mode, where no estimate-ahead ran on an encode goroutine —
+// is marked StateFailed like an encode failure and leaves the roster: it
+// costs the session its stream, not the shard a restart. It returns the
+// sessions still competing and the failures by session id.
+func (s *Server) estimateRound(live []*roundSession) ([]*roundSession, map[int]error) {
+	sessErrs := make(map[int]error)
+	ok := live[:0]
 	for _, rs := range live {
 		if err := s.prepareKeys(rs); err != nil {
-			return err
+			s.failSession(rs.rec, err)
+			sessErrs[rs.rec.sess.ID] = err
+			continue
 		}
+		ok = append(ok, rs)
 	}
-	return s.resolveEstimates(live)
+	s.resolveEstimates(ok)
+	return ok, sessErrs
+}
+
+// failSession retires a session whose share of a round failed: it departs
+// as StateFailed carrying err, and the service keeps serving the others.
+func (s *Server) failSession(rec *sessionRecord, err error) {
+	s.mu.Lock()
+	rec.state = StateFailed
+	rec.err = err
+	s.mu.Unlock()
+	s.notifyState(rec.sess.ID, StateFailed, err)
 }
 
 // prepareKeys runs stages A–C for the session when its GOP is not yet
@@ -800,12 +811,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 	}
 	sort.Ints(failedIDs)
 	for _, id := range failedIDs {
-		rs := byID[id]
-		s.mu.Lock()
-		rs.rec.state = StateFailed
-		rs.rec.err = sessErrs[id]
-		s.mu.Unlock()
-		s.notifyState(id, StateFailed, sessErrs[id])
+		s.failSession(byID[id].rec, sessErrs[id])
 	}
 
 	// The built-in allocators return Admitted sorted by id, but a custom
@@ -881,15 +887,6 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 		out.EstimateErr = errSum / float64(errTiles)
 		out.EstimateTiles = errTiles
 	}
-}
-
-// measuredTime maps a tile's stats to the measured CPU time through the
-// session's TimeModel (the same channel Observe records).
-func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
-	if s.cfg.TimeModel != nil {
-		return s.cfg.TimeModel(ts)
-	}
-	return ts.EncodeTime
 }
 
 // guardSession runs one session's share of a round and returns its

@@ -320,6 +320,105 @@ func TestPanickingSourceFailsOneSession(t *testing.T) {
 	}
 }
 
+// panicOnCallSource panics on its n-th Frame call (1-based), whatever the
+// frame — the way to fail a session's very first GOP: NewSession reads
+// frame 0 once at Submit, stage A reads it again on the serving goroutine.
+type panicOnCallSource struct {
+	FrameSource
+	n, calls int
+}
+
+func (p *panicOnCallSource) Frame(n int) *video.Frame {
+	if p.calls++; p.calls == p.n {
+		panic(fmt.Sprintf("panicOnCallSource: read frame %d: simulated I/O error", n))
+	}
+	return p.FrameSource.Frame(n)
+}
+
+// TestPanickingSourceInStageACostsOneSession is the regression test for a
+// stage A–C failure on the serving goroutine — a session's first GOP, or
+// any GOP in Sequential mode, where no estimate-ahead ran inside an encode
+// goroutine — surfacing as a round-level error: Run returned it and the
+// fleet supervisor restarted the whole shard. It must cost the one session
+// its stream and nothing else: Run ends cleanly (no restart), the victim
+// is StateFailed with the cause, the three healthy sessions complete.
+func TestPanickingSourceInStageACostsOneSession(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		sequential bool
+		victim     func() FrameSource
+	}{
+		{"first GOP, concurrent", false, func() FrameSource {
+			return &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
+		}},
+		{"first GOP, sequential", true, func() FrameSource {
+			return &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
+		}},
+		{"second GOP, sequential", true, func() FrameSource {
+			return &panicAtSource{testSource(t, medgen.Chest, medgen.Pan, 12), 4}
+		}},
+	} {
+		var states []string
+		srv, err := NewServer(ServerConfig{
+			Platform: mpsoc.XeonE5_2667V4(), FPS: 24, Sequential: tc.sequential,
+			OnSessionState: func(id int, state SessionState, _ error) {
+				if state != StateQueued {
+					states = append(states, fmt.Sprintf("%d:%v", id, state))
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		healthy := []medgen.Class{medgen.Brain, medgen.Bone, medgen.SpinalCord}
+		for i, src := range []FrameSource{
+			testSource(t, healthy[0], medgen.Rotate, 12),
+			tc.victim(),
+			testSource(t, healthy[1], medgen.Rotate, 12),
+			testSource(t, healthy[2], medgen.Rotate, 12),
+		} {
+			if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
+				t.Fatalf("%s: submit %d: %v", tc.name, i, err)
+			}
+		}
+		srv.Close()
+		rep, outs := runKeeping(t, srv) // fatals if Run returns a round-level error
+		if fmt.Sprint(rep.Completed) != "[0 2 3]" || fmt.Sprint(rep.Failed) != "[1]" {
+			t.Fatalf("%s: completed %v failed %v, want the three healthy sessions completed and the victim failed", tc.name, rep.Completed, rep.Failed)
+		}
+		if err := rep.Errors[1]; err == nil || !strings.Contains(err.Error(), "simulated I/O error") {
+			t.Fatalf("%s: victim's error %v does not carry the panic", tc.name, err)
+		}
+		if st, _ := srv.StateOf(1); st != StateFailed {
+			t.Fatalf("%s: victim is %v, want failed", tc.name, st)
+		}
+		if n := strings.Count(strings.Join(states, " "), "1:failed"); n != 1 {
+			t.Fatalf("%s: victim's failure notified %d times in %v, want once", tc.name, n, states)
+		}
+		for _, id := range []int{0, 2, 3} {
+			if got := len(gopDigests(outs, id)); got != 3 {
+				t.Fatalf("%s: healthy session %d served %d GOPs, want 3", tc.name, id, got)
+			}
+		}
+	}
+
+	// Alone on the server, the victim leaves a round with nobody to serve:
+	// no outcome, no round counted, and still a clean end of service.
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
+	if _, err := srv.Submit(victim, testSessionConfig(ModeProposed)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	rep, outs := runKeeping(t, srv)
+	if fmt.Sprint(rep.Failed) != "[0]" || rep.Rounds != 0 || len(outs) != 0 {
+		t.Fatalf("solo victim: failed %v, %d rounds, %d outcomes; want [0], 0, 0", rep.Failed, rep.Rounds, len(outs))
+	}
+}
+
 // TestServeGOPCancellation checks context plumbing end to end: a cancelled
 // context aborts the round with the context's error.
 func TestServeGOPCancellation(t *testing.T) {

@@ -194,6 +194,9 @@ func (s *Server) serve(ctx context.Context) error {
 		}
 		// Failed sessions have departed (serveRound set their states and
 		// stored their errors); service continues for the rest.
+		if out == nil {
+			continue // every live session failed before allocation: no round was served
+		}
 		if s.cfg.OnRound != nil {
 			s.cfg.OnRound(out)
 		}

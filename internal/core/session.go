@@ -58,14 +58,15 @@ type SessionConfig struct {
 	BaselineQP int
 	// BaselineWindow is the baseline's TZ search window (0 → 64).
 	BaselineWindow int
-	// TimeModel maps a tile's measured stats to the CPU time recorded in
-	// the workload LUT (and hence used for allocation). Nil records the
-	// raw measured EncodeTime. The experiment harness installs a model
-	// that re-weights motion-estimation time to an HEVC encoder's cost
-	// structure (see experiments.KvazaarTimeModel). Excluded from the
-	// wire format (a func cannot cross a process boundary; the model
-	// shapes LUT bookkeeping, never encoded bits) — the receiving server
-	// installs its own.
+	// TimeModel maps a tile's stats to the CPU time recorded in the
+	// workload LUT (and hence used for allocation, and for sizing the
+	// baseline's capacity tiles). Nil records the raw measured EncodeTime.
+	// The experiment harness installs a model that prices the tile's work
+	// counters at an HEVC encoder's cost structure, independent of host
+	// speed (see experiments.WorkTime). Excluded from the wire format (a
+	// func cannot cross a process boundary; the model shapes LUT
+	// bookkeeping, never encoded bits) — the receiving server installs its
+	// own.
 	TimeModel func(codec.TileStats) time.Duration `json:"-"`
 	// DemandHint seeds the session's core-demand estimate for load
 	// reporting (Server.LoadReport) before its first round competes —
@@ -192,10 +193,6 @@ type Session struct {
 	rateHalved bool
 
 	frame int // next frame to encode
-
-	// prevTileStats feeds Algorithm 1 with the previous frame's per-tile
-	// measurements.
-	prevTileStats []codec.TileStats
 }
 
 // NewSession validates the configuration and builds a session. The LUT is
@@ -219,11 +216,25 @@ func NewSession(id int, src FrameSource, cfg SessionConfig, lut *workload.LUT) (
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
+	// A capacity tile smaller than one coding block is no tile; the bound
+	// also keeps factorize's search proportional to the frame, whatever a
+	// config from the wire asks for.
+	if blocks := (f0.Width() / cfg.Codec.BlockSize) * (f0.Height() / cfg.Codec.BlockSize); cfg.BaselineTiles > blocks {
+		return nil, fmt.Errorf("core: %d baseline tiles on a frame of %d coding blocks", cfg.BaselineTiles, blocks)
+	}
 	if cfg.BaselineQP == 0 {
 		cfg.BaselineQP = 32
 	}
 	if cfg.BaselineWindow == 0 {
 		cfg.BaselineWindow = 64
+	}
+	// No displacement reaches past the frame, and a raster search costs
+	// window² evaluations: a window from the wire must not set that cost.
+	// (The policy's follow windows are bounded by the two checked here.)
+	reach := f0.Width() + f0.Height()
+	if cfg.BaselineWindow < 0 || cfg.BaselineWindow > reach || cfg.Policy.MaxWindow > reach || cfg.Policy.LowFirstWindow > reach {
+		return nil, fmt.Errorf("core: search window beyond the %dx%d frame (baseline %d, policy %+v)",
+			f0.Width(), f0.Height(), cfg.BaselineWindow, cfg.Policy)
 	}
 	enc, err := codec.NewEncoder(cfg.Codec)
 	if err != nil {
@@ -398,7 +409,6 @@ func (s *Session) prepareGOP() error {
 			s.qps[i] = s.adapter.ResetTile(i, tc.Texture)
 		}
 	}
-	s.prevTileStats = nil
 	s.preparedFor = s.frame
 	return nil
 }
@@ -446,7 +456,7 @@ func (s *Session) probeBaselineTiles() int {
 		return 4
 	}
 	slot := time.Duration(float64(time.Second) / s.src.FPS())
-	n := int(math.Ceil(stats.EncodeTime.Seconds() / slot.Seconds()))
+	n := int(math.Ceil(s.measuredTime(stats.Tiles[0]).Seconds() / slot.Seconds()))
 	// Inter frames are cheaper than the I-frame probe; [19] still keeps
 	// several tiles for parallel slack. Clamp to a sane range.
 	if n < 2 {
@@ -550,11 +560,7 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 	for i, ts := range stats.Tiles {
 		tc := s.contents[i]
 		key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), params[i].QP, params[i].Window)
-		observed := ts.EncodeTime
-		if s.cfg.TimeModel != nil {
-			observed = s.cfg.TimeModel(ts)
-		}
-		s.lut.Observe(key, observed)
+		s.lut.Observe(key, s.measuredTime(ts))
 		if frameInGOP == 0 && stats.Type == codec.FrameP {
 			s.policy.Observe(i, ts.MeanMV)
 		}
@@ -570,7 +576,6 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 			}, s.contents[i].Texture)
 		}
 	}
-	s.prevTileStats = stats.Tiles
 
 	rep := &FrameReport{
 		Frame:      s.frame,
@@ -587,6 +592,16 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 	}
 	s.frame++
 	return rep, nil
+}
+
+// measuredTime maps a tile's stats to its CPU time through the session's
+// TimeModel — the one channel the LUT, calibration and the baseline tile
+// probe all read.
+func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
+	if s.cfg.TimeModel != nil {
+		return s.cfg.TimeModel(ts)
+	}
+	return ts.EncodeTime
 }
 
 // bitstreamDigest hashes a frame's tile payloads (FNV-1a, grid order).
@@ -664,11 +679,9 @@ func (s *Session) EstimateThreads() ([]sched.Thread, error) {
 }
 
 // appendEstimationKeys appends the per-tile LUT keys stage D1 looks up
-// for the current grid — the workload fingerprint of the session's
-// upcoming GOP. The server batches the actual LUT resolution across all
-// sessions of a class (Server.resolveEstimates) and reuses the same keys
-// as the allocator-memoization roster fingerprint, so this is the single
-// source of truth for what a session is about to cost.
+// for the current grid — what the session's upcoming GOP is about to cost.
+// The server batches the actual LUT resolution across all sessions of a
+// class (Server.resolveEstimates).
 func (s *Session) appendEstimationKeys(dst []workload.Key) ([]workload.Key, error) {
 	if s.grid == nil {
 		return nil, fmt.Errorf("core: session %d has no prepared GOP", s.ID)

@@ -281,7 +281,8 @@ func (w *SessionWire) Restore(bind SourceBinder) (*SessionSnapshot, error) {
 	sess.degraded = w.Degraded
 	sess.rateHalved = w.RateHalved
 	if w.BaselineNX > 0 && w.BaselineNY > 0 {
-		grid, err := tiling.Uniform(w.Config.Codec.Width, w.Config.Codec.Height, w.BaselineNX, w.BaselineNY)
+		// The source's geometry, not the wire's claim of it, bounds the grid.
+		grid, err := tiling.Uniform(sess.cfg.Codec.Width, sess.cfg.Codec.Height, w.BaselineNX, w.BaselineNY)
 		if err != nil {
 			return nil, err
 		}

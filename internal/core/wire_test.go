@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -310,4 +312,116 @@ func TestSessionSnapshotFieldsCovered(t *testing.T) {
 	if _, err := json.Marshal(DefaultSessionConfig()); err != nil {
 		t.Fatalf("SessionConfig no longer marshals: %v", err)
 	}
+}
+
+// bindGoldenSource is a bounded stand-in for dist.BindSource (core cannot
+// import dist): it accepts the "medgen" kind the wire golden carries,
+// refuses geometry a fuzzed spec could blow up — so whatever
+// FuzzSessionWireRestore finds is Restore's own — and binds like
+// bindTestSource.
+func bindGoldenSource(spec SourceSpec) (FrameSource, error) {
+	var cfg medgen.Config
+	if spec.Kind != "medgen" || json.Unmarshal(spec.Data, &cfg) != nil ||
+		cfg.Width > 256 || cfg.Height > 256 || cfg.Frames > 64 {
+		return nil, fmt.Errorf("source kind %q spec %s is beyond what the fuzz binds", spec.Kind, spec.Data)
+	}
+	spec.Kind = "medgen-test"
+	return bindTestSource(spec)
+}
+
+// goldenWire decodes the v1 wire golden (internal/dist owns the file).
+func goldenWire(t testing.TB) *SessionWire {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("..", "dist", "testdata", "session_wire_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w SessionWire
+	if err := json.Unmarshal(golden, &w); err != nil {
+		t.Fatal(err)
+	}
+	return &w
+}
+
+// TestSessionWireRestoreBoundsConfig: a wire's configuration must not be
+// able to size an allocation or a loop. Each case hung or exhausted memory
+// before Restore's input checks — in Restore itself (the grid), or on the
+// restored session's next frame (tiles, block, windows).
+func TestSessionWireRestoreBoundsConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*SessionWire){
+		"baseline grid sized by the wire's own geometry": func(w *SessionWire) {
+			w.Config.Mode = ModeBaseline
+			w.Config.Codec.Width, w.Config.Codec.Height = 30000, 30000
+			w.BaselineNX, w.BaselineNY = 30000, 30000
+		},
+		"baseline tile count": func(w *SessionWire) {
+			w.Config.Mode = ModeBaseline
+			w.Config.BaselineTiles = 1 << 40
+		},
+		"block size":      func(w *SessionWire) { w.Config.Codec.BlockSize = 1 << 20 },
+		"baseline window": func(w *SessionWire) { w.Config.BaselineWindow = 1 << 40 },
+		"policy window":   func(w *SessionWire) { w.Config.Policy.MaxWindow = 1 << 40 },
+	} {
+		w := goldenWire(t)
+		mutate(w)
+		if _, err := w.Restore(bindGoldenSource); err == nil {
+			t.Errorf("%s: hostile wire restored", name)
+		}
+	}
+}
+
+// FuzzSessionWireRestore feeds SessionWire.Restore hostile bytes. The
+// contract of everything that parses a wire from outside the process: an
+// error, never a panic, and no allocation the input's own length does not
+// bound. A wire Restore accepts must be a session the server can carry on
+// with: it wires again, and its next frame encodes (or is refused).
+//
+// Both seeds are the v1 wire golden with its 55 KB reference picture cut
+// down — as shipped, the picture's base64 is 95% of the bytes the mutator
+// draws from and every find costs a minute of minimization: one seed is
+// the session before its first frame (no picture), the other the same
+// session on a 64×48 source with a blank picture of matching size.
+func FuzzSessionWireRestore(f *testing.F) {
+	w := goldenWire(f)
+	var src medgen.Config
+	if err := json.Unmarshal(w.Source.Data, &src); err != nil {
+		f.Fatal(err)
+	}
+	src.Width, src.Height = 64, 48
+	w.Config.Retile.MinTileW, w.Config.Retile.MinTileH = 16, 16 // three tiles per dimension still fit
+	var err error
+	if w.Source.Data, err = json.Marshal(src); err != nil {
+		f.Fatal(err)
+	}
+	blank := func(pw, ph int) *PlaneWire { return &PlaneWire{Width: pw, Height: ph, Pix: make([]byte, pw*ph)} }
+	w.Encoder.Ref = &FrameWire{Number: w.Encoder.Ref.Number, Y: blank(64, 48), Cb: blank(32, 24), Cr: blank(32, 24)}
+	for _, fresh := range []bool{false, true} {
+		if fresh {
+			w.Frame, w.Encoder = 0, EncoderWire{}
+		}
+		seed, err := json.Marshal(&w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := w.Restore(bindGoldenSource); err != nil {
+			f.Fatalf("seed (fresh=%v) does not restore: %v", fresh, err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w SessionWire
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		snap, err := w.Restore(bindGoldenSource)
+		if err != nil {
+			return
+		}
+		if _, err := snap.Wire(); err != nil {
+			t.Fatalf("restored session does not wire again: %v", err)
+		}
+		if !snap.Session.Finished() {
+			_, _ = snap.Session.EncodeNextFrame() // may refuse; must not panic
+		}
+	})
 }

@@ -30,7 +30,7 @@ func DefaultAblationOptions() AblationOptions {
 // AblationRow is one variant's outcome.
 type AblationRow struct {
 	Variant string
-	// CPUPerFrame is the modeled platform CPU time per frame.
+	// CPUPerFrame is the modelled CPU time per frame (WorkTime, unscaled).
 	CPUPerFrame time.Duration
 	// Cores is the per-user core demand at 24 FPS.
 	Cores float64
@@ -60,29 +60,17 @@ var ablationVariants = []struct {
 }
 
 // RunAblation encodes the same video under every pipeline variant and
-// reports per-frame CPU (in calibrated platform time), core demand, PSNR
+// reports per-frame CPU (modelled, unscaled), core demand, PSNR
 // and bitrate — isolating what each contribution buys.
 func RunAblation(opt AblationOptions) (*AblationResult, error) {
 	if opt.GOPs <= 0 {
 		return nil, fmt.Errorf("experiments: bad ablation options %+v", opt)
 	}
-	r, err := CalibrateMEInflation(opt.Video)
-	if err != nil {
-		return nil, err
-	}
-	model := KvazaarTimeModel(r)
-	slot := time.Second / 24
-
 	res := &AblationResult{}
 	for _, v := range ablationVariants {
-		src, err := sourceFor(opt.Video)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultSessionConfig()
+		cfg := modeConfig(core.ModeProposed, 0)
 		v.mutate(&cfg)
-		cfg.TimeModel = model
-		sess, err := core.NewSession(0, src, cfg, workload.NewLUT())
+		sess, err := newSession(opt.Video, cfg, workload.NewLUT())
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +86,7 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, fr := range gop.Frames {
-				for _, ts := range fr.Tiles {
-					cpu += model(ts)
-				}
-			}
+			cpu += gopWork(gop)
 			psnr += gop.MeanPSNR
 			kbps += gop.MeanKbps
 			frames += len(gop.Frames)
@@ -123,7 +107,7 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 
 // Table renders the study.
 func (r *AblationResult) Table() *trace.Table {
-	t := trace.NewTable("Pipeline ablation — what each contribution buys (platform time)",
+	t := trace.NewTable("Pipeline ablation — what each contribution buys (modelled time)",
 		"variant", "tiles", "CPU/frame", "cores@24fps", "PSNR (dB)", "kbps")
 	for _, row := range r.Rows {
 		t.AddRow(row.Variant, fmt.Sprint(row.Tiles), fmtDuration(row.CPUPerFrame),

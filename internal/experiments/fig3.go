@@ -19,9 +19,6 @@ import (
 // approach against [19]).
 type Fig3Options struct {
 	Video medgen.Config
-	// TimeScale calibrates host times to the paper's platform regime; 0
-	// auto-calibrates so the baseline lands near the paper's 5 cores.
-	TimeScale float64
 }
 
 // DefaultFig3Options uses a rotating brain study at the paper's geometry.
@@ -31,7 +28,7 @@ func DefaultFig3Options() Fig3Options {
 	return Fig3Options{Video: v}
 }
 
-// TileCPU is one tile with its measured CPU time.
+// TileCPU is one tile with its modelled CPU time on the platform.
 type TileCPU struct {
 	Tile tiling.Tile
 	CPU  time.Duration
@@ -51,36 +48,26 @@ type Fig3Side struct {
 type Fig3Result struct {
 	Proposed Fig3Side
 	Baseline Fig3Side
-	// TimeScale actually applied.
+	// TimeScale is the derived modelled-to-platform time factor.
 	TimeScale float64
 }
 
-// RunFig3 encodes one GOP of the video with both approaches, measures the
+// RunFig3 encodes the video with both approaches, takes the modelled
 // per-tile CPU times of the second GOP (warm LUT, steady tiling), scales
 // them to the simulated platform, and allocates threads to cores to count
 // the cores each approach needs and how many must run at fmax.
 func RunFig3(opt Fig3Options) (*Fig3Result, error) {
 	platform := mpsoc.XeonE5_2667V4()
-	slot := time.Second / 24
 
-	r, err := CalibrateMEInflation(opt.Video)
+	// The paper's baseline frame needs ≈5 cores at 24 FPS (5 × 41.7 ms ≈
+	// 0.21 s of CPU per frame; Fig. 3(a) shows 0.159 s on 5 capacity tiles).
+	scale, baselineTiles, err := calibrate([]medgen.Config{opt.Video}, 4.5)
 	if err != nil {
 		return nil, err
 	}
-	model := KvazaarTimeModel(r)
 
 	measure := func(mode core.Mode) (*core.GOPReport, error) {
-		src, err := sourceFor(opt.Video)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultSessionConfig()
-		cfg.Mode = mode
-		cfg.TimeModel = model
-		if mode == core.ModeBaseline {
-			cfg.BaselineTiles = 5 // the paper's Fig. 3(a) shows 5 capacity tiles
-		}
-		sess, err := core.NewSession(0, src, cfg, workload.NewLUT())
+		sess, err := newSession(opt.Video, modeConfig(mode, baselineTiles), workload.NewLUT())
 		if err != nil {
 			return nil, err
 		}
@@ -99,39 +86,12 @@ func RunFig3(opt Fig3Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-express measured tile stats in platform time.
-	applyModel := func(gop *core.GOPReport) {
-		for fi := range gop.Frames {
-			for ti := range gop.Frames[fi].Tiles {
-				ts := &gop.Frames[fi].Tiles[ti]
-				ts.EncodeTime = model(*ts)
-			}
-		}
-	}
-	applyModel(prop)
-	applyModel(base)
-
-	// Calibration: the paper's baseline frame needs ≈5 cores at 24 FPS
-	// (5 × 41.7 ms ≈ 0.21 s of CPU per frame; Fig. 3(a) shows 0.159 s).
-	scale := opt.TimeScale
-	if scale <= 0 {
-		baseCPUPerFrame := base.CPUTime / time.Duration(len(base.Frames))
-		target := 4.5 * slot.Seconds()
-		scale = target / baseCPUPerFrame.Seconds()
-	}
 
 	build := func(name string, gop *core.GOPReport, mode core.Mode) (Fig3Side, error) {
 		side := Fig3Side{Name: name}
-		perTile := make([]time.Duration, len(gop.Grid.Tiles))
-		for _, fr := range gop.Frames {
-			for i, ts := range fr.Tiles {
-				perTile[i] += ts.EncodeTime
-			}
-		}
 		var threads []sched.Thread
-		for i, tile := range gop.Grid.Tiles {
-			cpu := time.Duration(float64(perTile[i]) / float64(len(gop.Frames)) * scale)
-			side.Tiles = append(side.Tiles, TileCPU{Tile: tile, CPU: cpu})
+		for i, cpu := range tileDemand(gop, scale) {
+			side.Tiles = append(side.Tiles, TileCPU{Tile: gop.Grid.Tiles[i], CPU: cpu})
 			side.TotalCPU += cpu
 			threads = append(threads, sched.Thread{User: 0, Tile: i, TimeFmax: cpu})
 		}

@@ -22,7 +22,8 @@ type Fig4Options struct {
 	BaselineCoresPerUser float64
 	// Width, Height of the corpus videos.
 	Width, Height int
-	// FramesPerVideo for the warm-up measurement.
+	// FramesPerVideo bounds each corpus video's length (at least two GOPs:
+	// calibrate reads the second).
 	FramesPerVideo int
 }
 
@@ -53,37 +54,24 @@ type Fig4Result struct {
 // average power; the figure is the per-count savings of the proposed
 // approach over [19].
 //
-// Power depends only on the allocation and the DVFS plan, so after a warm
-// measurement pass the sweep runs on recorded thread demands without
+// Power depends only on the allocation and the DVFS plan, so after one
+// encode pass the sweep runs on recorded thread demands without
 // re-encoding — exactly how the scheduler consumes the workload LUT.
 func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 	platform := mpsoc.XeonE5_2667V4()
-	slot := time.Second / 24
-	t2opt := DefaultTable2Options()
-	t2opt.BaselineCoresPerUser = opt.BaselineCoresPerUser
-	t2opt.Width, t2opt.Height = opt.Width, opt.Height
-	t2opt.FramesPerVideo = opt.FramesPerVideo
-	model, timeScale, baselineTiles, err := calibrate(t2opt)
+	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	timeScale, baselineTiles, err := calibrate(corpus[:2], opt.BaselineCoresPerUser)
 	if err != nil {
 		return nil, err
 	}
 
-	// Measure per-video thread demands for both modes (one warm GOP each),
-	// reused across user counts.
-	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	// Per-video thread demands for both modes (one GOP each), reused
+	// across user counts.
 	propDemand := make([][]time.Duration, len(corpus))
 	baseDemand := make([][]time.Duration, len(corpus))
 	for vi, vc := range corpus {
 		for _, mode := range []core.Mode{core.ModeProposed, core.ModeBaseline} {
-			src, err := sourceFor(vc)
-			if err != nil {
-				return nil, err
-			}
-			cfg := core.DefaultSessionConfig()
-			cfg.Mode = mode
-			cfg.BaselineTiles = baselineTiles
-			cfg.TimeModel = model
-			sess, err := core.NewSession(0, src, cfg, workload.NewLUT())
+			sess, err := newSession(vc, modeConfig(mode, baselineTiles), workload.NewLUT())
 			if err != nil {
 				return nil, err
 			}
@@ -91,15 +79,7 @@ func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			perTile := make([]time.Duration, len(gop.Grid.Tiles))
-			for _, fr := range gop.Frames {
-				for i, ts := range fr.Tiles {
-					perTile[i] += model(ts)
-				}
-			}
-			for i := range perTile {
-				perTile[i] = time.Duration(float64(perTile[i]) / float64(len(gop.Frames)) * timeScale)
-			}
+			perTile := tileDemand(gop, timeScale)
 			if mode == core.ModeProposed {
 				propDemand[vi] = perTile
 			} else {

@@ -47,10 +47,13 @@ type LUTResult struct {
 	Points []LUTPoint
 	// FinalError is the error after the last GOP of the primary video.
 	FinalError time.Duration
-	// MeanTileTime is the average observed tile time, for putting the
-	// absolute error in proportion (the floor of the absolute error is
-	// the host's timing jitter, not the estimator).
+	// MeanTileTime is the average modelled tile time (WorkTime, what the
+	// LUT learns here), for putting the absolute error in proportion: its
+	// floor is the spread of work inside one LUT key, not the estimator.
 	MeanTileTime time.Duration
+	// HostTileTime is the same tiles' average wall-clock EncodeTime on this
+	// host — printed beside the modelled mean, never compared against.
+	HostTileTime time.Duration
 	// CrossVideoError is the error accumulated while encoding the second
 	// same-class video with the shared LUT (0 when not requested).
 	CrossVideoError time.Duration
@@ -58,23 +61,20 @@ type LUTResult struct {
 
 // RunLUT encodes the video GOP by GOP, recording the workload LUT's mean
 // absolute estimation error as it converges, then optionally replays a
-// second same-class video against the warmed LUT.
+// second same-class video against the warmed LUT. The LUT learns WorkTime,
+// so the trace is the same on every host.
 func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	if opt.GOPs <= 0 {
 		return nil, fmt.Errorf("experiments: bad LUT options %+v", opt)
 	}
 	lut := workload.NewLUT()
-	src, err := sourceFor(opt.Video)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultSessionConfig()
-	sess, err := core.NewSession(0, src, cfg, lut)
+	cfg := modeConfig(core.ModeProposed, 0)
+	sess, err := newSession(opt.Video, cfg, lut)
 	if err != nil {
 		return nil, err
 	}
 	res := &LUTResult{}
-	var tileTime time.Duration
+	var tileTime, hostTime time.Duration
 	var tiles int
 	for g := 0; g < opt.GOPs && !sess.Finished(); g++ {
 		gop, err := sess.EncodeGOP()
@@ -83,7 +83,8 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 		}
 		for _, fr := range gop.Frames {
 			for _, ts := range fr.Tiles {
-				tileTime += ts.EncodeTime
+				tileTime += WorkTime(ts)
+				hostTime += ts.EncodeTime
 				tiles++
 			}
 		}
@@ -93,13 +94,10 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	}
 	if tiles > 0 {
 		res.MeanTileTime = tileTime / time.Duration(tiles)
+		res.HostTileTime = hostTime / time.Duration(tiles)
 	}
 	if opt.CrossVideo != nil {
-		src2, err := sourceFor(*opt.CrossVideo)
-		if err != nil {
-			return nil, err
-		}
-		sess2, err := core.NewSession(1, src2, cfg, lut)
+		sess2, err := newSession(*opt.CrossVideo, cfg, lut)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +136,7 @@ func (r *LUTResult) Render(w io.Writer) error {
 	if r.MeanTileTime > 0 {
 		rel = float64(r.FinalError) / float64(r.MeanTileTime) * 100
 	}
-	_, err := fmt.Fprintf(w, "final error: %v (%.1f%% of the %.2fms mean tile time; the absolute floor is host timing jitter)\n",
-		r.FinalError, rel, float64(r.MeanTileTime.Microseconds())/1000)
+	_, err := fmt.Fprintf(w, "final error: %v (%.1f%% of the %s modelled mean tile time; this host's mean tile wall time: %s)\n",
+		r.FinalError, rel, fmtDuration(r.MeanTileTime), fmtDuration(r.HostTileTime))
 	return err
 }

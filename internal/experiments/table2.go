@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpsoc"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Table2Options parametrizes the Table II run: a saturated user queue on
@@ -18,13 +16,14 @@ type Table2Options struct {
 	// QueueLen is the number of waiting users (must exceed capacity; the
 	// paper keeps the queue always full).
 	QueueLen int
-	// FramesPerVideo bounds each user's video length.
+	// FramesPerVideo bounds each user's video length (at least two GOPs:
+	// calibrate reads the second).
 	FramesPerVideo int
 	// BaselineCoresPerUser anchors the TimeScale calibration: [19] sizes
 	// each tile to fill one core's slot capacity, and the paper's Table II
 	// regime has the baseline serving ≈15 users on 32 cores ≈ 2 cores per
-	// user. The proposed mode's demand then follows from the measured
-	// CPU ratio between the two approaches.
+	// user. The proposed mode's demand then follows from the modelled
+	// work ratio between the two approaches (see calibrate).
 	BaselineCoresPerUser float64
 	// Width, Height of the corpus videos.
 	Width, Height int
@@ -54,76 +53,11 @@ type Table2Side struct {
 	AvgPowerWatts float64
 }
 
-// Table2Result pairs both approaches plus the calibration actually used.
+// Table2Result pairs both approaches plus the calibration derived for them.
 type Table2Result struct {
 	Proposed, Baseline Table2Side
 	TimeScale          float64
 	BaselineTiles      int
-}
-
-// calibrate derives the three platform-calibration values shared by the
-// Table II and Fig. 4 runs:
-//
-//   - the Kvazaar ME-inflation model (see KvazaarTimeModel);
-//   - TimeScale, so the average proposed-mode user demands
-//     opt.TargetUserCores cores;
-//   - the baseline's capacity tile count ([19] sizes each tile to fill
-//     one core's slot capacity).
-func calibrate(opt Table2Options) (model TimeModel, timeScale float64, baselineTiles int, err error) {
-	slot := time.Second / 24
-	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
-
-	r, err := CalibrateMEInflation(corpus[0])
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	model = KvazaarTimeModel(r)
-
-	meanFrameCPU := func(mode core.Mode) (time.Duration, error) {
-		var total time.Duration
-		var frames int
-		for _, vc := range corpus[:2] { // two videos suffice for a mean
-			src, err := sourceFor(vc)
-			if err != nil {
-				return 0, err
-			}
-			cfg := core.DefaultSessionConfig()
-			cfg.Mode = mode
-			if mode == core.ModeBaseline {
-				cfg.BaselineTiles = 5
-			}
-			sess, err := core.NewSession(0, src, cfg, workload.NewLUT())
-			if err != nil {
-				return 0, err
-			}
-			gop, err := sess.EncodeGOP()
-			if err != nil {
-				return 0, err
-			}
-			for _, fr := range gop.Frames {
-				for _, ts := range fr.Tiles {
-					total += model(ts)
-				}
-			}
-			frames += len(gop.Frames)
-		}
-		return total / time.Duration(frames), nil
-	}
-
-	baseCPU, err := meanFrameCPU(core.ModeBaseline)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	anchor := opt.BaselineCoresPerUser
-	if anchor <= 0 {
-		anchor = 2
-	}
-	timeScale = anchor * slot.Seconds() / baseCPU.Seconds()
-	baselineTiles = int(math.Round(anchor))
-	if baselineTiles < 1 {
-		baselineTiles = 1
-	}
-	return model, timeScale, baselineTiles, nil
 }
 
 // RunTable2 reproduces Table II: a saturated queue of users, each
@@ -134,7 +68,9 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 	if opt.QueueLen <= 0 || opt.FramesPerVideo <= 0 {
 		return nil, fmt.Errorf("experiments: bad table2 options %+v", opt)
 	}
-	model, timeScale, baselineTiles, err := calibrate(opt)
+	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	// Two videos suffice for the mean the anchor is set against.
+	timeScale, baselineTiles, err := calibrate(corpus[:2], opt.BaselineCoresPerUser)
 	if err != nil {
 		return nil, err
 	}
@@ -151,16 +87,12 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 		if err != nil {
 			return side, err
 		}
-		corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+		cfg := modeConfig(mode, baselineTiles)
 		for i := 0; i < opt.QueueLen; i++ {
 			src, err := sourceFor(corpus[i%len(corpus)])
 			if err != nil {
 				return side, err
 			}
-			cfg := core.DefaultSessionConfig()
-			cfg.Mode = mode
-			cfg.BaselineTiles = baselineTiles
-			cfg.TimeModel = model
 			if _, err := srv.Submit(src, cfg); err != nil {
 				return side, err
 			}
@@ -172,15 +104,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 		// all other videos of the same class (Sec. III-D1), so a running
 		// server never prices a known class at the cold prior.
 		for _, vc := range corpus {
-			src, err := sourceFor(vc)
-			if err != nil {
-				return side, err
-			}
-			cfg := core.DefaultSessionConfig()
-			cfg.Mode = mode
-			cfg.BaselineTiles = baselineTiles
-			cfg.TimeModel = model
-			warm, err := core.NewSession(0, src, cfg, srv.Store().ForClass(vc.Class.String()))
+			warm, err := newSession(vc, cfg, srv.Store().ForClass(vc.Class.String()))
 			if err != nil {
 				return side, err
 			}

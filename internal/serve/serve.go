@@ -33,7 +33,6 @@ import (
 type options struct {
 	shards    int
 	platforms []*mpsoc.Platform
-	platform  *mpsoc.Platform
 	fps       float64
 
 	registry       *sched.Registry
@@ -68,8 +67,8 @@ type options struct {
 // Option configures a Fleet.
 type Option func(*options)
 
-// WithShards sets the number of shards (default 1), each backed by a
-// copy of the fleet's platform. Overridden by WithPlatforms.
+// WithShards sets the number of shards (default 1), each on its own copy
+// of the paper's Xeon E5-2667v4. Overridden by WithPlatforms.
 func WithShards(n int) Option {
 	return func(o *options) {
 		if n < 1 {
@@ -77,18 +76,6 @@ func WithShards(n int) Option {
 			return
 		}
 		o.shards = n
-	}
-}
-
-// WithPlatform sets the platform prototype every shard runs on (default
-// the paper's Xeon E5-2667v4). Each shard gets its own copy.
-func WithPlatform(p *mpsoc.Platform) Option {
-	return func(o *options) {
-		if p == nil {
-			o.errs = append(o.errs, errors.New("serve: nil platform"))
-			return
-		}
-		o.platform = p
 	}
 }
 
@@ -247,9 +234,8 @@ func WithMaxRestarts(n int) Option {
 // give the autoscaler its own goroutine.
 type Fleet struct {
 	opts options
-	// proto is the platform prototype shards added by Resize run on: the
-	// WithPlatform argument, the first WithPlatforms entry, or the
-	// default Xeon.
+	// proto is the first shard's platform; shards added by Resize run on
+	// copies of it.
 	proto *mpsoc.Platform
 	// seed is the loaded WithLUTStore snapshot (nil without one); every
 	// shard — including ones added later — starts from its own clone.
@@ -358,13 +344,9 @@ func New(opts ...Option) (*Fleet, error) {
 	}
 	platforms := o.platforms
 	if platforms == nil {
-		proto := o.platform
-		if proto == nil {
-			proto = mpsoc.XeonE5_2667V4()
-		}
 		platforms = make([]*mpsoc.Platform, o.shards)
 		for i := range platforms {
-			platforms[i] = clonePlatform(proto)
+			platforms[i] = mpsoc.XeonE5_2667V4()
 		}
 	}
 	n := len(platforms)
@@ -407,20 +389,13 @@ func New(opts ...Option) (*Fleet, error) {
 
 	f := &Fleet{
 		opts:       o,
+		proto:      platforms[0],
 		seed:       seed,
 		ring:       newHashRing(seqMembers(n), o.replicas),
 		hotRuns:    make(map[int]int),
 		shedMerged: make(map[shedKey]bool),
 	}
 	f.cond = sync.NewCond(&f.mu)
-	f.proto = o.platform
-	if f.proto == nil {
-		if o.platforms != nil {
-			f.proto = o.platforms[0]
-		} else {
-			f.proto = mpsoc.XeonE5_2667V4()
-		}
-	}
 	for i := 0; i < n; i++ {
 		name := o.allocator
 		if over, ok := o.shardAllocator[i]; ok {
