@@ -31,7 +31,7 @@ func main() {
 		table2   = flag.Bool("table2", false, "run Table II (served users, PSNR, bitrate)")
 		fig4     = flag.Bool("fig4", false, "run Fig. 4 (power savings vs user count)")
 		lut      = flag.Bool("lut", false, "run the workload-LUT convergence experiment")
-		ablation = flag.Bool("ablation", false, "run the pipeline ablation study (DESIGN.md §5)")
+		ablation = flag.Bool("ablation", false, "run the pipeline ablation study (DESIGN.md §3)")
 		all      = flag.Bool("all", false, "run everything")
 		frames   = flag.Int("frames", 0, "override Table I frame count (paper: 400)")
 		queue    = flag.Int("queue", 0, "override Table II queue length")

@@ -34,7 +34,8 @@ func main() {
 		return users
 	}
 
-	// Every registered allocation policy competes — a policy added to the
+	// Every registered allocation policy competes: the paper's two
+	// (content-aware and baseline) as shipped — a policy added to the
 	// sched registry shows up here (and in transcode -allocator) with no
 	// further wiring.
 	policies := sched.Default.All()

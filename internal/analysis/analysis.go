@@ -313,65 +313,3 @@ func (e *Evaluator) CenterTexture(r tiling.Rect) int {
 }
 
 var _ tiling.ContentProbe = (*Evaluator)(nil)
-
-// FrameMotionDirection estimates the dominant global motion of a frame by
-// coarse block matching against the previous frame over a ±radius window.
-// Bio-medical frames move rigidly (Sec. III-A), so one estimate per frame
-// suffices; the motion package uses it to orient the directional search
-// algorithms at GOP boundaries. The result is expressed in motion-vector
-// space (reference position = current position + vector), matching the
-// codec: content panning right by k yields (−k, 0).
-func FrameMotionDirection(cur, prev *video.Plane, radius int) (dx, dy int) {
-	if prev == nil || radius <= 0 {
-		return 0, 0
-	}
-	const block = 32
-	// Use the central region only: the borders are static background.
-	x0, y0 := cur.W/4, cur.H/4
-	x1, y1 := cur.W-cur.W/4, cur.H-cur.H/4
-	best := int64(1) << 62
-	for cy := -radius; cy <= radius; cy++ {
-		for cx := -radius; cx <= radius; cx++ {
-			var cost int64
-			for by := y0; by+block <= y1; by += block * 2 {
-				for bx := x0; bx+block <= x1; bx += block * 2 {
-					rx, ry := bx+cx, by+cy
-					if rx < 0 || ry < 0 || rx+block > prev.W || ry+block > prev.H {
-						cost += 1 << 20
-						continue
-					}
-					cost += blockSAD(cur, prev, bx, by, rx, ry, block)
-				}
-			}
-			// Prefer the zero vector on ties (and smaller vectors overall).
-			cost += int64(abs(cx)+abs(cy)) * 4
-			if cost < best {
-				best, dx, dy = cost, cx, cy
-			}
-		}
-	}
-	return dx, dy
-}
-
-func blockSAD(a, b *video.Plane, ax, ay, bx, by, n int) int64 {
-	var sum int64
-	for y := 0; y < n; y++ {
-		ra := a.Pix[(ay+y)*a.Stride+ax : (ay+y)*a.Stride+ax+n]
-		rb := b.Pix[(by+y)*b.Stride+bx : (by+y)*b.Stride+bx+n]
-		for i := range ra {
-			d := int(ra[i]) - int(rb[i])
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-	}
-	return sum
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

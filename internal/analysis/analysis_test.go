@@ -355,45 +355,6 @@ func TestEvaluateGridMatchesEvaluate(t *testing.T) {
 	}
 }
 
-func TestFrameMotionDirectionPan(t *testing.T) {
-	cfg := medgen.Default()
-	cfg.Motion = medgen.Pan
-	cfg.PanVX, cfg.PanVY = 3, 0
-	cfg.Frames = 2
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, cur := g.Frame(0).Y, g.Frame(1).Y
-	dx, dy := FrameMotionDirection(cur, prev, 4)
-	// Content pans right by 3 px/frame, so in motion-vector space the
-	// matching reference block sits 3 px to the left: (−3, 0).
-	if dx != -3 || dy != 0 {
-		t.Fatalf("direction = (%d,%d), want (-3,0)", dx, dy)
-	}
-}
-
-func TestFrameMotionDirectionStill(t *testing.T) {
-	cfg := medgen.Default()
-	cfg.Motion = medgen.Still
-	cfg.Frames = 2
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dx, dy := FrameMotionDirection(g.Frame(1).Y, g.Frame(0).Y, 4)
-	if dx != 0 || dy != 0 {
-		t.Fatalf("direction = (%d,%d), want (0,0)", dx, dy)
-	}
-}
-
-func TestFrameMotionDirectionNilPrev(t *testing.T) {
-	p := video.NewPlane(64, 64)
-	if dx, dy := FrameMotionDirection(p, nil, 4); dx != 0 || dy != 0 {
-		t.Fatalf("nil prev direction = (%d,%d)", dx, dy)
-	}
-}
-
 func TestLowContentPropertyNeverErrsOnValidRects(t *testing.T) {
 	cur, prev := corpusFrames(t, medgen.Brain, medgen.Rotate)
 	e := mustEval(t, cur, prev)

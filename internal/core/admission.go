@@ -166,7 +166,7 @@ func maxAdmittedPriority(alloc *sched.Result, byID map[int]*roundSession) int {
 // at each tenant's demand — sched.ApportionCores) and each tenant's
 // sessions are solved on their own contiguous core slice: a flooding
 // tenant competes only within its weighted share, so it cannot starve a
-// light one (DESIGN.md §15).
+// light one (DESIGN.md §9).
 func (s *Server) solveTenants(live []*roundSession) (*sched.Result, error) {
 	multi := false
 	for _, rs := range live[1:] {

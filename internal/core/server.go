@@ -15,8 +15,7 @@ import (
 )
 
 // AllocatorFunc is the pluggable stage-D2 policy; sched provides
-// AllocateContentAware (Algorithm 2), AllocateBaseline ([19]) and the
-// ablation allocators.
+// AllocateContentAware (Algorithm 2) and AllocateBaseline ([19]).
 type AllocatorFunc func(sched.Input) (*sched.Result, error)
 
 // CalibrationConfig parametrizes the online workload-estimation
@@ -184,7 +183,7 @@ type sessionRecord struct {
 // to cores and sets frequencies (stage D2), simulates the slot energy, and
 // encodes the admitted sessions' frames — concurrently, one goroutine per
 // admitted session, each budgeted with the tile parallelism its allocation
-// planned (DESIGN.md §6).
+// planned (DESIGN.md §4).
 //
 // Concurrency contract: Submit, Close, Sessions, Store, StateOf and
 // Report are safe to call from any goroutine, at any time — including
@@ -697,7 +696,8 @@ func (s *Server) estimate(rs *roundSession) error {
 	if err := s.prepareKeys(rs); err != nil {
 		return err
 	}
-	return s.resolveEstimates([]*roundSession{rs})
+	s.resolveEstimates([]*roundSession{rs})
+	return nil
 }
 
 // estimateRound is stage D1 for the whole round: stages A–C (when
@@ -755,7 +755,7 @@ func (s *Server) prepareKeys(rs *roundSession) error {
 // tile keys cost one lookup each instead of N. Values are exactly what
 // per-tile Estimate calls would return — the LUT is quiescent during
 // estimation (encodes, and thus Observe/Calibrate, are round-phased).
-func (s *Server) resolveEstimates(live []*roundSession) error {
+func (s *Server) resolveEstimates(live []*roundSession) {
 	if s.estGroups == nil {
 		s.estGroups = make(map[*workload.LUT]map[workload.Key]time.Duration)
 	}
@@ -785,7 +785,6 @@ func (s *Server) resolveEstimates(live []*roundSession) error {
 			rs.estimates[i] = g[k]
 		}
 	}
-	return nil
 }
 
 // demandOf converts a session's estimates into the allocator's input,

@@ -81,7 +81,7 @@ type SessionConfig struct {
 	// every encoded byte in memory.
 	KeepBitstreams bool
 
-	// Ablation switches (DESIGN.md §5): each removes one contribution
+	// Ablation switches (DESIGN.md §3): each removes one contribution
 	// from the proposed pipeline while keeping the rest intact, so its
 	// individual effect is measurable. All are no-ops in baseline mode.
 

@@ -4,7 +4,7 @@
 // stops heartbeating is declared dead and its sessions are re-imported
 // into the survivors from the wire checkpoints it shipped while alive
 // (core.SessionWire), resuming bit-identically at their last GOP
-// boundary with the donor's workload LUTs warm (DESIGN.md §13).
+// boundary with the donor's workload LUTs warm (DESIGN.md §8).
 //
 // The package splits into four pieces:
 //

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// The master↔agent HTTP/JSON protocol (DESIGN.md §13). Versioning rules
+// The master↔agent HTTP/JSON protocol (DESIGN.md §8). Versioning rules
 // mirror core.SessionWire's: ProtocolVersion is bumped when a field
 // changes meaning or disappears; adding an optional field with a
 // harmless zero value is a compatible change and keeps the version.

@@ -72,7 +72,6 @@ type BitReader struct {
 	buf  []byte
 	pos  int  // byte index
 	nRem uint // bits remaining in the current byte (0..8)
-	bits int  // total bits consumed
 }
 
 // NewBitReader wraps buf.
@@ -89,7 +88,6 @@ func (r *BitReader) ReadBit() (uint, error) {
 		r.pos++
 		r.nRem = 8
 	}
-	r.bits++
 	return b, nil
 }
 
@@ -108,9 +106,6 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	}
 	return v, nil
 }
-
-// BitsRead returns the number of bits consumed so far.
-func (r *BitReader) BitsRead() int { return r.bits }
 
 // WriteUE appends an unsigned Exp-Golomb code (HEVC ue(v)).
 func (w *BitWriter) WriteUE(v uint32) {
@@ -174,7 +169,7 @@ func ueToSE(u uint32) int32 {
 }
 
 // UEBits returns the length in bits of the ue(v) code for v without
-// encoding it; rate estimation in the encoder uses this.
+// encoding it.
 func UEBits(v uint32) int {
 	n := bitLen(uint64(v) + 1)
 	return int(2*n - 1)

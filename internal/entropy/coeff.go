@@ -130,33 +130,3 @@ func DecodeCoeffBlock(r *BitReader, n int, coeffs []int32) error {
 	}
 	return nil
 }
-
-// CoeffBlockBits returns the exact bit cost EncodeCoeffBlock would spend on
-// the block without producing output.
-func CoeffBlockBits(n int, coeffs []int32) (int, error) {
-	scan, err := scanFor(n)
-	if err != nil {
-		return 0, err
-	}
-	if len(coeffs) != n*n {
-		return 0, fmt.Errorf("entropy: coeff block length %d, want %d", len(coeffs), n*n)
-	}
-	var nsig uint32
-	for _, idx := range scan {
-		if coeffs[idx] != 0 {
-			nsig++
-		}
-	}
-	bits := UEBits(nsig)
-	run := uint32(0)
-	for _, idx := range scan {
-		c := coeffs[idx]
-		if c == 0 {
-			run++
-			continue
-		}
-		bits += UEBits(run) + SEBits(c)
-		run = 0
-	}
-	return bits, nil
-}

@@ -211,10 +211,6 @@ func TestCoeffBlockRoundTripProperty(t *testing.T) {
 		if err := EncodeCoeffBlock(w, 4, coeffs); err != nil {
 			return false
 		}
-		cost, err := CoeffBlockBits(4, coeffs)
-		if err != nil || cost != w.Len() {
-			return false
-		}
 		got := make([]int32, 16)
 		if err := DecodeCoeffBlock(NewBitReader(w.Bytes()), 4, got); err != nil {
 			return false
@@ -231,25 +227,6 @@ func TestCoeffBlockRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCoeffBlockBitsMatchesEncoder8(t *testing.T) {
-	coeffs := make([]int32, 64)
-	coeffs[0] = 50
-	coeffs[1] = -3
-	coeffs[10] = 7
-	coeffs[63] = 1
-	w := NewBitWriter()
-	if err := EncodeCoeffBlock(w, 8, coeffs); err != nil {
-		t.Fatal(err)
-	}
-	cost, err := CoeffBlockBits(8, coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != w.Len() {
-		t.Fatalf("CoeffBlockBits = %d, encoder wrote %d", cost, w.Len())
-	}
-}
-
 func TestCoeffBlockRejectsBadInput(t *testing.T) {
 	w := NewBitWriter()
 	if err := EncodeCoeffBlock(w, 8, make([]int32, 63)); err == nil {
@@ -257,9 +234,6 @@ func TestCoeffBlockRejectsBadInput(t *testing.T) {
 	}
 	if err := EncodeCoeffBlock(w, 5, make([]int32, 25)); err == nil {
 		t.Fatal("accepted size 5")
-	}
-	if _, err := CoeffBlockBits(4, make([]int32, 17)); err == nil {
-		t.Fatal("CoeffBlockBits accepted bad length")
 	}
 }
 
@@ -289,8 +263,14 @@ func TestMoreCoefficientsCostMoreBits(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		dense[i] = 10
 	}
-	cs, _ := CoeffBlockBits(8, sparse)
-	cd, _ := CoeffBlockBits(8, dense)
+	bits := func(coeffs []int32) int {
+		w := NewBitWriter()
+		if err := EncodeCoeffBlock(w, 8, coeffs); err != nil {
+			t.Fatal(err)
+		}
+		return w.Len()
+	}
+	cs, cd := bits(sparse), bits(dense)
 	if cd <= cs {
 		t.Fatalf("dense block %d bits ≤ sparse %d bits", cd, cs)
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationOptions parametrizes the pipeline ablation study (DESIGN.md §5):
+// AblationOptions parametrizes the pipeline ablation study (DESIGN.md §3):
 // each variant removes one contribution from the proposed pipeline.
 type AblationOptions struct {
 	Video medgen.Config

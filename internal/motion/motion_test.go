@@ -404,18 +404,3 @@ func TestProposedPolicyCheaperThanTZOnMedicalMotion(t *testing.T) {
 		t.Fatalf("policy evals %d not well below TZ %d", res.Evals, tzEvals)
 	}
 }
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"full", "tz", "tss", "diamond", "cross", "ots", "hex-horizontal", "hex-vertical", "hex-rotating"} {
-		s, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, s.Name())
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("accepted unknown name")
-	}
-}

@@ -131,30 +131,3 @@ func roundDiv(a, n int) int {
 	}
 	return -((-a + n/2) / n)
 }
-
-// ByName returns a baseline searcher by its Name() string; the experiment
-// harness uses it to build comparison columns. Unknown names error.
-func ByName(name string) (Searcher, error) {
-	switch name {
-	case "full":
-		return FullSearch{}, nil
-	case "tz":
-		return TZSearch{}, nil
-	case "tss":
-		return ThreeStep{}, nil
-	case "diamond":
-		return Diamond{}, nil
-	case "cross":
-		return Cross{}, nil
-	case "ots":
-		return OneAtATime{}, nil
-	case "hex-horizontal":
-		return Hexagon{Orientation: HexHorizontal}, nil
-	case "hex-vertical":
-		return Hexagon{Orientation: HexVertical}, nil
-	case "hex-rotating":
-		return Hexagon{Orientation: HexRotating}, nil
-	default:
-		return nil, fmt.Errorf("motion: unknown searcher %q", name)
-	}
-}

@@ -309,13 +309,3 @@ func (t *Totals) AvgPowerW() float64 {
 	}
 	return t.EnergyJ / t.Time.Seconds()
 }
-
-// LevelByHz returns the index of the level with the given frequency.
-func (p *Platform) LevelByHz(hz float64) (int, error) {
-	for i, l := range p.Levels {
-		if l.Hz == hz {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("mpsoc: no level at %v Hz", hz)
-}

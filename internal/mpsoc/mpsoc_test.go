@@ -213,17 +213,6 @@ func TestSimulateSlotValidation(t *testing.T) {
 	}
 }
 
-func TestLevelByHz(t *testing.T) {
-	p := XeonE5_2667V4()
-	i, err := p.LevelByHz(3.2e9)
-	if err != nil || i != 1 {
-		t.Fatalf("LevelByHz(3.2GHz) = %d, %v", i, err)
-	}
-	if _, err := p.LevelByHz(1e9); err == nil {
-		t.Fatal("accepted unknown frequency")
-	}
-}
-
 func TestEnergyNonNegativeProperty(t *testing.T) {
 	p := XeonE5_2667V4()
 	slot := time.Second / 24

@@ -5,7 +5,7 @@ import "sort"
 // ApportionCores splits total cores across tenants proportionally to
 // their weights, capped at each tenant's core demand, with unused share
 // redistributed — the weighted-fairness step the server runs before the
-// per-tenant stage-D2 solves (DESIGN.md §15).
+// per-tenant stage-D2 solves (DESIGN.md §9).
 //
 // order lists the tenant ids deterministically (the caller sorts them);
 // weight and demand map each id to its share weight (≥ 1) and its summed

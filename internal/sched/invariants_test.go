@@ -10,8 +10,9 @@ import (
 	"repro/internal/mpsoc"
 )
 
-// invariantPolicies lists every allocator with the admission rule it is
-// supposed to follow, so one table drives all cross-allocator checks.
+// invariantPolicies lists the two shipped allocators, and two test-local
+// placements (placeWith), with the admission rule each is supposed to
+// follow, so one table drives all cross-allocator checks.
 var invariantPolicies = []struct {
 	name     string
 	alloc    func(Input) (*Result, error)
@@ -19,8 +20,39 @@ var invariantPolicies = []struct {
 }{
 	{"content-aware", AllocateContentAware, "cores"},
 	{"baseline", AllocateBaseline, "threads"},
-	{"greedy", AllocateGreedyLeastLoaded, "cores"},
-	{"round-robin", AllocateRoundRobin, "cores"},
+	{"greedy", placeWith(func(_ int, loads []time.Duration) int {
+		best := 0
+		for k, l := range loads {
+			if l < loads[best] {
+				best = k
+			}
+		}
+		return best
+	}), "cores"},
+	{"round-robin", placeWith(func(i int, loads []time.Duration) int { return i % len(loads) }), "cores"},
+}
+
+// placeWith is a test fixture: Algorithm 2's admission and DVFS steps
+// around a different core choice. The two placements above spread load in
+// ways the densifying rule never does — every core opened, threads dealt
+// onto cores already past the slot — so they drive admitAscending,
+// finalizeDVFS and the checker below through load vectors the shipped
+// policies do not produce.
+func placeWith(pick func(i int, loads []time.Duration) int) func(Input) (*Result, error) {
+	return func(in Input) (*Result, error) {
+		if err := in.Validate(); err != nil {
+			return nil, err
+		}
+		res := &Result{Plans: make([]mpsoc.CorePlan, in.Platform.Cores)}
+		loads := make([]time.Duration, in.Platform.Cores)
+		for i, th := range admitAscending(in, res) {
+			k := pick(i, loads)
+			loads[k] += th.TimeFmax
+			res.Assignments = append(res.Assignments, Assignment{Thread: th, Core: k})
+		}
+		finalizeDVFS(in.Platform, loads, in.slotOf(), res)
+		return res, nil
+	}
 }
 
 // randomInput builds a randomized but reproducible allocation problem.

@@ -24,9 +24,9 @@ type Entry struct {
 }
 
 // Registry maps allocator names to allocation policies. It is safe for
-// concurrent use. The package-level Default registry holds the four
-// built-in policies; tests and embedders can build private registries or
-// Register additional policies under new names.
+// concurrent use. The package-level Default registry holds the two
+// policies the paper compares; tests and embedders can build private
+// registries or Register additional policies under new names.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]Entry
@@ -105,19 +105,15 @@ func (r *Registry) All() []Entry {
 const (
 	NameContentAware = "content-aware"
 	NameBaseline     = "baseline"
-	NameGreedy       = "greedy"
-	NameRoundRobin   = "round-robin"
 )
 
 // Default is the registry every serving layer consults unless handed a
-// private one. It starts with the four built-in policies.
+// private one. It starts with the paper's two policies.
 var Default = func() *Registry {
 	r := NewRegistry()
 	for _, e := range []Entry{
 		{NameContentAware, "Algorithm 2: dense packing + DVFS slack", AllocateContentAware},
 		{NameBaseline, "work of [19]: one tile per core, all cores at fmax", AllocateBaseline},
-		{NameGreedy, "ablation: least-loaded core, same DVFS rule", AllocateGreedyLeastLoaded},
-		{NameRoundRobin, "ablation: cyclic core assignment, no load awareness", AllocateRoundRobin},
 	} {
 		if err := r.Register(e.Name, e.Description, e.Func); err != nil {
 			panic(err)

@@ -1,17 +1,18 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestDefaultRegistryHasBuiltins: the four paper policies are selectable
-// by name and produce the same results as the functions they wrap.
+// TestDefaultRegistryHasBuiltins: the paper's two policies — and nothing
+// else — are selectable by name and produce the same results as the
+// functions they wrap.
 func TestDefaultRegistryHasBuiltins(t *testing.T) {
-	want := []string{NameBaseline, NameContentAware, NameGreedy, NameRoundRobin}
-	got := Names()
-	if len(got) < len(want) {
-		t.Fatalf("Names() = %v, want at least %v", got, want)
+	want := []string{NameBaseline, NameContentAware}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want exactly %v", got, want)
 	}
 	for _, name := range want {
 		fn, ok := Lookup(name)

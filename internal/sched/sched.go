@@ -1,7 +1,6 @@
 // Package sched implements the paper's thread allocation and DVFS policy
 // (Algorithm 2) together with the state-of-the-art baseline it is compared
-// against ([19], Khan et al., IEEE TVLSI 2016) and two simpler reference
-// allocators used for ablations.
+// against ([19], Khan et al., IEEE TVLSI 2016).
 //
 // The scheduling model follows the paper: time is divided into slots of
 // 1/FPS seconds; every admitted user contributes one thread per tile of
@@ -38,7 +37,7 @@ type UserDemand struct {
 	// higher-priority user displaces best-effort users on a full platform
 	// instead of queueing behind them — the serving layer's admission
 	// ladder then pushes the displaced users down the degradation rungs
-	// (priority preemption, DESIGN.md §15). All-zero priorities reproduce
+	// (priority preemption, DESIGN.md §9). All-zero priorities reproduce
 	// the paper's pure ascending-demand order exactly.
 	Priority int
 }
@@ -206,10 +205,7 @@ func AllocateContentAware(in Input) (*Result, error) {
 	// Admission (lines 1–2): ascending core demand; the pool comes back in
 	// longest-processing-time order, which makes the distance-to-cap rule
 	// deterministic and well balanced.
-	pool, err := admitAscending(in, res)
-	if err != nil {
-		return nil, err
-	}
+	pool := admitAscending(in, res)
 
 	// Candidate core budget N_core^U (line 4): the sum of the admitted
 	// users' core demands — allocation densifies onto these cores only.
@@ -307,7 +303,7 @@ func AllocateBaseline(in Input) (*Result, error) {
 
 	// Admit in ascending thread-count order (the analogue of line 2),
 	// higher priority classes first — the same preemption-enabling order
-	// admitAscending applies to the content-aware family.
+	// admitAscending applies to Algorithm 2.
 	order := make([]int, len(in.Users))
 	for i := range order {
 		order[i] = i
@@ -361,59 +357,6 @@ func AllocateBaseline(in Input) (*Result, error) {
 	return res, nil
 }
 
-// AllocateGreedyLeastLoaded is an ablation: same admission as Algorithm 2
-// but threads always go to the least-loaded core, and the same DVFS rule
-// applies. Differs from AllocateContentAware in spreading work across all
-// cores instead of densifying — it uses more cores for the same load.
-func AllocateGreedyLeastLoaded(in Input) (*Result, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	slot := in.slotOf()
-	nc := in.Platform.Cores
-	res := &Result{Plans: make([]mpsoc.CorePlan, nc)}
-	pool, err := admitAscending(in, res)
-	if err != nil {
-		return nil, err
-	}
-	loads := make([]time.Duration, nc)
-	for _, th := range pool {
-		best := 0
-		for k := 1; k < nc; k++ {
-			if loads[k] < loads[best] {
-				best = k
-			}
-		}
-		loads[best] += th.TimeFmax
-		res.Assignments = append(res.Assignments, Assignment{Thread: th, Core: best})
-	}
-	finalizeDVFS(in.Platform, loads, slot, res)
-	return res, nil
-}
-
-// AllocateRoundRobin is an ablation: admitted threads are dealt to cores
-// cyclically with no load awareness.
-func AllocateRoundRobin(in Input) (*Result, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	slot := in.slotOf()
-	nc := in.Platform.Cores
-	res := &Result{Plans: make([]mpsoc.CorePlan, nc)}
-	pool, err := admitAscending(in, res)
-	if err != nil {
-		return nil, err
-	}
-	loads := make([]time.Duration, nc)
-	for i, th := range pool {
-		k := i % nc
-		loads[k] += th.TimeFmax
-		res.Assignments = append(res.Assignments, Assignment{Thread: th, Core: k})
-	}
-	finalizeDVFS(in.Platform, loads, slot, res)
-	return res, nil
-}
-
 // containsID reports membership in a small sorted id slice.
 func containsID(ids []int, v int) bool {
 	for _, x := range ids {
@@ -424,10 +367,10 @@ func containsID(ids []int, v int) bool {
 	return false
 }
 
-// admitAscending shares Algorithm 2's admission step (ascending core
-// demand, higher priority classes first) and returns the admitted thread
-// pool in LPT order.
-func admitAscending(in Input, res *Result) ([]Thread, error) {
+// admitAscending is Algorithm 2's admission step (ascending core demand,
+// higher priority classes first); it returns the admitted thread pool in
+// LPT order.
+func admitAscending(in Input, res *Result) []Thread {
 	order := make([]int, len(in.Users))
 	for i := range order {
 		order[i] = i
@@ -471,5 +414,5 @@ func admitAscending(in Input, res *Result) ([]Thread, error) {
 		}
 		return pool[a].Tile < pool[b].Tile
 	})
-	return pool, nil
+	return pool
 }

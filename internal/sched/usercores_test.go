@@ -32,8 +32,6 @@ func TestUserCoresPopulatedByAllAllocators(t *testing.T) {
 	allocators := map[string]func(Input) (*Result, error){
 		"content-aware": AllocateContentAware,
 		"baseline":      AllocateBaseline,
-		"greedy":        AllocateGreedyLeastLoaded,
-		"round-robin":   AllocateRoundRobin,
 	}
 	for name, alloc := range allocators {
 		res, err := alloc(coresInput())

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// The fleet control loop, part 1: autoscaling (DESIGN.md §10). The paper's
+// The fleet control loop, part 1: autoscaling (DESIGN.md §7). The paper's
 // per-MPSoC controller reacts to load every GOP; WithAutoscale lifts the
 // same closed-loop idea one level up — Fleet.Run watches the fleet-wide
 // demand-normalized utilization (summed session core demand over summed

@@ -13,7 +13,7 @@ import (
 	"repro/internal/mpsoc"
 )
 
-// The heterogeneous-fleet acceptance scenario (DESIGN.md §11): a small and
+// The heterogeneous-fleet acceptance scenario (DESIGN.md §7): a small and
 // a big shard, several light sessions and one heavy 4×-area session whose
 // classes all home on the SMALL shard. Demand-blind class routing piles
 // everyone there and the heavy session — whose warmed core demand exceeds

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 )
 
-// The fleet control loop, part 2: proactive rebalancing (DESIGN.md §10).
+// The fleet control loop, part 2: proactive rebalancing (DESIGN.md §7).
 // Resize migrates sessions only off removed shards; a hot shard inside a
 // *stable* fleet — class routing piled one popular class onto it — never
 // shed load. WithRebalance closes that gap with the same GOP-boundary

@@ -121,7 +121,7 @@ func (r *hashRing) shardFor(key string) int {
 	return r.index[name]
 }
 
-// Demand-aware placement (DESIGN.md §11). The ring alone routes by class
+// Demand-aware placement (DESIGN.md §7). The ring alone routes by class
 // — good for LUT warmth, blind to weight: a 4K class whose arc lands on a
 // 4-core shard would pile demand it can never serve while a 32-core peer
 // idles. WithDemandPlacement adds the capability/demand-aware layer on

@@ -9,7 +9,7 @@
 // loop fails without disturbing the others — and streams telemetry to
 // a pluggable Sink instead of accumulating a grow-forever report. The
 // paper's scheduler manages one MPSoC; the Fleet is the layer that
-// turns many of them into one service (DESIGN.md §8, §11).
+// turns many of them into one service (DESIGN.md §5, §7).
 package serve
 
 import (
@@ -139,7 +139,7 @@ func WithAdmission(cfg core.AdmissionConfig) Option {
 }
 
 // WithTenancy installs a tenant registry as the fleet's QoS policy
-// (DESIGN.md §15): SubmitWith charges the submitting tenant's token
+// (DESIGN.md §9): SubmitWith charges the submitting tenant's token
 // bucket (over-rate submissions fail with tenancy.ErrRateLimited) and
 // resolves its default priority class, and every shard's allocator
 // apportions its platform's cores across the tenants it is serving in

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -620,6 +621,17 @@ func TestFleetLUTPersistence(t *testing.T) {
 	}
 	if _, err := New(WithShards(1), WithLUTStore(path)); err == nil {
 		t.Fatal("corrupt LUT store accepted")
+	}
+
+	// Well-formed but hostile (a negative sum estimates −2.5 ms, which
+	// stage D2 refuses every round): New fails with LoadStore's error
+	// instead of starting shards that die on their first round.
+	hostile := `{"version":1,"classes":[{"class":"brain","keys":[{"key":{},"count":2,"sum_ns":-5000000}]}]}`
+	if err := os.WriteFile(path, []byte(hostile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(WithShards(2), WithLUTStore(path)); err == nil || !strings.Contains(err.Error(), "sum -5000000") {
+		t.Fatalf("hostile LUT store: New returned %v, want LoadStore's refusal", err)
 	}
 }
 

@@ -41,7 +41,7 @@ type RoundEvent struct {
 }
 
 // PlacementEvent reports where Submit routed one session — the
-// demand-aware placement decision (DESIGN.md §11). Delivered from the
+// demand-aware placement decision (DESIGN.md §7). Delivered from the
 // submitting goroutine right after the session's StateQueued event.
 type PlacementEvent struct {
 	// Shard is where the session landed.
@@ -99,7 +99,7 @@ type MigrationEvent struct {
 // reports hold counters only), so a fleet can run indefinitely without
 // accumulating per-GOP state it will never look at again.
 //
-// Delivery contract (see DESIGN.md §8): the fleet serializes all sink
+// Delivery contract (see DESIGN.md §5): the fleet serializes all sink
 // calls — no two methods run concurrently, so implementations need no
 // internal locking for the On* path. All round-scoped events of one
 // shard are delivered in order from that shard's serving goroutine:
@@ -119,7 +119,7 @@ type MigrationEvent struct {
 // callers inject arrivals through WithRoundHook, which runs after the
 // round's sink delivery with no sink lock held.
 //
-// Elasticity events (Fleet.Resize, DESIGN.md §9): OnShardAdded arrives
+// Elasticity events (Fleet.Resize, DESIGN.md §6): OnShardAdded arrives
 // after the new shard is routable, from the Resize caller's goroutine.
 // A removal delivers, from the draining shard's supervisor goroutine
 // (or the Resize caller's when the fleet is idle), in order: one
@@ -128,7 +128,7 @@ type MigrationEvent struct {
 // target followed by the OnSessionMigrated linking the two ids, then
 // one OnShardRemoved — all after the donor's final round settled, so a
 // session's donor-side GOPs always precede its migration event.
-// Rebalancing events (Fleet control loop, DESIGN.md §10): a hot shard
+// Rebalancing events (Fleet control loop, DESIGN.md §7): a hot shard
 // shedding load delivers, from its own serving goroutine right after its
 // round's OnRoundMetrics, per shed session: one StateMigrated
 // OnSessionStateChange on the donor, then a StateQueued

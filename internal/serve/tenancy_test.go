@@ -10,7 +10,7 @@ import (
 	"repro/internal/tenancy"
 )
 
-// The multi-tenant QoS acceptance scenarios (ISSUE 10, DESIGN.md §15):
+// The multi-tenant QoS acceptance scenarios (ISSUE 10, DESIGN.md §9):
 // mixed-tenant churn, the noisy neighbor (a flooding heavy tenant cannot
 // starve a light one out of its weighted core share), and the flash
 // crowd (an emergency-priority arrival is admitted in its arrival round

@@ -7,7 +7,7 @@
 // charges the token bucket on submission, the dist master charges it at
 // the network edge before routing, and core.Server reads weights and
 // priorities when it apportions platform cores across tenants and orders
-// stage-D2 admission (internal/core/admission.go, DESIGN.md §15).
+// stage-D2 admission (internal/core/admission.go, DESIGN.md §9).
 //
 // Unknown tenant ids resolve to the default policy (weight 1, priority 0,
 // unlimited rate) rather than being refused: tenancy is an overlay on the

@@ -1,5 +1,5 @@
 // Package trace provides the small output helpers the experiment harness
-// uses: aligned text tables and CSV emission, both deterministic.
+// uses: deterministic aligned text tables.
 package trace
 
 import (
@@ -11,10 +11,9 @@ import (
 // Table accumulates rows of string cells and renders them with aligned
 // columns, in the style of the paper's tables.
 type Table struct {
-	Title   string
-	header  []string
-	rows    [][]string
-	aligned bool
+	Title  string
+	header []string
+	rows   [][]string
 }
 
 // NewTable creates a table with the given column headers.
@@ -26,21 +25,6 @@ func NewTable(title string, header ...string) *Table {
 // rows extend the column count.
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// %v unless it is a float64, which gets two decimals.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
 }
 
 // Render writes the aligned table to w.
@@ -93,37 +77,3 @@ func (t *Table) Render(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// RenderCSV writes the table as CSV (header first). Cells containing
-// commas or quotes are quoted.
-func (t *Table) RenderCSV(w io.Writer) error {
-	writeRow := func(r []string) error {
-		for i, c := range r {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }

@@ -29,24 +29,6 @@ func TestTableRenderAligned(t *testing.T) {
 	}
 }
 
-func TestTableAddRowfFormats(t *testing.T) {
-	tbl := NewTable("", "a", "b", "c")
-	tbl.AddRowf("x", 3.14159, 42)
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "3.14") {
-		t.Fatalf("float not formatted with 2 decimals:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "3.14159") {
-		t.Fatal("float not truncated")
-	}
-	if !strings.Contains(sb.String(), "42") {
-		t.Fatal("int lost")
-	}
-}
-
 func TestTableShortRowsPadded(t *testing.T) {
 	tbl := NewTable("", "a", "b", "c")
 	tbl.AddRow("only")
@@ -56,37 +38,5 @@ func TestTableShortRowsPadded(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "only") {
 		t.Fatal("short row lost")
-	}
-}
-
-func TestRenderCSV(t *testing.T) {
-	tbl := NewTable("ignored", "x", "y")
-	tbl.AddRow("1", "2")
-	tbl.AddRow("with,comma", `with"quote`)
-	var sb strings.Builder
-	if err := tbl.RenderCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	if lines[0] != "x,y" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[2] != `"with,comma","with""quote"` {
-		t.Fatalf("quoting wrong: %q", lines[2])
-	}
-}
-
-func TestNumRows(t *testing.T) {
-	tbl := NewTable("", "a")
-	if tbl.NumRows() != 0 {
-		t.Fatal("fresh table has rows")
-	}
-	tbl.AddRow("1")
-	tbl.AddRow("2")
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
 	}
 }

@@ -2,9 +2,11 @@
 // 4×4 and 8×8 blocks together with scalar quantization driven by the HEVC
 // quantization parameter (Qstep = 2^((QP−4)/6)).
 //
-// The forward path uses the HEVC partial-butterfly matrices and bit-exact
-// shift schedule (first-stage shift log2(N)+B−9 with B = 8-bit video,
+// The forward path uses the HEVC core matrices and bit-exact shift
+// schedule (first-stage shift log2(N)+B−9 with B = 8-bit video,
 // second-stage shift log2(N)+6); the inverse path uses shifts 7 and 12.
+// Each stage is a plain matrix product (mulStage), not the even/odd
+// partial butterfly; ROADMAP item 1 replaces it.
 // With this schedule the concatenation forward→inverse has unit gain, so a
 // quantizer with Qstep expressed in *spatial-domain* units can divide the
 // transform coefficients after compensating the known forward gain

@@ -56,13 +56,6 @@ func (f *Frame) Clone() *Frame {
 	return &Frame{Y: f.Y.Clone(), Cb: f.Cb.Clone(), Cr: f.Cr.Clone(), Number: f.Number, PTS: f.PTS}
 }
 
-// FillGray sets luma to y and both chroma planes to neutral (128).
-func (f *Frame) FillGray(y uint8) {
-	f.Y.Fill(y)
-	f.Cb.Fill(128)
-	f.Cr.Fill(128)
-}
-
 // WriteYUV appends the frame in planar I420 layout (Y then Cb then Cr,
 // compact rows) to w, e.g. for inspection with external raw-YUV players.
 func (f *Frame) WriteYUV(w io.Writer) error {

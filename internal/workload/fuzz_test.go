@@ -1,9 +1,43 @@
 package workload
 
 import (
+	"bytes"
+	"os"
 	"testing"
 	"time"
 )
+
+// FuzzLoadStore feeds LoadStore arbitrary documents — it is reachable from
+// the network through the dist import handler. Contract: an error, or a
+// store on which every estimate (own key, nearest-key fallback, class
+// fallback) is non-negative; never a panic.
+func FuzzLoadStore(f *testing.F) {
+	golden, err := os.ReadFile("testdata/store_v1.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"version":1,"classes":[{"class":"c","keys":[{"key":{},"count":2,"sum_ns":-5000000}]}]}`))
+	f.Add([]byte(`{"version":1,"classes":[{"class":"c","fallback_sum_ns":9,"fallback_count":18446744073709551615}]}`))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := LoadStore(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, class := range s.Classes() {
+			l := s.ForClass(class)
+			for _, k := range append(l.Keys(), Key{}, Key{AreaClass: 1 << 40, Texture: -7}) {
+				if est := l.Estimate(k); est < 0 {
+					t.Fatalf("class %q key %v: negative estimate %v from %q", class, k, est, in)
+				}
+			}
+			if mae, _ := l.MeanAbsError(); mae < 0 {
+				t.Fatalf("class %q: negative mean error %v", class, mae)
+			}
+		}
+	})
+}
 
 // FuzzCalibrate drives the online LUT update path with arbitrary measured
 // -time feedback and checks the estimator's safety invariants:

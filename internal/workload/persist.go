@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -100,8 +102,28 @@ func (l *LUT) toJSON(class string) classJSON {
 	return cj
 }
 
+// checkAggregate refuses a persisted (sum, count) pair no sequence of
+// clamped observations could have produced: every term lies in
+// [0, maxObservation], so 0 ≤ sum ≤ count·maxObservation (which also makes
+// an empty aggregate carry a zero sum), and the means divide through
+// int64(count).
+func checkAggregate(sumNS int64, count uint64) error {
+	if count > math.MaxInt64 {
+		return fmt.Errorf("count %d overflows int64", count)
+	}
+	// hi != 0: the bound itself is beyond any int64 sum.
+	if hi, lo := bits.Mul64(count, uint64(maxObservation)); sumNS < 0 || (hi == 0 && uint64(sumNS) > lo) {
+		return fmt.Errorf("sum %d ns impossible for %d observations", sumNS, count)
+	}
+	return nil
+}
+
 // LoadStore reads a store previously written by Save. Estimates, fallback
-// behavior and calibration state round-trip exactly.
+// behavior and calibration state round-trip exactly. The document may come
+// from disk or from the network (the dist import handler), so aggregates
+// Save could not have written are refused here: a negative or overflowing
+// one would surface rounds later as a negative stage-D1 estimate, which
+// stage D2 rejects as a round-level error on every retry.
 func LoadStore(r io.Reader) (*Store, error) {
 	var doc storeJSON
 	dec := json.NewDecoder(r)
@@ -116,6 +138,12 @@ func LoadStore(r io.Reader) (*Store, error) {
 		if cj.Class == "" {
 			return nil, fmt.Errorf("workload: store entry with empty class")
 		}
+		if err := checkAggregate(cj.FallbackSumNS, cj.FallbackCount); err != nil {
+			return nil, fmt.Errorf("workload: class %q fallback: %w", cj.Class, err)
+		}
+		if err := checkAggregate(cj.ErrSumNS, cj.ErrCount); err != nil {
+			return nil, fmt.Errorf("workload: class %q estimation error: %w", cj.Class, err)
+		}
 		l := s.ForClass(cj.Class)
 		l.fallbackSum = time.Duration(cj.FallbackSumNS)
 		l.fallbackCount = cj.FallbackCount
@@ -124,6 +152,12 @@ func LoadStore(r io.Reader) (*Store, error) {
 		for _, kj := range cj.Keys {
 			if len(kj.Bins) != 0 && len(kj.Bins) != numBins {
 				return nil, fmt.Errorf("workload: key %v has %d bins, want %d", kj.Key, len(kj.Bins), numBins)
+			}
+			if err := checkAggregate(kj.SumNS, kj.Count); err != nil {
+				return nil, fmt.Errorf("workload: key %v: %w", kj.Key, err)
+			}
+			if kj.CalCount > math.MaxInt64 || !(kj.CalEWMA >= 0 && kj.CalEWMA <= float64(maxObservation)) {
+				return nil, fmt.Errorf("workload: key %v calibration (%d, %v ns) out of range", kj.Key, kj.CalCount, kj.CalEWMA)
 			}
 			h := &histogram{
 				count:    kj.Count,

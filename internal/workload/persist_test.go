@@ -109,6 +109,32 @@ func TestLoadStoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadStoreRefusesHostileAggregates: numbers Save could never have
+// written are an error at load, not a negative stage-D1 estimate (and a
+// dead shard) some rounds later.
+func TestLoadStoreRefusesHostileAggregates(t *testing.T) {
+	doc := func(class, key string) string {
+		return `{"version":1,"classes":[{"class":"brain","keys":[{"key":{},` + key + `}]` + class + `}]}`
+	}
+	for name, in := range map[string]string{
+		"negative sum":        doc("", `"count":2,"sum_ns":-5000000`),
+		"negative ewma":       doc("", `"count":1,"sum_ns":1,"cal_count":1,"cal_ewma_ns":-1e300`),
+		"ewma past the clamp": doc("", `"count":1,"sum_ns":1,"cal_count":1,"cal_ewma_ns":1e300`),
+		"overflowing count":   doc("", `"count":9223372036854775808,"sum_ns":1`),
+		"sum on zero count":   doc("", `"count":0,"sum_ns":7`),
+		"sum past the clamp":  doc("", `"count":1,"sum_ns":9000000000000000000`),
+		"negative fallback":   doc(`,"fallback_sum_ns":-1,"fallback_count":1`, `"count":1,"sum_ns":1`),
+		"negative error sum":  doc(`,"err_sum_ns":-1,"err_count":1`, `"count":1,"sum_ns":1`),
+	} {
+		if s, err := LoadStore(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: loaded, Estimate = %v", name, s.ForClass("brain").Estimate(Key{}))
+		}
+	}
+	if _, err := LoadStore(strings.NewReader(doc("", `"count":2,"sum_ns":5000000`))); err != nil {
+		t.Fatalf("well-formed document refused: %v", err)
+	}
+}
+
 // TestStoreMergeAndClone: merging sums histograms, combines EWMAs by
 // count, and Clone shares nothing with its source.
 func TestStoreMergeAndClone(t *testing.T) {
