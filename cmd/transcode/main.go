@@ -25,13 +25,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,6 +157,9 @@ func main() {
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 2, "agent wire-checkpoint cadence in settled rounds per shard")
 	flag.StringVar(&o.eventsPath, "events", "", "master operational journal (agent deaths, re-imports) as JSONL at PATH")
 	flag.Parse()
+	if err := o.checkCounts(); err != nil {
+		fatalf("%v", err)
+	}
 
 	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
@@ -280,6 +283,39 @@ func main() {
 	}
 }
 
+// checkCounts refuses, before any mode runs, the counts a mode would
+// divide by or loop to: -shards sizes the fleet and the per-shard session
+// cap, and a staggered run closes its queue on reaching -users.
+func (o options) checkCounts() error {
+	if o.shards < 1 {
+		return fmt.Errorf("-shards %d: need at least one shard", o.shards)
+	}
+	if o.users < 1 {
+		return fmt.Errorf("-users %d: need at least one user", o.users)
+	}
+	return nil
+}
+
+// shardCapacity is the live-session cap each shard routes with (0 =
+// unbounded): an even share of the users across the fleet's shards. The
+// synthetic corpus has only a handful of workload classes, so pure class
+// routing can pile everyone on one shard — the cap spills the overflow to
+// the least-utilized shards. An elastic run passes the fleet's widest size
+// as shards, so a grown fleet can actually absorb the spill. unbounded
+// lifts the cap: demand-aware placement on a heterogeneous fleet weighs
+// sessions by core demand, which a uniform session cap would fight, and a
+// skewed -hot-class run exists to let one shard run hot. An explicit
+// -shard-sessions overrides all of it.
+func shardCapacity(users, shards int, unbounded bool, override int) int {
+	if override > 0 {
+		return override
+	}
+	if unbounded {
+		return 0
+	}
+	return (users + shards - 1) / shards
+}
+
 // tenantAssignment is one user's QoS identity under -tenant-plan.
 type tenantAssignment struct {
 	tenant   string
@@ -299,14 +335,16 @@ func parseTenantPlan(spec string, users int) ([]tenantAssignment, error) {
 		entry := strings.TrimSpace(part)
 		pri := 0
 		if at := strings.IndexByte(entry, '@'); at >= 0 {
-			if _, err := fmt.Sscanf(entry[at+1:], "%d", &pri); err != nil {
+			var err error
+			if pri, err = strconv.Atoi(entry[at+1:]); err != nil {
 				return nil, fmt.Errorf("bad -tenant-plan entry %q (want TENANT[:COUNT][@PRIORITY])", part)
 			}
 			entry = entry[:at]
 		}
 		count := 1
 		if colon := strings.IndexByte(entry, ':'); colon >= 0 {
-			if _, err := fmt.Sscanf(entry[colon+1:], "%d", &count); err != nil || count < 1 {
+			var err error
+			if count, err = strconv.Atoi(entry[colon+1:]); err != nil || count < 1 {
 				return nil, fmt.Errorf("bad -tenant-plan entry %q (want TENANT[:COUNT][@PRIORITY])", part)
 			}
 			entry = entry[:colon]
@@ -333,8 +371,8 @@ func parseShardCores(spec string) ([]int, error) {
 	parts := strings.Split(spec, ",")
 	out := make([]int, 0, len(parts))
 	for _, part := range parts {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad -shard-cores entry %q (want a positive core count)", part)
 		}
 		out = append(out, n)
@@ -385,11 +423,13 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 	}
 	var steps []serve.ScheduledResize
 	for _, part := range strings.Split(spec, ",") {
-		var s serve.ScheduledResize
-		if _, err := fmt.Sscanf(part, "%d:%d", &s.AfterRounds, &s.Shards); err != nil {
+		round, shards, ok := strings.Cut(strings.TrimSpace(part), ":")
+		after, aerr := strconv.Atoi(round)
+		n, nerr := strconv.Atoi(shards)
+		if !ok || aerr != nil || nerr != nil || after < 0 || n < 1 {
 			return nil, fmt.Errorf("bad -resize-at entry %q (want ROUND:SHARDS)", part)
 		}
-		steps = append(steps, s)
+		steps = append(steps, serve.ScheduledResize{AfterRounds: after, Shards: n})
 	}
 	sort.Slice(steps, func(a, b int) bool { return steps[a].AfterRounds < steps[b].AfterRounds })
 	return steps, nil
@@ -455,28 +495,9 @@ func serveFleet(ctx context.Context, o options) error {
 		return err
 	}
 
-	// Cap each shard's live sessions at an even share of the submitted
-	// users: the synthetic corpus has only a handful of workload classes,
-	// so pure class routing can pile everyone on one shard — the capacity
-	// bound spills the overflow to the least-utilized shards. An elastic
-	// run caps shards at an even share of the fleet's widest size, so a
-	// grown fleet can actually absorb the spill; tighten it explicitly
-	// with -shard-sessions when the run should spill earlier. A
-	// heterogeneous -shard-cores run leaves the session count unbounded —
-	// demand-aware placement weighs sessions by core demand, which a
-	// uniform session cap would fight. A skewed -hot-class run is
-	// unbounded too: the point is to let one shard run hot and watch the
-	// rebalancer shed it.
-	capacity := (o.users + o.shards - 1) / o.shards
-	if elastic {
-		capacity = (o.users + o.maxShards - 1) / o.maxShards
-	}
-	if o.hotClass != "" || len(o.shardCores) > 0 {
-		capacity = 0
-	}
-	if o.shardSessions > 0 {
-		capacity = o.shardSessions
-	}
+	// -max-shards is the widest the fleet gets (it equals -shards on a
+	// fixed-size run).
+	capacity := shardCapacity(o.users, o.maxShards, o.hotClass != "" || len(o.shardCores) > 0, o.shardSessions)
 	var fleet *serve.Fleet
 	// Fleet-wide settled-round counter pacing staggered arrivals (hooks
 	// run on serving goroutines).
@@ -647,20 +668,10 @@ func serveFleet(ctx context.Context, o options) error {
 				DollarsPerDeadlineMiss: o.costMiss,
 			},
 		})
-		ln, err := net.Listen("tcp", o.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
+		if msrv, err = serveMetrics(o.metricsAddr, msink); err != nil {
+			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", msink.Handler())
-		msrv = &http.Server{Handler: mux}
-		go func() {
-			if err := msrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "transcode: metrics server: %v\n", err)
-			}
-		}()
 		defer msrv.Close()
-		fmt.Printf("metrics: serving http://%s/metrics\n", ln.Addr())
 		fleetOptions = append(fleetOptions, serve.WithMetrics(msink))
 	}
 	if o.luts != "" {

@@ -28,8 +28,6 @@ func main() {
 	searchers := []motion.Searcher{
 		motion.FullSearch{},
 		motion.TZSearch{},
-		motion.ThreeStep{},
-		motion.Diamond{},
 		motion.Cross{},
 		motion.OneAtATime{},
 		motion.Hexagon{Orientation: motion.HexHorizontal},

@@ -120,24 +120,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// CV returns the raw coefficient of variation (stddev/mean) of the luma
-// samples inside r. A zero-mean (all black) region returns 0: it carries no
-// texture. Classification should normally go through Config.CV, which
-// applies the configured mean floor.
-func CV(p *video.Plane, r tiling.Rect) (float64, error) {
-	sp, err := p.SubPlane(r.X, r.Y, r.W, r.H)
-	if err != nil {
-		return 0, err
-	}
-	mean, stddev := sp.MeanStddev()
-	if mean == 0 {
-		return 0, nil
-	}
-	return stddev / mean, nil
-}
-
-// CV returns the floor-stabilized coefficient of variation of r (see
-// Config.MeanFloor).
+// CV returns the floor-stabilized coefficient of variation (stddev/mean) of
+// the luma samples inside r (see Config.MeanFloor). A zero-mean (all black)
+// region under a zero floor returns 0: it carries no texture.
 func (c Config) CV(p *video.Plane, r tiling.Rect) (float64, error) {
 	sp, err := p.SubPlane(r.X, r.Y, r.W, r.H)
 	if err != nil {
@@ -250,9 +235,6 @@ func NewEvaluator(cfg Config, cur, prev *video.Plane) (*Evaluator, error) {
 	}
 	return &Evaluator{cfg: cfg, cur: cur, prev: prev}, nil
 }
-
-// Config returns the evaluator's configuration.
-func (e *Evaluator) Config() Config { return e.cfg }
 
 // Evaluate classifies a single tile.
 func (e *Evaluator) Evaluate(t tiling.Tile) (TileContent, error) {

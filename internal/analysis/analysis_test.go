@@ -22,7 +22,7 @@ func mustEval(t *testing.T, cur, prev *video.Plane) *Evaluator {
 func TestCVConstantPlaneIsZero(t *testing.T) {
 	p := video.NewPlane(32, 32)
 	p.Fill(100)
-	cv, err := CV(p, tiling.Rect{X: 0, Y: 0, W: 32, H: 32})
+	cv, err := Config{}.CV(p, tiling.Rect{X: 0, Y: 0, W: 32, H: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCVConstantPlaneIsZero(t *testing.T) {
 
 func TestCVAllBlackIsZero(t *testing.T) {
 	p := video.NewPlane(8, 8)
-	cv, err := CV(p, tiling.Rect{W: 8, H: 8})
+	cv, err := Config{}.CV(p, tiling.Rect{W: 8, H: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCVKnownValue(t *testing.T) {
 	p := video.NewPlane(2, 1)
 	p.Set(0, 0, 10)
 	p.Set(1, 0, 20)
-	cv, err := CV(p, tiling.Rect{W: 2, H: 1})
+	cv, err := Config{}.CV(p, tiling.Rect{W: 2, H: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestConfigCVAppliesMeanFloor(t *testing.T) {
 		}
 	}
 	r := tiling.Rect{W: 16, H: 16}
-	raw, err := CV(p, r)
+	raw, err := Config{}.CV(p, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// Config returns the encoder configuration.
-func (e *Encoder) Config() Config { return e.cfg }
-
 // FramesEncoded returns the number of frames encoded so far.
 func (e *Encoder) FramesEncoded() int { return e.frames }
 

@@ -64,3 +64,56 @@ func quickSequence(w, h int) *video.Frame {
 	}
 	return f
 }
+
+// FuzzDecodeBitstream hands the decoder arbitrary bytes as one tile's
+// payload, in an I-frame and in a P-frame whose other tiles (and reference
+// picture) are the real thing. The contract: an error or a picture — never
+// a panic, a hang, or a sample outside the frame. Seeded from really
+// encoded tiles, so mutations start from streams that parse deep.
+func FuzzDecodeBitstream(f *testing.F) {
+	cfg := smallConfig()
+	grid := tiling.MustUniform(cfg.Width, cfg.Height, 2, 2)
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, intra, err := enc.EncodeFrame(quickSequence(cfg.Width, cfg.Height), grid, uniformParams(4, 30))
+	if err != nil {
+		f.Fatal(err)
+	}
+	moved := quickSequence(cfg.Width, cfg.Height)
+	for y := 0; y < moved.Y.H; y++ {
+		row := moved.Y.Row(y)
+		copy(row, row[2:]) // a two-sample pan: the P-frame carries real vectors
+	}
+	_, inter, err := enc.EncodeFrame(moved, grid, uniformParams(4, 30))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if intra.Type != FrameI || inter.Type != FrameP {
+		f.Fatalf("seed frames are %v and %v, want I then P", intra.Type, inter.Type)
+	}
+	for tile := range grid.Tiles {
+		f.Add(intra.Tiles[tile], false, uint8(tile))
+		f.Add(inter.Tiles[tile], true, uint8(tile))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, pframe bool, tile uint8) {
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		real := intra
+		if pframe {
+			if _, err := dec.DecodeFrame(intra, grid); err != nil {
+				t.Fatalf("the real I-frame does not decode: %v", err)
+			}
+			real = inter
+		}
+		bs := &Bitstream{Type: real.Type, Tiles: append([][]byte(nil), real.Tiles...)}
+		bs.Tiles[int(tile)%len(bs.Tiles)] = payload
+		frame, err := dec.DecodeFrame(bs, grid)
+		if err == nil && (frame.Width() != cfg.Width || frame.Height() != cfg.Height) {
+			t.Fatalf("decoded a %dx%d picture from a %dx%d stream", frame.Width(), frame.Height(), cfg.Width, cfg.Height)
+		}
+	})
+}

@@ -13,8 +13,8 @@ import (
 // letting them starve silently:
 //
 //	rung 1 — newcomers fall back to the uniform tiling (Session.Degrade);
-//	rung 2+ — the session's QP is offset upward in QPOffsetStep increments
-//	          up to MaxQPOffset, shrinking its estimated workload;
+//	rung 2+ — the session's QP is offset upward in qpOffsetStep increments
+//	          up to maxQPOffset, shrinking its estimated workload;
 //	next    — the session's frame rate is halved (Session.HalveRate): it is
 //	          served every other GOP round, so a heavily-overloaded platform
 //	          keeps it connected at half rate instead of starving it;
@@ -29,10 +29,6 @@ type AdmissionConfig struct {
 	// sessions keep their full-quality configuration and wait
 	// indefinitely — the historical saturated-queue behavior.
 	Enabled bool
-	// QPOffsetStep is the QP increment per escalation (0 → 4).
-	QPOffsetStep int
-	// MaxQPOffset bounds the total QP degradation (0 → 8).
-	MaxQPOffset int
 	// MaxQueueRounds is how many consecutive rounds a fully-degraded
 	// session may wait for admission before being rejected (0 → 8).
 	MaxQueueRounds int
@@ -48,14 +44,15 @@ type AdmissionConfig struct {
 	RecoverAfterRounds int
 }
 
+// The ladder's QP rungs: the increment per escalation and the bound on the
+// total QP degradation.
+const (
+	qpOffsetStep = 4
+	maxQPOffset  = 8
+)
+
 // withDefaults fills the zero values.
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.QPOffsetStep <= 0 {
-		c.QPOffsetStep = 4
-	}
-	if c.MaxQPOffset <= 0 {
-		c.MaxQPOffset = 8
-	}
 	if c.MaxQueueRounds <= 0 {
 		c.MaxQueueRounds = 8
 	}
@@ -69,7 +66,7 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 const (
 	rungNone = iota
 	rungDegradedTiling
-	rungQPOffset // rungQPOffset+k means a QP offset of (k+1)·QPOffsetStep
+	rungQPOffset // rungQPOffset+k means a QP offset of (k+1)·qpOffsetStep
 )
 
 // allocate runs stage D2 over the live sessions, escalating the admission
@@ -91,13 +88,13 @@ func (s *Server) allocate(live []*roundSession) (*sched.Result, []int, []int, er
 	preempted := map[int]bool{}
 	if s.cfg.Admission.Enabled {
 		// One allocator pass per ladder escalation: degrade first, then
-		// QP offsets until MaxQPOffset, then the frame-rate rung. Bounded
+		// QP offsets until maxQPOffset, then the frame-rate rung. Bounded
 		// by the rung count, so a session that cannot fit at any service
 		// level stops escalating. Sessions refused while a strictly
 		// higher-priority session holds admission were displaced by it —
 		// priority-ordered admission seated the newcomer first — so their
 		// escalation is the preemption pushdown and is reported as such.
-		maxPasses := 3 + s.cfg.Admission.MaxQPOffset/s.cfg.Admission.QPOffsetStep
+		const maxPasses = 3 + maxQPOffset/qpOffsetStep
 		for pass := 0; pass < maxPasses && len(alloc.Rejected) > 0; pass++ {
 			topPriority := maxAdmittedPriority(alloc, byID)
 			escalated, demandChanged := false, false
@@ -301,7 +298,6 @@ func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, li
 // changed the session's current-round demand — only then is a stage-D1
 // re-estimate and another allocator pass worth running.
 func (s *Server) escalate(rs *roundSession) (applied, demandChanged bool, err error) {
-	cfg := s.cfg.Admission
 	sess := rs.rec.sess
 	for {
 		switch {
@@ -316,13 +312,9 @@ func (s *Server) escalate(rs *roundSession) (applied, demandChanged bool, err er
 				}
 				return true, true, nil
 			}
-		case sess.QPOffset() < cfg.MaxQPOffset:
+		case sess.QPOffset() < maxQPOffset:
 			rs.rec.rung++
-			off := sess.QPOffset() + cfg.QPOffsetStep
-			if off > cfg.MaxQPOffset {
-				off = cfg.MaxQPOffset
-			}
-			sess.SetQPOffset(off)
+			sess.SetQPOffset(min(sess.QPOffset()+qpOffsetStep, maxQPOffset))
 			return true, true, nil
 		case !sess.RateHalved():
 			// Frame-rate rung: the session is served every other GOP

@@ -155,7 +155,7 @@ func TestProposedUsesContentAwareGrid(t *testing.T) {
 	if _, err := s.EncodeNextFrame(); err != nil {
 		t.Fatal(err)
 	}
-	grid := s.Grid()
+	grid := s.grid
 	// The content-aware grid must have heterogeneous tile sizes (grown
 	// corners vs center tiles).
 	sizes := make(map[int]bool)
@@ -172,7 +172,7 @@ func TestBaselineUsesUniformGrid(t *testing.T) {
 	if _, err := s.EncodeNextFrame(); err != nil {
 		t.Fatal(err)
 	}
-	grid := s.Grid()
+	grid := s.grid
 	if grid.NumTiles() != 4 {
 		t.Fatalf("baseline tiles = %d, want BaselineTiles=4", grid.NumTiles())
 	}
@@ -223,8 +223,8 @@ func TestEstimateThreadsUsesLUT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(threads) != s.Grid().NumTiles() {
-		t.Fatalf("%d threads for %d tiles", len(threads), s.Grid().NumTiles())
+	if len(threads) != s.grid.NumTiles() {
+		t.Fatalf("%d threads for %d tiles", len(threads), s.grid.NumTiles())
 	}
 	for _, th := range threads {
 		if th.TimeFmax <= 0 {
@@ -299,7 +299,7 @@ func TestServerServeAllCompletes(t *testing.T) {
 	if len(outs) != 2 { // 8 frames / GOP 4
 		t.Fatalf("%d rounds, want 2", len(outs))
 	}
-	if !srv.Sessions()[0].Finished() {
+	if !srv.records[0].sess.Finished() {
 		t.Fatal("session not finished")
 	}
 }
@@ -363,7 +363,7 @@ func TestTileContentsDriveQPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lowTexQP, highTexQP []int
-	for i, tc := range s.Contents() {
+	for i, tc := range s.contents {
 		switch tc.Texture {
 		case analysis.TextureLow:
 			lowTexQP = append(lowTexQP, s.qps[i])
@@ -390,7 +390,7 @@ func TestRetileRegionsMatchContent(t *testing.T) {
 	}
 	var corner, center tiling.Tile
 	foundCorner, foundCenter := false, false
-	for _, tile := range s.Grid().Tiles {
+	for _, tile := range s.grid.Tiles {
 		switch tile.Region {
 		case tiling.RegionCorner:
 			corner, foundCorner = tile, true

@@ -83,8 +83,8 @@ func TestMigrationRoundTripBitIdentical(t *testing.T) {
 	if n := donor.LoadReport().Sessions; n != 0 {
 		t.Fatalf("donor load %d after export", n)
 	}
-	if donor.Sessions()[0] != nil {
-		t.Fatal("donor still exposes the migrated session")
+	if donor.records[0].sess != nil {
+		t.Fatal("donor still holds the migrated session")
 	}
 
 	target := newMigrationServer(t)

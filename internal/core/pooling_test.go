@@ -60,8 +60,8 @@ func TestPooledEncodeBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	for i, sess := range dirty.Sessions() {
-		if !sess.Finished() {
+	for i, rec := range dirty.records {
+		if !rec.sess.Finished() {
 			t.Fatalf("poisoned-run session %d not finished", i)
 		}
 	}

@@ -92,14 +92,14 @@ func TestAdmissionLadderReachesRateRung(t *testing.T) {
 	if len(rep.Completed) != 2 {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
-	victim := srv.Sessions()[1]
+	victim := srv.records[1].sess
 	if !victim.Degraded() || victim.QPOffset() == 0 {
 		t.Fatal("ladder skipped the tiling/QP rungs")
 	}
 	if !victim.RateHalved() {
 		t.Fatal("ladder never reached the frame-rate rung")
 	}
-	if srv.Sessions()[0].RateHalved() {
+	if srv.records[0].sess.RateHalved() {
 		t.Fatal("ladder halved the admitted session's rate too")
 	}
 	if rep.FramesEncoded != 2*8 {
@@ -249,7 +249,7 @@ func TestRateRecoveryHoldsUnderPressure(t *testing.T) {
 	if len(rep.Completed) != 2 {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
-	victim := srv.Sessions()[1]
+	victim := srv.records[1].sess
 	if !victim.RateHalved() {
 		t.Fatal("saturated platform un-halved the victim — recovery flapped under pressure")
 	}

@@ -27,10 +27,10 @@ type AllocatorFunc func(sched.Input) (*sched.Result, error)
 type CalibrationConfig struct {
 	// Enabled turns the feedback loop on.
 	Enabled bool
-	// Alpha is the EWMA weight of the newest measurement, clamped to
-	// (0, 1]. 0 selects the default 0.5.
-	Alpha float64
 }
+
+// calibrationAlpha is the EWMA weight of the newest measurement.
+const calibrationAlpha = 0.5
 
 // ServerConfig parametrizes the multi-user serving loop.
 type ServerConfig struct {
@@ -78,7 +78,7 @@ type ServerConfig struct {
 	// transition: to StateQueued from the goroutine calling Submit, and to
 	// the terminal states from the serving goroutine as rounds settle. err
 	// is non-nil only for StateFailed. The callback runs outside the
-	// server's lock — it may call Submit, Close, StateOf, Load or Sessions,
+	// server's lock — it may call Submit, Close, StateOf or LoadReport,
 	// but not the serving methods. This is the hook the fleet dispatcher's
 	// telemetry sinks (internal/serve) are built on.
 	OnSessionState func(id int, state SessionState, err error)
@@ -185,7 +185,7 @@ type sessionRecord struct {
 // admitted session, each budgeted with the tile parallelism its allocation
 // planned (DESIGN.md §4).
 //
-// Concurrency contract: Submit, Close, Sessions, Store, StateOf and
+// Concurrency contract: Submit, Close, Store, StateOf, LoadReport and
 // Report are safe to call from any goroutine, at any time — including
 // while Run is serving. The serving methods themselves (Run, ServeGOP,
 // ServeGOPContext, ServeAll) must be driven by a single goroutine at a
@@ -241,12 +241,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.Calibration.Alpha == 0 {
-		cfg.Calibration.Alpha = 0.5
-	}
-	if !(cfg.Calibration.Alpha > 0) || cfg.Calibration.Alpha > 1 { // NaN-safe
-		return nil, fmt.Errorf("core: calibration alpha %v outside (0, 1]", cfg.Calibration.Alpha)
 	}
 	cfg.Admission = cfg.Admission.withDefaults()
 	store := cfg.Store
@@ -370,22 +364,6 @@ func (s *Server) wake() {
 	case s.arrival <- struct{}{}:
 	default:
 	}
-}
-
-// Sessions returns a snapshot of the registered sessions, in submission
-// order. The returned slice is a copy — mutating it cannot corrupt server
-// state — but the *Session values are live: while the server is serving,
-// only ID, Config and the read-only accessors are safe to use from other
-// goroutines. A session that migrated away (StateMigrated) leaves a nil
-// slot: it belongs to another shard now.
-func (s *Server) Sessions() []*Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Session, len(s.records))
-	for i, rec := range s.records {
-		out[i] = rec.sess
-	}
-	return out
 }
 
 // StateOf reports the lifecycle state of session id.
@@ -737,7 +715,7 @@ func (s *Server) failSession(rec *sessionRecord, err error) {
 // analysed and refreshes the per-tile workload keys.
 func (s *Server) prepareKeys(rs *roundSession) error {
 	sess := rs.rec.sess
-	if err := guardSession(sess, sess.PrepareForEstimation); err != nil {
+	if err := guardSession(sess.ID, sess.PrepareForEstimation); err != nil {
 		return err
 	}
 	keys, err := sess.appendEstimationKeys(rs.keys[:0])
@@ -864,7 +842,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 				for i, ts := range fr.Tiles {
 					tc := gop.Contents[i]
 					key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
-					rs.rec.lut.Calibrate(key, rs.rec.sess.measuredTime(ts), s.cfg.Calibration.Alpha)
+					rs.rec.lut.Calibrate(key, rs.rec.sess.measuredTime(ts), calibrationAlpha)
 				}
 			}
 		}
@@ -888,19 +866,20 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 	}
 }
 
-// guardSession runs one session's share of a round and returns its
-// failure, labelled with the session id. A panic counts as one: a
-// FrameSource reports an I/O error the only way its signature allows
-// (YUVFileSource panics), and that must cost the session its stream, not
-// the process every other session is served from.
-func guardSession(sess *Session, fn func() error) (err error) {
+// guardSession runs one session's share of a round — or, in NewSession,
+// the first look at its source — and returns its failure, labelled with
+// the session id. A panic counts as one: a FrameSource reports an I/O
+// error the only way its signature allows (YUVFileSource panics), and that
+// must cost the session its stream, not the process every other session
+// is served from.
+func guardSession(id int, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: session %d: panic: %v", sess.ID, r)
+			err = fmt.Errorf("core: session %d: panic: %v", id, r)
 		}
 	}()
 	if err := fn(); err != nil {
-		return fmt.Errorf("core: session %d: %w", sess.ID, err)
+		return fmt.Errorf("core: session %d: %w", id, err)
 	}
 	return nil
 }
@@ -913,7 +892,7 @@ func guardSession(sess *Session, fn func() error) (err error) {
 func (s *Server) encodeSequential(ctx context.Context, alloc *sched.Result, byID map[int]*roundSession, out *GOPOutcome) map[int]error {
 	for _, id := range alloc.Admitted {
 		sess := byID[id].rec.sess
-		err := guardSession(sess, func() error {
+		err := guardSession(sess.ID, func() error {
 			gop, err := sess.EncodeGOPContext(ctx, 0)
 			if err == nil {
 				out.GOPs[id] = gop
@@ -942,7 +921,7 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 		wg.Add(1)
 		go func(i int, sess *Session) {
 			defer wg.Done()
-			errs[i] = guardSession(sess, func() error {
+			errs[i] = guardSession(sess.ID, func() error {
 				gop, err := sess.EncodeGOPContext(ctx, alloc.CoresOf(sess.ID))
 				if err != nil {
 					return err

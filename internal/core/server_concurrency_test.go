@@ -91,8 +91,8 @@ func TestServeAllConcurrentMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	for i, sess := range par.Sessions() {
-		if !sess.Finished() {
+	for i, rec := range par.records {
+		if !rec.sess.Finished() {
 			t.Fatalf("concurrent session %d not finished", i)
 		}
 	}
@@ -172,8 +172,8 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 	if containsInt(out1.AdmittedUsers, 0) || !containsInt(out1.RejectedUsers, 0) {
 		t.Fatalf("round 1 should reject user 0: admitted %v rejected %v", out1.AdmittedUsers, out1.RejectedUsers)
 	}
-	if srv.Sessions()[0].NextFrame() != 0 {
-		t.Fatalf("rejected session advanced to frame %d", srv.Sessions()[0].NextFrame())
+	if srv.records[0].sess.NextFrame() != 0 {
+		t.Fatalf("rejected session advanced to frame %d", srv.records[0].sess.NextFrame())
 	}
 
 	out2, err := srv.ServeGOP()
@@ -439,7 +439,8 @@ func TestEstimateAheadPreparesNextGOP(t *testing.T) {
 	if _, err := srv.ServeGOP(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sess := range srv.Sessions() {
+	for _, rec := range srv.records {
+		sess := rec.sess
 		if sess.Finished() {
 			continue
 		}

@@ -204,7 +204,18 @@ func NewSession(id int, src FrameSource, cfg SessionConfig, lut *workload.LUT) (
 	if lut == nil {
 		return nil, fmt.Errorf("core: nil workload LUT")
 	}
-	f0 := src.Frame(0)
+	// Frame 0 decides the geometry. It is the submitter's goroutine that
+	// renders it here, so a source that panics costs the submission, not
+	// the caller.
+	var f0 *video.Frame
+	if err := guardSession(id, func() error {
+		if f0 = src.Frame(0); f0 == nil {
+			return fmt.Errorf("source has no frame 0")
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	if cfg.Codec.Width == 0 {
 		cfg.Codec = codec.DefaultConfig()
 	}
@@ -262,12 +273,6 @@ func NewSession(id int, src FrameSource, cfg SessionConfig, lut *workload.LUT) (
 
 // Config returns the session's (defaulted) configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
-
-// Grid returns the current GOP's tile structure (nil before the first GOP).
-func (s *Session) Grid() *tiling.Grid { return s.grid }
-
-// Contents returns the current GOP's tile content descriptors.
-func (s *Session) Contents() []analysis.TileContent { return s.contents }
 
 // NextFrame returns the index of the next frame to encode.
 func (s *Session) NextFrame() int { return s.frame }

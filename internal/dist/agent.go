@@ -38,12 +38,6 @@ type AgentConfig struct {
 	// per shard (serve.WithCheckpoint). Every checkpoint refreshes the
 	// failover inventory the next heartbeat ships. Default 2.
 	CheckpointEvery int
-	// ExportTimeout bounds the round-boundary handshake of one export or
-	// drain step — an idle shard settles no round, so the wait must give
-	// up. Default 10s.
-	ExportTimeout time.Duration
-	// Client carries heartbeats to the master (nil = DefaultClient).
-	Client *Client
 	// Binder re-opens submitted and imported sources (nil = BindSource).
 	Binder core.SourceBinder
 	// Sink receives the fleet's telemetry (optional); it is handed to the
@@ -52,6 +46,10 @@ type AgentConfig struct {
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
+
+// exportTimeout bounds the round-boundary handshake of one export or drain
+// step — an idle shard settles no round, so the wait must give up.
+const exportTimeout = 10 * time.Second
 
 // Agent wraps one local serve.Fleet behind the HTTP front door and
 // keeps a master informed via heartbeats. Build with NewAgent, start
@@ -90,18 +88,12 @@ func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 2
 	}
-	if cfg.ExportTimeout <= 0 {
-		cfg.ExportTimeout = 10 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = DefaultClient()
-	}
 	if cfg.Binder == nil {
 		cfg.Binder = BindSource
 	}
 	a := &Agent{
 		cfg:         cfg,
-		client:      cfg.Client,
+		client:      DefaultClient(),
 		checkpoints: make(map[int][]*core.SessionWire),
 		done:        make(chan struct{}),
 	}
@@ -411,7 +403,7 @@ func (a *Agent) exportOne(ctx context.Context, shard, session int) (*core.Sessio
 	select {
 	case res := <-ch:
 		return res.wire, res.err
-	case <-time.After(a.cfg.ExportTimeout):
+	case <-time.After(exportTimeout):
 		return nil, fmt.Errorf("dist: export of shard %d session %d timed out (shard idle?)", shard, session)
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -480,7 +472,7 @@ func (a *Agent) drainShard(ctx context.Context, shard int) ([]*core.SessionWire,
 	select {
 	case res := <-ch:
 		return res.wires, res.err
-	case <-time.After(a.cfg.ExportTimeout):
+	case <-time.After(exportTimeout):
 		return nil, fmt.Errorf("dist: drain of shard %d timed out (shard idle?)", shard)
 	case <-ctx.Done():
 		return nil, ctx.Err()

@@ -79,6 +79,12 @@ func (s *MedgenSource) Spec() (core.SourceSpec, error) {
 
 var _ core.SpeccedSource = (*MedgenSource)(nil)
 
+// maxSourcePixels bounds the geometry a spec from the wire may ask this
+// node to render (8K UHD): the generator allocates and fills a frame of
+// the spec's size on first use, and a few hundred bytes of request must
+// not be able to size that.
+const maxSourcePixels = 7680 * 4320
+
 // BindSource is the default core.SourceBinder of the distributed fleet:
 // it re-opens the source kinds this package knows how to ship. Unknown
 // kinds are an explicit error — an agent must refuse a session it cannot
@@ -89,6 +95,10 @@ func BindSource(spec core.SourceSpec) (core.FrameSource, error) {
 		var cfg medgen.Config
 		if err := json.Unmarshal(spec.Data, &cfg); err != nil {
 			return nil, fmt.Errorf("dist: medgen spec: %w", err)
+		}
+		// Dividing keeps the product from overflowing into range.
+		if cfg.Width > 0 && cfg.Height > maxSourcePixels/cfg.Width {
+			return nil, fmt.Errorf("dist: medgen spec: %dx%d is over %d pixels", cfg.Width, cfg.Height, maxSourcePixels)
 		}
 		return NewMedgenSource(cfg, spec.Class)
 	default:

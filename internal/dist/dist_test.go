@@ -203,7 +203,6 @@ func TestMasterFailoverBitIdentical(t *testing.T) {
 	master, err := NewMaster(MasterConfig{
 		Addr:             "127.0.0.1:0",
 		HeartbeatTimeout: 1500 * time.Millisecond,
-		CheckEvery:       100 * time.Millisecond,
 		OnEvent:          events.add,
 		Logf:             t.Logf,
 	})
@@ -443,7 +442,6 @@ func TestMasterRoutesByRing(t *testing.T) {
 	master, err := NewMaster(MasterConfig{
 		Addr:             "127.0.0.1:0",
 		HeartbeatTimeout: 1500 * time.Millisecond,
-		CheckEvery:       100 * time.Millisecond,
 		OnEvent:          events.add,
 	})
 	if err != nil {
@@ -544,7 +542,6 @@ func TestAgentExportImportRoundTrip(t *testing.T) {
 			Name:            name,
 			Addr:            "127.0.0.1:0",
 			CheckpointEvery: 1,
-			ExportTimeout:   30 * time.Second,
 			Sink:            rec,
 		}, serve.WithShards(1),
 			// Paced like the failover test: unpaced, the donor can burn

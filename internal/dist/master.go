@@ -43,11 +43,6 @@ type MasterConfig struct {
 	// HeartbeatTimeout is how long an agent may stay silent before it is
 	// declared dead and failed over. Default 5s.
 	HeartbeatTimeout time.Duration
-	// CheckEvery paces the supervision loop. Default HeartbeatTimeout/4.
-	CheckEvery time.Duration
-	// Client carries every master→agent call (nil = DefaultClient). All
-	// routing and failover traffic goes through its retry schedule.
-	Client *Client
 	// Tenancy is the fleet-wide tenant registry (optional). When set,
 	// the master charges each routed submission to its tenant's token
 	// bucket — the one place a cross-process fleet can enforce a global
@@ -127,15 +122,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 5 * time.Second
 	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = cfg.HeartbeatTimeout / 4
-	}
-	if cfg.Client == nil {
-		cfg.Client = DefaultClient()
-	}
 	return &Master{
 		cfg:    cfg,
-		client: cfg.Client,
+		client: DefaultClient(),
 		agents: make(map[string]*agentState),
 		ring:   serve.NewRing(nil, serve.RingReplicas),
 		done:   make(chan struct{}),
@@ -273,7 +262,9 @@ func (m *Master) candidatesFor(class string) []candidate {
 // --- supervision & failover ---
 
 func (m *Master) superviseLoop(ctx context.Context) {
-	tick := time.NewTicker(m.cfg.CheckEvery)
+	// Four looks per timeout: a silent agent is declared dead at most a
+	// quarter of the grace late.
+	tick := time.NewTicker(m.cfg.HeartbeatTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {

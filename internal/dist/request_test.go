@@ -1,11 +1,18 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/medgen"
+	"repro/internal/workload"
 )
 
 // spaces is an endless-enough body: n bytes of JSON whitespace produced
@@ -72,4 +79,100 @@ func TestHandlersRefuseHostileBodies(t *testing.T) {
 	if n := a.fleet.Load(); n != 0 {
 		t.Errorf("a refused request left %d sessions on the agent", n)
 	}
+}
+
+// bindSmall is BindSource behind a fuzz-sized geometry bound, so an
+// accepted submission renders its first frame in microseconds.
+func bindSmall(spec core.SourceSpec) (core.FrameSource, error) {
+	var cfg medgen.Config
+	if json.Unmarshal(spec.Data, &cfg) == nil && (cfg.Width > 256 || cfg.Height > 256) {
+		return nil, fmt.Errorf("%dx%d is beyond what the fuzz binds", cfg.Width, cfg.Height)
+	}
+	return BindSource(spec)
+}
+
+// TestBindSourceBoundsGeometry: a few hundred bytes of spec must not be
+// able to size a frame the node then renders.
+func TestBindSourceBoundsGeometry(t *testing.T) {
+	mc := testMedgenConfig(medgen.Brain, medgen.Rotate, 8)
+	mc.Width, mc.Height = 1<<20, 1<<20
+	data, err := json.Marshal(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BindSource(core.SourceSpec{Kind: SourceKindMedgen, Data: data}); err == nil {
+		t.Fatal("a 2^40-pixel medgen spec bound to a source")
+	}
+}
+
+// FuzzRequestBodies throws arbitrary bodies at the three POST handlers a
+// peer can reach with a payload of its choosing — agent submit, agent
+// import, master heartbeat — each on a fresh, never-started node (so
+// nothing is served and nothing is dialled). The contract: a 2xx or a
+// 4xx/5xx with a message, never a panic, and no session or agent
+// registered by a body that was refused. Seeded with one well-formed body
+// per handler at 64×48.
+func FuzzRequestBodies(f *testing.F) {
+	mc := testMedgenConfig(medgen.Brain, medgen.Rotate, 8)
+	mc.Width, mc.Height = 64, 48
+	src, err := NewMedgenSource(mc, "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := src.Spec()
+	if err != nil {
+		f.Fatal(err)
+	}
+	scfg := testSessionConfig()
+	scfg.Retile.MinTileW, scfg.Retile.MinTileH = 16, 16
+	sess, err := core.NewSession(0, src, scfg, workload.NewLUT())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := sess.EncodeGOP(); err != nil {
+		f.Fatal(err)
+	}
+	wire, err := (&core.SessionSnapshot{Session: sess, Class: sess.Class(), Frame: sess.NextFrame(), Demand: 1}).Wire()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for handler, msg := range []any{
+		SubmitRequest{Version: ProtocolVersion, Source: spec, Config: scfg, Tenant: "clinic", Priority: 2},
+		ImportRequest{Version: ProtocolVersion, Session: wire},
+		Heartbeat{Version: ProtocolVersion, Name: "a", URL: "http://127.0.0.1:1", Seq: 1,
+			Loads: []core.LoadReport{{Alive: true, Sessions: 1}}, Checkpoints: []*core.SessionWire{wire}},
+	} {
+		body, err := json.Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(handler), body)
+	}
+
+	f.Fuzz(func(t *testing.T, handler uint8, body []byte) {
+		a, err := NewAgent(AgentConfig{Name: "a", Addr: "127.0.0.1:0", Binder: bindSmall})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handle := []http.HandlerFunc{a.handleSubmit, a.handleImport, m.handleHeartbeat}[int(handler)%3]
+		rec := httptest.NewRecorder()
+		handle(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
+		accepted := a.fleet.Load() + len(m.agents)
+		switch {
+		case rec.Code == http.StatusOK:
+			if accepted != 1 {
+				t.Fatalf("handler %d answered 200 and registered %d things", handler%3, accepted)
+			}
+		case rec.Code >= 400 && rec.Body.Len() > 0:
+			if accepted != 0 {
+				t.Fatalf("handler %d answered %d %q and still registered something", handler%3, rec.Code, rec.Body.String())
+			}
+		default:
+			t.Fatalf("handler %d answered %d %q", handler%3, rec.Code, rec.Body.String())
+		}
+	})
 }

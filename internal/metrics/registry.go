@@ -8,7 +8,7 @@
 // design rule is bounded cardinality: every metric declares its label
 // names up front, label values come from fleet-bounded sets (shard
 // index, workload *class* — never a session id, which grows without
-// bound), and the registry itself refuses to allocate past MaxSeries,
+// bound), and the registry itself refuses to allocate past maxSeries,
 // counting refused series instead of growing. A scrape of a fleet that
 // has served a million sessions is the same size as one that served
 // ten.
@@ -24,37 +24,30 @@ import (
 	"sync"
 )
 
-// RegistryOptions bounds a registry.
-type RegistryOptions struct {
-	// MaxSeries caps the total number of label-value combinations across
-	// all metrics (histogram series count as one each). Past the cap, new
-	// combinations are dropped and counted (DroppedSeries) instead of
-	// allocated — the registry's memory is bounded no matter what labels
-	// arrive. 0 selects the default 4096.
-	MaxSeries int
-}
+// maxSeries caps the total number of label-value combinations across all
+// metrics of a registry (histogram series count as one each). Past the
+// cap, new combinations are dropped and counted (DroppedSeries) instead of
+// allocated — the registry's memory is bounded no matter what labels
+// arrive.
+const maxSeries = 4096
 
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Safe for concurrent use: updates and scrapes may
 // race freely.
 type Registry struct {
-	mu        sync.Mutex
-	families  []*family // registration order
-	byName    map[string]*family
-	maxSeries int
-	series    int
-	dropped   int
+	mu       sync.Mutex
+	families []*family // registration order
+	byName   map[string]*family
+	series   int
+	dropped  int
 }
 
 // NewRegistry builds a registry.
-func NewRegistry(opts RegistryOptions) *Registry {
-	if opts.MaxSeries <= 0 {
-		opts.MaxSeries = 4096
-	}
-	return &Registry{byName: make(map[string]*family), maxSeries: opts.MaxSeries}
+func NewRegistry() *Registry {
+	return &Registry{byName: make(map[string]*family)}
 }
 
-// DroppedSeries reports how many series were refused by the MaxSeries
+// DroppedSeries reports how many series were refused by the maxSeries
 // bound. It is also exported on every scrape as
 // repro_metrics_dropped_series_total.
 func (r *Registry) DroppedSeries() int {
@@ -135,7 +128,7 @@ func (r *Registry) register(name, help string, k kind, buckets []float64, labels
 }
 
 // get fetches or allocates the series for the given label values,
-// enforcing the MaxSeries bound. Returns nil when the bound refused the
+// enforcing the maxSeries bound. Returns nil when the bound refused the
 // allocation. Caller must hold r.mu.
 func (r *Registry) getLocked(f *family, labelValues []string) *series {
 	if len(labelValues) != len(f.labels) {
@@ -146,7 +139,7 @@ func (r *Registry) getLocked(f *family, labelValues []string) *series {
 	if s, ok := f.series[key]; ok {
 		return s
 	}
-	if r.series >= r.maxSeries {
+	if r.series >= maxSeries {
 		r.dropped++
 		return nil
 	}

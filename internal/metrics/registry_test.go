@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestRegistryBoundsCardinality: the MaxSeries cap is a hard bound — a
+// TestRegistryBoundsCardinality: the maxSeries cap is a hard bound — a
 // label flood allocates nothing past it, refused series are counted, and
 // the scrape stays well-formed with the dropped counter visible.
 func TestRegistryBoundsCardinality(t *testing.T) {
-	reg := NewRegistry(RegistryOptions{MaxSeries: 8})
+	reg := NewRegistry()
 	c := reg.Counter("repro_test_total", "t", "id")
-	for i := 0; i < 100; i++ {
+	for i := 0; i < maxSeries+92; i++ {
 		c.Add(1, strconv.Itoa(i))
 	}
 	var b strings.Builder
@@ -26,8 +26,8 @@ func TestRegistryBoundsCardinality(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 8 {
-		t.Fatalf("%d series exported past a MaxSeries of 8", lines)
+	if lines != maxSeries {
+		t.Fatalf("%d series exported, the cap is %d", lines, maxSeries)
 	}
 	if got := reg.DroppedSeries(); got != 92 {
 		t.Fatalf("DroppedSeries = %d, want 92", got)
@@ -41,7 +41,7 @@ func TestRegistryBoundsCardinality(t *testing.T) {
 // the Prometheus text format — HELP/TYPE headers, escaped label values,
 // cumulative buckets with +Inf, and round-trip-exact float values.
 func TestRegistryExpositionFormat(t *testing.T) {
-	reg := NewRegistry(RegistryOptions{})
+	reg := NewRegistry()
 	exact := 1.0 / 3.0
 	reg.Counter("repro_c_total", "counter help", "shard").Add(exact, "0")
 	reg.Gauge("repro_g", "gauge help").Set(-2.5)

@@ -11,31 +11,29 @@ import (
 
 // SinkConfig configures the exporter sink.
 type SinkConfig struct {
-	// Registry receives the series (nil builds a default-bounded one).
-	Registry *Registry
 	// Cost prices the energy/deadline ledger into the dollar series. The
 	// zero model exports zero dollars.
 	Cost CostModel
-	// MaxClasses bounds the workload-class label: the first MaxClasses
-	// distinct classes keep their names, later ones fold into "other" —
-	// classes come from user input, and an unbounded label is how a
-	// metrics endpoint becomes a memory leak. 0 selects the default 32.
-	MaxClasses int
-	// MaxTenants bounds the tenant label the same way: the first
-	// MaxTenants distinct tenant ids keep their names, later ones fold
-	// into "other". The default tenant exports as "default". 0 selects
-	// the default 32.
-	MaxTenants int
-	// QoEAlpha is the EWMA weight of the newest GOP's QoE sample in the
-	// per-(shard, class) qoe_score gauge, clamped to (0, 1]. 0 selects
-	// the default 0.25.
-	QoEAlpha float64
 	// Agent, when non-empty, adds a constant "agent" label with this
 	// value to every series the sink exports — the distributed mode's
 	// per-node dimension, so one scraper can aggregate a whole fleet of
 	// agent processes without their shard-indexed series colliding.
 	Agent string
 }
+
+const (
+	// maxClasses bounds the workload-class label: the first maxClasses
+	// distinct classes keep their names, later ones fold into "other" —
+	// classes come from user input, and an unbounded label is how a
+	// metrics endpoint becomes a memory leak.
+	maxClasses = 32
+	// maxTenants bounds the tenant label the same way. The default
+	// tenant exports as "default".
+	maxTenants = 32
+	// qoeAlpha is the EWMA weight of the newest GOP's QoE sample in the
+	// per-(shard, class) qoe_score gauge.
+	qoeAlpha = 0.25
+)
 
 // counter, gauge and histogram prepend the sink's constant agent label
 // (when configured) to every update, so the event handlers below stay
@@ -88,12 +86,9 @@ func withAgent(agent, lv []string) []string {
 type Sink struct {
 	serve.NopSink // session-scoped events we consume are overridden below
 
-	reg       *Registry
-	cost      CostModel
-	alpha     float64
-	maxClass  int
-	maxTenant int
-	agent     []string // nil, or the one constant "agent" label value
+	reg   *Registry
+	cost  CostModel
+	agent []string // nil, or the one constant "agent" label value
 
 	// classOf maps (shard, session) → folded class label; classes is the
 	// bounded set of label values handed out so far. doomed marks
@@ -153,25 +148,10 @@ type Sink struct {
 
 // NewSink builds the exporter sink and registers its metric families.
 func NewSink(cfg SinkConfig) *Sink {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewRegistry(RegistryOptions{})
-	}
-	if cfg.MaxClasses <= 0 {
-		cfg.MaxClasses = 32
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = 32
-	}
-	if !(cfg.QoEAlpha > 0) || cfg.QoEAlpha > 1 { // NaN-safe
-		cfg.QoEAlpha = 0.25
-	}
+	reg := NewRegistry()
 	s := &Sink{
 		reg:        reg,
 		cost:       cfg.Cost,
-		alpha:      cfg.QoEAlpha,
-		maxClass:   cfg.MaxClasses,
-		maxTenant:  cfg.MaxTenants,
 		classOf:    make(map[[2]int]string),
 		classes:    make(map[string]bool),
 		doomed:     make(map[[2]int]bool),
@@ -255,7 +235,7 @@ func (s *Sink) classLabel(class string) string {
 	if s.classes[class] {
 		return class
 	}
-	if len(s.classes) >= s.maxClass {
+	if len(s.classes) >= maxClasses {
 		return "other"
 	}
 	s.classes[class] = true
@@ -271,7 +251,7 @@ func (s *Sink) tenantLabel(tenant string) string {
 	if s.tenants[tenant] {
 		return tenant
 	}
-	if len(s.tenants) >= s.maxTenant {
+	if len(s.tenants) >= maxTenants {
 		return "other"
 	}
 	s.tenants[tenant] = true
@@ -440,7 +420,7 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 		if !seen {
 			prev = score
 		}
-		ewma := s.alpha*score + (1-s.alpha)*prev
+		ewma := qoeAlpha*score + (1-qoeAlpha)*prev
 		s.qoe[key] = ewma
 		s.qoeGauge.Set(ewma, shard, class)
 	}

@@ -191,9 +191,10 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Shard 3 settled a round with its sessions (8 GOPs each) still live.
 	waitFor(t, func() bool {
-		r, ok := ring.ShardLoad(3)
-		return ok && r.Sessions > 0
+		shards := ring.Report().Shards
+		return len(shards) > 3 && shards[3].Report.Rounds > 0
 	})
 	if err := f.Resize(3); err != nil {
 		t.Fatal(err)
@@ -248,8 +249,9 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	if got := sum(samples, "repro_shards_removed_total", nil); got != float64(removed) {
 		t.Errorf("shards removed: exported %v, ring %d", got, removed)
 	}
-	if got := sum(samples, "repro_placements_total", nil); got != float64(ring.Placements()) {
-		t.Errorf("placements: exported %v, ring %d", got, ring.Placements())
+	// One placement per successful SubmitWith, and no submission was refused.
+	if got, want := sum(samples, "repro_placements_total", nil), ring.Report().Submitted; got != float64(want) {
+		t.Errorf("placements: exported %v, ring saw %d unique sessions", got, want)
 	}
 	for _, s := range samples {
 		if s.name == "repro_qoe_score" && (s.value < 0 || s.value > 1) {
@@ -262,16 +264,16 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 }
 
 // TestExporterBoundsClassCardinality: a flood of distinct workload
-// classes folds into "other" past MaxClasses — session-driven input can
+// classes folds into "other" past maxClasses — session-driven input can
 // never grow the class label set without bound.
 func TestExporterBoundsClassCardinality(t *testing.T) {
-	sink := NewSink(SinkConfig{MaxClasses: 3})
+	sink := NewSink(SinkConfig{})
 	ring := serve.NewRingSink(64)
 	f, err := serve.New(serve.WithShards(1), serve.WithSink(ring), serve.WithMetrics(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < maxClasses+3; i++ {
 		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, fmt.Sprintf("flood-%d", i), int64(i+1), 4), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
@@ -290,8 +292,8 @@ func TestExporterBoundsClassCardinality(t *testing.T) {
 			classes[c] = true
 		}
 	}
-	if len(classes) > 4 { // 3 named + "other"
-		t.Fatalf("class label grew to %d values under a MaxClasses of 3: %v", len(classes), classes)
+	if len(classes) > maxClasses+1 { // the named ones + "other"
+		t.Fatalf("class label grew to %d values under a cap of %d: %v", len(classes), maxClasses, classes)
 	}
 	if !classes["other"] {
 		t.Fatalf("flood classes were not folded into \"other\": %v", classes)
@@ -395,16 +397,19 @@ func TestExporterAgentLabel(t *testing.T) {
 }
 
 // TestExporterBoundsTenantCardinality: a flood of distinct tenant ids
-// must not grow the tenant label without bound — ids past MaxTenants
+// must not grow the tenant label without bound — ids past maxTenants
 // fold into "other", and the fold loses no per-tenant GOP accounting.
 func TestExporterBoundsTenantCardinality(t *testing.T) {
-	sink := NewSink(SinkConfig{MaxTenants: 2})
+	sink := NewSink(SinkConfig{})
 	ring := serve.NewRingSink(64)
-	f, err := serve.New(serve.WithShards(1), serve.WithSink(ring), serve.WithMetrics(sink))
+	// Wide enough that every tenant's weighted core share seats its session.
+	platform := mpsoc.XeonE5_2667V4()
+	platform.Cores = 4 * (maxTenants + 3)
+	f, err := serve.New(serve.WithPlatforms(platform), serve.WithSink(ring), serve.WithMetrics(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < maxTenants+3; i++ {
 		if _, err := f.SubmitWith(serve.SubmitRequest{
 			Source: testSource(t, "brain", int64(i+1), 4),
 			Config: testSessionConfig(),
@@ -428,8 +433,8 @@ func TestExporterBoundsTenantCardinality(t *testing.T) {
 			tenants[s.labels["tenant"]] = true
 		}
 	}
-	if len(tenants) > 3 { // 2 named + "other"
-		t.Fatalf("tenant label grew to %d values under a MaxTenants of 2: %v", len(tenants), tenants)
+	if len(tenants) > maxTenants+1 { // the named ones + "other"
+		t.Fatalf("tenant label grew to %d values under a cap of %d: %v", len(tenants), maxTenants, tenants)
 	}
 	if !tenants["other"] {
 		t.Fatalf("flood tenants were not folded into \"other\": %v", tenants)

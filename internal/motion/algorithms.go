@@ -27,27 +27,20 @@ func (FullSearch) Search(b Block, window int, pred MV) Result {
 // Zone search: predictor seeding, an expanding 8-point diamond zonal
 // search, a sparse raster fallback when the best distance is large, and
 // iterative star refinement.
-type TZSearch struct {
-	// RasterThreshold triggers the raster stage when the zonal best
-	// distance exceeds it (HM default 5). Zero means 5.
-	RasterThreshold int
-	// RasterStride is the raster subsampling step (HM default 5).
-	RasterStride int
-}
+type TZSearch struct{}
+
+// HM's defaults: the raster stage runs when the zonal best distance exceeds
+// tzRasterThreshold, subsampling the window at tzRasterStride.
+const (
+	tzRasterThreshold = 5
+	tzRasterStride    = 5
+)
 
 // Name implements Searcher.
 func (TZSearch) Name() string { return "tz" }
 
 // Search implements Searcher.
-func (t TZSearch) Search(b Block, window int, pred MV) Result {
-	thr := t.RasterThreshold
-	if thr <= 0 {
-		thr = 5
-	}
-	stride := t.RasterStride
-	if stride <= 0 {
-		stride = 5
-	}
+func (TZSearch) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
 	s.seed(pred)
 
@@ -67,9 +60,9 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 	}
 
 	// Raster stage for distant optima.
-	if bestDist > thr {
-		for dy := -window; dy <= window; dy += stride {
-			for dx := -window; dx <= window; dx += stride {
+	if bestDist > tzRasterThreshold {
+		for dy := -window; dy <= window; dy += tzRasterStride {
+			for dx := -window; dx <= window; dx += tzRasterStride {
 				s.try(MV{dx, dy})
 			}
 		}
@@ -80,7 +73,7 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 	for {
 		center = s.best
 		improved := false
-		for dist := 1; dist <= thr; dist *= 2 {
+		for dist := 1; dist <= tzRasterThreshold; dist *= 2 {
 			for _, d := range diamondPoints(dist) {
 				s.try(center.Add(d))
 			}
@@ -110,36 +103,6 @@ func diamondPoints(d int) []MV {
 	}
 }
 
-// ThreeStep is the classic three-step search (Li et al. 1994): evaluate the
-// 8 neighbours at a step that starts near half the window and halves until
-// one.
-type ThreeStep struct{}
-
-// Name implements Searcher.
-func (ThreeStep) Name() string { return "tss" }
-
-// Search implements Searcher.
-func (ThreeStep) Search(b Block, window int, pred MV) Result {
-	s := newSearchState(b, window)
-	s.seed(pred)
-	step := 1
-	for step*2 <= window {
-		step *= 2
-	}
-	step /= 2
-	if step == 0 {
-		step = 1
-	}
-	for step >= 1 {
-		center := s.best
-		for _, d := range squarePoints(step) {
-			s.try(center.Add(d))
-		}
-		step /= 2
-	}
-	return s.result()
-}
-
 // squarePoints returns the 8 neighbours at Chebyshev distance d.
 func squarePoints(d int) []MV {
 	return []MV{
@@ -149,39 +112,8 @@ func squarePoints(d int) []MV {
 	}
 }
 
-// Diamond is the diamond search of Zhu & Ma (1997): iterate the 9-point
-// large diamond pattern until the centre wins, then refine with the small
-// diamond.
-type Diamond struct{}
-
-// Name implements Searcher.
-func (Diamond) Name() string { return "diamond" }
-
-// ldsp is the large diamond search pattern (excluding the centre).
-var ldsp = []MV{{0, -2}, {1, -1}, {2, 0}, {1, 1}, {0, 2}, {-1, 1}, {-2, 0}, {-1, -1}}
-
 // sdsp is the small diamond search pattern.
 var sdsp = []MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
-
-// Search implements Searcher.
-func (Diamond) Search(b Block, window int, pred MV) Result {
-	s := newSearchState(b, window)
-	s.seed(pred)
-	for i := 0; i < 4*window; i++ { // bounded: each move strictly improves
-		center := s.best
-		for _, d := range ldsp {
-			s.try(center.Add(d))
-		}
-		if s.best == center {
-			break
-		}
-	}
-	center := s.best
-	for _, d := range sdsp {
-		s.try(center.Add(d))
-	}
-	return s.result()
-}
 
 // Cross is the cross-search algorithm of Ghanbari (1990): a logarithmic
 // search evaluating the four diagonal (×) neighbours at a halving step,

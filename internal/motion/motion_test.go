@@ -48,8 +48,6 @@ func interiorBlock(cur, ref *video.Plane) Block {
 var allSearchers = []Searcher{
 	FullSearch{},
 	TZSearch{},
-	ThreeStep{},
-	Diamond{},
 	Cross{},
 	OneAtATime{},
 	Hexagon{Orientation: HexHorizontal},
@@ -207,7 +205,7 @@ func TestPredictorSeedsSearch(t *testing.T) {
 	shift := MV{14, 9}
 	cur, ref := shiftedPlanes(192, 192, shift.X, shift.Y)
 	b := interiorBlock(cur, ref)
-	for _, s := range []Searcher{Diamond{}, Hexagon{Orientation: HexRotating}, OneAtATime{}} {
+	for _, s := range []Searcher{Cross{}, Hexagon{Orientation: HexRotating}, OneAtATime{}} {
 		seeded := s.Search(b, 16, shift)
 		if seeded.MV != shift || seeded.Cost != 0 {
 			t.Errorf("%s with exact predictor: MV %v cost %d", s.Name(), seeded.MV, seeded.Cost)

@@ -14,9 +14,6 @@ import "fmt"
 //     maximum window, then horizontal or vertical hexagon search (chosen by
 //     the learned direction) at smaller windows.
 
-// Standard search-window sizes considered in the paper.
-var SearchWindows = []int{64, 32, 16, 8}
-
 // PolicyConfig parametrizes the proposed GOP-aware search policy.
 type PolicyConfig struct {
 	// MaxWindow is the window for high-motion first-frame search (64).

@@ -97,24 +97,12 @@ func NewAdapter(constraints Constraints, stepQP int) (*Adapter, error) {
 	return &Adapter{constraints: constraints, stepQP: stepQP, qps: make(map[int]int)}, nil
 }
 
-// Constraints returns the adapter's constraints.
-func (a *Adapter) Constraints() Constraints { return a.constraints }
-
 // ResetTile installs the texture-derived default QP for a tile, called when
 // a GOP starts or the tile structure changes.
 func (a *Adapter) ResetTile(tile int, texture analysis.TextureClass) int {
 	qp := DefaultQP(texture)
 	a.qps[tile] = qp
 	return qp
-}
-
-// QP returns the current QP for a tile, falling back to the medium-texture
-// default for unseen tiles.
-func (a *Adapter) QP(tile int) int {
-	if qp, ok := a.qps[tile]; ok {
-		return qp
-	}
-	return QPMediumTexture
 }
 
 // Adapt applies Algorithm 1 for one tile given the previous frame's

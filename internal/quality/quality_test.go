@@ -50,18 +50,15 @@ func TestResetTileInstallsDefault(t *testing.T) {
 	if qp := a.ResetTile(0, analysis.TextureHigh); qp != 27 {
 		t.Fatalf("reset QP = %d", qp)
 	}
-	if a.QP(0) != 27 {
+	if a.qps[0] != 27 {
 		t.Fatal("QP not stored")
-	}
-	if a.QP(99) != QPMediumTexture {
-		t.Fatal("unknown tile should fall back to medium default")
 	}
 }
 
 func TestAdaptRaisesQPWhenComfortable(t *testing.T) {
 	a := newAdapter(t)
 	a.ResetTile(0, analysis.TextureMedium) // 32
-	c := a.Constraints()
+	c := a.constraints
 	qp := a.Adapt(0, Measurement{PSNR: c.MinPSNR + c.PSNRMargin + 5}, analysis.TextureMedium)
 	if qp != 33 {
 		t.Fatalf("QP = %d, want 33 (raised)", qp)
@@ -78,7 +75,7 @@ func TestAdaptRaisesQPWhenComfortable(t *testing.T) {
 func TestAdaptLowersQPWhenViolating(t *testing.T) {
 	a := newAdapter(t)
 	a.ResetTile(0, analysis.TextureHigh) // 27
-	c := a.Constraints()
+	c := a.constraints
 	qp := a.Adapt(0, Measurement{PSNR: c.MinPSNR - 3}, analysis.TextureHigh)
 	if qp != 26 {
 		t.Fatalf("QP = %d, want 26 (lowered)", qp)
@@ -94,7 +91,7 @@ func TestAdaptLowersQPWhenViolating(t *testing.T) {
 func TestAdaptInBandRestoresDefault(t *testing.T) {
 	a := newAdapter(t)
 	a.ResetTile(0, analysis.TextureLow) // 37
-	c := a.Constraints()
+	c := a.constraints
 	// Drift up first.
 	a.Adapt(0, Measurement{PSNR: c.MinPSNR + c.PSNRMargin + 5}, analysis.TextureLow)
 	// A measurement inside [const, const+margin] restores the default.
@@ -107,7 +104,7 @@ func TestAdaptInBandRestoresDefault(t *testing.T) {
 func TestAdaptBitratePressureRaisesQP(t *testing.T) {
 	a := newAdapter(t)
 	a.ResetTile(0, analysis.TextureMedium)
-	c := a.Constraints()
+	c := a.constraints
 	// In-band PSNR but bitrate over budget: default would be restored,
 	// then nudged up by one step.
 	qp := a.Adapt(0, Measurement{
@@ -121,7 +118,7 @@ func TestAdaptBitratePressureRaisesQP(t *testing.T) {
 
 func TestAdaptUnseenTileStartsFromDefault(t *testing.T) {
 	a := newAdapter(t)
-	c := a.Constraints()
+	c := a.constraints
 	qp := a.Adapt(7, Measurement{PSNR: c.MinPSNR - 1}, analysis.TextureHigh)
 	if qp != 26 {
 		t.Fatalf("QP = %d, want 27−1", qp)
@@ -135,8 +132,7 @@ func TestAdaptQPAlwaysInExploredRange(t *testing.T) {
 			return false
 		}
 		texture := analysis.TextureClass(int(tex) % 3)
-		a.ResetTile(0, texture)
-		qp := a.QP(0)
+		qp := a.ResetTile(0, texture)
 		for i := 0; i < int(steps%20)+1; i++ {
 			qp = a.Adapt(0, Measurement{
 				PSNR:        float64(psnr%60) + 20,
@@ -159,7 +155,7 @@ func TestAdapterStepConfigurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ResetTile(0, analysis.TextureMedium)
-	c := a.Constraints()
+	c := a.constraints
 	if qp := a.Adapt(0, Measurement{PSNR: c.MinPSNR + c.PSNRMargin + 1}, analysis.TextureMedium); qp != 35 {
 		t.Fatalf("QP = %d, want 35 with step 3", qp)
 	}
@@ -175,9 +171,9 @@ func TestTilesAreIndependent(t *testing.T) {
 	a := newAdapter(t)
 	a.ResetTile(0, analysis.TextureLow)
 	a.ResetTile(1, analysis.TextureHigh)
-	c := a.Constraints()
+	c := a.constraints
 	a.Adapt(0, Measurement{PSNR: c.MinPSNR + c.PSNRMargin + 9}, analysis.TextureLow)
-	if a.QP(1) != 27 {
-		t.Fatalf("tile 1 QP moved to %d when tile 0 adapted", a.QP(1))
+	if a.qps[1] != 27 {
+		t.Fatalf("tile 1 QP moved to %d when tile 0 adapted", a.qps[1])
 	}
 }

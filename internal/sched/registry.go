@@ -122,11 +122,6 @@ var Default = func() *Registry {
 	return r
 }()
 
-// Register adds an allocator to the Default registry.
-func Register(name, description string, fn Allocator) error {
-	return Default.Register(name, description, fn)
-}
-
 // Lookup finds an allocator in the Default registry.
 func Lookup(name string) (Allocator, bool) { return Default.Lookup(name) }
 

@@ -34,9 +34,6 @@ type RebalanceConfig struct {
 	// the shard sheds, with any cool round resetting the count
 	// (default 2).
 	Windows int
-	// MaxMoves caps the sessions shed per trigger (0 = enough to bring
-	// the shard's demand back to the fleet-mean utilization).
-	MaxMoves int
 }
 
 // shedKey identifies one rebalance LUT warm-handoff: the adopting shard
@@ -68,8 +65,8 @@ func validateRebalance(cfg *RebalanceConfig) error {
 	if cfg.Windows == 0 {
 		cfg.Windows = 2
 	}
-	if cfg.Windows < 0 || cfg.MaxMoves < 0 {
-		return fmt.Errorf("serve: rebalance windows %d / max moves %d", cfg.Windows, cfg.MaxMoves)
+	if cfg.Windows < 0 {
+		return fmt.Errorf("serve: rebalance windows %d", cfg.Windows)
 	}
 	return nil
 }
@@ -119,7 +116,7 @@ func (f *Fleet) maybeRebalance(s *shardState) {
 	f.rebalancing++
 	f.mu.Unlock()
 
-	f.shedLoad(s, donor, meanUtil, cfg)
+	f.shedLoad(s, donor, meanUtil)
 
 	f.mu.Lock()
 	f.rebalancing--
@@ -128,14 +125,14 @@ func (f *Fleet) maybeRebalance(s *shardState) {
 }
 
 // shedLoad moves sessions off the donor until its summed core demand is
-// back at the fleet-mean utilization (or MaxMoves is reached, or moving
-// would no longer reduce the imbalance). Victims are picked by demand: the
-// queued session whose core demand comes closest to the remaining overload
-// gap goes first (ties to the newest id — least serving history, least
-// disturbance to the donor's warm working set), so a single heavy session
-// is preferred over shedding many light ones. Runs on the donor's serving
-// goroutine between rounds — the ExportSession contract.
-func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64, cfg *RebalanceConfig) {
+// back at the fleet-mean utilization (or moving would no longer reduce the
+// imbalance). Victims are picked by demand: the queued session whose core
+// demand comes closest to the remaining overload gap goes first (ties to
+// the newest id — least serving history, least disturbance to the donor's
+// warm working set), so a single heavy session is preferred over shedding
+// many light ones. Runs on the donor's serving goroutine between rounds —
+// the ExportSession contract.
+func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64) {
 	// The overload gap in cores: what the donor carries beyond the
 	// fleet-mean utilization of its own capacity. At least one move — the
 	// hot trigger already established the imbalance.
@@ -158,11 +155,7 @@ func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64,
 		}
 	}
 
-	moves := 0
 	for gap > 0 && len(queued) > 0 {
-		if cfg.MaxMoves > 0 && moves >= cfg.MaxMoves {
-			return
-		}
 		// Best gap-closer: minimal |gap − demand|, ties to the newest id.
 		pick := -1
 		for i, v := range queued {
@@ -223,7 +216,6 @@ func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64,
 		f.rebalanced++
 		f.mu.Unlock()
 		gap -= v.demand
-		moves++
 	}
 }
 

@@ -166,9 +166,6 @@ func TestRebalanceConfigValidation(t *testing.T) {
 	if _, err := New(WithRebalance(RebalanceConfig{Factor: 2, Windows: -1})); err == nil {
 		t.Fatal("negative windows accepted")
 	}
-	if _, err := New(WithRebalance(RebalanceConfig{Factor: 2, MaxMoves: -1})); err == nil {
-		t.Fatal("negative max moves accepted")
-	}
 	// Defaults apply on the zero value.
 	f, err := New(WithShards(2), WithRebalance(RebalanceConfig{}))
 	if err != nil {

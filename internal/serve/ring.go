@@ -169,15 +169,23 @@ func WithDemandPlacement(cfg PlacementConfig) Option {
 }
 
 // estimateDemand prices a session's frames into an estimated core demand
-// for placement. Returns 0 when demand-aware placement is off.
-func (f *Fleet) estimateDemand(src core.FrameSource) int {
+// for placement. Returns 0 when demand-aware placement is off. Frame 0 is
+// rendered on the submitter's goroutine, so a source that panics on it (a
+// FrameSource's only way to report an I/O error) is the submission's
+// error, not the caller's crash.
+func (f *Fleet) estimateDemand(src core.FrameSource) (demand int, err error) {
 	cfg := f.opts.placement
 	if cfg == nil {
-		return 0
+		return 0, nil
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: frame 0 of the %s source: panic: %v", src.Class(), r)
+		}
+	}()
 	fr := src.Frame(0)
 	if fr == nil {
-		return 1
+		return 1, nil
 	}
 	fps := src.FPS()
 	if fps <= 0 {
@@ -188,15 +196,15 @@ func (f *Fleet) estimateDemand(src core.FrameSource) int {
 	// as the allocator would.
 	rate := float64(fr.Width()*fr.Height()) * fps
 	th := sched.Thread{TimeFmax: time.Duration(rate / cfg.PixelsPerCore / fps * float64(time.Second))}
-	demand, err := sched.DemandOf(sched.Input{
+	cores, err := sched.DemandOf(sched.Input{
 		Platform: f.proto,
 		FPS:      fps,
 		Users:    []sched.UserDemand{{User: 0, Threads: []sched.Thread{th}}},
 	})
 	if err != nil {
-		return 1
+		return 1, nil
 	}
-	return demand[0]
+	return cores[0], nil
 }
 
 // placeOrder returns the shard indices Submit tries for a session whose

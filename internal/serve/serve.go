@@ -35,9 +35,8 @@ type options struct {
 	platforms []*mpsoc.Platform
 	fps       float64
 
-	registry       *sched.Registry
-	allocator      string
-	shardAllocator map[int]string
+	registry  *sched.Registry
+	allocator string
 
 	admission   core.AdmissionConfig
 	calibration core.CalibrationConfig
@@ -57,9 +56,7 @@ type options struct {
 
 	lutPath string
 
-	capacity    int
-	maxRestarts int
-	replicas    int
+	capacity int
 
 	errs []error
 }
@@ -106,18 +103,6 @@ func WithFPS(fps float64) Option {
 // shard (default sched.NameContentAware).
 func WithAllocator(name string) Option {
 	return func(o *options) { o.allocator = name }
-}
-
-// WithShardAllocator overrides the allocator for one shard — a
-// heterogeneous fleet can run the baseline policy on one platform and
-// Algorithm 2 on the rest, or tests can install a failing policy.
-func WithShardAllocator(shard int, name string) Option {
-	return func(o *options) {
-		if o.shardAllocator == nil {
-			o.shardAllocator = make(map[int]string)
-		}
-		o.shardAllocator[shard] = name
-	}
 }
 
 // WithRegistry resolves allocator names against r instead of
@@ -216,12 +201,9 @@ func WithShardCapacity(n int) Option {
 	return func(o *options) { o.capacity = n }
 }
 
-// WithMaxRestarts bounds how many times Run restarts one shard's failed
-// serving loop before giving the shard up and failing its sessions
-// (default 1).
-func WithMaxRestarts(n int) Option {
-	return func(o *options) { o.maxRestarts = n }
-}
+// maxRestarts bounds how many times one supervise pass restarts a shard's
+// failed serving loop before giving the shard up and failing its sessions.
+const maxRestarts = 1
 
 // Fleet is the multi-shard serving front door. Build with New, feed with
 // SubmitWith, drive with Run, scale with Resize, stop with Close (drain)
@@ -318,12 +300,10 @@ type shardState struct {
 // New validates the options and builds the fleet's shards.
 func New(opts ...Option) (*Fleet, error) {
 	o := options{
-		shards:      1,
-		fps:         24,
-		allocator:   sched.NameContentAware,
-		registry:    sched.Default,
-		maxRestarts: 1,
-		replicas:    RingReplicas,
+		shards:    1,
+		fps:       24,
+		allocator: sched.NameContentAware,
+		registry:  sched.Default,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -350,11 +330,6 @@ func New(opts ...Option) (*Fleet, error) {
 		}
 	}
 	n := len(platforms)
-	for shard := range o.shardAllocator {
-		if shard < 0 || shard >= n {
-			return nil, fmt.Errorf("serve: allocator override for shard %d of %d", shard, n)
-		}
-	}
 
 	// A persisted LUT store seeds every shard with its own deep copy —
 	// shards must not share mutable estimation state, or cross-shard lock
@@ -391,17 +366,13 @@ func New(opts ...Option) (*Fleet, error) {
 		opts:       o,
 		proto:      platforms[0],
 		seed:       seed,
-		ring:       newHashRing(seqMembers(n), o.replicas),
+		ring:       newHashRing(seqMembers(n), RingReplicas),
 		hotRuns:    make(map[int]int),
 		shedMerged: make(map[shedKey]bool),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for i := 0; i < n; i++ {
-		name := o.allocator
-		if over, ok := o.shardAllocator[i]; ok {
-			name = over
-		}
-		shard, err := f.newShardState(i, platforms[i], name)
+		shard, err := f.newShardState(i, platforms[i])
 		if err != nil {
 			return nil, err
 		}
@@ -413,8 +384,8 @@ func New(opts ...Option) (*Fleet, error) {
 // newShardState builds one shard: a core.Server on the given platform
 // with the fleet's configuration and the telemetry hooks wired to the
 // sink dispatch.
-func (f *Fleet) newShardState(index int, platform *mpsoc.Platform, allocName string) (*shardState, error) {
-	alloc, err := f.opts.registry.MustLookup(allocName)
+func (f *Fleet) newShardState(index int, platform *mpsoc.Platform) (*shardState, error) {
+	alloc, err := f.opts.registry.MustLookup(f.opts.allocator)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +473,7 @@ func (f *Fleet) rebuildRingLocked() {
 			members = append(members, s.index)
 		}
 	}
-	f.ring = newHashRing(members, f.opts.replicas)
+	f.ring = newHashRing(members, RingReplicas)
 }
 
 // Shards returns the number of live (routable) shards.
@@ -600,7 +571,10 @@ func (f *Fleet) SubmitWith(req SubmitRequest) (Placement, error) {
 		priority = f.opts.tenancy.Priority(req.Tenant, req.Priority)
 	}
 	cfg := req.Config
-	demand := f.estimateDemand(src)
+	demand, err := f.estimateDemand(src)
+	if err != nil {
+		return Placement{}, fmt.Errorf("serve: submit: %w", err)
+	}
 	if demand > 0 && cfg.DemandHint == 0 {
 		cfg.DemandHint = demand
 	}
@@ -697,7 +671,7 @@ type Report struct {
 // Run supervises every shard's serving loop until all drain (after
 // Close), the context is cancelled, or the shards die. A shard whose
 // loop returns an error is restarted in place — its sessions and LUTs
-// survive, the other shards never notice — up to WithMaxRestarts times;
+// survive, the other shards never notice — up to maxRestarts times;
 // past that the shard is given up: its queue closes, its unserved
 // sessions fail (the sink sees each failure), and the rest of the fleet
 // keeps serving. Resize adds supervisors for grown shards and retires
@@ -847,7 +821,7 @@ func (f *Fleet) startSupervisorLocked(ctx context.Context, s *shardState) {
 }
 
 // supervise drives one shard's serving loop with restart-on-error and
-// drain handling. Each pass has its own budget of WithMaxRestarts
+// drain handling. Each pass has its own budget of maxRestarts
 // restarts; the shard's report counts them all.
 func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 	for restarts := 0; ; restarts++ {
@@ -862,7 +836,7 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 		if err == nil || ctx.Err() != nil {
 			return
 		}
-		if restarts < f.opts.maxRestarts {
+		if restarts < maxRestarts {
 			f.mu.Lock()
 			s.restarts++
 			f.mu.Unlock()
@@ -1054,7 +1028,7 @@ func (f *Fleet) Resize(n int) error {
 		start := len(f.shards)
 		added := make([]*shardState, 0, delta)
 		for i := 0; i < delta; i++ {
-			st, err := f.newShardState(start+i, clonePlatform(f.proto), f.opts.allocator)
+			st, err := f.newShardState(start+i, clonePlatform(f.proto))
 			if err != nil {
 				f.mu.Unlock()
 				return err

@@ -18,6 +18,7 @@ import (
 	"repro/internal/medgen"
 	"repro/internal/mpsoc"
 	"repro/internal/sched"
+	"repro/internal/video"
 	"repro/internal/workload"
 )
 
@@ -228,22 +229,25 @@ func (r *recordingSink) OnSessionRebalanced(e MigrationEvent) {
 // down; the remaining shards finish all of theirs with zero lost GOP
 // reports, and the sink sees the dead shard's failures.
 func TestShardCrashIsolation(t *testing.T) {
+	// Shard 1 is the one platform with 15 cores, and the allocator fails on
+	// exactly that: one policy for the fleet, one shard it always kills.
+	platforms := []*mpsoc.Platform{mpsoc.XeonE5_2667V4(), mpsoc.XeonE5_2667V4(), mpsoc.XeonE5_2667V4()}
+	platforms[1].Cores = 15
 	reg := sched.NewRegistry()
-	if err := reg.Register(sched.NameContentAware, "", sched.AllocateContentAware); err != nil {
-		t.Fatal(err)
-	}
 	boom := errors.New("allocator exploded")
-	if err := reg.Register("crash", "always fails", func(sched.Input) (*sched.Result, error) {
-		return nil, boom
+	if err := reg.Register("crash-15", "fails on the 15-core platform", func(in sched.Input) (*sched.Result, error) {
+		if in.Platform.Cores == 15 {
+			return nil, boom
+		}
+		return sched.AllocateContentAware(in)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	sink := &recordingSink{}
 	f, err := New(
-		WithShards(3),
+		WithPlatforms(platforms...),
 		WithRegistry(reg),
-		WithShardAllocator(1, "crash"),
-		WithMaxRestarts(0),
+		WithAllocator("crash-15"),
 		WithSink(sink),
 	)
 	if err != nil {
@@ -266,10 +270,14 @@ func TestShardCrashIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The dead shard: gave up, sessions aborted as failed.
+	// The dead shard: restarted maxRestarts times, then gave up, sessions
+	// aborted as failed.
 	dead := rep.Shards[1]
 	if dead.Err == nil || !errors.Is(dead.Err, boom) {
 		t.Fatalf("dead shard error %v, want the allocator failure", dead.Err)
+	}
+	if dead.Restarts != maxRestarts {
+		t.Fatalf("dead shard restarted %d times before the give-up, want %d", dead.Restarts, maxRestarts)
 	}
 	if len(dead.Aborted) != perShard[1] || len(dead.Report.Failed) != perShard[1] {
 		t.Fatalf("dead shard aborted %v failed %v, want %d sessions", dead.Aborted, dead.Report.Failed, perShard[1])
@@ -313,6 +321,53 @@ func TestShardCrashIsolation(t *testing.T) {
 	}
 }
 
+// badFirstFrame is a source whose frame 0 cannot be read — the way a
+// core.YUVFileSource reports an I/O error, by panicking.
+type badFirstFrame struct{ core.FrameSource }
+
+func (b badFirstFrame) Frame(n int) *video.Frame {
+	if n == 0 {
+		panic("read frame 0: input/output error")
+	}
+	return b.FrameSource.Frame(n)
+}
+
+// TestSubmitSurvivesPanickingFirstFrame: frame 0 is read on the
+// submitter's goroutine (to size the session, and to price it under
+// demand placement), so a source that panics there must come back as
+// SubmitWith's error — and the fleet serves everyone else to completion.
+func TestSubmitSurvivesPanickingFirstFrame(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"class placement":  {WithShards(2)},
+		"demand placement": {WithShards(2), WithDemandPlacement(PlacementConfig{})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "good", 1, 8), Config: testSessionConfig()}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.SubmitWith(SubmitRequest{Source: badFirstFrame{testSource(t, "bad", 2, 8)}, Config: testSessionConfig()})
+			if err == nil || !strings.Contains(err.Error(), "input/output error") {
+				t.Fatalf("SubmitWith of a source with an unreadable frame 0 returned %v, want the panic as an error", err)
+			}
+			if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "good", 3, 8), Config: testSessionConfig()}); err != nil {
+				t.Fatalf("the fleet refused a good session after the bad one: %v", err)
+			}
+			f.Close()
+			rep, err := f.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Submitted != 2 || rep.Completed != 2 || rep.Failed != 0 || rep.FramesEncoded != 16 {
+				t.Fatalf("report %+v, want the two good sessions submitted and completed", rep)
+			}
+		})
+	}
+}
+
 // TestShardRestartRecovers: a transient serving-loop failure is healed in
 // place — the shard restarts, its sessions survive and complete.
 func TestShardRestartRecovers(t *testing.T) {
@@ -326,7 +381,7 @@ func TestShardRestartRecovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(WithShards(1), WithRegistry(reg), WithAllocator("flaky"), WithMaxRestarts(2))
+	f, err := New(WithShards(1), WithRegistry(reg), WithAllocator("flaky"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +396,8 @@ func TestShardRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := rep.Shards[0]
-	if sr.Restarts != 1 || sr.Err != nil {
-		t.Fatalf("restarts %d err %v, want one clean restart", sr.Restarts, sr.Err)
+	if sr.Restarts != 1 || sr.Restarts > maxRestarts || sr.Err != nil {
+		t.Fatalf("restarts %d err %v, want one clean restart (budget %d)", sr.Restarts, sr.Err, maxRestarts)
 	}
 	if len(sr.Report.Completed) != 2 || sr.Report.GOPReports != 4 || sr.Report.FramesEncoded != 16 {
 		t.Fatalf("post-restart report %+v — sessions did not survive the restart", sr.Report)
@@ -420,7 +475,7 @@ func churnDirect(t *testing.T) (*core.ServiceReport, []*core.GOPOutcome) {
 	srv, err = core.NewServer(core.ServerConfig{
 		Platform:    mpsoc.XeonE5_2667V4(),
 		FPS:         24,
-		Calibration: core.CalibrationConfig{Enabled: true, Alpha: 0.6},
+		Calibration: core.CalibrationConfig{Enabled: true},
 		OnRound: func(out *core.GOPOutcome) {
 			outs = append(outs, out)
 			switch out.Round {
@@ -481,7 +536,7 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 	var err error
 	f, err = New(
 		WithShards(1),
-		WithCalibration(core.CalibrationConfig{Enabled: true, Alpha: 0.6}),
+		WithCalibration(core.CalibrationConfig{Enabled: true}),
 		WithSink(sink),
 		WithRoundHook(func(_ int, out *core.GOPOutcome) {
 			switch out.Round {
@@ -643,9 +698,6 @@ func TestFleetRunContract(t *testing.T) {
 	}
 	if _, err := New(WithAllocator("no-such-policy")); err == nil {
 		t.Fatal("unknown allocator accepted")
-	}
-	if _, err := New(WithShards(2), WithShardAllocator(5, sched.NameBaseline)); err == nil {
-		t.Fatal("out-of-range shard allocator accepted")
 	}
 	f, err := New(WithShards(1))
 	if err != nil {

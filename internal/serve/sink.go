@@ -239,7 +239,6 @@ type RingSink struct {
 	rebalances    int
 	shardsAdded   int
 	shardsRemoved int
-	placements    int
 }
 
 // ringShard is one shard's slice of the event stream.
@@ -250,7 +249,6 @@ type ringShard struct {
 	imported int
 	states   map[int]core.SessionState // session → latest state
 	errs     map[int]error
-	load     core.LoadReport // as of the latest settled round
 }
 
 // NewRingSink builds a sink retaining the last capacity round outcomes
@@ -301,11 +299,7 @@ func (s *RingSink) OnSessionStateChange(e SessionEvent) {
 	}
 }
 
-func (s *RingSink) OnSessionPlaced(PlacementEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.placements++
-}
+func (s *RingSink) OnSessionPlaced(PlacementEvent) {}
 
 func (s *RingSink) OnRoundMetrics(e RoundEvent) {
 	s.mu.Lock()
@@ -313,7 +307,6 @@ func (s *RingSink) OnRoundMetrics(e RoundEvent) {
 	sh := s.shard(e.Shard)
 	sh.rounds++
 	sh.energy.Add(e.Outcome.Energy)
-	sh.load = e.Load
 	if len(s.outcomes) < s.capacity {
 		s.outcomes = append(s.outcomes, e.Outcome)
 	} else {
@@ -363,25 +356,6 @@ func (s *RingSink) Rebalances() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rebalances
-}
-
-// Placements reports how many session-placement decisions the sink saw
-// (one per successful SubmitWith).
-func (s *RingSink) Placements() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.placements
-}
-
-// ShardLoad reports the shard's latest load report (utilization included)
-// as of its most recent settled round, and whether one was seen.
-func (s *RingSink) ShardLoad(shard int) (core.LoadReport, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if shard < 0 || shard >= len(s.shards) {
-		return core.LoadReport{}, false
-	}
-	return s.shards[shard].load, s.shards[shard].rounds > 0
 }
 
 // Resizes reports how many shards were added and removed.
@@ -450,7 +424,7 @@ func (s *RingSink) Outcomes() []*core.GOPOutcome {
 	return ordered
 }
 
-// JSONLPolicy selects what a buffered JSONLSink does when its buffer is
+// JSONLPolicy selects what a JSONLSink does when its buffer is
 // full: block the serving goroutine until the writer catches up (no data
 // loss) or drop the line and count it (no serving stall, ever).
 type JSONLPolicy int
@@ -469,18 +443,13 @@ const (
 // Events are flattened to stable scalar fields (no frame payloads, no
 // pointers), so lines stay small and parseable regardless of GOP size.
 //
-// NewJSONLSink writes synchronously under a lock: simple, lossless, and
-// fine for a file — but a slow writer (a blocking network pipe) holds
-// the lock, and through the fleet's serialized sink dispatch that stalls
-// every serving goroutine. NewBufferedJSONLSink decouples them: events
-// marshal on the serving goroutine into a bounded buffer a dedicated
-// writer goroutine drains, with a JSONLPolicy choosing block-or-drop
-// when the buffer fills. Call Close to flush and stop the writer.
+// A writer called from the event callbacks would hold the fleet's
+// serialized sink dispatch for as long as it blocks (a slow network pipe
+// stalls every serving goroutine), so the sink is buffered: events marshal
+// on the serving goroutine into a bounded buffer a dedicated writer
+// goroutine drains, with a JSONLPolicy choosing block-or-drop when the
+// buffer fills. Call Close to flush and stop the writer.
 type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder // synchronous mode (nil when buffered)
-
-	// Buffered mode.
 	lines     chan []byte
 	drop      bool
 	dropped   atomic.Uint64
@@ -490,15 +459,9 @@ type JSONLSink struct {
 	werr      error // writer goroutine's first error; read after done
 }
 
-// NewJSONLSink streams events to w synchronously (each line written
-// under a lock before the event callback returns).
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
 // NewBufferedJSONLSink streams events to w through a bounded buffer of
 // depth lines (minimum 1) drained by a writer goroutine, so a slow
-// writer no longer stalls serving through the sink lock. policy picks
+// writer does not stall serving through the sink lock. policy picks
 // block-or-drop on a full buffer; dropped lines are counted (Dropped).
 // Close flushes the buffer, stops the writer and returns its first
 // write error.
@@ -526,20 +489,16 @@ func NewBufferedJSONLSink(w io.Writer, depth int, policy JSONLPolicy) *JSONLSink
 	return s
 }
 
-// Close flushes a buffered sink and stops its writer goroutine,
-// returning the writer's first error. On a synchronous sink it is a
-// no-op. No event may be delivered after Close.
+// Close flushes the buffer and stops the writer goroutine, returning the
+// writer's first error. No event may be delivered after Close.
 func (s *JSONLSink) Close() error {
-	if s.lines == nil {
-		return nil
-	}
 	s.closeOnce.Do(func() { close(s.lines) })
 	<-s.done
 	return s.werr
 }
 
-// Dropped reports how many lines a buffered JSONLDrop sink discarded
-// because the writer could not keep up.
+// Dropped reports how many lines a JSONLDrop sink discarded because the
+// writer could not keep up.
 func (s *JSONLSink) Dropped() uint64 { return s.dropped.Load() }
 
 // finiteOr0 clamps a non-finite float to 0: encoding/json refuses to
@@ -553,14 +512,8 @@ func finiteOr0(x float64) float64 {
 	return x
 }
 
-// emit routes one event line through the configured mode.
+// emit queues one event line for the writer, under the sink's policy.
 func (s *JSONLSink) emit(v any) {
-	if s.lines == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_ = s.enc.Encode(v)
-		return
-	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return

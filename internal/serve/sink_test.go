@@ -21,7 +21,8 @@ import (
 // whole lifecycle.
 func TestJSONLSinkStreamsParseableEvents(t *testing.T) {
 	var buf bytes.Buffer
-	f, err := New(WithShards(1), WithSink(NewJSONLSink(&buf)))
+	sink := NewBufferedJSONLSink(&buf, 16, JSONLBlock)
+	f, err := New(WithShards(1), WithSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +31,9 @@ func TestJSONLSinkStreamsParseableEvents(t *testing.T) {
 	}
 	f.Close()
 	if _, err := f.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 

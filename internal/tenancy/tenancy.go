@@ -230,6 +230,11 @@ type Config struct {
 	Tenants []Tenant `json:"tenants"`
 }
 
+// maxWeight bounds a configured weight: the allocator sums the competing
+// tenants' weights and multiplies them by core counts, and a config file
+// must not be able to overflow either.
+const maxWeight = 1 << 20
+
 // Parse reads a Config and builds its registry.
 func Parse(r io.Reader) (*Registry, error) {
 	var cfg Config
@@ -246,6 +251,9 @@ func Parse(r io.Reader) (*Registry, error) {
 		seen[id] = true
 		if t.Weight < 0 || t.Rate < 0 || t.Burst < 0 {
 			return nil, fmt.Errorf("tenancy: tenant %q: negative weight/rate/burst", t.ID)
+		}
+		if t.Weight > maxWeight {
+			return nil, fmt.Errorf("tenancy: tenant %q: weight %d above %d", t.ID, t.Weight, maxWeight)
 		}
 	}
 	return NewRegistry(cfg.Tenants...), nil

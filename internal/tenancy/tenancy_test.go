@@ -1,6 +1,7 @@
 package tenancy
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -107,7 +108,51 @@ func TestParseConfig(t *testing.T) {
 	if _, err := Parse(strings.NewReader(`{"tenants":[{"id":"a","weight":-1}]}`)); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	// Three such weights sum to zero in 64 bits — the allocator's divisor.
+	if _, err := Parse(strings.NewReader(`{"tenants":[{"id":"a","weight":9223372036854775807}]}`)); err == nil {
+		t.Fatal("a weight that overflows the allocator's sums accepted")
+	}
 	if _, err := Parse(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("malformed config accepted")
 	}
+}
+
+// FuzzTenancyParse: a tenants config is operator input read at start-up.
+// Whatever the bytes, Parse returns an error or a registry every layer can
+// use as is — no panic, no more tenants than the input could spell, and
+// weights that sum without overflow (sched.ApportionCores divides by the
+// sum).
+func FuzzTenancyParse(f *testing.F) {
+	f.Add([]byte(`{"tenants":[{"id":"batch","weight":3,"rate":2.5},{"id":"er","weight":1,"priority":9}]}`))
+	f.Add([]byte(`{"tenants":[{"id":"default","rate":0.5,"burst":2},{"id":"","weight":2}]}`))
+	f.Add([]byte(`{"tenants":[{"id":"a","weight":9223372036854775807},{"id":"b","weight":9223372036854775807},{"id":"c","weight":2}]}`))
+	f.Add([]byte(`{"tenants":[{"id":"a","rate":1e308,"burst":-1}]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		ids := reg.Tenants()
+		if len(ids) > len(data) {
+			t.Fatalf("%d tenants out of %d bytes", len(ids), len(data))
+		}
+		wsum := 0
+		for _, id := range ids {
+			p := reg.Lookup(id)
+			if p.Weight < 1 || p.Rate < 0 || (p.Rate > 0 && p.Burst < 1) {
+				t.Fatalf("tenant %q parsed to an unusable policy %+v", id, p)
+			}
+			if wsum += p.Weight; wsum < p.Weight {
+				t.Fatalf("weights overflow at tenant %q (%d)", id, p.Weight)
+			}
+			if err := reg.Admit(id); err != nil && !errors.Is(err, ErrRateLimited) {
+				t.Fatalf("Admit(%q): %v", id, err)
+			}
+			reg.Priority(id, 0)
+		}
+		if got := reg.WithoutRates().Tenants(); len(got) != len(ids) {
+			t.Fatalf("WithoutRates kept %d of %d tenants", len(got), len(ids))
+		}
+	})
 }

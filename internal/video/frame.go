@@ -32,7 +32,7 @@ func NewFrame(w, h int) *Frame {
 
 // Reset clears the frame's metadata (Number, PTS) so a recycled buffer
 // starts like a fresh NewFrame. Pixel data is left untouched: a reuser
-// must either overwrite every sample it later reads or call Zero. Pools
+// must overwrite every sample it later reads. Pools
 // (e.g. the encoder's reconstruction recycling) rely on this being cheap.
 func (f *Frame) Reset() {
 	f.Number = 0
@@ -50,11 +50,6 @@ func (f *Frame) Width() int { return f.Y.W }
 
 // Height returns the luma height.
 func (f *Frame) Height() int { return f.Y.H }
-
-// Clone deep-copies the frame.
-func (f *Frame) Clone() *Frame {
-	return &Frame{Y: f.Y.Clone(), Cb: f.Cb.Clone(), Cr: f.Cr.Clone(), Number: f.Number, PTS: f.PTS}
-}
 
 // WriteYUV appends the frame in planar I420 layout (Y then Cb then Cr,
 // compact rows) to w, e.g. for inspection with external raw-YUV players.
@@ -108,14 +103,6 @@ func NewSequence(fps float64, frames ...*Frame) *Sequence {
 		}
 	}
 	return s
-}
-
-// Duration returns the sequence duration in seconds.
-func (s *Sequence) Duration() float64 {
-	if s.FPS <= 0 {
-		return 0
-	}
-	return float64(len(s.Frames)) / s.FPS
 }
 
 // Validate checks that all frames share one geometry.

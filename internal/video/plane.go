@@ -63,18 +63,6 @@ func (p *Plane) MustSubPlane(x, y, w, h int) *Plane {
 	return sp
 }
 
-// Zero clears every sample, returning a recycled plane to the state
-// NewPlane allocates. It is the explicit-scrub half of the reuse contract;
-// callers that provably overwrite the full plane may skip it.
-func (p *Plane) Zero() {
-	for y := 0; y < p.H; y++ {
-		row := p.Row(y)
-		for x := range row {
-			row[x] = 0
-		}
-	}
-}
-
 // Fill sets every sample to v.
 func (p *Plane) Fill(v uint8) {
 	for y := 0; y < p.H; y++ {
@@ -94,18 +82,6 @@ func (p *Plane) CopyFrom(src *Plane) error {
 		copy(p.Row(y), src.Row(y))
 	}
 	return nil
-}
-
-// Mean returns the average sample value.
-func (p *Plane) Mean() float64 {
-	var sum uint64
-	for y := 0; y < p.H; y++ {
-		row := p.Row(y)
-		for _, v := range row {
-			sum += uint64(v)
-		}
-	}
-	return float64(sum) / float64(p.W*p.H)
 }
 
 // MeanStddev returns the mean and (population) standard deviation of the

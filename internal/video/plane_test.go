@@ -311,7 +311,7 @@ func TestNewFramePanicsOnOddSize(t *testing.T) {
 	NewFrame(15, 8)
 }
 
-func TestSequenceNumbersAndDuration(t *testing.T) {
+func TestSequenceNumbersAndPTS(t *testing.T) {
 	s := NewSequence(24, NewFrame(4, 4), NewFrame(4, 4), NewFrame(4, 4))
 	if s.Frames[2].Number != 2 {
 		t.Fatalf("frame 2 number = %d", s.Frames[2].Number)
@@ -319,8 +319,8 @@ func TestSequenceNumbersAndDuration(t *testing.T) {
 	if math.Abs(s.Frames[1].PTS-1.0/24) > 1e-12 {
 		t.Fatalf("frame 1 PTS = %v", s.Frames[1].PTS)
 	}
-	if math.Abs(s.Duration()-3.0/24) > 1e-12 {
-		t.Fatalf("duration = %v", s.Duration())
+	if math.Abs(s.Frames[2].PTS-2.0/24) > 1e-12 {
+		t.Fatalf("last frame PTS = %v", s.Frames[2].PTS)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -62,15 +62,12 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 			if got, want := back.Estimate(k), orig.Estimate(k); got != want {
 				t.Fatalf("%s %v: estimate %v, want %v", class, k, got, want)
 			}
-			oh, _ := orig.Histogram(k)
-			bh, ok := back.Histogram(k)
+			bh, ok := back.m[k]
 			if !ok {
 				t.Fatalf("%s %v: histogram lost", class, k)
 			}
-			for i := range oh {
-				if oh[i] != bh[i] {
-					t.Fatalf("%s %v: bin %d is %d, want %d", class, k, i, bh[i], oh[i])
-				}
+			if oh := orig.m[k]; oh.bins != bh.bins {
+				t.Fatalf("%s %v: bins %v, want %v", class, k, bh.bins, oh.bins)
 			}
 		}
 		// An unknown key exercises the nearest-key and fallback paths.

@@ -384,19 +384,6 @@ func (l *LUT) Observations() uint64 {
 	return l.fallbackCount
 }
 
-// Histogram returns a copy of the per-bin counts for a key (for traces).
-func (l *LUT) Histogram(k Key) ([]uint64, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	h, ok := l.m[k]
-	if !ok {
-		return nil, false
-	}
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins[:])
-	return out, true
-}
-
 // Store keeps one LUT per body-part class so concurrent transcoding
 // sessions of the same class share and jointly refine one table.
 type Store struct {

@@ -113,19 +113,19 @@ func TestHistogramBins(t *testing.T) {
 	l.Observe(k, 3*time.Microsecond)   // bin 1 (2–4 µs)
 	l.Observe(k, 1*time.Millisecond)   // bin ~9/10
 	l.Observe(k, 900*time.Microsecond) // near the previous bin
-	bins, ok := l.Histogram(k)
+	h, ok := l.m[k]
 	if !ok {
 		t.Fatal("histogram missing")
 	}
 	var total uint64
-	for _, c := range bins {
+	for _, c := range h.bins {
 		total += c
 	}
 	if total != 3 {
 		t.Fatalf("histogram holds %d observations, want 3", total)
 	}
-	if _, ok := l.Histogram(MakeKey(1, 0, 0, 22, 8)); ok {
-		t.Fatal("unknown key returned a histogram")
+	if _, ok := l.m[MakeKey(1, 0, 0, 22, 8)]; ok {
+		t.Fatal("unknown key grew a histogram")
 	}
 }
 
