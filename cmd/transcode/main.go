@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -70,7 +71,6 @@ type options struct {
 
 	minShards, maxShards int
 	targetUtil           float64
-	scaleWindow          int
 	resizeAt             string
 	stagger              int
 	shardSessions        int
@@ -82,7 +82,6 @@ type options struct {
 
 	hotClass  string
 	rebFactor float64
-	rebWindow int
 
 	metricsAddr  string
 	metricsGrace time.Duration
@@ -127,7 +126,6 @@ func main() {
 	flag.IntVar(&o.minShards, "min-shards", 0, "autoscaler floor (0 = -shards); the fleet never shrinks below this")
 	flag.IntVar(&o.maxShards, "max-shards", 0, "autoscaler ceiling (0 = -shards); the fleet never grows beyond this")
 	flag.Float64Var(&o.targetUtil, "target-util", 0.75, "autoscaler target demand-normalized utilization (summed core demand over summed capacity)")
-	flag.IntVar(&o.scaleWindow, "scale-window", 2, "consecutive saturated/idle observations before the autoscaler resizes")
 	flag.StringVar(&o.resizeAt, "resize-at", "", "forced resize schedule ROUND:SHARDS[,ROUND:SHARDS...] on total fleet rounds (e.g. 6:4,14:3)")
 	flag.IntVar(&o.stagger, "stagger", 0, "submit one user every N fleet rounds instead of all upfront (0 = upfront)")
 	flag.IntVar(&o.shardSessions, "shard-sessions", 0, "cap each shard's live sessions for routing; overflow spills to the least-utilized shard (0 = even share of the users)")
@@ -138,7 +136,6 @@ func main() {
 
 	flag.StringVar(&o.hotClass, "hot-class", "", "give every user this body-part class (skews the class routing onto one shard)")
 	flag.Float64Var(&o.rebFactor, "rebalance-factor", 0, "shed a shard whose utilization exceeds this multiple of the fleet mean (0 = rebalancing off, must be > 1)")
-	flag.IntVar(&o.rebWindow, "rebalance-window", 2, "consecutive hot rounds before a shard sheds sessions")
 
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a Prometheus /metrics endpoint on ADDR (e.g. 127.0.0.1:9090) during fleet runs")
 	flag.DurationVar(&o.metricsGrace, "metrics-grace", 0, "keep the /metrics endpoint up this long after the run drains (for a final scrape)")
@@ -284,14 +281,24 @@ func main() {
 }
 
 // checkCounts refuses, before any mode runs, the counts a mode would
-// divide by or loop to: -shards sizes the fleet and the per-shard session
-// cap, and a staggered run closes its queue on reaching -users.
+// divide by or loop to — -shards sizes the fleet and the per-shard session
+// cap, and a staggered run closes its queue on reaching -users — and the
+// control knobs a NaN, infinity or negative value would silently switch
+// off: each is only applied when "> 0", which NaN fails.
 func (o options) checkCounts() error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards %d: need at least one shard", o.shards)
 	}
 	if o.users < 1 {
 		return fmt.Errorf("-users %d: need at least one user", o.users)
+	}
+	for _, k := range []struct {
+		flag string
+		v    float64
+	}{{"-rebalance-factor", o.rebFactor}, {"-target-util", o.targetUtil}, {"-pixels-per-core", o.pixPerCore}} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			return fmt.Errorf("%s %v: need a finite, non-negative value", k.flag, k.v)
+		}
 	}
 	return nil
 }
@@ -641,7 +648,6 @@ func serveFleet(ctx context.Context, o options) error {
 			MinShards:  o.minShards,
 			MaxShards:  o.maxShards,
 			TargetUtil: o.targetUtil,
-			Window:     o.scaleWindow,
 			Schedule:   forced,
 			OnResize: func(from, to int, reason string) {
 				fmt.Printf("autoscaler: resizing fleet %d → %d shards (%s)\n", from, to, reason)
@@ -652,10 +658,7 @@ func serveFleet(ctx context.Context, o options) error {
 		}))
 	}
 	if o.rebFactor > 0 {
-		fleetOptions = append(fleetOptions, serve.WithRebalance(serve.RebalanceConfig{
-			Factor:  o.rebFactor,
-			Windows: o.rebWindow,
-		}))
+		fleetOptions = append(fleetOptions, serve.WithRebalance(serve.RebalanceConfig{Factor: o.rebFactor}))
 	}
 	if sink != nil {
 		fleetOptions = append(fleetOptions, serve.WithSink(sink))

@@ -25,12 +25,23 @@ func TestMain(m *testing.M) {
 
 // TestBadCountsExitOne: a count the fleet would divide by is refused up
 // front with one line on stderr and exit status 1 (-shards 0 used to panic
-// with an integer divide by zero).
+// with an integer divide by zero), and so is a control knob a NaN,
+// infinity or negative value would silently switch off (-rebalance-factor
+// NaN used to run a whole fleet without rebalancing).
 func TestBadCountsExitOne(t *testing.T) {
+	// A tiny fleet run, so a knob that is wrongly accepted fails fast.
+	fleet := []string{"-users", "2", "-shards", "2", "-frames", "4", "-width", "192", "-height", "192", "-sink", "none"}
 	for _, args := range [][]string{
 		{"-shards", "0", "-users", "2"},
 		{"-shards", "-3", "-users", "2"},
 		{"-shards", "2", "-users", "0", "-stagger", "1"},
+		append([]string{"-rebalance-factor", "NaN"}, fleet...),
+		append([]string{"-rebalance-factor", "-1"}, fleet...),
+		append([]string{"-rebalance-factor", "+Inf"}, fleet...),
+		append([]string{"-target-util", "NaN"}, fleet...),
+		append([]string{"-target-util", "-0.5"}, fleet...),
+		append([]string{"-pixels-per-core", "NaN"}, fleet...),
+		append([]string{"-pixels-per-core", "+Inf"}, fleet...),
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "TRANSCODE_RUN_MAIN=1")

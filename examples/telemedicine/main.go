@@ -110,15 +110,14 @@ func main() {
 		serve.WithSink(ring),
 		serve.WithMetrics(msink),
 		// The fleet scales itself: when the consultations' summed core
-		// demand pushes the fleet past TargetUtil of its capacity for
-		// Window consecutive rounds, a third shard opens; once the demand
+		// demand pushes the fleet past TargetUtil of its capacity for two
+		// consecutive rounds, a third shard opens; once the demand
 		// would again fit within TargetUtil on two shards, the extra shard
 		// drains — live consultations migrate at a GOP boundary.
 		serve.WithAutoscale(serve.AutoscaleConfig{
 			MinShards:  2,
 			MaxShards:  3,
 			TargetUtil: 0.75,
-			Window:     1,
 			OnResize: func(from, to int, reason string) {
 				if to > from {
 					fmt.Printf("   ⇡ opening shard %d → %d (%s)\n", from, to, reason)
@@ -130,7 +129,7 @@ func main() {
 		}),
 		// And a shard one popular body part made hot sheds consultations
 		// to its idle peers without changing the fleet's size.
-		serve.WithRebalance(serve.RebalanceConfig{Factor: 1.5, Windows: 2}),
+		serve.WithRebalance(serve.RebalanceConfig{Factor: 1.5}),
 		serve.WithRoundHook(func(shard int, out *core.GOPOutcome) {
 			fmt.Printf("shard %d round %2d: served %d users on %d cores, %.1f W",
 				shard, out.Round, len(out.AdmittedUsers), out.Allocation.CoresUsed, out.Energy.AvgPowerW)

@@ -527,6 +527,57 @@ func TestMasterRoutesByRing(t *testing.T) {
 	}
 }
 
+// TestMasterRouteOrder pins the master's candidate order, the fleet's
+// serve.PlacementOrder over one summed load report per agent: the class's
+// ring home first, a dead agent never, then ascending utilization with
+// equal loads tie-broken by name.
+func TestMasterRouteOrder(t *testing.T) {
+	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := func(demands ...int) []core.LoadReport {
+		var out []core.LoadReport
+		for _, d := range demands {
+			out = append(out, core.LoadReport{Sessions: d, DemandCores: d, CapacityCores: 16, Util: float64(d) / 16, Alive: true})
+		}
+		return out
+	}
+	for _, a := range []*agentState{
+		{name: "node-c", loads: shards(2, 0)}, // 2/32, registered first
+		{name: "node-a", loads: shards(6, 2)}, // 8/32
+		{name: "node-d", loads: shards(0), dead: true},
+		{name: "node-b", loads: append(shards(1, 1), core.LoadReport{})}, // 2/32; the dead shard adds nothing
+	} {
+		a.url = "http://" + a.name
+		m.agents[a.name] = a
+	}
+	m.rebuildRingLocked()
+	homedOn := func(agent string) string {
+		for i := 0; ; i++ {
+			if class := fmt.Sprintf("class-%d", i); m.ring.MemberFor(class) == agent {
+				return class
+			}
+		}
+	}
+	for _, tc := range []struct{ home, want string }{
+		{"node-a", "[node-a node-b node-c]"},
+		{"node-b", "[node-b node-c node-a]"},
+		{"node-c", "[node-c node-b node-a]"},
+	} {
+		var got []string
+		for _, c := range m.route(homedOn(tc.home)) {
+			if c.url != "http://"+c.name {
+				t.Fatalf("candidate %+v carries another agent's URL", c)
+			}
+			got = append(got, c.name)
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("class homed on %s: candidates %v, want %s", tc.home, got, tc.want)
+		}
+	}
+}
+
 // TestAgentExportImportRoundTrip drives the agent-level live-migration
 // handshake over real HTTP: a session checkpointed mid-stream on one
 // agent is destructively exported at a GOP boundary and imported into a

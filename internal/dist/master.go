@@ -73,24 +73,6 @@ type agentState struct {
 	rejected    int
 }
 
-// util is the node-wide demand-normalized utilization — the same load
-// signal the in-process dispatcher routes by, summed over the agent's
-// shards.
-func (a *agentState) util() float64 {
-	demand, capacity := 0, 0
-	for _, r := range a.loads {
-		if !r.Alive {
-			continue
-		}
-		demand += r.DemandCores
-		capacity += r.CapacityCores
-	}
-	if capacity == 0 {
-		return 0
-	}
-	return float64(demand) / float64(capacity)
-}
-
 // Master is the fleet's cross-process dispatcher and supervisor: agents
 // register through heartbeats, submissions route over the consistent
 // hash of the workload class across agent names (least-loaded fallback),
@@ -219,42 +201,28 @@ type candidate struct {
 	url  string
 }
 
-// candidatesFor orders the live agents for a class: its consistent-hash
-// home first — registration order must not matter, only the name-keyed
-// ring — then the rest by ascending utilization, name-tiebroken.
-func (m *Master) candidatesFor(class string) []candidate {
+// route orders the live agents for a class with the fleet's own
+// placement order (serve.PlacementOrder): one summed load report per
+// agent, in name order, Alive unless the agent is declared dead, and the
+// class's consistent-hash home first — registration order must not
+// matter, only the name-keyed ring — then the rest by ascending
+// utilization, ties to fewer sessions, then the name.
+func (m *Master) route(class string) []candidate {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	home := m.ring.MemberFor(class)
-	type scored struct {
-		candidate
-		util float64
-	}
-	var rest []scored
-	var first *candidate
-	for name, a := range m.agents {
-		if a.dead {
-			continue
+	names := m.sortedNamesLocked()
+	loads := make([]core.LoadReport, len(names))
+	home, homeName := -1, m.ring.MemberFor(class)
+	for i, name := range names {
+		loads[i] = serve.SumLoads(m.agents[name].loads)
+		loads[i].Alive = !m.agents[name].dead
+		if name == homeName {
+			home = i
 		}
-		c := candidate{name: a.name, url: a.url}
-		if name == home {
-			first = &c
-			continue
-		}
-		rest = append(rest, scored{candidate: c, util: a.util()})
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].util != rest[j].util {
-			return rest[i].util < rest[j].util
-		}
-		return rest[i].name < rest[j].name
-	})
-	out := make([]candidate, 0, len(rest)+1)
-	if first != nil {
-		out = append(out, *first)
-	}
-	for _, s := range rest {
-		out = append(out, s.candidate)
+	var out []candidate
+	for _, i := range serve.PlacementOrder(loads, home, 0, 0) {
+		out = append(out, candidate{name: names[i], url: m.agents[names[i]].url})
 	}
 	return out
 }
@@ -321,7 +289,7 @@ func (m *Master) failover(ctx context.Context, dead deadSnapshot) {
 	shipped := make(map[string]bool)
 	for _, wire := range dead.checkpoints {
 		placed := false
-		for _, target := range m.candidatesFor(wire.Class) {
+		for _, target := range m.route(wire.Class) {
 			req := ImportRequest{Version: ProtocolVersion, Session: wire}
 			if !shipped[target.name] {
 				req.LUTs = dead.luts
@@ -430,7 +398,7 @@ func (m *Master) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var lastErr error
-	for _, target := range m.candidatesFor(req.Source.Class) {
+	for _, target := range m.route(req.Source.Class) {
 		var resp SubmitResponse
 		if err := m.client.PostJSON(r.Context(), target.url+"/v1/submit", req, &resp); err != nil {
 			lastErr = err

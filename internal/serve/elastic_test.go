@@ -24,16 +24,16 @@ func classHomedOn(t *testing.T, f *Fleet, shard int) string {
 	return ""
 }
 
-// soloDigests serves one session alone on a bare server and returns its
+// soloDigests serves one source alone on a bare server and returns its
 // per-GOP bitstream digests — the ground truth a migrated run of the
 // same source must reproduce bit for bit.
-func soloDigests(t *testing.T, class string, seed int64, frames int) []uint64 {
+func soloDigests(t *testing.T, src core.FrameSource) []uint64 {
 	t.Helper()
 	srv, err := core.NewServer(core.ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(testSource(t, class, seed, frames), testSessionConfig()); err != nil {
+	if _, err := srv.Submit(src, testSessionConfig()); err != nil {
 		t.Fatal(err)
 	}
 	outs, err := srv.ServeAll(64)
@@ -219,7 +219,7 @@ func TestFleetElasticChurn(t *testing.T) {
 	// Bit-identity: the victim's digest chain across both shards equals
 	// the same session served solo.
 	got, frames := stitchDigests(sink, 3, victimID)
-	want := soloDigests(t, victimClass, 7, victimFrames)
+	want := soloDigests(t, testSource(t, victimClass, 7, victimFrames))
 	if frames != victimFrames {
 		t.Fatalf("victim frames across shards %d, want %d", frames, victimFrames)
 	}

@@ -52,7 +52,8 @@ func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 	if snap == nil || snap.Session == nil {
 		return Placement{}, errors.New("serve: import of nil snapshot")
 	}
-	p, err := f.adopt(snap, -1, f.placeOrder(f.HomeShard(snap.Class), 0), Sink.OnSessionMigrated)
+	order := PlacementOrder(f.Loads(), f.HomeShard(snap.Class), 0, f.opts.capacity)
+	p, err := f.adopt(snap, -1, order, Sink.OnSessionMigrated)
 	if err != nil {
 		return Placement{}, fmt.Errorf("serve: import: %w", err)
 	}

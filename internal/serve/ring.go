@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // The fleet routes a session to a shard by consistent-hashing its
@@ -119,157 +115,6 @@ func (r *hashRing) shardFor(key string) int {
 		return -1
 	}
 	return r.index[name]
-}
-
-// Demand-aware placement (DESIGN.md §7). The ring alone routes by class
-// — good for LUT warmth, blind to weight: a 4K class whose arc lands on a
-// 4-core shard would pile demand it can never serve while a 32-core peer
-// idles. WithDemandPlacement adds the capability/demand-aware layer on
-// top: Submit prices the session's pixel rate into an estimated core
-// demand (through sched.DemandOf, the same Algorithm-2 line 1 the
-// allocator applies after admission) and places it by that demand against
-// every shard's LoadReport — home first if the session fits there,
-// otherwise best-fit over the shards with room (smallest free capacity
-// that still takes it, so small shards saturate and big shards keep their
-// headroom for the classes that need it), and only then
-// lowest-utilization spill.
-
-// defaultPixelsPerCore is the default placement price: how many luma
-// pixels per second one core is assumed to transcode. The estimate only
-// steers placement — admission re-prices every session from its measured
-// LUTs — so the price needs the right order of magnitude, not accuracy.
-const defaultPixelsPerCore = 2e6
-
-// PlacementConfig parametrizes demand-aware placement
-// (WithDemandPlacement).
-type PlacementConfig struct {
-	// PixelsPerCore converts a session's luma pixel rate (width × height
-	// × FPS) into an estimated core demand: demand = ceil(rate /
-	// PixelsPerCore), never below one core (0 → 2e6).
-	PixelsPerCore float64
-}
-
-// WithDemandPlacement turns on demand-aware placement: Submit estimates
-// each arriving session's core demand from its pixel rate and steers it
-// to a shard with the capacity to serve it (see the package notes above),
-// seeding the shard's LoadReport with the estimate so back-to-back
-// submissions see each other's weight. Without this option placement is
-// purely class-home with lowest-utilization fallback.
-func WithDemandPlacement(cfg PlacementConfig) Option {
-	return func(o *options) {
-		if cfg.PixelsPerCore == 0 {
-			cfg.PixelsPerCore = defaultPixelsPerCore
-		}
-		if !(cfg.PixelsPerCore > 0) { // NaN-safe
-			o.errs = append(o.errs, fmt.Errorf("serve: placement pixels per core %v", cfg.PixelsPerCore))
-			return
-		}
-		o.placement = &cfg
-	}
-}
-
-// estimateDemand prices a session's frames into an estimated core demand
-// for placement. Returns 0 when demand-aware placement is off. Frame 0 is
-// rendered on the submitter's goroutine, so a source that panics on it (a
-// FrameSource's only way to report an I/O error) is the submission's
-// error, not the caller's crash.
-func (f *Fleet) estimateDemand(src core.FrameSource) (demand int, err error) {
-	cfg := f.opts.placement
-	if cfg == nil {
-		return 0, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: frame 0 of the %s source: panic: %v", src.Class(), r)
-		}
-	}()
-	fr := src.Frame(0)
-	if fr == nil {
-		return 1, nil
-	}
-	fps := src.FPS()
-	if fps <= 0 {
-		fps = f.opts.fps
-	}
-	// One synthetic thread whose slot utilization is the session's pixel
-	// rate over the placement price; DemandOf ceils it into cores exactly
-	// as the allocator would.
-	rate := float64(fr.Width()*fr.Height()) * fps
-	th := sched.Thread{TimeFmax: time.Duration(rate / cfg.PixelsPerCore / fps * float64(time.Second))}
-	cores, err := sched.DemandOf(sched.Input{
-		Platform: f.proto,
-		FPS:      fps,
-		Users:    []sched.UserDemand{{User: 0, Threads: []sched.Thread{th}}},
-	})
-	if err != nil {
-		return 1, nil
-	}
-	return cores[0], nil
-}
-
-// placeOrder returns the shard indices Submit tries for a session whose
-// class homes on home, carrying an estimated core demand (0 = no
-// estimate, the demand-blind path). The home shard leads while it is
-// routable, under the session capacity, and — when a demand estimate
-// exists — has the free cores for it. The rest follow in two bands:
-// shards that fit the demand in best-fit order (ascending free capacity,
-// ties to the lower index), then the shards without room in ascending
-// utilization (ties to fewer sessions, then the lower index) — which is
-// also the complete order when no estimate exists.
-func (f *Fleet) placeOrder(home, demand int) []int {
-	f.mu.Lock()
-	shards := append([]*shardState(nil), f.shards...)
-	routable := make([]bool, len(shards))
-	for i, s := range shards {
-		routable[i] = s.routable()
-	}
-	f.mu.Unlock()
-
-	reports := make([]core.LoadReport, len(shards))
-	for i, s := range shards {
-		if routable[i] {
-			reports[i] = s.srv.LoadReport()
-		}
-	}
-	fits := func(i int) bool { return demand > 0 && reports[i].Free() >= demand }
-
-	order := make([]int, 0, len(shards))
-	homeOK := home >= 0 && home < len(shards) && routable[home] &&
-		(f.opts.capacity <= 0 || reports[home].Sessions < f.opts.capacity) &&
-		(demand <= 0 || fits(home))
-	if homeOK {
-		order = append(order, home)
-	}
-	var fitting, spill []int
-	for i := range shards {
-		if (i == home && homeOK) || !routable[i] {
-			continue
-		}
-		if fits(i) {
-			fitting = append(fitting, i)
-		} else {
-			spill = append(spill, i)
-		}
-	}
-	sort.Slice(fitting, func(a, b int) bool {
-		fa, fb := reports[fitting[a]].Free(), reports[fitting[b]].Free()
-		if fa != fb {
-			return fa < fb
-		}
-		return fitting[a] < fitting[b]
-	})
-	sort.Slice(spill, func(a, b int) bool {
-		ra, rb := reports[spill[a]], reports[spill[b]]
-		if ra.Util != rb.Util {
-			return ra.Util < rb.Util
-		}
-		if ra.Sessions != rb.Sessions {
-			return ra.Sessions < rb.Sessions
-		}
-		return spill[a] < spill[b]
-	})
-	order = append(order, fitting...)
-	return append(order, spill...)
 }
 
 // hash64 is FNV-1a over the string, finished with a splitmix64-style

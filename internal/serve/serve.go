@@ -244,16 +244,6 @@ type Fleet struct {
 	// scaler is the live Run's autoscale loop (nil without WithAutoscale
 	// or between runs); round dispatch ticks it.
 	scaler *autoscaler
-	// resizing marks an in-flight Resize; rebalancing counts in-flight
-	// hot-shard sheds. They exclude each other: a new shed stands down
-	// while resizing, and Resize waits for rebalancing to reach zero
-	// (f.cond) before touching the membership — so a shed's target can
-	// never drain away mid-handoff.
-	resizing    bool
-	rebalancing int
-	// hotRuns counts each shard's consecutive hot rounds (WithRebalance
-	// hysteresis).
-	hotRuns map[int]int
 	// shedMerged records which (target shard, class) LUT warm-handoffs
 	// rebalancing already performed, for the fleet's lifetime: the
 	// workload store merge is additive, so repeating it on every shed
@@ -263,8 +253,11 @@ type Fleet struct {
 	rebalanced int
 
 	// resizeMu serializes Resize calls (a resize blocks until its
-	// migrations land; overlapping resizes would fight over victims).
-	resizeMu sync.Mutex
+	// migrations land; overlapping resizes would fight over victims) and
+	// excludes hot-shard sheds: a shed takes the read side with TryRLock
+	// and stands down if it cannot, so a shed's target never drains away
+	// mid-handoff (DESIGN.md §7).
+	resizeMu sync.RWMutex
 }
 
 // shardState tracks one shard through the fleet's lifetime. All flags
@@ -272,6 +265,9 @@ type Fleet struct {
 type shardState struct {
 	index int
 	srv   *core.Server
+	// hot is the shard's rebalance hysteresis, touched only by its serving
+	// goroutine (maybeRebalance) and therefore unguarded.
+	hot hysteresis
 	// dead: the supervisor gave the shard up; routing skips it.
 	dead bool
 	// draining: a Resize is removing the shard; routing skips it, its
@@ -356,18 +352,12 @@ func New(opts ...Option) (*Fleet, error) {
 			return nil, err
 		}
 	}
-	if o.rebalance != nil {
-		if err := validateRebalance(o.rebalance); err != nil {
-			return nil, err
-		}
-	}
 
 	f := &Fleet{
 		opts:       o,
 		proto:      platforms[0],
 		seed:       seed,
 		ring:       newHashRing(seqMembers(n), RingReplicas),
-		hotRuns:    make(map[int]int),
 		shedMerged: make(map[shedKey]bool),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -549,7 +539,7 @@ type SubmitRequest struct {
 // the lowest-utilization shard when the home shard is saturated
 // (WithShardCapacity), dead, draining, or refuses the submission. With
 // WithDemandPlacement the session's estimated core demand steers the
-// order instead (see placeOrder) and rides into the landing shard's
+// order too (see PlacementOrder) and rides into the landing shard's
 // LoadReport as the session's demand hint. With WithTenancy the
 // request's tenant is charged one token first — an over-rate tenant's
 // submission fails with tenancy.ErrRateLimited before any shard is
@@ -583,7 +573,7 @@ func (f *Fleet) SubmitWith(req SubmitRequest) (Placement, error) {
 	f.mu.Unlock()
 	opts := core.SubmitOptions{Tenant: req.Tenant, Priority: priority}
 	var lastErr error
-	for _, si := range f.placeOrder(home, demand) {
+	for _, si := range PlacementOrder(f.Loads(), home, demand, f.opts.capacity) {
 		sess, err := f.shardAt(si).srv.Submit(src, cfg, opts)
 		if err == nil {
 			e := PlacementEvent{
@@ -918,7 +908,7 @@ func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	}
 
 	for _, snap := range snaps {
-		order := f.placeOrder(f.HomeShard(snap.Class), 0)
+		order := PlacementOrder(f.Loads(), f.HomeShard(snap.Class), 0, f.opts.capacity)
 		if _, err := f.adopt(snap, s.index, order, Sink.OnSessionMigrated); err != nil {
 			_ = s.srv.FailSession(snap.DonorID, fmt.Errorf(
 				"serve: no shard would adopt session %d migrating off shard %d", snap.DonorID, s.index))
@@ -1000,18 +990,6 @@ func (f *Fleet) Resize(n int) error {
 	defer f.resizeMu.Unlock()
 
 	f.mu.Lock()
-	// Exclude hot-shard rebalancing: new sheds stand down once resizing
-	// is set, and the membership is not touched until in-flight sheds
-	// land — their import targets must not drain away under them.
-	f.resizing = true
-	for f.rebalancing > 0 {
-		f.cond.Wait()
-	}
-	defer func() {
-		f.mu.Lock()
-		f.resizing = false
-		f.mu.Unlock()
-	}()
 	var live []*shardState
 	for _, s := range f.shards {
 		if s.routable() {
@@ -1130,15 +1108,7 @@ func (f *Fleet) SaveLUTs() error {
 
 // Load reports the fleet-wide live-session count (the sum of the alive
 // shards' queue depths).
-func (f *Fleet) Load() int {
-	n := 0
-	for _, r := range f.Loads() {
-		if r.Alive {
-			n += r.Sessions
-		}
-	}
-	return n
-}
+func (f *Fleet) Load() int { return SumLoads(f.Loads()).Sessions }
 
 // deliver hands the fleet's sink to fn under the fleet-wide dispatch lock
 // — the Sink contract's "no two methods run concurrently". A fleet

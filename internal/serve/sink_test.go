@@ -226,18 +226,27 @@ func describe(r *Report) string {
 // drained away mid-stream (resize migration) and a session failing on a
 // panicking source. Session ids are shard-local, so the run also has
 // three shards' "session 0" meet three different fates; neither view may
-// merge them.
+// merge them. The order is fixed, not raced: the leaving shard holds its
+// first round boundary until the hot shard has shed (or served out), and
+// only then does the test resize it away.
 func TestRingReportMatchesFleetLedger(t *testing.T) {
 	ring := NewRingSink(256)
-	leavingServed := make(chan struct{})
-	var once sync.Once
+	shed, leavingServed := make(chan struct{}), make(chan struct{})
+	var shedOnce, leaveOnce sync.Once
+	var f *Fleet
 	f, err := New(
 		WithShards(3),
-		WithRebalance(RebalanceConfig{Factor: 1.2, Windows: 1}),
+		WithRebalance(RebalanceConfig{Factor: 1.2}),
 		WithSink(ring),
 		WithRoundHook(func(shard int, _ *core.GOPOutcome) {
-			if shard == 2 {
-				once.Do(func() { close(leavingServed) })
+			switch shard {
+			case 0:
+				if f.Report().Rebalanced > 0 || f.Loads()[0].Sessions == 0 {
+					shedOnce.Do(func() { close(shed) })
+				}
+			case 2:
+				<-shed
+				leaveOnce.Do(func() { close(leavingServed) })
 			}
 		}),
 	)
@@ -246,7 +255,7 @@ func TestRingReportMatchesFleetLedger(t *testing.T) {
 	}
 	submit := func(src core.FrameSource, wantShard int) {
 		t.Helper()
-		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: testSessionConfig()})
+		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: pricedSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,9 +323,9 @@ func TestRingReportMatchesFleetLedger(t *testing.T) {
 // while shards serve, shed and complete: every snapshot is consistent
 // enough that no counter ever moves backwards (run under -race).
 func TestReportMonotoneDuringRun(t *testing.T) {
-	f, class, _ := hotFleet(t, 2, RebalanceConfig{Factor: 1.2, Windows: 1}, nil)
+	f, class, _ := hotFleet(t, 2, RebalanceConfig{Factor: 1.2}, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: pricedSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
