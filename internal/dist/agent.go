@@ -47,10 +47,6 @@ type AgentConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// exportTimeout bounds the round-boundary handshake of one export or drain
-// step — an idle shard settles no round, so the wait must give up.
-const exportTimeout = 10 * time.Second
-
 // Agent wraps one local serve.Fleet behind the HTTP front door and
 // keeps a master informed via heartbeats. Build with NewAgent, start
 // with Start, stop by cancelling the context (crash-equivalent) or
@@ -153,8 +149,6 @@ func (a *Agent) Start(ctx context.Context) error {
 	mux.HandleFunc("GET /v1/loads", a.handleLoads)
 	mux.HandleFunc("POST /v1/submit", a.handleSubmit)
 	mux.HandleFunc("POST /v1/import", a.handleImport)
-	mux.HandleFunc("POST /v1/export", a.handleExport)
-	mux.HandleFunc("POST /v1/drain", a.handleDrain)
 	a.srv = &http.Server{Handler: mux}
 
 	go func() {
@@ -281,10 +275,10 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 const maxRequestBytes = 64 << 20
 
 // decodeRequest is the front half of every POST handler: it reads at most
-// maxRequestBytes of body into dst and, for the versioned messages
-// (version points into dst), refuses a peer speaking another protocol
-// version before the handler looks at anything else in the payload. On
-// failure the 4xx is already written and the handler must just return.
+// maxRequestBytes of body into dst and refuses a peer speaking another
+// protocol version (version points into dst) before the handler looks at
+// anything else in the payload. On failure the 4xx is already written and
+// the handler must just return.
 func decodeRequest(w http.ResponseWriter, r *http.Request, what string, dst any, version *int) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(dst)
 	var tooBig *http.MaxBytesError
@@ -293,7 +287,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, what string, dst any,
 		httpError(w, http.StatusRequestEntityTooLarge, "%s body over %d bytes", what, maxRequestBytes)
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "decode %s: %v", what, err)
-	case version != nil && *version != ProtocolVersion:
+	case *version != ProtocolVersion:
 		httpError(w, http.StatusBadRequest, "protocol version %d, want %d", *version, ProtocolVersion)
 	default:
 		return true
@@ -368,113 +362,4 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 	a.logf("agent %s: imported session %d (%s) at frame %d → shard %d session %d",
 		a.cfg.Name, req.Session.DonorID, req.Session.Class, req.Session.Frame, p.Shard, p.Session.ID)
 	writeJSON(w, http.StatusOK, ImportResponse{Shard: p.Shard, Session: p.Session.ID})
-}
-
-// exportOne destructively exports one session at the shard's next round
-// boundary. The handshake: schedule a callback on the serving
-// goroutine, wait for it with a timeout — an idle shard settles no
-// rounds, so the callback may never fire.
-func (a *Agent) exportOne(ctx context.Context, shard, session int) (*core.SessionWire, error) {
-	type result struct {
-		wire *core.SessionWire
-		err  error
-	}
-	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
-		snap, err := sh.ExportSession(session)
-		if err != nil {
-			ch <- result{nil, err}
-			return
-		}
-		w, err := snap.Wire()
-		if err != nil {
-			// The session is already off the shard's queue; dead-letter
-			// it rather than leave it in limbo (failing an exported
-			// record is safe from any goroutine).
-			_ = sh.FailSession(session, err)
-			ch <- result{nil, err}
-			return
-		}
-		ch <- result{w, nil}
-	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res.wire, res.err
-	case <-time.After(exportTimeout):
-		return nil, fmt.Errorf("dist: export of shard %d session %d timed out (shard idle?)", shard, session)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (a *Agent) handleExport(w http.ResponseWriter, r *http.Request) {
-	var req ExportRequest
-	if !decodeRequest(w, r, "export", &req, nil) {
-		return
-	}
-	wire, err := a.exportOne(r.Context(), req.Shard, req.Session)
-	if err != nil {
-		httpError(w, http.StatusConflict, "export: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExportResponse{Session: wire})
-}
-
-// handleDrain destructively exports every live session, shard by shard,
-// and returns their wire states — the graceful hand-back before an
-// agent retires. Sessions keep serving until their shard's next round
-// boundary; busy shards are drained at that boundary, idle ones have
-// nothing to drain.
-func (a *Agent) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var out []*core.SessionWire
-	for shard, load := range a.fleet.Loads() {
-		if !load.Alive || load.Sessions == 0 {
-			continue
-		}
-		wires, err := a.drainShard(r.Context(), shard)
-		if err != nil {
-			httpError(w, http.StatusConflict, "drain shard %d: %v", shard, err)
-			return
-		}
-		out = append(out, wires...)
-	}
-	writeJSON(w, http.StatusOK, DrainResponse{Sessions: out})
-}
-
-// drainShard checkpoints then destructively exports every session of
-// one shard at its next round boundary.
-func (a *Agent) drainShard(ctx context.Context, shard int) ([]*core.SessionWire, error) {
-	type result struct {
-		wires []*core.SessionWire
-		err   error
-	}
-	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
-		wires, err := sh.CheckpointSessions()
-		if err != nil {
-			ch <- result{nil, err}
-			return
-		}
-		for _, wire := range wires {
-			if _, err := sh.ExportSession(wire.DonorID); err != nil {
-				ch <- result{nil, err}
-				return
-			}
-		}
-		ch <- result{wires, nil}
-	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res.wires, res.err
-	case <-time.After(exportTimeout):
-		return nil, fmt.Errorf("dist: drain of shard %d timed out (shard idle?)", shard)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }

@@ -16,7 +16,7 @@
 //     failures (network errors, 5xx, 429) retried, permanent ones
 //     (other 4xx) surfaced immediately as ErrPermanent.
 //   - agent.go: the Agent — serve.Fleet behind an HTTP API (submit,
-//     loads, import, export, drain, health) with a heartbeat loop
+//     import, loads, health) with a heartbeat loop
 //     shipping loads, session checkpoints and LUT snapshots to the
 //     master.
 //   - master.go: the Master — agent registry keyed by heartbeats,

@@ -577,107 +577,3 @@ func TestMasterRouteOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestAgentExportImportRoundTrip drives the agent-level live-migration
-// handshake over real HTTP: a session checkpointed mid-stream on one
-// agent is destructively exported at a GOP boundary and imported into a
-// second agent, which finishes it with the digest chain of the
-// unmigrated run.
-func TestAgentExportImportRoundTrip(t *testing.T) {
-	mc := testMedgenConfig(medgen.Brain, medgen.Rotate, 16)
-	want := soloDigests(t, mc)
-
-	newStandalone := func(name string) (*Agent, *recorder, context.CancelFunc) {
-		rec := &recorder{}
-		ag, err := NewAgent(AgentConfig{
-			Name:            name,
-			Addr:            "127.0.0.1:0",
-			CheckpointEvery: 1,
-			Sink:            rec,
-		}, serve.WithShards(1),
-			// Paced like the failover test: unpaced, the donor can burn
-			// through all 16 frames before the export request lands and
-			// there is nothing mid-stream left to export.
-			serve.WithRoundHook(func(int, *core.GOPOutcome) {
-				time.Sleep(30 * time.Millisecond)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		actx, acancel := context.WithCancel(context.Background())
-		if err := ag.Start(actx); err != nil {
-			t.Fatal(err)
-		}
-		return ag, rec, acancel
-	}
-	donor, donorRec, cancelDonor := newStandalone("donor")
-	defer cancelDonor()
-	target, targetRec, cancelTarget := newStandalone("target")
-	defer cancelTarget()
-
-	client := DefaultClient()
-	ctx := context.Background()
-
-	src, err := NewMedgenSource(mc, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := src.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub SubmitResponse
-	req := SubmitRequest{Version: ProtocolVersion, Source: spec, Config: testSessionConfig()}
-	if err := client.PostJSON(ctx, donor.URL()+"/v1/submit", req, &sub); err != nil {
-		t.Fatal(err)
-	}
-
-	// Let it get past the first GOP boundary, then export mid-stream.
-	waitUntil(t, 60*time.Second, "the donor to serve a GOP", func() bool {
-		donorRec.mu.Lock()
-		defer donorRec.mu.Unlock()
-		return len(donorRec.gops) >= 1
-	})
-	var exp ExportResponse
-	if err := client.PostJSON(ctx, donor.URL()+"/v1/export",
-		ExportRequest{Shard: sub.Shard, Session: sub.Session}, &exp); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	if exp.Session == nil || exp.Session.Frame == 0 {
-		t.Fatalf("export returned %+v — not a mid-stream checkpoint", exp.Session)
-	}
-
-	var imp ImportResponse
-	if err := client.PostJSON(ctx, target.URL()+"/v1/import",
-		ImportRequest{Version: ProtocolVersion, Session: exp.Session}, &imp); err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	waitUntil(t, 120*time.Second, "the imported session to finish", func() bool {
-		var loads LoadsResponse
-		if err := client.GetJSON(ctx, target.URL()+"/v1/loads", &loads); err != nil {
-			return false
-		}
-		for _, l := range loads.Loads {
-			if l.Sessions > 0 {
-				return false
-			}
-		}
-		return targetRec.crossImports() == 1
-	})
-
-	perClass := make(map[string]map[int][]uint64)
-	donorRec.digestsByClass(perClass)
-	targetRec.digestsByClass(perClass)
-	seen := perClass[mc.Class.String()]
-	var got []uint64
-	for idx := range want {
-		digests := seen[idx]
-		if len(digests) != 1 {
-			t.Fatalf("GOP %d served %d times across the handoff, want exactly 1", idx, len(digests))
-		}
-		got = append(got, digests[0])
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("stitched digests %v, solo run %v", got, want)
-	}
-}

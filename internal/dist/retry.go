@@ -16,7 +16,7 @@ import (
 // peer understood the request and refused it (a non-429 4xx status).
 // Callers branch with errors.Is: a permanent error means drop or
 // dead-letter the work, while any other Client error means the peer was
-// unreachable or transiently failing and the work is still pending.
+// unreachable or transiently failing and the work is still owed.
 var ErrPermanent = errors.New("dist: permanent remote failure")
 
 // RetryConfig shapes the Client's backoff. The zero value selects the

@@ -28,8 +28,6 @@ const ProtocolVersion = 2
 //	GET  /v1/loads    → LoadsResponse
 //	POST /v1/submit   SubmitRequest  → SubmitResponse
 //	POST /v1/import   ImportRequest  → ImportResponse
-//	POST /v1/export   ExportRequest  → ExportResponse
-//	POST /v1/drain    (empty)        → DrainResponse
 //
 // Master endpoints:
 //
@@ -94,24 +92,6 @@ type ImportRequest struct {
 type ImportResponse struct {
 	Shard   int `json:"shard"`
 	Session int `json:"session"`
-}
-
-// ExportRequest destructively exports one session at its next GOP
-// boundary — the live-migration handshake (the session is removed from
-// the donor and must be imported somewhere else).
-type ExportRequest struct {
-	Shard   int `json:"shard"`
-	Session int `json:"session"`
-}
-
-// ExportResponse carries the exported session's wire state.
-type ExportResponse struct {
-	Session *core.SessionWire `json:"session"`
-}
-
-// DrainResponse carries every session a draining agent handed back.
-type DrainResponse struct {
-	Sessions []*core.SessionWire `json:"sessions"`
 }
 
 // Heartbeat is what an agent POSTs to its master every interval: its

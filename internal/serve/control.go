@@ -20,9 +20,10 @@ import (
 // where it is legal: Resize on the autoscaler's own goroutine (a drain
 // waits for serving goroutines), a shed on the donor's serving goroutine
 // at its round boundary (the ExportSession contract). Resize and a shed
-// exclude each other through Fleet.resizeMu alone: Resize holds it, a
-// shed takes its read side with TryRLock and stands down if it cannot —
-// sheds of different donors still run side by side.
+// exclude each other through Fleet.resizeMu alone: Resize (or a shard's
+// give-up handoff) holds it, a shed takes its read side with TryRLock and
+// stands down if it cannot — sheds of different donors still run side by
+// side.
 
 // controlWindow is the hysteresis of every loop: consecutive observations
 // on one side of a threshold before the loop acts.
@@ -124,7 +125,7 @@ func PlacementOrder(loads []core.LoadReport, home, demand, capacity int) []int {
 
 // ScheduledResize is one forced entry of an autoscale schedule: once the
 // fleet has served AfterRounds total rounds, resize to Shards. Schedules
-// exist for reproducible demos and CI smokes — a pending schedule outranks
+// exist for reproducible demos and CI smokes — an unplayed schedule outranks
 // the load policy, which stays quiet until the schedule has played out.
 type ScheduledResize struct {
 	AfterRounds int
@@ -149,7 +150,7 @@ type AutoscaleConfig struct {
 	// proportionally more demand before the fleet counts as saturated.
 	TargetUtil float64
 	// Schedule forces resizes at fixed round counts, in order; while any
-	// entry is pending the load policy is suppressed.
+	// entry is still to fire the load policy is suppressed.
 	Schedule []ScheduledResize
 	// OnResize, when set, is invoked from the scaling goroutine just
 	// before each Resize call.
@@ -218,7 +219,7 @@ func newScalePolicy(cfg AutoscaleConfig) *scalePolicy {
 // observe feeds one settled-round observation: rounds is the total fleet
 // round count, loads the Fleet.Loads() snapshot. It returns the shard
 // count to resize to (clamped to the bounds) and the reason when a resize
-// is due. A pending schedule entry fires first and suppresses the load
+// is due. An unfired schedule entry fires first and suppresses the load
 // policy; the load policy itself resizes one shard at a time through the
 // grow or shrink hysteresis. Growth and shrink cannot ping-pong each
 // other: a grow fires at util above target, and the shrink test asks
@@ -430,8 +431,8 @@ func abs(x int) int {
 // maybeRebalance runs the hot-shard check for one settled round of shard
 // s, on s's serving goroutine (the fleet's OnRound wire) — the only
 // goroutine that touches s.hot. It never blocks on a resize: a shed whose
-// window elapsed while one holds resizeMu stands down (the resize is
-// already rehoming sessions) and its window restarts.
+// window elapsed while a resize or a give-up holds resizeMu stands down
+// (it is already rehoming sessions) and its window restarts.
 func (f *Fleet) maybeRebalance(s *shardState) {
 	cfg := f.opts.rebalance
 	if cfg == nil {

@@ -9,12 +9,12 @@ import (
 )
 
 // The fleet's cross-process surface: what internal/dist needs to run a
-// Fleet behind a network agent. Three additions to the in-process API —
-// periodic non-destructive checkpoints of every session's wire state
-// (WithCheckpoint), adoption of sessions restored from a remote peer's
-// wire snapshot (Import), and round-boundary scheduling on a shard's
-// serving goroutine (OnNextRound), the safe point for the destructive
-// export handshake a drain needs.
+// Fleet behind a network agent — periodic non-destructive checkpoints of
+// every session's wire state (WithCheckpoint), adoption of sessions
+// restored from a remote peer's wire snapshot (Import), and the LUT
+// warm handoff in both directions (MergeLUTs, StoreSnapshot). Sessions
+// leave a fleet's process only through those checkpoints: a master that
+// loses an agent re-imports them elsewhere (DESIGN.md §8).
 
 // WithCheckpoint wires every session's crash-recovery state (a
 // core.SessionWire per checkpointable session — see
@@ -40,8 +40,8 @@ func WithCheckpoint(every int, fn func(shard int, wires []*core.SessionWire)) Op
 }
 
 // Import adopts a session snapshot restored from another process
-// (core.SessionWire.Restore) into this fleet: routed like finishDrain
-// routes a drained shard's sessions — class home first, then the load
+// (core.SessionWire.Restore) into this fleet: routed like rehome routes
+// a departing shard's sessions — class home first, then the load
 // fallback — with the landing shard's supervisor revived if its serving
 // loop had already wound down. The migration event carries FromShard -1:
 // the donor is not a shard of this fleet, and the JSONL sink's
@@ -60,34 +60,9 @@ func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 	return p, nil
 }
 
-// OnNextRound schedules fn to run on shard's serving goroutine at its
-// next round boundary — between rounds, where every session sits at a GOP
-// boundary and ExportSession/CheckpointSessions are legal while the Run
-// is live. fn receives the shard's server; it must not block and must not
-// call fleet methods that take the fleet lock. The callback fires at most
-// once; it never fires if the shard serves no further round (an idle
-// shard settles no rounds), so callers waiting on a reply channel must
-// time out. Fails for a shard that is not routable.
-func (f *Fleet) OnNextRound(shard int, fn func(*core.Server)) error {
-	if fn == nil {
-		return errors.New("serve: nil round callback")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if shard < 0 || shard >= len(f.shards) {
-		return fmt.Errorf("serve: no shard %d", shard)
-	}
-	s := f.shards[shard]
-	if !s.routable() {
-		return fmt.Errorf("serve: shard %d is not serving", shard)
-	}
-	s.pending = append(s.pending, fn)
-	return nil
-}
-
 // MergeLUTs folds a remote peer's workload LUT store into this fleet,
 // each class into its home shard's store — the same warm-handoff rule
-// finishDrain applies between local shards, extended across the process
+// rehome applies between local shards, extended across the process
 // boundary. Call it before importing the sessions the store calibrates,
 // so their first round estimates warm. Safe from any goroutine; a nil
 // store is a no-op.

@@ -202,7 +202,8 @@ func WithShardCapacity(n int) Option {
 }
 
 // maxRestarts bounds how many times one supervise pass restarts a shard's
-// failed serving loop before giving the shard up and failing its sessions.
+// failed serving loop before giving the shard up and re-homing its
+// sessions.
 const maxRestarts = 1
 
 // Fleet is the multi-shard serving front door. Build with New, feed with
@@ -254,9 +255,9 @@ type Fleet struct {
 
 	// resizeMu serializes Resize calls (a resize blocks until its
 	// migrations land; overlapping resizes would fight over victims) and
-	// excludes hot-shard sheds: a shed takes the read side with TryRLock
-	// and stands down if it cannot, so a shed's target never drains away
-	// mid-handoff (DESIGN.md §7).
+	// give-up handoffs, and excludes hot-shard sheds: a shed takes the read
+	// side with TryRLock and stands down if it cannot, so a shed's target
+	// never drains away mid-handoff (DESIGN.md §6, §7).
 	resizeMu sync.RWMutex
 }
 
@@ -281,16 +282,10 @@ type shardState struct {
 	// migrated is closed exactly once, when the shard's drain completes
 	// (or is abandoned by cancellation) — what Resize blocks on.
 	migrated chan struct{}
-	// pending holds callbacks scheduled by Fleet.OnNextRound, drained on
-	// the shard's serving goroutine at the next round boundary — the safe
-	// point for ExportSession/CheckpointSessions (guarded by Fleet.mu).
-	pending []func(*core.Server)
 	// The supervisor's side of the shard's report (everything else is the
-	// server's own ledger): loop restarts performed, the give-up error,
-	// and the sessions failed by a give-up or an unexportable drain.
+	// server's own ledger): loop restarts performed and the give-up error.
 	restarts int
 	err      error
-	aborted  []int
 }
 
 // New validates the options and builds the fleet's shards.
@@ -403,16 +398,6 @@ func (f *Fleet) newShardState(index int, platform *mpsoc.Platform) (*shardState,
 			f.tickRound()
 			if f.opts.roundHook != nil {
 				f.opts.roundHook(shard.index, out)
-			}
-			// Scheduled round-boundary work (Fleet.OnNextRound): runs on
-			// this serving goroutine, where ExportSession and
-			// CheckpointSessions are legal mid-Run.
-			f.mu.Lock()
-			fns := shard.pending
-			shard.pending = nil
-			f.mu.Unlock()
-			for _, fn := range fns {
-				fn(shard.srv)
 			}
 			if f.opts.checkpoint != nil && out.Round%f.opts.checkpointEvery == 0 {
 				if wires, err := shard.srv.CheckpointSessions(); err == nil {
@@ -631,8 +616,6 @@ type ShardReport struct {
 	// Err is the terminal serving error of a shard that was given up (nil
 	// for a clean drain, a removal, or cancellation).
 	Err error
-	// Aborted lists the sessions failed by the give-up (ascending).
-	Aborted []int
 }
 
 // Report is the fleet-wide view: every shard's report (indexed by shard,
@@ -662,9 +645,10 @@ type Report struct {
 // Close), the context is cancelled, or the shards die. A shard whose
 // loop returns an error is restarted in place — its sessions and LUTs
 // survive, the other shards never notice — up to maxRestarts times;
-// past that the shard is given up: its queue closes, its unserved
-// sessions fail (the sink sees each failure), and the rest of the fleet
-// keeps serving. Resize adds supervisors for grown shards and retires
+// past that the shard is given up: it leaves the ring, its queue closes,
+// and its sessions re-home onto the other shards the way a resize drain
+// hands them over (a session no shard will take fails, and the sink sees
+// the failure). Resize adds supervisors for grown shards and retires
 // the drained ones mid-flight. Run returns the aggregated report with
 // ctx.Err() after cancellation, an error when every shard died, and nil
 // otherwise (check ShardReport.Err for partial failures). With
@@ -744,7 +728,6 @@ func (f *Fleet) Report() *Report {
 			Shard:    i,
 			Restarts: s.restarts,
 			Err:      s.err,
-			Aborted:  append([]int(nil), s.aborted...),
 		}
 		srvs[i] = s.srv
 	}
@@ -810,8 +793,8 @@ func (f *Fleet) startSupervisorLocked(ctx context.Context, s *shardState) {
 	}()
 }
 
-// supervise drives one shard's serving loop with restart-on-error and
-// drain handling. Each pass has its own budget of maxRestarts
+// supervise drives one shard's serving loop with restart-on-error, drain
+// handling and the give-up. Each pass has its own budget of maxRestarts
 // restarts; the shard's report counts them all.
 func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 	for restarts := 0; ; restarts++ {
@@ -832,29 +815,39 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 			f.mu.Unlock()
 			continue
 		}
-		// Give the shard up: stop accepting arrivals, fail what cannot
-		// be served, let the rest of the fleet carry on.
-		err = fmt.Errorf("serve: shard %d gave up after %d restarts: %w", s.index, restarts, err)
-		f.mu.Lock()
-		s.dead = true
-		s.err = err
-		f.mu.Unlock()
-		s.srv.Close()
-		f.abort(s, err)
+		f.giveUp(ctx, s, fmt.Errorf("serve: shard %d gave up after %d restarts: %w", s.index, restarts, err))
 		return
 	}
 }
 
-// abort fails every session the shard can no longer serve and books them
-// on the shard's report.
-func (f *Fleet) abort(s *shardState, err error) {
-	ids, aerr := s.srv.Abort(err)
-	if aerr != nil {
+// giveUp retires a shard whose serving loop failed past its restart
+// budget, the way a resize victim leaves: off the ring first (so HomeShard
+// and MergeLUTs stop naming it), then its sessions re-home through rehome.
+// Every one of them sits at a GOP boundary — a round-level error is raised
+// before any encode starts. A shard a Resize already marked for draining
+// finishes that drain instead. The handoff holds resizeMu's write side,
+// blocking, because a give-up must not be skipped: that keeps targets from
+// draining away mid-handoff, and it serializes give-ups with each other,
+// so a dying shard's export sees every session another give-up landed on
+// it. It cannot wait on itself: a dead shard is never routable, so never a
+// Resize victim.
+func (f *Fleet) giveUp(ctx context.Context, s *shardState, err error) {
+	f.mu.Lock()
+	draining := s.draining
+	if !draining {
+		s.dead = true
+		s.err = err
+		f.rebuildRingLocked()
+	}
+	f.mu.Unlock()
+	if draining {
+		f.finishDrain(s, ctx)
 		return
 	}
-	f.mu.Lock()
-	s.aborted = append(s.aborted, ids...)
-	f.mu.Unlock()
+	s.srv.Close()
+	f.resizeMu.Lock()
+	defer f.resizeMu.Unlock()
+	f.rehome(s, err)
 }
 
 // isDrainingShard reads the shard's draining flag.
@@ -876,12 +869,10 @@ func (f *Fleet) markRemoved(s *shardState) {
 	}
 }
 
-// finishDrain completes a shard's removal: exports its sessions at the
-// GOP boundary the drained loop stopped on, hands the per-class
-// estimation LUTs to each class's new home, imports every session into
-// its new shard (home first, least-loaded fallback), and retires the
-// shard. Runs on the shard's supervisor goroutine while the fleet is
-// running, or on the Resize caller's goroutine otherwise — never both.
+// finishDrain completes a shard's removal: its sessions re-home (rehome)
+// and the shard retires. Runs on the shard's supervisor goroutine while
+// the fleet is running, or on the Resize caller's goroutine otherwise —
+// never both — and either way under the Resize's hold of resizeMu.
 func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	if ctx != nil && ctx.Err() != nil {
 		// The fleet is being cancelled: nobody is left to serve a
@@ -889,31 +880,7 @@ func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 		f.markRemoved(s)
 		return
 	}
-	snaps, err := s.srv.ExportSessions()
-	if err != nil {
-		// Unexportable sessions (mid-GOP strays after a cancelled Run, or
-		// a racing serving loop): fail them loudly rather than stranding
-		// them in a shard that is going away.
-		f.abort(s, fmt.Errorf("serve: shard %d drain: %w", s.index, err))
-	}
-
-	// Hand the donor's estimation state to each class's new home before
-	// the sessions land there, so their first post-migration round
-	// estimates from the donor's calibrated LUTs instead of cold tables.
-	donor := s.srv.Store()
-	for _, class := range donor.Classes() {
-		if ti := f.HomeShard(class); ti >= 0 {
-			f.shardAt(ti).srv.Store().MergeClass(donor, class)
-		}
-	}
-
-	for _, snap := range snaps {
-		order := PlacementOrder(f.Loads(), f.HomeShard(snap.Class), 0, f.opts.capacity)
-		if _, err := f.adopt(snap, s.index, order, Sink.OnSessionMigrated); err != nil {
-			_ = s.srv.FailSession(snap.DonorID, fmt.Errorf(
-				"serve: no shard would adopt session %d migrating off shard %d", snap.DonorID, s.index))
-		}
-	}
+	f.rehome(s, nil)
 
 	// The draining shard already left the routable set when the Resize
 	// marked it, so the live count needs no adjustment.
@@ -924,11 +891,55 @@ func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	f.markRemoved(s)
 }
 
+// rehome hands every session of a shard that is leaving the fleet — a
+// resize victim or a given-up shard, its loop stopped — to the shards that
+// remain: export the sessions at the GOP boundary the loop stopped on,
+// hand each class's LUT to the class's new home (so the first
+// post-migration round estimates warm), adopt each snapshot home first,
+// and dead-letter what no shard takes. cause is the give-up's error (nil
+// for a drain); it rides on every dead-lettered session, and it keeps a
+// snapshot off every shard whose whole platform is below the session's
+// core demand: with the ladder off such a session is what took its shard
+// down ("no user admitted"), and it would take an equal shard down next.
+// The caller holds resizeMu, so no target drains away mid-handoff.
+func (f *Fleet) rehome(s *shardState, cause error) {
+	snaps, err := s.srv.ExportSessions()
+	if err != nil {
+		// Unexportable sessions (mid-GOP strays after a cancelled Run, or
+		// a racing serving loop): fail them loudly rather than stranding
+		// them in a shard that is going away. Abort refuses only a loop
+		// that is still running, which nothing here could stop either.
+		_, _ = s.srv.Abort(fmt.Errorf("serve: shard %d drain: %w", s.index, err))
+	}
+	donor := s.srv.Store()
+	for _, class := range donor.Classes() {
+		if ti := f.HomeShard(class); ti >= 0 {
+			f.shardAt(ti).srv.Store().MergeClass(donor, class)
+		}
+	}
+	for _, snap := range snaps {
+		loads := f.Loads()
+		for i := range loads {
+			if cause != nil && loads[i].CapacityCores < snap.Demand {
+				loads[i].Alive = false
+			}
+		}
+		order := PlacementOrder(loads, f.HomeShard(snap.Class), 0, f.opts.capacity)
+		if _, err := f.adopt(snap, s.index, order, Sink.OnSessionMigrated); err != nil {
+			lost := fmt.Errorf("serve: no shard would adopt session %d migrating off shard %d", snap.DonorID, s.index)
+			if cause != nil {
+				lost = fmt.Errorf("%w: %w", lost, cause)
+			}
+			_ = s.srv.FailSession(snap.DonorID, lost)
+		}
+	}
+}
+
 // adopt lands a session snapshot on the first of the candidate shards
-// that will import it: the one migration step a resize drain, a hot-shard
-// shed and a cross-process re-import share. from is the donor shard (-1
-// when the donor is outside this fleet; never a landing spot itself), and
-// report is the Sink method the hop is announced through
+// that will import it: the one migration step a resize drain, a give-up,
+// a hot-shard shed and a cross-process re-import share. from is the donor
+// shard (-1 when the donor is outside this fleet; never a landing spot
+// itself), and report is the Sink method the hop is announced through
 // (Sink.OnSessionMigrated or Sink.OnSessionRebalanced), after the
 // target's StateQueued event. A target whose supervisor already returned
 // — a closed fleet winds shards down as they empty — gets a fresh one, so

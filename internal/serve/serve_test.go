@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,17 +225,17 @@ func (r *recordingSink) OnSessionRebalanced(e MigrationEvent) {
 	r.rebalances = append(r.rebalances, e)
 }
 
-// TestShardCrashIsolation is the kill-one-shard acceptance criterion: a
-// shard whose serving loop dies for good takes only its own sessions
-// down; the remaining shards finish all of theirs with zero lost GOP
-// reports, and the sink sees the dead shard's failures.
-func TestShardCrashIsolation(t *testing.T) {
-	// Shard 1 is the one platform with 15 cores, and the allocator fails on
-	// exactly that: one policy for the fleet, one shard it always kills.
-	platforms := []*mpsoc.Platform{mpsoc.XeonE5_2667V4(), mpsoc.XeonE5_2667V4(), mpsoc.XeonE5_2667V4()}
-	platforms[1].Cores = 15
+// crashFleet builds one shard per entry of cores, all served by the
+// crash-15 allocator: it fails with boom on every 15-core platform and
+// allocates content-aware elsewhere — one policy for the fleet, and the
+// 15-core shards are the ones it always kills.
+func crashFleet(t *testing.T, boom error, cores []int, opts ...Option) *Fleet {
+	t.Helper()
+	platforms := make([]*mpsoc.Platform, len(cores))
+	for i, n := range cores {
+		platforms[i] = heteroPlatform(n)
+	}
 	reg := sched.NewRegistry()
-	boom := errors.New("allocator exploded")
 	if err := reg.Register("crash-15", "fails on the 15-core platform", func(in sched.Input) (*sched.Result, error) {
 		if in.Platform.Cores == 15 {
 			return nil, boom
@@ -243,25 +244,36 @@ func TestShardCrashIsolation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sink := &recordingSink{}
-	f, err := New(
-		WithPlatforms(platforms...),
-		WithRegistry(reg),
-		WithAllocator("crash-15"),
-		WithSink(sink),
-	)
+	f, err := New(append([]Option{WithPlatforms(platforms...), WithRegistry(reg), WithAllocator("crash-15")}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes := classesPerShard(t, f)
-	perShard := make([]int, 3)
-	for i, class := range classes {
+	return f
+}
+
+// TestShardCrashIsolation is the kill-one-shard acceptance criterion: a
+// shard whose serving loop dies for good loses nothing. The supervisor
+// books its restarts and the cause, and its sessions leave the way a
+// resize victim's do — each finishes on a survivor with the digest chain
+// of an unmigrated run, and no session fails.
+func TestShardCrashIsolation(t *testing.T) {
+	boom := errors.New("allocator exploded")
+	sink := &recordingSink{}
+	f := crashFleet(t, boom, []int{32, 15, 32}, WithSink(sink))
+	type submitted struct {
+		class          string
+		seed           int64
+		shard, session int
+	}
+	var subs []submitted
+	for i, class := range classesPerShard(t, f) {
 		for j := 0; j < 2; j++ {
-			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()})
+			seed := int64(i*10 + j + 1)
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, seed, 8), Config: testSessionConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			perShard[p.Shard]++
+			subs = append(subs, submitted{class, seed, p.Shard, p.Session.ID})
 		}
 	}
 	f.Close()
@@ -270,8 +282,8 @@ func TestShardCrashIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The dead shard: restarted maxRestarts times, then gave up, sessions
-	// aborted as failed.
+	// The dead shard: restarted maxRestarts times, then gave up, and every
+	// session it held migrated away.
 	dead := rep.Shards[1]
 	if dead.Err == nil || !errors.Is(dead.Err, boom) {
 		t.Fatalf("dead shard error %v, want the allocator failure", dead.Err)
@@ -279,45 +291,226 @@ func TestShardCrashIsolation(t *testing.T) {
 	if dead.Restarts != maxRestarts {
 		t.Fatalf("dead shard restarted %d times before the give-up, want %d", dead.Restarts, maxRestarts)
 	}
-	if len(dead.Aborted) != perShard[1] || len(dead.Report.Failed) != perShard[1] {
-		t.Fatalf("dead shard aborted %v failed %v, want %d sessions", dead.Aborted, dead.Report.Failed, perShard[1])
+	if len(dead.Report.Migrated) != 2 || len(dead.Report.Failed) != 0 {
+		t.Fatalf("dead shard migrated %v failed %v, want both sessions migrated", dead.Report.Migrated, dead.Report.Failed)
+	}
+	// Nothing lost: every session completed, zero lost frames and GOP
+	// reports (6 sessions × 8 frames in GOPs of 4).
+	if rep.Submitted != 6 || rep.Completed != 6 || rep.Failed != 0 || rep.FramesEncoded != 48 || rep.GOPReports != 12 {
+		t.Fatalf("want 6 sessions completed, 48 frames, 12 GOP reports:\n%s", describe(rep))
 	}
 
-	// The survivors: every session completed, zero lost GOP reports.
-	for _, si := range []int{0, 2} {
-		sr := rep.Shards[si]
-		if sr.Err != nil {
-			t.Fatalf("surviving shard %d reported error %v", si, sr.Err)
-		}
-		if len(sr.Report.Completed) != perShard[si] || len(sr.Report.Failed) != 0 {
-			t.Fatalf("surviving shard %d completed %v failed %v", si, sr.Report.Completed, sr.Report.Failed)
-		}
-		if sr.Report.GOPReports != perShard[si]*2 || sr.Report.FramesEncoded != perShard[si]*8 {
-			t.Fatalf("surviving shard %d lost GOP reports: %d reports, %d frames",
-				si, sr.Report.GOPReports, sr.Report.FramesEncoded)
-		}
-	}
-
-	// The sink saw the dead shard's failures, with the cause attached.
-	failures := map[int]int{}
+	sink.mu.Lock()
 	for _, e := range sink.states {
 		if e.State == core.StateFailed {
-			failures[e.Shard]++
+			sink.mu.Unlock()
+			t.Fatalf("failure event %+v: a given-up shard's sessions must re-home", e)
+		}
+	}
+	for _, e := range sink.gops {
+		if e.Shard == 1 {
+			sink.mu.Unlock()
+			t.Fatalf("GOP event %+v from the dead shard: its rounds fail before any encode", e)
+		}
+	}
+	hops := make(map[int]MigrationEvent)
+	for _, m := range sink.migrations {
+		if m.FromShard == 1 {
+			hops[m.FromSession] = m
+		}
+	}
+	nhops := len(sink.migrations)
+	sink.mu.Unlock()
+	if len(hops) != 2 || nhops != 2 {
+		t.Fatalf("%d migration events, %d of them off shard 1, want one per session of shard 1", nhops, len(hops))
+	}
+
+	// Every session of shard 1 completed on a survivor, bit-identically.
+	for _, s := range subs {
+		if s.shard != 1 {
+			continue
+		}
+		m, ok := hops[s.session]
+		if !ok || (m.ToShard != 0 && m.ToShard != 2) {
+			t.Fatalf("session %d of shard 1: migration %+v, want a hop to shard 0 or 2", s.session, m)
+		}
+		if done := rep.Shards[m.ToShard].Report.Completed; !slices.Contains(done, m.ToSession) {
+			t.Fatalf("session %d of shard 1 is session %d on shard %d, which completed only %v", s.session, m.ToSession, m.ToShard, done)
+		}
+		got, frames := stitchDigests(sink, 1, s.session)
+		want := soloDigests(t, testSource(t, s.class, s.seed, 8))
+		if frames != 8 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("session %d of shard 1: %d frames, digests %v, want 8 and the solo run's %v", s.session, frames, got, want)
+		}
+	}
+}
+
+// TestShardGiveUpLeavesRing: a given-up shard leaves the consistent-hash
+// ring the way a resize victim does, so each of its classes gets a live
+// home — for new submissions, and for MergeLUTs, the dist import path's
+// warm handoff, which must not fold the class into a dead shard's store.
+func TestShardGiveUpLeavesRing(t *testing.T) {
+	f := crashFleet(t, errors.New("allocator exploded"), []int{32, 15, 32})
+	classes := classesPerShard(t, f)
+	for i, class := range classes {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 4), Config: testSessionConfig()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	rep, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shards[1].Err == nil {
+		t.Fatalf("shard 1 was not given up:\n%s", describe(rep))
+	}
+	home := f.HomeShard(classes[1])
+	if home != 0 && home != 2 {
+		t.Fatalf("class %q homes on shard %d after shard 1 gave up, want a live shard", classes[1], home)
+	}
+	lut := f.shardAt(home).srv.Store().ForClass(classes[1])
+	before := lut.Observations()
+	remote := workload.NewStore()
+	remote.ForClass(classes[1]).Observe(workload.Key{}, time.Millisecond)
+	f.MergeLUTs(remote)
+	if got := lut.Observations(); got != before+1 {
+		t.Fatalf("MergeLUTs left live home shard %d at %d observations of %q, want %d", home, got, classes[1], before+1)
+	}
+}
+
+// TestShardGiveUpEveryShard: when every shard gives up there is nowhere
+// left to re-home to, so the last give-up dead-letters every session with
+// its cause, and Run reports the fleet failed.
+func TestShardGiveUpEveryShard(t *testing.T) {
+	boom := errors.New("allocator exploded")
+	sink := &recordingSink{}
+	f := crashFleet(t, boom, []int{15, 15, 15}, WithSink(sink))
+	for i, class := range classesPerShard(t, f) {
+		for j := 0; j < 2; j++ {
+			if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 4), Config: testSessionConfig()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f.Close()
+	_, err := f.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "all 3 serving shards failed") || !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want every shard failed on the allocator", err)
+	}
+	if rep := f.Report(); rep.Submitted != 6 || rep.Failed != 6 {
+		t.Fatalf("want all 6 sessions failed:\n%s", describe(rep))
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	failures := 0
+	for _, e := range sink.states {
+		if e.State == core.StateFailed {
+			failures++
 			if !errors.Is(e.Err, boom) {
 				t.Fatalf("failure event without the cause: %+v", e)
 			}
 		}
 	}
-	if failures[1] != perShard[1] || failures[0] != 0 || failures[2] != 0 {
-		t.Fatalf("sink failure events per shard: %v, want only shard 1's %d", failures, perShard[1])
+	if failures != 6 {
+		t.Fatalf("%d failure events, want 6", failures)
 	}
-	// And the survivors' GOPs all streamed through.
-	gops := map[int]int{}
-	for _, e := range sink.gops {
-		gops[e.Shard]++
+}
+
+// TestShardGiveUpCascadeGuard: with the ladder off, a session whose core
+// demand exceeds its whole platform takes its shard down ("no user
+// admitted"). Re-homing it onto a shard no bigger would take that one
+// down next, one shard after another, so it dead-letters instead: exactly
+// one shard gives up, and every other session completes.
+func TestShardGiveUpCascadeGuard(t *testing.T) {
+	sink := &recordingSink{}
+	f, err := New(WithShards(3), WithSink(sink))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gops[0] != perShard[0]*2 || gops[2] != perShard[2]*2 || gops[1] != 0 {
-		t.Fatalf("sink GOP events per shard: %v", gops)
+	classes := classesPerShard(t, f)
+	// 256×192 at 40 µs per pixel warms, after its first GOP, to
+	// ceil(49152 · 40 µs · 24) = 48 cores: more than any 32-core shard. The
+	// coarse grid keeps the first GOP's LUT keys the ones the second
+	// estimates from.
+	heavyCfg := testSessionConfig()
+	heavyCfg.Retile.MinTileW, heavyCfg.Retile.MinTileH = 84, 64
+	heavyCfg.TimeModel = pixelCostModel(40000)
+	heavy, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[0], 1, 8), Config: heavyCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, class := range classes[1:] {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+2), 8), Config: pricedSessionConfig()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	rep, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sr := range rep.Shards {
+		if gaveUp := sr.Err != nil; gaveUp != (i == heavy.Shard) {
+			t.Fatalf("shard %d error %v; want only the heavy session's shard %d given up:\n%s", i, sr.Err, heavy.Shard, describe(rep))
+		}
+	}
+	if rep.Completed != 2 || rep.Failed != 1 || rep.Migrated != 0 {
+		t.Fatalf("want the two light sessions completed, the heavy one failed in place:\n%s", describe(rep))
+	}
+	if errs := rep.Shards[heavy.Shard].Report.Errors; errs[heavy.Session.ID] == nil ||
+		!strings.Contains(errs[heavy.Session.ID].Error(), "no user admitted") {
+		t.Fatalf("heavy session's error %v, want the give-up's cause", errs)
+	}
+}
+
+// TestShardGiveUpRacesResize: the crash-15 shard is the highest-indexed,
+// the one a shrink retires, so its give-up and a Resize(n−1) race for it.
+// Whichever wins, no session is stranded on a shard that left the fleet,
+// none fails, and the event-derived report equals the ledger once the
+// supervisor's own fields (which no event carries) are set aside.
+func TestShardGiveUpRacesResize(t *testing.T) {
+	ring := NewRingSink(256)
+	f := crashFleet(t, errors.New("allocator exploded"), []int{32, 32, 15}, WithSink(ring))
+	for i, class := range classesPerShard(t, f) {
+		for j := 0; j < 2; j++ {
+			if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := f.Run(context.Background())
+		done <- result{rep, err}
+	}()
+	if err := f.Resize(f.Shards() - 1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	rep := res.rep
+	if rep.Submitted != 6 || rep.Completed != 6 || rep.Failed != 0 || rep.FramesEncoded != 48 {
+		t.Fatalf("want 6 sessions completed, 48 frames:\n%s", describe(rep))
+	}
+	for _, sr := range rep.Shards {
+		r := sr.Report
+		if settled := len(r.Completed) + len(r.Rejected) + len(r.Failed) + len(r.Migrated); settled != r.Submitted {
+			t.Fatalf("shard %d settled %d of its %d sessions:\n%s", sr.Shard, settled, r.Submitted, describe(rep))
+		}
+	}
+	for i := range rep.Shards {
+		rep.Shards[i].Restarts, rep.Shards[i].Err = 0, nil
+	}
+	if got := ring.Report(); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("event-derived view differs from the ledger:\n ring %s\nfleet %s", describe(got), describe(rep))
 	}
 }
 

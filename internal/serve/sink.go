@@ -381,7 +381,7 @@ func (s *RingSink) Dropped() int {
 // reads from the shards' ledgers — session ids stay shard-local under
 // each shard's sub-report, so colliding ids never merge. Two things an
 // event stream cannot show are left zero: the supervisor's side of a
-// ShardReport (Restarts, Err, Aborted), and any trailing shard that never
+// ShardReport (Restarts, Err), and any trailing shard that never
 // produced an event.
 func (s *RingSink) Report() *Report {
 	s.mu.Lock()

@@ -213,7 +213,7 @@ func describe(r *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet %+v", *r)
 	for _, sr := range r.Shards {
-		fmt.Fprintf(&b, "\n  shard %d: %+v (restarts %d, err %v, aborted %v)", sr.Shard, *sr.Report, sr.Restarts, sr.Err, sr.Aborted)
+		fmt.Fprintf(&b, "\n  shard %d: %+v (restarts %d, err %v)", sr.Shard, *sr.Report, sr.Restarts, sr.Err)
 	}
 	return b.String()
 }
