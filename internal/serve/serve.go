@@ -693,13 +693,15 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 	// "Every shard died" is judged over the shards that could still
-	// serve: slots retired by a clean Resize drain don't count either way.
+	// serve: slots retired by a Resize drain don't count either way, even
+	// one whose loop gave up as the drain took it.
 	f.mu.Lock()
 	serving, deadShards, first := 0, 0, error(nil)
 	for _, s := range f.shards {
-		if !s.removed {
-			serving++
+		if s.removed {
+			continue
 		}
+		serving++
 		if s.err != nil {
 			deadShards++
 			if first == nil {
@@ -825,7 +827,9 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 // and MergeLUTs stop naming it), then its sessions re-home through rehome.
 // Every one of them sits at a GOP boundary — a round-level error is raised
 // before any encode starts. A shard a Resize already marked for draining
-// finishes that drain instead. The handoff holds resizeMu's write side,
+// books the cause too, then finishes that drain instead (it leaves the
+// fleet removed, so Run's verdict does not count it). The handoff holds
+// resizeMu's write side,
 // blocking, because a give-up must not be skipped: that keeps targets from
 // draining away mid-handoff, and it serializes give-ups with each other,
 // so a dying shard's export sees every session another give-up landed on
@@ -834,9 +838,9 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 func (f *Fleet) giveUp(ctx context.Context, s *shardState, err error) {
 	f.mu.Lock()
 	draining := s.draining
+	s.err = err
 	if !draining {
 		s.dead = true
-		s.err = err
 		f.rebuildRingLocked()
 	}
 	f.mu.Unlock()
@@ -897,12 +901,15 @@ func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 // hand each class's LUT to the class's new home (so the first
 // post-migration round estimates warm), adopt each snapshot home first,
 // and dead-letter what no shard takes. cause is the give-up's error (nil
-// for a drain); it rides on every dead-lettered session, and it keeps a
-// snapshot off every shard whose whole platform is below the session's
-// core demand: with the ladder off such a session is what took its shard
+// for a drain); it rides on every dead-lettered session. With the ladder
+// off it also keeps a snapshot off every shard whose whole platform is
+// below the session's core demand: such a session is what took its shard
 // down ("no user admitted"), and it would take an equal shard down next.
-// The caller holds resizeMu, so no target drains away mid-handoff.
+// With the ladder on no session can do that, so the target's ladder
+// serves it degraded instead. The caller holds resizeMu, so no target
+// drains away mid-handoff.
 func (f *Fleet) rehome(s *shardState, cause error) {
+	guard := cause != nil && !f.opts.admission.Enabled
 	snaps, err := s.srv.ExportSessions()
 	if err != nil {
 		// Unexportable sessions (mid-GOP strays after a cancelled Run, or
@@ -920,7 +927,7 @@ func (f *Fleet) rehome(s *shardState, cause error) {
 	for _, snap := range snaps {
 		loads := f.Loads()
 		for i := range loads {
-			if cause != nil && loads[i].CapacityCores < snap.Demand {
+			if guard && loads[i].CapacityCores < snap.Demand {
 				loads[i].Alive = false
 			}
 		}

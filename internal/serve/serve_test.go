@@ -307,22 +307,47 @@ func TestShardCrashIsolation(t *testing.T) {
 			t.Fatalf("failure event %+v: a given-up shard's sessions must re-home", e)
 		}
 	}
+	gops := map[int]int{}
 	for _, e := range sink.gops {
-		if e.Shard == 1 {
-			sink.mu.Unlock()
-			t.Fatalf("GOP event %+v from the dead shard: its rounds fail before any encode", e)
-		}
+		gops[e.Shard]++
 	}
 	hops := make(map[int]MigrationEvent)
+	adopted := map[int]int{}
 	for _, m := range sink.migrations {
 		if m.FromShard == 1 {
 			hops[m.FromSession] = m
+			adopted[m.ToShard]++
 		}
 	}
 	nhops := len(sink.migrations)
 	sink.mu.Unlock()
 	if len(hops) != 2 || nhops != 2 {
 		t.Fatalf("%d migration events, %d of them off shard 1, want one per session of shard 1", nhops, len(hops))
+	}
+	if gops[1] != 0 {
+		t.Fatalf("%d GOP events from the dead shard: its rounds fail before any encode", gops[1])
+	}
+
+	// The survivors are isolated from the give-up: no error, no restart,
+	// and every session they hold — their own and the ones they adopted —
+	// completed with both GOPs booked and streamed.
+	for _, si := range []int{0, 2} {
+		sr := rep.Shards[si]
+		if sr.Err != nil || sr.Restarts != 0 {
+			t.Fatalf("surviving shard %d: error %v after %d restarts", si, sr.Err, sr.Restarts)
+		}
+		held := adopted[si]
+		for _, s := range subs {
+			if s.shard == si {
+				held++
+			}
+		}
+		if len(sr.Report.Completed) != held || len(sr.Report.Failed) != 0 {
+			t.Fatalf("surviving shard %d completed %v failed %v, want %d sessions", si, sr.Report.Completed, sr.Report.Failed, held)
+		}
+		if sr.Report.GOPReports != 2*held || gops[si] != 2*held {
+			t.Fatalf("surviving shard %d: %d GOP reports, %d sink GOP events, want %d", si, sr.Report.GOPReports, gops[si], 2*held)
+		}
 	}
 
 	// Every session of shard 1 completed on a survivor, bit-identically.
@@ -464,6 +489,78 @@ func TestShardGiveUpCascadeGuard(t *testing.T) {
 	}
 }
 
+// TestShardGiveUpGuardFollowsLadder: the cascade guard is for the ladder
+// off only. A 15-core shard gives up on an allocator fault holding one
+// session whose demand (12 cores) exceeds the 8-core survivor. Ladder off,
+// the guard dead-letters it with the cause; ladder on, nothing it holds
+// can take a shard down, so it re-homes and the survivor serves it.
+func TestShardGiveUpGuardFollowsLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ladder bool
+	}{{"ladder off", false}, {"ladder on", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			boom := errors.New("allocator exploded")
+			f := crashFleet(t, boom, []int{15, 8}, WithAdmission(core.AdmissionConfig{Enabled: tc.ladder}))
+			cfg := testSessionConfig()
+			cfg.DemandHint = 12
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classesPerShard(t, f)[0], 1, 8), Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			rep, err := f.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := rep.Shards[p.Shard]
+			if p.Shard != 0 || !errors.Is(dead.Err, boom) {
+				t.Fatalf("session placed on shard %d, shard 0 error %v; want it on the crash shard, given up", p.Shard, rep.Shards[0].Err)
+			}
+			if tc.ladder {
+				if rep.Completed != 1 || rep.Migrated != 1 || rep.Failed != 0 {
+					t.Fatalf("want the oversized session re-homed and completed:\n%s", describe(rep))
+				}
+			} else if rep.Failed != 1 || rep.Migrated != 0 || !errors.Is(dead.Report.Errors[p.Session.ID], boom) {
+				t.Fatalf("want the oversized session dead-lettered with the cause:\n%s", describe(rep))
+			}
+		})
+	}
+}
+
+// TestShardGiveUpWhileDraining pins the narrow side of the race below: a
+// Resize marks the shard for draining after its last failed pass, before
+// the give-up takes the fleet lock. The give-up books its cause and
+// finishes the drain; the removed shard's error does not count against
+// the one shard left serving, so Run succeeds.
+func TestShardGiveUpWhileDraining(t *testing.T) {
+	boom := errors.New("allocator exploded")
+	f := crashFleet(t, boom, []int{32, 15})
+	p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classesPerShard(t, f)[1], 1, 8), Config: testSessionConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := f.shardAt(p.Shard)
+	f.mu.Lock()
+	s.draining = true
+	f.rebuildRingLocked()
+	f.mu.Unlock()
+	s.srv.Close()
+	s.srv.Drain()
+	f.giveUp(context.Background(), s, fmt.Errorf("gave up: %w", boom))
+	f.Close()
+	rep, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Shard != 1 || !errors.Is(rep.Shards[1].Err, boom) {
+		t.Fatalf("session on shard %d, shard 1 error %v; want the give-up's cause on the crash shard", p.Shard, rep.Shards[1].Err)
+	}
+	if rep.Completed != 1 || rep.Migrated != 1 || rep.FramesEncoded != 8 {
+		t.Fatalf("want the session migrated and completed:\n%s", describe(rep))
+	}
+}
+
 // TestShardGiveUpRacesResize: the crash-15 shard is the highest-indexed,
 // the one a shrink retires, so its give-up and a Resize(n−1) race for it.
 // Whichever wins, no session is stranded on a shard that left the fleet,
@@ -471,7 +568,8 @@ func TestShardGiveUpCascadeGuard(t *testing.T) {
 // supervisor's own fields (which no event carries) are set aside.
 func TestShardGiveUpRacesResize(t *testing.T) {
 	ring := NewRingSink(256)
-	f := crashFleet(t, errors.New("allocator exploded"), []int{32, 32, 15}, WithSink(ring))
+	boom := errors.New("allocator exploded")
+	f := crashFleet(t, boom, []int{32, 32, 15}, WithSink(ring))
 	for i, class := range classesPerShard(t, f) {
 		for j := 0; j < 2; j++ {
 			if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()}); err != nil {
@@ -505,6 +603,12 @@ func TestShardGiveUpRacesResize(t *testing.T) {
 		if settled := len(r.Completed) + len(r.Rejected) + len(r.Failed) + len(r.Migrated); settled != r.Submitted {
 			t.Fatalf("shard %d settled %d of its %d sessions:\n%s", sr.Shard, settled, r.Submitted, describe(rep))
 		}
+	}
+	// The crash shard either gave up — the give-up books its cause, even
+	// when the Resize marked it draining first — or the drain stopped its
+	// loop before the restart budget ran out.
+	if crash := rep.Shards[2]; crash.Err != nil && (!errors.Is(crash.Err, boom) || crash.Restarts != maxRestarts) {
+		t.Fatalf("crash shard error %v after %d restarts, want none or the allocator failure after %d", crash.Err, crash.Restarts, maxRestarts)
 	}
 	for i := range rep.Shards {
 		rep.Shards[i].Restarts, rep.Shards[i].Err = 0, nil
