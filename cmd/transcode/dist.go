@@ -159,6 +159,11 @@ func serveMetrics(addr string, msink *metrics.Sink) (*http.Server, error) {
 // the routed agent name). Sources are sent by spec — regenerated on the
 // serving node — so the submitting process streams no pixels.
 func runSubmit(ctx context.Context, o options) error {
+	cfg := core.DefaultSessionConfig()
+	var err error
+	if cfg.Mode, err = parseMode(o.mode); err != nil {
+		return err
+	}
 	client := dist.DefaultClient()
 	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone, medgen.SpinalCord}
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
@@ -180,7 +185,7 @@ func runSubmit(ctx context.Context, o options) error {
 		req := dist.SubmitRequest{
 			Version:  dist.ProtocolVersion,
 			Source:   spec,
-			Config:   core.DefaultSessionConfig(),
+			Config:   cfg,
 			Tenant:   o.tenant,
 			Priority: o.priority,
 		}

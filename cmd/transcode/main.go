@@ -232,13 +232,8 @@ func main() {
 
 	scfg := core.DefaultSessionConfig()
 	scfg.Workers = o.workers
-	switch o.mode {
-	case "proposed":
-		scfg.Mode = core.ModeProposed
-	case "baseline":
-		scfg.Mode = core.ModeBaseline
-	default:
-		fatalf("unknown mode %q", o.mode)
+	if scfg.Mode, err = parseMode(o.mode); err != nil {
+		fatalf("%v", err)
 	}
 
 	sess, err := core.NewSession(0, src, scfg, workload.NewLUT())
@@ -450,13 +445,9 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 // (serve.WithAutoscale). All scaling policy lives in internal/serve;
 // this function only maps flags onto configs.
 func serveFleet(ctx context.Context, o options) error {
-	mode := core.ModeProposed
-	switch o.mode {
-	case "proposed":
-	case "baseline":
-		mode = core.ModeBaseline
-	default:
-		return fmt.Errorf("unknown mode %q", o.mode)
+	mode, err := parseMode(o.mode)
+	if err != nil {
+		return err
 	}
 	// A heterogeneous core list defines the shard count.
 	if len(o.shardCores) > 0 {
@@ -754,6 +745,18 @@ func serveFleet(ctx context.Context, o options) error {
 		}
 	}
 	return runErr
+}
+
+// parseMode maps -mode onto the session mode of every transcode mode that
+// opens sessions: single-session, fleet and -submit.
+func parseMode(name string) (core.Mode, error) {
+	switch name {
+	case "proposed":
+		return core.ModeProposed, nil
+	case "baseline":
+		return core.ModeBaseline, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
 }
 
 func classByName(name string) (medgen.Class, bool) {

@@ -25,14 +25,17 @@ func main() {
 	ref := gen.Frame(0).Y
 	cur := gen.Frame(1).Y
 
-	searchers := []motion.Searcher{
-		motion.FullSearch{},
-		motion.TZSearch{},
-		motion.Cross{},
-		motion.OneAtATime{},
-		motion.Hexagon{Orientation: motion.HexHorizontal},
-		motion.Hexagon{Orientation: motion.HexVertical},
-		motion.Hexagon{Orientation: motion.HexRotating},
+	searchers := []struct {
+		name string
+		s    motion.Searcher
+	}{
+		{"full", motion.FullSearch{}},
+		{"tz", motion.TZSearch{}},
+		{"cross", motion.Cross{}},
+		{"ots", motion.OneAtATime{}},
+		{"hex-horizontal", motion.Hexagon{Orientation: motion.HexHorizontal}},
+		{"hex-vertical", motion.Hexagon{Orientation: motion.HexVertical}},
+		{"hex-rotating", motion.Hexagon{Orientation: motion.HexRotating}},
 	}
 
 	// Blocks across the anatomy (center region with real structure).
@@ -44,11 +47,11 @@ func main() {
 	}
 
 	fmt.Printf("%-16s %10s %12s %10s %8s\n", "algorithm", "evals/blk", "SAD/px", "found(-3,-1)", "window")
-	for _, s := range searchers {
+	for _, sr := range searchers {
 		var evals, cost int64
 		exact := 0
 		for _, b := range blocks {
-			res := s.Search(b, 16, motion.MV{})
+			res := sr.s.Search(b, 16, motion.MV{})
 			evals += int64(res.Evals)
 			cost += res.Cost
 			if res.MV == (motion.MV{X: -3, Y: -1}) {
@@ -57,7 +60,7 @@ func main() {
 		}
 		n := int64(len(blocks))
 		fmt.Printf("%-16s %10.1f %12.2f %7d/%-4d %8d\n",
-			s.Name(), float64(evals)/float64(n), float64(cost)/float64(n*16*16), exact, len(blocks), 16)
+			sr.name, float64(evals)/float64(n), float64(cost)/float64(n*16*16), exact, len(blocks), 16)
 	}
 
 	// The paper's GOP-aware policy: learn the direction on the first frame,
@@ -75,6 +78,6 @@ func main() {
 		cost += res.Cost
 	}
 	n := int64(len(blocks))
-	fmt.Printf("%-16s %10.1f %12.2f %12s %8d   ← proposed GOP policy (frame 3)\n",
-		"policy:"+s.Name(), float64(evals)/float64(n), float64(cost)/float64(n*16*16), "-", w)
+	fmt.Printf("%-16s %10.1f %12.2f %12s %8d   ← proposed GOP policy (frame 3: %T)\n",
+		"policy", float64(evals)/float64(n), float64(cost)/float64(n*16*16), "-", w, s)
 }

@@ -52,14 +52,4 @@ func main() {
 				tc.Tile.Index, tc.Tile.Rect, tc.Tile.Region, tc.Texture, tc.Motion)
 		}
 	}
-
-	// 4. The workload LUT the scheduler would consume.
-	threads, err := sess.EstimateThreads()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nper-tile CPU-time estimates for the thread allocator:")
-	for _, th := range threads {
-		fmt.Printf("   tile %2d → %v\n", th.Tile, th.TimeFmax.Round(10000))
-	}
 }

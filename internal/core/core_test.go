@@ -184,25 +184,39 @@ func TestBaselineUsesUniformGrid(t *testing.T) {
 	}
 }
 
-// TestBaselineProbeFollowsTimeModel: the capacity probe sizes [19]'s tiles
-// through the session's TimeModel, like everything else that prices a
-// tile. The model here reads tile area only, so the count is fixed by the
-// 256×192 frame and the 41.7 ms slot — 3 µs/pixel is 3.5 slots, 6 µs/pixel
-// 7.1 — whatever this host's stopwatch says (it used to read the raw
-// EncodeTime, which on any fast host clamps to 2).
-func TestBaselineProbeFollowsTimeModel(t *testing.T) {
-	for _, tc := range []struct{ nsPerPixel, want int }{{3000, 4}, {6000, 8}} {
-		cfg := testSessionConfig(ModeBaseline)
-		cfg.BaselineTiles = 0 // derive from the probe
-		cfg.TimeModel = func(ts codec.TileStats) time.Duration {
-			return time.Duration(tc.nsPerPixel * ts.Tile.Area())
-		}
-		s, err := NewSession(0, testSource(t, medgen.Brain, medgen.Rotate, 8), cfg, workload.NewLUT())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.probeBaselineTiles(); got != tc.want {
-			t.Fatalf("%d ns/pixel: probe sized %d tiles, want %d", tc.nsPerPixel, got, tc.want)
+// TestBaselineDefaultTiles: with no tile count configured, [19] runs two
+// uniform tiles at any geometry, and nothing that prices a tile — a
+// TimeModel, or this host's stopwatch without one — changes that.
+func TestBaselineDefaultTiles(t *testing.T) {
+	expensive := func(ts codec.TileStats) time.Duration { return time.Duration(6000 * ts.Tile.Area()) }
+	for _, geo := range [][2]int{{640, 480}, {320, 240}, {256, 192}} {
+		for _, model := range []func(codec.TileStats) time.Duration{nil, expensive} {
+			vc := medgen.Default()
+			vc.Width, vc.Height, vc.Frames = geo[0], geo[1], 2
+			g, err := medgen.NewGenerator(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := SourceFromGenerator(g, vc.Frames, vc.FPS, "brain")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultSessionConfig()
+			cfg.Mode = ModeBaseline
+			cfg.TimeModel = model
+			s, err := NewSession(0, src, cfg, workload.NewLUT())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PrepareForEstimation(); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.grid.NumTiles(); n != 2 {
+				t.Fatalf("%dx%d, TimeModel set %v: %d baseline tiles, want 2", geo[0], geo[1], model != nil, n)
+			}
+			if a, b := s.grid.Tiles[0], s.grid.Tiles[1]; a.W != b.W || a.H != b.H {
+				t.Fatalf("%dx%d: baseline grid not uniform: %v", geo[0], geo[1], s.grid.Tiles)
+			}
 		}
 	}
 }
@@ -214,24 +228,34 @@ func absInt(v int) int {
 	return v
 }
 
+// TestEstimateThreadsUsesLUT drives the server's stage D1 — prepareKeys,
+// then the batched resolveEstimates — on one session outside a round: one
+// estimate per tile, i.e. per allocator thread.
 func TestEstimateThreadsUsesLUT(t *testing.T) {
-	s := newTestSession(t, ModeProposed)
-	if err := s.PrepareForEstimation(); err != nil {
-		t.Fatal(err)
-	}
-	threads, err := s.EstimateThreads()
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(threads) != s.grid.NumTiles() {
-		t.Fatalf("%d threads for %d tiles", len(threads), s.grid.NumTiles())
+	s, err := srv.Submit(testSource(t, medgen.Brain, medgen.Rotate, 8), testSessionConfig(ModeProposed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, th := range threads {
-		if th.TimeFmax <= 0 {
-			t.Fatalf("thread %+v has no estimate", th)
+	rs := &roundSession{rec: srv.records[0]}
+	estimate := func() []time.Duration {
+		t.Helper()
+		if err := srv.prepareKeys(rs); err != nil {
+			t.Fatal(err)
 		}
-		if th.User != 0 {
-			t.Fatalf("thread user = %d", th.User)
+		srv.resolveEstimates([]*roundSession{rs})
+		return rs.estimates
+	}
+	est := estimate()
+	if len(est) != s.grid.NumTiles() {
+		t.Fatalf("%d estimates for %d tiles", len(est), s.grid.NumTiles())
+	}
+	for i, e := range est {
+		if e <= 0 {
+			t.Fatalf("tile %d has no estimate", i)
 		}
 	}
 	// After encoding a GOP the LUT holds real observations and estimates
@@ -239,13 +263,9 @@ func TestEstimateThreadsUsesLUT(t *testing.T) {
 	if _, err := s.EncodeGOP(); err != nil {
 		t.Fatal(err)
 	}
-	threads2, err := s.EstimateThreads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, th := range threads2 {
-		if th.TimeFmax <= 0 || th.TimeFmax > time.Second {
-			t.Fatalf("post-warmup estimate %v implausible", th.TimeFmax)
+	for _, e := range estimate() {
+		if e <= 0 || e > time.Second {
+			t.Fatalf("post-warmup estimate %v implausible", e)
 		}
 	}
 }

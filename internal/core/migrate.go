@@ -28,8 +28,9 @@ import (
 // The handoff is in-process: ownership of the Session transfers with the
 // snapshot and exactly one server drives it at any time, so the encoded
 // bitstream continues bit-identically from where the donor stopped.
-// Cross-process migration would additionally serialize the encoder
-// reference state; the snapshot struct is the seam where that would go.
+// Cross-process migration serializes the same snapshot, encoder reference
+// state included, as a SessionWire (wire.go) and re-binds its source on
+// the receiving node.
 
 // SessionSnapshot is one session's exportable serving state, produced by
 // ExportSessions at a GOP boundary and consumed by Import on the target

@@ -12,7 +12,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/motion"
 	"repro/internal/quality"
-	"repro/internal/sched"
 	"repro/internal/tiling"
 	"repro/internal/transform"
 	"repro/internal/video"
@@ -51,16 +50,16 @@ type SessionConfig struct {
 	Constraints quality.Constraints
 	// Workers bounds tile-encoding parallelism inside one frame (1 = off).
 	Workers int
-	// BaselineTiles overrides the baseline's capacity-derived tile count
-	// (0 = derive from the first GOP's measured workload).
+	// BaselineTiles is the baseline's uniform tile count, sized by the
+	// caller to core capacity (0 → defaultBaselineTiles).
 	BaselineTiles int
 	// BaselineQP is the fixed QP of the baseline configuration (0 → 32).
 	BaselineQP int
 	// BaselineWindow is the baseline's TZ search window (0 → 64).
 	BaselineWindow int
 	// TimeModel maps a tile's stats to the CPU time recorded in the
-	// workload LUT (and hence used for allocation, and for sizing the
-	// baseline's capacity tiles). Nil records the raw measured EncodeTime.
+	// workload LUT (and hence used for allocation). Nil records the raw
+	// measured EncodeTime.
 	// The experiment harness installs a model that prices the tile's work
 	// counters at an HEVC encoder's cost structure, independent of host
 	// speed (see experiments.WorkTime). Excluded from the wire format (a
@@ -418,17 +417,19 @@ func (s *Session) prepareGOP() error {
 	return nil
 }
 
-// baselineGridFor derives the [19] tiling: one uniform tile per core-slot,
-// with the tile count set so each tile's workload ≈ one core's capacity.
-// The count comes from BaselineTiles or, when unset, from a probe encode of
-// the first frame.
+// defaultBaselineTiles is [19]'s tile count when the caller sizes none:
+// its two-thread floor, which keeps parallel slack on any host.
+const defaultBaselineTiles = 2
+
+// baselineGridFor derives the [19] tiling: BaselineTiles uniform tiles
+// (one thread per core), split to the frame's aspect ratio.
 func (s *Session) baselineGridFor(w, h int) (*tiling.Grid, error) {
 	if s.baselineGrid != nil {
 		return s.baselineGrid, nil
 	}
 	n := s.cfg.BaselineTiles
 	if n <= 0 {
-		n = s.probeBaselineTiles()
+		n = defaultBaselineTiles
 	}
 	nx, ny := factorize(n, w, h)
 	grid, err := tiling.Uniform(w, h, nx, ny)
@@ -437,40 +438,6 @@ func (s *Session) baselineGridFor(w, h int) (*tiling.Grid, error) {
 	}
 	s.baselineGrid = grid
 	return grid, nil
-}
-
-// probeBaselineTiles estimates the whole-frame workload with a single-tile
-// probe encode (on a scratch encoder) and sizes tiles to core capacity.
-func (s *Session) probeBaselineTiles() int {
-	probeEnc, err := codec.NewEncoder(s.cfg.Codec)
-	if err != nil {
-		return 4
-	}
-	f := s.src.Frame(s.frame)
-	grid, err := tiling.Uniform(f.Width(), f.Height(), 1, 1)
-	if err != nil {
-		return 4
-	}
-	params := []codec.TileParams{{
-		QP:       s.cfg.BaselineQP,
-		Searcher: motion.TZSearch{},
-		Window:   s.cfg.BaselineWindow,
-	}}
-	stats, _, err := probeEnc.EncodeFrame(f, grid, params)
-	if err != nil {
-		return 4
-	}
-	slot := time.Duration(float64(time.Second) / s.src.FPS())
-	n := int(math.Ceil(s.measuredTime(stats.Tiles[0]).Seconds() / slot.Seconds()))
-	// Inter frames are cheaper than the I-frame probe; [19] still keeps
-	// several tiles for parallel slack. Clamp to a sane range.
-	if n < 2 {
-		n = 2
-	}
-	if n > 10 {
-		n = 10
-	}
-	return n
 }
 
 // factorize picks an nx×ny split with nx·ny ≥ n tiles matching the frame
@@ -600,8 +567,7 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 }
 
 // measuredTime maps a tile's stats to its CPU time through the session's
-// TimeModel — the one channel the LUT, calibration and the baseline tile
-// probe all read.
+// TimeModel — the one channel the LUT and calibration both read.
 func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
 	if s.cfg.TimeModel != nil {
 		return s.cfg.TimeModel(ts)
@@ -665,22 +631,6 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 	gop.MeanKbps = kbpsSum / float64(n)
 	gop.Digest = digest.Sum64()
 	return gop, nil
-}
-
-// EstimateThreads produces stage D1's output for the allocator: one thread
-// per tile of the current grid with the LUT's CPU-time estimate. The
-// session must have a prepared GOP (encode at least one frame first, or
-// call PrepareForEstimation).
-func (s *Session) EstimateThreads() ([]sched.Thread, error) {
-	keys, err := s.appendEstimationKeys(nil)
-	if err != nil {
-		return nil, err
-	}
-	threads := make([]sched.Thread, len(keys))
-	for i, key := range keys {
-		threads[i] = sched.Thread{User: s.ID, Tile: i, TimeFmax: s.lut.Estimate(key)}
-	}
-	return threads, nil
 }
 
 // appendEstimationKeys appends the per-tile LUT keys stage D1 looks up

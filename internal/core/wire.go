@@ -120,8 +120,8 @@ type SessionWire struct {
 	// model never influences encoded bits.
 	Config SessionConfig `json:"config"`
 	// BaselineNX/NY pin a baseline-mode session's uniform grid so the
-	// receiver rebuilds the exact tiling instead of re-probing the first
-	// frame at the migration point (0/0 when no baseline grid exists).
+	// receiver restores the exact tiling the donor encoded with (0/0 when
+	// no baseline grid exists).
 	BaselineNX int         `json:"baseline_nx,omitempty"`
 	BaselineNY int         `json:"baseline_ny,omitempty"`
 	Encoder    EncoderWire `json:"encoder"`

@@ -146,7 +146,6 @@ func (a *Agent) Start(ctx context.Context) error {
 	a.ln = ln
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", a.handleHealth)
-	mux.HandleFunc("GET /v1/loads", a.handleLoads)
 	mux.HandleFunc("POST /v1/submit", a.handleSubmit)
 	mux.HandleFunc("POST /v1/import", a.handleImport)
 	a.srv = &http.Server{Handler: mux}
@@ -297,10 +296,6 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, what string, dst any,
 
 func (a *Agent) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Version: ProtocolVersion, Name: a.cfg.Name})
-}
-
-func (a *Agent) handleLoads(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, LoadsResponse{Name: a.cfg.Name, Loads: a.fleet.Loads()})
 }
 
 func (a *Agent) handleSubmit(w http.ResponseWriter, r *http.Request) {

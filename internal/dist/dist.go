@@ -16,9 +16,8 @@
 //     failures (network errors, 5xx, 429) retried, permanent ones
 //     (other 4xx) surfaced immediately as ErrPermanent.
 //   - agent.go: the Agent — serve.Fleet behind an HTTP API (submit,
-//     import, loads, health) with a heartbeat loop
-//     shipping loads, session checkpoints and LUT snapshots to the
-//     master.
+//     import, health) with a heartbeat loop shipping loads, session
+//     checkpoints and LUT snapshots to the master.
 //   - master.go: the Master — agent registry keyed by heartbeats,
 //     consistent-hash routing over the agent names (serve.Ring) with a
 //     least-loaded fallback, and the failover loop that re-homes a dead

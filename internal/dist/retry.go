@@ -19,9 +19,9 @@ import (
 // unreachable or transiently failing and the work is still owed.
 var ErrPermanent = errors.New("dist: permanent remote failure")
 
-// RetryConfig shapes the Client's backoff. The zero value selects the
+// retryConfig shapes the Client's backoff. The zero value selects the
 // defaults noted per field.
-type RetryConfig struct {
+type retryConfig struct {
 	// MaxAttempts bounds how often one call is tried (first attempt
 	// included). Default 4.
 	MaxAttempts int
@@ -41,7 +41,7 @@ type RetryConfig struct {
 	sleep  func(time.Duration)
 }
 
-func (c RetryConfig) withDefaults() RetryConfig {
+func (c retryConfig) withDefaults() retryConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
@@ -69,17 +69,17 @@ func (c RetryConfig) withDefaults() RetryConfig {
 // retried up to MaxAttempts; other 4xx responses fail immediately with
 // ErrPermanent. Safe for concurrent use.
 type Client struct {
-	cfg  RetryConfig
+	cfg  retryConfig
 	http *http.Client
 }
 
-// NewClient builds a retrying JSON client.
-func NewClient(cfg RetryConfig) *Client {
+// newClient builds a retrying JSON client.
+func newClient(cfg retryConfig) *Client {
 	return &Client{cfg: cfg.withDefaults(), http: &http.Client{}}
 }
 
 // DefaultClient returns a client with the default retry schedule.
-func DefaultClient() *Client { return NewClient(RetryConfig{}) }
+func DefaultClient() *Client { return newClient(retryConfig{}) }
 
 // PostJSON POSTs in as JSON and decodes the 2xx response body into out
 // (out may be nil to discard it).

@@ -13,11 +13,11 @@ import (
 
 // testClient builds a client with a deterministic jitter (always the
 // nominal delay) and recorded, non-blocking sleeps.
-func testClient(cfg RetryConfig) (*Client, *[]time.Duration) {
+func testClient(cfg retryConfig) (*Client, *[]time.Duration) {
 	var slept []time.Duration
 	cfg.jitter = func() float64 { return 0.5 } // 0.5+0.5 = 1.0× nominal
 	cfg.sleep = func(d time.Duration) { slept = append(slept, d) }
-	return NewClient(cfg), &slept
+	return newClient(cfg), &slept
 }
 
 // TestRetryTransientThenSuccess: 5xx responses are retried on the
@@ -33,7 +33,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(RetryConfig{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond})
+	c, slept := testClient(retryConfig{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond})
 	var out HealthResponse
 	if err := c.GetJSON(context.Background(), srv.URL, &out); err != nil {
 		t.Fatalf("transient 5xx not retried to success: %v", err)
@@ -63,7 +63,7 @@ func TestRetry429Retried(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, _ := testClient(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	c, _ := testClient(retryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	var out HeartbeatResponse
 	if err := c.PostJSON(context.Background(), srv.URL, Heartbeat{Version: ProtocolVersion}, &out); err != nil {
 		t.Fatalf("429 not retried: %v", err)
@@ -83,7 +83,7 @@ func TestRetryPermanent(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, slept := testClient(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond})
+	c, slept := testClient(retryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond})
 	err := c.GetJSON(context.Background(), srv.URL, nil)
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("4xx error = %v, want ErrPermanent", err)
@@ -109,7 +109,7 @@ func TestRetryExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, _ := testClient(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	c, _ := testClient(retryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	err := c.GetJSON(context.Background(), srv.URL, nil)
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
@@ -140,7 +140,7 @@ func TestRetryTimeout(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, _ := testClient(RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, Timeout: 30 * time.Millisecond})
+	c, _ := testClient(retryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, Timeout: 30 * time.Millisecond})
 	err := c.GetJSON(context.Background(), srv.URL, nil)
 	if err == nil {
 		t.Fatal("hung peer reported success")
@@ -160,7 +160,7 @@ func TestRetryNetworkError(t *testing.T) {
 	url := srv.URL
 	srv.Close() // nothing listens here anymore
 
-	c, slept := testClient(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	c, slept := testClient(retryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	err := c.GetJSON(context.Background(), url, nil)
 	if err == nil {
 		t.Fatal("dead peer reported success")
@@ -182,10 +182,10 @@ func TestRetryContextCancel(t *testing.T) {
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := RetryConfig{MaxAttempts: 10, BaseDelay: time.Millisecond}
+	cfg := retryConfig{MaxAttempts: 10, BaseDelay: time.Millisecond}
 	cfg.jitter = func() float64 { return 0.5 }
 	cfg.sleep = func(time.Duration) { cancel() } // cancelled mid-backoff
-	c := NewClient(cfg)
+	c := newClient(cfg)
 	err := c.GetJSON(ctx, srv.URL, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call returned %v", err)

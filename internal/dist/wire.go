@@ -25,7 +25,6 @@ const ProtocolVersion = 2
 // Agent endpoints (all JSON bodies):
 //
 //	GET  /v1/healthz  → HealthResponse
-//	GET  /v1/loads    → LoadsResponse
 //	POST /v1/submit   SubmitRequest  → SubmitResponse
 //	POST /v1/import   ImportRequest  → ImportResponse
 //
@@ -69,13 +68,6 @@ type RoutedSubmitResponse struct {
 	Agent   string `json:"agent"`
 	Shard   int    `json:"shard"`
 	Session int    `json:"session"`
-}
-
-// LoadsResponse reports an agent's per-shard load signal — the same
-// core.LoadReport semantics the in-process dispatcher routes by.
-type LoadsResponse struct {
-	Name  string            `json:"name"`
-	Loads []core.LoadReport `json:"loads"`
 }
 
 // ImportRequest adopts one checkpointed session into the receiving

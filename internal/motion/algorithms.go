@@ -8,9 +8,6 @@ package motion
 // the quality reference: no faster algorithm can beat its SAD.
 type FullSearch struct{}
 
-// Name implements Searcher.
-func (FullSearch) Name() string { return "full" }
-
 // Search implements Searcher.
 func (FullSearch) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
@@ -35,9 +32,6 @@ const (
 	tzRasterThreshold = 5
 	tzRasterStride    = 5
 )
-
-// Name implements Searcher.
-func (TZSearch) Name() string { return "tz" }
 
 // Search implements Searcher.
 func (TZSearch) Search(b Block, window int, pred MV) Result {
@@ -120,9 +114,6 @@ var sdsp = []MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
 // finishing with the orthogonal (+) pattern at step one.
 type Cross struct{}
 
-// Name implements Searcher.
-func (Cross) Name() string { return "cross" }
-
 // Search implements Searcher.
 func (Cross) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
@@ -161,9 +152,6 @@ type OneAtATime struct {
 	// and its sign gives the first step direction. Zero value = +X first.
 	Direction MV
 }
-
-// Name implements Searcher.
-func (OneAtATime) Name() string { return "ots" }
 
 // Search implements Searcher.
 func (o OneAtATime) Search(b Block, window int, pred MV) Result {
@@ -217,20 +205,6 @@ const (
 	HexRotating
 )
 
-// String returns the orientation name.
-func (o HexOrientation) String() string {
-	switch o {
-	case HexHorizontal:
-		return "horizontal"
-	case HexVertical:
-		return "vertical"
-	case HexRotating:
-		return "rotating"
-	default:
-		return "hex?"
-	}
-}
-
 // hexH is the horizontal hexagon pattern (flat sides up/down): best for
 // predominantly horizontal motion.
 var hexH = []MV{{-2, 0}, {2, 0}, {-1, -2}, {1, -2}, {-1, 2}, {1, 2}}
@@ -243,9 +217,6 @@ var hexV = []MV{{0, -2}, {0, 2}, {-2, -1}, {-2, 1}, {2, -1}, {2, 1}}
 type Hexagon struct {
 	Orientation HexOrientation
 }
-
-// Name implements Searcher.
-func (h Hexagon) Name() string { return "hex-" + h.Orientation.String() }
 
 // Search implements Searcher.
 func (h Hexagon) Search(b Block, window int, pred MV) Result {

@@ -1,9 +1,9 @@
 // Package motion implements block-matching motion estimation: the SAD cost
-// kernel and the family of search algorithms the paper compares — full
-// search, TZ search (HM reference), three-step search, diamond search,
-// cross search, one-at-a-time search and hexagon-based search (horizontal,
-// vertical and rotating) — plus the paper's proposed combined GOP-aware
-// search policy for bio-medical video (Sec. III-C2).
+// kernel and the search algorithms the paper's pipeline and its baseline
+// run — full search, TZ search (HM reference), cross search, one-at-a-time
+// search and hexagon-based search (horizontal, vertical and rotating) —
+// plus the paper's proposed combined GOP-aware search policy for
+// bio-medical video (Sec. III-C2).
 package motion
 
 import (
@@ -69,7 +69,6 @@ type Result struct {
 // pred seeds the search (the predicted vector from neighboring blocks or
 // the co-located tile of the previous frame).
 type Searcher interface {
-	Name() string
 	Search(b Block, window int, pred MV) Result
 }
 

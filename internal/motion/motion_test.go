@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -45,6 +46,9 @@ func interiorBlock(cur, ref *video.Plane) Block {
 	return Block{Cur: cur, Ref: ref, X: cur.W / 2, Y: cur.H / 2, W: 16, H: 16}
 }
 
+// label names a searcher by its type and configuration in failure messages.
+func label(s Searcher) string { return fmt.Sprintf("%T%+v", s, s) }
+
 var allSearchers = []Searcher{
 	FullSearch{},
 	TZSearch{},
@@ -81,10 +85,10 @@ func TestZeroMotionFoundByAll(t *testing.T) {
 	for _, s := range allSearchers {
 		res := s.Search(b, 16, MV{})
 		if res.MV != (MV{}) {
-			t.Errorf("%s: MV = %v, want (0,0)", s.Name(), res.MV)
+			t.Errorf("%s: MV = %v, want (0,0)", label(s), res.MV)
 		}
 		if res.Cost != 0 {
-			t.Errorf("%s: cost = %d, want 0", s.Name(), res.Cost)
+			t.Errorf("%s: cost = %d, want 0", label(s), res.Cost)
 		}
 	}
 }
@@ -160,7 +164,7 @@ func TestFastSearchersNearOptimalOnMedicalContent(t *testing.T) {
 		// under 1 dB of PSNR at these QPs — the regime Table I reports.
 		excess := float64(total-fullTotal) / float64(len(blocks)*16*16)
 		if excess > 6 {
-			t.Errorf("%s: excess cost %.2f/px over full search — not near-optimal", s.Name(), excess)
+			t.Errorf("%s: excess cost %.2f/px over full search — not near-optimal", label(s), excess)
 		}
 	}
 }
@@ -172,7 +176,7 @@ func TestFullSearchIsOptimal(t *testing.T) {
 	for _, s := range allSearchers[1:] {
 		res := s.Search(b, 16, MV{})
 		if res.Cost < full.Cost {
-			t.Errorf("%s beat full search: %d < %d", s.Name(), res.Cost, full.Cost)
+			t.Errorf("%s beat full search: %d < %d", label(s), res.Cost, full.Cost)
 		}
 	}
 }
@@ -188,7 +192,7 @@ func TestFastSearchersEvaluateFewerPoints(t *testing.T) {
 	for _, s := range allSearchers[1:] {
 		res := s.Search(b, 16, MV{})
 		if res.Evals >= full.Evals/2 {
-			t.Errorf("%s evaluated %d points, not much cheaper than full %d", s.Name(), res.Evals, full.Evals)
+			t.Errorf("%s evaluated %d points, not much cheaper than full %d", label(s), res.Evals, full.Evals)
 		}
 	}
 	// The paper's ordering: hexagon cheaper than TZ.
@@ -208,7 +212,7 @@ func TestPredictorSeedsSearch(t *testing.T) {
 	for _, s := range []Searcher{Cross{}, Hexagon{Orientation: HexRotating}, OneAtATime{}} {
 		seeded := s.Search(b, 16, shift)
 		if seeded.MV != shift || seeded.Cost != 0 {
-			t.Errorf("%s with exact predictor: MV %v cost %d", s.Name(), seeded.MV, seeded.Cost)
+			t.Errorf("%s with exact predictor: MV %v cost %d", label(s), seeded.MV, seeded.Cost)
 		}
 	}
 }
@@ -219,7 +223,7 @@ func TestWindowClampsResult(t *testing.T) {
 	for _, s := range allSearchers {
 		res := s.Search(b, 8, MV{})
 		if abs(res.MV.X) > 8 || abs(res.MV.Y) > 8 {
-			t.Errorf("%s: MV %v exceeds window 8", s.Name(), res.MV)
+			t.Errorf("%s: MV %v exceeds window 8", label(s), res.MV)
 		}
 	}
 }
@@ -237,7 +241,7 @@ func TestEdgeBlocksStayInFrame(t *testing.T) {
 			res := s.Search(b, 16, MV{})
 			rx, ry := b.X+res.MV.X, b.Y+res.MV.Y
 			if rx < 0 || ry < 0 || rx+b.W > ref.W || ry+b.H > ref.H {
-				t.Errorf("%s: block@(%d,%d) produced out-of-frame MV %v", s.Name(), b.X, b.Y, res.MV)
+				t.Errorf("%s: block@(%d,%d) produced out-of-frame MV %v", label(s), b.X, b.Y, res.MV)
 			}
 		}
 	}
@@ -266,7 +270,7 @@ func TestSearchDeterministic(t *testing.T) {
 		a := s.Search(b, 16, MV{})
 		c := s.Search(b, 16, MV{})
 		if a != c {
-			t.Errorf("%s not deterministic: %+v vs %+v", s.Name(), a, c)
+			t.Errorf("%s not deterministic: %+v vs %+v", label(s), a, c)
 		}
 	}
 }
@@ -319,30 +323,32 @@ func TestGOPPolicySelection(t *testing.T) {
 	}
 	// High motion, first frame: rotating hexagon at max window.
 	s, w := p.Choose(0, true, 0)
-	if s.Name() != "hex-rotating" || w != 64 {
-		t.Fatalf("high/first: %s window %d", s.Name(), w)
+	if s != (Hexagon{Orientation: HexRotating}) || w != 64 {
+		t.Fatalf("high/first: %s window %d", label(s), w)
 	}
 	// Learn a horizontal direction on the first frame.
 	p.Observe(0, MV{8, 1})
 	p.Observe(0, MV{6, -1})
 	s, w = p.Choose(0, true, 3)
-	if s.Name() != "hex-horizontal" || w != 32 {
-		t.Fatalf("high/follow horizontal: %s window %d", s.Name(), w)
+	if s != (Hexagon{Orientation: HexHorizontal}) || w != 32 {
+		t.Fatalf("high/follow horizontal: %s window %d", label(s), w)
 	}
 	// Vertical direction on another tile.
 	p.Observe(1, MV{0, -9})
 	s, _ = p.Choose(1, true, 1)
-	if s.Name() != "hex-vertical" {
-		t.Fatalf("high/follow vertical: %s", s.Name())
+	if s != (Hexagon{Orientation: HexVertical}) {
+		t.Fatalf("high/follow vertical: %s", label(s))
 	}
-	// Low motion: cross on first frame, directed OTS after.
+	// Low motion: cross on first frame, OTS along the learned direction
+	// after.
 	s, w = p.Choose(2, false, 0)
-	if s.Name() != "cross" || w != 16 {
-		t.Fatalf("low/first: %s window %d", s.Name(), w)
+	if s != (Cross{}) || w != 16 {
+		t.Fatalf("low/first: %s window %d", label(s), w)
 	}
+	p.Observe(2, MV{-3, 1})
 	s, w = p.Choose(2, false, 5)
-	if s.Name() != "ots" || w != 8 {
-		t.Fatalf("low/follow: %s window %d", s.Name(), w)
+	if s != (OneAtATime{Direction: MV{-3, 1}}) || w != 8 {
+		t.Fatalf("low/follow: %s window %d", label(s), w)
 	}
 }
 

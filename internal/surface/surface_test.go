@@ -11,6 +11,10 @@
 //	              non-test file of bench/, cmd/ or internal/ names fails, unless
 //	              orphanAllow gives the reason it is kept — and an entry whose
 //	              name gained a production caller (or is gone) fails as stale.
+//	TestReach     the dynamic twin of TestNoOrphans (reach_test.go): every
+//	              function no production command line runs has a verdict in
+//	              testdata/unreached.golden, checked against a coverage run;
+//	              TestUnreachedGolden checks the golden itself in tier-1.
 package surface
 
 import (
@@ -50,7 +54,6 @@ var knobStructs = []string{
 	"serve.PlacementConfig",
 	"dist.AgentConfig",
 	"dist.MasterConfig",
-	"dist.RetryConfig",
 	"metrics.SinkConfig",
 	"metrics.CostModel",
 	"motion.FullSearch",
@@ -71,7 +74,7 @@ var orphanAllow = map[string]string{
 	"video.FramePSNR":                "the decode round-trip tests recompute the PSNR the encoder reported",
 	"video.Frame.WriteYUV":           "writes the raw files the YUVFileSource and ReadYUV tests read back",
 	"motion.SADAt":                   "the cost oracle TestSADAtMatchesSearchCost holds every searcher's result to",
-	"entropy.SEBits":                 "the round-trip properties check written lengths against it (UEBits, its twin, is called by the encoder)",
+	"entropy.SEBits":                 "the round-trip properties check written lengths against it and its twin UEBits, which only SEBits calls",
 	"tiling.MustUniform":             "fixture constructor for grids known valid, in the codec, analysis and tiling tests",
 	"tiling.Equal":                   "grid equality for the re-tiling determinism tests",
 	"tiling.Rect.Contains":           "the partition property tests ask it point by point",
@@ -84,13 +87,13 @@ var orphanAllow = map[string]string{
 
 	// Kept by this sweep (ISSUE 22): a test asserts through them and no
 	// surviving observable carries the same fact.
-	"serve.RingSink.Report":        "the event-stream oracle: Fleet.Report is DeepEqual-checked against it, and the metrics ledger reconciles with it",
-	"core.Session.EstimateThreads": "stage D1 for one session driven outside a server — examples/quickstart's last step and TestEstimateThreadsUsesLUT",
-	"workload.LUT.Observations":    "sample counter the persistence, merge and warm-handoff tests of workload, core and serve assert on; nothing else says how much a table holds",
-	"workload.LUT.Calibrations":    "the same for the calibration channel: Save/Load, MergeClass and the fleet's LUT persistence are checked to preserve it",
-	"video.SAD":                    "bit-exactness oracle of the codec, medgen and core tests (a non-zero sum names a differing sample)",
-	"video.Plane.Set":              "At's twin: the analysis, motion and video tests build their fixtures sample by sample, production writes whole rows",
-	"video.Plane.Clone":            "gives the metric and motion-score tests an identical twin to perturb; its one production caller, Frame.Clone, was dead",
+	"serve.RingSink.Report":     "the event-stream oracle: Fleet.Report is DeepEqual-checked against it, and the metrics ledger reconciles with it",
+	"workload.LUT.Observations": "sample counter the persistence, merge and warm-handoff tests of workload, core and serve assert on; nothing else says how much a table holds",
+	"workload.LUT.Calibrations": "the same for the calibration channel: Save/Load, MergeClass and the fleet's LUT persistence are checked to preserve it",
+	"video.SAD":                 "bit-exactness oracle of the codec, medgen and core tests (a non-zero sum names a differing sample)",
+	"video.Plane.Set":           "At's twin: the analysis, motion and video tests build their fixtures sample by sample, production writes whole rows",
+	"video.Plane.Clone":         "gives the metric and motion-score tests an identical twin to perturb; its one production caller, Frame.Clone, was dead",
+	"workload.LUT.Estimate":     "the one-key lookup the workload tests assert estimates through; production stage D1 resolves keys in batches (EstimateInto), which returns the same values",
 }
 
 // pkg is one type-checked package of the module (non-test files only).
@@ -172,7 +175,7 @@ func (m *module) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	p := &pkg{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 	for _, ap := range parsed {
 		for _, f := range ap.Files {
 			p.files = append(p.files, f)
