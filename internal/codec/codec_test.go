@@ -103,7 +103,7 @@ func TestEncodeIntraFrameQuality(t *testing.T) {
 		t.Fatalf("bits %d, tiles %d", stats.Bits, len(bs.Tiles))
 	}
 	// The reference must now be the reconstruction.
-	psnr, err := video.FramePSNR(enc.Reference(), seq.Frames[0])
+	psnr, err := video.PSNR(enc.Reference().Y, seq.Frames[0].Y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,22 +417,6 @@ func TestInterBlocksDominateOnPan(t *testing.T) {
 	// The mean MV should reflect the (−2,−1) pan (MV space).
 	if ts.MeanMV.X > 0 || ts.MeanMV.Y > 0 {
 		t.Fatalf("mean MV %v inconsistent with (+2,+1) pan", ts.MeanMV)
-	}
-}
-
-func TestSSIMSanityOnReconstruction(t *testing.T) {
-	seq := smallSequence(t, 1)
-	enc, _ := NewEncoder(smallConfig())
-	grid := tiling.MustUniform(128, 96, 2, 2)
-	if _, _, err := enc.EncodeFrame(seq.Frames[0], grid, uniformParams(4, 27)); err != nil {
-		t.Fatal(err)
-	}
-	ssim, err := video.SSIM(enc.Reference().Y, seq.Frames[0].Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ssim < 0.9 {
-		t.Fatalf("SSIM %.3f too low at QP 27", ssim)
 	}
 }
 

@@ -23,8 +23,7 @@ import (
 )
 
 // FrameSource yields the frames of one video on demand. medgen.Generator
-// satisfies it via the SourceFromGenerator adapter; tests may use
-// pre-rendered sequences via SourceFromSequence.
+// satisfies it via the SourceFromGenerator adapter.
 type FrameSource interface {
 	// Frame returns display-order frame n (0 ≤ n < Len()).
 	Frame(n int) *video.Frame
@@ -35,32 +34,6 @@ type FrameSource interface {
 	// Class names the body-part class for workload LUT sharing.
 	Class() string
 }
-
-// sequenceSource adapts a pre-rendered video.Sequence.
-type sequenceSource struct {
-	seq   *video.Sequence
-	class string
-}
-
-// SourceFromSequence wraps a sequence as a FrameSource with the given
-// body-part class label.
-func SourceFromSequence(seq *video.Sequence, class string) (FrameSource, error) {
-	if seq == nil || len(seq.Frames) == 0 {
-		return nil, fmt.Errorf("core: empty sequence")
-	}
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	if seq.FPS <= 0 {
-		return nil, fmt.Errorf("core: sequence without frame rate")
-	}
-	return &sequenceSource{seq: seq, class: class}, nil
-}
-
-func (s *sequenceSource) Frame(n int) *video.Frame { return s.seq.Frames[n] }
-func (s *sequenceSource) Len() int                 { return len(s.seq.Frames) }
-func (s *sequenceSource) FPS() float64             { return s.seq.FPS }
-func (s *sequenceSource) Class() string            { return s.class }
 
 // generator is the subset of medgen.Generator the adapter needs; declared
 // locally to avoid importing medgen into core (core is generic over frame

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/mpsoc"
 	"repro/internal/sched"
 	"repro/internal/tiling"
+	"repro/internal/video"
 	"repro/internal/workload"
 )
 
@@ -53,6 +56,32 @@ func newTestSession(t *testing.T, mode Mode) *Session {
 	}
 	return s
 }
+
+// EncodeNextFrame steps the session by one frame, so the wire and
+// estimate-ahead tests can cut a GOP in the middle.
+func (s *Session) EncodeNextFrame() (*FrameReport, error) {
+	return s.EncodeNextFrameContext(context.Background(), 0)
+}
+
+// sequenceSource serves frames a test built by hand, for exact pixel control.
+type sequenceSource struct {
+	seq   *video.Sequence
+	class string
+}
+
+// SourceFromSequence wraps a test-built sequence as a FrameSource with the
+// given body-part class label.
+func SourceFromSequence(seq *video.Sequence, class string) (FrameSource, error) {
+	if seq == nil || len(seq.Frames) == 0 {
+		return nil, fmt.Errorf("core: empty sequence")
+	}
+	return &sequenceSource{seq: seq, class: class}, nil
+}
+
+func (s *sequenceSource) Frame(n int) *video.Frame { return s.seq.Frames[n] }
+func (s *sequenceSource) Len() int                 { return len(s.seq.Frames) }
+func (s *sequenceSource) FPS() float64             { return s.seq.FPS }
+func (s *sequenceSource) Class() string            { return s.class }
 
 func TestSourceFromSequenceValidation(t *testing.T) {
 	if _, err := SourceFromSequence(nil, "x"); err == nil {

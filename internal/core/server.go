@@ -731,7 +731,7 @@ func (s *Server) prepareKeys(rs *roundSession) error {
 // into a per-LUT map and resolved under a single read lock
 // (workload.LUT.EstimateInto), so N same-class sessions with duplicate
 // tile keys cost one lookup each instead of N. Values are exactly what
-// per-tile Estimate calls would return — the LUT is quiescent during
+// per-tile lookups would return — the LUT is quiescent during
 // estimation (encodes, and thus Observe/Calibrate, are round-phased).
 func (s *Server) resolveEstimates(live []*roundSession) {
 	if s.estGroups == nil {

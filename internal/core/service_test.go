@@ -258,7 +258,7 @@ func TestRunGoldenRegression(t *testing.T) {
 				if err != nil {
 					t.Fatalf("session %d frame %d: decode: %v", sess.ID, fr.Frame, err)
 				}
-				psnr, err := video.FramePSNR(frame, sourceFrameOf(t, srv, sess.ID, fr.Frame))
+				psnr, err := video.PSNR(frame.Y, sourceFrameOf(t, srv, sess.ID, fr.Frame).Y)
 				if err != nil {
 					t.Fatal(err)
 				}

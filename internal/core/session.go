@@ -494,18 +494,14 @@ func (s *Session) tileParams() []codec.TileParams {
 	return params
 }
 
-// EncodeNextFrame advances the session by one frame: runs stages A–C at
-// GOP boundaries, encodes, feeds measurements back into the QP adapter,
-// the motion policy and the workload LUT, and returns the frame report.
-func (s *Session) EncodeNextFrame() (*FrameReport, error) {
-	return s.EncodeNextFrameContext(context.Background(), 0)
-}
-
-// EncodeNextFrameContext is EncodeNextFrame with cancellation and a
-// per-call tile-worker budget (≤ 0 falls back to the session's configured
-// Workers). The serving loop passes each round's allocated core count
-// here, so intra-frame parallelism follows the allocation instead of a
-// global constant. On error — cancellation included — the session does not
+// EncodeNextFrameContext advances the session by one frame: runs stages
+// A–C at GOP boundaries, encodes, feeds measurements back into the QP
+// adapter, the motion policy and the workload LUT, and returns the frame
+// report. ctx cancels the encode; workers is the per-call tile-worker
+// budget (≤ 0 falls back to the session's configured Workers). The
+// serving loop passes each round's allocated core count here, so
+// intra-frame parallelism follows the allocation instead of a global
+// constant. On error — cancellation included — the session does not
 // advance, so the frame can be retried.
 func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*FrameReport, error) {
 	if s.Finished() {

@@ -168,16 +168,6 @@ func ueToSE(u uint32) int32 {
 	return int32((int64(u) + 1) / 2)
 }
 
-// UEBits returns the length in bits of the ue(v) code for v without
-// encoding it.
-func UEBits(v uint32) int {
-	n := bitLen(uint64(v) + 1)
-	return int(2*n - 1)
-}
-
-// SEBits returns the length of the se(v) code for v.
-func SEBits(v int32) int { return UEBits(seToUE(v)) }
-
 // bitLen returns the position of the highest set bit (1-based); bitLen(1)=1.
 func bitLen(x uint64) uint {
 	var n uint

@@ -5,6 +5,17 @@ import (
 	"testing/quick"
 )
 
+// UEBits returns the length in bits of the ue(v) code for v without
+// encoding it: the oracle the round-trip properties check written lengths
+// against.
+func UEBits(v uint32) int {
+	n := bitLen(uint64(v) + 1)
+	return int(2*n - 1)
+}
+
+// SEBits returns the length of the se(v) code for v.
+func SEBits(v int32) int { return UEBits(seToUE(v)) }
+
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w := NewBitWriter()
 	w.WriteBit(1)

@@ -107,8 +107,10 @@ func TestSequenceLengthAndValidity(t *testing.T) {
 	if len(s.Frames) != 6 {
 		t.Fatalf("%d frames", len(s.Frames))
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	for i, f := range s.Frames {
+		if f.Width() != 640 || f.Height() != 480 {
+			t.Fatalf("frame %d is %dx%d, want 640x480", i, f.Width(), f.Height())
+		}
 	}
 	if s.FPS != 24 {
 		t.Fatalf("fps = %v", s.FPS)

@@ -26,9 +26,9 @@ import (
 
 // maxSeries caps the total number of label-value combinations across all
 // metrics of a registry (histogram series count as one each). Past the
-// cap, new combinations are dropped and counted (DroppedSeries) instead of
-// allocated — the registry's memory is bounded no matter what labels
-// arrive.
+// cap, new combinations are dropped and counted
+// (repro_metrics_dropped_series_total) instead of allocated — the
+// registry's memory is bounded no matter what labels arrive.
 const maxSeries = 4096
 
 // Registry holds metric families and renders them in Prometheus text
@@ -45,15 +45,6 @@ type Registry struct {
 // NewRegistry builds a registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
-}
-
-// DroppedSeries reports how many series were refused by the maxSeries
-// bound. It is also exported on every scrape as
-// repro_metrics_dropped_series_total.
-func (r *Registry) DroppedSeries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 type kind int

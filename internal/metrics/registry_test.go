@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// DroppedSeries reports how many series were refused by the maxSeries
+// bound, which every scrape exports as repro_metrics_dropped_series_total.
+func (r *Registry) DroppedSeries() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
 // TestRegistryBoundsCardinality: the maxSeries cap is a hard bound — a
 // label flood allocates nothing past it, refused series are counted, and
 // the scrape stays well-formed with the dropped counter visible.

@@ -4,22 +4,6 @@ package motion
 // the memoizing searchState, so revisiting a position during pattern
 // iteration costs nothing, and all support a predicted start vector.
 
-// FullSearch exhaustively evaluates every candidate in the window. It is
-// the quality reference: no faster algorithm can beat its SAD.
-type FullSearch struct{}
-
-// Search implements Searcher.
-func (FullSearch) Search(b Block, window int, pred MV) Result {
-	s := newSearchState(b, window)
-	s.seed(pred)
-	for dy := -window; dy <= window; dy++ {
-		for dx := -window; dx <= window; dx++ {
-			s.try(MV{dx, dy})
-		}
-	}
-	return s.result()
-}
-
 // TZSearch is a faithful simplification of the HM reference encoder's Test
 // Zone search: predictor seeding, an expanding 8-point diamond zonal
 // search, a sparse raster fallback when the best distance is large, and

@@ -1,7 +1,7 @@
 // Package motion implements block-matching motion estimation: the SAD cost
 // kernel and the search algorithms the paper's pipeline and its baseline
-// run — full search, TZ search (HM reference), cross search, one-at-a-time
-// search and hexagon-based search (horizontal, vertical and rotating) —
+// run — TZ search (HM reference), cross search, one-at-a-time search and
+// hexagon-based search (horizontal, vertical and rotating) —
 // plus the paper's proposed combined GOP-aware search policy for
 // bio-medical video (Sec. III-C2).
 package motion
@@ -41,20 +41,6 @@ func abs(v int) int {
 type Block struct {
 	Cur, Ref   *video.Plane
 	X, Y, W, H int
-}
-
-// Validate reports geometry errors.
-func (b Block) Validate() error {
-	if b.Cur == nil || b.Ref == nil {
-		return fmt.Errorf("motion: nil plane")
-	}
-	if b.Cur.W != b.Ref.W || b.Cur.H != b.Ref.H {
-		return fmt.Errorf("motion: cur %dx%d vs ref %dx%d: %w", b.Cur.W, b.Cur.H, b.Ref.W, b.Ref.H, video.ErrSizeMismatch)
-	}
-	if b.X < 0 || b.Y < 0 || b.W <= 0 || b.H <= 0 || b.X+b.W > b.Cur.W || b.Y+b.H > b.Cur.H {
-		return fmt.Errorf("motion: block %dx%d@(%d,%d) outside %dx%d", b.W, b.H, b.X, b.Y, b.Cur.W, b.Cur.H)
-	}
-	return nil
 }
 
 // Result is the outcome of a search.
@@ -155,19 +141,6 @@ func sad(b Block, v MV, bestSoFar int64) int64 {
 		}
 	}
 	return sum
-}
-
-// SADAt exposes a single SAD evaluation for callers outside the search loop
-// (mode decision in the codec). It returns an error for invalid geometry.
-func SADAt(b Block, v MV) (int64, error) {
-	if err := b.Validate(); err != nil {
-		return 0, err
-	}
-	rx, ry := b.X+v.X, b.Y+v.Y
-	if rx < 0 || ry < 0 || rx+b.W > b.Ref.W || ry+b.H > b.Ref.H {
-		return 0, fmt.Errorf("motion: candidate %v out of frame", v)
-	}
-	return sad(b, v, 1<<62), nil
 }
 
 // seed initializes the state with the predictor (which anchors the rate

@@ -46,6 +46,50 @@ func interiorBlock(cur, ref *video.Plane) Block {
 	return Block{Cur: cur, Ref: ref, X: cur.W / 2, Y: cur.H / 2, W: 16, H: 16}
 }
 
+// FullSearch exhaustively evaluates every candidate in the window. It is
+// the quality reference: no faster algorithm can beat its SAD.
+type FullSearch struct{}
+
+// Search implements Searcher.
+func (FullSearch) Search(b Block, window int, pred MV) Result {
+	s := newSearchState(b, window)
+	s.seed(pred)
+	for dy := -window; dy <= window; dy++ {
+		for dx := -window; dx <= window; dx++ {
+			s.try(MV{dx, dy})
+		}
+	}
+	return s.result()
+}
+
+// Validate reports geometry errors.
+func (b Block) Validate() error {
+	if b.Cur == nil || b.Ref == nil {
+		return fmt.Errorf("motion: nil plane")
+	}
+	if b.Cur.W != b.Ref.W || b.Cur.H != b.Ref.H {
+		return fmt.Errorf("motion: cur %dx%d vs ref %dx%d: %w", b.Cur.W, b.Cur.H, b.Ref.W, b.Ref.H, video.ErrSizeMismatch)
+	}
+	if b.X < 0 || b.Y < 0 || b.W <= 0 || b.H <= 0 || b.X+b.W > b.Cur.W || b.Y+b.H > b.Cur.H {
+		return fmt.Errorf("motion: block %dx%d@(%d,%d) outside %dx%d", b.W, b.H, b.X, b.Y, b.Cur.W, b.Cur.H)
+	}
+	return nil
+}
+
+// SADAt is one unabridged SAD evaluation outside the search loop: the cost
+// oracle every searcher's result is held to. It returns an error for
+// invalid geometry.
+func SADAt(b Block, v MV) (int64, error) {
+	if err := b.Validate(); err != nil {
+		return 0, err
+	}
+	rx, ry := b.X+v.X, b.Y+v.Y
+	if rx < 0 || ry < 0 || rx+b.W > b.Ref.W || ry+b.H > b.Ref.H {
+		return 0, fmt.Errorf("motion: candidate %v out of frame", v)
+	}
+	return sad(b, v, 1<<62), nil
+}
+
 // label names a searcher by its type and configuration in failure messages.
 func label(s Searcher) string { return fmt.Sprintf("%T%+v", s, s) }
 

@@ -16,8 +16,8 @@ type Allocator func(Input) (*Result, error)
 type Entry struct {
 	// Name is the registry key ("content-aware", "baseline", ...).
 	Name string
-	// Description is a one-line human-readable summary, used by CLIs and
-	// examples when listing the available policies.
+	// Description is a one-line human-readable summary, used by CLIs when
+	// listing the available policies.
 	Description string
 	// Func is the allocator itself.
 	Func Allocator

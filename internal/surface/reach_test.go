@@ -29,9 +29,8 @@ import (
 // do not churn it), sorted. A verdict is one of
 //
 //	error-path: TestName   a fault the drivers cannot provoke; TestName drives it
-//	test-seam              only tests reach it: orphanAllow says why it stays,
-//	                       production calls it only from other test seams, or
-//	                       it is a method of a type only tests build
+//	test-seam              only tests reach it, and orphanAllow says why it
+//	                       stays; the two lists name the same functions
 //	interface: reason      a method that exists to satisfy an interface no
 //	                       driver calls it through
 //
@@ -82,13 +81,13 @@ func readUnreached(t *testing.T) map[string]string {
 }
 
 // censusFuncs names every non-test function of the module the census
-// covers — everything outside bench/ and examples/ — the way the golden
-// and go tool covdata do: directory name, receiver type, function.
+// covers — everything outside bench/ — the way the golden and go tool
+// covdata do: directory name, receiver type, function.
 func censusFuncs(t *testing.T) map[string]*types.Func {
 	m := load(t)
 	out := map[string]*types.Func{}
 	for p, pk := range m.pkgs {
-		if strings.HasPrefix(p, "repro/bench") || strings.HasPrefix(p, "repro/examples") {
+		if strings.HasPrefix(p, "repro/bench") {
 			continue
 		}
 		for _, f := range pk.files {
@@ -103,67 +102,13 @@ func censusFuncs(t *testing.T) map[string]*types.Func {
 	return out
 }
 
-// productionCallers maps each function and named type to the functions
-// that name it in production code (bench/ included, examples/ not, as in
-// TestNoOrphans); a use outside any function body is recorded as
-// "<package level>". A method's own receiver does not name its type.
-func productionCallers(t *testing.T) map[string][]string {
-	m := load(t)
-	out := map[string][]string{}
-	for p, pk := range m.pkgs {
-		if strings.HasPrefix(p, "repro/examples") {
-			continue
-		}
-		for _, f := range pk.files {
-			for _, d := range f.Decls {
-				caller := "<package level>"
-				var recv ast.Node
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					caller = objKey(pk.info.Defs[fd.Name].(*types.Func))
-					if fd.Recv != nil {
-						recv = fd.Recv
-					}
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					if n == recv {
-						return false
-					}
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					callee := ""
-					switch obj := pk.info.Uses[id].(type) {
-					case *types.Func:
-						if obj.Pkg() != nil {
-							callee = objKey(obj.Origin())
-						}
-					case *types.TypeName:
-						if obj.Pkg() != nil && !obj.IsAlias() {
-							callee = typeKey(obj)
-						}
-					}
-					if callee != "" && callee != caller {
-						out[callee] = append(out[callee], caller)
-					}
-					return true
-				})
-			}
-		}
-	}
-	return out
-}
-
 // objKey is the census name of a function: pkg.Func or pkg.Recv.Func.
 func objKey(fn *types.Func) string {
+	key := path.Base(fn.Pkg().Path()) + "."
 	if recv := recvType(fn); recv != nil {
-		return typeKey(recv) + "." + fn.Name()
+		key += recv.Name() + "."
 	}
-	return path.Base(fn.Pkg().Path()) + "." + fn.Name()
-}
-
-func typeKey(tn *types.TypeName) string {
-	return path.Base(tn.Pkg().Path()) + "." + tn.Name()
+	return key + fn.Name()
 }
 
 // recvType is the named type a method is declared on, nil for a function.
@@ -214,49 +159,32 @@ func testNames(t *testing.T) map[string]bool {
 
 // TestUnreachedGolden keeps the golden honest without a coverage run: every
 // line names a function that exists, every error path names a test that
-// exists, every interface verdict names a method, and every test seam is
-// one TestNoOrphans allows, a helper that production code calls only from
-// such seams (SEBits's UEBits), or a method of a type that production code
-// names only from such seams, if at all (motion.FullSearch, which only the
-// tests and an example build).
+// exists, every interface verdict names a method, and the test seams are
+// exactly the names orphanAllow keeps.
 func TestUnreachedGolden(t *testing.T) {
 	golden := readUnreached(t)
 	funcs := censusFuncs(t)
 	tests := testNames(t)
-	callers := productionCallers(t)
-	onlySeams := func(key string) bool {
-		for _, c := range callers[key] {
-			if golden[c] != "test-seam" {
-				return false
-			}
-		}
-		return true
-	}
 	for name, verdict := range golden {
 		fn := funcs[name]
 		if fn == nil {
-			t.Errorf("%s lists %s, which is no non-test function outside bench/ and examples/", unreachedGolden, name)
+			t.Errorf("%s lists %s, which is no non-test function outside bench/", unreachedGolden, name)
 			continue
 		}
 		m := verdictRE.FindStringSubmatch(verdict)
 		if m[2] != "" && !tests[m[2]] {
 			t.Errorf("%s: error-path names %s, which is no test", name, m[2])
 		}
-		recv := recvType(fn)
-		if strings.HasPrefix(verdict, "interface:") && recv == nil {
+		if strings.HasPrefix(verdict, "interface:") && recvType(fn) == nil {
 			t.Errorf("%s: an interface verdict needs a method, and %s is a function", name, name)
 		}
 		if _, allowed := orphanAllow[name]; verdict == "test-seam" && !allowed {
-			viaSeams := len(callers[name]) > 0 && onlySeams(name)
-			onlyTestsBuild := recv != nil && onlySeams(typeKey(recv))
-			switch {
-			case viaSeams || onlyTestsBuild:
-			case recv != nil:
-				t.Errorf("%s is a test-seam that orphanAllow does not list; production code calls it from %v and names %s from %v",
-					name, callers[name], recv.Name(), callers[typeKey(recv)])
-			default:
-				t.Errorf("%s is a test-seam that orphanAllow does not list and production code calls from %v", name, callers[name])
-			}
+			t.Errorf("%s is a test-seam that orphanAllow does not list: move it into its package's tests, or allow it with the reason it stays", name)
+		}
+	}
+	for name := range orphanAllow {
+		if golden[name] != "test-seam" {
+			t.Errorf("orphanAllow lists %s, which has no test-seam line in %s", name, unreachedGolden)
 		}
 	}
 }

@@ -15,6 +15,9 @@
 //	              function no production command line runs has a verdict in
 //	              testdata/unreached.golden, checked against a coverage run;
 //	              TestUnreachedGolden checks the golden itself in tier-1.
+//	TestReadmeExamples every Go block of README.md is the body of an Example
+//	              in internal/serve (readme_test.go), so go test compiles and
+//	              runs the README's code.
 package surface
 
 import (
@@ -56,7 +59,6 @@ var knobStructs = []string{
 	"dist.MasterConfig",
 	"metrics.SinkConfig",
 	"metrics.CostModel",
-	"motion.FullSearch",
 	"motion.TZSearch",
 	"motion.Cross",
 	"motion.OneAtATime",
@@ -65,35 +67,22 @@ var knobStructs = []string{
 	"experiments.LUTOptions",
 }
 
-// orphanAllow lists the exported names kept although only tests (or
-// examples) name them, each with the reason. Keys are "pkg.Func" or
-// "pkg.Type.Method".
+// orphanAllow lists the exported names kept although only tests name them,
+// each with the reason. Every one is an oracle or fixture the tests of more
+// than one package share; a name only one package's tests need lives in that
+// package's _test.go instead. Keys are "pkg.Func" or "pkg.Type.Method", and
+// TestUnreachedGolden holds them equal to the golden's test-seam lines.
 var orphanAllow = map[string]string{
-	// Test seams and fault counters PR 18 kept on purpose (ROADMAP item 7b).
-	"video.SSIM":                     "independent fidelity oracle the codec tests check reconstructions against",
-	"video.FramePSNR":                "the decode round-trip tests recompute the PSNR the encoder reported",
-	"video.Frame.WriteYUV":           "writes the raw files the YUVFileSource and ReadYUV tests read back",
-	"motion.SADAt":                   "the cost oracle TestSADAtMatchesSearchCost holds every searcher's result to",
-	"entropy.SEBits":                 "the round-trip properties check written lengths against it and its twin UEBits, which only SEBits calls",
-	"tiling.MustUniform":             "fixture constructor for grids known valid, in the codec, analysis and tiling tests",
-	"tiling.Equal":                   "grid equality for the re-tiling determinism tests",
-	"tiling.Rect.Contains":           "the partition property tests ask it point by point",
-	"core.Server.ServeAll":           "bounded round driver of the core, serve and dist tests: Run needs Close, these tests stop mid-stream",
-	"core.Session.EncodeNextFrame":   "single-frame stepping for the wire and estimate-ahead tests, which cut a GOP in the middle",
-	"core.SourceFromSequence":        "wraps hand-built frames as a FrameSource for tests that need exact pixel control",
-	"tenancy.Registry.WithClock":     "injects the token buckets' clock so the rate-limit tests do not sleep",
-	"metrics.Registry.DroppedSeries": "the cardinality fault counter; production reads it from the scrape, the tests read it directly",
-	"codec.PoisonPools":              "fills recycled buffers with garbage so TestPooledEncodeBitIdentical proves no stale byte reaches a bitstream",
-
-	// Kept by this sweep (ISSUE 22): a test asserts through them and no
-	// surviving observable carries the same fact.
+	"video.Frame.WriteYUV":      "writes the raw files the YUVFileSource and ReadYUV tests read back",
+	"tiling.MustUniform":        "fixture constructor for grids known valid, in the codec, analysis and tiling tests",
+	"core.Server.ServeAll":      "bounded round driver of the core, serve and dist tests: Run needs Close, these tests stop mid-stream",
+	"codec.PoisonPools":         "fills recycled buffers with garbage so TestPooledEncodeBitIdentical proves no stale byte reaches a bitstream",
 	"serve.RingSink.Report":     "the event-stream oracle: Fleet.Report is DeepEqual-checked against it, and the metrics ledger reconciles with it",
 	"workload.LUT.Observations": "sample counter the persistence, merge and warm-handoff tests of workload, core and serve assert on; nothing else says how much a table holds",
 	"workload.LUT.Calibrations": "the same for the calibration channel: Save/Load, MergeClass and the fleet's LUT persistence are checked to preserve it",
 	"video.SAD":                 "bit-exactness oracle of the codec, medgen and core tests (a non-zero sum names a differing sample)",
 	"video.Plane.Set":           "At's twin: the analysis, motion and video tests build their fixtures sample by sample, production writes whole rows",
 	"video.Plane.Clone":         "gives the metric and motion-score tests an identical twin to perturb; its one production caller, Frame.Clone, was dead",
-	"workload.LUT.Estimate":     "the one-key lookup the workload tests assert estimates through; production stage D1 resolves keys in batches (EstimateInto), which returns the same values",
 }
 
 // pkg is one type-checked package of the module (non-test files only).
@@ -119,8 +108,8 @@ var (
 	loadErr  error
 )
 
-// load type-checks every package under bench/, cmd/, examples/ and
-// internal/ once per test binary.
+// load type-checks every package under bench/, cmd/ and internal/ once
+// per test binary.
 func load(t *testing.T) *module {
 	t.Helper()
 	loadOnce.Do(func() {
@@ -134,7 +123,7 @@ func load(t *testing.T) *module {
 		}
 		fset := token.NewFileSet()
 		m := &module{root: root, fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}
-		for _, top := range []string{"bench", "cmd", "examples", "internal"} {
+		for _, top := range []string{"bench", "cmd", "internal"} {
 			err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
 				if err != nil || !d.IsDir() {
 					return err
@@ -306,14 +295,9 @@ func lineDiff(want, got string) string {
 func TestNoOrphans(t *testing.T) {
 	m := load(t)
 
-	// Every object a production file names. Examples do not count: a
-	// name only an example reaches has no caller the benchmark or the
-	// commands would miss.
+	// Every object a production file names.
 	used := map[types.Object]bool{}
-	for path, p := range m.pkgs {
-		if strings.HasPrefix(path, "repro/examples") {
-			continue
-		}
+	for _, p := range m.pkgs {
 		for _, obj := range p.info.Uses {
 			used[obj] = true
 		}
@@ -401,7 +385,7 @@ func TestNoOrphans(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		if _, ok := orphanAllow[name]; !ok {
-			t.Errorf("%s has no caller outside tests and examples: delete it, unexport it, or add it to orphanAllow with the reason it stays", name)
+			t.Errorf("%s has no caller outside tests: delete it, unexport it, or add it to orphanAllow with the reason it stays", name)
 		}
 	}
 	for name, reason := range orphanAllow {

@@ -98,15 +98,6 @@ func NewRegistry(tenants ...Tenant) *Registry {
 	return r
 }
 
-// WithClock replaces the registry's clock — the test hook that makes
-// token-bucket refill deterministic. Returns the registry for chaining.
-func (r *Registry) WithClock(now func() time.Time) *Registry {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-	return r
-}
-
 // Register adds (or replaces) one tenant's policy. The bucket starts
 // full.
 func (r *Registry) Register(t Tenant) {

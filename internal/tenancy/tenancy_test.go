@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// WithClock replaces the registry's clock, so token-bucket refill is
+// deterministic and the rate-limit tests do not sleep. Returns the
+// registry for chaining.
+func (r *Registry) WithClock(now func() time.Time) *Registry {
+	r.mu.Lock()
+	r.now = now
+	r.mu.Unlock()
+	return r
+}
+
 func TestRegistryDefaultsAndLookup(t *testing.T) {
 	r := NewRegistry(
 		Tenant{ID: "batch", Weight: 3, Rate: 2, Burst: 4},

@@ -21,11 +21,6 @@ func (r Rect) Area() int { return r.W * r.H }
 // Empty reports whether the rectangle has no area.
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
-// Contains reports whether (x, y) lies inside r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
-}
-
 // Intersects reports whether two rectangles share any sample.
 func (r Rect) Intersects(o Rect) bool {
 	return r.X < o.X+o.W && o.X < r.X+r.W && r.Y < o.Y+o.H && o.Y < r.Y+r.H
@@ -172,24 +167,4 @@ func MustUniform(frameW, frameH, nx, ny int) *Grid {
 		panic(err)
 	}
 	return g
-}
-
-// Equal reports whether two grids describe the same partition (same frame
-// geometry and same rectangles, irrespective of index order).
-func Equal(a, b *Grid) bool {
-	if a.FrameW != b.FrameW || a.FrameH != b.FrameH || len(a.Tiles) != len(b.Tiles) {
-		return false
-	}
-	key := func(t Tile) [4]int { return [4]int{t.X, t.Y, t.W, t.H} }
-	seen := make(map[[4]int]int, len(a.Tiles))
-	for _, t := range a.Tiles {
-		seen[key(t)]++
-	}
-	for _, t := range b.Tiles {
-		if seen[key(t)] == 0 {
-			return false
-		}
-		seen[key(t)]--
-	}
-	return true
 }

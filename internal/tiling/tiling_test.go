@@ -5,6 +5,31 @@ import (
 	"testing/quick"
 )
 
+// Contains reports whether (x, y) lies inside r.
+func (r Rect) Contains(x, y int) bool {
+	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
+}
+
+// Equal reports whether two grids describe the same partition (same frame
+// geometry and same rectangles, irrespective of index order).
+func Equal(a, b *Grid) bool {
+	if a.FrameW != b.FrameW || a.FrameH != b.FrameH || len(a.Tiles) != len(b.Tiles) {
+		return false
+	}
+	key := func(t Tile) [4]int { return [4]int{t.X, t.Y, t.W, t.H} }
+	seen := make(map[[4]int]int, len(a.Tiles))
+	for _, t := range a.Tiles {
+		seen[key(t)]++
+	}
+	for _, t := range b.Tiles {
+		if seen[key(t)] == 0 {
+			return false
+		}
+		seen[key(t)]--
+	}
+	return true
+}
+
 func TestRectBasics(t *testing.T) {
 	r := Rect{X: 10, Y: 20, W: 30, H: 40}
 	if r.Area() != 1200 {

@@ -104,17 +104,3 @@ func NewSequence(fps float64, frames ...*Frame) *Sequence {
 	}
 	return s
 }
-
-// Validate checks that all frames share one geometry.
-func (s *Sequence) Validate() error {
-	if len(s.Frames) == 0 {
-		return nil
-	}
-	w, h := s.Frames[0].Width(), s.Frames[0].Height()
-	for i, f := range s.Frames {
-		if f.Width() != w || f.Height() != h {
-			return fmt.Errorf("video: frame %d is %dx%d, want %dx%d: %w", i, f.Width(), f.Height(), w, h, ErrSizeMismatch)
-		}
-	}
-	return nil
-}

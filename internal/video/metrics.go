@@ -34,9 +34,6 @@ func PSNR(a, b *Plane) (float64, error) {
 	return 10 * math.Log10(255*255/mse), nil
 }
 
-// FramePSNR returns the luma PSNR between two frames.
-func FramePSNR(a, b *Frame) (float64, error) { return PSNR(a.Y, b.Y) }
-
 // CapPSNR bounds a possibly infinite PSNR for aggregation: lossless blocks
 // are conventionally counted at cap dB (commonly 100) so that sequence
 // averages stay finite.
@@ -47,54 +44,10 @@ func CapPSNR(psnr, cap float64) float64 {
 	return psnr
 }
 
-// SSIM computes the structural similarity index between two planes using
-// the standard 8×8 non-overlapping window variant with K1=0.01, K2=0.03 and
-// L=255. It is used by tests as an independent fidelity check on the codec.
-func SSIM(a, b *Plane) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("video: ssim %dx%d vs %dx%d: %w", a.W, a.H, b.W, b.H, ErrSizeMismatch)
-	}
-	const (
-		c1  = (0.01 * 255) * (0.01 * 255)
-		c2  = (0.03 * 255) * (0.03 * 255)
-		win = 8
-	)
-	var total float64
-	var n int
-	for by := 0; by+win <= a.H; by += win {
-		for bx := 0; bx+win <= a.W; bx += win {
-			var sa, sb, saa, sbb, sab float64
-			for y := by; y < by+win; y++ {
-				ra, rb := a.Row(y), b.Row(y)
-				for x := bx; x < bx+win; x++ {
-					va, vb := float64(ra[x]), float64(rb[x])
-					sa += va
-					sb += vb
-					saa += va * va
-					sbb += vb * vb
-					sab += va * vb
-				}
-			}
-			np := float64(win * win)
-			ma, mb := sa/np, sb/np
-			va := saa/np - ma*ma
-			vb := sbb/np - mb*mb
-			cov := sab/np - ma*mb
-			num := (2*ma*mb + c1) * (2*cov + c2)
-			den := (ma*ma + mb*mb + c1) * (va + vb + c2)
-			total += num / den
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("video: ssim: planes smaller than %dx%d window", win, win)
-	}
-	return total / float64(n), nil
-}
-
 // SAD returns the sum of absolute differences between two equally sized
-// planes. It is exposed here for metric-level use; the motion package has
-// its own hot-path SAD over sub-windows.
+// planes: the tests' bit-exactness oracle, where a non-zero sum names a
+// differing sample. The motion package has its own hot-path SAD over
+// sub-windows.
 func SAD(a, b *Plane) (int64, error) {
 	if a.W != b.W || a.H != b.H {
 		return 0, fmt.Errorf("video: sad %dx%d vs %dx%d: %w", a.W, a.H, b.W, b.H, ErrSizeMismatch)

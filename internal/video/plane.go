@@ -1,6 +1,6 @@
 // Package video provides the raw-video substrate for the transcoding
 // framework: luma/chroma sample planes, YUV 4:2:0 frames, quality metrics
-// (MSE, PSNR, SSIM) and simple plane arithmetic. All sample data is 8-bit.
+// (MSE, PSNR) and simple plane arithmetic. All sample data is 8-bit.
 package video
 
 import (

@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -170,44 +171,6 @@ func TestPSNRIdenticalIsInf(t *testing.T) {
 	}
 }
 
-func TestSSIMIdenticalIsOne(t *testing.T) {
-	a := NewPlane(16, 16)
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			a.Set(x, y, uint8(x*16+y))
-		}
-	}
-	s, err := SSIM(a, a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-1) > 1e-9 {
-		t.Fatalf("SSIM identical = %v, want 1", s)
-	}
-}
-
-func TestSSIMDegradesWithNoise(t *testing.T) {
-	a := NewPlane(32, 32)
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			a.Set(x, y, uint8((x*7+y*13)%256))
-		}
-	}
-	b := a.Clone()
-	for y := 0; y < 32; y += 2 {
-		for x := 0; x < 32; x += 2 {
-			b.Set(x, y, ClampU8(int(b.At(x, y))+40))
-		}
-	}
-	s, err := SSIM(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s >= 1 || s <= 0 {
-		t.Fatalf("SSIM with noise = %v, want in (0, 1)", s)
-	}
-}
-
 func TestSADAgainstManual(t *testing.T) {
 	a, b := NewPlane(2, 2), NewPlane(2, 2)
 	a.Set(0, 0, 10)
@@ -309,6 +272,20 @@ func TestNewFramePanicsOnOddSize(t *testing.T) {
 		}
 	}()
 	NewFrame(15, 8)
+}
+
+// Validate checks that all frames share one geometry.
+func (s *Sequence) Validate() error {
+	if len(s.Frames) == 0 {
+		return nil
+	}
+	w, h := s.Frames[0].Width(), s.Frames[0].Height()
+	for i, f := range s.Frames {
+		if f.Width() != w || f.Height() != h {
+			return fmt.Errorf("video: frame %d is %dx%d, want %dx%d: %w", i, f.Width(), f.Height(), w, h, ErrSizeMismatch)
+		}
+	}
+	return nil
 }
 
 func TestSequenceNumbersAndPTS(t *testing.T) {

@@ -260,22 +260,14 @@ func (l *LUT) Calibrations() uint64 {
 	return n
 }
 
-// Estimate predicts the encode time for key k: the calibration EWMA when
-// the serving loop has calibrated the key (see Calibrate), the key's
-// lifetime mean otherwise. Unknown keys fall back to the nearest known key
-// (same texture/motion, closest area and QP), then to the global mean,
-// then to a conservative fixed prior.
-func (l *LUT) Estimate(k Key) time.Duration {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.estimateLocked(k)
-}
-
-// EstimateInto resolves every key of m to its estimate under a single
-// read lock — the batched form of Estimate for stage D1, where the
-// sessions of one workload class collectively look up far fewer distinct
-// keys than they have tiles. Each value is exactly what Estimate(key)
-// would return at the same instant; only the locking is amortized.
+// EstimateInto sets every key of m to its predicted encode time under a
+// single read lock — stage D1's batched lookup, where the sessions of one
+// workload class collectively look up far fewer distinct keys than they
+// have tiles. A key's estimate is its calibration EWMA when the serving
+// loop has calibrated it (see Calibrate), its lifetime mean otherwise.
+// Unknown keys fall back to the nearest known key (same texture/motion,
+// closest area and QP), then to the global mean, then to a conservative
+// fixed prior.
 func (l *LUT) EstimateInto(m map[Key]time.Duration) {
 	if len(m) == 0 {
 		return
@@ -287,7 +279,7 @@ func (l *LUT) EstimateInto(m map[Key]time.Duration) {
 	}
 }
 
-// estimateLocked is Estimate's body; the caller holds at least mu.RLock.
+// estimateLocked resolves one key; the caller holds at least mu.RLock.
 func (l *LUT) estimateLocked(k Key) time.Duration {
 	if h, ok := l.m[k]; ok && h.hasData() {
 		return h.value()

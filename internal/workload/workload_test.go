@@ -7,6 +7,14 @@ import (
 	"time"
 )
 
+// Estimate is the one-key form of EstimateInto, which the tests assert
+// estimates through.
+func (l *LUT) Estimate(k Key) time.Duration {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.estimateLocked(k)
+}
+
 func TestAreaClassMonotone(t *testing.T) {
 	prev := -1
 	for _, area := range []int{1, 4096, 8000, 20000, 40000, 100000, 400000} {
