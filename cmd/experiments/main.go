@@ -11,7 +11,7 @@
 // Fig. 3, Table II, Fig. 4 and the ablation print the same bytes on every
 // run, host and GOMAXPROCS: workloads come from the seeded synthetic
 // corpus, and every tile is priced by the committed work-count model
-// (experiments.WorkTime), not by a stopwatch. The clock is read in two
+// (codec.TileStats.Work), not by a stopwatch. The clock is read in two
 // places only, both printed and never decided on: Table I's host-speedup
 // row and the host-time figure closing the LUT trace.
 package main

@@ -150,13 +150,11 @@ type TileStats struct {
 	SSE int64
 	// PSNR is the tile's luma PSNR derived from SSE (capped at 100 dB).
 	PSNR float64
-	// EncodeTime is the wall-clock time spent encoding the tile; this is
-	// the "CPU time" the workload LUT learns.
+	// EncodeTime is the wall-clock time spent encoding the tile. It is
+	// reported, never learned: the workload LUT prices a tile by Work.
 	EncodeTime time.Duration
-	// SearchTime is the portion of EncodeTime spent inside motion search.
-	// The experiment harness uses it to calibrate the simulated platform
-	// to an HEVC encoder's cost structure (Kvazaar spends 70–80% of its
-	// time in ME; this codec far less).
+	// SearchTime is the portion of EncodeTime spent inside motion search,
+	// likewise reported only.
 	SearchTime time.Duration
 	// SearchEvals counts motion-search SAD evaluations in the tile.
 	SearchEvals int
@@ -167,6 +165,17 @@ type TileStats struct {
 	SkippedBlocks int
 	// MeanMV is the average motion vector of inter blocks.
 	MeanMV motion.MV
+}
+
+// Work is the tile's modelled CPU time, a pure function of its work
+// counters: 20 ns per pixel of tile area, nsPerEval ns per motion-search
+// SAD evaluation and 135 ns per coded bit. It is the one price a workload
+// LUT learns, so every estimate, admission and allocation is the same on
+// every host, run and GOMAXPROCS. The pixel and bit prices, with a search
+// weight of 220, are a least-squares fit of this codec's EncodeTime
+// (DESIGN.md §3).
+func (ts TileStats) Work(nsPerEval int) time.Duration {
+	return time.Duration(20*ts.Tile.Area() + nsPerEval*ts.SearchEvals + 135*ts.Bits)
 }
 
 // FrameStats aggregates a full frame.

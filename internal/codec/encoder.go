@@ -234,10 +234,10 @@ func (e *Encoder) encode(ctx context.Context, f *video.Frame, grid *tiling.Grid,
 // hostSlots bounds the number of tile encodes running concurrently in the
 // whole process to the host's parallelism. Without it, a multi-session
 // server can oversubscribe the host (sessions × per-session workers ≫
-// cores) and every tile's measured EncodeTime — wall clock, stamped after
-// the slot is acquired — would include scheduler wait from other sessions,
-// poisoning the workload LUT that drives admission control. With the gate,
-// a running tile effectively owns a core, so wall time ≈ CPU time.
+// cores) and every tile's reported EncodeTime — wall clock, stamped after
+// the slot is acquired — would include scheduler wait from other sessions.
+// With the gate, a running tile effectively owns a core, so the reported
+// time ≈ CPU time. No decision reads it (the LUT learns TileStats.Work).
 var hostSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // psnrFromSSE converts a summed squared error over n samples to PSNR,

@@ -214,37 +214,70 @@ func TestBaselineUsesUniformGrid(t *testing.T) {
 }
 
 // TestBaselineDefaultTiles: with no tile count configured, [19] runs two
-// uniform tiles at any geometry, and nothing that prices a tile — a
-// TimeModel, or this host's stopwatch without one — changes that.
+// uniform tiles at any geometry.
 func TestBaselineDefaultTiles(t *testing.T) {
-	expensive := func(ts codec.TileStats) time.Duration { return time.Duration(6000 * ts.Tile.Area()) }
 	for _, geo := range [][2]int{{640, 480}, {320, 240}, {256, 192}} {
-		for _, model := range []func(codec.TileStats) time.Duration{nil, expensive} {
-			vc := medgen.Default()
-			vc.Width, vc.Height, vc.Frames = geo[0], geo[1], 2
-			g, err := medgen.NewGenerator(vc)
-			if err != nil {
-				t.Fatal(err)
+		vc := medgen.Default()
+		vc.Width, vc.Height, vc.Frames = geo[0], geo[1], 2
+		g, err := medgen.NewGenerator(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := SourceFromGenerator(g, vc.Frames, vc.FPS, "brain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultSessionConfig()
+		cfg.Mode = ModeBaseline
+		s, err := NewSession(0, src, cfg, workload.NewLUT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PrepareForEstimation(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.grid.NumTiles(); n != 2 {
+			t.Fatalf("%dx%d: %d baseline tiles, want 2", geo[0], geo[1], n)
+		}
+		if a, b := s.grid.Tiles[0], s.grid.Tiles[1]; a.W != b.W || a.H != b.H {
+			t.Fatalf("%dx%d: baseline grid not uniform: %v", geo[0], geo[1], s.grid.Tiles)
+		}
+	}
+}
+
+// TestNilTimeModelLearnsWork: without a TimeModel a session's LUT learns
+// each tile's work counters at the fitted search weight, whatever the
+// host's stopwatch read — a key observed once estimates exactly its tile's
+// TileStats.Work(220), and every key the mean of its tiles' work.
+func TestNilTimeModelLearnsWork(t *testing.T) {
+	for _, mode := range []Mode{ModeProposed, ModeBaseline} {
+		lut := workload.NewLUT()
+		s, err := NewSession(0, testSource(t, medgen.Brain, medgen.Rotate, 8), testSessionConfig(mode), lut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gop, err := s.EncodeGOP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles := make(map[workload.Key][]codec.TileStats)
+		for _, fr := range gop.Frames {
+			for i, ts := range fr.Tiles {
+				tc := gop.Contents[i]
+				k := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
+				tiles[k] = append(tiles[k], ts)
 			}
-			src, err := SourceFromGenerator(g, vc.Frames, vc.FPS, "brain")
-			if err != nil {
-				t.Fatal(err)
+		}
+		for k, ts := range tiles {
+			var sum time.Duration
+			for _, tile := range ts {
+				sum += tile.Work(220)
 			}
-			cfg := DefaultSessionConfig()
-			cfg.Mode = ModeBaseline
-			cfg.TimeModel = model
-			s, err := NewSession(0, src, cfg, workload.NewLUT())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PrepareForEstimation(); err != nil {
-				t.Fatal(err)
-			}
-			if n := s.grid.NumTiles(); n != 2 {
-				t.Fatalf("%dx%d, TimeModel set %v: %d baseline tiles, want 2", geo[0], geo[1], model != nil, n)
-			}
-			if a, b := s.grid.Tiles[0], s.grid.Tiles[1]; a.W != b.W || a.H != b.H {
-				t.Fatalf("%dx%d: baseline grid not uniform: %v", geo[0], geo[1], s.grid.Tiles)
+			est := map[workload.Key]time.Duration{k: 0}
+			lut.EstimateInto(est)
+			if want := sum / time.Duration(len(ts)); est[k] != want {
+				t.Errorf("%v %v over %d tiles: estimate %v, want mean work %v (first EncodeTime %v)",
+					mode, k, len(ts), est[k], want, ts[0].EncodeTime)
 			}
 		}
 	}

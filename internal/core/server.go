@@ -20,10 +20,10 @@ type AllocatorFunc func(sched.Input) (*sched.Result, error)
 
 // CalibrationConfig parametrizes the online workload-estimation
 // calibration loop: after every round the server feeds each admitted
-// tile's measured encode time back into the session's workload LUT as an
-// exponentially-weighted correction (workload.LUT.Calibrate), so stage-D1
-// estimates track the host's current speed instead of dragging all of
-// history behind them.
+// tile's modelled work (SessionConfig.TimeModel) back into the session's
+// workload LUT as an exponentially-weighted correction
+// (workload.LUT.Calibrate), so stage-D1 estimates track each key's recent
+// work instead of dragging all of history behind them.
 type CalibrationConfig struct {
 	// Enabled turns the feedback loop on.
 	Enabled bool
@@ -50,14 +50,12 @@ type ServerConfig struct {
 	// factor as it is handed to the allocator, so the scaled value flows
 	// into admission, core planning and (through the resulting plans)
 	// the slot energy simulation. It does not touch what the LUT stores:
-	// raw measurements are recorded unscaled, and the calibration EWMA
-	// (CalibrationConfig) corrects those stored values independently —
-	// TimeScale bridges host-vs-platform speed, Calibrate tracks drift
-	// within the host. The paper measured Kvazaar (2017) on an E5-2667;
-	// this repository's leaner Go encoder on a modern host is
-	// substantially faster per frame, so experiments set TimeScale so
-	// that per-user demand lands in the paper's regime (~1.5–4 cores per
-	// user). 0 or 1 disables scaling.
+	// modelled work is recorded unscaled, and the calibration EWMA
+	// (CalibrationConfig) corrects those stored values independently.
+	// The paper measured Kvazaar (2017) on an E5-2667, whose frames cost
+	// far more than this codec's modelled work, so experiments set
+	// TimeScale so that per-user demand lands in the paper's regime
+	// (~1.5–4 cores per user). 0 or 1 disables scaling.
 	TimeScale float64
 	// Sequential serves admitted sessions one after another with the
 	// fixed Workers budget — the pre-concurrency reference path. Encoded
@@ -413,7 +411,7 @@ type GOPOutcome struct {
 	// |estimate − measured| / measured averaged over the EstimateTiles
 	// admitted tiles with a positive measurement, where the estimate is
 	// the pre-round LUT prediction and the measurement the GOP's mean
-	// tile encode time (through the session's TimeModel, when set).
+	// modelled tile work (SessionConfig.TimeModel).
 	EstimateErr float64
 	// EstimateTiles is the number of tiles EstimateErr covers.
 	EstimateTiles int
@@ -807,13 +805,13 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 			continue
 		}
 		// Estimation error: pre-round prediction vs the GOP's mean
-		// measured tile time.
+		// modelled tile work.
 		n := len(gop.Grid.Tiles)
 		meas := make([]time.Duration, n)
 		counts := make([]int, n)
 		for _, fr := range gop.Frames {
 			for i, ts := range fr.Tiles {
-				meas[i] += rs.rec.sess.measuredTime(ts)
+				meas[i] += rs.rec.sess.tileWork(ts)
 				counts[i]++
 			}
 		}
@@ -832,7 +830,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 			errSum += d
 			errTiles++
 		}
-		// Calibration: feed every measured tile back into the LUT as an
+		// Calibration: feed every served tile's work back into the LUT as an
 		// EWMA correction. Applied here — once per round, from the
 		// serving goroutine, in ascending session order — so the update
 		// order (and with it every estimate) is reproducible even though
@@ -842,7 +840,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 				for i, ts := range fr.Tiles {
 					tc := gop.Contents[i]
 					key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
-					rs.rec.lut.Calibrate(key, rs.rec.sess.measuredTime(ts), calibrationAlpha)
+					rs.rec.lut.Calibrate(key, rs.rec.sess.tileWork(ts), calibrationAlpha)
 				}
 			}
 		}

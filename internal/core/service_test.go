@@ -289,8 +289,9 @@ func closeTo(a, b, eps float64) bool {
 	return d <= eps
 }
 
-// flatModel returns a deterministic constant-per-tile TimeModel, so
-// admission demands depend only on tile counts — no wall-clock noise.
+// flatModel returns a constant-per-tile TimeModel, so a session's demand
+// is its tile count × perTile — the magnitude each ladder scenario sizes
+// its overload of the two-core platform with.
 func flatModel(perTile time.Duration) func(codec.TileStats) time.Duration {
 	return func(codec.TileStats) time.Duration { return perTile }
 }

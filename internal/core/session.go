@@ -57,15 +57,14 @@ type SessionConfig struct {
 	BaselineQP int
 	// BaselineWindow is the baseline's TZ search window (0 → 64).
 	BaselineWindow int
-	// TimeModel maps a tile's stats to the CPU time recorded in the
-	// workload LUT (and hence used for allocation). Nil records the raw
-	// measured EncodeTime.
-	// The experiment harness installs a model that prices the tile's work
-	// counters at an HEVC encoder's cost structure, independent of host
-	// speed (see experiments.WorkTime). Excluded from the wire format (a
-	// func cannot cross a process boundary; the model shapes LUT
-	// bookkeeping, never encoded bits) — the receiving server installs its
-	// own.
+	// TimeModel prices a tile's work counters as the CPU time recorded in
+	// the workload LUT (and hence used for estimation, admission and
+	// allocation). Nil selects codec.TileStats.Work at the codec's fitted
+	// search weight, 220 ns per evaluation; the experiment harness weights
+	// search for Kvazaar instead. Either way no decision reads the host's
+	// stopwatch. Excluded from the wire format (a func cannot cross a
+	// process boundary; the model shapes LUT bookkeeping, never encoded
+	// bits) — the receiving server prices with its own.
 	TimeModel func(codec.TileStats) time.Duration `json:"-"`
 	// DemandHint seeds the session's core-demand estimate for load
 	// reporting (Server.LoadReport) before its first round competes —
@@ -528,7 +527,7 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 	for i, ts := range stats.Tiles {
 		tc := s.contents[i]
 		key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), params[i].QP, params[i].Window)
-		s.lut.Observe(key, s.measuredTime(ts))
+		s.lut.Observe(key, s.tileWork(ts))
 		if frameInGOP == 0 && stats.Type == codec.FrameP {
 			s.policy.Observe(i, ts.MeanMV)
 		}
@@ -562,13 +561,14 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 	return rep, nil
 }
 
-// measuredTime maps a tile's stats to its CPU time through the session's
-// TimeModel — the one channel the LUT and calibration both read.
-func (s *Session) measuredTime(ts codec.TileStats) time.Duration {
+// tileWork prices a tile through the session's TimeModel, or without one
+// through the work model at the codec's fitted search weight — the one
+// channel the LUT and calibration read.
+func (s *Session) tileWork(ts codec.TileStats) time.Duration {
 	if s.cfg.TimeModel != nil {
 		return s.cfg.TimeModel(ts)
 	}
-	return ts.EncodeTime
+	return ts.Work(220)
 }
 
 // bitstreamDigest hashes a frame's tile payloads (FNV-1a, grid order).

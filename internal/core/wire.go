@@ -20,7 +20,8 @@ import (
 //     (e.g. a medgen generator config) instead of receiving raw frames;
 //   - the session configuration (SessionConfig minus its func-typed
 //     TimeModel, which cannot cross a process boundary and does not affect
-//     encoded bits — only LUT bookkeeping);
+//     encoded bits — only LUT bookkeeping; every node prices a nil model
+//     alike, so LUTs merged across agents hold one currency);
 //   - the encoder's cross-GOP state: the reconstructed reference frame
 //     (raw pixels) and the display-order frame counter;
 //   - the serving cursor and admission-ladder degradations (frame,
@@ -116,7 +117,8 @@ type SessionWire struct {
 	Priority int        `json:"priority,omitempty"`
 	Source   SourceSpec `json:"source"`
 	// Config is the session's defaulted configuration. TimeModel is
-	// excluded (json:"-"): the receiving server installs its own, and the
+	// excluded (json:"-"): the receiver prices with the default work model
+	// (codec.TileStats.Work), which is the same on every node, and the
 	// model never influences encoded bits.
 	Config SessionConfig `json:"config"`
 	// BaselineNX/NY pin a baseline-mode session's uniform grid so the

@@ -30,7 +30,7 @@ func DefaultAblationOptions() AblationOptions {
 // AblationRow is one variant's outcome.
 type AblationRow struct {
 	Variant string
-	// CPUPerFrame is the modelled CPU time per frame (WorkTime, unscaled).
+	// CPUPerFrame is the modelled CPU time per frame (TileStats.Work, unscaled).
 	CPUPerFrame time.Duration
 	// Cores is the per-user core demand at 24 FPS.
 	Cores float64

@@ -10,13 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
-// Work-model coefficients: nanoseconds of modelled encode time per pixel
-// of tile area, per motion-search SAD evaluation and per coded bit.
+// kvazaarNsPerEval is the search weight every scheduling experiment prices
+// a tile's work at (codec.TileStats.Work), so the workload LUTs — and
+// through them admission, allocation and simulated power — are the same on
+// every host, run and GOMAXPROCS.
 //
-// Pixel and bit terms are the benchmark's frozen fit (bench/model.go,
-// 20 / 220 / 135). Against this package's own corpus — all ten videos,
-// proposed and baseline at 2 and 5 tiles, 320×240 and 640×480, 6,848 tiles
-// — those three price this codec's measured TileStats.EncodeTime with a
+// The pixel and bit prices are the codec's fitted 20 / 135. Against this
+// package's own corpus — all ten videos, proposed and baseline at 2 and 5
+// tiles, 320×240 and 640×480, 6,848 tiles — those and the fitted search
+// weight 220 price this codec's measured TileStats.EncodeTime with a
 // median relative error of 0.25 (90th percentile 0.65) and the summed time
 // within 13%; an unconstrained refit (36 / 215 / 121) does no better in the
 // median (0.32).
@@ -29,38 +31,19 @@ import (
 // 0.72–0.79 across both geometries and 2, 4 and 5 tiles (pinned by
 // TestWorkTimeMEShare). The search *work* — evaluations, windows,
 // algorithms — still comes from real execution; only its price is fixed.
-const (
-	workNsPerPixel = 20
-	workNsPerEval  = 330
-	workNsPerBit   = 135
-)
-
-// searchWork is the motion-estimation term of WorkTime.
-func searchWork(ts codec.TileStats) time.Duration {
-	return time.Duration(workNsPerEval * ts.SearchEvals)
-}
-
-// WorkTime is the SessionConfig.TimeModel of every scheduling experiment:
-// a tile's CPU time as a pure function of its work counters, so the
-// workload LUTs — and through them admission, allocation and simulated
-// power — are the same on every host, run and GOMAXPROCS. Wall-clock
-// EncodeTime stays what production LUTs learn and what Table I's
-// host-speedup column reports.
-func WorkTime(ts codec.TileStats) time.Duration {
-	return time.Duration(workNsPerPixel*ts.Tile.Area()+workNsPerBit*ts.Bits) + searchWork(ts)
-}
+const kvazaarNsPerEval = 330
 
 // slot is one frame period at the paper's 24 FPS service rate.
 const slot = time.Second / 24
 
 // modeConfig is the default session configuration of one approach, priced
-// by WorkTime; baselineTiles is [19]'s capacity tile count (the proposed
-// mode ignores it).
+// at kvazaarNsPerEval; baselineTiles is [19]'s capacity tile count (the
+// proposed mode ignores it).
 func modeConfig(mode core.Mode, baselineTiles int) core.SessionConfig {
 	cfg := core.DefaultSessionConfig()
 	cfg.Mode = mode
 	cfg.BaselineTiles = baselineTiles
-	cfg.TimeModel = WorkTime
+	cfg.TimeModel = func(ts codec.TileStats) time.Duration { return ts.Work(kvazaarNsPerEval) }
 	return cfg
 }
 
@@ -79,7 +62,7 @@ func tileWork(gop *core.GOPReport) []time.Duration {
 	perTile := make([]time.Duration, len(gop.Grid.Tiles))
 	for _, fr := range gop.Frames {
 		for i, ts := range fr.Tiles {
-			perTile[i] += WorkTime(ts)
+			perTile[i] += ts.Work(kvazaarNsPerEval)
 		}
 	}
 	return perTile

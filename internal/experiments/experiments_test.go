@@ -17,7 +17,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden renders under testdata/")
 
 // checkGolden holds a rendered experiment to its committed bytes. Every
-// scheduling experiment is priced by WorkTime, so a render is a pure
+// scheduling experiment is priced by modelled work, so a render is a pure
 // function of the commit: any drift — across runs, GOMAXPROCS or host
 // load — is a failure, not noise.
 func checkGolden(t *testing.T, name string, res interface{ Render(io.Writer) error }) {
@@ -68,7 +68,7 @@ func TestCorpusShape(t *testing.T) {
 	}
 }
 
-// TestWorkTimeMEShare pins the committed constants to the cost structure
+// TestWorkTimeMEShare pins the committed prices to the cost structure
 // they were weighted for: on [19]'s configuration of corpus entry 0 the
 // modelled motion-estimation share of the first GOP's P-frames (the
 // I-frame searches nothing) is Kvazaar's 70–80%. Counters only — no
@@ -86,8 +86,8 @@ func TestWorkTimeMEShare(t *testing.T) {
 		var search, total time.Duration
 		for _, fr := range gop.Frames[1:] {
 			for _, ts := range fr.Tiles {
-				search += searchWork(ts)
-				total += WorkTime(ts)
+				search += ts.Work(kvazaarNsPerEval) - ts.Work(0)
+				total += ts.Work(kvazaarNsPerEval)
 			}
 		}
 		if share := search.Seconds() / total.Seconds(); share < 0.70 || share > 0.80 {

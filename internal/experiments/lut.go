@@ -47,8 +47,8 @@ type LUTResult struct {
 	Points []LUTPoint
 	// FinalError is the error after the last GOP of the primary video.
 	FinalError time.Duration
-	// MeanTileTime is the average modelled tile time (WorkTime, what the
-	// LUT learns here), for putting the absolute error in proportion: its
+	// MeanTileTime is the average modelled tile time (TileStats.Work, what
+	// the LUT learns), for putting the absolute error in proportion: its
 	// floor is the spread of work inside one LUT key, not the estimator.
 	MeanTileTime time.Duration
 	// HostTileTime is the same tiles' average wall-clock EncodeTime on this
@@ -61,8 +61,8 @@ type LUTResult struct {
 
 // RunLUT encodes the video GOP by GOP, recording the workload LUT's mean
 // absolute estimation error as it converges, then optionally replays a
-// second same-class video against the warmed LUT. The LUT learns WorkTime,
-// so the trace is the same on every host.
+// second same-class video against the warmed LUT. The LUT learns modelled
+// work, so the trace is the same on every host.
 func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	if opt.GOPs <= 0 {
 		return nil, fmt.Errorf("experiments: bad LUT options %+v", opt)
@@ -83,7 +83,7 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 		}
 		for _, fr := range gop.Frames {
 			for _, ts := range fr.Tiles {
-				tileTime += WorkTime(ts)
+				tileTime += ts.Work(kvazaarNsPerEval)
 				hostTime += ts.EncodeTime
 				tiles++
 			}

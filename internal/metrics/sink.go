@@ -397,9 +397,9 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 		if class == "" {
 			class = "other"
 		}
-		// Cost attribution: encode CPU time is the resource the allocator
-		// prices, so it is the share each class pays. A round with no
-		// measurable CPU splits evenly.
+		// Cost attribution: reported encode CPU time, the measured side of
+		// the work the allocator prices, is the share each class pays. A
+		// round with no measurable CPU splits evenly.
 		share := 1.0 / float64(len(ids))
 		if totalCPU > 0 {
 			share = gop.CPUTime.Seconds() / totalCPU

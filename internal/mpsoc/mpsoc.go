@@ -9,7 +9,7 @@
 // The paper measures a real server; this package substitutes a calibrated
 // simulator. The substitution is sound because Algorithm 2 takes only
 // per-thread CPU-time estimates as input and emits core/frequency
-// assignments; feeding it measured Go encode times exercises the identical
+// assignments; feeding it modelled tile encode times exercises the identical
 // decision logic (see DESIGN.md).
 package mpsoc
 

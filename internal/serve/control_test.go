@@ -28,15 +28,6 @@ func loadsOf(live, demand, shardCap int) []core.LoadReport {
 	return out
 }
 
-// pricedSessionConfig is testSessionConfig with every tile priced by
-// pixelCostModel instead of the wall clock, so the core demand each loop
-// decides on is the same on every host and under every GOMAXPROCS.
-func pricedSessionConfig() core.SessionConfig {
-	cfg := testSessionConfig()
-	cfg.TimeModel = pixelCostModel(800)
-	return cfg
-}
-
 // TestHysteresis: the window fires after controlWindow consecutive
 // observations on its side, restarts after firing, and any contrary
 // observation resets the count.
@@ -307,7 +298,7 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "auto", int64(i+1), 16), Config: pricedSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "auto", int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +339,7 @@ func TestFleetAutoscaleScheduleDrivesResizes(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 32), Config: pricedSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 32), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,7 +390,7 @@ func TestRebalanceShedsHotShardBitIdentical(t *testing.T) {
 	f, class, home := hotFleet(t, 2, RebalanceConfig{Factor: 1.2}, sink)
 	const sessions = 4
 	for i := 0; i < sessions; i++ {
-		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), frames), Config: pricedSessionConfig()})
+		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), frames), Config: testSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +465,7 @@ func TestRebalanceQuietOnBalancedFleet(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: pricedSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +492,7 @@ func TestRebalanceHysteresisHoldsWithinWindow(t *testing.T) {
 	sink := &recordingSink{}
 	f, class, home := hotFleet(t, 2, RebalanceConfig{Factor: 1.2}, sink)
 	for i := 0; i < 3; i++ {
-		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: pricedSessionConfig()})
+		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,12 +532,16 @@ func TestRebalanceConfigValidation(t *testing.T) {
 // ROADMAP item 6(a)'s elastic_skew as a tier-1 test: a mixed 8/16/32-core
 // fleet with demand-aware placement, rebalancing and autoscaling, one hot
 // class piled on the small shard and a "-4k" class homed there too, tiles
-// priced by pixelCostModel. Whatever the loops decide and whenever they
-// collide, nothing may be lost, every session's digest chain across its
-// hops equals its solo run, and the event-derived report equals the
-// ledger.
+// priced at 800 ns per luma pixel so the warmed 640×480 stream demands six
+// cores — enough for autoscale to grow the fleet, which the default work
+// model's fraction of a core is not. Whatever the loops decide and
+// whenever they collide, nothing may be lost, every session's digest chain
+// across its hops equals its solo run, and the event-derived report equals
+// the ledger.
 func TestControlLoopsTogether(t *testing.T) {
 	const hotSessions, hotFrames, fourKFrames = 6, 24, 8
+	cfg := testSessionConfig()
+	cfg.TimeModel = pixelCostModel(800)
 	ring, sink := NewRingSink(256), &recordingSink{}
 	f, err := New(
 		WithPlatforms(heteroPlatform(8), heteroPlatform(16), heteroPlatform(32)),
@@ -573,7 +568,7 @@ func TestControlLoopsTogether(t *testing.T) {
 	var subs []submitted
 	submit := func(src core.FrameSource) Placement {
 		t.Helper()
-		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: pricedSessionConfig()})
+		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,9 @@ func heteroPlatform(cores int) *mpsoc.Platform {
 
 // pixelCostModel charges every tile a fixed CPU time per luma pixel, so a
 // session's warmed per-frame estimate is area × nsPerPixel regardless of
-// how the re-tiler splits the frame.
+// how the re-tiler splits the frame. Tests use it for a heavy session
+// whose scenario needs a demand of several cores: the default work model
+// prices a 256×192 frame at about a tenth of a core.
 func pixelCostModel(nsPerPixel float64) func(codec.TileStats) time.Duration {
 	return func(ts codec.TileStats) time.Duration {
 		return time.Duration(float64(ts.Tile.Area()) * nsPerPixel)
@@ -60,7 +62,8 @@ func classesHomedOn(t *testing.T, f *Fleet, shard, n int) []string {
 // report, the sink, and the heavy session's placed shard. At 800 ns per
 // luma pixel the heavy 640×480 stream warms to a demand of
 // ceil(307200·800ns·24fps) = 6 cores — more than the whole small shard,
-// well within the big one — while the 256×192 lights stay at 1 core each.
+// well within the big one — while the 256×192 lights, on the default work
+// model, stay at 1 core each.
 func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, int) {
 	t.Helper()
 	sink := &recordingSink{}
@@ -84,7 +87,6 @@ func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, i
 	for i := 0; i < 3; i++ {
 		cfg := testSessionConfig()
 		cfg.Retile.MinTileW, cfg.Retile.MinTileH = 84, 64
-		cfg.TimeModel = pixelCostModel(800)
 		p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, lightClass, int64(i+1), 16), Config: cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +202,6 @@ func TestLoadReportInvariants(t *testing.T) {
 	classes := classesHomedOn(t, f, 0, 1)
 	for i := 0; i < 4; i++ {
 		cfg := testSessionConfig()
-		cfg.TimeModel = pixelCostModel(800)
 		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[0], int64(i+1), 8), Config: cfg}); err != nil {
 			t.Fatal(err)
 		}

@@ -141,13 +141,13 @@ func WithTenancy(reg *tenancy.Registry) Option {
 	}
 }
 
-// WithCalibration enables/configures measurement-calibrated estimation
-// on every shard.
+// WithCalibration enables/configures calibrated estimation on every shard
+// (see core.CalibrationConfig).
 func WithCalibration(cfg core.CalibrationConfig) Option {
 	return func(o *options) { o.calibration = cfg }
 }
 
-// WithTimeScale sets the host-to-platform time calibration factor (see
+// WithTimeScale sets the modelled-work-to-platform time factor (see
 // core.ServerConfig.TimeScale).
 func WithTimeScale(scale float64) Option {
 	return func(o *options) { o.timeScale = scale }

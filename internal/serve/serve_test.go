@@ -466,7 +466,7 @@ func TestShardGiveUpCascadeGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, class := range classes[1:] {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+2), 8), Config: pricedSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+2), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -255,7 +255,7 @@ func TestRingReportMatchesFleetLedger(t *testing.T) {
 	}
 	submit := func(src core.FrameSource, wantShard int) {
 		t.Helper()
-		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: pricedSessionConfig()})
+		p, err := f.SubmitWith(SubmitRequest{Source: src, Config: testSessionConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestRingReportMatchesFleetLedger(t *testing.T) {
 func TestReportMonotoneDuringRun(t *testing.T) {
 	f, class, _ := hotFleet(t, 2, RebalanceConfig{Factor: 1.2}, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: pricedSessionConfig()}); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,21 +15,20 @@ import (
 // starve a light one out of its weighted core share), and the flash
 // crowd (an emergency-priority arrival is admitted in its arrival round
 // by pushing best-effort sessions down the admission ladder, leaving an
-// unrelated tenant's output bit-identical). Demand is pinned with
-// pixelCostModel so every scenario is deterministic: a warmed 256×192
-// session at 800 ns/pixel costs exactly one core.
+// unrelated tenant's output bit-identical). The scenarios are tuned to a
+// warmed 256×192 session costing exactly one core: the default work model
+// prices one at about a tenth of a core, which the allocator rounds up to
+// its one-core floor.
 
 // tenantPlatform8 builds the single 8-core shard the QoS scenarios
 // saturate.
 func tenantPlatform8() Option { return WithPlatforms(heteroPlatform(8)) }
 
-// tenantSessionConfig pins a deterministic one-core-when-warm session:
-// the coarse grid keeps the cold 5 ms-per-tile prior small and the pixel
-// cost model makes the warmed per-frame estimate pure geometry.
+// tenantSessionConfig pins a one-core-when-warm session: the coarse grid
+// keeps the cold 5 ms-per-tile prior small.
 func tenantSessionConfig() core.SessionConfig {
 	cfg := testSessionConfig()
 	cfg.Retile.MinTileW, cfg.Retile.MinTileH = 84, 64
-	cfg.TimeModel = pixelCostModel(800)
 	return cfg
 }
 
@@ -165,8 +164,8 @@ func TestNoisyNeighborWeightedFairness(t *testing.T) {
 		errCh <- err
 	}()
 
-	// Two settled rounds warm the light tenant's estimates to their exact
-	// one-core geometry; then the heavy tenant floods.
+	// Two settled rounds warm the light tenant's estimates to their
+	// one-core floor; then the heavy tenant floods.
 	<-floodGate
 	for i := 0; i < 8; i++ {
 		if _, err := f.SubmitWith(SubmitRequest{

@@ -123,11 +123,10 @@ type histogram struct {
 	sum   time.Duration
 	// bins[i] counts observations in [2^i, 2^(i+1)) µs; bins[0] includes 0.
 	bins [numBins]uint64
-	// calCount/calEWMA hold the measurement-calibrated estimate: an
-	// exponentially-weighted mean of the times the server actually
-	// measured under this key. When present it takes precedence over the
-	// lifetime mean, because it tracks the host's *current* speed (thermal
-	// drift, co-located load) instead of averaging over all history.
+	// calCount/calEWMA hold the calibrated estimate: an exponentially-
+	// weighted mean of the times the server fed back under this key. When
+	// present it takes precedence over the lifetime mean, because it tracks
+	// the key's recent work instead of averaging over all history.
 	calCount uint64
 	calEWMA  float64 // nanoseconds
 }
@@ -216,7 +215,7 @@ func (l *LUT) Observe(k Key, d time.Duration) {
 //
 // The first calibration of a key seeds the EWMA with the measurement.
 // Calibrated keys estimate from the EWMA instead of the lifetime mean, so
-// stage-D1 estimates converge toward the host's current timings instead of
+// stage-D1 estimates converge toward the key's recent timings instead of
 // dragging all of history (or a seeded prior) behind them. Alpha is
 // clamped to (0, 1]; non-positive values default to 0.5. Unlike Observe,
 // Calibrate does not touch the histogram, the global fallback mean, or the

@@ -14,7 +14,6 @@
 #   BUILDFLAGS     extra go build flags for the binaries built into $OUT/bin
 #                  (e.g. "-cover -coverpkg=repro/...")
 #   BENCH_SECONDS  window of the bench runs (default 4)
-#   KEEP_GOING     set: run every scenario even after one fails a check
 #
 # Processes that must exit on their own terms get SIGINT, never SIGTERM:
 # transcode drains on an interrupt, and a coverage build writes its
@@ -170,6 +169,13 @@ scenario_metrics() {
 
 # --- tenant: two weighted tenants plus one emergency arrival ---
 
+# tenant_run LUTS EVENTS: the priced run, from (and saving back to) LUTS.
+tenant_run() {
+  "$transcode" -shards 1 -shard-cores 4 -users 5 -frames 48 \
+    -width 256 -height 192 -stagger 1 -tenants-config tenants.json \
+    -tenant-plan "batch:3,clinic:1,er:1" -luts "$1" -sink "jsonl:$2"
+}
+
 scenario_tenant() {
   write_tenants
   rm -f tenant-luts.json
@@ -178,16 +184,18 @@ scenario_tenant() {
   # refused session's ladder before the emergency tenant ever arrives.
   "$transcode" -shards 1 -users 4 -frames 8 -width 256 -height 192 \
     -sink none -luts tenant-luts.json
-  "$transcode" -shards 1 -shard-cores 4 -users 5 -frames 48 \
-    -width 256 -height 192 -stagger 1 -tenants-config tenants.json \
-    -tenant-plan "batch:3,clinic:1,er:1" -luts tenant-luts.json \
-    -sink jsonl:tenant-events.jsonl | tee tenant-run.txt
+  cp tenant-luts.json tenant-luts-1cpu.json
+  tenant_run tenant-luts.json tenant-events.jsonl | tee tenant-run.txt
   grep -q '"tenant":"er"' tenant-events.jsonl
   grep -q '"preempted":\[' tenant-events.jsonl
   grep -Eq '"tenant_cores":\{[^}]*"er":[0-9]+' tenant-events.jsonl
   grep -Eq '"tenant_cores":\{[^}]*"batch":[0-9]+' tenant-events.jsonl
   grep -q '5/5 sessions completed (0 rejected, 0 failed' tenant-run.txt
   grep -q '240 frames in 30 GOP reports' tenant-run.txt
+  # LUTs learn modelled work, not the host's stopwatch, so the same run on
+  # one CPU decides every round alike.
+  GOMAXPROCS=1 tenant_run tenant-luts-1cpu.json tenant-events-1cpu.jsonl > /dev/null
+  diff <(grep '"event":"round"' tenant-events.jsonl) <(grep '"event":"round"' tenant-events-1cpu.jsonl)
 }
 
 # --- dist: master + two agents, one SIGKILLed while it holds sessions ---
@@ -290,29 +298,9 @@ for s in "$@"; do
     exit 2
   fi
 done
-# Each scenario runs in a subshell with -e on, so a failed check ends that
-# scenario (and its EXIT trap stops any node it left running). KEEP_GOING
-# set runs the rest anyway and reports the failures as warnings: the reach
-# job wants every scenario's coverage, and a coverage build is slow enough
-# to change what wall-clock-priced admission decides.
-failed=()
+# Each scenario runs in a subshell, so a failed check ends the run after
+# that scenario's EXIT trap stops any node it left running.
 for s in "$@"; do
   echo "=== $s"
-  set +e
-  (
-    set -e
-    "scenario_$s"
-  )
-  rc=$?
-  set -e
-  if [ "$rc" -ne 0 ]; then
-    if [ -z "${KEEP_GOING:-}" ]; then
-      exit "$rc"
-    fi
-    echo "::warning::drivers.sh: scenario $s failed a check (exit $rc)"
-    failed+=("$s")
-  fi
+  ("scenario_$s")
 done
-if [ ${#failed[@]} -gt 0 ]; then
-  echo "drivers.sh: scenarios that failed a check: ${failed[*]}" >&2
-fi
