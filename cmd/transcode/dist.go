@@ -16,16 +16,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
-	"net/http"
+	"io"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/medgen"
-	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/tenancy"
 )
@@ -34,7 +30,7 @@ import (
 // cancelled. Its operational journal (agent joins/deaths, re-imports,
 // lost sessions) goes to -events as JSONL — the artifact the dist-smoke
 // CI job asserts failover against.
-func runMaster(ctx context.Context, o options) error {
+func runMaster(ctx context.Context, o options, stdout io.Writer) error {
 	var events *json.Encoder
 	if o.eventsPath != "" {
 		f, err := os.Create(o.eventsPath)
@@ -59,7 +55,7 @@ func runMaster(ctx context.Context, o options) error {
 		Tenancy:          reg,
 		HeartbeatTimeout: o.heartbeatGrace,
 		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
+			fmt.Fprintf(stdout, format+"\n", args...)
 		},
 		OnEvent: func(e dist.Event) {
 			if events != nil {
@@ -78,39 +74,21 @@ func runMaster(ctx context.Context, o options) error {
 	return nil
 }
 
-// runAgent serves one fleet node until the context is cancelled. The
-// fleet options mirror the local -users mode where they make sense for
-// a long-running node; the telemetry sink and the per-agent-labeled
-// metrics endpoint come from the same flags.
-func runAgent(ctx context.Context, o options) error {
-	sink, _, closeSink, err := buildSink(o.sink)
+// runAgent serves one fleet node until the context is cancelled, on the
+// serving configuration the local fleet uses (servingOptions) with
+// -shards shards; the telemetry sink and the per-agent-labeled metrics
+// endpoint come from the same flags.
+func runAgent(ctx context.Context, o options, stdout io.Writer) error {
+	fleetOptions, closeMetrics, err := servingOptions(o, stdout)
 	if err != nil {
 		return err
 	}
-	fleetOptions := []serve.Option{
-		serve.WithShards(o.shards),
-		serve.WithAllocator(o.allocator),
-		serve.WithCalibration(core.CalibrationConfig{Enabled: true}),
-		serve.WithAdmission(core.AdmissionConfig{Enabled: true, RecoverAfterRounds: 3}),
+	defer closeMetrics()
+	sink, _, closeSink, err := buildSink(o.sink, stdout)
+	if err != nil {
+		return err
 	}
-	if o.tenantsConfig != "" {
-		reg, err := tenancy.LoadFile(o.tenantsConfig)
-		if err != nil {
-			return err
-		}
-		// Weights and priority classes only: the master already charged
-		// the fleet-wide token bucket before routing here.
-		fleetOptions = append(fleetOptions, serve.WithTenancy(reg.WithoutRates()))
-	}
-	if o.metricsAddr != "" {
-		msink := metrics.NewSink(metrics.SinkConfig{Agent: o.name})
-		srv, err := serveMetrics(o.metricsAddr, msink)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fleetOptions = append(fleetOptions, serve.WithMetrics(msink))
-	}
+	defer closeSink()
 	a, err := dist.NewAgent(dist.AgentConfig{
 		Name:            o.name,
 		Addr:            o.agentAddr,
@@ -120,9 +98,9 @@ func runAgent(ctx context.Context, o options) error {
 		CheckpointEvery: o.checkpointEvery,
 		Sink:            sink,
 		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
+			fmt.Fprintf(stdout, format+"\n", args...)
 		},
-	}, fleetOptions...)
+	}, append(fleetOptions, serve.WithShards(o.shards))...)
 	if err != nil {
 		return err
 	}
@@ -136,45 +114,24 @@ func runAgent(ctx context.Context, o options) error {
 	return err
 }
 
-// serveMetrics starts a /metrics scrape endpoint for an agent's sink.
-func serveMetrics(addr string, msink *metrics.Sink) (*http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", msink.Handler())
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "transcode: metrics server: %v\n", err)
-		}
-	}()
-	fmt.Printf("metrics: serving http://%s/metrics\n", ln.Addr())
-	return srv, nil
-}
-
-// runSubmit drives -users sessions into a master's front door (the same
-// endpoint shape works against a standalone agent, which answers without
-// the routed agent name). Sources are sent by spec — regenerated on the
+// runSubmit drives -users sessions of the fleet's roster (userVideo) into
+// a master's front door (the same endpoint shape works against a
+// standalone agent, which answers without the routed agent name), each in
+// its -tenant-plan tenant. Sources are sent by spec — regenerated on the
 // serving node — so the submitting process streams no pixels.
-func runSubmit(ctx context.Context, o options) error {
+func runSubmit(ctx context.Context, o options, stdout io.Writer) error {
 	cfg := core.DefaultSessionConfig()
 	var err error
 	if cfg.Mode, err = parseMode(o.mode); err != nil {
 		return err
 	}
+	plan, err := parseTenantPlan(o.tenantPlan, o.users)
+	if err != nil {
+		return err
+	}
 	client := dist.DefaultClient()
-	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone, medgen.SpinalCord}
-	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
 	for i := 0; i < o.users; i++ {
-		vc := medgen.Default()
-		vc.Width, vc.Height = o.width, o.height
-		vc.Frames = o.frames
-		vc.Class = classes[i%len(classes)]
-		vc.Motion = motions[i%len(motions)]
-		vc.Seed = o.seed + int64(i)
-		src, err := dist.NewMedgenSource(vc, "")
+		src, err := dist.NewMedgenSource(userVideo(o, i), "")
 		if err != nil {
 			return err
 		}
@@ -186,18 +143,18 @@ func runSubmit(ctx context.Context, o options) error {
 			Version:  dist.ProtocolVersion,
 			Source:   spec,
 			Config:   cfg,
-			Tenant:   o.tenant,
-			Priority: o.priority,
+			Tenant:   plan[i].tenant,
+			Priority: plan[i].priority,
 		}
 		var resp dist.RoutedSubmitResponse
 		if err := client.PostJSON(ctx, o.submitURL+"/v1/submit", req, &resp); err != nil {
 			return fmt.Errorf("submit user %d: %w", i, err)
 		}
+		user := userLabel(i, src.Class(), plan[i])
 		if resp.Agent != "" {
-			fmt.Printf("user %2d (%s) → agent %s shard %d session %d\n",
-				i, vc.Class, resp.Agent, resp.Shard, resp.Session)
+			fmt.Fprintf(stdout, "%s → agent %s shard %d session %d\n", user, resp.Agent, resp.Shard, resp.Session)
 		} else {
-			fmt.Printf("user %2d (%s) → shard %d session %d\n", i, vc.Class, resp.Shard, resp.Session)
+			fmt.Fprintf(stdout, "%s → shard %d session %d\n", user, resp.Shard, resp.Session)
 		}
 	}
 	return nil

@@ -25,7 +25,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,23 +51,20 @@ import (
 	"repro/internal/workload"
 )
 
-// options is where every flag lands: main binds the flags straight onto
-// its fields, and each mode reads the ones it needs.
+// options is where every flag lands: parseFlags binds the flags straight
+// onto its fields, and each mode reads the ones it needs.
 type options struct {
 	class, motion         string
 	frames, width, height int
 	seed                  int64
 	mode                  string
-	workers               int
 	verbose               bool
 	yuv                   string
 
 	users, shards         int
 	allocator, sink, luts string
 
-	tenant, tenantsConfig string
-	priority              int
-	tenantPlan            string
+	tenantsConfig, tenantPlan string
 
 	cpuProfile, memProfile string
 
@@ -75,10 +74,9 @@ type options struct {
 	stagger              int
 	shardSessions        int
 
-	shardCoresSpec string
-	shardCores     []int // shardCoresSpec, parsed
-	pixPerCore     float64
-	fourkEvery     int
+	shardCores string
+	pixPerCore float64
+	fourkEvery int
 
 	hotClass  string
 	rebFactor float64
@@ -97,190 +95,136 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.class, "class", "brain", "body-part class: brain|chest|bone|spinal-cord|ligament")
-	flag.StringVar(&o.motion, "motion", "rotate", "motion script: still|pan|rotate|sweep")
-	flag.IntVar(&o.frames, "frames", 48, "number of frames")
-	flag.IntVar(&o.width, "width", 640, "frame width")
-	flag.IntVar(&o.height, "height", 480, "frame height")
-	flag.Int64Var(&o.seed, "seed", 1, "generator seed")
-	flag.StringVar(&o.mode, "mode", "proposed", "pipeline mode: proposed|baseline")
-	flag.IntVar(&o.workers, "workers", 4, "tile-encoding workers")
-	flag.BoolVar(&o.verbose, "v", false, "print per-frame rows")
-	flag.StringVar(&o.yuv, "yuv", "", "transcode a raw planar I420 file instead of a synthetic study (uses -width/-height/-class)")
-	flag.IntVar(&o.users, "users", 1, "serve N concurrent synthetic sessions through the fleet serving loop")
-	flag.IntVar(&o.shards, "shards", 1, "initial number of platform shards behind the fleet dispatcher")
-	flag.StringVar(&o.allocator, "allocator", sched.NameContentAware,
-		fmt.Sprintf("stage-D2 allocation policy: %s", strings.Join(sched.Names(), "|")))
-	flag.StringVar(&o.sink, "sink", "report", "telemetry sink: report|jsonl|jsonl:PATH|none")
-	flag.StringVar(&o.luts, "luts", "", "persist warmed workload LUTs at PATH (loaded on start, saved on clean exit)")
-
-	flag.StringVar(&o.tenant, "tenant", "", "tenant id submitted sessions belong to (empty = the default tenant)")
-	flag.StringVar(&o.tenantsConfig, "tenants-config", "", "per-tenant QoS policy (weights, priority classes, admission rates) as tenancy JSON at PATH")
-	flag.IntVar(&o.priority, "priority", 0, "priority class for submitted sessions (0 = tenant default / best effort; higher preempts under overload)")
-	flag.StringVar(&o.tenantPlan, "tenant-plan", "", "assign the -users sessions to tenants in submission order: TENANT[:COUNT][@PRIORITY],... (overrides -tenant/-priority; counts must sum to -users)")
-
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to PATH, stopped and flushed on clean shutdown")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to PATH on clean shutdown (after a final GC)")
-
-	flag.IntVar(&o.minShards, "min-shards", 0, "autoscaler floor (0 = -shards); the fleet never shrinks below this")
-	flag.IntVar(&o.maxShards, "max-shards", 0, "autoscaler ceiling (0 = -shards); the fleet never grows beyond this")
-	flag.Float64Var(&o.targetUtil, "target-util", 0.75, "autoscaler target demand-normalized utilization (summed core demand over summed capacity)")
-	flag.StringVar(&o.resizeAt, "resize-at", "", "forced resize schedule ROUND:SHARDS[,ROUND:SHARDS...] on total fleet rounds (e.g. 6:4,14:3)")
-	flag.IntVar(&o.stagger, "stagger", 0, "submit one user every N fleet rounds instead of all upfront (0 = upfront)")
-	flag.IntVar(&o.shardSessions, "shard-sessions", 0, "cap each shard's live sessions for routing; overflow spills to the least-utilized shard (0 = even share of the users)")
-
-	flag.StringVar(&o.shardCoresSpec, "shard-cores", "", "per-shard core counts N[,N...] (e.g. 8,16,32): builds a heterogeneous fleet (overrides -shards) and turns on demand-aware placement")
-	flag.Float64Var(&o.pixPerCore, "pixels-per-core", 0, "demand-aware placement price: luma pixels per second one core transcodes (0 = serve default)")
-	flag.IntVar(&o.fourkEvery, "fourk-every", 0, "give every Nth user a doubled-resolution stream in a separate \"-4k\" workload class (0 = off)")
-
-	flag.StringVar(&o.hotClass, "hot-class", "", "give every user this body-part class (skews the class routing onto one shard)")
-	flag.Float64Var(&o.rebFactor, "rebalance-factor", 0, "shed a shard whose utilization exceeds this multiple of the fleet mean (0 = rebalancing off, must be > 1)")
-
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a Prometheus /metrics endpoint on ADDR (e.g. 127.0.0.1:9090) during fleet runs")
-	flag.DurationVar(&o.metricsGrace, "metrics-grace", 0, "keep the /metrics endpoint up this long after the run drains (for a final scrape)")
-	flag.Float64Var(&o.costJoule, "cost-per-joule", 0, "cost-model dollars per joule behind repro_cost_dollars_total")
-	flag.Float64Var(&o.costMiss, "cost-per-miss", 0, "cost-model dollars per frame-deadline miss")
-
-	flag.StringVar(&o.masterAddr, "master", "", "run the distributed master (routing + supervision) on ADDR (e.g. 127.0.0.1:7600)")
-	flag.StringVar(&o.agentAddr, "agent", "", "run one distributed agent node on ADDR; -name identifies it, -master-url registers it")
-	flag.StringVar(&o.submitURL, "submit", "", "submit -users synthetic sessions to the master (or agent) at URL and exit")
-
-	flag.StringVar(&o.name, "name", "", "this agent's stable identity on the master's ring (required with -agent)")
-	flag.StringVar(&o.masterURL, "master-url", "", "master base URL the agent heartbeats to (empty = standalone agent)")
-	flag.StringVar(&o.advertiseURL, "advertise-url", "", "base URL peers reach this agent at (empty = the bound address)")
-	flag.DurationVar(&o.heartbeatEvery, "heartbeat-every", time.Second, "agent heartbeat period")
-	flag.DurationVar(&o.heartbeatGrace, "heartbeat-grace", 5*time.Second, "master-side silence before an agent is declared dead and failed over")
-	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 2, "agent wire-checkpoint cadence in settled rounds per shard")
-	flag.StringVar(&o.eventsPath, "events", "", "master operational journal (agent deaths, re-imports) as JSONL at PATH")
-	flag.Parse()
-	if err := o.checkCounts(); err != nil {
-		fatalf("%v", err)
-	}
-
-	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer stopProfiles()
-
 	// An interrupt cancels cleanly at the next tile boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	if o.masterAddr != "" || o.agentAddr != "" || o.submitURL != "" {
-		var err error
-		switch {
-		case o.masterAddr != "":
-			err = runMaster(ctx, o)
-		case o.agentAddr != "":
-			err = runAgent(ctx, o)
-		default:
-			err = runSubmit(ctx, o)
-		}
-		if err != nil && !errors.Is(err, context.Canceled) {
-			fatalf("%v", err)
-		}
-		return
+// run is the whole command: it parses args, runs the one mode they select
+// with its report on stdout, and maps what ended that mode to the exit
+// status, with at most one line on stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-
-	if o.shardCores, err = parseShardCores(o.shardCoresSpec); err != nil {
-		fatalf("%v", err)
-	}
-
-	if o.users > 1 || o.shards > 1 || len(o.shardCores) > 0 {
-		if err := serveFleet(ctx, o); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "transcode: interrupted")
-				os.Exit(130)
-			}
-			fatalf("%v", err)
-		}
-		return
-	}
-
-	cfg := medgen.Default()
-	cfg.Width, cfg.Height = o.width, o.height
-	cfg.Frames = o.frames
-	cfg.Seed = o.seed
-	var ok bool
-	if cfg.Class, ok = classByName(o.class); !ok {
-		fatalf("unknown class %q", o.class)
-	}
-	if cfg.Motion, ok = motionByName(o.motion); !ok {
-		fatalf("unknown motion %q", o.motion)
-	}
-	var src core.FrameSource
-	if o.yuv != "" {
-		s, err := core.NewYUVFileSource(o.yuv, cfg.Width, cfg.Height, cfg.FPS, cfg.Class.String())
-		if err != nil {
-			fatalf("%v", err)
-		}
-		src = s
-		cfg.Frames = s.Len()
-	} else {
-		gen, err := medgen.NewGenerator(cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		s, err := core.SourceFromGenerator(gen, cfg.Frames, cfg.FPS, cfg.Class.String())
-		if err != nil {
-			fatalf("%v", err)
-		}
-		src = s
-	}
-
-	scfg := core.DefaultSessionConfig()
-	scfg.Workers = o.workers
-	if scfg.Mode, err = parseMode(o.mode); err != nil {
-		fatalf("%v", err)
-	}
-
-	sess, err := core.NewSession(0, src, scfg, workload.NewLUT())
 	if err != nil {
-		fatalf("%v", err)
+		return 2 // the flag set has printed the error and the usage
 	}
-
-	fmt.Printf("transcoding %s/%s %dx%d @ %g fps, %d frames, mode %s\n\n",
-		cfg.Class, cfg.Motion, cfg.Width, cfg.Height, cfg.FPS, cfg.Frames, scfg.Mode)
-
-	gopIdx := 0
-	for !sess.Finished() {
-		gop, err := sess.EncodeGOPContext(ctx, o.workers)
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "transcode: interrupted")
-			os.Exit(130)
+	mode, distributed := o.pick()
+	if err = o.check(); err == nil {
+		var stopProfiles func()
+		if stopProfiles, err = startProfiles(o.cpuProfile, o.memProfile, stderr); err == nil {
+			defer stopProfiles()
+			err = mode(ctx, o, stdout)
 		}
-		if err != nil {
-			fatalf("GOP %d: %v", gopIdx, err)
-		}
-		fmt.Printf("GOP %d: %d tiles, PSNR %.1f dB, %.0f kbps, CPU %v\n",
-			gop.Index, gop.Grid.NumTiles(), gop.MeanPSNR, gop.MeanKbps, gop.CPUTime.Round(100))
-		tbl := trace.NewTable("", "tile", "rect", "region", "texture", "motion", "CV")
-		for _, tc := range gop.Contents {
-			tbl.AddRow(fmt.Sprint(tc.Tile.Index), tc.Tile.Rect.String(), tc.Tile.Region.String(),
-				tc.Texture.String(), tc.Motion.String(), fmt.Sprintf("%.3f", tc.CV))
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-		if o.verbose {
-			for _, fr := range gop.Frames {
-				fmt.Printf("  frame %3d [%s] %6d bits  %.1f dB  %v\n",
-					fr.Frame, fr.Type, fr.Bits, fr.PSNR, fr.EncodeTime.Round(100))
-			}
-		}
-		fmt.Println()
-		gopIdx++
+	}
+	// The one exit rule. An interrupt is how a master or agent node stops,
+	// and it ends a submit where it is, so the distributed modes exit 0 on
+	// it; a single or fleet run it cuts short exits 130.
+	switch {
+	case err == nil || distributed && errors.Is(err, context.Canceled):
+		return 0
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintln(stderr, "transcode: interrupted")
+		return 130
+	default:
+		fmt.Fprintf(stderr, "transcode: %v\n", err)
+		return 1
 	}
 }
 
-// checkCounts refuses, before any mode runs, the counts a mode would
-// divide by or loop to — -shards sizes the fleet and the per-shard session
-// cap, and a staggered run closes its queue on reaching -users — and the
-// control knobs a NaN, infinity or negative value would silently switch
-// off: each is only applied when "> 0", which NaN fails.
-func (o options) checkCounts() error {
+// parseFlags binds every flag onto an options value and parses args; the
+// flag set reports its own errors (and -h's usage) on stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("transcode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.class, "class", "brain", "body-part class: brain|chest|bone|spinal-cord|ligament")
+	fs.StringVar(&o.motion, "motion", "rotate", "motion script: still|pan|rotate|sweep")
+	fs.IntVar(&o.frames, "frames", 48, "number of frames")
+	fs.IntVar(&o.width, "width", 640, "frame width")
+	fs.IntVar(&o.height, "height", 480, "frame height")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	fs.StringVar(&o.mode, "mode", "proposed", "pipeline mode: proposed|baseline")
+	fs.BoolVar(&o.verbose, "v", false, "print per-frame rows")
+	fs.StringVar(&o.yuv, "yuv", "", "transcode a raw planar I420 file instead of a synthetic study (uses -width/-height/-class)")
+	fs.IntVar(&o.users, "users", 1, "serve N concurrent synthetic sessions through the fleet serving loop")
+	fs.IntVar(&o.shards, "shards", 1, "initial number of platform shards behind the fleet dispatcher")
+	fs.StringVar(&o.allocator, "allocator", sched.NameContentAware,
+		fmt.Sprintf("stage-D2 allocation policy: %s", strings.Join(sched.Names(), "|")))
+	fs.StringVar(&o.sink, "sink", "report", "telemetry sink: report|jsonl|jsonl:PATH|none")
+	fs.StringVar(&o.luts, "luts", "", "persist warmed workload LUTs at PATH (loaded on start, saved on clean exit)")
+
+	fs.StringVar(&o.tenantsConfig, "tenants-config", "", "per-tenant QoS policy (weights, priority classes, admission rates) as tenancy JSON at PATH")
+	fs.StringVar(&o.tenantPlan, "tenant-plan", "", "assign the -users sessions (served or submitted) to tenants in submission order: TENANT[:COUNT][@PRIORITY],... (counts must sum to -users; empty = the default tenant)")
+
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to PATH, stopped and flushed when the run ends")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to PATH when the run ends (after a final GC)")
+
+	fs.IntVar(&o.minShards, "min-shards", 0, "autoscaler floor (0 = -shards); the fleet never shrinks below this")
+	fs.IntVar(&o.maxShards, "max-shards", 0, "autoscaler ceiling (0 = -shards); the fleet never grows beyond this")
+	fs.Float64Var(&o.targetUtil, "target-util", 0.75, "autoscaler target demand-normalized utilization (summed core demand over summed capacity)")
+	fs.StringVar(&o.resizeAt, "resize-at", "", "forced resize schedule ROUND:SHARDS[,ROUND:SHARDS...] on total fleet rounds (e.g. 6:4,14:3)")
+	fs.IntVar(&o.stagger, "stagger", 0, "submit one user every N fleet rounds instead of all upfront (0 = upfront)")
+	fs.IntVar(&o.shardSessions, "shard-sessions", 0, "cap each shard's live sessions for routing; overflow spills to the least-utilized shard (0 = even share of the users)")
+
+	fs.StringVar(&o.shardCores, "shard-cores", "", "per-shard core counts N[,N...] (e.g. 8,16,32): builds a heterogeneous fleet (overrides -shards) and turns on demand-aware placement")
+	fs.Float64Var(&o.pixPerCore, "pixels-per-core", 0, "demand-aware placement price: luma pixels per second one core transcodes (0 = serve default)")
+	fs.IntVar(&o.fourkEvery, "fourk-every", 0, "give every Nth user a doubled-resolution stream in a separate \"-4k\" workload class (0 = off)")
+
+	fs.StringVar(&o.hotClass, "hot-class", "", "give every user this body-part class (skews the class routing onto one shard)")
+	fs.Float64Var(&o.rebFactor, "rebalance-factor", 0, "shed a shard whose utilization exceeds this multiple of the fleet mean (0 = rebalancing off, must be > 1)")
+
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve a Prometheus /metrics endpoint on ADDR (e.g. 127.0.0.1:9090) during fleet runs")
+	fs.DurationVar(&o.metricsGrace, "metrics-grace", 0, "keep the /metrics endpoint up this long after the run drains (for a final scrape)")
+	fs.Float64Var(&o.costJoule, "cost-per-joule", 0, "cost-model dollars per joule behind repro_cost_dollars_total")
+	fs.Float64Var(&o.costMiss, "cost-per-miss", 0, "cost-model dollars per frame-deadline miss")
+
+	fs.StringVar(&o.masterAddr, "master", "", "run the distributed master (routing + supervision) on ADDR (e.g. 127.0.0.1:7600)")
+	fs.StringVar(&o.agentAddr, "agent", "", "run one distributed agent node on ADDR; -name identifies it, -master-url registers it")
+	fs.StringVar(&o.submitURL, "submit", "", "submit -users synthetic sessions to the master (or agent) at URL and exit")
+
+	fs.StringVar(&o.name, "name", "", "this agent's stable identity on the master's ring (required with -agent)")
+	fs.StringVar(&o.masterURL, "master-url", "", "master base URL the agent heartbeats to (empty = standalone agent)")
+	fs.StringVar(&o.advertiseURL, "advertise-url", "", "base URL peers reach this agent at (empty = the bound address)")
+	fs.DurationVar(&o.heartbeatEvery, "heartbeat-every", time.Second, "agent heartbeat period")
+	fs.DurationVar(&o.heartbeatGrace, "heartbeat-grace", 5*time.Second, "master-side silence before an agent is declared dead and failed over")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 2, "agent wire-checkpoint cadence in settled rounds per shard")
+	fs.StringVar(&o.eventsPath, "events", "", "master operational journal (agent deaths, re-imports) as JSONL at PATH")
+	return o, fs.Parse(args)
+}
+
+// A modeFunc is one way the command runs. It writes its report to stdout
+// and returns what ended it.
+type modeFunc func(ctx context.Context, o options, stdout io.Writer) error
+
+// pick returns the mode the flags select, and whether it is one of the
+// distributed modes (-master, -agent, -submit), which an interrupt stops
+// rather than cuts short.
+func (o options) pick() (modeFunc, bool) {
+	switch {
+	case o.masterAddr != "":
+		return runMaster, true
+	case o.agentAddr != "":
+		return runAgent, true
+	case o.submitURL != "":
+		return runSubmit, true
+	case o.users > 1 || o.shards > 1 || o.shardCores != "":
+		return serveFleet, false
+	}
+	return runSingle, false
+}
+
+// check refuses, before any mode runs, the counts a mode would divide by
+// or loop to — -shards sizes the fleet and the per-shard session cap, and
+// a staggered run closes its queue on reaching -users — the control knobs
+// a NaN, infinity or negative value would silently switch off (each is
+// only applied when "> 0", which NaN fails), and a -hot-class userVideo
+// could not apply.
+func (o options) check() error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards %d: need at least one shard", o.shards)
 	}
@@ -294,6 +238,79 @@ func (o options) checkCounts() error {
 		if !(k.v >= 0) || math.IsInf(k.v, 1) {
 			return fmt.Errorf("%s %v: need a finite, non-negative value", k.flag, k.v)
 		}
+	}
+	if _, ok := classByName(o.hotClass); o.hotClass != "" && !ok {
+		return fmt.Errorf("-hot-class %q: unknown class", o.hotClass)
+	}
+	return nil
+}
+
+// runSingle transcodes one study — synthetic, or a raw -yuv file — through
+// one session with no serving layer, printing each GOP's tile structure.
+func runSingle(ctx context.Context, o options, stdout io.Writer) error {
+	cfg := medgen.Default()
+	cfg.Width, cfg.Height = o.width, o.height
+	cfg.Frames = o.frames
+	cfg.Seed = o.seed
+	var ok bool
+	if cfg.Class, ok = classByName(o.class); !ok {
+		return fmt.Errorf("unknown class %q", o.class)
+	}
+	if cfg.Motion, ok = motionByName(o.motion); !ok {
+		return fmt.Errorf("unknown motion %q", o.motion)
+	}
+	var src core.FrameSource
+	if o.yuv != "" {
+		s, err := core.NewYUVFileSource(o.yuv, cfg.Width, cfg.Height, cfg.FPS, cfg.Class.String())
+		if err != nil {
+			return err
+		}
+		src = s
+		cfg.Frames = s.Len()
+	} else {
+		gen, err := medgen.NewGenerator(cfg)
+		if err != nil {
+			return err
+		}
+		if src, err = core.SourceFromGenerator(gen, cfg.Frames, cfg.FPS, cfg.Class.String()); err != nil {
+			return err
+		}
+	}
+
+	scfg := core.DefaultSessionConfig()
+	var err error
+	if scfg.Mode, err = parseMode(o.mode); err != nil {
+		return err
+	}
+	sess, err := core.NewSession(0, src, scfg, workload.NewLUT())
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "transcoding %s/%s %dx%d @ %g fps, %d frames, mode %s\n\n",
+		cfg.Class, cfg.Motion, cfg.Width, cfg.Height, cfg.FPS, cfg.Frames, scfg.Mode)
+	for gopIdx := 0; !sess.Finished(); gopIdx++ {
+		gop, err := sess.EncodeGOPContext(ctx, runtime.GOMAXPROCS(0))
+		if err != nil {
+			return fmt.Errorf("GOP %d: %w", gopIdx, err)
+		}
+		fmt.Fprintf(stdout, "GOP %d: %d tiles, PSNR %.1f dB, %.0f kbps, CPU %v\n",
+			gop.Index, gop.Grid.NumTiles(), gop.MeanPSNR, gop.MeanKbps, gop.CPUTime.Round(100))
+		tbl := trace.NewTable("", "tile", "rect", "region", "texture", "motion", "CV")
+		for _, tc := range gop.Contents {
+			tbl.AddRow(fmt.Sprint(tc.Tile.Index), tc.Tile.Rect.String(), tc.Tile.Region.String(),
+				tc.Texture.String(), tc.Motion.String(), fmt.Sprintf("%.3f", tc.CV))
+		}
+		if err := tbl.Render(stdout); err != nil {
+			return err
+		}
+		if o.verbose {
+			for _, fr := range gop.Frames {
+				fmt.Fprintf(stdout, "  frame %3d [%s] %6d bits  %.1f dB  %v\n",
+					fr.Frame, fr.Type, fr.Bits, fr.PSNR, fr.EncodeTime.Round(100))
+			}
+		}
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }
@@ -318,7 +335,8 @@ func shardCapacity(users, shards int, unbounded bool, override int) int {
 	return (users + shards - 1) / shards
 }
 
-// tenantAssignment is one user's QoS identity under -tenant-plan.
+// tenantAssignment is one user's QoS identity under -tenant-plan; the zero
+// value is the default tenant at best-effort priority.
 type tenantAssignment struct {
 	tenant   string
 	priority int
@@ -327,10 +345,11 @@ type tenantAssignment struct {
 // parseTenantPlan expands "TENANT[:COUNT][@PRIORITY],..." into one
 // assignment per user, in plan order — the order matters under -stagger,
 // where later entries arrive later (e.g. "batch:6,clinic:2,er:1@9" ends
-// with one emergency-priority arrival onto an already-loaded fleet).
+// with one emergency-priority arrival onto an already-loaded fleet). An
+// empty plan puts every user in the default tenant.
 func parseTenantPlan(spec string, users int) ([]tenantAssignment, error) {
 	if spec == "" {
-		return nil, nil
+		return make([]tenantAssignment, users), nil
 	}
 	var out []tenantAssignment
 	for _, part := range strings.Split(spec, ",") {
@@ -364,6 +383,33 @@ func parseTenantPlan(spec string, users int) ([]tenantAssignment, error) {
 	return out, nil
 }
 
+// userVideo is synthetic user i's study, the one roster the local fleet
+// and -submit both serve: classes and motions rotate, seeds count up from
+// -seed, and -hot-class gives every user the same class.
+func userVideo(o options, i int) medgen.Config {
+	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone, medgen.SpinalCord}
+	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
+	vc := medgen.Default()
+	vc.Width, vc.Height = o.width, o.height
+	vc.Frames = o.frames
+	vc.Class = classes[i%len(classes)]
+	vc.Motion = motions[i%len(motions)]
+	vc.Seed = o.seed + int64(i)
+	if hot, ok := classByName(o.hotClass); ok {
+		vc.Class = hot
+	}
+	return vc
+}
+
+// userLabel names user i in a placement line: its workload class and, when
+// it has one, its tenant.
+func userLabel(i int, class string, a tenantAssignment) string {
+	if a.tenant == "" {
+		return fmt.Sprintf("user %2d (%s)", i, class)
+	}
+	return fmt.Sprintf("user %2d (%s, tenant %s)", i, class, a.tenant)
+}
+
 // parseShardCores parses the -shard-cores list ("8,16,32") into per-shard
 // core counts; empty input means a homogeneous fleet.
 func parseShardCores(spec string) ([]int, error) {
@@ -384,10 +430,11 @@ func parseShardCores(spec string) ([]int, error) {
 
 // buildSink maps the -sink flag to a serve.Sink; the returned RingSink
 // is non-nil when the final report should be reconstructed from it, and
-// the close func flushes a buffered sink (call it after Run returns).
-// JSONL sinks are buffered with the block policy: a slow pipe no longer
-// stalls serving through the sink lock, and no line is ever dropped.
-func buildSink(spec string) (serve.Sink, *serve.RingSink, func() error, error) {
+// the close func flushes a buffered sink (call it after Run returns; a
+// second call is harmless). JSONL sinks are buffered with the block
+// policy: a slow pipe no longer stalls serving through the sink lock, and
+// no line is ever dropped. -sink jsonl writes to stdout.
+func buildSink(spec string, stdout io.Writer) (serve.Sink, *serve.RingSink, func() error, error) {
 	noop := func() error { return nil }
 	switch {
 	case spec == "none":
@@ -396,7 +443,7 @@ func buildSink(spec string) (serve.Sink, *serve.RingSink, func() error, error) {
 		ring := serve.NewRingSink(256)
 		return ring, ring, noop, nil
 	case spec == "jsonl":
-		s := serve.NewBufferedJSONLSink(os.Stdout, 1024, serve.JSONLBlock)
+		s := serve.NewBufferedJSONLSink(stdout, 1024, serve.JSONLBlock)
 		return s, nil, s.Close, nil
 	case strings.HasPrefix(spec, "jsonl:"):
 		f, err := os.Create(strings.TrimPrefix(spec, "jsonl:"))
@@ -404,13 +451,13 @@ func buildSink(spec string) (serve.Sink, *serve.RingSink, func() error, error) {
 			return nil, nil, nil, err
 		}
 		s := serve.NewBufferedJSONLSink(f, 1024, serve.JSONLBlock)
-		return s, nil, func() error {
+		return s, nil, sync.OnceValue(func() error {
 			serr := s.Close()
 			if cerr := f.Close(); serr == nil {
 				serr = cerr
 			}
 			return serr
-		}, nil
+		}), nil
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown sink %q (report|jsonl|jsonl:PATH|none)", spec)
 	}
@@ -437,6 +484,52 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 	return steps, nil
 }
 
+// servingOptions is the serving configuration the local fleet and an
+// -agent node share: the -allocator policy, calibrated estimates, the
+// admission ladder with rate-rung recovery after three rounds, the
+// -tenants-config policy and, with -metrics-addr, a Prometheus sink
+// behind a /metrics endpoint, which the returned func closes. An agent's
+// tenancy keeps weights and priority classes only: the master charged the
+// fleet-wide admission rates before routing to it.
+func servingOptions(o options, stdout io.Writer) ([]serve.Option, func(), error) {
+	opts := []serve.Option{
+		serve.WithAllocator(o.allocator),
+		serve.WithCalibration(core.CalibrationConfig{Enabled: true}),
+		serve.WithAdmission(core.AdmissionConfig{Enabled: true, RecoverAfterRounds: 3}),
+	}
+	if o.tenantsConfig != "" {
+		reg, err := tenancy.LoadFile(o.tenantsConfig)
+		if err != nil {
+			return nil, nil, err
+		}
+		if o.agentAddr != "" {
+			reg = reg.WithoutRates()
+		}
+		opts = append(opts, serve.WithTenancy(reg))
+	}
+	if o.metricsAddr == "" {
+		return opts, func() {}, nil
+	}
+	msink := metrics.NewSink(metrics.SinkConfig{
+		Cost:  metrics.CostModel{DollarsPerJoule: o.costJoule, DollarsPerDeadlineMiss: o.costMiss},
+		Agent: o.name,
+	})
+	ln, err := net.Listen("tcp", o.metricsAddr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("metrics listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", msink.Handler())
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintf(stdout, "metrics: server failed: %v\n", err)
+		}
+	}()
+	fmt.Fprintf(stdout, "metrics: serving http://%s/metrics\n", ln.Addr())
+	return append(opts, serve.WithMetrics(msink)), func() { srv.Close() }, nil
+}
+
 // serveFleet drives the fleet serving API: n synthetic sessions of
 // rotating classes/motions are routed across the shards by workload
 // class and served with the admission ladder (including rate-rung
@@ -444,14 +537,18 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 // span a range or -resize-at forces it — the serve-layer autoscaler
 // (serve.WithAutoscale). All scaling policy lives in internal/serve;
 // this function only maps flags onto configs.
-func serveFleet(ctx context.Context, o options) error {
-	mode, err := parseMode(o.mode)
+func serveFleet(ctx context.Context, o options, stdout io.Writer) error {
+	sessionMode, err := parseMode(o.mode)
+	if err != nil {
+		return err
+	}
+	shardCores, err := parseShardCores(o.shardCores)
 	if err != nil {
 		return err
 	}
 	// A heterogeneous core list defines the shard count.
-	if len(o.shardCores) > 0 {
-		o.shards = len(o.shardCores)
+	if len(shardCores) > 0 {
+		o.shards = len(shardCores)
 	}
 	if o.minShards <= 0 {
 		o.minShards = o.shards
@@ -469,33 +566,24 @@ func serveFleet(ctx context.Context, o options) error {
 	// The autoscaler widens its bounds to cover the forced schedule;
 	// mirror that here for the capacity heuristic and the banner.
 	for _, st := range forced {
-		if st.Shards > o.maxShards {
-			o.maxShards = st.Shards
-		}
-		if st.Shards < o.minShards {
-			o.minShards = st.Shards
-		}
-	}
-	elastic := o.minShards < o.maxShards || len(forced) > 0
-	var hot medgen.Class
-	if o.hotClass != "" {
-		var ok bool
-		if hot, ok = classByName(o.hotClass); !ok {
-			return fmt.Errorf("unknown class %q", o.hotClass)
-		}
-	}
-	sink, ring, closeSink, err := buildSink(o.sink)
-	if err != nil {
-		return err
+		o.maxShards = max(o.maxShards, st.Shards)
+		o.minShards = min(o.minShards, st.Shards)
 	}
 	plan, err := parseTenantPlan(o.tenantPlan, o.users)
 	if err != nil {
 		return err
 	}
+	fleetOptions, closeMetrics, err := servingOptions(o, stdout)
+	if err != nil {
+		return err
+	}
+	defer closeMetrics()
+	sink, ring, closeSink, err := buildSink(o.sink, stdout)
+	if err != nil {
+		return err
+	}
+	defer closeSink()
 
-	// -max-shards is the widest the fleet gets (it equals -shards on a
-	// fixed-size run).
-	capacity := shardCapacity(o.users, o.maxShards, o.hotClass != "" || len(o.shardCores) > 0, o.shardSessions)
 	var fleet *serve.Fleet
 	// Fleet-wide settled-round counter pacing staggered arrivals (hooks
 	// run on serving goroutines).
@@ -504,17 +592,7 @@ func serveFleet(ctx context.Context, o options) error {
 	var submitMu sync.Mutex
 
 	submitUser := func(i int) error {
-		classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone, medgen.SpinalCord}
-		motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
-		vc := medgen.Default()
-		vc.Width, vc.Height = o.width, o.height
-		vc.Frames = o.frames
-		vc.Class = classes[i%len(classes)]
-		vc.Motion = motions[i%len(motions)]
-		vc.Seed = o.seed + int64(i)
-		if o.hotClass != "" {
-			vc.Class = hot
-		}
+		vc := userVideo(o, i)
 		className := vc.Class.String()
 		// Every Nth user streams at four times the area under a separate
 		// "-4k" workload class: its demand estimate and LUTs must not mix
@@ -533,56 +611,41 @@ func serveFleet(ctx context.Context, o options) error {
 			return err
 		}
 		scfg := core.DefaultSessionConfig()
-		scfg.Mode = mode
-		tn, pr := o.tenant, o.priority
-		if plan != nil {
-			tn, pr = plan[i].tenant, plan[i].priority
-		}
+		scfg.Mode = sessionMode
 		p, err := fleet.SubmitWith(serve.SubmitRequest{
-			Source: src, Config: scfg, Tenant: tn, Priority: pr,
+			Source: src, Config: scfg, Tenant: plan[i].tenant, Priority: plan[i].priority,
 		})
 		if err != nil {
 			return err
 		}
-		if tn != "" {
-			fmt.Printf("user %2d (%s, tenant %s) → shard %d (home %d)\n",
-				i, className, tn, p.Shard, fleet.HomeShard(className))
-		} else {
-			fmt.Printf("user %2d (%s) → shard %d (home %d)\n",
-				i, className, p.Shard, fleet.HomeShard(className))
-		}
+		fmt.Fprintf(stdout, "%s → shard %d (home %d)\n", userLabel(i, className, plan[i]), p.Shard, fleet.HomeShard(className))
 		return nil
 	}
-
-	fleetOptions := []serve.Option{
-		serve.WithShardCapacity(capacity),
-	}
-	if o.tenantsConfig != "" {
-		reg, err := tenancy.LoadFile(o.tenantsConfig)
-		if err != nil {
-			return err
+	// submitStaggered submits user i from the round hook, where a refusal
+	// (a tenant over its admission rate) ends only that user.
+	submitStaggered := func(i int) {
+		if err := submitUser(i); err != nil {
+			fmt.Fprintf(stdout, "user %2d refused: %v\n", i, err)
 		}
-		fleetOptions = append(fleetOptions, serve.WithTenancy(reg))
 	}
+
 	fleetOptions = append(fleetOptions,
-		serve.WithAllocator(o.allocator),
-		serve.WithCalibration(core.CalibrationConfig{Enabled: true}),
-		serve.WithAdmission(core.AdmissionConfig{Enabled: true, RecoverAfterRounds: 3}),
+		serve.WithShardCapacity(shardCapacity(o.users, o.maxShards, o.hotClass != "" || len(shardCores) > 0, o.shardSessions)),
 		serve.WithRoundHook(func(shard int, out *core.GOPOutcome) {
-			fmt.Printf("shard %d round %2d: admitted %v", shard, out.Round, out.AdmittedUsers)
-			if len(out.RejectedUsers) > 0 {
-				fmt.Printf(", waiting %v", out.RejectedUsers)
-			}
-			if len(out.TimedOut) > 0 {
-				fmt.Printf(", timed out %v", out.TimedOut)
-			}
-			if len(out.Recovered) > 0 {
-				fmt.Printf(", rate-restored %v", out.Recovered)
+			// One write per line, so concurrent shards' lines stay whole.
+			line := fmt.Sprintf("shard %d round %2d: admitted %v", shard, out.Round, out.AdmittedUsers)
+			for _, ids := range []struct {
+				label string
+				of    []int
+			}{{"waiting", out.RejectedUsers}, {"timed out", out.TimedOut}, {"rate-restored", out.Recovered}} {
+				if len(ids.of) > 0 {
+					line += fmt.Sprintf(", %s %v", ids.label, ids.of)
+				}
 			}
 			if out.EstimateTiles > 0 {
-				fmt.Printf(", estimate error %.1f%%", 100*out.EstimateErr)
+				line += fmt.Sprintf(", estimate error %.1f%%", 100*out.EstimateErr)
 			}
-			fmt.Printf(", %.1f W\n", out.Energy.AvgPowerW)
+			fmt.Fprintf(stdout, "%s, %.1f W\n", line, out.Energy.AvgPowerW)
 
 			rounds := int(totalRounds.Add(1))
 			// Staggered churn: one new arrival every -stagger fleet
@@ -590,9 +653,7 @@ func serveFleet(ctx context.Context, o options) error {
 			if o.stagger > 0 {
 				submitMu.Lock()
 				for submitted < o.users && rounds >= submitted*o.stagger {
-					if err := submitUser(submitted); err != nil {
-						fmt.Fprintf(os.Stderr, "transcode: submit user %d: %v\n", submitted, err)
-					}
+					submitStaggered(submitted)
 					submitted++
 				}
 				// Never let the service idle out with users still pending:
@@ -600,9 +661,7 @@ func serveFleet(ctx context.Context, o options) error {
 				// next stagger threshold, no further round (and hence no
 				// further hook) would ever fire — submit the next user now.
 				if submitted < o.users && fleet.Load() == 0 {
-					if err := submitUser(submitted); err != nil {
-						fmt.Fprintf(os.Stderr, "transcode: submit user %d: %v\n", submitted, err)
-					}
+					submitStaggered(submitted)
 					submitted++
 				}
 				if submitted == o.users {
@@ -613,12 +672,12 @@ func serveFleet(ctx context.Context, o options) error {
 			}
 		}),
 	)
-	if len(o.shardCores) > 0 {
+	if len(shardCores) > 0 {
 		// Heterogeneous fleet: one platform per entry, cores overridden,
 		// plus demand-aware placement so heavy classes steer to the big
 		// shards instead of wherever their ring arc happens to land.
-		platforms := make([]*mpsoc.Platform, len(o.shardCores))
-		for i, n := range o.shardCores {
+		platforms := make([]*mpsoc.Platform, len(shardCores))
+		for i, n := range shardCores {
 			p := mpsoc.XeonE5_2667V4()
 			p.Cores = n
 			platforms[i] = p
@@ -634,17 +693,17 @@ func serveFleet(ctx context.Context, o options) error {
 				serve.WithDemandPlacement(serve.PlacementConfig{PixelsPerCore: o.pixPerCore}))
 		}
 	}
-	if elastic {
+	if o.minShards < o.maxShards || len(forced) > 0 {
 		fleetOptions = append(fleetOptions, serve.WithAutoscale(serve.AutoscaleConfig{
 			MinShards:  o.minShards,
 			MaxShards:  o.maxShards,
 			TargetUtil: o.targetUtil,
 			Schedule:   forced,
 			OnResize: func(from, to int, reason string) {
-				fmt.Printf("autoscaler: resizing fleet %d → %d shards (%s)\n", from, to, reason)
+				fmt.Fprintf(stdout, "autoscaler: resizing fleet %d → %d shards (%s)\n", from, to, reason)
 			},
 			OnError: func(err error) {
-				fmt.Fprintf(os.Stderr, "autoscaler: resize failed: %v\n", err)
+				fmt.Fprintf(stdout, "autoscaler: resize failed: %v\n", err)
 			},
 		}))
 	}
@@ -654,25 +713,10 @@ func serveFleet(ctx context.Context, o options) error {
 	if sink != nil {
 		fleetOptions = append(fleetOptions, serve.WithSink(sink))
 	}
-	var msrv *http.Server
-	if o.metricsAddr != "" {
-		msink := metrics.NewSink(metrics.SinkConfig{
-			Cost: metrics.CostModel{
-				DollarsPerJoule:        o.costJoule,
-				DollarsPerDeadlineMiss: o.costMiss,
-			},
-		})
-		if msrv, err = serveMetrics(o.metricsAddr, msink); err != nil {
-			return err
-		}
-		defer msrv.Close()
-		fleetOptions = append(fleetOptions, serve.WithMetrics(msink))
-	}
 	if o.luts != "" {
 		fleetOptions = append(fleetOptions, serve.WithLUTStore(o.luts))
 	}
-	fleet, err = serve.New(fleetOptions...)
-	if err != nil {
+	if fleet, err = serve.New(fleetOptions...); err != nil {
 		return err
 	}
 
@@ -680,12 +724,12 @@ func serveFleet(ctx context.Context, o options) error {
 		// Seed the service with the first user; the round hook feeds the
 		// rest and closes the queue.
 		submitMu.Lock()
-		if err := submitUser(0); err != nil {
-			submitMu.Unlock()
-			return err
-		}
+		err := submitUser(0)
 		submitted = 1
 		submitMu.Unlock()
+		if err != nil {
+			return err
+		}
 	} else {
 		for i := 0; i < o.users; i++ {
 			if err := submitUser(i); err != nil {
@@ -695,50 +739,49 @@ func serveFleet(ctx context.Context, o options) error {
 		fleet.Close()
 	}
 
-	if len(o.shardCores) > 0 {
-		fmt.Printf("\nserving %d users on %d shards of %v cores (min %d, max %d), allocator %q\n\n",
-			o.users, o.shards, o.shardCores, o.minShards, o.maxShards, o.allocator)
-	} else {
-		fmt.Printf("\nserving %d users on %d shard(s) of %d cores each (min %d, max %d), allocator %q\n\n",
-			o.users, o.shards, mpsoc.XeonE5_2667V4().Cores, o.minShards, o.maxShards, o.allocator)
+	shape := fmt.Sprintf("%d shard(s) of %d cores each", o.shards, mpsoc.XeonE5_2667V4().Cores)
+	if len(shardCores) > 0 {
+		shape = fmt.Sprintf("%d shards of %v cores", o.shards, shardCores)
 	}
+	fmt.Fprintf(stdout, "\nserving %d users on %s (min %d, max %d), allocator %q\n\n",
+		o.users, shape, o.minShards, o.maxShards, o.allocator)
 	rep, runErr := fleet.Run(ctx)
 	if cerr := closeSink(); cerr != nil && runErr == nil {
 		runErr = cerr
 	}
 
-	fmt.Printf("\nfleet report: %d rounds over %d shards, %d/%d sessions completed (%d rejected, %d failed, %d migrations, %d rebalances)\n",
+	fmt.Fprintf(stdout, "\nfleet report: %d rounds over %d shards, %d/%d sessions completed (%d rejected, %d failed, %d migrations, %d rebalances)\n",
 		rep.Rounds, len(rep.Shards), rep.Completed, rep.Submitted, rep.Rejected, rep.Failed, rep.Migrated, rep.Rebalanced)
-	fmt.Printf("  %d frames in %d GOP reports, %.1f J total (avg %.1f W, peak %.1f W), %d deadline misses\n",
+	fmt.Fprintf(stdout, "  %d frames in %d GOP reports, %.1f J total (avg %.1f W, peak %.1f W), %d deadline misses\n",
 		rep.FramesEncoded, rep.GOPReports, rep.Energy.EnergyJ, rep.Energy.AvgPowerW(), rep.Energy.PeakPowerW, rep.Energy.DeadlineMisses)
 	for _, sr := range rep.Shards {
 		status := "ok"
 		if sr.Err != nil {
 			status = sr.Err.Error()
 		}
-		fmt.Printf("  shard %d: %d rounds, %d completed, %d migrated away, %d restarts [%s]\n",
+		fmt.Fprintf(stdout, "  shard %d: %d rounds, %d completed, %d migrated away, %d restarts [%s]\n",
 			sr.Shard, sr.Report.Rounds, len(sr.Report.Completed), len(sr.Report.Migrated), sr.Restarts, status)
 	}
 	if ring != nil {
 		if e, tiles := core.MeanEstimateErr(ring.Outcomes(), 0); tiles > 0 {
-			fmt.Printf("  mean stage-D1 estimate error %.1f%% over %d tiles (ring sink, %d rounds dropped)\n",
+			fmt.Fprintf(stdout, "  mean stage-D1 estimate error %.1f%% over %d tiles (ring sink, %d rounds dropped)\n",
 				100*e, tiles, ring.Dropped())
 		}
 		if added, removed := ring.Resizes(); added+removed > 0 {
-			fmt.Printf("  elasticity: %d shards added, %d removed, %d session migrations\n",
+			fmt.Fprintf(stdout, "  elasticity: %d shards added, %d removed, %d session migrations\n",
 				added, removed, ring.Migrations())
 		}
 		if n := ring.Rebalances(); n > 0 {
-			fmt.Printf("  rebalancing: %d session(s) shed off hot shards\n", n)
+			fmt.Fprintf(stdout, "  rebalancing: %d session(s) shed off hot shards\n", n)
 		}
 	}
 	if o.luts != "" && runErr == nil {
-		fmt.Printf("  workload LUTs saved to %s\n", o.luts)
+		fmt.Fprintf(stdout, "  workload LUTs saved to %s\n", o.luts)
 	}
-	if msrv != nil && o.metricsGrace > 0 {
+	if o.metricsAddr != "" && o.metricsGrace > 0 {
 		// Hold the endpoint open so an external scraper (CI, Prometheus's
 		// final pull) can read the settled totals after the fleet drains.
-		fmt.Printf("  metrics endpoint held open %s for a final scrape\n", o.metricsGrace)
+		fmt.Fprintf(stdout, "  metrics endpoint held open %s for a final scrape\n", o.metricsGrace)
 		select {
 		case <-time.After(o.metricsGrace):
 		case <-ctx.Done():
@@ -777,13 +820,12 @@ func motionByName(name string) (medgen.MotionKind, bool) {
 	return 0, false
 }
 
-// startProfiles turns on the requested pprof outputs and returns the
-// shutdown hook that flushes them: the CPU profile is stopped and closed,
-// and the heap profile is captured after a final GC so it reflects live
-// retention rather than garbage awaiting collection. The hook runs on
-// clean shutdown only (including interrupt-triggered drains); a fatal
-// error exits without profiles, like any crashed pprof session.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// startProfiles turns on the requested pprof outputs and returns the hook
+// that flushes them when the run ends, however it ends: the CPU profile is
+// stopped and closed, and the heap profile is captured after a final GC so
+// it reflects live retention rather than garbage awaiting collection. A
+// profile the hook cannot write is reported on stderr.
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
@@ -799,27 +841,22 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "transcode: cpuprofile: %v\n", err)
+				fmt.Fprintf(stderr, "transcode: cpuprofile: %v\n", err)
 			}
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "transcode: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "transcode: memprofile: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "transcode: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "transcode: memprofile: %v\n", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "transcode: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "transcode: memprofile: %v\n", err)
 			}
 		}
 	}, nil
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "transcode: "+format+"\n", args...)
-	os.Exit(1)
 }

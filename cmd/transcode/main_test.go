@@ -2,61 +2,117 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"os/exec"
+	"context"
 	"reflect"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
 )
 
-// TestMain lets the test binary stand in for the command: re-executed with
-// TRANSCODE_RUN_MAIN set it runs main() on its arguments, so a test can
-// observe the real exit code and stderr.
-func TestMain(m *testing.M) {
-	if os.Getenv("TRANSCODE_RUN_MAIN") != "" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
+// syncBuffer is a bytes.Buffer the writers of one mode share: shard round
+// hooks, the autoscaler's callbacks and a node's log all write from their
+// own goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-// TestBadCountsExitOne: a count the fleet would divide by is refused up
-// front with one line on stderr and exit status 1 (-shards 0 used to panic
-// with an integer divide by zero), and so is a control knob a NaN,
-// infinity or negative value would silently switch off (-rebalance-factor
-// NaN used to run a whole fleet without rebalancing).
-func TestBadCountsExitOne(t *testing.T) {
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestModes runs the command in-process, one row per way it is used, at
+// the smallest geometry the pipeline accepts (three 64-pixel tiles a side).
+// Each row names its context, arguments, exit status and the stdout lines
+// scripts/drivers.sh greps; every row then holds the shared invariants of
+// the exit rule: a clean exit writes nothing to stderr, and any other
+// writes exactly one "transcode: ..." line.
+func TestModes(t *testing.T) {
+	small := []string{"-width", "192", "-height", "192"}
+	with := func(args ...string) []string { return append(args, small...) }
 	// A tiny fleet run, so a knob that is wrongly accepted fails fast.
-	fleet := []string{"-users", "2", "-shards", "2", "-frames", "4", "-width", "192", "-height", "192", "-sink", "none"}
-	for _, args := range [][]string{
-		{"-shards", "0", "-users", "2"},
-		{"-shards", "-3", "-users", "2"},
-		{"-shards", "2", "-users", "0", "-stagger", "1"},
-		append([]string{"-rebalance-factor", "NaN"}, fleet...),
-		append([]string{"-rebalance-factor", "-1"}, fleet...),
-		append([]string{"-rebalance-factor", "+Inf"}, fleet...),
-		append([]string{"-target-util", "NaN"}, fleet...),
-		append([]string{"-target-util", "-0.5"}, fleet...),
-		append([]string{"-pixels-per-core", "NaN"}, fleet...),
-		append([]string{"-pixels-per-core", "+Inf"}, fleet...),
+	fleet := with("-users", "2", "-shards", "2", "-frames", "4", "-sink", "none")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, row := range []struct {
+		name   string
+		ctx    context.Context // nil: not cancelled
+		args   []string
+		code   int
+		stdout []string // each a regexp some stdout line matches
+		stderr string   // the one stderr line's prefix when code != 0
+	}{
+		{name: "single proposed", args: with("-frames", "2", "-v"), stdout: []string{`^  frame +0 \[I\]`}},
+		{name: "single baseline", args: with("-mode", "baseline", "-class", "chest", "-motion", "pan", "-frames", "2"),
+			stdout: []string{`^GOP 0: 2 tiles`}},
+		{name: "fixed fleet", args: fleet, stdout: []string{`^fleet report: .* 2/2 sessions completed \(0 rejected, 0 failed`}},
+		{name: "staggered fleet with tenants",
+			args: with("-users", "3", "-frames", "4", "-stagger", "1", "-tenant-plan", "batch:2,er@9", "-sink", "none"),
+			stdout: []string{
+				`^user  0 \(brain, tenant batch\) → shard 0`,
+				`^user  2 \(bone, tenant er\) → shard 0`,
+				`^fleet report: .* 3/3 sessions completed \(0 rejected, 0 failed`,
+			}},
+
+		// An interrupt cuts a run short, but is how a node stops.
+		{name: "interrupted single", ctx: cancelled, args: with("-frames", "2"), code: 130, stderr: "transcode: interrupted"},
+		{name: "interrupted fleet", ctx: cancelled, args: fleet, code: 130, stderr: "transcode: interrupted"},
+		{name: "interrupted master", ctx: cancelled, args: []string{"-master", "127.0.0.1:0"}},
+		{name: "interrupted agent", ctx: cancelled, args: []string{"-agent", "127.0.0.1:0", "-name", "a", "-sink", "none"}},
+		{name: "interrupted submit", ctx: cancelled, args: []string{"-submit", "http://127.0.0.1:1", "-users", "2"}},
+
+		// A count the fleet would divide by is refused up front (-shards 0
+		// used to panic with an integer divide by zero), and so is a control
+		// knob a NaN, infinity or negative value would silently switch off
+		// (-rebalance-factor NaN used to run a whole fleet without
+		// rebalancing).
+		{name: "zero shards", args: []string{"-shards", "0", "-users", "2"}, code: 1, stderr: "transcode: -shards"},
+		{name: "negative shards", args: []string{"-shards", "-3", "-users", "2"}, code: 1, stderr: "transcode: -shards"},
+		{name: "zero users", args: []string{"-shards", "2", "-users", "0", "-stagger", "1"}, code: 1, stderr: "transcode: -users"},
+		{name: "NaN rebalance factor", args: append([]string{"-rebalance-factor", "NaN"}, fleet...), code: 1, stderr: "transcode: -rebalance-factor"},
+		{name: "negative rebalance factor", args: append([]string{"-rebalance-factor", "-1"}, fleet...), code: 1, stderr: "transcode: -rebalance-factor"},
+		{name: "infinite rebalance factor", args: append([]string{"-rebalance-factor", "+Inf"}, fleet...), code: 1, stderr: "transcode: -rebalance-factor"},
+		{name: "NaN target util", args: append([]string{"-target-util", "NaN"}, fleet...), code: 1, stderr: "transcode: -target-util"},
+		{name: "negative target util", args: append([]string{"-target-util", "-0.5"}, fleet...), code: 1, stderr: "transcode: -target-util"},
+		{name: "NaN pixels per core", args: append([]string{"-pixels-per-core", "NaN"}, fleet...), code: 1, stderr: "transcode: -pixels-per-core"},
+		{name: "infinite pixels per core", args: append([]string{"-pixels-per-core", "+Inf"}, fleet...), code: 1, stderr: "transcode: -pixels-per-core"},
+		{name: "unknown hot class", args: append([]string{"-hot-class", "femur"}, fleet...), code: 1, stderr: "transcode: -hot-class"},
+		{name: "short tenant plan", args: append([]string{"-tenant-plan", "batch"}, fleet...), code: 1, stderr: "transcode: -tenant-plan"},
 	} {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "TRANSCODE_RUN_MAIN=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%v: ran to %v, want exit status 1\n%s", args, err, stderr.String())
-			continue
-		}
-		msg := strings.TrimSpace(stderr.String())
-		if !strings.HasPrefix(msg, "transcode: -") || strings.Contains(msg, "\n") || strings.Contains(msg, "panic") {
-			t.Errorf("%v: stderr %q, want one \"transcode: -flag ...\" line", args, msg)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			ctx := row.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			var stdout, stderr syncBuffer
+			if code := run(ctx, row.args, &stdout, &stderr); code != row.code {
+				t.Fatalf("%v: exit %d, want %d\nstderr: %s", row.args, code, row.code, stderr.String())
+			}
+			msg := stderr.String()
+			switch {
+			case row.code == 0 && msg != "":
+				t.Errorf("clean exit wrote to stderr: %q", msg)
+			case row.code != 0 && (strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, row.stderr)):
+				t.Errorf("stderr %q, want one %q... line", msg, row.stderr)
+			}
+			for _, want := range row.stdout {
+				if !regexp.MustCompile("(?m)" + want).MatchString(stdout.String()) {
+					t.Errorf("no stdout line matches %q:\n%s", want, stdout.String())
+				}
+			}
+		})
 	}
 }
 
@@ -90,8 +146,8 @@ func TestParseTenantPlan(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("plan %v, want %v", got, want)
 	}
-	if got, err := parseTenantPlan("", 7); got != nil || err != nil {
-		t.Fatalf("empty plan: %v, %v", got, err)
+	if got, err := parseTenantPlan("", 3); err != nil || !reflect.DeepEqual(got, make([]tenantAssignment, 3)) {
+		t.Fatalf("empty plan: %v, %v; want every user in the default tenant", got, err)
 	}
 	for _, bad := range []string{
 		"batch:2",      // covers 2 users, not 4

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -263,8 +264,7 @@ func TestNilTimeModelLearnsWork(t *testing.T) {
 		tiles := make(map[workload.Key][]codec.TileStats)
 		for _, fr := range gop.Frames {
 			for i, ts := range fr.Tiles {
-				tc := gop.Contents[i]
-				k := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
+				k := tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window)
 				tiles[k] = append(tiles[k], ts)
 			}
 		}
@@ -278,6 +278,55 @@ func TestNilTimeModelLearnsWork(t *testing.T) {
 			if want := sum / time.Duration(len(ts)); est[k] != want {
 				t.Errorf("%v %v over %d tiles: estimate %v, want mean work %v (first EncodeTime %v)",
 					mode, k, len(ts), est[k], want, ts[0].EncodeTime)
+			}
+		}
+	}
+}
+
+// TestEstimationKeysMatchEncode: the keys stage D1 prices for a GOP's
+// first frame are the keys that frame's encode feeds back to the LUT, under
+// every pipeline variant. With DisableFastME the encode runs TZ at window
+// 64, so an estimate at the GOP policy's window would price an entry the
+// encode never observes.
+func TestEstimationKeysMatchEncode(t *testing.T) {
+	for _, v := range []struct {
+		name   string
+		mutate func(*SessionConfig)
+	}{
+		{"proposed", func(*SessionConfig) {}},
+		{"baseline", func(c *SessionConfig) { c.Mode = ModeBaseline }},
+		{"no re-tiling", func(c *SessionConfig) { c.DisableRetile = true }},
+		{"no fast ME", func(c *SessionConfig) { c.DisableFastME = true }},
+	} {
+		cfg := testSessionConfig(ModeProposed)
+		v.mutate(&cfg)
+		s, err := NewSession(0, testSource(t, medgen.Brain, medgen.Rotate, 8), cfg, workload.NewLUT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gop := 0; !s.Finished(); gop++ {
+			if err := s.PrepareForEstimation(); err != nil {
+				t.Fatal(err)
+			}
+			estimated, err := s.appendEstimationKeys(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := s.EncodeNextFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var observed []workload.Key
+			for i, ts := range fr.Tiles {
+				observed = append(observed, tileKey(ts.Tile, s.contents[i], ts.QP, ts.Window))
+			}
+			if !reflect.DeepEqual(estimated, observed) {
+				t.Errorf("%s GOP %d: estimated keys %v, encode observed %v", v.name, gop, estimated, observed)
+			}
+			for !s.Finished() && s.cfg.Codec.FrameInGOP(s.frame) != 0 {
+				if _, err := s.EncodeNextFrame(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

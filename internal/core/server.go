@@ -838,8 +838,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 		if s.cfg.Calibration.Enabled {
 			for _, fr := range gop.Frames {
 				for i, ts := range fr.Tiles {
-					tc := gop.Contents[i]
-					key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
+					key := tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window)
 					rs.rec.lut.Calibrate(key, rs.rec.sess.tileWork(ts), calibrationAlpha)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -465,7 +466,7 @@ func TestRunWaitsForLateArrivals(t *testing.T) {
 		rep, err := srv.Run(context.Background())
 		done <- result{rep, err}
 	}()
-	time.Sleep(20 * time.Millisecond) // let Run reach the idle wait
+	waitRunning(srv)
 	if _, err := srv.Submit(testSource(t, medgen.Brain, medgen.Rotate, 8), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
@@ -490,18 +491,26 @@ func TestRunRefusesConcurrentRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked := make(chan struct{})
-	go func() {
-		// Idle Run holding the serving slot.
-		close(blocked)
-		_, _ = srv.Run(context.Background())
-	}()
-	<-blocked
-	time.Sleep(10 * time.Millisecond)
+	// Idle Run holding the serving slot.
+	go func() { _, _ = srv.Run(context.Background()) }()
+	waitRunning(srv)
 	if _, err := srv.Run(context.Background()); err == nil {
 		t.Fatal("second concurrent Run was allowed")
 	}
 	srv.Close()
+}
+
+// waitRunning returns once a Run holds srv's serving slot.
+func waitRunning(srv *Server) {
+	for {
+		srv.mu.Lock()
+		running := srv.running
+		srv.mu.Unlock()
+		if running {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestSubmitAfterCloseFails pins the arrival queue contract.

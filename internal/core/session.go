@@ -525,9 +525,7 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 	// Feed back: workload LUT (D1), motion policy direction (first frame
 	// of GOP), QP adaptation (Algorithm 1, every frame).
 	for i, ts := range stats.Tiles {
-		tc := s.contents[i]
-		key := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), params[i].QP, params[i].Window)
-		s.lut.Observe(key, s.tileWork(ts))
+		s.lut.Observe(tileKey(ts.Tile, s.contents[i], params[i].QP, params[i].Window), s.tileWork(ts))
 		if frameInGOP == 0 && stats.Type == codec.FrameP {
 			s.policy.Observe(i, ts.MeanMV)
 		}
@@ -631,23 +629,26 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 
 // appendEstimationKeys appends the per-tile LUT keys stage D1 looks up
 // for the current grid — what the session's upcoming GOP is about to cost.
-// The server batches the actual LUT resolution across all sessions of a
+// The keys come from the same per-tile decision the next frame encodes
+// with (tileParams), so D1 prices the entries the encode feeds back. The
+// server batches the actual LUT resolution across all sessions of a
 // class (Server.resolveEstimates).
 func (s *Session) appendEstimationKeys(dst []workload.Key) ([]workload.Key, error) {
 	if s.grid == nil {
 		return nil, fmt.Errorf("core: session %d has no prepared GOP", s.ID)
 	}
-	frameInGOP := s.cfg.Codec.FrameInGOP(s.frame)
-	for i, tc := range s.contents {
-		qp := s.cfg.BaselineQP
-		window := s.cfg.BaselineWindow
-		if s.cfg.Mode == ModeProposed {
-			qp = s.qps[i]
-			_, window = s.policy.Choose(i, tc.Motion == analysis.MotionHigh, frameInGOP)
-		}
-		dst = append(dst, workload.MakeKey(s.grid.Tiles[i].Area(), int(tc.Texture), int(tc.Motion), s.effectiveQP(qp), window))
+	for i, p := range s.tileParams() {
+		dst = append(dst, tileKey(s.grid.Tiles[i], s.contents[i], p.QP, p.Window))
 	}
 	return dst, nil
+}
+
+// tileKey is the workload-LUT key of a tile encoded at qp and window. Stage
+// D1 estimates at it and the encode's feedback (the LUT observation in
+// EncodeNextFrameContext, the server's calibration) learns at it, so the
+// two always name one entry.
+func tileKey(tile tiling.Tile, tc analysis.TileContent, qp, window int) workload.Key {
+	return workload.MakeKey(tile.Area(), int(tc.Texture), int(tc.Motion), qp, window)
 }
 
 // PrepareForEstimation runs stages A–C for the upcoming frame without

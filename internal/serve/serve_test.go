@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -1000,13 +1001,12 @@ func TestFleetRunContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		_, _ = f.Run(context.Background())
-	}()
-	<-started
-	time.Sleep(10 * time.Millisecond)
+	go func() { _, _ = f.Run(context.Background()) }()
+	for running := false; !running; runtime.Gosched() {
+		f.mu.Lock()
+		running = f.running
+		f.mu.Unlock()
+	}
 	if _, err := f.Run(context.Background()); err == nil {
 		t.Fatal("second concurrent Run allowed")
 	}

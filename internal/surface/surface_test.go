@@ -224,9 +224,11 @@ func TestKnobs(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("option serve.%s%s", name, strings.TrimPrefix(sig, "func")))
 	}
 
-	// transcode's flags: every flag.<Kind>Var(&dst, "name", ...) call.
+	// transcode's flags: every <Kind>Var(&dst, "name", ...) call on its
+	// *flag.FlagSet.
 	var flags []string
-	for _, f := range m.pkgs["repro/cmd/transcode"].files {
+	cmd := m.pkgs["repro/cmd/transcode"]
+	for _, f := range cmd.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -236,7 +238,11 @@ func TestKnobs(t *testing.T) {
 			if !ok || !strings.HasSuffix(sel.Sel.Name, "Var") || len(call.Args) < 3 {
 				return true
 			}
-			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+			x, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if v := cmd.info.Uses[x]; v == nil || v.Type().String() != "*flag.FlagSet" {
 				return true
 			}
 			lit, ok := call.Args[1].(*ast.BasicLit)

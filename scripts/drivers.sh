@@ -224,10 +224,10 @@ scenario_dist() {
   done
   wait_for get_json "$m/v1/stats" '.live == 2'
 
-  # Three proposed sessions, then three baseline ones, whose checkpoints
-  # also carry [19]'s uniform grid.
-  "$transcode" -submit $m -users 3 -frames 48 -width 256 -height 192 | tee submit-run.txt
-  "$transcode" -submit $m -users 3 -frames 48 -width 256 -height 192 -mode baseline | tee -a submit-run.txt
+  # Three proposed sessions of one tenant, then three baseline ones of the
+  # other, whose checkpoints also carry [19]'s uniform grid.
+  "$transcode" -submit $m -users 3 -frames 48 -width 256 -height 192 -tenant-plan batch:3 | tee submit-run.txt
+  "$transcode" -submit $m -users 3 -frames 48 -width 256 -height 192 -mode baseline -tenant-plan clinic:3 | tee -a submit-run.txt
   # Kill smoke-b only once the master holds a checkpoint of one of its
   # sessions, so the failover below always has something to re-import.
   wait_for get_json "$m/v1/agents" '.agents[] | select(.name == "smoke-b") | .checkpoints | length > 0'
@@ -251,6 +251,9 @@ scenario_dist() {
     echo "a session was lost in failover" >&2
     return 1
   fi
+  # The agents placed the submitted sessions in their tenants.
+  cat agent-smoke-a.jsonl agent-smoke-b.jsonl | grep -q '"event":"session_placed".*"tenant":"batch"'
+  cat agent-smoke-a.jsonl agent-smoke-b.jsonl | grep -q '"event":"session_placed".*"tenant":"clinic"'
   # The survivor adopted the sessions with the cross-process marker.
   grep -q '"event":"session_migrated","from_shard":-1' agent-smoke-a.jsonl
   jq -e '.completed >= 6 and .lost == 0' stats-final.json
