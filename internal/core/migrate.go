@@ -21,16 +21,63 @@ import (
 //	                    shard-local id, re-binding the session to the
 //	                    target's per-class workload LUT.
 //
-// The snapshot names the serving state explicitly — frame cursor, QP
-// offset, tiling degradation, rate halving, queue bookkeeping — and
-// carries the live *Session for the heavyweight encoder state (the
-// reconstructed reference frames, the QP adapter, the motion policy).
-// The handoff is in-process: ownership of the Session transfers with the
-// snapshot and exactly one server drives it at any time, so the encoded
-// bitstream continues bit-identically from where the donor stopped.
-// Cross-process migration serializes the same snapshot, encoder reference
-// state included, as a SessionWire (wire.go) and re-binds its source on
-// the receiving node.
+// Handoff names the serving state explicitly — frame cursor, QP offset,
+// tiling degradation, rate halving, queue bookkeeping, QoS identity —
+// and is its only declaration; the snapshot pairs it with the live
+// *Session for the heavyweight encoder state (the reconstructed reference
+// frames, the QP adapter, the motion policy). In-process, ownership of the
+// Session transfers with the snapshot and exactly one server drives it at
+// any time, so the encoded bitstream continues bit-identically from where
+// the donor stopped. Cross-process migration carries the same Handoff,
+// encoder reference state beside it, in a SessionWire (wire.go) and
+// re-binds its source on the receiving node.
+
+// Handoff is the state a session carries between servers at a GOP
+// boundary — in process inside a SessionSnapshot, across processes inside
+// a SessionWire. Its JSON tags are the wire's: SessionWire embeds it, so
+// encoding/json emits these fields in this order at the handoff's place.
+type Handoff struct {
+	// Class is the session's workload class — the routing key, and the
+	// name of the per-class LUT the target re-binds the session to.
+	Class string `json:"class"`
+	// DonorID is the shard-local id the session had on the donor (ids do
+	// not survive migration; Import assigns a fresh one).
+	DonorID int `json:"donor_id"`
+	// Frame is the next-frame cursor — always a GOP boundary (or the end
+	// of the video).
+	Frame int `json:"frame"`
+	// QPOffset, Degraded and RateHalved mirror the admission ladder's
+	// service-level degradations (Session.SetQPOffset, Degrade,
+	// HalveRate); in process they ride inside the Session and are surfaced
+	// here so the target's record (and tests) can see them without poking
+	// the session, and Restore reapplies them to a rebuilt one.
+	QPOffset   int  `json:"qp_offset"`
+	Degraded   bool `json:"degraded"`
+	RateHalved bool `json:"rate_halved"`
+	// Demand is the session's core demand as the donor last saw it
+	// (sched.Result.DemandCores, or the placement hint before the first
+	// competed round). Import seeds the target's record with it so the
+	// target's LoadReport reflects the adopted session's true weight
+	// before it competes there.
+	Demand int `json:"demand"`
+	// Rung, Waited and SkipRound are the donor record's admission-ladder
+	// bookkeeping: the highest rung applied, the consecutive rounds
+	// waited after the ladder ran out, and whether the session owes a
+	// sit-out round for rate halving. Import restores them so a migrated
+	// session neither re-degrades from scratch nor forgets a pending
+	// skip.
+	Rung      int  `json:"rung"`
+	Waited    int  `json:"waited"`
+	SkipRound bool `json:"skip_round"`
+	// Tenant and Priority carry the session's QoS identity ("" = the
+	// default tenant; priority 0 = best effort) so a migrated or
+	// failed-over session keeps its weighted core share and preemption
+	// class on the target shard. Both are omitted from the wire at their
+	// zero values — an optional addition under the wire's versioning
+	// rules, so v1 encodings of default-tenant sessions are byte-unchanged.
+	Tenant   string `json:"tenant,omitempty"`
+	Priority int    `json:"priority,omitempty"`
+}
 
 // SessionSnapshot is one session's exportable serving state, produced by
 // ExportSessions at a GOP boundary and consumed by Import on the target
@@ -39,43 +86,7 @@ type SessionSnapshot struct {
 	// Session is the live session; ownership transfers with the snapshot
 	// (the donor must not touch it again).
 	Session *Session
-	// Class is the session's workload class — the routing key, and the
-	// name of the per-class LUT the target re-binds the session to.
-	Class string
-	// DonorID is the shard-local id the session had on the donor (ids do
-	// not survive migration; Import assigns a fresh one).
-	DonorID int
-	// Frame is the next-frame cursor — always a GOP boundary (or the end
-	// of the video).
-	Frame int
-	// QPOffset, Degraded and RateHalved mirror the admission ladder's
-	// service-level degradations (Session.SetQPOffset, Degrade,
-	// HalveRate); they ride inside the Session and are surfaced here so
-	// the target's record (and tests) can see them without poking the
-	// session.
-	QPOffset   int
-	Degraded   bool
-	RateHalved bool
-	// Demand is the session's core demand as the donor last saw it
-	// (sched.Result.DemandCores, or the placement hint before the first
-	// competed round). Import seeds the target's record with it so the
-	// target's LoadReport reflects the adopted session's true weight
-	// before it competes there.
-	Demand int
-	// Rung, Waited and SkipRound are the donor record's admission-ladder
-	// bookkeeping: the highest rung applied, the consecutive rounds
-	// waited after the ladder ran out, and whether the session owes a
-	// sit-out round for rate halving. Import restores them so a migrated
-	// session neither re-degrades from scratch nor forgets a pending
-	// skip.
-	Rung, Waited int
-	SkipRound    bool
-	// Tenant and Priority carry the session's QoS identity ("" = the
-	// default tenant; priority 0 = best effort) so a migrated or
-	// failed-over session keeps its weighted core share and preemption
-	// class on the target shard.
-	Tenant   string
-	Priority int
+	Handoff
 }
 
 // Drain asks the serving loop to stop at the next GOP boundary: Run
@@ -138,8 +149,7 @@ func (s *Server) ExportSessions() ([]*SessionSnapshot, error) {
 func (s *Server) snapshot(id int) *SessionSnapshot {
 	rec := s.records[id]
 	sess := rec.sess
-	return &SessionSnapshot{
-		Session:    sess,
+	return &SessionSnapshot{Session: sess, Handoff: Handoff{
 		Class:      sess.Class(),
 		DonorID:    id,
 		Frame:      sess.NextFrame(),
@@ -152,7 +162,7 @@ func (s *Server) snapshot(id int) *SessionSnapshot {
 		SkipRound:  rec.skipRound,
 		Tenant:     rec.tenant,
 		Priority:   rec.priority,
-	}
+	}}
 }
 
 // exportLocked detaches queued session id from the server: its record
@@ -216,7 +226,7 @@ func (s *Server) Import(snap *SessionSnapshot) (*Session, error) {
 	}
 	s.mu.Lock()
 	lut := s.store.ForClass(snap.Class)
-	sess.adopt(len(s.records), lut, s.cfg.Workers)
+	sess.adopt(len(s.records), lut)
 	s.records = append(s.records, &sessionRecord{
 		sess:       sess,
 		lut:        lut,

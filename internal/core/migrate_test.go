@@ -454,3 +454,35 @@ func TestMigrationCarriesTenantIdentity(t *testing.T) {
 		t.Fatalf("re-export tenant %q priority %d, want er/9", reSnaps[0].Tenant, reSnaps[0].Priority)
 	}
 }
+
+// TestMigrationKeepsSubmittedConfig: a session's configuration is what its
+// submitter gave it — submitting, exporting and importing on another
+// server leave its tile-worker budget alone, and the wire of the adopted
+// session carries that budget on.
+func TestMigrationKeepsSubmittedConfig(t *testing.T) {
+	donor := newMigrationServer(t)
+	cfg := testSessionConfig(ModeProposed)
+	cfg.Workers = 3
+	if _, err := donor.Submit(speccedSource(t, medgen.Brain, medgen.Rotate, 8), cfg); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := donor.ExportSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := newMigrationServer(t)
+	sess, err := target.Import(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Config().Workers; got != 3 {
+		t.Fatalf("adopted session has Workers %d, submitted 3", got)
+	}
+	wires, err := target.CheckpointSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wires[0].Config.Workers; got != 3 {
+		t.Fatalf("adopted session wires Workers %d, submitted 3", got)
+	}
+}

@@ -40,11 +40,6 @@ type ServerConfig struct {
 	// Allocator is the thread allocation + DVFS policy. Nil selects
 	// Algorithm 2.
 	Allocator AllocatorFunc
-	// Workers bounds per-frame tile parallelism when no allocation is in
-	// effect (Sequential mode, or a session driven outside the server).
-	// In the concurrent serving loop each session's budget instead comes
-	// from the cores the allocator assigned to it that round.
-	Workers int
 	// TimeScale maps stage-D1 *estimates* onto the simulated platform's
 	// time base: each per-tile LUT prediction is multiplied by this
 	// factor as it is handed to the allocator, so the scaled value flows
@@ -57,8 +52,10 @@ type ServerConfig struct {
 	// TimeScale so that per-user demand lands in the paper's regime
 	// (~1.5–4 cores per user). 0 or 1 disables scaling.
 	TimeScale float64
-	// Sequential serves admitted sessions one after another with the
-	// fixed Workers budget — the pre-concurrency reference path. Encoded
+	// Sequential serves admitted sessions one after another, each with its
+	// own SessionConfig.Workers budget — the pre-concurrency reference
+	// path. In the concurrent serving loop each session's budget instead
+	// comes from the cores the allocator assigned to it that round. Encoded
 	// output is bit-identical between the two modes (sessions share no
 	// order-sensitive state); tests and benchmarks compare against it.
 	Sequential bool
@@ -237,9 +234,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Allocator == nil {
 		cfg.Allocator = sched.AllocateContentAware
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	cfg.Admission = cfg.Admission.withDefaults()
 	store := cfg.Store
 	if store == nil {
@@ -286,7 +280,6 @@ func (s *Server) Submit(src FrameSource, cfg SessionConfig, options ...SubmitOpt
 	if s.cfg.Tenancy != nil {
 		opts.Priority = s.cfg.Tenancy.Priority(opts.Tenant, opts.Priority)
 	}
-	cfg.Workers = s.cfg.Workers
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -882,7 +875,7 @@ func guardSession(id int, fn func() error) (err error) {
 }
 
 // encodeSequential is the reference serving path: admitted sessions encode
-// one after another with the server's fixed worker budget. A failure stops
+// one after another, each with its configured worker budget. A failure stops
 // the round (later sessions are not started and stay queued), but the
 // sessions already encoded keep their reports in out. The returned map
 // holds the failing session's error.

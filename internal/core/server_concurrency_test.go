@@ -22,7 +22,6 @@ func fourUserServer(t *testing.T, sequential bool) *Server {
 	srv, err := NewServer(ServerConfig{
 		Platform:   mpsoc.XeonE5_2667V4(),
 		FPS:        24,
-		Workers:    2,
 		Sequential: sequential,
 	})
 	if err != nil {
@@ -38,8 +37,9 @@ func fourUserServer(t *testing.T, sequential bool) *Server {
 		{medgen.SpinalCord, medgen.Still},
 	}
 	for _, sp := range specs {
-		src := testSource(t, sp.class, sp.motion, 8)
-		if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
+		cfg := testSessionConfig(ModeProposed)
+		cfg.Workers = 2
+		if _, err := srv.Submit(testSource(t, sp.class, sp.motion, 8), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

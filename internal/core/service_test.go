@@ -173,7 +173,6 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, []*
 	srv, err := NewServer(ServerConfig{
 		Platform:   mpsoc.XeonE5_2667V4(),
 		FPS:        24,
-		Workers:    2,
 		Sequential: sequential,
 	})
 	if err != nil {
@@ -188,6 +187,7 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, []*
 	}
 	for _, sp := range specs {
 		cfg := testSessionConfig(ModeProposed)
+		cfg.Workers = 2
 		cfg.KeepBitstreams = keepBits
 		if _, err := srv.Submit(testSource(t, sp.class, sp.motion, 8), cfg); err != nil {
 			t.Fatal(err)

@@ -339,16 +339,13 @@ func (s *Session) AtGOPBoundary() bool {
 
 // adopt re-homes the session on a new server during migration: a fresh
 // shard-local id, the target's per-class workload LUT (estimates and
-// observations now flow through the target's store), and the target's
-// fallback worker budget. Everything else — encoder reference state, QP
-// adapter, motion policy, degradations — rides along untouched, so the
-// encoded bitstream continues bit-identically.
-func (s *Session) adopt(id int, lut *workload.LUT, workers int) {
+// observations now flow through the target's store). Everything else —
+// configuration, encoder reference state, QP adapter, motion policy,
+// degradations — rides along untouched, so the encoded bitstream
+// continues bit-identically.
+func (s *Session) adopt(id int, lut *workload.LUT) {
 	s.ID = id
 	s.lut = lut
-	if workers > 0 {
-		s.cfg.Workers = workers
-	}
 }
 
 // Degrade switches the session to the uniform fallback tiling (the

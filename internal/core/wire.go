@@ -24,10 +24,9 @@ import (
 //     alike, so LUTs merged across agents hold one currency);
 //   - the encoder's cross-GOP state: the reconstructed reference frame
 //     (raw pixels) and the display-order frame counter;
-//   - the serving cursor and admission-ladder degradations (frame,
-//     QPOffset, Degraded, RateHalved) plus the record-level bookkeeping the
-//     in-process SessionSnapshot already carried (Demand, Rung, Waited,
-//     SkipRound).
+//   - the Handoff the in-process SessionSnapshot carries: the serving
+//     cursor, the admission-ladder degradations and bookkeeping, and the
+//     QoS identity.
 //
 // Everything else a session holds — tile grid, contents, per-tile QPs, the
 // QP adapter, the motion policy — is per-GOP state that prepareGOP
@@ -94,28 +93,12 @@ type EncoderWire struct {
 // SessionWire is the versioned JSON encoding of one SessionSnapshot — the
 // cross-machine migration format. Field order is fixed (encoding/json
 // emits struct fields in declaration order), so encoding is
-// byte-deterministic for a given state.
+// byte-deterministic for a given state; the embedded Handoff's fields
+// follow Version in Handoff's own order.
 type SessionWire struct {
-	Version    int    `json:"version"`
-	Class      string `json:"class"`
-	DonorID    int    `json:"donor_id"`
-	Frame      int    `json:"frame"`
-	QPOffset   int    `json:"qp_offset"`
-	Degraded   bool   `json:"degraded"`
-	RateHalved bool   `json:"rate_halved"`
-	Demand     int    `json:"demand"`
-	Rung       int    `json:"rung"`
-	Waited     int    `json:"waited"`
-	SkipRound  bool   `json:"skip_round"`
-	// Tenant and Priority carry the session's QoS identity across the
-	// process boundary so a failover re-import keeps its weighted core
-	// share and preemption class. Both default to zero values (the
-	// default tenant, best effort) and are omitted then — an optional
-	// addition under the versioning rules above, so v1 encodings of
-	// default-tenant sessions are byte-unchanged.
-	Tenant   string     `json:"tenant,omitempty"`
-	Priority int        `json:"priority,omitempty"`
-	Source   SourceSpec `json:"source"`
+	Version int `json:"version"`
+	Handoff
+	Source SourceSpec `json:"source"`
 	// Config is the session's defaulted configuration. TimeModel is
 	// excluded (json:"-"): the receiver prices with the default work model
 	// (codec.TileStats.Work), which is the same on every node, and the
@@ -213,22 +196,11 @@ func (snap *SessionSnapshot) Wire() (*SessionWire, error) {
 		return nil, fmt.Errorf("core: session %d: %w", sess.ID, err)
 	}
 	w := &SessionWire{
-		Version:    SessionWireVersion,
-		Class:      snap.Class,
-		DonorID:    snap.DonorID,
-		Frame:      snap.Frame,
-		QPOffset:   snap.QPOffset,
-		Degraded:   snap.Degraded,
-		RateHalved: snap.RateHalved,
-		Demand:     snap.Demand,
-		Rung:       snap.Rung,
-		Waited:     snap.Waited,
-		SkipRound:  snap.SkipRound,
-		Tenant:     snap.Tenant,
-		Priority:   snap.Priority,
-		Source:     spec,
-		Config:     sess.cfg,
-		Encoder:    EncoderWire{Frames: sess.enc.FramesEncoded()},
+		Version: SessionWireVersion,
+		Handoff: snap.Handoff,
+		Source:  spec,
+		Config:  sess.cfg,
+		Encoder: EncoderWire{Frames: sess.enc.FramesEncoded()},
 	}
 	if ref := sess.enc.Reference(); ref != nil {
 		w.Encoder.Ref = wireFrame(ref)
@@ -290,25 +262,10 @@ func (w *SessionWire) Restore(bind SourceBinder) (*SessionSnapshot, error) {
 		}
 		sess.baselineGrid = grid
 	}
-	snap := &SessionSnapshot{
-		Session:    sess,
-		Class:      w.Class,
-		DonorID:    w.DonorID,
-		Frame:      w.Frame,
-		QPOffset:   w.QPOffset,
-		Degraded:   w.Degraded,
-		RateHalved: w.RateHalved,
-		Demand:     w.Demand,
-		Rung:       w.Rung,
-		Waited:     w.Waited,
-		SkipRound:  w.SkipRound,
-		Tenant:     w.Tenant,
-		Priority:   w.Priority,
-	}
 	if !sess.AtGOPBoundary() {
 		return nil, fmt.Errorf("core: wire frame cursor %d is mid-GOP", w.Frame)
 	}
-	return snap, nil
+	return &SessionSnapshot{Session: sess, Handoff: w.Handoff}, nil
 }
 
 // CheckpointSessions wires every checkpointable queued session without

@@ -93,6 +93,10 @@ func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 		checkpoints: make(map[int][]*core.SessionWire),
 		done:        make(chan struct{}),
 	}
+	// The master drops a beat whose Seq is below the last it saw from this
+	// name. Counting on from the clock rather than from zero puts a
+	// restarted incarnation ahead of every beat its predecessor sent.
+	a.seq.Store(time.Now().UnixNano())
 	opts := append(append([]serve.Option(nil), fleetOpts...),
 		serve.WithCheckpoint(cfg.CheckpointEvery, a.storeCheckpoint))
 	if cfg.Sink != nil {

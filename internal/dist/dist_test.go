@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -575,5 +579,51 @@ func TestMasterRouteOrder(t *testing.T) {
 		if fmt.Sprint(got) != tc.want {
 			t.Errorf("class homed on %s: candidates %v, want %s", tc.home, got, tc.want)
 		}
+	}
+}
+
+// TestMasterHearsRestartedAgent: an agent restarted under its old name is
+// a fresh process with a fresh heartbeat counter. The master must take its
+// first beat as the node's current state — new URL included — however
+// many beats the previous incarnation sent.
+func TestMasterHearsRestartedAgent(t *testing.T) {
+	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := func(a *Agent) {
+		t.Helper()
+		body, err := json.Marshal(a.heartbeat())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		m.handleHeartbeat(rec, httptest.NewRequest(http.MethodPost, "/v1/heartbeat", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("heartbeat answered %d %q", rec.Code, rec.Body.String())
+		}
+	}
+	incarnation := func(url string) *Agent {
+		t.Helper()
+		a, err := NewAgent(AgentConfig{Name: "node-a", Addr: "127.0.0.1:0", AdvertiseURL: url})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	first := incarnation("http://127.0.0.1:1")
+	for i := 0; i < 50; i++ {
+		beat(first)
+	}
+	beat(incarnation("http://127.0.0.1:2"))
+
+	rec := httptest.NewRecorder()
+	m.handleAgents(rec, httptest.NewRequest(http.MethodGet, "/v1/agents", nil))
+	var got AgentsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Agents) != 1 || got.Agents[0].URL != "http://127.0.0.1:2" {
+		t.Fatalf("after the restart /v1/agents lists %+v, want node-a at http://127.0.0.1:2", got.Agents)
 	}
 }

@@ -41,8 +41,7 @@ func goldenSessionWire(t *testing.T) *core.SessionWire {
 	if _, err := sess.EncodeGOP(); err != nil {
 		t.Fatal(err)
 	}
-	snap := &core.SessionSnapshot{
-		Session:    sess,
+	snap := &core.SessionSnapshot{Session: sess, Handoff: core.Handoff{
 		Class:      sess.Class(),
 		DonorID:    3,
 		Frame:      sess.NextFrame(),
@@ -53,7 +52,7 @@ func goldenSessionWire(t *testing.T) *core.SessionWire {
 		Rung:       1,
 		Waited:     1,
 		SkipRound:  false,
-	}
+	}}
 	wire, err := snap.Wire()
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func FuzzRequestBodies(f *testing.F) {
 	if _, err := sess.EncodeGOP(); err != nil {
 		f.Fatal(err)
 	}
-	wire, err := (&core.SessionSnapshot{Session: sess, Class: sess.Class(), Frame: sess.NextFrame(), Demand: 1}).Wire()
+	wire, err := (&core.SessionSnapshot{Session: sess, Handoff: core.Handoff{Class: sess.Class(), Frame: sess.NextFrame(), Demand: 1}}).Wire()
 	if err != nil {
 		f.Fatal(err)
 	}

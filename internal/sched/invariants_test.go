@@ -298,3 +298,13 @@ func TestAllocatorInvariantsEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// containsID reports membership in a small id slice.
+func containsID(ids []int, v int) bool {
+	for _, x := range ids {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}

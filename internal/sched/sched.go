@@ -210,10 +210,8 @@ func AllocateContentAware(in Input) (*Result, error) {
 	// Candidate core budget N_core^U (line 4): the sum of the admitted
 	// users' core demands — allocation densifies onto these cores only.
 	budget := 0
-	for _, u := range in.Users {
-		if containsID(res.Admitted, u.User) {
-			budget += res.DemandCores[u.User]
-		}
+	for _, id := range res.Admitted {
+		budget += res.DemandCores[id]
 	}
 	if budget < 1 {
 		budget = 1
@@ -301,44 +299,17 @@ func AllocateBaseline(in Input) (*Result, error) {
 	nc := in.Platform.Cores
 	res := &Result{Plans: make([]mpsoc.CorePlan, nc)}
 
-	// Admit in ascending thread-count order (the analogue of line 2),
-	// higher priority classes first — the same preemption-enabling order
-	// admitAscending applies to Algorithm 2.
-	order := make([]int, len(in.Users))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ua, ub := in.Users[order[a]], in.Users[order[b]]
-		if ua.Priority != ub.Priority {
-			return ua.Priority > ub.Priority
-		}
-		da, db := len(ua.Threads), len(ub.Threads)
-		if da != db {
-			return da < db
-		}
-		return ua.User < ub.User
-	})
-	res.DemandCores = make(map[int]int, len(in.Users))
-	for _, u := range in.Users {
-		res.DemandCores[u.User] = len(u.Threads)
-	}
+	// Admit in ascending thread-count order (the analogue of line 2), in
+	// the same preemption-enabling order as Algorithm 2; each admitted
+	// thread takes the next free core.
 	next := 0
-	for _, idx := range order {
-		u := in.Users[idx]
-		if next+len(u.Threads) <= nc {
-			res.Admitted = append(res.Admitted, u.User)
-			for _, th := range u.Threads {
-				res.Assignments = append(res.Assignments, Assignment{Thread: th, Core: next})
-				res.Plans[next].LoadAtFmax += th.TimeFmax
-				next++
-			}
-		} else {
-			res.Rejected = append(res.Rejected, u.User)
+	for _, u := range admit(in, res, func(u UserDemand) int { return len(u.Threads) }) {
+		for _, th := range u.Threads {
+			res.Assignments = append(res.Assignments, Assignment{Thread: th, Core: next})
+			res.Plans[next].LoadAtFmax += th.TimeFmax
+			next++
 		}
 	}
-	sort.Ints(res.Admitted)
-	sort.Ints(res.Rejected)
 	res.fillUserCores()
 
 	for k := range res.Plans {
@@ -357,54 +328,53 @@ func AllocateBaseline(in Input) (*Result, error) {
 	return res, nil
 }
 
-// containsID reports membership in a small sorted id slice.
-func containsID(ids []int, v int) bool {
-	for _, x := range ids {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// admitAscending is Algorithm 2's admission step (ascending core demand,
-// higher priority classes first); it returns the admitted thread pool in
-// LPT order.
-func admitAscending(in Input, res *Result) []Thread {
+// admit is the one admission order of both policies: higher priority
+// classes first, then ascending core demand, then user id, each user
+// admitted while its demand fits the cores the users before it left. It
+// records every user's demand in res.DemandCores and the outcome in
+// res.Admitted/Rejected (ascending), and returns the admitted users in
+// admission order.
+func admit(in Input, res *Result, demand func(UserDemand) int) []UserDemand {
 	order := make([]int, len(in.Users))
-	for i := range order {
+	res.DemandCores = make(map[int]int, len(in.Users))
+	for i, u := range in.Users {
 		order[i] = i
+		res.DemandCores[u.User] = demand(u)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ua, ub := in.Users[order[a]], in.Users[order[b]]
 		if ua.Priority != ub.Priority {
 			return ua.Priority > ub.Priority
 		}
-		da, db := ua.CoresNeeded(in.FPS), ub.CoresNeeded(in.FPS)
-		if da != db {
+		if da, db := res.DemandCores[ua.User], res.DemandCores[ub.User]; da != db {
 			return da < db
 		}
 		return ua.User < ub.User
 	})
 	budget := in.Platform.Cores
-	var pool []Thread
-	res.DemandCores = make(map[int]int, len(in.Users))
-	for _, u := range in.Users {
-		res.DemandCores[u.User] = u.CoresNeeded(in.FPS)
-	}
+	var admitted []UserDemand
 	for _, idx := range order {
 		u := in.Users[idx]
-		need := res.DemandCores[u.User]
-		if need <= budget {
+		if need := res.DemandCores[u.User]; need <= budget {
 			budget -= need
 			res.Admitted = append(res.Admitted, u.User)
-			pool = append(pool, u.Threads...)
+			admitted = append(admitted, u)
 		} else {
 			res.Rejected = append(res.Rejected, u.User)
 		}
 	}
 	sort.Ints(res.Admitted)
 	sort.Ints(res.Rejected)
+	return admitted
+}
+
+// admitAscending is Algorithm 2's admission step (admit by ascending core
+// demand); it returns the admitted thread pool in LPT order.
+func admitAscending(in Input, res *Result) []Thread {
+	var pool []Thread
+	for _, u := range admit(in, res, func(u UserDemand) int { return u.CoresNeeded(in.FPS) }) {
+		pool = append(pool, u.Threads...)
+	}
 	sort.SliceStable(pool, func(a, b int) bool {
 		if pool[a].TimeFmax != pool[b].TimeFmax {
 			return pool[a].TimeFmax > pool[b].TimeFmax

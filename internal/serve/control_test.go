@@ -548,7 +548,7 @@ func TestControlLoopsTogether(t *testing.T) {
 		WithDemandPlacement(PlacementConfig{}),
 		WithRebalance(RebalanceConfig{Factor: 1.2}),
 		WithAutoscale(AutoscaleConfig{MaxShards: 4, TargetUtil: 0.15}),
-		WithSink(MultiSink(ring, sink)),
+		WithSink(ring), WithMetrics(sink),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -164,8 +164,8 @@ func WithSink(s Sink) Option {
 // alongside WithSink — the wiring point for observability exporters
 // (internal/metrics implements Sink but serve cannot import it without a
 // cycle, so the option takes the interface). May be given more than
-// once; every sink sees every event through one MultiSink fan-out, under
-// the same serialized delivery contract.
+// once; every sink sees every event, the WithSink sink first, under the
+// same serialized delivery contract.
 func WithMetrics(s Sink) Option {
 	return func(o *options) {
 		if s == nil {
@@ -224,7 +224,10 @@ type Fleet struct {
 	// shard — including ones added later — starts from its own clone.
 	seed *workload.Store
 
-	// sinkMu serializes sink delivery fleet-wide (the Sink contract).
+	// sinks are the telemetry sinks, in delivery order: the WithSink sink,
+	// then each WithMetrics sink. sinkMu serializes delivery fleet-wide
+	// (the Sink contract).
+	sinks  []Sink
 	sinkMu sync.Mutex
 
 	// totalRounds counts settled rounds fleet-wide across the fleet's
@@ -302,17 +305,6 @@ func New(opts ...Option) (*Fleet, error) {
 	if len(o.errs) > 0 {
 		return nil, errors.Join(o.errs...)
 	}
-	if len(o.extraSinks) > 0 {
-		sinks := o.extraSinks
-		if o.sink != nil {
-			sinks = append([]Sink{o.sink}, sinks...)
-		}
-		if len(sinks) == 1 {
-			o.sink = sinks[0]
-		} else {
-			o.sink = MultiSink(sinks...)
-		}
-	}
 	platforms := o.platforms
 	if platforms == nil {
 		platforms = make([]*mpsoc.Platform, o.shards)
@@ -350,10 +342,14 @@ func New(opts ...Option) (*Fleet, error) {
 
 	f := &Fleet{
 		opts:       o,
+		sinks:      o.extraSinks,
 		proto:      platforms[0],
 		seed:       seed,
 		ring:       newHashRing(seqMembers(n), RingReplicas),
 		shedMerged: make(map[shedKey]bool),
+	}
+	if o.sink != nil {
+		f.sinks = append([]Sink{o.sink}, f.sinks...)
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for i := 0; i < n; i++ {
@@ -1128,32 +1124,38 @@ func (f *Fleet) SaveLUTs() error {
 // shards' queue depths).
 func (f *Fleet) Load() int { return SumLoads(f.Loads()).Sessions }
 
-// deliver hands the fleet's sink to fn under the fleet-wide dispatch lock
-// — the Sink contract's "no two methods run concurrently". A fleet
-// without a sink delivers nothing.
+// deliver hands each of the fleet's sinks in turn to fn under the
+// fleet-wide dispatch lock — the Sink contract's "no two methods run
+// concurrently". A fleet without a sink delivers nothing.
 func (f *Fleet) deliver(fn func(Sink)) {
-	if f.opts.sink == nil {
+	if len(f.sinks) == 0 {
 		return
 	}
 	f.sinkMu.Lock()
 	defer f.sinkMu.Unlock()
-	fn(f.opts.sink)
+	for _, s := range f.sinks {
+		fn(s)
+	}
 }
 
 // deliverRound delivers a settled round in one lock hold: per-session
 // GOPs in ascending id, then the round metrics carrying the shard's load
 // report as of the settlement.
 func (f *Fleet) deliverRound(s *shardState, out *core.GOPOutcome) {
+	if len(f.sinks) == 0 {
+		return
+	}
+	ids := make([]int, 0, len(out.GOPs))
+	for id := range out.GOPs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	round := RoundEvent{Shard: s.index, Outcome: out, Load: s.srv.LoadReport()}
 	f.deliver(func(sink Sink) {
-		ids := make([]int, 0, len(out.GOPs))
-		for id := range out.GOPs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
 		for _, id := range ids {
 			sink.OnGOP(GOPEvent{Shard: s.index, Session: id, Round: out.Round, GOP: out.GOPs[id]})
 		}
-		sink.OnRoundMetrics(RoundEvent{Shard: s.index, Outcome: out, Load: s.srv.LoadReport()})
+		sink.OnRoundMetrics(round)
 	})
 }
 

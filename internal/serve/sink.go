@@ -160,59 +160,6 @@ func (NopSink) OnShardRemoved(ShardEvent)          {}
 func (NopSink) OnSessionMigrated(MigrationEvent)   {}
 func (NopSink) OnSessionRebalanced(MigrationEvent) {}
 
-// MultiSink fans every event out to each sink in order.
-func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
-
-type multiSink []Sink
-
-func (m multiSink) OnGOP(e GOPEvent) {
-	for _, s := range m {
-		s.OnGOP(e)
-	}
-}
-
-func (m multiSink) OnSessionStateChange(e SessionEvent) {
-	for _, s := range m {
-		s.OnSessionStateChange(e)
-	}
-}
-
-func (m multiSink) OnSessionPlaced(e PlacementEvent) {
-	for _, s := range m {
-		s.OnSessionPlaced(e)
-	}
-}
-
-func (m multiSink) OnRoundMetrics(e RoundEvent) {
-	for _, s := range m {
-		s.OnRoundMetrics(e)
-	}
-}
-
-func (m multiSink) OnShardAdded(e ShardEvent) {
-	for _, s := range m {
-		s.OnShardAdded(e)
-	}
-}
-
-func (m multiSink) OnShardRemoved(e ShardEvent) {
-	for _, s := range m {
-		s.OnShardRemoved(e)
-	}
-}
-
-func (m multiSink) OnSessionMigrated(e MigrationEvent) {
-	for _, s := range m {
-		s.OnSessionMigrated(e)
-	}
-}
-
-func (m multiSink) OnSessionRebalanced(e MigrationEvent) {
-	for _, s := range m {
-		s.OnSessionRebalanced(e)
-	}
-}
-
 // RingSink is the bounded-memory sink: it keeps exact counters per shard
 // (rounds, frames, GOP reports, energy totals, session lifecycle states)
 // forever and the most recent Capacity round outcomes in a ring buffer.

@@ -382,10 +382,11 @@ func TestReportMonotoneDuringRun(t *testing.T) {
 	}
 }
 
-// TestMultiSinkFansOut: both sinks see every event.
+// TestMultiSinkFansOut: the WithSink sink and a WithMetrics sink both see
+// every event.
 func TestMultiSinkFansOut(t *testing.T) {
 	a, b := &recordingSink{}, &recordingSink{}
-	f, err := New(WithShards(1), WithSink(MultiSink(a, b)))
+	f, err := New(WithShards(1), WithSink(a), WithMetrics(b))
 	if err != nil {
 		t.Fatal(err)
 	}
