@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/medgen"
@@ -274,11 +275,17 @@ func TestWireRequiresSpeccedSource(t *testing.T) {
 
 // TestSessionSnapshotFieldsCovered is the schema tripwire. The snapshot's
 // carried state reaches the wire by construction — both embed the one
-// Handoff — so what is left to check is the session's configuration, which
-// travels wholesale: marshalling must not hit an unserializable field (a
-// new func/chan field needs a json:"-" tag and a conscious decision, like
-// TimeModel).
+// Handoff — as long as the snapshot holds nothing beside the live session
+// and that Handoff: a field added next to them would not survive
+// cross-process migration, so the snapshot's shape is pinned here. The
+// session's configuration travels wholesale: marshalling must not hit an
+// unserializable field (a new func/chan field needs a json:"-" tag and a
+// conscious decision, like TimeModel).
 func TestSessionSnapshotFieldsCovered(t *testing.T) {
+	typ := reflect.TypeOf(SessionSnapshot{})
+	if typ.NumField() != 2 || typ.Field(0).Name != "Session" || typ.Field(1).Name != "Handoff" {
+		t.Errorf("SessionSnapshot is %v, want {Session; Handoff}: carried state belongs in Handoff, which SessionWire embeds", typ)
+	}
 	if _, err := json.Marshal(DefaultSessionConfig()); err != nil {
 		t.Fatalf("SessionConfig no longer marshals: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"sync"
@@ -58,6 +59,10 @@ type Agent struct {
 
 	mu          sync.Mutex
 	checkpoints map[int][]*core.SessionWire // shard → latest wires
+	// incarnation tells this agent's beats from those of an earlier or
+	// later process under the same name. It is random, not read from the
+	// clock: only its uniqueness matters, never its order.
+	incarnation int64
 	seq         atomic.Int64
 
 	ln      net.Listener
@@ -91,12 +96,9 @@ func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 		cfg:         cfg,
 		client:      DefaultClient(),
 		checkpoints: make(map[int][]*core.SessionWire),
+		incarnation: rand.Int64(),
 		done:        make(chan struct{}),
 	}
-	// The master drops a beat whose Seq is below the last it saw from this
-	// name. Counting on from the clock rather than from zero puts a
-	// restarted incarnation ahead of every beat its predecessor sent.
-	a.seq.Store(time.Now().UnixNano())
 	opts := append(append([]serve.Option(nil), fleetOpts...),
 		serve.WithCheckpoint(cfg.CheckpointEvery, a.storeCheckpoint))
 	if cfg.Sink != nil {
@@ -211,6 +213,7 @@ func (a *Agent) heartbeat() Heartbeat {
 		Version:     ProtocolVersion,
 		Name:        a.cfg.Name,
 		URL:         a.URL(),
+		Incarnation: a.incarnation,
 		Seq:         a.seq.Add(1),
 		Loads:       a.fleet.Loads(),
 		Checkpoints: wires,

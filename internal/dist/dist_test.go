@@ -585,7 +585,9 @@ func TestMasterRouteOrder(t *testing.T) {
 // TestMasterHearsRestartedAgent: an agent restarted under its old name is
 // a fresh process with a fresh heartbeat counter. The master must take its
 // first beat as the node's current state — new URL included — however
-// many beats the previous incarnation sent.
+// many beats the previous incarnation sent, and must fail over the session
+// the previous incarnation checkpointed even though the restart came back
+// inside the heartbeat timeout.
 func TestMasterHearsRestartedAgent(t *testing.T) {
 	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
@@ -611,11 +613,30 @@ func TestMasterHearsRestartedAgent(t *testing.T) {
 		}
 		return a
 	}
+	// The restarted process answers imports; it is the only live node, so
+	// failover must bring the checkpointed session back to it.
+	var mu sync.Mutex
+	var imported []*core.SessionWire
+	restarted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ImportRequest
+		if r.URL.Path != "/v1/import" || json.NewDecoder(r.Body).Decode(&req) != nil {
+			http.Error(w, "unexpected request", http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		imported = append(imported, req.Session)
+		mu.Unlock()
+		writeJSON(w, http.StatusOK, ImportResponse{})
+	}))
+	defer restarted.Close()
+
 	first := incarnation("http://127.0.0.1:1")
+	wire := goldenSessionWire(t)
+	first.storeCheckpoint(0, []*core.SessionWire{wire})
 	for i := 0; i < 50; i++ {
 		beat(first)
 	}
-	beat(incarnation("http://127.0.0.1:2"))
+	beat(incarnation(restarted.URL))
 
 	rec := httptest.NewRecorder()
 	m.handleAgents(rec, httptest.NewRequest(http.MethodGet, "/v1/agents", nil))
@@ -623,7 +644,17 @@ func TestMasterHearsRestartedAgent(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Agents) != 1 || got.Agents[0].URL != "http://127.0.0.1:2" {
-		t.Fatalf("after the restart /v1/agents lists %+v, want node-a at http://127.0.0.1:2", got.Agents)
+	if len(got.Agents) != 1 || got.Agents[0].URL != restarted.URL || !got.Agents[0].Alive {
+		t.Fatalf("after the restart /v1/agents lists %+v, want node-a alive at %s", got.Agents, restarted.URL)
+	}
+
+	m.checkOnce(context.Background(), time.Now())
+	mu.Lock()
+	defer mu.Unlock()
+	if len(imported) != 1 || imported[0].DonorID != wire.DonorID || imported[0].Frame != wire.Frame {
+		t.Fatalf("failover imported %d sessions, want the checkpointed session %d at frame %d", len(imported), wire.DonorID, wire.Frame)
+	}
+	if m.reimported != 1 || m.lost != 0 {
+		t.Fatalf("master counts %d re-imported, %d lost; want 1 and 0", m.reimported, m.lost)
 	}
 }

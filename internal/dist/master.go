@@ -19,8 +19,8 @@ import (
 // Event is one line of the master's operational journal, delivered to
 // MasterConfig.OnEvent (and serialized to JSONL by cmd/transcode).
 type Event struct {
-	// Kind: "agent_joined", "agent_rejoined", "agent_dead",
-	// "submit_routed", "submit_rate_limited", "session_reimported",
+	// Kind: "agent_joined", "agent_rejoined", "agent_restarted",
+	// "agent_dead", "submit_routed", "submit_rate_limited", "session_reimported",
 	// "session_lost".
 	Event string `json:"event"`
 	// Agent is the subject node (the donor on failover events).
@@ -62,6 +62,7 @@ type MasterConfig struct {
 type agentState struct {
 	name        string
 	url         string
+	incarnation int64
 	seq         int64
 	lastBeat    time.Time
 	dead        bool
@@ -87,6 +88,9 @@ type Master struct {
 	ring       *serve.Ring
 	reimported int
 	lost       int
+	// replaced holds the last state of agents a restart replaced before
+	// they were declared dead; the next sweep fails it over.
+	replaced []deadSnapshot
 
 	eventMu sync.Mutex
 
@@ -256,9 +260,12 @@ type deadSnapshot struct {
 }
 
 // checkOnce sweeps the registry for agents past the heartbeat deadline
-// and fails over their cached sessions.
+// and fails over their cached sessions, and those of every incarnation a
+// restart replaced since the last sweep.
 func (m *Master) checkOnce(ctx context.Context, now time.Time) {
 	m.mu.Lock()
+	replaced := m.replaced
+	m.replaced = nil
 	var died []deadSnapshot
 	for _, a := range m.agents {
 		if !a.dead && now.Sub(a.lastBeat) > m.cfg.HeartbeatTimeout {
@@ -274,6 +281,9 @@ func (m *Master) checkOnce(ctx context.Context, now time.Time) {
 		m.logf("master: agent %s missed its heartbeat deadline (%d checkpointed sessions to fail over)",
 			d.name, len(d.checkpoints))
 		m.emit(Event{Event: "agent_dead", Agent: d.name, Detail: fmt.Sprintf("%d sessions to re-import", len(d.checkpoints))})
+		m.failover(ctx, d)
+	}
+	for _, d := range replaced {
 		m.failover(ctx, d)
 	}
 }
@@ -340,15 +350,29 @@ func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "heartbeat without name/url")
 		return
 	}
-	var joined, rejoined bool
+	var joined, rejoined, restarted bool
+	var orphaned int
 	m.mu.Lock()
 	a, ok := m.agents[hb.Name]
 	if !ok {
-		a = &agentState{name: hb.Name}
+		a = &agentState{name: hb.Name, incarnation: hb.Incarnation}
 		m.agents[hb.Name] = a
 		joined = true
 	}
-	if hb.Seq < a.seq {
+	if hb.Incarnation != a.incarnation {
+		// A new process under this name: its sequence starts over, and
+		// nobody serves the sessions its predecessor checkpointed. Unless
+		// the predecessor was already declared dead, and so failed over,
+		// the next sweep fails them over now: a restart inside the
+		// heartbeat timeout must not drop them. (A beat of the old process
+		// delivered late reads as one more restart: duplicates, no loss.)
+		restarted = true
+		if !a.dead && len(a.checkpoints) > 0 {
+			orphaned = len(a.checkpoints)
+			m.replaced = append(m.replaced, deadSnapshot{name: a.name, checkpoints: a.checkpoints, luts: a.luts})
+		}
+		a.incarnation, a.seq = hb.Incarnation, 0
+	} else if hb.Seq < a.seq {
 		// Stale delivery (retries can reorder) — acknowledge, change nothing.
 		m.mu.Unlock()
 		writeJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
@@ -381,6 +405,10 @@ func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	} else if rejoined {
 		m.logf("master: agent %s rejoined from %s", hb.Name, hb.URL)
 		m.emit(Event{Event: "agent_rejoined", Agent: hb.Name, Detail: hb.URL})
+	} else if restarted {
+		m.logf("master: agent %s restarted from %s (%d checkpointed sessions of its previous process to fail over)",
+			hb.Name, hb.URL, orphaned)
+		m.emit(Event{Event: "agent_restarted", Agent: hb.Name, Detail: fmt.Sprintf("%s; %d sessions to re-import", hb.URL, orphaned)})
 	}
 	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
 }

@@ -87,15 +87,17 @@ type ImportResponse struct {
 }
 
 // Heartbeat is what an agent POSTs to its master every interval: its
-// identity and address, a monotonic sequence number, the per-shard load
+// identity and address, the incarnation (process) it comes from and a
+// sequence number monotonic within that incarnation, the per-shard load
 // signal, the latest non-destructive wire checkpoints of every live
 // session (the master's failover inventory), the merged workload LUT
 // store, and the lifetime session counters.
 type Heartbeat struct {
-	Version int    `json:"version"`
-	Name    string `json:"name"`
-	URL     string `json:"url"`
-	Seq     int64  `json:"seq"`
+	Version     int    `json:"version"`
+	Name        string `json:"name"`
+	URL         string `json:"url"`
+	Incarnation int64  `json:"incarnation"`
+	Seq         int64  `json:"seq"`
 
 	Loads       []core.LoadReport   `json:"loads"`
 	Checkpoints []*core.SessionWire `json:"checkpoints"`
