@@ -217,3 +217,50 @@ func TestDirectedSearchReducesEvals(t *testing.T) {
 		t.Fatalf("directed OTS PSNR %.1f more than 1 dB below TZ %.1f", ots.PSNR, tz.PSNR)
 	}
 }
+
+// raceEnabled is set under -race, where sync.Pool drops a random share of
+// its Puts, so a pooled search may allocate.
+var raceEnabled bool
+
+func TestEncodeBlockAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	seq := smallSequence(t, 2)
+	cfg := smallConfig()
+	tile := tiling.MustUniform(cfg.Width, cfg.Height, 1, 1).Tiles[0]
+	recon := video.NewFrame(cfg.Width, cfg.Height)
+	p := TileParams{QP: 30, Searcher: motion.TZSearch{}, Window: 16}
+	// A reference whose lower half is flat grey forces intra blocks there.
+	ref := video.NewPlane(cfg.Width, cfg.Height)
+	copy(ref.Pix, seq.Frames[0].Y.Pix)
+	for i := ref.Stride * cfg.Height / 2; i < len(ref.Pix); i++ {
+		ref.Pix[i] = 128
+	}
+	tc, err := newTileCoder(cfg, p, tile, seq.Frames[1].Y, recon.Y, ref, FrameP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putTileCoder(tc)
+	w := getBitWriter()
+	defer putBitWriter(w)
+	// Every block of the frame: inter, intra, skipped and coded residuals.
+	encodeAll := func() {
+		w.Reset()
+		tc.lastMV = motion.MV{}
+		for by := 0; by < cfg.Height; by += cfg.BlockSize {
+			for bx := 0; bx < cfg.Width; bx += cfg.BlockSize {
+				if err := tc.encodeBlock(w, bx, by, cfg.BlockSize, cfg.BlockSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	encodeAll() // warm the pools and the writer's buffer
+	if n := testing.AllocsPerRun(20, encodeAll); n != 0 {
+		t.Fatalf("%.1f allocations per P-frame of encodeBlock calls", n)
+	}
+	if st := tc.stats; st.InterBlocks == 0 || st.IntraBlocks == 0 || st.SkippedBlocks == 0 || st.SkippedBlocks == 4*(st.InterBlocks+st.IntraBlocks) {
+		t.Fatalf("P-frame did not exercise inter, intra, skipped and coded blocks: %+v", st)
+	}
+}

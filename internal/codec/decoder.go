@@ -163,11 +163,13 @@ func (d *Decoder) decodeResidual(r *entropy.BitReader, quant *transform.Quantize
 			if err := entropy.DecodeCoeffBlock(r, n, coeffs); err != nil {
 				return err
 			}
-			if err := quant.Dequantize(coeffs, coeffs); err != nil {
-				return err
-			}
-			if err := transform.Inverse(n, coeffs, coeffs); err != nil {
-				return err
+			if !allZero(coeffs) {
+				if err := quant.Dequantize(coeffs, coeffs); err != nil {
+					return err
+				}
+				if err := transform.Inverse(n, coeffs, coeffs); err != nil {
+					return err
+				}
 			}
 			for y := 0; y < vh; y++ {
 				rrow := recon.Pix[(by+sy+y)*recon.Stride+bx+sx : (by+sy+y)*recon.Stride+bx+sx+vw]

@@ -519,11 +519,16 @@ func (t *tileCoder) codeResidual(w *entropy.BitWriter, bx, by, bw, bh int, pred 
 			if err := entropy.EncodeCoeffBlock(w, n, coeffs); err != nil {
 				return err
 			}
-			if err := t.quant.Dequantize(coeffs, coeffs); err != nil {
-				return err
-			}
-			if err := transform.Inverse(n, coeffs, res); err != nil {
-				return err
+			if allZero(coeffs) {
+				// Dequantize and Inverse map zero levels to a zero residual.
+				clear(res)
+			} else {
+				if err := t.quant.Dequantize(coeffs, coeffs); err != nil {
+					return err
+				}
+				if err := transform.Inverse(n, coeffs, res); err != nil {
+					return err
+				}
 			}
 			// Reconstruct and accumulate distortion over the valid region.
 			for y := 0; y < vh; y++ {
@@ -601,6 +606,18 @@ func skipSADThreshold(n int, q *transform.Quantizer) int64 {
 		return provable
 	}
 	return heuristic
+}
+
+// allZero reports whether every quantized level is zero, in which case the
+// reconstructed residual is zero too: each dequantized coefficient rounds
+// 0·Qstep to 0, and each inverse stage shifts (0 + round) down to 0.
+func allZero(levels []int32) bool {
+	for _, l := range levels {
+		if l != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func boolBit(b bool) uint {

@@ -2,7 +2,9 @@ package motion
 
 // This file implements the individual search algorithms. All of them share
 // the memoizing searchState, so revisiting a position during pattern
-// iteration costs nothing, and all support a predicted start vector.
+// iteration costs nothing, and all support a predicted start vector. Each
+// Search takes a pooled state and runs the algorithm's run method on it;
+// candidate patterns are fixed arrays, so a search allocates nothing.
 
 // TZSearch is a faithful simplification of the HM reference encoder's Test
 // Zone search: predictor seeding, an expanding 8-point diamond zonal
@@ -18,8 +20,14 @@ const (
 )
 
 // Search implements Searcher.
-func (TZSearch) Search(b Block, window int, pred MV) Result {
+func (t TZSearch) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
+	t.run(s, pred)
+	return s.result()
+}
+
+func (TZSearch) run(s *searchState, pred MV) {
+	window := s.window
 	s.seed(pred)
 
 	// Zonal expanding diamond around the incumbent.
@@ -27,7 +35,8 @@ func (TZSearch) Search(b Block, window int, pred MV) Result {
 	bestDist := 0
 	for dist := 1; dist <= window; dist *= 2 {
 		improved := false
-		for _, d := range diamondPoints(dist) {
+		pts, n := diamondPoints(dist)
+		for _, d := range pts[:n] {
 			if c := s.try(center.Add(d)); c == s.cost && s.best == center.Add(d) {
 				improved = true
 			}
@@ -52,7 +61,8 @@ func (TZSearch) Search(b Block, window int, pred MV) Result {
 		center = s.best
 		improved := false
 		for dist := 1; dist <= tzRasterThreshold; dist *= 2 {
-			for _, d := range diamondPoints(dist) {
+			pts, n := diamondPoints(dist)
+			for _, d := range pts[:n] {
 				s.try(center.Add(d))
 			}
 		}
@@ -63,35 +73,30 @@ func (TZSearch) Search(b Block, window int, pred MV) Result {
 			break
 		}
 	}
-	return s.result()
 }
 
-// diamondPoints returns the 8-point diamond at the given distance.
-func diamondPoints(d int) []MV {
-	h := d / 2
-	if h == 0 {
-		h = 1
-	}
+// diamondPoints returns the diamond at distance d and its point count:
+// 8 points, or the 4 orthogonal neighbours at distance 1.
+func diamondPoints(d int) (pts [8]MV, n int) {
 	if d == 1 {
-		return []MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+		return [8]MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}, 4
 	}
-	return []MV{
+	h := d / 2
+	return [8]MV{
 		{d, 0}, {-d, 0}, {0, d}, {0, -d},
 		{h, h}, {h, -h}, {-h, h}, {-h, -h},
-	}
+	}, 8
 }
 
-// squarePoints returns the 8 neighbours at Chebyshev distance d.
-func squarePoints(d int) []MV {
-	return []MV{
-		{-d, -d}, {0, -d}, {d, -d},
-		{-d, 0}, {d, 0},
-		{-d, d}, {0, d}, {d, d},
-	}
+// square1 holds the 8 neighbours at Chebyshev distance 1.
+var square1 = [8]MV{
+	{-1, -1}, {0, -1}, {1, -1},
+	{-1, 0}, {1, 0},
+	{-1, 1}, {0, 1}, {1, 1},
 }
 
 // sdsp is the small diamond search pattern.
-var sdsp = []MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
+var sdsp = [4]MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
 
 // Cross is the cross-search algorithm of Ghanbari (1990): a logarithmic
 // search evaluating the four diagonal (×) neighbours at a halving step,
@@ -99,11 +104,16 @@ var sdsp = []MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
 type Cross struct{}
 
 // Search implements Searcher.
-func (Cross) Search(b Block, window int, pred MV) Result {
+func (c Cross) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
+	c.run(s, pred)
+	return s.result()
+}
+
+func (Cross) run(s *searchState, pred MV) {
 	s.seed(pred)
 	step := 1
-	for step*2 <= window {
+	for step*2 <= s.window {
 		step *= 2
 	}
 	step /= 2
@@ -112,7 +122,7 @@ func (Cross) Search(b Block, window int, pred MV) Result {
 	}
 	for step > 1 {
 		center := s.best
-		for _, d := range []MV{{-step, -step}, {step, -step}, {-step, step}, {step, step}} {
+		for _, d := range [4]MV{{-step, -step}, {step, -step}, {-step, step}, {step, step}} {
 			s.try(center.Add(d))
 		}
 		if s.best == center {
@@ -121,10 +131,9 @@ func (Cross) Search(b Block, window int, pred MV) Result {
 	}
 	// Endgame at step 1: both × and + neighbourhoods.
 	center := s.best
-	for _, d := range squarePoints(1) {
+	for _, d := range square1 {
 		s.try(center.Add(d))
 	}
-	return s.result()
 }
 
 // OneAtATime is the one-at-a-time search (Srinivasan & Rao 1985): walk
@@ -140,6 +149,11 @@ type OneAtATime struct {
 // Search implements Searcher.
 func (o OneAtATime) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
+	o.run(s, pred)
+	return s.result()
+}
+
+func (o OneAtATime) run(s *searchState, pred MV) {
 	s.seed(pred)
 	firstHorizontal := o.Direction.Horizontalish()
 	axes := [2]MV{{1, 0}, {0, 1}}
@@ -174,7 +188,6 @@ func (o OneAtATime) Search(b Block, window int, pred MV) Result {
 			}
 		}
 	}
-	return s.result()
 }
 
 // HexOrientation selects the hexagon pattern orientation.
@@ -191,10 +204,10 @@ const (
 
 // hexH is the horizontal hexagon pattern (flat sides up/down): best for
 // predominantly horizontal motion.
-var hexH = []MV{{-2, 0}, {2, 0}, {-1, -2}, {1, -2}, {-1, 2}, {1, 2}}
+var hexH = [6]MV{{-2, 0}, {2, 0}, {-1, -2}, {1, -2}, {-1, 2}, {1, 2}}
 
 // hexV is the vertical hexagon pattern.
-var hexV = []MV{{0, -2}, {0, 2}, {-2, -1}, {-2, 1}, {2, -1}, {2, 1}}
+var hexV = [6]MV{{0, -2}, {0, 2}, {-2, -1}, {-2, 1}, {2, -1}, {2, 1}}
 
 // Hexagon is the hexagon-based search of Zhu, Lin & Chau (2002) with a
 // selectable orientation and the standard small-diamond endgame.
@@ -205,9 +218,14 @@ type Hexagon struct {
 // Search implements Searcher.
 func (h Hexagon) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
+	h.run(s, pred)
+	return s.result()
+}
+
+func (h Hexagon) run(s *searchState, pred MV) {
 	s.seed(pred)
 	iter := 0
-	for i := 0; i < 4*window; i++ {
+	for i := 0; i < 4*s.window; i++ {
 		center := s.best
 		pattern := hexH
 		switch h.Orientation {
@@ -230,5 +248,4 @@ func (h Hexagon) Search(b Block, window int, pred MV) Result {
 	for _, d := range sdsp {
 		s.try(center.Add(d))
 	}
-	return s.result()
 }

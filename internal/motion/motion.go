@@ -8,6 +8,7 @@ package motion
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/video"
 )
@@ -67,6 +68,13 @@ const mvLambda = 4
 // searchState tracks the best candidate and memoizes SAD evaluations so
 // iterative patterns never pay twice for one position. Selection uses the
 // rate-penalized cost; Result reports the winner's raw SAD.
+//
+// The memo is window-indexed and generation-stamped: cell i holds the
+// penalized cost of one candidate of the (2·wx+1)×(2·wy+1) window, live
+// only while stamp[i] == gen. Each search bumps gen, so a stale cell is
+// never read and nothing is cleared. A cost abandoned by sad's early exit
+// is cached as it came back, partial, exactly as the first try saw it.
+// States are recycled through statePool, memo included.
 type searchState struct {
 	b      Block
 	window int
@@ -75,11 +83,44 @@ type searchState struct {
 	cost   int64 // penalized cost of the incumbent
 	rawSAD int64 // raw SAD of the incumbent
 	evals  int
-	seen   map[MV]int64
+	// wx, wy bound the memo's vectors: the window, clamped to the
+	// displacements that keep the block inside the reference.
+	wx, wy int
+	gen    uint32
+	stamp  []uint32
+	costs  []int64
 }
 
+// statePool recycles search states with their memos (up to 129² cells at
+// window 64), which is what keeps a search allocation-free.
+var statePool = sync.Pool{New: func() any { return new(searchState) }}
+
+// newSearchState returns a pooled state reset for one search; result()
+// returns it to the pool.
 func newSearchState(b Block, window int) *searchState {
-	return &searchState{b: b, window: window, cost: 1 << 62, rawSAD: 1 << 62, seen: make(map[MV]int64, 64)}
+	s := statePool.Get().(*searchState)
+	s.start(b, window)
+	return s
+}
+
+// start resets s for a search of b within window, keeping the memo's
+// backing arrays and opening a new generation.
+func (s *searchState) start(b Block, window int) {
+	s.b, s.window = b, window
+	s.pred, s.best = MV{}, MV{}
+	s.cost, s.rawSAD, s.evals = 1<<62, 1<<62, 0
+	s.wx = max(0, min(window, b.Ref.W-b.W))
+	s.wy = max(0, min(window, b.Ref.H-b.H))
+	cells := (2*s.wx + 1) * (2*s.wy + 1)
+	if cap(s.stamp) < cells {
+		s.stamp, s.costs = make([]uint32, cells), make([]int64, cells)
+	}
+	s.stamp, s.costs = s.stamp[:cells], s.costs[:cells]
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2³² searches ago would match
+		clear(s.stamp[:cap(s.stamp)])
+		s.gen = 1
+	}
 }
 
 // mvPenalty is the rate term of candidate v.
@@ -101,8 +142,12 @@ func (s *searchState) inRange(v MV) bool {
 // try evaluates candidate v (once) and updates the incumbent. It returns
 // the candidate's penalized cost, or a huge cost when out of range.
 func (s *searchState) try(v MV) int64 {
-	if c, ok := s.seen[v]; ok {
-		return c
+	if v.X < -s.wx || v.X > s.wx || v.Y < -s.wy || v.Y > s.wy {
+		return 1 << 62 // outside the window or the frame
+	}
+	i := (v.Y+s.wy)*(2*s.wx+1) + v.X + s.wx
+	if s.stamp[i] == s.gen {
+		return s.costs[i]
 	}
 	if !s.inRange(v) {
 		return 1 << 62
@@ -110,7 +155,7 @@ func (s *searchState) try(v MV) int64 {
 	pen := s.mvPenalty(v)
 	raw := sad(s.b, v, s.cost-pen)
 	c := raw + pen
-	s.seen[v] = c
+	s.stamp[i], s.costs[i] = s.gen, c
 	s.evals++
 	if c < s.cost || (c == s.cost && v.AbsSum() < s.best.AbsSum()) {
 		s.cost, s.best, s.rawSAD = c, v, raw
@@ -118,7 +163,14 @@ func (s *searchState) try(v MV) int64 {
 	return c
 }
 
-func (s *searchState) result() Result { return Result{MV: s.best, Cost: s.rawSAD, Evals: s.evals} }
+// result reports the search's outcome and returns s to statePool; the
+// caller must not touch s again.
+func (s *searchState) result() Result {
+	r := Result{MV: s.best, Cost: s.rawSAD, Evals: s.evals}
+	s.b = Block{} // a pooled state must not pin frame planes
+	statePool.Put(s)
+	return r
+}
 
 // sad computes the sum of absolute differences between the current block
 // and the reference block displaced by v, aborting early once the partial

@@ -3,6 +3,7 @@ package motion
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -51,15 +52,19 @@ func interiorBlock(cur, ref *video.Plane) Block {
 type FullSearch struct{}
 
 // Search implements Searcher.
-func (FullSearch) Search(b Block, window int, pred MV) Result {
+func (f FullSearch) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
+	f.run(s, pred)
+	return s.result()
+}
+
+func (FullSearch) run(s *searchState, pred MV) {
 	s.seed(pred)
-	for dy := -window; dy <= window; dy++ {
-		for dx := -window; dx <= window; dx++ {
+	for dy := -s.window; dy <= s.window; dy++ {
+		for dx := -s.window; dx <= s.window; dx++ {
 			s.try(MV{dx, dy})
 		}
 	}
-	return s.result()
 }
 
 // Validate reports geometry errors.
@@ -451,4 +456,134 @@ func TestProposedPolicyCheaperThanTZOnMedicalMotion(t *testing.T) {
 	if res.Evals*2 >= tzEvals {
 		t.Fatalf("policy evals %d not well below TZ %d", res.Evals, tzEvals)
 	}
+}
+
+// algorithm is a searcher whose run can be driven on a caller's state.
+type algorithm interface {
+	Searcher
+	run(s *searchState, pred MV)
+}
+
+// runOn drives alg on memo without returning memo to the pool.
+func runOn(alg algorithm, memo *searchState, b Block, window int, pred MV) Result {
+	memo.start(b, window)
+	alg.run(memo, pred)
+	return Result{MV: memo.best, Cost: memo.rawSAD, Evals: memo.evals}
+}
+
+// TestMemoReuseBitIdentical drives every searcher on one recycled memo —
+// growing, shrinking, and across a forced generation wrap — and holds each
+// result to the one a fresh memo gives. The memo's first search stamps a
+// whole 64-window grid at generation 1, so a wrap that failed to clear
+// would read those cells back as cached.
+func TestMemoReuseBitIdentical(t *testing.T) {
+	curA, refA := shiftedPlanes(176, 176, 3, -2)
+	curB, refB := shiftedPlanes(176, 176, -5, 4)
+	curS, refS := shiftedPlanes(40, 36, 1, 1) // memo clamped by the frame
+	blocks := []Block{
+		interiorBlock(curA, refA),
+		interiorBlock(curB, refB),
+		{Cur: curA, Ref: refA, X: 0, Y: 0, W: 16, H: 16},
+		{Cur: curS, Ref: refS, X: 12, Y: 10, W: 16, H: 16},
+		{Cur: curS, Ref: refS, X: 24, Y: 20, W: 16, H: 16}, // the clamp is tight
+	}
+	memo := new(searchState)
+	runOn(FullSearch{}, memo, blocks[1], 64, MV{})
+	k := 0
+	for _, s := range allSearchers {
+		alg := s.(algorithm)
+		for i, window := range []int{0, 1, 8, 64, 8} {
+			if i == 4 {
+				memo.gen = math.MaxUint32
+			}
+			for j := range blocks {
+				b := blocks[(j+k)%len(blocks)]
+				k++
+				pred := MV{k%5 - 2, k%3 - 1}
+				want := runOn(alg, new(searchState), b, window, pred)
+				if _, full := alg.(FullSearch); full && want.Evals != candidates(b, window) {
+					t.Fatalf("full search window %d block %d: %d evals, %d candidates in frame", window, j, want.Evals, candidates(b, window))
+				}
+				if got := runOn(alg, memo, b, window, pred); got != want {
+					t.Fatalf("%s window %d block %d: reused memo %+v, fresh %+v", label(s), window, j, got, want)
+				}
+				if got := s.Search(b, window, pred); got != want {
+					t.Fatalf("%s window %d block %d: pooled %+v, fresh %+v", label(s), window, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// candidates counts the vectors within window that keep b inside the frame.
+func candidates(b Block, window int) int {
+	n := 0
+	for dy := -window; dy <= window; dy++ {
+		for dx := -window; dx <= window; dx++ {
+			if _, err := SADAt(b, MV{dx, dy}); err == nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// raceEnabled is set under -race, where sync.Pool drops a random share of
+// its Puts, so a pooled search may allocate.
+var raceEnabled bool
+
+func TestSearchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	cur, ref := shiftedPlanes(176, 176, 3, -2)
+	b := interiorBlock(cur, ref)
+	for _, c := range []struct {
+		s      Searcher
+		window int
+	}{
+		{TZSearch{}, 64},
+		{Hexagon{Orientation: HexRotating}, 32},
+		{OneAtATime{}, 8},
+		{Cross{}, 16},
+	} {
+		c.s.Search(b, c.window, MV{}) // warm the pool
+		if n := testing.AllocsPerRun(50, func() { c.s.Search(b, c.window, MV{1, 1}) }); n != 0 {
+			t.Errorf("%s window %d: %.1f allocations per search", label(c.s), c.window, n)
+		}
+	}
+}
+
+// TestConcurrentPooledSearches runs every searcher from several goroutines
+// at once, so pooled states pass between them, and holds each result to a
+// fresh memo's. Run it under -race.
+func TestConcurrentPooledSearches(t *testing.T) {
+	cur, ref := shiftedPlanes(176, 176, 3, -2)
+	var blocks []Block
+	for y := 0; y+16 <= 176; y += 40 {
+		for x := 0; x+16 <= 176; x += 40 {
+			blocks = append(blocks, Block{Cur: cur, Ref: ref, X: x, Y: y, W: 16, H: 16})
+		}
+	}
+	want := make([][]Result, len(allSearchers))
+	for i, s := range allSearchers {
+		for _, b := range blocks {
+			want[i] = append(want[i], runOn(s.(algorithm), new(searchState), b, 16, MV{1, 0}))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, s := range allSearchers {
+				for j, b := range blocks {
+					if got := s.Search(b, 16, MV{1, 0}); got != want[i][j] {
+						t.Errorf("%s block %d: pooled %+v, fresh %+v", label(s), j, got, want[i][j])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,8 +5,9 @@
 // The forward path uses the HEVC core matrices and bit-exact shift
 // schedule (first-stage shift log2(N)+B−9 with B = 8-bit video,
 // second-stage shift log2(N)+6); the inverse path uses shifts 7 and 12.
-// Each stage is a plain matrix product (mulStage), not the even/odd
-// partial butterfly; ROADMAP item 1 replaces it.
+// Each stage is the HEVC even/odd partial butterfly (Budagavi et al.,
+// IEEE JSTSP 2013) with int64 partial sums, so it computes exactly the
+// integer matrix product with 24 multiplies per 8-point vector, not 64.
 // With this schedule the concatenation forward→inverse has unit gain, so a
 // quantizer with Qstep expressed in *spatial-domain* units can divide the
 // transform coefficients after compensating the known forward gain
@@ -23,26 +24,6 @@ const (
 	Size4 = 4
 	Size8 = 8
 )
-
-// m4 is the HEVC 4×4 core transform matrix.
-var m4 = [4][4]int32{
-	{64, 64, 64, 64},
-	{83, 36, -36, -83},
-	{64, -64, -64, 64},
-	{36, -83, 83, -36},
-}
-
-// m8 is the HEVC 8×8 core transform matrix.
-var m8 = [8][8]int32{
-	{64, 64, 64, 64, 64, 64, 64, 64},
-	{89, 75, 50, 18, -18, -50, -75, -89},
-	{83, 36, -36, -83, -83, -36, 36, 83},
-	{75, -18, -89, -50, 50, 89, 18, -75},
-	{64, -64, -64, 64, 64, -64, -64, 64},
-	{50, -89, 18, 75, -75, -18, 89, -50},
-	{36, -83, 83, -36, -36, 83, -83, 36},
-	{18, -50, 75, -89, 89, -75, 50, -18},
-}
 
 // forwardGain returns the end-to-end multiplicative gain of the forward
 // transform relative to an orthonormal DCT for block size n.
@@ -81,8 +62,8 @@ func Forward(n int, src, dst []int32) error {
 	// stack, keeping the per-sub-block transform allocation-free.
 	var scratch [Size8 * Size8]int32
 	tmp := scratch[:n*n]
-	mulStage(n, src, tmp, s1, false) // rows: tmp = (M · srcᵀ-wise) per HEVC column pass
-	mulStage(n, tmp, dst, s2, false) // columns
+	forwardStage(n, src, tmp, s1) // rows, written transposed
+	forwardStage(n, tmp, dst, s2) // columns
 	return nil
 }
 
@@ -94,41 +75,102 @@ func Inverse(n int, src, dst []int32) error {
 	}
 	var scratch [Size8 * Size8]int32
 	tmp := scratch[:n*n]
-	mulStage(n, src, tmp, 7, true)
-	mulStage(n, tmp, dst, 12, true)
+	inverseStage(n, src, tmp, 7)
+	inverseStage(n, tmp, dst, 12)
 	return nil
 }
 
-// mulStage performs one separable stage: for each row r of src (treated as
-// a vector v), dst column r receives M·v (forward) or Mᵀ·v (inverse), with
-// rounding right-shift. Writing results transposed means two applications
-// complete the 2-D transform in both dimensions.
-func mulStage(n int, src, dst []int32, shift uint, inverse bool) {
+// Each stage reads row r of src as a vector v and writes its transform to
+// column r of dst, with a rounding right shift, so two stages complete the
+// 2-D transform. The sums are the core matrix's rows (forward) or columns
+// (inverse) split by the matrix's even/odd symmetry; every partial sum is
+// an int64, so a stage equals the plain matrix product for any int32
+// input, hostile decoder levels included.
+
+// forwardStage is one forward pass: dst column r = M·v.
+func forwardStage(n int, src, dst []int32, shift uint) {
 	round := int64(1) << (shift - 1)
-	for r := 0; r < n; r++ {
-		v := src[r*n : r*n+n]
-		for k := 0; k < n; k++ {
-			var acc int64
-			for i := 0; i < n; i++ {
-				var coeff int32
-				if inverse {
-					coeff = matAt(n, i, k)
-				} else {
-					coeff = matAt(n, k, i)
-				}
-				acc += int64(coeff) * int64(v[i])
-			}
-			dst[k*n+r] = int32((acc + round) >> shift)
+	if n == Size4 {
+		for r := 0; r < Size4; r++ {
+			v := src[r*Size4 : r*Size4+Size4 : r*Size4+Size4]
+			y0, y1, y2, y3 := fwd4(int64(v[0]), int64(v[1]), int64(v[2]), int64(v[3]))
+			dst[r] = int32((y0 + round) >> shift)
+			dst[Size4+r] = int32((y1 + round) >> shift)
+			dst[2*Size4+r] = int32((y2 + round) >> shift)
+			dst[3*Size4+r] = int32((y3 + round) >> shift)
 		}
+		return
+	}
+	for r := 0; r < Size8; r++ {
+		v := src[r*Size8 : r*Size8+Size8 : r*Size8+Size8]
+		x0, x1, x2, x3 := int64(v[0]), int64(v[1]), int64(v[2]), int64(v[3])
+		x4, x5, x6, x7 := int64(v[4]), int64(v[5]), int64(v[6]), int64(v[7])
+		// Even rows of M8 are M4 applied to the folded sums.
+		y0, y2, y4, y6 := fwd4(x0+x7, x1+x6, x2+x5, x3+x4)
+		o0, o1, o2, o3 := x0-x7, x1-x6, x2-x5, x3-x4
+		y1 := 89*o0 + 75*o1 + 50*o2 + 18*o3
+		y3 := 75*o0 - 18*o1 - 89*o2 - 50*o3
+		y5 := 50*o0 - 89*o1 + 18*o2 + 75*o3
+		y7 := 18*o0 - 50*o1 + 75*o2 - 89*o3
+		dst[r] = int32((y0 + round) >> shift)
+		dst[Size8+r] = int32((y1 + round) >> shift)
+		dst[2*Size8+r] = int32((y2 + round) >> shift)
+		dst[3*Size8+r] = int32((y3 + round) >> shift)
+		dst[4*Size8+r] = int32((y4 + round) >> shift)
+		dst[5*Size8+r] = int32((y5 + round) >> shift)
+		dst[6*Size8+r] = int32((y6 + round) >> shift)
+		dst[7*Size8+r] = int32((y7 + round) >> shift)
 	}
 }
 
-// matAt returns the (row, col) entry of the size-n core matrix.
-func matAt(n, row, col int) int32 {
+// inverseStage is one inverse pass: dst column r = Mᵀ·v.
+func inverseStage(n int, src, dst []int32, shift uint) {
+	round := int64(1) << (shift - 1)
 	if n == Size4 {
-		return m4[row][col]
+		for r := 0; r < Size4; r++ {
+			v := src[r*Size4 : r*Size4+Size4 : r*Size4+Size4]
+			x0, x1, x2, x3 := inv4(int64(v[0]), int64(v[1]), int64(v[2]), int64(v[3]))
+			dst[r] = int32((x0 + round) >> shift)
+			dst[Size4+r] = int32((x1 + round) >> shift)
+			dst[2*Size4+r] = int32((x2 + round) >> shift)
+			dst[3*Size4+r] = int32((x3 + round) >> shift)
+		}
+		return
 	}
-	return m8[row][col]
+	for r := 0; r < Size8; r++ {
+		v := src[r*Size8 : r*Size8+Size8 : r*Size8+Size8]
+		y0, y1, y2, y3 := int64(v[0]), int64(v[1]), int64(v[2]), int64(v[3])
+		y4, y5, y6, y7 := int64(v[4]), int64(v[5]), int64(v[6]), int64(v[7])
+		// The even coefficients feed M4ᵀ; the odd ones the odd columns.
+		e0, e1, e2, e3 := inv4(y0, y2, y4, y6)
+		o0 := 89*y1 + 75*y3 + 50*y5 + 18*y7
+		o1 := 75*y1 - 18*y3 - 89*y5 - 50*y7
+		o2 := 50*y1 - 89*y3 + 18*y5 + 75*y7
+		o3 := 18*y1 - 50*y3 + 75*y5 - 89*y7
+		dst[r] = int32((e0 + o0 + round) >> shift)
+		dst[Size8+r] = int32((e1 + o1 + round) >> shift)
+		dst[2*Size8+r] = int32((e2 + o2 + round) >> shift)
+		dst[3*Size8+r] = int32((e3 + o3 + round) >> shift)
+		dst[4*Size8+r] = int32((e3 - o3 + round) >> shift)
+		dst[5*Size8+r] = int32((e2 - o2 + round) >> shift)
+		dst[6*Size8+r] = int32((e1 - o1 + round) >> shift)
+		dst[7*Size8+r] = int32((e0 - o0 + round) >> shift)
+	}
+}
+
+// fwd4 is the 4-point forward butterfly, M4·(x0, x1, x2, x3) with
+// M4 = [64 64 64 64; 83 36 −36 −83; 64 −64 −64 64; 36 −83 83 −36].
+func fwd4(x0, x1, x2, x3 int64) (y0, y1, y2, y3 int64) {
+	e0, e1 := x0+x3, x1+x2
+	o0, o1 := x0-x3, x1-x2
+	return 64*e0 + 64*e1, 83*o0 + 36*o1, 64*e0 - 64*e1, 36*o0 - 83*o1
+}
+
+// inv4 is the 4-point inverse butterfly, M4ᵀ·(y0, y1, y2, y3).
+func inv4(y0, y1, y2, y3 int64) (x0, x1, x2, x3 int64) {
+	e0, e1 := 64*y0+64*y2, 64*y0-64*y2
+	o0, o1 := 83*y1+36*y3, 36*y1-83*y3
+	return e0 + o0, e1 + o1, e1 - o1, e0 - o0
 }
 
 func checkBlock(n int, src, dst []int32) error {

@@ -1,10 +1,151 @@
 package transform
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// m4 is the HEVC 4×4 core transform matrix.
+var m4 = [4][4]int32{
+	{64, 64, 64, 64},
+	{83, 36, -36, -83},
+	{64, -64, -64, 64},
+	{36, -83, 83, -36},
+}
+
+// m8 is the HEVC 8×8 core transform matrix.
+var m8 = [8][8]int32{
+	{64, 64, 64, 64, 64, 64, 64, 64},
+	{89, 75, 50, 18, -18, -50, -75, -89},
+	{83, 36, -36, -83, -83, -36, 36, 83},
+	{75, -18, -89, -50, 50, 89, 18, -75},
+	{64, -64, -64, 64, 64, -64, -64, 64},
+	{50, -89, 18, 75, -75, -18, 89, -50},
+	{36, -83, 83, -36, -36, 83, -83, 36},
+	{18, -50, 75, -89, 89, -75, 50, -18},
+}
+
+// matAt returns the (row, col) entry of the size-n core matrix.
+func matAt(n, row, col int) int32 {
+	if n == Size4 {
+		return m4[row][col]
+	}
+	return m8[row][col]
+}
+
+// mulStage is the oracle for one separable stage: for each row r of src
+// (a vector v), dst column r receives M·v (forward) or Mᵀ·v (inverse) as
+// a plain int64 matrix product with a rounding right shift.
+func mulStage(n int, src, dst []int32, shift uint, inverse bool) {
+	round := int64(1) << (shift - 1)
+	for r := 0; r < n; r++ {
+		v := src[r*n : r*n+n]
+		for k := 0; k < n; k++ {
+			var acc int64
+			for i := 0; i < n; i++ {
+				var coeff int32
+				if inverse {
+					coeff = matAt(n, i, k)
+				} else {
+					coeff = matAt(n, k, i)
+				}
+				acc += int64(coeff) * int64(v[i])
+			}
+			dst[k*n+r] = int32((acc + round) >> shift)
+		}
+	}
+}
+
+// oracle runs the two matrix-product stages Forward or Inverse must equal.
+func oracle(n int, src []int32, inverse bool) []int32 {
+	s1, s2 := shifts(n)
+	if inverse {
+		s1, s2 = 7, 12
+	}
+	tmp, dst := make([]int32, n*n), make([]int32, n*n)
+	mulStage(n, src, tmp, s1, inverse)
+	mulStage(n, tmp, dst, s2, inverse)
+	return dst
+}
+
+// checkButterfly fails t unless Forward and Inverse of src equal the
+// matrix-product oracle bit for bit.
+func checkButterfly(t *testing.T, n int, src []int32) {
+	t.Helper()
+	for _, inverse := range []bool{false, true} {
+		got := make([]int32, n*n)
+		run, name := Forward, "Forward"
+		if inverse {
+			run, name = Inverse, "Inverse"
+		}
+		if err := run(n, src, got); err != nil {
+			t.Fatal(err)
+		}
+		want := oracle(n, src, inverse)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s(%d) of %v: [%d] = %d, matrix product %d", name, n, src, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// extremeBlocks are n×n blocks at the int32 edges: what a hostile
+// bitstream's levels can reach after dequantization.
+func extremeBlocks(n int) [][]int32 {
+	var out [][]int32
+	for _, fill := range []func(i int) int32{
+		func(int) int32 { return math.MaxInt32 },
+		func(int) int32 { return math.MinInt32 },
+		func(i int) int32 { return []int32{math.MaxInt32, math.MinInt32}[i%2] },
+		func(i int) int32 { return []int32{math.MinInt32, -math.MaxInt32, math.MaxInt32}[i%3] },
+		func(i int) int32 { return []int32{255, -255}[(i/n+i)%2] },
+	} {
+		b := make([]int32, n*n)
+		for i := range b {
+			b[i] = fill(i)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+func TestButterflyEqualsMatrixProduct(t *testing.T) {
+	for _, n := range []int{Size4, Size8} {
+		for seed := int64(0); seed < 200; seed++ {
+			checkButterfly(t, n, randBlock(n, seed))
+		}
+		for _, b := range extremeBlocks(n) {
+			checkButterfly(t, n, b)
+		}
+	}
+}
+
+// FuzzButterfly holds Forward and Inverse to the matrix-product oracle
+// for both sizes: the fuzzed bytes are read as little-endian int32s, the
+// first 16 forming the 4×4 block and the first 64 the 8×8 one.
+func FuzzButterfly(f *testing.F) {
+	for _, b := range append([][]int32{randBlock(Size8, 1), randBlock(Size8, 2)}, extremeBlocks(Size8)...) {
+		data := make([]byte, 4*len(b))
+		for i, v := range b {
+			binary.LittleEndian.PutUint32(data[4*i:], uint32(v))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var blk [Size8 * Size8]int32
+		for i := range blk {
+			if 4*i+4 > len(data) {
+				break
+			}
+			blk[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		checkButterfly(t, Size4, blk[:Size4*Size4])
+		checkButterfly(t, Size8, blk[:])
+	})
+}
 
 // randBlock fills an n×n residual block deterministically from a seed,
 // values in the signed residual range [-255, 255].
