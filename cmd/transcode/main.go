@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/medgen"
 	"repro/internal/metrics"
 	"repro/internal/mpsoc"
@@ -260,6 +261,7 @@ func runSingle(ctx context.Context, o options, stdout io.Writer) error {
 		return fmt.Errorf("unknown motion %q", o.motion)
 	}
 	var src core.FrameSource
+	var err error
 	if o.yuv != "" {
 		s, err := core.NewYUVFileSource(o.yuv, cfg.Width, cfg.Height, cfg.FPS, cfg.Class.String())
 		if err != nil {
@@ -267,18 +269,11 @@ func runSingle(ctx context.Context, o options, stdout io.Writer) error {
 		}
 		src = s
 		cfg.Frames = s.Len()
-	} else {
-		gen, err := medgen.NewGenerator(cfg)
-		if err != nil {
-			return err
-		}
-		if src, err = core.SourceFromGenerator(gen, cfg.Frames, cfg.FPS, cfg.Class.String()); err != nil {
-			return err
-		}
+	} else if src, err = medgen.NewGenerator(cfg); err != nil {
+		return err
 	}
 
 	scfg := core.DefaultSessionConfig()
-	var err error
 	if scfg.Mode, err = parseMode(o.mode); err != nil {
 		return err
 	}
@@ -602,11 +597,7 @@ func serveFleet(ctx context.Context, o options, stdout io.Writer) error {
 			vc.Height *= 2
 			className += "-4k"
 		}
-		gen, err := medgen.NewGenerator(vc)
-		if err != nil {
-			return err
-		}
-		src, err := core.SourceFromGenerator(gen, vc.Frames, vc.FPS, className)
+		src, err := dist.NewMedgenSource(vc, className)
 		if err != nil {
 			return err
 		}

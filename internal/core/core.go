@@ -16,14 +16,12 @@
 // which coordinates many sessions over a shared platform.
 package core
 
-import (
-	"fmt"
+import "repro/internal/video"
 
-	"repro/internal/video"
-)
-
-// FrameSource yields the frames of one video on demand. medgen.Generator
-// satisfies it via the SourceFromGenerator adapter.
+// FrameSource yields the frames of one video on demand; *medgen.Generator
+// is one. A frame it returns is read-only: a source may hand the same
+// frame to every caller and every session that plays it (the generator's
+// memo, YUVFileSource's cache), so nothing may write into it.
 type FrameSource interface {
 	// Frame returns display-order frame n (0 ≤ n < Len()).
 	Frame(n int) *video.Frame
@@ -34,34 +32,3 @@ type FrameSource interface {
 	// Class names the body-part class for workload LUT sharing.
 	Class() string
 }
-
-// generator is the subset of medgen.Generator the adapter needs; declared
-// locally to avoid importing medgen into core (core is generic over frame
-// sources).
-type generator interface {
-	Frame(n int) *video.Frame
-}
-
-// generatorSource adapts a lazy frame generator.
-type generatorSource struct {
-	gen    generator
-	frames int
-	fps    float64
-	class  string
-}
-
-// SourceFromGenerator wraps a lazy generator (e.g. *medgen.Generator).
-func SourceFromGenerator(gen generator, frames int, fps float64, class string) (FrameSource, error) {
-	if gen == nil {
-		return nil, fmt.Errorf("core: nil generator")
-	}
-	if frames <= 0 || fps <= 0 {
-		return nil, fmt.Errorf("core: invalid source geometry (%d frames @ %v fps)", frames, fps)
-	}
-	return &generatorSource{gen: gen, frames: frames, fps: fps, class: class}, nil
-}
-
-func (g *generatorSource) Frame(n int) *video.Frame { return g.gen.Frame(n) }
-func (g *generatorSource) Len() int                 { return g.frames }
-func (g *generatorSource) FPS() float64             { return g.fps }
-func (g *generatorSource) Class() string            { return g.class }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +18,12 @@ import (
 	"repro/internal/workload"
 )
 
-// testSource builds a lazy FrameSource over a small synthetic video.
-func testSource(t *testing.T, class medgen.Class, motion medgen.MotionKind, frames int) FrameSource {
+// testGens holds one generator per study the package's tests play, so
+// every session and rerun of a study shares its rendered frames.
+var testGens sync.Map // medgen.Config → *medgen.Generator
+
+// testSource returns the package's generator of a small synthetic video.
+func testSource(t *testing.T, class medgen.Class, motion medgen.MotionKind, frames int) *medgen.Generator {
 	t.Helper()
 	cfg := medgen.Default()
 	cfg.Width, cfg.Height = 256, 192
@@ -26,15 +31,15 @@ func testSource(t *testing.T, class medgen.Class, motion medgen.MotionKind, fram
 	cfg.Motion = motion
 	cfg.Frames = frames
 	cfg.Seed = int64(class)*100 + int64(motion) + 1
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
+	g, ok := testGens.Load(cfg)
+	if !ok {
+		fresh, err := medgen.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ = testGens.LoadOrStore(cfg, fresh)
 	}
-	src, err := SourceFromGenerator(g, frames, cfg.FPS, class.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+	return g.(*medgen.Generator)
 }
 
 // testSessionConfig shrinks geometry-dependent parameters for 256×192.
@@ -224,13 +229,9 @@ func TestBaselineDefaultTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := SourceFromGenerator(g, vc.Frames, vc.FPS, "brain")
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultSessionConfig()
 		cfg.Mode = ModeBaseline
-		s, err := NewSession(0, src, cfg, workload.NewLUT())
+		s, err := NewSession(0, g, cfg, workload.NewLUT())
 		if err != nil {
 			t.Fatal(err)
 		}

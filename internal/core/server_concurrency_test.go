@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -495,4 +497,60 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// frameDigest hashes every sample of a frame.
+func frameDigest(f *video.Frame) uint64 {
+	h := fnv.New64a()
+	for _, p := range []*video.Plane{f.Y, f.Cb, f.Cr} {
+		h.Write(p.Pix)
+	}
+	return h.Sum64()
+}
+
+// TestSharedGeneratorStaysReadOnly is FrameSource's read-only contract:
+// three sessions on one generator, in both modes, are served concurrently
+// from the frames it renders once, and afterwards every frame still equals
+// a fresh generator's render, so nothing wrote into a source frame. Run
+// under -race this also exercises the generator's memo.
+func TestSharedGeneratorStaysReadOnly(t *testing.T) {
+	vc := medgen.Default()
+	vc.Width, vc.Height, vc.Frames = 256, 192, 8
+	vc.Class, vc.Motion, vc.Seed = medgen.Chest, medgen.Pan, 7
+	shared, err := medgen.NewGenerator(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeProposed, ModeBaseline, ModeProposed} {
+		cfg := testSessionConfig(mode)
+		cfg.Workers = 2
+		if _, err := srv.Submit(shared, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs, err := srv.ServeAll(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range srv.records {
+		if !rec.sess.Finished() {
+			t.Fatalf("session %d not finished", i)
+		}
+	}
+	if a, b := gopDigests(outs, 0), gopDigests(outs, 2); !reflect.DeepEqual(a, b) {
+		t.Fatalf("two proposed sessions on one generator encoded differently: %x vs %x", a, b)
+	}
+	fresh, err := medgen.NewGenerator(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < vc.Frames; n++ {
+		if got, want := frameDigest(shared.Frame(n)), frameDigest(fresh.Frame(n)); got != want {
+			t.Fatalf("frame %d: digest %x after serving, fresh render %x", n, got, want)
+		}
+	}
 }

@@ -13,21 +13,22 @@ import (
 	"repro/internal/workload"
 )
 
-// speccedTestSource wraps the medgen-backed test source with a wire spec,
-// standing in for the production binder in internal/dist.
+// speccedTestSource gives a medgen test source a wire spec, standing in
+// for the production binder in internal/dist.
 type speccedTestSource struct {
-	FrameSource
-	cfg medgen.Config
+	*medgen.Generator
 }
 
 func (s *speccedTestSource) Spec() (SourceSpec, error) {
-	data, err := json.Marshal(s.cfg)
+	data, err := json.Marshal(s.Config())
 	if err != nil {
 		return SourceSpec{}, err
 	}
 	return SourceSpec{Kind: "medgen-test", Class: s.Class(), Data: data}, nil
 }
 
+// bindTestSource re-opens a spec on a fresh generator, as another process
+// would.
 func bindTestSource(spec SourceSpec) (FrameSource, error) {
 	if spec.Kind != "medgen-test" {
 		return nil, fmt.Errorf("unknown source kind %q", spec.Kind)
@@ -40,31 +41,13 @@ func bindTestSource(spec SourceSpec) (FrameSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, err := SourceFromGenerator(g, cfg.Frames, cfg.FPS, spec.Class)
-	if err != nil {
-		return nil, err
-	}
-	return &speccedTestSource{FrameSource: src, cfg: cfg}, nil
+	return &speccedTestSource{g}, nil
 }
 
 // speccedSource builds a wire-capable test source.
 func speccedSource(t *testing.T, class medgen.Class, motion medgen.MotionKind, frames int) FrameSource {
 	t.Helper()
-	cfg := medgen.Default()
-	cfg.Width, cfg.Height = 256, 192
-	cfg.Class = class
-	cfg.Motion = motion
-	cfg.Frames = frames
-	cfg.Seed = int64(class)*100 + int64(motion) + 1
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := SourceFromGenerator(g, frames, cfg.FPS, class.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &speccedTestSource{FrameSource: src, cfg: cfg}
+	return &speccedTestSource{testSource(t, class, motion, frames)}
 }
 
 // wireSnapshotOf wires one directly-driven session as ExportSessions would.

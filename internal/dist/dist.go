@@ -43,8 +43,8 @@ const SourceKindMedgen = "medgen"
 // generator config itself, so a peer process rebuilds a frame-exact
 // replica from the wire.
 type MedgenSource struct {
-	core.FrameSource
-	cfg   medgen.Config
+	*medgen.Generator
+	cfg   medgen.Config // as submitted, before the generator's defaults
 	class string
 }
 
@@ -53,21 +53,21 @@ type MedgenSource struct {
 // generator's body-part class name (a "-4k" style suffix is the caller's
 // choice).
 func NewMedgenSource(cfg medgen.Config, class string) (*MedgenSource, error) {
-	if class == "" {
-		class = cfg.Class.String()
-	}
 	gen, err := medgen.NewGenerator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	src, err := core.SourceFromGenerator(gen, cfg.Frames, cfg.FPS, class)
-	if err != nil {
-		return nil, err
+	if class == "" {
+		class = gen.Class()
 	}
-	return &MedgenSource{FrameSource: src, cfg: cfg, class: class}, nil
+	return &MedgenSource{Generator: gen, cfg: cfg, class: class}, nil
 }
 
-// Spec encodes the generator config as the session's wire source spec.
+// Class returns the workload-class routing key.
+func (s *MedgenSource) Class() string { return s.class }
+
+// Spec encodes the generator config, as submitted, as the session's wire
+// source spec.
 func (s *MedgenSource) Spec() (core.SourceSpec, error) {
 	data, err := json.Marshal(s.cfg)
 	if err != nil {

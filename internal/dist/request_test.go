@@ -92,16 +92,42 @@ func bindSmall(spec core.SourceSpec) (core.FrameSource, error) {
 }
 
 // TestBindSourceBoundsGeometry: a few hundred bytes of spec must not be
-// able to size a frame the node then renders.
+// able to size a frame the node then renders, nor an allocation sized
+// from the frame count: the generator keeps frames as they are asked for.
 func TestBindSourceBoundsGeometry(t *testing.T) {
-	mc := testMedgenConfig(medgen.Brain, medgen.Rotate, 8)
-	mc.Width, mc.Height = 1<<20, 1<<20
-	data, err := json.Marshal(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BindSource(core.SourceSpec{Kind: SourceKindMedgen, Data: data}); err == nil {
-		t.Fatal("a 2^40-pixel medgen spec bound to a source")
+	for _, tc := range []struct {
+		name          string
+		width, height int
+		frames        int
+		binds         bool
+	}{
+		{"2^40 pixels", 1 << 20, 1 << 20, 8, false},
+		{"2^40 frames", 256, 192, 1 << 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := testMedgenConfig(medgen.Brain, medgen.Rotate, tc.frames)
+			mc.Width, mc.Height = tc.width, tc.height
+			data, err := json.Marshal(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := BindSource(core.SourceSpec{Kind: SourceKindMedgen, Data: data})
+			if !tc.binds {
+				if err == nil {
+					t.Fatal("the spec bound to a source")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src.Len() != tc.frames {
+				t.Fatalf("Len %d, want %d", src.Len(), tc.frames)
+			}
+			if f := src.Frame(0); f.Width() != tc.width || f.Height() != tc.height {
+				t.Fatalf("frame 0 is %dx%d", f.Width(), f.Height())
+			}
+		})
 	}
 }
 

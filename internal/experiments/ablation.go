@@ -66,11 +66,15 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 	if opt.GOPs <= 0 {
 		return nil, fmt.Errorf("experiments: bad ablation options %+v", opt)
 	}
+	gen, err := medgen.NewGenerator(opt.Video)
+	if err != nil {
+		return nil, err
+	}
 	res := &AblationResult{}
 	for _, v := range ablationVariants {
 		cfg := modeConfig(core.ModeProposed, 0)
 		v.mutate(&cfg)
-		sess, err := newSession(opt.Video, cfg, workload.NewLUT())
+		sess, err := core.NewSession(0, gen, cfg, workload.NewLUT())
 		if err != nil {
 			return nil, err
 		}

@@ -47,15 +47,6 @@ func modeConfig(mode core.Mode, baselineTiles int) core.SessionConfig {
 	return cfg
 }
 
-// newSession opens a corpus video as a stand-alone session.
-func newSession(video medgen.Config, cfg core.SessionConfig, lut *workload.LUT) (*core.Session, error) {
-	src, err := sourceFor(video)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSession(0, src, cfg, lut)
-}
-
 // tileWork returns each tile's modelled CPU time summed over the GOP's
 // frames, in grid order.
 func tileWork(gop *core.GOPReport) []time.Duration {
@@ -98,15 +89,15 @@ func gopWork(gop *core.GOPReport) time.Duration {
 //     videos demands anchorCores cores per user at 24 FPS. The proposed
 //     mode's demand then follows from the work ratio between the two
 //     approaches.
-func calibrate(videos []medgen.Config, anchorCores float64) (timeScale float64, baselineTiles int, err error) {
+func calibrate(videos []*medgen.Generator, anchorCores float64) (timeScale float64, baselineTiles int, err error) {
 	if anchorCores <= 0 {
 		anchorCores = 2
 	}
 	baselineTiles = int(math.Ceil(anchorCores))
 	var cpu time.Duration
 	var frames int
-	for _, vc := range videos {
-		sess, err := newSession(vc, modeConfig(core.ModeBaseline, baselineTiles), workload.NewLUT())
+	for _, g := range videos {
+		sess, err := core.NewSession(0, g, modeConfig(core.ModeBaseline, baselineTiles), workload.NewLUT())
 		if err != nil {
 			return 0, 0, err
 		}

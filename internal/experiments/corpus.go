@@ -1,28 +1,29 @@
 // Package experiments implements the paper's evaluation (Sec. IV): one
 // runner per table and figure, each returning structured results and a
-// rendered table. cmd/experiments exposes them on the command line and
-// bench_test.go wraps them in testing.B benchmarks.
+// rendered table. cmd/experiments exposes them on the command line, and
+// the small-geometry renders are goldens under testdata/.
 //
 // Absolute numbers differ from the paper — the substrate is a simulator
 // driven by a leaner encoder on different hardware — but each runner
 // reproduces the paper's *shape*: who wins, by roughly what factor, and
-// where the trends bend. EXPERIMENTS.md records paper-vs-measured values.
+// where the trends bend. DESIGN.md §3 indexes the experiments.
 package experiments
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/medgen"
 )
 
-// Corpus returns the synthetic substitute for the paper's ten anonymized
+// Corpus opens the synthetic substitute for the paper's ten anonymized
 // clinical videos: five body-part classes × two review motions, all at the
-// given geometry. Seeds are fixed so every run sees the same corpus.
-func Corpus(width, height, frames int) []medgen.Config {
+// given geometry. Seeds are fixed so every run sees the same corpus. A run
+// holds the generators for its length, so every session that plays a
+// video shares its rendered frames.
+func Corpus(width, height, frames int) ([]*medgen.Generator, error) {
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Sweep}
-	var out []medgen.Config
+	var out []*medgen.Generator
 	for class := medgen.Class(0); int(class) < medgen.NumClasses; class++ {
 		for mi, m := range motions {
 			cfg := medgen.Default()
@@ -31,19 +32,14 @@ func Corpus(width, height, frames int) []medgen.Config {
 			cfg.Class = class
 			cfg.Motion = m
 			cfg.Seed = int64(class)*10 + int64(mi) + 1
-			out = append(out, cfg)
+			g, err := medgen.NewGenerator(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, g)
 		}
 	}
-	return out
-}
-
-// sourceFor builds a lazy core.FrameSource for a corpus entry.
-func sourceFor(cfg medgen.Config) (core.FrameSource, error) {
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.SourceFromGenerator(g, cfg.Frames, cfg.FPS, cfg.Class.String())
+	return out, nil
 }
 
 // fmtDuration renders a duration in milliseconds with two decimals, the

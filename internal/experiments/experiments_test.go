@@ -51,15 +51,16 @@ func smallVideo(frames int) medgen.Config {
 }
 
 func TestCorpusShape(t *testing.T) {
-	c := Corpus(640, 480, 48)
+	c, err := Corpus(640, 480, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(c) != 10 {
 		t.Fatalf("corpus has %d videos, want 10 (the paper's count)", len(c))
 	}
 	seen := make(map[string]bool)
-	for _, vc := range c {
-		if err := vc.Validate(); err != nil {
-			t.Fatal(err)
-		}
+	for _, g := range c {
+		vc := g.Config()
 		key := vc.Class.String() + "/" + vc.Motion.String()
 		if seen[key] {
 			t.Fatalf("duplicate corpus entry %s", key)
@@ -74,8 +75,12 @@ func TestCorpusShape(t *testing.T) {
 // I-frame searches nothing) is Kvazaar's 70–80%. Counters only — no
 // stopwatch reading enters the verdict.
 func TestWorkTimeMEShare(t *testing.T) {
+	corpus, err := Corpus(320, 240, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tiles := range []int{2, 5} { // the Table II and Fig. 3 tilings
-		sess, err := newSession(Corpus(320, 240, 8)[0], modeConfig(core.ModeBaseline, tiles), workload.NewLUT())
+		sess, err := core.NewSession(0, corpus[0], modeConfig(core.ModeBaseline, tiles), workload.NewLUT())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,13 +61,17 @@ func RunFig3(opt Fig3Options) (*Fig3Result, error) {
 
 	// The paper's baseline frame needs ≈5 cores at 24 FPS (5 × 41.7 ms ≈
 	// 0.21 s of CPU per frame; Fig. 3(a) shows 0.159 s on 5 capacity tiles).
-	scale, baselineTiles, err := calibrate([]medgen.Config{opt.Video}, 4.5)
+	gen, err := medgen.NewGenerator(opt.Video)
+	if err != nil {
+		return nil, err
+	}
+	scale, baselineTiles, err := calibrate([]*medgen.Generator{gen}, 4.5)
 	if err != nil {
 		return nil, err
 	}
 
 	measure := func(mode core.Mode) (*core.GOPReport, error) {
-		sess, err := newSession(opt.Video, modeConfig(mode, baselineTiles), workload.NewLUT())
+		sess, err := core.NewSession(0, gen, modeConfig(mode, baselineTiles), workload.NewLUT())
 		if err != nil {
 			return nil, err
 		}

@@ -59,7 +59,10 @@ type Fig4Result struct {
 // re-encoding — exactly how the scheduler consumes the workload LUT.
 func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 	platform := mpsoc.XeonE5_2667V4()
-	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	corpus, err := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	if err != nil {
+		return nil, err
+	}
 	timeScale, baselineTiles, err := calibrate(corpus[:2], opt.BaselineCoresPerUser)
 	if err != nil {
 		return nil, err
@@ -69,9 +72,9 @@ func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 	// across user counts.
 	propDemand := make([][]time.Duration, len(corpus))
 	baseDemand := make([][]time.Duration, len(corpus))
-	for vi, vc := range corpus {
+	for vi, g := range corpus {
 		for _, mode := range []core.Mode{core.ModeProposed, core.ModeBaseline} {
-			sess, err := newSession(vc, modeConfig(mode, baselineTiles), workload.NewLUT())
+			sess, err := core.NewSession(0, g, modeConfig(mode, baselineTiles), workload.NewLUT())
 			if err != nil {
 				return nil, err
 			}

@@ -69,7 +69,11 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	}
 	lut := workload.NewLUT()
 	cfg := modeConfig(core.ModeProposed, 0)
-	sess, err := newSession(opt.Video, cfg, lut)
+	gen, err := medgen.NewGenerator(opt.Video)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := core.NewSession(0, gen, cfg, lut)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +101,11 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 		res.HostTileTime = hostTime / time.Duration(tiles)
 	}
 	if opt.CrossVideo != nil {
-		sess2, err := newSession(*opt.CrossVideo, cfg, lut)
+		gen2, err := medgen.NewGenerator(*opt.CrossVideo)
+		if err != nil {
+			return nil, err
+		}
+		sess2, err := core.NewSession(0, gen2, cfg, lut)
 		if err != nil {
 			return nil, err
 		}

@@ -92,6 +92,13 @@ func RunTable1(opt Table1Options) (*Table1Result, error) {
 	if opt.Frames <= 0 || opt.Width <= 0 || opt.Height <= 0 {
 		return nil, fmt.Errorf("experiments: bad table1 options %+v", opt)
 	}
+	video := opt.Video
+	video.Width, video.Height = opt.Width, opt.Height
+	video.Frames = opt.Frames
+	gen, err := medgen.NewGenerator(video)
+	if err != nil {
+		return nil, err
+	}
 	res := &Table1Result{}
 	var speedupSum float64
 	for _, t := range Table1Tilings {
@@ -99,15 +106,15 @@ func RunTable1(opt Table1Options) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tz, err := runTable1Method(opt, grid, "tz")
+		tz, err := runTable1Method(opt, gen, grid, "tz")
 		if err != nil {
 			return nil, err
 		}
-		hex, err := runTable1Method(opt, grid, "hex")
+		hex, err := runTable1Method(opt, gen, grid, "hex")
 		if err != nil {
 			return nil, err
 		}
-		prop, err := runTable1Method(opt, grid, "proposed")
+		prop, err := runTable1Method(opt, gen, grid, "proposed")
 		if err != nil {
 			return nil, err
 		}
@@ -136,17 +143,10 @@ func compareRow(t [2]int, tz, m methodRun) Table1Row {
 
 // runTable1Method encodes the clip over the fixed uniform grid with one of
 // the three search strategies.
-func runTable1Method(opt Table1Options, grid *tiling.Grid, method string) (methodRun, error) {
-	video := opt.Video
-	video.Width, video.Height = opt.Width, opt.Height
-	video.Frames = opt.Frames
-	gen, err := medgen.NewGenerator(video)
-	if err != nil {
-		return methodRun{}, err
-	}
+func runTable1Method(opt Table1Options, gen *medgen.Generator, grid *tiling.Grid, method string) (methodRun, error) {
 	ccfg := codec.DefaultConfig()
 	ccfg.Width, ccfg.Height = opt.Width, opt.Height
-	ccfg.FPS = video.FPS
+	ccfg.FPS = gen.FPS()
 	ccfg.IntraPeriod = 48
 	enc, err := codec.NewEncoder(ccfg)
 	if err != nil {

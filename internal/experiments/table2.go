@@ -68,7 +68,10 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 	if opt.QueueLen <= 0 || opt.FramesPerVideo <= 0 {
 		return nil, fmt.Errorf("experiments: bad table2 options %+v", opt)
 	}
-	corpus := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	corpus, err := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	if err != nil {
+		return nil, err
+	}
 	// Two videos suffice for the mean the anchor is set against.
 	timeScale, baselineTiles, err := calibrate(corpus[:2], opt.BaselineCoresPerUser)
 	if err != nil {
@@ -89,11 +92,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 		}
 		cfg := modeConfig(mode, baselineTiles)
 		for i := 0; i < opt.QueueLen; i++ {
-			src, err := sourceFor(corpus[i%len(corpus)])
-			if err != nil {
-				return side, err
-			}
-			if _, err := srv.Submit(src, cfg); err != nil {
+			if _, err := srv.Submit(corpus[i%len(corpus)], cfg); err != nil {
 				return side, err
 			}
 		}
@@ -103,8 +102,8 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 		// steady-state regime: the LUT of one MRI/CT study transfers to
 		// all other videos of the same class (Sec. III-D1), so a running
 		// server never prices a known class at the cold prior.
-		for _, vc := range corpus {
-			warm, err := newSession(vc, cfg, srv.Store().ForClass(vc.Class.String()))
+		for _, g := range corpus {
+			warm, err := core.NewSession(0, g, cfg, srv.Store().ForClass(g.Class()))
 			if err != nil {
 				return side, err
 			}

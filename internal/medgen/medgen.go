@@ -20,6 +20,7 @@ package medgen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/video"
 )
@@ -152,11 +153,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Generator renders the frames of one synthetic sequence.
+// Generator renders the frames of one synthetic sequence. It is a
+// core.FrameSource whose frames are read-only: the sessions that share one
+// generator share each frame it renders.
 type Generator struct {
-	cfg   Config
-	noise *splitMix
+	cfg Config
+
+	mu   sync.Mutex
+	kept map[int]*video.Frame
 }
+
+// maxKeptBytes caps the pixel bytes one generator keeps. It holds the
+// largest reuse the experiments have: Table II at 640×480 plays frames
+// 0–16 of each corpus video, 7.5 MiB. A frame past the cap is rendered
+// again on every call, which costs time but never changes a pixel.
+const maxKeptBytes = 8 << 20
 
 // NewGenerator validates cfg and returns a renderer for it.
 func NewGenerator(cfg Config) (*Generator, error) {
@@ -164,11 +175,20 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	return &Generator{cfg: cfg, noise: newSplitMix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15)}, nil
+	return &Generator{cfg: cfg, kept: map[int]*video.Frame{}}, nil
 }
 
 // Config returns the (defaulted) configuration in effect.
 func (g *Generator) Config() Config { return g.cfg }
+
+// Len returns the number of frames in the sequence.
+func (g *Generator) Len() int { return g.cfg.Frames }
+
+// FPS returns the sequence frame rate.
+func (g *Generator) FPS() float64 { return g.cfg.FPS }
+
+// Class names the body part, the workload class of LUT sharing.
+func (g *Generator) Class() string { return g.cfg.Class.String() }
 
 // pose is the rigid transform of the anatomy at a frame: rotation angle in
 // radians about the frame center plus a translation.
@@ -208,8 +228,25 @@ func (g *Generator) poseAt(n int) pose {
 	}
 }
 
-// Frame renders frame n (0-based).
+// Frame returns frame n (0-based), rendered on first use and kept under the
+// cap. The memo grows with the frames asked for, never with cfg.Frames.
+// The lock is held while rendering: sessions on one video want the same
+// frame at once.
 func (g *Generator) Frame(n int) *video.Frame {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if f, ok := g.kept[n]; ok {
+		return f
+	}
+	f := g.render(n)
+	if len(g.kept) < maxKeptBytes/(g.cfg.Width*g.cfg.Height*3/2) {
+		g.kept[n] = f
+	}
+	return f
+}
+
+// render draws frame n.
+func (g *Generator) render(n int) *video.Frame {
 	c := g.cfg
 	f := video.NewFrame(c.Width, c.Height)
 	f.Number = n

@@ -2,6 +2,7 @@ package medgen
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -329,5 +330,80 @@ func TestPoseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// samePixels reports whether two frames carry identical samples.
+func samePixels(a, b *video.Frame) bool {
+	for _, p := range [][2]*video.Plane{{a.Y, b.Y}, {a.Cb, b.Cb}, {a.Cr, b.Cr}} {
+		if sad, err := video.SAD(p[0], p[1]); err != nil || sad != 0 {
+			return false
+		}
+	}
+	return a.Number == b.Number && a.PTS == b.PTS
+}
+
+// TestFrameRendersOnce: repeat and concurrent calls of Frame(n) return the
+// one frame the generator rendered, and it equals a fresh render.
+func TestFrameRendersOnce(t *testing.T) {
+	small := func(c *Config) { c.Width, c.Height = 64, 48 }
+	g := gen(t, small)
+	const frames, callers = 4, 8
+	got := make([][frames]*video.Frame, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range frames {
+				got[i][n] = g.Frame(n)
+			}
+		}()
+	}
+	wg.Wait()
+	fresh := gen(t, small)
+	for n := range frames {
+		want := g.Frame(n)
+		for i := range got {
+			if got[i][n] != want {
+				t.Fatalf("frame %d: caller %d got a second copy", n, i)
+			}
+		}
+		if !samePixels(want, fresh.render(n)) {
+			t.Fatalf("frame %d differs from a fresh render", n)
+		}
+	}
+}
+
+// TestFramePastCapNotKept: once the kept frames reach maxKeptBytes, a new
+// frame is rendered on every call, equals a fresh render and is not kept,
+// while the frames already kept stay shared.
+func TestFramePastCapNotKept(t *testing.T) {
+	small := func(c *Config) { c.Width, c.Height = 64, 48 }
+	g := gen(t, small)
+	kept := g.Frame(0)
+	// Stand-ins under unused keys fill the cap instead of 8 MiB of renders.
+	for n := -1; len(g.kept) < maxKeptBytes/(64*48*3/2); n-- {
+		g.kept[n] = kept
+	}
+	full := len(g.kept)
+	a, b := g.Frame(1), g.Frame(1)
+	if a == b || len(g.kept) != full {
+		t.Fatal("a frame past the cap was kept")
+	}
+	if want := gen(t, small).Frame(1); !samePixels(a, want) || !samePixels(b, want) {
+		t.Fatal("a frame past the cap differs from a fresh render")
+	}
+	if g.Frame(0) != kept {
+		t.Fatal("a kept frame was dropped")
+	}
+}
+
+// TestSourceAccessors: the generator describes its sequence as a frame
+// source does.
+func TestSourceAccessors(t *testing.T) {
+	g := gen(t, func(c *Config) { c.Class, c.Frames, c.FPS = SpinalCord, 12, 30 })
+	if g.Len() != 12 || g.FPS() != 30 || g.Class() != "spinal-cord" {
+		t.Fatalf("Len %d, FPS %v, Class %q", g.Len(), g.FPS(), g.Class())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +19,19 @@ import (
 	"repro/internal/serve"
 )
 
-// testSource renders a deterministic synthetic study under an arbitrary
+// testGens holds one generator per study the package's tests play, so
+// every session and routing label of a study shares its frames.
+var testGens sync.Map // medgen.Config → *medgen.Generator
+
+// labelled plays a shared generator under an arbitrary workload class.
+type labelled struct {
+	*medgen.Generator
+	class string
+}
+
+func (l labelled) Class() string { return l.class }
+
+// testSource plays a deterministic synthetic study under an arbitrary
 // workload-class name (the fleet's routing key).
 func testSource(t testing.TB, class string, seed int64, frames int) core.FrameSource {
 	t.Helper()
@@ -27,15 +40,15 @@ func testSource(t testing.TB, class string, seed int64, frames int) core.FrameSo
 	cfg.Class = medgen.Class(int(seed) % medgen.NumClasses)
 	cfg.Frames = frames
 	cfg.Seed = seed
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
+	g, ok := testGens.Load(cfg)
+	if !ok {
+		fresh, err := medgen.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ = testGens.LoadOrStore(cfg, fresh)
 	}
-	src, err := core.SourceFromGenerator(g, frames, cfg.FPS, class)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+	return labelled{g.(*medgen.Generator), class}
 }
 
 func testSessionConfig() core.SessionConfig {

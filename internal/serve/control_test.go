@@ -583,7 +583,7 @@ func TestControlLoopsTogether(t *testing.T) {
 	// Six one-core sessions leave the 8-core home two free cores: the
 	// 640×480 stream (priced at four) is steered to the best fit, the
 	// 16-core shard.
-	if p := submit(testSource4K(t, fourK, 7, fourKFrames)); p.Shard != 1 {
+	if p := submit(studySource(t, fourK, 7, fourKFrames, 640, 480)); p.Shard != 1 {
 		t.Fatalf("4k session placed on shard %d, want the best-fit 16-core shard 1", p.Shard)
 	}
 	f.Close()

@@ -23,11 +23,7 @@ func ExampleNew() {
 	// A synthetic 320×240 MRI study stands in for a camera feed.
 	study := medgen.Default()
 	study.Width, study.Height, study.Frames = 320, 240, 8
-	gen, err := medgen.NewGenerator(study)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, err := core.SourceFromGenerator(gen, study.Frames, study.FPS, study.Class.String())
+	src, err := medgen.NewGenerator(study) // a core.FrameSource
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/medgen"
 	"repro/internal/mpsoc"
 )
 
@@ -98,7 +97,7 @@ func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, i
 	heavyCfg := testSessionConfig()
 	heavyCfg.Retile.MinTileW, heavyCfg.Retile.MinTileH = 208, 160
 	heavyCfg.TimeModel = pixelCostModel(800)
-	heavy, err := f.SubmitWith(SubmitRequest{Source: testSource4K(t, heavyClass, 7, 16), Config: heavyCfg})
+	heavy, err := f.SubmitWith(SubmitRequest{Source: studySource(t, heavyClass, 7, 16, 640, 480), Config: heavyCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,27 +107,6 @@ func runSkewedDemand(t *testing.T, demandAware bool) (*Report, *recordingSink, i
 		t.Fatal(err)
 	}
 	return rep, sink, heavy.Shard
-}
-
-// testSource4K renders a 640×480 study (4× the area of testSource) under
-// an arbitrary class name.
-func testSource4K(t testing.TB, class string, seed int64, frames int) core.FrameSource {
-	t.Helper()
-	cfg := medgen.Default()
-	cfg.Width, cfg.Height = 640, 480
-	cfg.Class = medgen.Class(int(seed) % medgen.NumClasses)
-	cfg.Motion = []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}[int(seed)%4]
-	cfg.Frames = frames
-	cfg.Seed = seed
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.SourceFromGenerator(g, frames, cfg.FPS, class)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
 }
 
 // TestSkewedDemandPlacementBeatsSessionCount is the PR's acceptance

@@ -24,25 +24,49 @@ import (
 	"repro/internal/workload"
 )
 
-// testSource renders a deterministic synthetic study under an arbitrary
-// workload-class name (the routing key).
+// testGens holds one generator per study the package's tests play, so
+// every session, rerun and routing label of a study shares its frames.
+var testGens sync.Map // medgen.Config → *medgen.Generator
+
+// testGenerator returns the package's generator for cfg.
+func testGenerator(t testing.TB, cfg medgen.Config) *medgen.Generator {
+	t.Helper()
+	g, ok := testGens.Load(cfg)
+	if !ok {
+		fresh, err := medgen.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ = testGens.LoadOrStore(cfg, fresh)
+	}
+	return g.(*medgen.Generator)
+}
+
+// labelled plays a shared generator under an arbitrary workload class.
+type labelled struct {
+	*medgen.Generator
+	class string
+}
+
+func (l labelled) Class() string { return l.class }
+
+// testSource plays a deterministic synthetic 256×192 study under an
+// arbitrary workload-class name (the routing key).
 func testSource(t testing.TB, class string, seed int64, frames int) core.FrameSource {
 	t.Helper()
+	return studySource(t, class, seed, frames, 256, 192)
+}
+
+// studySource is testSource at any geometry (640×480 is 4× its area).
+func studySource(t testing.TB, class string, seed int64, frames, width, height int) core.FrameSource {
+	t.Helper()
 	cfg := medgen.Default()
-	cfg.Width, cfg.Height = 256, 192
+	cfg.Width, cfg.Height = width, height
 	cfg.Class = medgen.Class(int(seed) % medgen.NumClasses)
 	cfg.Motion = []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}[int(seed)%4]
 	cfg.Frames = frames
 	cfg.Seed = seed
-	g, err := medgen.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.SourceFromGenerator(g, frames, cfg.FPS, class)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+	return labelled{testGenerator(t, cfg), class}
 }
 
 // testSessionConfig shrinks geometry-dependent parameters for 256×192.
@@ -756,14 +780,7 @@ func churnDirect(t *testing.T) (*core.ServiceReport, []*core.GOPOutcome) {
 		vc.Motion = motions[submitted]
 		vc.Frames = 16
 		vc.Seed = int64(medgen.Brain)*100 + int64(motions[submitted]) + 1
-		g, err := medgen.NewGenerator(vc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := core.SourceFromGenerator(g, 16, vc.FPS, "brain")
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := testGenerator(t, vc)
 		if _, err := srv.Submit(src, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -818,14 +835,7 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 		vc.Motion = motions[submitted]
 		vc.Frames = 16
 		vc.Seed = int64(medgen.Brain)*100 + int64(motions[submitted]) + 1
-		g, err := medgen.NewGenerator(vc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := core.SourceFromGenerator(g, 16, vc.FPS, "brain")
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := testGenerator(t, vc)
 		if _, err := f.SubmitWith(SubmitRequest{Source: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
