@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,7 +206,7 @@ func (a *Agent) logf(format string, args ...any) {
 func (a *Agent) heartbeat() Heartbeat {
 	a.mu.Lock()
 	var wires []*core.SessionWire
-	for _, shard := range sortedKeys(a.checkpoints) {
+	for _, shard := range slices.Sorted(maps.Keys(a.checkpoints)) {
 		wires = append(wires, a.checkpoints[shard]...)
 	}
 	a.mu.Unlock()
@@ -226,19 +228,6 @@ func (a *Agent) heartbeat() Heartbeat {
 		hb.LUTs = buf.Bytes()
 	}
 	return hb
-}
-
-func sortedKeys(m map[int][]*core.SessionWire) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ { // insertion sort; the map is tiny
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 func (a *Agent) heartbeatLoop(ctx context.Context) {

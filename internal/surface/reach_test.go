@@ -44,11 +44,18 @@ const unreachedGolden = "testdata/unreached.golden"
 
 var verdictRE = regexp.MustCompile(`^(error-path: ((Test|Fuzz)\w+)|test-seam|interface: \S.*)$`)
 
-// readUnreached parses the golden into name → verdict, failing on a line out
-// of order, a duplicate or a malformed verdict.
+// readUnreached parses the golden into name → verdict.
 func readUnreached(t *testing.T) map[string]string {
+	return readVerdicts(t, unreachedGolden, verdictRE, "error-path: TestName, test-seam, interface: reason")
+}
+
+// readVerdicts parses a census golden of "NAME<TAB>VERDICT" lines ("#"
+// lines are comments) into name → verdict, failing on a line out of order,
+// a duplicate or a verdict re does not match; kinds names the verdicts re
+// accepts.
+func readVerdicts(t *testing.T, golden string, re *regexp.Regexp, kinds string) map[string]string {
 	t.Helper()
-	f, err := os.Open(unreachedGolden)
+	f, err := os.Open(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +71,12 @@ func readUnreached(t *testing.T) map[string]string {
 		name, verdict, ok := strings.Cut(line, "\t")
 		switch {
 		case !ok || name == "":
-			t.Errorf("%s:%d: want NAME<TAB>VERDICT, got %q", unreachedGolden, n, line)
+			t.Errorf("%s:%d: want NAME<TAB>VERDICT, got %q", golden, n, line)
 			continue
-		case !verdictRE.MatchString(verdict):
-			t.Errorf("%s:%d: %s: verdict %q is none of error-path: TestName, test-seam, interface: reason", unreachedGolden, n, name, verdict)
+		case !re.MatchString(verdict):
+			t.Errorf("%s:%d: %s: verdict %q is none of %s", golden, n, name, verdict, kinds)
 		case name <= prev:
-			t.Errorf("%s:%d: %s is out of order or repeated (after %s)", unreachedGolden, n, name, prev)
+			t.Errorf("%s:%d: %s is out of order or repeated (after %s)", golden, n, name, prev)
 		}
 		out[name] = verdict
 		prev = name

@@ -15,6 +15,10 @@
 //	              function no production command line runs has a verdict in
 //	              testdata/unreached.golden, checked against a coverage run;
 //	              TestUnreachedGolden checks the golden itself in tier-1.
+//	TestClocks    every read of the wall clock, a random source or a
+//	              report-only stopwatch field in production code has a
+//	              report, supervision or identity verdict in
+//	              testdata/clocks.golden (clocks_test.go); none is a decision.
 //	TestReadmeExamples every Go block of README.md is the body of an Example
 //	              in internal/serve (readme_test.go), so go test compiles and
 //	              runs the README's code.

@@ -9,8 +9,8 @@ import (
 
 // FuzzLoadStore feeds LoadStore arbitrary documents — it is reachable from
 // the network through the dist import handler. Contract: an error, or a
-// store on which every estimate (own key, nearest-key fallback, class
-// fallback) is non-negative; never a panic.
+// store on which every estimate (own key, nearest-key fallback, prior) is
+// non-negative; never a panic.
 func FuzzLoadStore(f *testing.F) {
 	golden, err := os.ReadFile("testdata/store_v1.json")
 	if err != nil {
@@ -19,6 +19,11 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(golden)
 	f.Add([]byte(`{"version":1,"classes":[{"class":"c","keys":[{"key":{},"count":2,"sum_ns":-5000000}]}]}`))
 	f.Add([]byte(`{"version":1,"classes":[{"class":"c","fallback_sum_ns":9,"fallback_count":18446744073709551615}]}`))
+	legacy, err := os.ReadFile("testdata/store_v1_legacy.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s, err := LoadStore(bytes.NewReader(in))

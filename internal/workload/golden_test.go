@@ -12,8 +12,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenStore builds a deterministic two-class store exercising every
-// persisted facet: histogram bins, fallback aggregates, calibration
-// EWMA state and estimation-error counters.
+// persisted facet: per-key observation aggregates, with and without
+// calibration EWMA state, in more than one class.
 func goldenStore() *Store {
 	st := NewStore()
 	brain := st.ForClass("brain")
@@ -30,8 +30,6 @@ func goldenStore() *Store {
 	chest := st.ForClass("chest-4k")
 	chest.Observe(Key{AreaClass: 2, Texture: 3, Motion: 1, QPBucket: 4, SearchLevel: 2}, 12*time.Millisecond)
 	chest.Observe(Key{AreaClass: 1, Texture: 0, Motion: 0, QPBucket: 0, SearchLevel: 0}, 700*time.Microsecond)
-	// Populate the fallback mean via an estimate of an unseen key.
-	chest.Estimate(Key{AreaClass: 0, Texture: 9, Motion: 1, QPBucket: 1, SearchLevel: 2})
 	return st
 }
 
@@ -54,7 +52,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s drifted from its golden file (%d bytes, want %d).\n"+
 			"The store's Save format is a wire format (agents ship it in heartbeats): "+
-			"if the change is intentional, bump persistVersion and regenerate with -update.",
+			"if the change is intentional, regenerate with -update, and bump persistVersion "+
+			"only when a document the previous Save wrote no longer loads.",
 			name, len(got), len(want))
 	}
 }
@@ -62,7 +61,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestStoreGolden pins the LUT store's persisted encoding byte-for-byte:
 // Save is deterministic, and the golden bytes reload into a store that
 // re-saves identically (canonical round trip). A field added to the
-// histogram or LUT without wire handling shows up here as a drift.
+// entry or LUT without wire handling shows up here as a drift.
 func TestStoreGolden(t *testing.T) {
 	var got bytes.Buffer
 	if err := goldenStore().Save(&got); err != nil {
@@ -90,6 +89,32 @@ func TestStoreGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), back.Bytes()) {
 		t.Fatal("load → re-save did not reproduce the golden bytes")
+	}
+}
+
+// TestStoreLegacyDocument: a version-1 document written before the store
+// dropped its histogram bins and class aggregates (store_v1_legacy.json,
+// the same goldenStore) still loads, and re-saves to today's golden byte
+// for byte — the fields it no longer keeps are ignored, not refused.
+func TestStoreLegacyDocument(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "store_v1_legacy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStore(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := loaded.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "store_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("legacy document re-saved to %d bytes, want store_v1.json's %d", got.Len(), len(want))
 	}
 }
 

@@ -19,7 +19,10 @@ import (
 // same store twice yields identical bytes (diff-able snapshots, stable
 // test fixtures). Versioned for forward evolution.
 
-// persistVersion is bumped on incompatible format changes.
+// persistVersion is bumped when a document the previous Save wrote no
+// longer loads. Fields LoadStore does not read are ignored, so dropping one
+// from the format is no bump: older documents load, and older binaries read
+// a missing field as zero.
 const persistVersion = 1
 
 type storeJSON struct {
@@ -30,23 +33,17 @@ type storeJSON struct {
 type classJSON struct {
 	Class string    `json:"class"`
 	Keys  []keyJSON `json:"keys"`
-	// Fallback mean and estimation-error aggregates (see LUT).
-	FallbackSumNS int64  `json:"fallback_sum_ns"`
-	FallbackCount uint64 `json:"fallback_count"`
-	ErrSumNS      int64  `json:"err_sum_ns"`
-	ErrCount      uint64 `json:"err_count"`
 }
 
 type keyJSON struct {
-	Key      Key      `json:"key"`
-	Count    uint64   `json:"count"`
-	SumNS    int64    `json:"sum_ns"`
-	Bins     []uint64 `json:"bins,omitempty"`
-	CalCount uint64   `json:"cal_count,omitempty"`
-	CalEWMA  float64  `json:"cal_ewma_ns,omitempty"`
+	Key      Key     `json:"key"`
+	Count    uint64  `json:"count"`
+	SumNS    int64   `json:"sum_ns"`
+	CalCount uint64  `json:"cal_count,omitempty"`
+	CalEWMA  float64 `json:"cal_ewma_ns,omitempty"`
 }
 
-// Save writes the store — every class LUT with its histograms, fallback
+// Save writes the store — every class LUT with each key's observation
 // aggregates and calibration EWMA state — as deterministic JSON.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.Lock()
@@ -70,13 +67,7 @@ func (s *Store) Save(w io.Writer) error {
 func (l *LUT) toJSON(class string) classJSON {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	cj := classJSON{
-		Class:         class,
-		FallbackSumNS: int64(l.fallbackSum),
-		FallbackCount: l.fallbackCount,
-		ErrSumNS:      int64(l.errSum),
-		ErrCount:      l.errCount,
-	}
+	cj := classJSON{Class: class}
 	keys := make([]Key, 0, len(l.m))
 	for k := range l.m {
 		keys = append(keys, k)
@@ -84,20 +75,13 @@ func (l *LUT) toJSON(class string) classJSON {
 	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	for _, k := range keys {
 		h := l.m[k]
-		kj := keyJSON{
+		cj.Keys = append(cj.Keys, keyJSON{
 			Key:      k,
 			Count:    h.count,
 			SumNS:    int64(h.sum),
 			CalCount: h.calCount,
 			CalEWMA:  h.calEWMA,
-		}
-		for _, b := range h.bins {
-			if b != 0 {
-				kj.Bins = append([]uint64(nil), h.bins[:]...)
-				break
-			}
-		}
-		cj.Keys = append(cj.Keys, kj)
+		})
 	}
 	return cj
 }
@@ -118,12 +102,14 @@ func checkAggregate(sumNS int64, count uint64) error {
 	return nil
 }
 
-// LoadStore reads a store previously written by Save. Estimates, fallback
-// behavior and calibration state round-trip exactly. The document may come
-// from disk or from the network (the dist import handler), so aggregates
-// Save could not have written are refused here: a negative or overflowing
-// one would surface rounds later as a negative stage-D1 estimate, which
-// stage D2 rejects as a round-level error on every retry.
+// LoadStore reads a store previously written by Save. Estimates and
+// calibration state round-trip exactly; the estimation-error statistic
+// does not travel (MeanAbsError of a loaded table starts at zero). The
+// document may come from disk or from the network (the dist import
+// handler), so aggregates Save could not have written are refused here: a
+// negative or overflowing one would surface rounds later as a negative
+// stage-D1 estimate, which stage D2 rejects as a round-level error on
+// every retry. Fields LoadStore does not read are ignored, not refused.
 func LoadStore(r io.Reader) (*Store, error) {
 	var doc storeJSON
 	dec := json.NewDecoder(r)
@@ -138,41 +124,26 @@ func LoadStore(r io.Reader) (*Store, error) {
 		if cj.Class == "" {
 			return nil, fmt.Errorf("workload: store entry with empty class")
 		}
-		if err := checkAggregate(cj.FallbackSumNS, cj.FallbackCount); err != nil {
-			return nil, fmt.Errorf("workload: class %q fallback: %w", cj.Class, err)
-		}
-		if err := checkAggregate(cj.ErrSumNS, cj.ErrCount); err != nil {
-			return nil, fmt.Errorf("workload: class %q estimation error: %w", cj.Class, err)
-		}
 		l := s.ForClass(cj.Class)
-		l.fallbackSum = time.Duration(cj.FallbackSumNS)
-		l.fallbackCount = cj.FallbackCount
-		l.errSum = time.Duration(cj.ErrSumNS)
-		l.errCount = cj.ErrCount
 		for _, kj := range cj.Keys {
-			if len(kj.Bins) != 0 && len(kj.Bins) != numBins {
-				return nil, fmt.Errorf("workload: key %v has %d bins, want %d", kj.Key, len(kj.Bins), numBins)
-			}
 			if err := checkAggregate(kj.SumNS, kj.Count); err != nil {
 				return nil, fmt.Errorf("workload: key %v: %w", kj.Key, err)
 			}
 			if kj.CalCount > math.MaxInt64 || !(kj.CalEWMA >= 0 && kj.CalEWMA <= float64(maxObservation)) {
 				return nil, fmt.Errorf("workload: key %v calibration (%d, %v ns) out of range", kj.Key, kj.CalCount, kj.CalEWMA)
 			}
-			h := &histogram{
+			l.m[kj.Key] = &entry{
 				count:    kj.Count,
 				sum:      time.Duration(kj.SumNS),
 				calCount: kj.CalCount,
 				calEWMA:  kj.CalEWMA,
 			}
-			copy(h.bins[:], kj.Bins)
-			l.m[kj.Key] = h
 		}
 	}
 	return s, nil
 }
 
-// Merge folds other's observations into s: histograms add, the
+// Merge folds other's observations into s: per-key aggregates add, the
 // calibration EWMAs combine weighted by their update counts (an exact
 // EWMA cannot be recovered from two interleaved streams; the count
 // -weighted mean is the unbiased summary of what both shards measured).
@@ -208,21 +179,14 @@ func (l *LUT) merge(other *LUT) {
 	defer other.mu.RUnlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.fallbackSum += other.fallbackSum
-	l.fallbackCount += other.fallbackCount
-	l.errSum += other.errSum
-	l.errCount += other.errCount
 	for k, oh := range other.m {
 		h := l.m[k]
 		if h == nil {
-			h = &histogram{}
+			h = &entry{}
 			l.m[k] = h
 		}
 		h.count += oh.count
 		h.sum += oh.sum
-		for i := range h.bins {
-			h.bins[i] += oh.bins[i]
-		}
 		switch {
 		case oh.calCount == 0:
 		case h.calCount == 0:

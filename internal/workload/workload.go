@@ -1,12 +1,13 @@
 // Package workload implements the paper's LUT-based per-tile CPU-time
 // estimation (Sec. III-D1). The look-up table is keyed by a coarse tile
 // descriptor — tile area class, texture class, motion class, QP bucket and
-// search level — and stores a histogram of observed encode times which is
-// updated online throughout the encoding process. Because the re-tiler
-// produces a limited number of attainable tile structures and the encoder
-// a limited number of configurations, the key space is small and the LUT
-// converges quickly; the paper reports over/under-estimation below 100 µs
-// once enough frames have been processed.
+// search level — and keeps, per key, the mean of the observed encode times
+// and an EWMA of the serving loop's calibration feedback, both updated
+// online throughout the encoding process. Because the re-tiler produces a
+// limited number of attainable tile structures and the encoder a limited
+// number of configurations, the key space is small and the LUT converges
+// quickly; the paper reports over/under-estimation below 100 µs once
+// enough frames have been processed.
 //
 // Medical videos are classifiable into a small set of body-part categories
 // (bones, lung and chest, brain, ...), and the LUT learned on one video
@@ -21,13 +22,13 @@ import (
 	"time"
 )
 
-// Area classes bucket tile pixel counts so similar tiles share histograms.
+// Area classes bucket tile pixel counts so similar tiles share an entry.
 // Boundaries chosen around the re-tiler's attainable tile sizes for
 // 640×480: min tiles are 64×64 = 4096 px, center tiles typically 60–160 px
 // squares, grown corner tiles larger.
 var areaBounds = []int{6 * 1024, 12 * 1024, 24 * 1024, 48 * 1024}
 
-// Key identifies one histogram in the LUT.
+// Key identifies one entry in the LUT.
 type Key struct {
 	// AreaClass ∈ [0, len(areaBounds)] buckets the tile pixel count.
 	AreaClass int
@@ -94,10 +95,6 @@ func MakeKey(area int, texture, motion, qp, window int) Key {
 	}
 }
 
-// numBins covers durations up to 2^23 µs ≈ 8.4 s per tile, far beyond any
-// realistic tile encode time.
-const numBins = 24
-
 // maxObservation caps a single observed duration. No real tile encode
 // takes anywhere near a minute; the cap keeps the running sum (and the
 // calibration EWMA) safely clear of int64 overflow under adversarial
@@ -115,14 +112,12 @@ func clampObservation(d time.Duration) time.Duration {
 	return d
 }
 
-// histogram tracks observed durations with power-of-two µs bins plus exact
-// aggregates for the mean, and an optional calibration EWMA fed by the
-// serving loop (see LUT.Calibrate).
-type histogram struct {
+// entry holds one key's estimation state: the exact aggregates of its
+// observed durations for the mean, and an optional calibration EWMA fed by
+// the serving loop (see LUT.Calibrate).
+type entry struct {
 	count uint64
 	sum   time.Duration
-	// bins[i] counts observations in [2^i, 2^(i+1)) µs; bins[0] includes 0.
-	bins [numBins]uint64
 	// calCount/calEWMA hold the calibrated estimate: an exponentially-
 	// weighted mean of the times the server fed back under this key. When
 	// present it takes precedence over the lifetime mean, because it tracks
@@ -131,58 +126,39 @@ type histogram struct {
 	calEWMA  float64 // nanoseconds
 }
 
-func binFor(d time.Duration) int {
-	us := d.Microseconds()
-	b := 0
-	for us > 1 && b < numBins-1 {
-		us >>= 1
-		b++
-	}
-	return b
-}
-
-func (h *histogram) add(d time.Duration) {
-	d = clampObservation(d)
-	h.count++
-	h.sum += d
-	h.bins[binFor(d)]++
-}
-
 // mean returns the average observed duration (0 when empty).
-func (h *histogram) mean() time.Duration {
+func (h *entry) mean() time.Duration {
 	if h.count == 0 {
 		return 0
 	}
 	return time.Duration(int64(h.sum) / int64(h.count))
 }
 
-// value returns the histogram's best estimate: the calibration EWMA when
+// value returns the entry's best estimate: the calibration EWMA when
 // the key has been calibrated, the lifetime mean otherwise.
-func (h *histogram) value() time.Duration {
+func (h *entry) value() time.Duration {
 	if h.calCount > 0 {
 		return time.Duration(h.calEWMA)
 	}
 	return h.mean()
 }
 
-// hasData reports whether the histogram can produce an estimate.
-func (h *histogram) hasData() bool { return h.count > 0 || h.calCount > 0 }
+// hasData reports whether the entry can produce an estimate.
+func (h *entry) hasData() bool { return h.count > 0 || h.calCount > 0 }
 
 // LUT is the per-class look-up table. It is safe for concurrent use: tiles
 // of one frame are encoded in parallel and all report observations.
 type LUT struct {
 	mu sync.RWMutex
-	m  map[Key]*histogram
-	// fallbackMean supports estimation before a key has observations.
-	fallbackSum   time.Duration
-	fallbackCount uint64
-	// estimation error accounting
+	m  map[Key]*entry
+	// estimation error accounting, read by MeanAbsError; it lives only as
+	// long as the table in memory (Save and Merge leave it behind)
 	errSum   time.Duration
 	errCount uint64
 }
 
 // NewLUT returns an empty table.
-func NewLUT() *LUT { return &LUT{m: make(map[Key]*histogram)} }
+func NewLUT() *LUT { return &LUT{m: make(map[Key]*entry)} }
 
 // Observe records a measured tile encode time under key k. If a prior
 // estimate existed for k, the estimation error statistic is updated first.
@@ -190,7 +166,12 @@ func (l *LUT) Observe(k Key, d time.Duration) {
 	d = clampObservation(d)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if h, ok := l.m[k]; ok && h.hasData() {
+	h := l.m[k]
+	if h == nil {
+		h = &entry{}
+		l.m[k] = h
+	}
+	if h.hasData() {
 		e := h.value() - d
 		if e < 0 {
 			e = -e
@@ -198,14 +179,8 @@ func (l *LUT) Observe(k Key, d time.Duration) {
 		l.errSum += e
 		l.errCount++
 	}
-	h := l.m[k]
-	if h == nil {
-		h = &histogram{}
-		l.m[k] = h
-	}
-	h.add(d)
-	l.fallbackSum += d
-	l.fallbackCount++
+	h.count++
+	h.sum += d
 }
 
 // Calibrate feeds one *server-measured* tile encode time back into the
@@ -218,10 +193,10 @@ func (l *LUT) Observe(k Key, d time.Duration) {
 // stage-D1 estimates converge toward the key's recent timings instead of
 // dragging all of history (or a seeded prior) behind them. Alpha is
 // clamped to (0, 1]; non-positive values default to 0.5. Unlike Observe,
-// Calibrate does not touch the histogram, the global fallback mean, or the
-// error statistic — the serving loop calls both, on different channels.
-// The update is order-sensitive, so the server applies it from a single
-// goroutine in deterministic session order after each round.
+// Calibrate touches neither the key's mean nor the error statistic — the
+// serving loop calls both, on different channels. The update is
+// order-sensitive, so the server applies it from a single goroutine in
+// deterministic session order after each round.
 func (l *LUT) Calibrate(k Key, measured time.Duration, alpha float64) {
 	measured = clampObservation(measured)
 	if !(alpha > 0) || alpha > 1 { // NaN-safe: !(NaN > 0) is true
@@ -231,7 +206,7 @@ func (l *LUT) Calibrate(k Key, measured time.Duration, alpha float64) {
 	defer l.mu.Unlock()
 	h := l.m[k]
 	if h == nil {
-		h = &histogram{}
+		h = &entry{}
 		l.m[k] = h
 	}
 	if h.calCount == 0 {
@@ -265,8 +240,8 @@ func (l *LUT) Calibrations() uint64 {
 // have tiles. A key's estimate is its calibration EWMA when the serving
 // loop has calibrated it (see Calibrate), its lifetime mean otherwise.
 // Unknown keys fall back to the nearest known key (same texture/motion,
-// closest area and QP), then to the global mean, then to a conservative
-// fixed prior.
+// closest area and QP), then, in a table with no data at all, to a
+// conservative fixed prior.
 func (l *LUT) EstimateInto(m map[Key]time.Duration) {
 	if len(m) == 0 {
 		return
@@ -286,7 +261,7 @@ func (l *LUT) estimateLocked(k Key) time.Duration {
 	// Nearest-key fallback: scan for the minimum key distance with data.
 	// Ties break toward the smaller key so the estimate does not depend on
 	// map iteration order — serving decisions must be reproducible.
-	var best *histogram
+	var best *entry
 	var bestK Key
 	bestD := 1 << 30
 	for kk, h := range l.m {
@@ -300,9 +275,6 @@ func (l *LUT) estimateLocked(k Key) time.Duration {
 	}
 	if best != nil {
 		return best.value()
-	}
-	if l.fallbackCount > 0 {
-		return time.Duration(int64(l.fallbackSum) / int64(l.fallbackCount))
 	}
 	// Conservative prior: a dense 640×480 tile at fmax. Overestimation is
 	// safe (the allocator reserves too much and releases slack via DVFS).
@@ -372,7 +344,11 @@ func less(a, b Key) bool {
 func (l *LUT) Observations() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.fallbackCount
+	var n uint64
+	for _, h := range l.m {
+		n += h.count
+	}
+	return n
 }
 
 // Store keeps one LUT per body-part class so concurrent transcoding

@@ -115,25 +115,18 @@ func TestMeanAbsErrorConverges(t *testing.T) {
 	}
 }
 
-func TestHistogramBins(t *testing.T) {
+// TestObserveGrowsOnlyItsKey: an observation creates its own key's entry
+// and nothing else; a key never observed has none.
+func TestObserveGrowsOnlyItsKey(t *testing.T) {
 	l := NewLUT()
 	k := MakeKey(64*64, 0, 0, 32, 8)
-	l.Observe(k, 3*time.Microsecond)   // bin 1 (2–4 µs)
-	l.Observe(k, 1*time.Millisecond)   // bin ~9/10
-	l.Observe(k, 900*time.Microsecond) // near the previous bin
-	h, ok := l.m[k]
-	if !ok {
-		t.Fatal("histogram missing")
-	}
-	var total uint64
-	for _, c := range h.bins {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("histogram holds %d observations, want 3", total)
+	l.Observe(k, 3*time.Microsecond)
+	l.Observe(k, 1*time.Millisecond)
+	if h, ok := l.m[k]; !ok || h.count != 2 {
+		t.Fatalf("observed key's entry = %+v, want 2 observations", h)
 	}
 	if _, ok := l.m[MakeKey(1, 0, 0, 22, 8)]; ok {
-		t.Fatal("unknown key grew a histogram")
+		t.Fatal("unknown key grew an entry")
 	}
 }
 
@@ -234,20 +227,5 @@ func TestMakeKeyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBinForBoundaries(t *testing.T) {
-	if binFor(0) != 0 {
-		t.Fatal("bin of 0")
-	}
-	if binFor(time.Microsecond) != 0 {
-		t.Fatal("bin of 1µs")
-	}
-	if binFor(2*time.Microsecond) != 1 {
-		t.Fatal("bin of 2µs")
-	}
-	if binFor(time.Hour) != numBins-1 {
-		t.Fatal("huge durations must clamp to the last bin")
 	}
 }
