@@ -6,10 +6,10 @@
 // With -users N (N > 1) it instead drives the fleet serving API
 // (internal/serve): N sessions of mixed classes stream through -shards
 // parallel core.Server shards behind the consistent-hash dispatcher, with
-// the overload-aware admission ladder and measurement-calibrated workload
-// estimation enabled. -allocator selects the stage-D2 policy by registry
-// name, -sink selects the telemetry sink, and -luts persists the warmed
-// workload LUTs across restarts.
+// the overload-aware admission ladder enabled and each shard's workload
+// LUTs learning every served tile. -allocator selects the stage-D2 policy
+// by registry name, -sink selects the telemetry sink, and -luts persists
+// the warmed workload LUTs across restarts.
 //
 // Examples:
 //
@@ -480,16 +480,15 @@ func parseResizeAt(spec string) ([]serve.ScheduledResize, error) {
 }
 
 // servingOptions is the serving configuration the local fleet and an
-// -agent node share: the -allocator policy, calibrated estimates, the
-// admission ladder with rate-rung recovery after three rounds, the
-// -tenants-config policy and, with -metrics-addr, a Prometheus sink
-// behind a /metrics endpoint, which the returned func closes. An agent's
-// tenancy keeps weights and priority classes only: the master charged the
-// fleet-wide admission rates before routing to it.
+// -agent node share: the -allocator policy, the admission ladder with
+// rate-rung recovery after three rounds, the -tenants-config policy and,
+// with -metrics-addr, a Prometheus sink behind a /metrics endpoint, which
+// the returned func closes. An agent's tenancy keeps weights and priority
+// classes only: the master charged the fleet-wide admission rates before
+// routing to it.
 func servingOptions(o options, stdout io.Writer) ([]serve.Option, func(), error) {
 	opts := []serve.Option{
 		serve.WithAllocator(o.allocator),
-		serve.WithCalibration(core.CalibrationConfig{Enabled: true}),
 		serve.WithAdmission(core.AdmissionConfig{Enabled: true, RecoverAfterRounds: 3}),
 	}
 	if o.tenantsConfig != "" {
@@ -528,7 +527,7 @@ func servingOptions(o options, stdout io.Writer) ([]serve.Option, func(), error)
 // serveFleet drives the fleet serving API: n synthetic sessions of
 // rotating classes/motions are routed across the shards by workload
 // class and served with the admission ladder (including rate-rung
-// recovery), estimate calibration and — when -min-shards/-max-shards
+// recovery) and — when -min-shards/-max-shards
 // span a range or -resize-at forces it — the serve-layer autoscaler
 // (serve.WithAutoscale). All scaling policy lives in internal/serve;
 // this function only maps flags onto configs.

@@ -66,7 +66,7 @@ func newTestSession(t *testing.T, mode Mode) *Session {
 // EncodeNextFrame steps the session by one frame, so the wire and
 // estimate-ahead tests can cut a GOP in the middle.
 func (s *Session) EncodeNextFrame() (*FrameReport, error) {
-	return s.EncodeNextFrameContext(context.Background(), 0)
+	return s.encodeNextFrame(context.Background(), 0)
 }
 
 // sequenceSource serves frames a test built by hand, for exact pixel control.
@@ -249,8 +249,8 @@ func TestBaselineDefaultTiles(t *testing.T) {
 
 // TestNilTimeModelLearnsWork: without a TimeModel a session's LUT learns
 // each tile's work counters at the fitted search weight, whatever the
-// host's stopwatch read — a key observed once estimates exactly its tile's
-// TileStats.Work(220), and every key the mean of its tiles' work.
+// host's stopwatch read — every key estimates exactly the EWMA of its
+// tiles' TileStats.Work(220) in frame order.
 func TestNilTimeModelLearnsWork(t *testing.T) {
 	for _, mode := range []Mode{ModeProposed, ModeBaseline} {
 		lut := workload.NewLUT()
@@ -270,14 +270,14 @@ func TestNilTimeModelLearnsWork(t *testing.T) {
 			}
 		}
 		for k, ts := range tiles {
-			var sum time.Duration
-			for _, tile := range ts {
-				sum += tile.Work(220)
+			ewma := float64(ts[0].Work(220))
+			for _, tile := range ts[1:] {
+				ewma += 0.5 * (float64(tile.Work(220)) - ewma)
 			}
 			est := map[workload.Key]time.Duration{k: 0}
 			lut.EstimateInto(est)
-			if want := sum / time.Duration(len(ts)); est[k] != want {
-				t.Errorf("%v %v over %d tiles: estimate %v, want mean work %v (first EncodeTime %v)",
+			if want := time.Duration(ewma); est[k] != want {
+				t.Errorf("%v %v over %d tiles: estimate %v, want the EWMA of its work %v (first EncodeTime %v)",
 					mode, k, len(ts), est[k], want, ts[0].EncodeTime)
 			}
 		}
@@ -453,8 +453,8 @@ func TestServerSharesLUTAcrossSameClassSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	lut := srv.Store().ForClass("brain")
-	if lut.Observations() == 0 {
-		t.Fatal("shared brain LUT has no observations")
+	if len(lut.Keys()) == 0 {
+		t.Fatal("shared brain LUT learned nothing")
 	}
 	if len(srv.Store().Classes()) != 1 {
 		t.Fatalf("classes = %v, want only brain", srv.Store().Classes())

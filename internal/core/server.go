@@ -18,19 +18,16 @@ import (
 // AllocateContentAware (Algorithm 2) and AllocateBaseline ([19]).
 type AllocatorFunc func(sched.Input) (*sched.Result, error)
 
-// CalibrationConfig parametrizes the online workload-estimation
-// calibration loop: after every round the server feeds each admitted
-// tile's modelled work (SessionConfig.TimeModel) back into the session's
-// workload LUT as an exponentially-weighted correction
-// (workload.LUT.Calibrate), so stage-D1 estimates track each key's recent
-// work instead of dragging all of history behind them.
+// CalibrationConfig once switched the server's LUT feedback on. The
+// server now always feeds each served tile back, once, in its settle
+// order, and nothing reads this type.
+//
+// Deprecated: inert; it goes with ServerConfig.Calibration (ROADMAP item
+// 3(g)).
 type CalibrationConfig struct {
-	// Enabled turns the feedback loop on.
+	// Enabled is ignored.
 	Enabled bool
 }
-
-// calibrationAlpha is the EWMA weight of the newest measurement.
-const calibrationAlpha = 0.5
 
 // ServerConfig parametrizes the multi-user serving loop.
 type ServerConfig struct {
@@ -45,8 +42,7 @@ type ServerConfig struct {
 	// factor as it is handed to the allocator, so the scaled value flows
 	// into admission, core planning and (through the resulting plans)
 	// the slot energy simulation. It does not touch what the LUT stores:
-	// modelled work is recorded unscaled, and the calibration EWMA
-	// (CalibrationConfig) corrects those stored values independently.
+	// modelled work is learned unscaled.
 	// The paper measured Kvazaar (2017) on an E5-2667, whose frames cost
 	// far more than this codec's modelled work, so experiments set
 	// TimeScale so that per-user demand lands in the paper's regime
@@ -59,7 +55,10 @@ type ServerConfig struct {
 	// output is bit-identical between the two modes (sessions share no
 	// order-sensitive state); tests and benchmarks compare against it.
 	Sequential bool
-	// Calibration enables the measurement-calibrated estimation loop.
+	// Calibration is ignored.
+	//
+	// Deprecated: the server always learns; this field goes in ROADMAP
+	// item 3(g).
 	Calibration CalibrationConfig
 	// Admission enables the overload ladder (see AdmissionConfig). Zero
 	// value = disabled: users the allocator cannot fit simply wait.
@@ -723,7 +722,7 @@ func (s *Server) prepareKeys(rs *roundSession) error {
 // (workload.LUT.EstimateInto), so N same-class sessions with duplicate
 // tile keys cost one lookup each instead of N. Values are exactly what
 // per-tile lookups would return — the LUT is quiescent during
-// estimation (encodes, and thus Observe/Calibrate, are round-phased).
+// estimation (it learns only in settleRound).
 func (s *Server) resolveEstimates(live []*roundSession) {
 	if s.estGroups == nil {
 		s.estGroups = make(map[*workload.LUT]map[workload.Key]time.Duration)
@@ -771,7 +770,7 @@ func (s *Server) demandOf(rs *roundSession) sched.UserDemand {
 }
 
 // settleRound finalizes a round after the encodes: lifecycle transitions,
-// estimation-error accounting and LUT calibration.
+// estimation-error accounting and the LUT update.
 func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessErrs map[int]error) {
 	failedIDs := make([]int, 0, len(sessErrs))
 	for id := range sessErrs {
@@ -783,9 +782,9 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 	}
 
 	// The built-in allocators return Admitted sorted by id, but a custom
-	// AllocatorFunc may not: sort a copy so the order-sensitive
-	// calibration EWMA really is applied in ascending session order (the
-	// documented reproducibility invariant).
+	// AllocatorFunc may not: sort a copy so the order-sensitive LUT update
+	// really is applied in ascending session order (the documented
+	// reproducibility invariant).
 	admitted := append([]int(nil), out.AdmittedUsers...)
 	sort.Ints(admitted)
 
@@ -823,19 +822,11 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 			errSum += d
 			errTiles++
 		}
-		// Calibration: feed every served tile's work back into the LUT as an
-		// EWMA correction. Applied here — once per round, from the
-		// serving goroutine, in ascending session order — so the update
-		// order (and with it every estimate) is reproducible even though
-		// the encodes ran concurrently.
-		if s.cfg.Calibration.Enabled {
-			for _, fr := range gop.Frames {
-				for i, ts := range fr.Tiles {
-					key := tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window)
-					rs.rec.lut.Calibrate(key, rs.rec.sess.tileWork(ts), calibrationAlpha)
-				}
-			}
-		}
+		// Feed every served tile's work back into the LUT. Applied here —
+		// once per round, from the serving goroutine, in ascending session
+		// order — so the update order (and with it every estimate) is
+		// reproducible even though the encodes ran concurrently.
+		learn(rs.rec.lut, rs.rec.sess, gop)
 		// A rate-halved session just served a GOP: it sits out the next
 		// round (admission ladder's frame-rate rung).
 		if rs.rec.sess.RateHalved() {
@@ -883,7 +874,7 @@ func (s *Server) encodeSequential(ctx context.Context, alloc *sched.Result, byID
 	for _, id := range alloc.Admitted {
 		sess := byID[id].rec.sess
 		err := guardSession(sess.ID, func() error {
-			gop, err := sess.EncodeGOPContext(ctx, 0)
+			gop, err := sess.encodeGOP(ctx, 0)
 			if err == nil {
 				out.GOPs[id] = gop
 			}
@@ -900,9 +891,9 @@ func (s *Server) encodeSequential(ctx context.Context, alloc *sched.Result, byID
 // per session. Each session's intra-frame tile parallelism is budgeted
 // from the cores the allocator assigned to it this round, so the execution
 // mirrors the plan the platform simulation priced. Encoded output does not
-// depend on goroutine scheduling: sessions share only the internally
-// synchronized, order-insensitive workload LUT, and per-session state is
-// touched by exactly one goroutine.
+// depend on goroutine scheduling: the encodes leave the shared workload LUT
+// alone (settleRound feeds it afterwards), and per-session state is touched
+// by exactly one goroutine.
 func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID map[int]*roundSession, out *GOPOutcome) map[int]error {
 	gops := make([]*GOPReport, len(alloc.Admitted))
 	errs := make([]error, len(alloc.Admitted))
@@ -912,7 +903,7 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 		go func(i int, sess *Session) {
 			defer wg.Done()
 			errs[i] = guardSession(sess.ID, func() error {
-				gop, err := sess.EncodeGOPContext(ctx, alloc.CoresOf(sess.ID))
+				gop, err := sess.encodeGOP(ctx, alloc.CoresOf(sess.ID))
 				if err != nil {
 					return err
 				}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,13 +14,14 @@ import (
 	"repro/internal/medgen"
 	"repro/internal/mpsoc"
 	"repro/internal/video"
+	"repro/internal/workload"
 )
 
 // driftModel returns a deterministic TimeModel simulating a host that
 // slows down as it runs (thermal drift): the modeled tile time grows with
 // every tile the session encodes. Deterministic — it depends only on tile
-// geometry and call order, both fixed for a given source — so service runs
-// that differ only in calibration see identical "measurements".
+// geometry and call order, both fixed for a given source — so every run of
+// one scenario sees identical "measurements".
 func driftModel() func(codec.TileStats) time.Duration {
 	n := 0
 	return func(ts codec.TileStats) time.Duration {
@@ -51,13 +54,9 @@ func runKeeping(t *testing.T, srv *Server) (*ServiceReport, []*GOPOutcome) {
 // churnService runs the acceptance scenario: two sessions are submitted
 // up front, two more arrive at staggered times (after rounds 0 and 1) from
 // the OnRound hook, and the queue closes once everyone is in.
-func churnService(t *testing.T, calibrate bool) (*ServiceReport, []*GOPOutcome, *Server) {
+func churnService(t *testing.T) (*ServiceReport, []*GOPOutcome, *Server) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
-		Platform:    mpsoc.XeonE5_2667V4(),
-		FPS:         24,
-		Calibration: CalibrationConfig{Enabled: calibrate},
-	})
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func churnService(t *testing.T, calibrate bool) (*ServiceReport, []*GOPOutcome, 
 // sessions submitted at staggered times are admitted, served and completed
 // by Run with zero lost GOP reports.
 func TestRunServesChurnWithoutLosingReports(t *testing.T) {
-	rep, outs, srv := churnService(t, true)
+	rep, outs, srv := churnService(t)
 
 	if rep.Submitted != 4 {
 		t.Fatalf("submitted %d, want 4", rep.Submitted)
@@ -130,40 +129,62 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 	}
 }
 
-// TestCalibrationLowersEstimateError is the measurement-calibration
-// acceptance criterion: on a drifting host, after ≥3 calibration rounds
-// the mean relative stage-D1 estimate error is strictly lower with the
-// calibration loop than without it. Both runs see identical deterministic
-// "measurements" (driftModel), so the comparison is exact, not a timing
-// race.
-func TestCalibrationLowersEstimateError(t *testing.T) {
-	repOff, outsOff, _ := churnService(t, false)
-	repOn, outsOn, _ := churnService(t, true)
-
-	if repOn.Rounds != repOff.Rounds {
-		t.Fatalf("calibration changed the round count: %d vs %d", repOn.Rounds, repOff.Rounds)
+// TestDriftEstimateError pins the stage-D1 estimate error of the one
+// learning channel on a drifting host (driftModel): the mean relative error
+// from round 3 on, where every key has been learned. The "measurements"
+// are deterministic, so the figure is exact, not a timing race; a change
+// to what or when the LUT learns moves it. Estimation prices, it never
+// encodes: every session's digest chain equals the same clip encoded as a
+// bare session on a LUT of its own.
+func TestDriftEstimateError(t *testing.T) {
+	_, outs, _ := churnService(t)
+	const want = 0.380405884620
+	got, tiles := MeanEstimateErr(outs, 3)
+	if tiles == 0 || math.Abs(got-want) > 1e-9 {
+		t.Fatalf("relative estimate error from round 3 = %.12f over %d tiles, want %.12f", got, tiles, want)
 	}
-	// Calibration corrects estimates, never bits: both runs must produce
-	// identical bitstreams.
-	for r := range outsOn {
-		for id, gop := range outsOn[r].GOPs {
-			if other := outsOff[r].GOPs[id]; other == nil || other.Digest != gop.Digest {
-				t.Fatalf("round %d session %d: calibration changed the bitstream", r, id)
+	served := make(map[int][]uint64)
+	for _, out := range outs {
+		for _, id := range out.AdmittedUsers {
+			served[id] = append(served[id], out.GOPs[id].Digest)
+		}
+	}
+	for id, motion := range []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still} {
+		cfg := testSessionConfig(ModeProposed)
+		cfg.TimeModel = driftModel()
+		sess, err := NewSession(id, testSource(t, medgen.Brain, motion, 16), cfg, workload.NewLUT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; !sess.Finished(); g++ {
+			gop, err := sess.EncodeGOP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g >= len(served[id]) || served[id][g] != gop.Digest {
+				t.Fatalf("session %d GOP %d: served digests %x, bare %x", id, g, served[id], gop.Digest)
 			}
 		}
 	}
-	errOn, tilesOn := MeanEstimateErr(outsOn, 3)
-	errOff, tilesOff := MeanEstimateErr(outsOff, 3)
-	if tilesOn == 0 || tilesOn != tilesOff {
-		t.Fatalf("tile coverage differs: %d vs %d", tilesOn, tilesOff)
+}
+
+// TestStoreDeterministicAcrossSchedulers: the LUT learns in the server's
+// settle order, never in the encodes' completion order, so the concurrent
+// serving loop leaves the same store, byte for byte, as the Sequential
+// reference path.
+func TestStoreDeterministicAcrossSchedulers(t *testing.T) {
+	save := func(sequential bool) []byte {
+		_, _, srv, _ := goldenService(t, sequential, false)
+		var buf bytes.Buffer
+		if err := srv.Store().Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if errOff <= 0 {
-		t.Fatalf("uncalibrated error %v not positive — the drift scenario is broken", errOff)
+	seq, conc := save(true), save(false)
+	if !bytes.Equal(seq, conc) {
+		t.Fatalf("concurrent serving saved a different store (%d bytes) than sequential (%d bytes)", len(conc), len(seq))
 	}
-	if errOn >= errOff {
-		t.Fatalf("calibrated error %.4f not strictly below uncalibrated %.4f", errOn, errOff)
-	}
-	t.Logf("relative estimate error from round 3: calibrated %.4f vs uncalibrated %.4f (%d tiles)", errOn, errOff, tilesOn)
 }
 
 // goldenService runs two deterministic medgen sequences through Run and

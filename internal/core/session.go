@@ -490,16 +490,16 @@ func (s *Session) tileParams() []codec.TileParams {
 	return params
 }
 
-// EncodeNextFrameContext advances the session by one frame: runs stages
-// A–C at GOP boundaries, encodes, feeds measurements back into the QP
-// adapter, the motion policy and the workload LUT, and returns the frame
-// report. ctx cancels the encode; workers is the per-call tile-worker
-// budget (≤ 0 falls back to the session's configured Workers). The
-// serving loop passes each round's allocated core count here, so
-// intra-frame parallelism follows the allocation instead of a global
-// constant. On error — cancellation included — the session does not
-// advance, so the frame can be retried.
-func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*FrameReport, error) {
+// encodeNextFrame advances the session by one frame: runs stages A–C at
+// GOP boundaries, encodes, feeds measurements back into the QP adapter and
+// the motion policy, and returns the frame report. The workload LUT learns
+// the frame later, with the rest of its GOP (see learn). ctx cancels the
+// encode; workers is the per-call tile-worker budget (≤ 0 falls back to
+// the session's configured Workers). The serving loop passes each round's
+// allocated core count here, so intra-frame parallelism follows the
+// allocation instead of a global constant. On error — cancellation
+// included — the session does not advance, so the frame can be retried.
+func (s *Session) encodeNextFrame(ctx context.Context, workers int) (*FrameReport, error) {
 	if s.Finished() {
 		return nil, fmt.Errorf("core: session %d already finished", s.ID)
 	}
@@ -519,11 +519,10 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 		return nil, err
 	}
 
-	// Feed back: workload LUT (D1), motion policy direction (first frame
-	// of GOP), QP adaptation (Algorithm 1, every frame).
-	for i, ts := range stats.Tiles {
-		s.lut.Observe(tileKey(ts.Tile, s.contents[i], params[i].QP, params[i].Window), s.tileWork(ts))
-		if frameInGOP == 0 && stats.Type == codec.FrameP {
+	// Feed back: motion policy direction (first frame of GOP), QP
+	// adaptation (Algorithm 1, every frame).
+	if frameInGOP == 0 && stats.Type == codec.FrameP {
+		for i, ts := range stats.Tiles {
 			s.policy.Observe(i, ts.MeanMV)
 		}
 	}
@@ -558,7 +557,7 @@ func (s *Session) EncodeNextFrameContext(ctx context.Context, workers int) (*Fra
 
 // tileWork prices a tile through the session's TimeModel, or without one
 // through the work model at the codec's fitted search weight — the one
-// channel the LUT and calibration read.
+// value the LUT learns.
 func (s *Session) tileWork(ts codec.TileStats) time.Duration {
 	if s.cfg.TimeModel != nil {
 		return s.cfg.TimeModel(ts)
@@ -580,8 +579,9 @@ func bitstreamDigest(bs *codec.Bitstream) uint64 {
 	return h.Sum64()
 }
 
-// EncodeGOP encodes the next full GOP (or the remaining frames if fewer)
-// and aggregates the reports.
+// EncodeGOP encodes the next full GOP (or the remaining frames if fewer),
+// aggregates the reports, and feeds every tile into the session's
+// workload LUT.
 func (s *Session) EncodeGOP() (*GOPReport, error) {
 	return s.EncodeGOPContext(context.Background(), 0)
 }
@@ -591,8 +591,33 @@ func (s *Session) EncodeGOP() (*GOPReport, error) {
 // Cancellation is honoured at frame boundaries: frames already encoded
 // stay encoded and the session remains mid-GOP. A subsequent call resumes
 // from that position and encodes only up to the current GOP's boundary,
-// so one report never spans two GOPs (or two tile grids).
+// so one report never spans two GOPs (or two tile grids). The LUT learns
+// only a GOP that completes. It is the path for a session outside a
+// server; a server encodes without learning and learns in its settle
+// order instead.
 func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport, error) {
+	gop, err := s.encodeGOP(ctx, workers)
+	if err != nil {
+		return nil, err
+	}
+	learn(s.lut, s, gop)
+	return gop, nil
+}
+
+// learn feeds every tile of every frame of gop into lut, in frame order:
+// the LUT's one write site. The EWMA update is order-sensitive, so its two
+// callers run it in a fixed order: a bare session's EncodeGOPContext after
+// its own GOP, and Server.settleRound in ascending session order.
+func learn(lut *workload.LUT, sess *Session, gop *GOPReport) {
+	for _, fr := range gop.Frames {
+		for i, ts := range fr.Tiles {
+			lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), sess.tileWork(ts))
+		}
+	}
+}
+
+// encodeGOP is EncodeGOPContext without the LUT update.
+func (s *Session) encodeGOP(ctx context.Context, workers int) (*GOPReport, error) {
 	if s.Finished() {
 		return nil, fmt.Errorf("core: session %d already finished", s.ID)
 	}
@@ -605,7 +630,7 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 	digest := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < n; i++ {
-		fr, err := s.EncodeNextFrameContext(ctx, workers)
+		fr, err := s.encodeNextFrame(ctx, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -641,9 +666,8 @@ func (s *Session) appendEstimationKeys(dst []workload.Key) ([]workload.Key, erro
 }
 
 // tileKey is the workload-LUT key of a tile encoded at qp and window. Stage
-// D1 estimates at it and the encode's feedback (the LUT observation in
-// EncodeNextFrameContext, the server's calibration) learns at it, so the
-// two always name one entry.
+// D1 estimates at it and learn feeds the encode back at it, so the two
+// always name one entry.
 func tileKey(tile tiling.Tile, tc analysis.TileContent, qp, window int) workload.Key {
 	return workload.MakeKey(tile.Area(), int(tc.Texture), int(tc.Motion), qp, window)
 }

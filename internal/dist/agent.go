@@ -331,7 +331,7 @@ func (a *Agent) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Warm the LUTs first so the adopted session's very first round
-	// estimates with the donor's calibration.
+	// estimates with the donor's learned work.
 	if len(req.LUTs) > 0 {
 		st, err := workload.LoadStore(bytes.NewReader(req.LUTs))
 		if err != nil {

@@ -72,7 +72,7 @@ type RoutedSubmitResponse struct {
 
 // ImportRequest adopts one checkpointed session into the receiving
 // agent, optionally warming it with the donor's workload LUT store
-// (workload.Store.Save bytes) so estimation stays calibrated across the
+// (workload.Store.Save bytes) so estimation stays warm across the
 // machine boundary.
 type ImportRequest struct {
 	Version int               `json:"version"`

@@ -264,7 +264,7 @@ func TestLUTConvergenceRun(t *testing.T) {
 		t.Fatalf("%d points", len(res.Points))
 	}
 	// Convergence: the late error must not exceed the early error.
-	early := res.Points[1].MeanAbsError
+	early := res.Points[1].AbsError
 	late := res.FinalError
 	if late > early*2 {
 		t.Fatalf("estimation error diverging: %v → %v", early, late)

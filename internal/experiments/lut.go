@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/medgen"
 	"repro/internal/trace"
@@ -35,17 +36,20 @@ func DefaultLUTOptions() LUTOptions {
 	return LUTOptions{GOPs: 8, Video: v, CrossVideo: &cross}
 }
 
-// LUTPoint is the estimation error after one GOP.
+// LUTPoint is stage D1's estimation error on one GOP: the mean absolute
+// difference between what the LUT, as it stood before the GOP, priced each
+// tile encode at and the work that encode cost.
 type LUTPoint struct {
-	GOP          int
-	MeanAbsError time.Duration
-	Observations uint64
+	GOP      int
+	AbsError time.Duration
+	// Tiles is the number of tile encodes priced.
+	Tiles int
 }
 
 // LUTResult is the convergence trace.
 type LUTResult struct {
 	Points []LUTPoint
-	// FinalError is the error after the last GOP of the primary video.
+	// FinalError is the error on the last GOP of the primary video.
 	FinalError time.Duration
 	// MeanTileTime is the average modelled tile time (TileStats.Work, what
 	// the LUT learns), for putting the absolute error in proportion: its
@@ -54,26 +58,27 @@ type LUTResult struct {
 	// HostTileTime is the same tiles' average wall-clock EncodeTime on this
 	// host — printed beside the modelled mean, never compared against.
 	HostTileTime time.Duration
-	// CrossVideoError is the error accumulated while encoding the second
-	// same-class video with the shared LUT (0 when not requested).
+	// CrossVideoError is the error over every GOP of the second same-class
+	// video encoded with the shared LUT (0 when not requested).
 	CrossVideoError time.Duration
 }
 
-// RunLUT encodes the video GOP by GOP, recording the workload LUT's mean
-// absolute estimation error as it converges, then optionally replays a
-// second same-class video against the warmed LUT. The LUT learns modelled
-// work, so the trace is the same on every host.
+// RunLUT encodes the video GOP by GOP and, for each GOP, prices its tile
+// encodes on a copy of the LUT taken before the GOP — stage D1's own
+// question: what the table priced against what the GOP cost. It then
+// optionally replays a second same-class video against the warmed LUT.
+// The LUT learns modelled work, so the trace is the same on every host.
 func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	if opt.GOPs <= 0 {
 		return nil, fmt.Errorf("experiments: bad LUT options %+v", opt)
 	}
-	lut := workload.NewLUT()
 	cfg := modeConfig(core.ModeProposed, 0)
 	gen, err := medgen.NewGenerator(opt.Video)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSession(0, gen, cfg, lut)
+	store := workload.NewStore()
+	sess, err := core.NewSession(0, gen, cfg, store.ForClass(gen.Class()))
 	if err != nil {
 		return nil, err
 	}
@@ -81,6 +86,7 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 	var tileTime, hostTime time.Duration
 	var tiles int
 	for g := 0; g < opt.GOPs && !sess.Finished(); g++ {
+		before := store.Clone()
 		gop, err := sess.EncodeGOP()
 		if err != nil {
 			return nil, err
@@ -92,9 +98,9 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 				tiles++
 			}
 		}
-		e, n := lut.MeanAbsError()
-		res.Points = append(res.Points, LUTPoint{GOP: g, MeanAbsError: e, Observations: n})
-		res.FinalError = e
+		sum, n := estimateError(before.ForClass(gen.Class()), gop, cfg.TimeModel)
+		res.FinalError = sum / time.Duration(n)
+		res.Points = append(res.Points, LUTPoint{GOP: g, AbsError: res.FinalError, Tiles: n})
 	}
 	if tiles > 0 {
 		res.MeanTileTime = tileTime / time.Duration(tiles)
@@ -105,32 +111,59 @@ func RunLUT(opt LUTOptions) (*LUTResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess2, err := core.NewSession(0, gen2, cfg, lut)
+		sess2, err := core.NewSession(0, gen2, cfg, store.ForClass(gen2.Class()))
 		if err != nil {
 			return nil, err
 		}
-		before, beforeN := lut.MeanAbsError()
+		var sum time.Duration
+		var n int
 		for !sess2.Finished() {
-			if _, err := sess2.EncodeGOP(); err != nil {
+			before := store.Clone()
+			gop, err := sess2.EncodeGOP()
+			if err != nil {
 				return nil, err
 			}
+			s, k := estimateError(before.ForClass(gen2.Class()), gop, cfg.TimeModel)
+			sum, n = sum+s, n+k
 		}
-		after, afterN := lut.MeanAbsError()
-		// Isolate the cross-video contribution from the running average.
-		if afterN > beforeN {
-			total := time.Duration(int64(after)*int64(afterN) - int64(before)*int64(beforeN))
-			res.CrossVideoError = total / time.Duration(afterN-beforeN)
+		if n > 0 {
+			res.CrossVideoError = sum / time.Duration(n)
 		}
 	}
 	return res, nil
 }
 
+// estimateError prices every tile encode of gop on lut and returns the
+// summed absolute error against the encode's work, and the tiles priced.
+func estimateError(lut *workload.LUT, gop *core.GOPReport, work func(codec.TileStats) time.Duration) (time.Duration, int) {
+	est := make(map[workload.Key]time.Duration)
+	var keys []workload.Key
+	for _, fr := range gop.Frames {
+		for i, ts := range fr.Tiles {
+			tc := gop.Contents[i]
+			k := workload.MakeKey(ts.Tile.Area(), int(tc.Texture), int(tc.Motion), ts.QP, ts.Window)
+			est[k] = 0
+			keys = append(keys, k)
+		}
+	}
+	lut.EstimateInto(est)
+	var sum time.Duration
+	var j int
+	for _, fr := range gop.Frames {
+		for _, ts := range fr.Tiles {
+			sum += (est[keys[j]] - work(ts)).Abs()
+			j++
+		}
+	}
+	return sum, len(keys)
+}
+
 // Render writes the convergence trace.
 func (r *LUTResult) Render(w io.Writer) error {
 	t := trace.NewTable("Workload LUT convergence (paper: < 100 µs once warm)",
-		"GOP", "mean abs error", "re-observations")
+		"GOP", "mean abs error", "tiles priced")
 	for _, p := range r.Points {
-		t.AddRow(fmt.Sprint(p.GOP), p.MeanAbsError.String(), fmt.Sprint(p.Observations))
+		t.AddRow(fmt.Sprint(p.GOP), p.AbsError.String(), fmt.Sprint(p.Tiles))
 	}
 	if err := t.Render(w); err != nil {
 		return err

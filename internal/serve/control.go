@@ -496,12 +496,12 @@ func (f *Fleet) shedLoad(s *shardState, donor core.LoadReport, meanUtil float64)
 		if err != nil {
 			continue // settled since the snapshot of queued ids; skip it
 		}
-		// Warm handoff: the class's calibrated LUT rides along so the
+		// Warm handoff: the class's warm LUT rides along so the
 		// session's first post-rebalance round estimates from the donor's
 		// tables instead of cold ones — once per (target, class) for the
 		// fleet's lifetime, because the store merge is additive and a hot
 		// shard sheds repeatedly: re-merging would pile duplicate history
-		// into the target's histograms and calibration EWMA every trigger.
+		// into the target's EWMAs every trigger.
 		f.mu.Lock()
 		h := shedKey{ti, snap.Class}
 		doMerge := !f.shedMerged[h]

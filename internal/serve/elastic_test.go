@@ -299,7 +299,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 		t.Fatalf("frames/GOPs %d/%d, want 40/10", rep.FramesEncoded, rep.GOPReports)
 	}
 	// The drained shard's estimation heat moved with the class.
-	if lut := f.shardAt(late.Shard).srv.Store().ForClass(class); lut.Observations() == 0 {
+	if lut := f.shardAt(late.Shard).srv.Store().ForClass(class); len(lut.Keys()) == 0 {
 		t.Fatal("class LUT did not migrate with its sessions")
 	}
 }

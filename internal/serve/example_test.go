@@ -28,7 +28,7 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 
-	// The LUT store keeps calibrated estimation tables across restarts.
+	// The LUT store keeps the learned estimation tables across restarts.
 	dir, err := os.MkdirTemp("", "luts")
 	if err != nil {
 		log.Fatal(err)
@@ -40,7 +40,6 @@ func ExampleNew() {
 		serve.WithShards(3),                         // 3 platforms
 		serve.WithAllocator(sched.NameContentAware), // Algorithm 2, by name
 		serve.WithAdmission(core.AdmissionConfig{Enabled: true}),
-		serve.WithCalibration(core.CalibrationConfig{Enabled: true}),
 		serve.WithSink(ring),                                // streaming telemetry
 		serve.WithLUTStore(filepath.Join(dir, "luts.json")), // warm restarts
 	)

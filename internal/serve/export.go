@@ -63,7 +63,7 @@ func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 // MergeLUTs folds a remote peer's workload LUT store into this fleet,
 // each class into its home shard's store — the same warm-handoff rule
 // rehome applies between local shards, extended across the process
-// boundary. Call it before importing the sessions the store calibrates,
+// boundary. Call it before importing the sessions the store warms,
 // so their first round estimates warm. Safe from any goroutine; a nil
 // store is a no-op.
 func (f *Fleet) MergeLUTs(st *workload.Store) {
@@ -80,7 +80,7 @@ func (f *Fleet) MergeLUTs(st *workload.Store) {
 // StoreSnapshot merges every live shard's per-class workload LUT store
 // into one detached snapshot — the warm-handoff payload an agent ships
 // with its heartbeats so a master can re-import its sessions elsewhere
-// with calibrated estimation state (workload.Store.Save is its wire
+// with warm estimation state (workload.Store.Save is its wire
 // format). Safe from any goroutine; the snapshot is a deep copy.
 func (f *Fleet) StoreSnapshot() *workload.Store {
 	f.mu.Lock()

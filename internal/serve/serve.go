@@ -38,10 +38,9 @@ type options struct {
 	registry  *sched.Registry
 	allocator string
 
-	admission   core.AdmissionConfig
-	calibration core.CalibrationConfig
-	timeScale   float64
-	tenancy     *tenancy.Registry
+	admission core.AdmissionConfig
+	timeScale float64
+	tenancy   *tenancy.Registry
 
 	autoscale *AutoscaleConfig
 	rebalance *RebalanceConfig
@@ -141,10 +140,12 @@ func WithTenancy(reg *tenancy.Registry) Option {
 	}
 }
 
-// WithCalibration enables/configures calibrated estimation on every shard
-// (see core.CalibrationConfig).
+// WithCalibration once switched the shards' LUT feedback on; every shard
+// now always learns, and the option does nothing.
+//
+// Deprecated: inert; it goes in ROADMAP item 3(g).
 func WithCalibration(cfg core.CalibrationConfig) Option {
-	return func(o *options) { o.calibration = cfg }
+	return func(*options) {}
 }
 
 // WithTimeScale sets the modelled-work-to-platform time factor (see
@@ -316,7 +317,7 @@ func New(opts ...Option) (*Fleet, error) {
 
 	// A persisted LUT store seeds every shard with its own deep copy —
 	// shards must not share mutable estimation state, or cross-shard lock
-	// contention and nondeterministic calibration order would leak in.
+	// contention and a nondeterministic update order would leak in.
 	var seed *workload.Store
 	if o.lutPath != "" {
 		f, err := os.Open(o.lutPath)
@@ -376,14 +377,13 @@ func (f *Fleet) newShardState(index int, platform *mpsoc.Platform) (*shardState,
 	}
 	shard := &shardState{index: index, migrated: make(chan struct{})}
 	srv, err := core.NewServer(core.ServerConfig{
-		Platform:    platform,
-		FPS:         f.opts.fps,
-		Allocator:   core.AllocatorFunc(alloc),
-		TimeScale:   f.opts.timeScale,
-		Calibration: f.opts.calibration,
-		Admission:   f.opts.admission,
-		Tenancy:     f.opts.tenancy,
-		Store:       store,
+		Platform:  platform,
+		FPS:       f.opts.fps,
+		Allocator: core.AllocatorFunc(alloc),
+		TimeScale: f.opts.timeScale,
+		Admission: f.opts.admission,
+		Tenancy:   f.opts.tenancy,
+		Store:     store,
 		OnRound: func(out *core.GOPOutcome) {
 			f.deliverRound(shard, out)
 			// Control loop: the round boundary is the safe point for a hot
@@ -989,7 +989,7 @@ func (f *Fleet) adopt(snap *core.SessionSnapshot, from int, candidates []int, re
 // removes the highest-indexed live shards: each victim leaves the ring
 // (new arrivals route around it), drains at the next GOP boundary, and
 // hands its live sessions — with their admission-ladder state and their
-// classes' calibrated LUTs — to their new home shards; Resize returns
+// classes' warm LUTs — to their new home shards; Resize returns
 // once every victim's sessions have landed. Zero frames are lost and a
 // migrated session's bitstream continues bit-identically.
 //

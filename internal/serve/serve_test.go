@@ -420,12 +420,13 @@ func TestShardGiveUpLeavesRing(t *testing.T) {
 		t.Fatalf("class %q homes on shard %d after shard 1 gave up, want a live shard", classes[1], home)
 	}
 	lut := f.shardAt(home).srv.Store().ForClass(classes[1])
-	before := lut.Observations()
+	// No encode learns workload.Key{} (its search window is 1).
+	before := len(lut.Keys())
 	remote := workload.NewStore()
 	remote.ForClass(classes[1]).Observe(workload.Key{}, time.Millisecond)
 	f.MergeLUTs(remote)
-	if got := lut.Observations(); got != before+1 {
-		t.Fatalf("MergeLUTs left live home shard %d at %d observations of %q, want %d", home, got, classes[1], before+1)
+	if got := len(lut.Keys()); got != before+1 {
+		t.Fatalf("MergeLUTs left live home shard %d at %d keys of %q, want %d", home, got, classes[1], before+1)
 	}
 }
 
@@ -788,9 +789,8 @@ func churnDirect(t *testing.T) (*core.ServiceReport, []*core.GOPOutcome) {
 	}
 	var err error
 	srv, err = core.NewServer(core.ServerConfig{
-		Platform:    mpsoc.XeonE5_2667V4(),
-		FPS:         24,
-		Calibration: core.CalibrationConfig{Enabled: true},
+		Platform: mpsoc.XeonE5_2667V4(),
+		FPS:      24,
 		OnRound: func(out *core.GOPOutcome) {
 			outs = append(outs, out)
 			switch out.Round {
@@ -844,7 +844,6 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 	var err error
 	f, err = New(
 		WithShards(1),
-		WithCalibration(core.CalibrationConfig{Enabled: true}),
 		WithSink(sink),
 		WithRoundHook(func(_ int, out *core.GOPOutcome) {
 			switch out.Round {
@@ -930,7 +929,7 @@ func TestRingSinkBounded(t *testing.T) {
 // every shard warm (the restart-warm ROADMAP item).
 func TestFleetLUTPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "luts.json")
-	f, err := New(WithShards(2), WithLUTStore(path), WithCalibration(core.CalibrationConfig{Enabled: true}))
+	f, err := New(WithShards(2), WithLUTStore(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -953,7 +952,7 @@ func TestFleetLUTPersistence(t *testing.T) {
 	}
 
 	// A restarted fleet starts warm: every shard's store already holds
-	// both classes' observations and calibration state.
+	// both classes' estimates.
 	f2, err := New(WithShards(2), WithLUTStore(path))
 	if err != nil {
 		t.Fatal(err)
@@ -961,19 +960,16 @@ func TestFleetLUTPersistence(t *testing.T) {
 	for _, s := range f2.shards {
 		for _, class := range classes {
 			lut := s.srv.Store().ForClass(class)
-			if lut.Observations() == 0 {
+			if len(lut.Keys()) == 0 {
 				t.Fatalf("shard %d class %q is cold after restart", s.index, class)
-			}
-			if lut.Calibrations() == 0 {
-				t.Fatalf("shard %d class %q lost its calibration state", s.index, class)
 			}
 		}
 	}
 
 	// Shards must not share the loaded store.
-	f2.shards[0].srv.Store().ForClass(classes[0]).Observe(workload.MakeKey(4096, 0, 0, 32, 16), time.Millisecond)
-	a := f2.shards[0].srv.Store().ForClass(classes[0]).Observations()
-	b := f2.shards[1].srv.Store().ForClass(classes[0]).Observations()
+	f2.shards[0].srv.Store().ForClass(classes[0]).Observe(workload.Key{}, time.Millisecond)
+	a := len(f2.shards[0].srv.Store().ForClass(classes[0]).Keys())
+	b := len(f2.shards[1].srv.Store().ForClass(classes[0]).Keys())
 	if a == b {
 		t.Fatal("shards share one LUT store — estimation state must be per-shard")
 	}

@@ -37,7 +37,7 @@ import (
 // Locally:
 //
 //	rm -rf /tmp/reach && mkdir -p /tmp/reach
-//	KEEP_GOING=1 GOCOVERDIR=/tmp/reach BUILDFLAGS='-cover -coverpkg=repro/...' BENCH_SECONDS=2 \
+//	GOCOVERDIR=/tmp/reach BUILDFLAGS='-cover -coverpkg=repro/...' BENCH_SECONDS=2 \
 //	    OUT=/tmp/reach-out scripts/drivers.sh all
 //	REPRO_COVERDIR=/tmp/reach go test -run TestReach -count=1 ./internal/surface
 const unreachedGolden = "testdata/unreached.golden"

@@ -77,16 +77,14 @@ var knobStructs = []string{
 // package's _test.go instead. Keys are "pkg.Func" or "pkg.Type.Method", and
 // TestUnreachedGolden holds them equal to the golden's test-seam lines.
 var orphanAllow = map[string]string{
-	"video.Frame.WriteYUV":      "writes the raw files the YUVFileSource and ReadYUV tests read back",
-	"tiling.MustUniform":        "fixture constructor for grids known valid, in the codec, analysis and tiling tests",
-	"core.Server.ServeAll":      "bounded round driver of the core, serve and dist tests: Run needs Close, these tests stop mid-stream",
-	"codec.PoisonPools":         "fills recycled buffers with garbage so TestPooledEncodeBitIdentical proves no stale byte reaches a bitstream",
-	"serve.RingSink.Report":     "the event-stream oracle: Fleet.Report is DeepEqual-checked against it, and the metrics ledger reconciles with it",
-	"workload.LUT.Observations": "sample counter the persistence, merge and warm-handoff tests of workload, core and serve assert on; nothing else says how much a table holds",
-	"workload.LUT.Calibrations": "the same for the calibration channel: Save/Load, MergeClass and the fleet's LUT persistence are checked to preserve it",
-	"video.SAD":                 "bit-exactness oracle of the codec, medgen and core tests (a non-zero sum names a differing sample)",
-	"video.Plane.Set":           "At's twin: the analysis, motion and video tests build their fixtures sample by sample, production writes whole rows",
-	"video.Plane.Clone":         "gives the metric and motion-score tests an identical twin to perturb; its one production caller, Frame.Clone, was dead",
+	"video.Frame.WriteYUV":  "writes the raw files the YUVFileSource and ReadYUV tests read back",
+	"tiling.MustUniform":    "fixture constructor for grids known valid, in the codec, analysis and tiling tests",
+	"core.Server.ServeAll":  "bounded round driver of the core, serve and dist tests: Run needs Close, these tests stop mid-stream",
+	"codec.PoisonPools":     "fills recycled buffers with garbage so TestPooledEncodeBitIdentical proves no stale byte reaches a bitstream",
+	"serve.RingSink.Report": "the event-stream oracle: Fleet.Report is DeepEqual-checked against it, and the metrics ledger reconciles with it",
+	"video.SAD":             "bit-exactness oracle of the codec, medgen and core tests (a non-zero sum names a differing sample)",
+	"video.Plane.Set":       "At's twin: the analysis, motion and video tests build their fixtures sample by sample, production writes whole rows",
+	"video.Plane.Clone":     "gives the metric and motion-score tests an identical twin to perturb; its one production caller, Frame.Clone, was dead",
 }
 
 // pkg is one type-checked package of the module (non-test files only).

@@ -12,8 +12,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenStore builds a deterministic two-class store exercising every
-// persisted facet: per-key observation aggregates, with and without
-// calibration EWMA state, in more than one class.
+// persisted facet: per-key EWMAs over one and several observations, in
+// more than one class.
 func goldenStore() *Store {
 	st := NewStore()
 	brain := st.ForClass("brain")
@@ -24,8 +24,7 @@ func goldenStore() *Store {
 		brain.Observe(k, d)
 		brain.Observe(k, d+time.Millisecond)
 	}
-	brain.Calibrate(Key{AreaClass: 0, Texture: 1, Motion: 0, QPBucket: 2, SearchLevel: 1},
-		4*time.Millisecond, 0.3)
+	brain.Observe(Key{AreaClass: 0, Texture: 1, Motion: 0, QPBucket: 2, SearchLevel: 1}, 4*time.Millisecond)
 
 	chest := st.ForClass("chest-4k")
 	chest.Observe(Key{AreaClass: 2, Texture: 3, Motion: 1, QPBucket: 4, SearchLevel: 2}, 12*time.Millisecond)
@@ -92,29 +91,52 @@ func TestStoreGolden(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyDocument: a version-1 document written before the store
-// dropped its histogram bins and class aggregates (store_v1_legacy.json,
-// the same goldenStore) still loads, and re-saves to today's golden byte
-// for byte — the fields it no longer keeps are ignored, not refused.
+// TestStoreLegacyDocument: version-1 documents of older formats still load
+// with the estimates they were written with. store_v1_legacy.json carries
+// histogram bins and class aggregates, store_v1_mean.json per-key
+// lifetime-mean aggregates (count, sum_ns) beside the EWMA of the keys
+// that had one; both hold the same store. A key with only the aggregates
+// starts its EWMA at their mean, with their count; a present EWMA wins.
 func TestStoreLegacyDocument(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("testdata", "store_v1_legacy.json"))
-	if err != nil {
-		t.Fatal(err)
+	type want struct {
+		n   uint64
+		est time.Duration
 	}
-	loaded, err := LoadStore(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
+	k := func(area, tex, mot, qp, level int) Key {
+		return Key{AreaClass: area, Texture: tex, Motion: mot, QPBucket: qp, SearchLevel: level}
 	}
-	var got bytes.Buffer
-	if err := loaded.Save(&got); err != nil {
-		t.Fatal(err)
+	wants := map[string]map[Key]want{
+		"brain": {
+			k(0, 1, 0, 2, 1): {1, 4 * time.Millisecond}, // the EWMA, not the 2.5ms mean
+			k(0, 1, 1, 2, 1): {2, 8500 * time.Microsecond},
+			k(1, 1, 1, 2, 1): {2, 3500 * time.Microsecond},
+			k(2, 1, 0, 2, 1): {2, 5500 * time.Microsecond},
+		},
+		"chest-4k": {
+			k(1, 0, 0, 0, 0): {1, 700 * time.Microsecond},
+			k(2, 3, 1, 4, 2): {1, 12 * time.Millisecond},
+		},
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "store_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("legacy document re-saved to %d bytes, want store_v1.json's %d", got.Len(), len(want))
+	for _, name := range []string{"store_v1_legacy.json", "store_v1_mean.json"} {
+		doc, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadStore(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for class, keys := range wants {
+			l := s.ForClass(class)
+			if got := len(l.Keys()); got != len(keys) {
+				t.Fatalf("%s %s: %d keys, want %d", name, class, got, len(keys))
+			}
+			for key, w := range keys {
+				if h := l.m[key]; h == nil || h.n != w.n || l.Estimate(key) != w.est {
+					t.Errorf("%s %s %v: entry %+v, want n %d and estimate %v", name, class, key, h, w.n, w.est)
+				}
+			}
+		}
 	}
 }
 

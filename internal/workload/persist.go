@@ -7,13 +7,12 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"time"
 )
 
 // Persistence of the per-class LUT store: a restarted service loads the
-// previous run's tables and starts estimating from warm state — including
-// the calibration EWMA, which otherwise only exists for the lifetime of
-// the process (the ROADMAP's "LUTs die with the process" open item).
+// previous run's tables and starts estimating from warm state instead of
+// relearning every key (the ROADMAP's "LUTs die with the process" open
+// item).
 //
 // The format is JSON with classes and keys in sorted order, so saving the
 // same store twice yields identical bytes (diff-able snapshots, stable
@@ -35,16 +34,20 @@ type classJSON struct {
 	Keys  []keyJSON `json:"keys"`
 }
 
+// keyJSON is one key's entry: its EWMA and observation count. Count and
+// SumNS are the lifetime-mean aggregates older documents carry; Save no
+// longer writes them, and LoadStore reads them only to seed a key that has
+// no EWMA.
 type keyJSON struct {
 	Key      Key     `json:"key"`
-	Count    uint64  `json:"count"`
-	SumNS    int64   `json:"sum_ns"`
-	CalCount uint64  `json:"cal_count,omitempty"`
-	CalEWMA  float64 `json:"cal_ewma_ns,omitempty"`
+	Count    uint64  `json:"count,omitempty"`
+	SumNS    int64   `json:"sum_ns,omitempty"`
+	CalCount uint64  `json:"cal_count"`
+	CalEWMA  float64 `json:"cal_ewma_ns"`
 }
 
-// Save writes the store — every class LUT with each key's observation
-// aggregates and calibration EWMA state — as deterministic JSON.
+// Save writes the store — every class LUT with each key's EWMA and
+// observation count — as deterministic JSON.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.Lock()
 	classes := make([]string, 0, len(s.luts))
@@ -75,13 +78,7 @@ func (l *LUT) toJSON(class string) classJSON {
 	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	for _, k := range keys {
 		h := l.m[k]
-		cj.Keys = append(cj.Keys, keyJSON{
-			Key:      k,
-			Count:    h.count,
-			SumNS:    int64(h.sum),
-			CalCount: h.calCount,
-			CalEWMA:  h.calEWMA,
-		})
+		cj.Keys = append(cj.Keys, keyJSON{Key: k, CalCount: h.n, CalEWMA: h.ewma})
 	}
 	return cj
 }
@@ -89,7 +86,7 @@ func (l *LUT) toJSON(class string) classJSON {
 // checkAggregate refuses a persisted (sum, count) pair no sequence of
 // clamped observations could have produced: every term lies in
 // [0, maxObservation], so 0 ≤ sum ≤ count·maxObservation (which also makes
-// an empty aggregate carry a zero sum), and the means divide through
+// an empty aggregate carry a zero sum), and the mean divides through
 // int64(count).
 func checkAggregate(sumNS int64, count uint64) error {
 	if count > math.MaxInt64 {
@@ -102,14 +99,15 @@ func checkAggregate(sumNS int64, count uint64) error {
 	return nil
 }
 
-// LoadStore reads a store previously written by Save. Estimates and
-// calibration state round-trip exactly; the estimation-error statistic
-// does not travel (MeanAbsError of a loaded table starts at zero). The
-// document may come from disk or from the network (the dist import
-// handler), so aggregates Save could not have written are refused here: a
-// negative or overflowing one would surface rounds later as a negative
-// stage-D1 estimate, which stage D2 rejects as a round-level error on
-// every retry. Fields LoadStore does not read are ignored, not refused.
+// LoadStore reads a store previously written by Save; every entry
+// round-trips exactly. A key of an older document that carries only the
+// lifetime-mean aggregates (count, sum_ns) starts its EWMA at that mean,
+// with the mean's count; a present EWMA wins over them. The document may
+// come from disk or from the network (the dist import handler), so values
+// Save could not have written are refused here, the legacy aggregates
+// included: a negative or overflowing one would surface rounds later as a
+// negative stage-D1 estimate, which stage D2 rejects as a round-level error
+// on every retry. Fields LoadStore does not read are ignored, not refused.
 func LoadStore(r io.Reader) (*Store, error) {
 	var doc storeJSON
 	dec := json.NewDecoder(r)
@@ -130,23 +128,22 @@ func LoadStore(r io.Reader) (*Store, error) {
 				return nil, fmt.Errorf("workload: key %v: %w", kj.Key, err)
 			}
 			if kj.CalCount > math.MaxInt64 || !(kj.CalEWMA >= 0 && kj.CalEWMA <= float64(maxObservation)) {
-				return nil, fmt.Errorf("workload: key %v calibration (%d, %v ns) out of range", kj.Key, kj.CalCount, kj.CalEWMA)
+				return nil, fmt.Errorf("workload: key %v EWMA (%d, %v ns) out of range", kj.Key, kj.CalCount, kj.CalEWMA)
 			}
-			l.m[kj.Key] = &entry{
-				count:    kj.Count,
-				sum:      time.Duration(kj.SumNS),
-				calCount: kj.CalCount,
-				calEWMA:  kj.CalEWMA,
+			h := &entry{n: kj.CalCount, ewma: kj.CalEWMA}
+			if h.n == 0 && kj.Count > 0 {
+				h.n, h.ewma = kj.Count, float64(kj.SumNS/int64(kj.Count))
 			}
+			l.m[kj.Key] = h
 		}
 	}
 	return s, nil
 }
 
-// Merge folds other's observations into s: per-key aggregates add, the
-// calibration EWMAs combine weighted by their update counts (an exact
-// EWMA cannot be recovered from two interleaved streams; the count
-// -weighted mean is the unbiased summary of what both shards measured).
+// Merge folds other's estimates into s: per key, the EWMAs combine
+// weighted by their observation counts (an exact EWMA cannot be recovered
+// from two interleaved streams; the count-weighted mean is the unbiased
+// summary of what both shards measured).
 // A fleet saves one file by merging its shards' stores; classes that live
 // on exactly one shard — the common case under class-consistent routing —
 // merge losslessly.
@@ -185,26 +182,23 @@ func (l *LUT) merge(other *LUT) {
 			h = &entry{}
 			l.m[k] = h
 		}
-		h.count += oh.count
-		h.sum += oh.sum
 		switch {
-		case oh.calCount == 0:
-		case h.calCount == 0:
-			h.calCount = oh.calCount
-			h.calEWMA = oh.calEWMA
+		case oh.n == 0:
+		case h.n == 0:
+			*h = *oh
 		default:
-			total := float64(h.calCount + oh.calCount)
-			h.calEWMA = (h.calEWMA*float64(h.calCount) + oh.calEWMA*float64(oh.calCount)) / total
-			h.calCount += oh.calCount
+			total := float64(h.n + oh.n)
+			h.ewma = (h.ewma*float64(h.n) + oh.ewma*float64(oh.n)) / total
+			h.n += oh.n
 		}
 	}
 }
 
 // MergeClass folds only the named class's LUT from other into s — the
 // targeted variant of Merge a resizing fleet uses to hand one class's
-// calibrated estimation state to the shard that takes the class over,
-// without dragging the donor's other classes along. A class other does
-// not know is a no-op.
+// estimation state to the shard that takes the class over, without
+// dragging the donor's other classes along. A class other does not know
+// is a no-op.
 func (s *Store) MergeClass(other *Store, class string) {
 	if other == nil || other == s {
 		return

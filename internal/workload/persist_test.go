@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// warmStore builds a store with observations, calibrations and estimation
-// -error state across two classes.
+// warmStore builds a store with keys observed once and more than once
+// across two classes.
 func warmStore() *Store {
 	s := NewStore()
 	brain := s.ForClass("brain")
@@ -17,7 +17,7 @@ func warmStore() *Store {
 		k := MakeKey(64*64*(i%4+1), i%3, i%2, 22+5*(i%5), 8<<(i%4))
 		brain.Observe(k, time.Duration(100+i*13)*time.Microsecond)
 		if i%2 == 0 {
-			brain.Calibrate(k, time.Duration(90+i*11)*time.Microsecond, 0.5)
+			brain.Observe(k, time.Duration(90+i*11)*time.Microsecond)
 		}
 		if i%3 == 0 {
 			chest.Observe(k, time.Duration(200+i*7)*time.Microsecond)
@@ -26,9 +26,8 @@ func warmStore() *Store {
 	return s
 }
 
-// TestStoreSaveLoadRoundTrip: estimates, counts and calibration state
-// survive a save/load cycle exactly; the in-memory error statistic does
-// not travel.
+// TestStoreSaveLoadRoundTrip: estimates and observation counts survive a
+// save/load cycle exactly.
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	s := warmStore()
 	var buf bytes.Buffer
@@ -44,14 +43,8 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 	for _, class := range s.Classes() {
 		orig, back := s.ForClass(class), loaded.ForClass(class)
-		if orig.Observations() != back.Observations() {
-			t.Fatalf("%s: observations %d vs %d", class, orig.Observations(), back.Observations())
-		}
-		if orig.Calibrations() != back.Calibrations() {
-			t.Fatalf("%s: calibrations %d vs %d", class, orig.Calibrations(), back.Calibrations())
-		}
-		if be, bc := back.MeanAbsError(); be != 0 || bc != 0 {
-			t.Fatalf("%s: loaded error stats (%v,%d), want none", class, be, bc)
+		if orig.observations() != back.observations() {
+			t.Fatalf("%s: observations %d vs %d", class, orig.observations(), back.observations())
 		}
 		keys := orig.Keys()
 		if len(keys) == 0 {
@@ -143,48 +136,43 @@ func TestLoadStoreRefusesHostileAggregates(t *testing.T) {
 				t.Errorf("%s: Estimate(%v) = %v, want %v", name, k, got, want)
 			}
 		}
-		if mae, n := s.ForClass("brain").MeanAbsError(); mae != 0 || n != 0 {
-			t.Errorf("%s: MeanAbsError = (%v, %d), want none", name, mae, n)
-		}
 	}
 }
 
-// TestStoreMergeAndClone: merging sums per-key aggregates, combines EWMAs by
-// count, and Clone shares nothing with its source.
+// TestStoreMergeAndClone: merging combines per-key EWMAs weighted by their
+// observation counts, and Clone shares nothing with its source.
 func TestStoreMergeAndClone(t *testing.T) {
 	a, b := NewStore(), NewStore()
 	k := MakeKey(64*64, 1, 0, 32, 16)
 	a.ForClass("brain").Observe(k, 100*time.Microsecond)
-	a.ForClass("brain").Observe(k, 200*time.Microsecond)
-	b.ForClass("brain").Observe(k, 400*time.Microsecond)
+	a.ForClass("brain").Observe(k, 200*time.Microsecond) // EWMA 150µs, count 2
+	b.ForClass("brain").Observe(k, 600*time.Microsecond) // EWMA 600µs, count 1
 	b.ForClass("bone").Observe(k, 50*time.Microsecond)
-	a.ForClass("brain").Calibrate(k, 100*time.Microsecond, 0.5) // EWMA 100µs, count 1
-	b.ForClass("brain").Calibrate(k, 400*time.Microsecond, 0.5) // EWMA 400µs, count 1
 
 	a.Merge(b)
 	brain := a.ForClass("brain")
-	if got := brain.Observations(); got != 3 {
+	if got := brain.observations(); got != 3 {
 		t.Fatalf("merged observations %d, want 3", got)
 	}
-	// Calibrated key: count-weighted EWMA mean (100+400)/2 = 250µs.
-	if got := brain.Estimate(k); got != 250*time.Microsecond {
-		t.Fatalf("merged calibrated estimate %v, want 250µs", got)
+	// Count-weighted EWMA mean (2·150+600)/3 = 300µs.
+	if got := brain.Estimate(k); got != 300*time.Microsecond {
+		t.Fatalf("merged estimate %v, want 300µs", got)
 	}
-	if got := a.ForClass("bone").Observations(); got != 1 {
+	if got := a.ForClass("bone").observations(); got != 1 {
 		t.Fatalf("merged bone observations %d, want 1", got)
 	}
 
 	clone := a.Clone()
 	clone.ForClass("brain").Observe(k, time.Second)
-	if brain.Observations() != 3 {
+	if brain.observations() != 3 || brain.Estimate(k) != 300*time.Microsecond {
 		t.Fatal("mutating the clone changed the source store")
 	}
-	if clone.ForClass("brain").Observations() != 4 {
+	if clone.ForClass("brain").observations() != 4 {
 		t.Fatal("clone did not take the copy")
 	}
 	// Self-merge is a no-op, not a doubling.
 	a.Merge(a)
-	if brain.Observations() != 3 {
+	if brain.observations() != 3 {
 		t.Fatal("self-merge doubled the store")
 	}
 }
@@ -196,16 +184,16 @@ func TestStoreMergeClass(t *testing.T) {
 	donor, dst := NewStore(), NewStore()
 	k := MakeKey(64*64, 1, 0, 32, 16)
 	donor.ForClass("brain").Observe(k, 100*time.Microsecond)
-	donor.ForClass("brain").Calibrate(k, 150*time.Microsecond, 0.5)
+	donor.ForClass("brain").Observe(k, 200*time.Microsecond)
 	donor.ForClass("bone").Observe(k, 50*time.Microsecond)
 	dst.ForClass("chest").Observe(k, 80*time.Microsecond)
 
 	dst.MergeClass(donor, "brain")
-	if got := dst.ForClass("brain").Observations(); got != 1 {
-		t.Fatalf("brain observations %d after MergeClass, want 1", got)
+	if got := dst.ForClass("brain").observations(); got != 2 {
+		t.Fatalf("brain observations %d after MergeClass, want 2", got)
 	}
-	if got := dst.ForClass("brain").Calibrations(); got != 1 {
-		t.Fatal("MergeClass dropped the calibration EWMA")
+	if got := dst.ForClass("brain").Estimate(k); got != 150*time.Microsecond {
+		t.Fatalf("brain estimate %v after MergeClass, want the donor's 150µs EWMA", got)
 	}
 	// Only the named class moved.
 	for _, c := range dst.Classes() {
@@ -221,11 +209,11 @@ func TestStoreMergeClass(t *testing.T) {
 		}
 	}
 	dst.MergeClass(dst, "brain")
-	if got := dst.ForClass("brain").Observations(); got != 1 {
+	if got := dst.ForClass("brain").observations(); got != 2 {
 		t.Fatal("self MergeClass doubled the class")
 	}
 	// The donor is untouched.
-	if donor.ForClass("brain").Observations() != 1 || donor.ForClass("bone").Observations() != 1 {
+	if donor.ForClass("brain").observations() != 2 || donor.ForClass("bone").observations() != 1 {
 		t.Fatal("MergeClass mutated the donor")
 	}
 }

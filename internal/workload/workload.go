@@ -1,9 +1,9 @@
 // Package workload implements the paper's LUT-based per-tile CPU-time
 // estimation (Sec. III-D1). The look-up table is keyed by a coarse tile
 // descriptor — tile area class, texture class, motion class, QP bucket and
-// search level — and keeps, per key, the mean of the observed encode times
-// and an EWMA of the serving loop's calibration feedback, both updated
-// online throughout the encoding process. Because the re-tiler produces a
+// search level — and keeps, per key, an exponentially-weighted mean of the
+// work observed under it, updated online throughout the encoding process:
+// once per served tile, in a fixed order. Because the re-tiler produces a
 // limited number of attainable tile structures and the encoder a limited
 // number of configurations, the key space is small and the LUT converges
 // quickly; the paper reports over/under-estimation below 100 µs once
@@ -96,10 +96,13 @@ func MakeKey(area int, texture, motion, qp, window int) Key {
 }
 
 // maxObservation caps a single observed duration. No real tile encode
-// takes anywhere near a minute; the cap keeps the running sum (and the
-// calibration EWMA) safely clear of int64 overflow under adversarial
-// feedback (see FuzzCalibrate).
+// takes anywhere near a minute; the cap keeps the EWMA, and the legacy
+// sums LoadStore still checks, safely clear of int64 overflow under
+// adversarial feedback (see FuzzObserve).
 const maxObservation = time.Minute
+
+// alpha is the EWMA weight of the newest observation.
+const alpha = 0.5
 
 // clampObservation forces a measured duration into [0, maxObservation].
 func clampObservation(d time.Duration) time.Duration {
@@ -112,56 +115,34 @@ func clampObservation(d time.Duration) time.Duration {
 	return d
 }
 
-// entry holds one key's estimation state: the exact aggregates of its
-// observed durations for the mean, and an optional calibration EWMA fed by
-// the serving loop (see LUT.Calibrate).
+// entry holds one key's estimation state: an exponentially-weighted mean
+// of the work observed under the key and the number of observations
+// folded into it.
 type entry struct {
-	count uint64
-	sum   time.Duration
-	// calCount/calEWMA hold the calibrated estimate: an exponentially-
-	// weighted mean of the times the server fed back under this key. When
-	// present it takes precedence over the lifetime mean, because it tracks
-	// the key's recent work instead of averaging over all history.
-	calCount uint64
-	calEWMA  float64 // nanoseconds
-}
-
-// mean returns the average observed duration (0 when empty).
-func (h *entry) mean() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(int64(h.sum) / int64(h.count))
-}
-
-// value returns the entry's best estimate: the calibration EWMA when
-// the key has been calibrated, the lifetime mean otherwise.
-func (h *entry) value() time.Duration {
-	if h.calCount > 0 {
-		return time.Duration(h.calEWMA)
-	}
-	return h.mean()
+	n    uint64
+	ewma float64 // nanoseconds
 }
 
 // hasData reports whether the entry can produce an estimate.
-func (h *entry) hasData() bool { return h.count > 0 || h.calCount > 0 }
+func (h *entry) hasData() bool { return h.n > 0 }
 
-// LUT is the per-class look-up table. It is safe for concurrent use: tiles
-// of one frame are encoded in parallel and all report observations.
+// LUT is the per-class look-up table. It is safe for concurrent use.
 type LUT struct {
 	mu sync.RWMutex
 	m  map[Key]*entry
-	// estimation error accounting, read by MeanAbsError; it lives only as
-	// long as the table in memory (Save and Merge leave it behind)
-	errSum   time.Duration
-	errCount uint64
 }
 
 // NewLUT returns an empty table.
 func NewLUT() *LUT { return &LUT{m: make(map[Key]*entry)} }
 
-// Observe records a measured tile encode time under key k. If a prior
-// estimate existed for k, the estimation error statistic is updated first.
+// Observe folds one tile's measured work into key k's estimate:
+//
+//	ewma ← ewma + α·(d − ewma)
+//
+// The first observation of a key seeds the EWMA, so estimates track each
+// key's recent work instead of dragging all of history behind them. The
+// update is order-sensitive: callers that share a table apply it in a
+// fixed order (see core's learn).
 func (l *LUT) Observe(k Key, d time.Duration) {
 	d = clampObservation(d)
 	l.mu.Lock()
@@ -171,77 +152,21 @@ func (l *LUT) Observe(k Key, d time.Duration) {
 		h = &entry{}
 		l.m[k] = h
 	}
-	if h.hasData() {
-		e := h.value() - d
-		if e < 0 {
-			e = -e
-		}
-		l.errSum += e
-		l.errCount++
-	}
-	h.count++
-	h.sum += d
-}
-
-// Calibrate feeds one *server-measured* tile encode time back into the
-// table as an exponentially-weighted correction for key k:
-//
-//	ewma ← ewma + α·(measured − ewma)
-//
-// The first calibration of a key seeds the EWMA with the measurement.
-// Calibrated keys estimate from the EWMA instead of the lifetime mean, so
-// stage-D1 estimates converge toward the key's recent timings instead of
-// dragging all of history (or a seeded prior) behind them. Alpha is
-// clamped to (0, 1]; non-positive values default to 0.5. Unlike Observe,
-// Calibrate touches neither the key's mean nor the error statistic — the
-// serving loop calls both, on different channels. The update is
-// order-sensitive, so the server applies it from a single goroutine in
-// deterministic session order after each round.
-func (l *LUT) Calibrate(k Key, measured time.Duration, alpha float64) {
-	measured = clampObservation(measured)
-	if !(alpha > 0) || alpha > 1 { // NaN-safe: !(NaN > 0) is true
-		alpha = 0.5
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := l.m[k]
-	if h == nil {
-		h = &entry{}
-		l.m[k] = h
-	}
-	if h.calCount == 0 {
-		h.calEWMA = float64(measured)
+	if h.n == 0 {
+		h.ewma = float64(d)
 	} else {
-		h.calEWMA += alpha * (float64(measured) - h.calEWMA)
+		h.ewma += alpha * (float64(d) - h.ewma)
 	}
-	if h.calEWMA < 0 {
-		h.calEWMA = 0
-	}
-	if h.calEWMA > float64(maxObservation) {
-		h.calEWMA = float64(maxObservation)
-	}
-	h.calCount++
-}
-
-// Calibrations returns the total number of calibration updates applied.
-func (l *LUT) Calibrations() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var n uint64
-	for _, h := range l.m {
-		n += h.calCount
-	}
-	return n
+	h.n++
 }
 
 // EstimateInto sets every key of m to its predicted encode time under a
 // single read lock — stage D1's batched lookup, where the sessions of one
 // workload class collectively look up far fewer distinct keys than they
-// have tiles. A key's estimate is its calibration EWMA when the serving
-// loop has calibrated it (see Calibrate), its lifetime mean otherwise.
-// Unknown keys fall back to the nearest known key (same texture/motion,
-// closest area and QP), then, in a table with no data at all, to a
-// conservative fixed prior.
+// have tiles. A key's estimate is its EWMA (see Observe). Unknown keys
+// fall back to the nearest known key (same texture/motion, closest area
+// and QP), then, in a table with no data at all, to a conservative fixed
+// prior.
 func (l *LUT) EstimateInto(m map[Key]time.Duration) {
 	if len(m) == 0 {
 		return
@@ -256,7 +181,7 @@ func (l *LUT) EstimateInto(m map[Key]time.Duration) {
 // estimateLocked resolves one key; the caller holds at least mu.RLock.
 func (l *LUT) estimateLocked(k Key) time.Duration {
 	if h, ok := l.m[k]; ok && h.hasData() {
-		return h.value()
+		return time.Duration(h.ewma)
 	}
 	// Nearest-key fallback: scan for the minimum key distance with data.
 	// Ties break toward the smaller key so the estimate does not depend on
@@ -274,7 +199,7 @@ func (l *LUT) estimateLocked(k Key) time.Duration {
 		}
 	}
 	if best != nil {
-		return best.value()
+		return time.Duration(best.ewma)
 	}
 	// Conservative prior: a dense 640×480 tile at fmax. Overestimation is
 	// safe (the allocator reserves too much and releases slack via DVFS).
@@ -298,18 +223,6 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// MeanAbsError returns the running mean absolute estimation error and the
-// number of re-observations it is based on. The paper reports < 100 µs
-// once the table is warm.
-func (l *LUT) MeanAbsError() (time.Duration, uint64) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.errCount == 0 {
-		return 0, 0
-	}
-	return time.Duration(int64(l.errSum) / int64(l.errCount)), l.errCount
 }
 
 // Keys returns the known keys in deterministic order (for traces/tests).
@@ -338,17 +251,6 @@ func less(a, b Key) bool {
 		return a.QPBucket < b.QPBucket
 	}
 	return a.SearchLevel < b.SearchLevel
-}
-
-// Observations returns the total number of recorded samples.
-func (l *LUT) Observations() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var n uint64
-	for _, h := range l.m {
-		n += h.count
-	}
-	return n
 }
 
 // Store keeps one LUT per body-part class so concurrent transcoding

@@ -15,6 +15,17 @@ func (l *LUT) Estimate(k Key) time.Duration {
 	return l.estimateLocked(k)
 }
 
+// observations sums the table's per-key observation counts.
+func (l *LUT) observations() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var n uint64
+	for _, h := range l.m {
+		n += h.n
+	}
+	return n
+}
+
 func TestAreaClassMonotone(t *testing.T) {
 	prev := -1
 	for _, area := range []int{1, 4096, 8000, 20000, 40000, 100000, 400000} {
@@ -59,8 +70,8 @@ func TestObserveAndEstimateExactKey(t *testing.T) {
 	if got := l.Estimate(k); got != 2*time.Millisecond {
 		t.Fatalf("estimate = %v, want 2ms", got)
 	}
-	if l.Observations() != 10 {
-		t.Fatalf("observations = %d", l.Observations())
+	if n := l.observations(); n != 10 {
+		t.Fatalf("observations = %d", n)
 	}
 }
 
@@ -97,20 +108,21 @@ func TestEstimateEmptyLUTUsesConservativePrior(t *testing.T) {
 
 func TestMeanAbsErrorConverges(t *testing.T) {
 	// The paper's claim: < 100 µs error once warm. Feed a stationary
-	// workload with small jitter and check the error statistic lands in
-	// the tens of microseconds.
+	// workload with small jitter and check that the mean absolute error of
+	// each estimate against the next observation lands in the tens of
+	// microseconds.
 	l := NewLUT()
 	k := MakeKey(96*96, 1, 1, 32, 16)
 	base := 1500 * time.Microsecond
+	var sum time.Duration
 	for i := 0; i < 200; i++ {
-		jitter := time.Duration((i%7)-3) * 10 * time.Microsecond
-		l.Observe(k, base+jitter)
+		d := base + time.Duration((i%7)-3)*10*time.Microsecond
+		if i > 0 {
+			sum += (l.Estimate(k) - d).Abs()
+		}
+		l.Observe(k, d)
 	}
-	err, n := l.MeanAbsError()
-	if n == 0 {
-		t.Fatal("no error observations")
-	}
-	if err > 100*time.Microsecond {
+	if err := sum / 199; err > 100*time.Microsecond {
 		t.Fatalf("mean abs error %v, want < 100µs (paper claim)", err)
 	}
 }
@@ -122,7 +134,7 @@ func TestObserveGrowsOnlyItsKey(t *testing.T) {
 	k := MakeKey(64*64, 0, 0, 32, 8)
 	l.Observe(k, 3*time.Microsecond)
 	l.Observe(k, 1*time.Millisecond)
-	if h, ok := l.m[k]; !ok || h.count != 2 {
+	if h, ok := l.m[k]; !ok || h.n != 2 {
 		t.Fatalf("observed key's entry = %+v, want 2 observations", h)
 	}
 	if _, ok := l.m[MakeKey(1, 0, 0, 22, 8)]; ok {
@@ -172,8 +184,8 @@ func TestConcurrentObserveEstimate(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if l.Observations() != 800 {
-		t.Fatalf("observations = %d, want 800", l.Observations())
+	if n := l.observations(); n != 800 {
+		t.Fatalf("observations = %d, want 800", n)
 	}
 }
 
@@ -199,10 +211,10 @@ func TestStoreSharesLUTPerClass(t *testing.T) {
 	}
 	k := MakeKey(64*64, 1, 1, 32, 16)
 	a.Observe(k, time.Millisecond)
-	if b.Observations() != 1 {
+	if b.observations() != 1 {
 		t.Fatal("observation not visible through shared reference")
 	}
-	if c.Observations() != 0 {
+	if c.observations() != 0 {
 		t.Fatal("observation leaked across classes")
 	}
 	classes := s.Classes()
