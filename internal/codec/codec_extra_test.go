@@ -237,7 +237,11 @@ func TestEncodeBlockAllocatesNothing(t *testing.T) {
 	for i := ref.Stride * cfg.Height / 2; i < len(ref.Pix); i++ {
 		ref.Pix[i] = 128
 	}
-	tc, err := newTileCoder(cfg, p, tile, seq.Frames[1].Y, recon.Y, ref, FrameP)
+	// The TZ searches reject candidates against the reference's sum table,
+	// as every P-frame's do.
+	sums := getSumTable(ref)
+	defer putSumTable(sums)
+	tc, err := newTileCoder(cfg, p, tile, seq.Frames[1].Y, recon.Y, ref, sums, FrameP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,6 +136,14 @@ func (e *Encoder) encode(ctx context.Context, f *video.Frame, grid *tiling.Grid,
 		}
 	}
 
+	// A P-frame's tiles share one sum table of the reference, which TZ
+	// search builds on its first lookup; it goes back to the pool when
+	// the frame ends, whatever the outcome.
+	var refSums *motion.SumTable
+	if ftype == FrameP {
+		refSums = getSumTable(e.ref.Y)
+		defer putSumTable(refSums)
+	}
 	recon := e.takeRecon()
 	recon.Number = e.frames
 	// fail recycles the reconstruction buffer before propagating an error:
@@ -149,7 +157,7 @@ func (e *Encoder) encode(ctx context.Context, f *video.Frame, grid *tiling.Grid,
 	bs := &Bitstream{Type: ftype, Tiles: make([][]byte, len(grid.Tiles))}
 
 	encodeOne := func(i int) error {
-		ts, payload, err := e.encodeTile(f, recon, grid.Tiles[i], params[i], ftype)
+		ts, payload, err := e.encodeTile(f, recon, refSums, grid.Tiles[i], params[i], ftype)
 		if err != nil {
 			return err
 		}
@@ -251,15 +259,16 @@ func psnrFromSSE(sse int64, n int) float64 {
 }
 
 // encodeTile encodes one tile, writing its reconstruction into recon and
-// returning its stats and bitstream payload.
-func (e *Encoder) encodeTile(src, recon *video.Frame, tile tiling.Tile, p TileParams, ftype FrameType) (TileStats, []byte, error) {
+// returning its stats and bitstream payload. refSums is the reference's
+// sum table on P-frames, nil on I-frames.
+func (e *Encoder) encodeTile(src, recon *video.Frame, refSums *motion.SumTable, tile tiling.Tile, p TileParams, ftype FrameType) (TileStats, []byte, error) {
 	start := time.Now()
 	w := getBitWriter()
 	defer putBitWriter(w)
 	// Tile header: QP, so the payload is self-contained for the decoder.
 	w.WriteUE(uint32(p.QP))
 
-	tc, err := newTileCoder(e.cfg, p, tile, src.Y, recon.Y, refPlane(e.ref), ftype)
+	tc, err := newTileCoder(e.cfg, p, tile, src.Y, recon.Y, refPlane(e.ref), refSums, ftype)
 	if err != nil {
 		return TileStats{}, nil, err
 	}
@@ -293,9 +302,12 @@ type tileCoder struct {
 	src   *video.Plane // full-frame source luma
 	recon *video.Plane // full-frame reconstruction luma (tile region written)
 	ref   *video.Plane // full-frame reference luma (nil for I-frames)
-	ftype FrameType
-	quant *transform.Quantizer
-	stats TileStats
+	// refSums is the reference's sum table, shared by the frame's tiles
+	// (nil for I-frames).
+	refSums *motion.SumTable
+	ftype   FrameType
+	quant   *transform.Quantizer
+	stats   TileStats
 	// lastMV is the motion-vector predictor (previous coded inter block in
 	// the tile, raster order), mirrored exactly by the decoder.
 	lastMV motion.MV
@@ -312,14 +324,14 @@ type tileCoder struct {
 
 // newTileCoder returns a pooled coder initialized for one tile. Release
 // with putTileCoder when the tile is done.
-func newTileCoder(cfg Config, p TileParams, tile tiling.Tile, src, recon, ref *video.Plane, ftype FrameType) (*tileCoder, error) {
+func newTileCoder(cfg Config, p TileParams, tile tiling.Tile, src, recon, ref *video.Plane, refSums *motion.SumTable, ftype FrameType) (*tileCoder, error) {
 	q, err := quantizerFor(cfg.TransformSize, p.QP, ftype == FrameI)
 	if err != nil {
 		return nil, err
 	}
 	t := tileCoderPool.Get().(*tileCoder)
 	pred, tmp, coeffs, res := t.pred, t.tmp, t.coeffs, t.res
-	*t = tileCoder{cfg: cfg, p: p, tile: tile, src: src, recon: recon, ref: ref, ftype: ftype, quant: q,
+	*t = tileCoder{cfg: cfg, p: p, tile: tile, src: src, recon: recon, ref: ref, refSums: refSums, ftype: ftype, quant: q,
 		pred: pred, tmp: tmp, coeffs: coeffs, res: res}
 	t.sizeScratch()
 	return t, nil
@@ -354,7 +366,7 @@ func (t *tileCoder) encodeBlock(w *entropy.BitWriter, bx, by, bw, bh int) error 
 	var mv motion.MV
 	var intraMode int
 	if t.ftype == FrameP {
-		blk := motion.Block{Cur: t.src, Ref: t.ref, X: bx, Y: by, W: bw, H: bh}
+		blk := motion.Block{Cur: t.src, Ref: t.ref, X: bx, Y: by, W: bw, H: bh, RefSums: t.refSums}
 		// Seed the search with the spatial predictor — the previous coded
 		// block's vector, which is also the anchor of the MV-difference
 		// entropy coding — falling back to the policy's GOP direction at

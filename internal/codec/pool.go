@@ -4,18 +4,19 @@ import (
 	"sync"
 
 	"repro/internal/entropy"
+	"repro/internal/motion"
 	"repro/internal/transform"
 	"repro/internal/video"
 )
 
 // This file holds the encode hot path's memory-reuse machinery. The
 // steady-state GOP loop allocates nothing per block and (after warm-up)
-// nothing per tile: bit writers and tile coders come from process-wide
-// sync.Pools, quantizers come from a precomputed immutable table, and the
-// reconstruction frame is recycled inside each Encoder. Correctness rests
-// on a single invariant, enforced at every reuse site and exercised by
-// the pool-poisoning tests: a recycled buffer is either fully reset here
-// or provably overwritten before any read.
+// nothing per tile: bit writers, tile coders and reference sum tables come
+// from process-wide sync.Pools, quantizers come from a precomputed
+// immutable table, and the reconstruction frame is recycled inside each
+// Encoder. Correctness rests on a single invariant, enforced at every
+// reuse site and exercised by the pool-poisoning tests: a recycled buffer
+// is either fully reset here or provably overwritten before any read.
 
 // bwPool recycles BitWriters (their byte buffers keep capacity across
 // uses). Safe to share between tiles, frames and sessions: Bytes()
@@ -41,10 +42,31 @@ var tileCoderPool = sync.Pool{New: func() any { return new(tileCoder) }}
 // putTileCoder releases t for reuse, dropping every reference it holds
 // into frame data so pooled coders never pin planes or searchers.
 func putTileCoder(t *tileCoder) {
-	t.src, t.recon, t.ref = nil, nil, nil
+	t.src, t.recon, t.ref, t.refSums = nil, nil, nil, nil
 	t.quant = nil
 	t.p = TileParams{}
 	tileCoderPool.Put(t)
+}
+
+// sumPool recycles the reference sum tables of TZ search's candidate
+// rejection, one per P-frame in flight, with their prefix-sum arrays. A
+// table is process-wide, not per encoder, so an arriving session reuses a
+// departed one's memory. Reset discards a recycled table's sums, and its
+// first lookup rebuilds every one of them.
+var sumPool = sync.Pool{New: func() any { return new(motion.SumTable) }}
+
+// getSumTable returns a pooled table reset to the reference plane ref.
+func getSumTable(ref *video.Plane) *motion.SumTable {
+	t := sumPool.Get().(*motion.SumTable)
+	t.Reset(ref)
+	return t
+}
+
+// putSumTable releases t for reuse once no tile of its frame runs. It
+// drops t's plane, so a pooled table never pins a frame.
+func putSumTable(t *motion.SumTable) {
+	t.Reset(nil)
+	sumPool.Put(t)
 }
 
 // sizeScratch (re)sizes the per-block scratch for the coder's current
@@ -116,8 +138,10 @@ func quantizerFor(n, qp int, intra bool) (*transform.Quantizer, error) {
 // PoisonPools stuffs the process-wide encode pools with deliberately
 // dirty objects: bit writers mid-byte with garbage buffers, tile coders
 // with stale stats, prediction state and scratch full of non-zero
-// patterns. It exists for tests proving the pooled encode path is
-// bit-identical to a pristine one — production code must never call it.
+// patterns, and sum tables built over a plane of another size and content
+// that they still point at. It exists for tests proving the pooled encode
+// path is bit-identical to a pristine one — production code must never
+// call it.
 // Frame recycling needs no poison hook: any sequence of three or more
 // frames reuses a reconstruction buffer still holding real pixel data,
 // which is as dirty as a buffer gets.
@@ -146,6 +170,16 @@ func PoisonPools() {
 			t.res[j] = 654321
 		}
 		tileCoderPool.Put(t)
+
+		stale := video.NewPlane(40+60*i, 30+40*i)
+		for j := range stale.Pix {
+			stale.Pix[j] = uint8(j*131 + i)
+		}
+		st := new(motion.SumTable)
+		st.Reset(stale)
+		// A TZ search is the way to make the table build its sums.
+		motion.TZSearch{}.Search(motion.Block{Cur: stale, Ref: stale, W: 8, H: 8, RefSums: st}, 4, motion.MV{})
+		sumPool.Put(st)
 	}
 }
 

@@ -11,20 +11,23 @@ import (
 // into a bitstream. A pristine sequential run is the reference; the
 // second run serves the same four sessions concurrently with every pool
 // deliberately pre-poisoned — BitWriters parked mid-byte full of
-// garbage, tileCoder scratch and stats set to sentinel values — and
-// re-poisoned after every round, so each Get hands the encoder a dirty
-// object. Any read of recycled state that is not first overwritten shows
-// up as a digest or per-frame mismatch. Run under -race this also proves
-// the pools are safe across the concurrent serving goroutines.
+// garbage, tileCoder scratch and stats set to sentinel values, sum tables
+// built over another plane — and re-poisoned after every round, so each
+// Get hands the encoder a dirty object. Two sessions are baseline, whose
+// TZ searches read the sum tables. Any read of recycled state that is not
+// first overwritten shows up as a digest or per-frame mismatch. Run under
+// -race this also proves the pools are safe across the concurrent serving
+// goroutines.
 func TestPooledEncodeBitIdentical(t *testing.T) {
-	ref := fourUserServer(t, true)
+	modes := []Mode{ModeProposed, ModeBaseline, ModeProposed, ModeBaseline}
+	ref := fourUserServer(t, true, modes...)
 	refOuts, err := ref.ServeAll(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	codec.PoisonPools()
-	dirty := fourUserServer(t, false)
+	dirty := fourUserServer(t, false, modes...)
 	dirty.cfg.OnRound = func(*GOPOutcome) { codec.PoisonPools() }
 	dirtyOuts, err := dirty.ServeAll(10)
 	if err != nil {

@@ -19,7 +19,8 @@ import (
 // fourUserServer builds a server with four sessions of distinct body-part
 // classes over an over-provisioned platform, so every round admits all
 // users in both serving modes and outputs are comparable frame by frame.
-func fourUserServer(t *testing.T, sequential bool) *Server {
+// Session i runs modes[i]; without modes, every session is proposed.
+func fourUserServer(t *testing.T, sequential bool, modes ...Mode) *Server {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Platform:   mpsoc.XeonE5_2667V4(),
@@ -38,8 +39,12 @@ func fourUserServer(t *testing.T, sequential bool) *Server {
 		{medgen.Bone, medgen.Sweep},
 		{medgen.SpinalCord, medgen.Still},
 	}
-	for _, sp := range specs {
-		cfg := testSessionConfig(ModeProposed)
+	for i, sp := range specs {
+		mode := ModeProposed
+		if len(modes) > 0 {
+			mode = modes[i]
+		}
+		cfg := testSessionConfig(mode)
 		cfg.Workers = 2
 		if _, err := srv.Submit(testSource(t, sp.class, sp.motion, 8), cfg); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,10 @@ package motion
 // the memoizing searchState, so revisiting a position during pattern
 // iteration costs nothing, and all support a predicted start vector. Each
 // Search takes a pooled state and runs the algorithm's run method on it;
-// candidate patterns are fixed arrays, so a search allocates nothing.
+// candidate patterns are fixed arrays, so a search allocates nothing. Only
+// TZ search turns on block-sum rejection (Block.RefSums): the other
+// patterns run about eight evaluations a block, too few to repay the
+// current block's sum and the reference table.
 
 // TZSearch is a faithful simplification of the HM reference encoder's Test
 // Zone search: predictor seeding, an expanding 8-point diamond zonal
@@ -28,6 +31,7 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 
 func (TZSearch) run(s *searchState, pred MV) {
 	window := s.window
+	s.sums = s.b.RefSums
 	s.seed(pred)
 
 	// Zonal expanding diamond around the incumbent.
@@ -37,7 +41,9 @@ func (TZSearch) run(s *searchState, pred MV) {
 		improved := false
 		pts, n := diamondPoints(dist)
 		for _, d := range pts[:n] {
-			if c := s.try(center.Add(d)); c == s.cost && s.best == center.Add(d) {
+			v := center.Add(d)
+			s.visit(v)
+			if s.best == v {
 				improved = true
 			}
 		}
@@ -50,7 +56,7 @@ func (TZSearch) run(s *searchState, pred MV) {
 	if bestDist > tzRasterThreshold {
 		for dy := -window; dy <= window; dy += tzRasterStride {
 			for dx := -window; dx <= window; dx += tzRasterStride {
-				s.try(MV{dx, dy})
+				s.visit(MV{dx, dy})
 			}
 		}
 	}
@@ -63,7 +69,7 @@ func (TZSearch) run(s *searchState, pred MV) {
 		for dist := 1; dist <= tzRasterThreshold; dist *= 2 {
 			pts, n := diamondPoints(dist)
 			for _, d := range pts[:n] {
-				s.try(center.Add(d))
+				s.visit(center.Add(d))
 			}
 		}
 		if s.best != center {
@@ -123,7 +129,7 @@ func (Cross) run(s *searchState, pred MV) {
 	for step > 1 {
 		center := s.best
 		for _, d := range [4]MV{{-step, -step}, {step, -step}, {-step, step}, {step, step}} {
-			s.try(center.Add(d))
+			s.visit(center.Add(d))
 		}
 		if s.best == center {
 			step /= 2
@@ -132,7 +138,7 @@ func (Cross) run(s *searchState, pred MV) {
 	// Endgame at step 1: both × and + neighbourhoods.
 	center := s.best
 	for _, d := range square1 {
-		s.try(center.Add(d))
+		s.visit(center.Add(d))
 	}
 }
 
@@ -182,7 +188,7 @@ func (o OneAtATime) run(s *searchState, pred MV) {
 		for {
 			center = s.best
 			next := center.Add(MV{axis.X * dir, axis.Y * dir})
-			s.try(next)
+			s.visit(next)
 			if s.best != next {
 				break
 			}
@@ -237,7 +243,7 @@ func (h Hexagon) run(s *searchState, pred MV) {
 			}
 		}
 		for _, d := range pattern {
-			s.try(center.Add(d))
+			s.visit(center.Add(d))
 		}
 		iter++
 		if s.best == center {
@@ -246,6 +252,6 @@ func (h Hexagon) run(s *searchState, pred MV) {
 	}
 	center := s.best
 	for _, d := range sdsp {
-		s.try(center.Add(d))
+		s.visit(center.Add(d))
 	}
 }

@@ -39,9 +39,12 @@ func abs(v int) int {
 
 // Block identifies the current block to be predicted and the reference
 // plane to search in. Cur and Ref must have identical dimensions.
+// RefSums, when non-nil, is a SumTable reset to Ref; TZSearch then skips
+// the SADs of candidates that cannot win. It never changes a Result.
 type Block struct {
 	Cur, Ref   *video.Plane
 	X, Y, W, H int
+	RefSums    *SumTable
 }
 
 // Result is the outcome of a search.
@@ -73,8 +76,11 @@ const mvLambda = 4
 // penalized cost of one candidate of the (2·wx+1)×(2·wy+1) window, live
 // only while stamp[i] == gen. Each search bumps gen, so a stale cell is
 // never read and nothing is cleared. A cost abandoned by sad's early exit
-// is cached as it came back, partial, exactly as the first try saw it.
-// States are recycled through statePool, memo included.
+// is cached as it came back, partial, exactly as the first visit saw it.
+// A candidate the block-sum bound rejected is cached as rejectedMark plus
+// the budget it was skipped under, so a later try that reads its cost can
+// run that same early-exit SAD. States are recycled through statePool,
+// memo included.
 type searchState struct {
 	b      Block
 	window int
@@ -89,7 +95,16 @@ type searchState struct {
 	gen    uint32
 	stamp  []uint32
 	costs  []int64
+	// sums, when non-nil, turns on block-sum rejection against the
+	// reference; curSum is Σcur, or -1 until the search's first bound check.
+	sums   *SumTable
+	curSum int64
 }
+
+// rejectedMark offsets the budget of a rejected candidate in its memo
+// cell. That budget is at most the candidate's block-sum gap, below 2³²,
+// so a marked cell is negative, and a cost never is.
+const rejectedMark = -1 << 62
 
 // statePool recycles search states with their memos (up to 129² cells at
 // window 64), which is what keeps a search allocation-free.
@@ -109,6 +124,7 @@ func (s *searchState) start(b Block, window int) {
 	s.b, s.window = b, window
 	s.pred, s.best = MV{}, MV{}
 	s.cost, s.rawSAD, s.evals = 1<<62, 1<<62, 0
+	s.sums, s.curSum = nil, -1
 	s.wx = max(0, min(window, b.Ref.W-b.W))
 	s.wy = max(0, min(window, b.Ref.H-b.H))
 	cells := (2*s.wx + 1) * (2*s.wy + 1)
@@ -139,35 +155,86 @@ func (s *searchState) inRange(v MV) bool {
 	return rx >= 0 && ry >= 0 && rx+s.b.W <= s.b.Ref.W && ry+s.b.H <= s.b.Ref.H
 }
 
-// try evaluates candidate v (once) and updates the incumbent. It returns
-// the candidate's penalized cost, or a huge cost when out of range.
-func (s *searchState) try(v MV) int64 {
+// visit evaluates candidate v (once) and updates the incumbent. It returns
+// v's memo cell, or -1 when v is outside the window or the frame.
+//
+// With sums set, v is rejected unevaluated when its block-sum gap reaches
+// the budget: its SAD is then at least the budget too, so sad would return
+// a cost of at least the incumbent's, and could only win the tie rule
+// below with a smaller |v|. The |v| guard rules that out, which keeps
+// every Result bit-identical. A rejected candidate still counts in evals.
+func (s *searchState) visit(v MV) int {
 	if v.X < -s.wx || v.X > s.wx || v.Y < -s.wy || v.Y > s.wy {
-		return 1 << 62 // outside the window or the frame
+		return -1 // outside the window or the frame
 	}
 	i := (v.Y+s.wy)*(2*s.wx+1) + v.X + s.wx
 	if s.stamp[i] == s.gen {
-		return s.costs[i]
+		return i
 	}
 	if !s.inRange(v) {
-		return 1 << 62
+		return -1
 	}
 	pen := s.mvPenalty(v)
-	raw := sad(s.b, v, s.cost-pen)
-	c := raw + pen
-	s.stamp[i], s.costs[i] = s.gen, c
+	budget := s.cost - pen
+	s.stamp[i] = s.gen
 	s.evals++
+	if s.sums != nil && v.AbsSum() >= s.best.AbsSum() && s.sumGap(v) >= budget {
+		s.costs[i] = rejectedMark + budget
+		return i
+	}
+	raw := sad(&s.b, v, budget)
+	c := raw + pen
+	s.costs[i] = c
 	if c < s.cost || (c == s.cost && v.AbsSum() < s.best.AbsSum()) {
 		s.cost, s.best, s.rawSAD = c, v, raw
 	}
+	return i
+}
+
+// try is visit for callers that read the cost: it returns v's penalized
+// cost, or a huge cost when out of range. A rejected candidate is priced
+// by the SAD visit skipped, under the budget it was skipped under, so the
+// value is the one an unrejected visit would have cached.
+//
+// That value, like any cost sad abandons early, is a partial sum. The tie
+// rule in visit lets such a partial sum, equal to the budget, make v the
+// incumbent, so Result.Cost can understate the winner's full SAD, and
+// encodeBlock's skip-intra test in the codec reads Result.Cost. Fixing
+// that moves bits, so it is left as it is.
+func (s *searchState) try(v MV) int64 {
+	i := s.visit(v)
+	if i < 0 {
+		return 1 << 62
+	}
+	c := s.costs[i]
+	if c < 0 {
+		c = sad(&s.b, v, c-rejectedMark) + s.mvPenalty(v)
+		s.costs[i] = c
+	}
 	return c
+}
+
+// sumGap returns |Σcur − Σref| for candidate v, a lower bound on its SAD.
+// The search's first call prepares the reference table and sums the
+// current block.
+func (s *searchState) sumGap(v MV) int64 {
+	b := &s.b
+	if s.curSum < 0 {
+		s.sums.prepare()
+		s.curSum = pixelSum(b.Cur, b.X, b.Y, b.W, b.H)
+	}
+	gap := s.curSum - s.sums.blockSum(b.X+v.X, b.Y+v.Y, b.W, b.H)
+	if gap < 0 {
+		return -gap
+	}
+	return gap
 }
 
 // result reports the search's outcome and returns s to statePool; the
 // caller must not touch s again.
 func (s *searchState) result() Result {
 	r := Result{MV: s.best, Cost: s.rawSAD, Evals: s.evals}
-	s.b = Block{} // a pooled state must not pin frame planes
+	s.b, s.sums = Block{}, nil // a pooled state must not pin frame planes
 	statePool.Put(s)
 	return r
 }
@@ -175,7 +242,7 @@ func (s *searchState) result() Result {
 // sad computes the sum of absolute differences between the current block
 // and the reference block displaced by v, aborting early once the partial
 // sum exceeds bestSoFar (standard ME early termination).
-func sad(b Block, v MV, bestSoFar int64) int64 {
+func sad(b *Block, v MV, bestSoFar int64) int64 {
 	rx, ry := b.X+v.X, b.Y+v.Y
 	var sum int64
 	for y := 0; y < b.H; y++ {
@@ -199,9 +266,9 @@ func sad(b Block, v MV, bestSoFar int64) int64 {
 // penalty) and the zero vector.
 func (s *searchState) seed(pred MV) {
 	s.pred = clampMV(pred, s.window)
-	s.try(MV{})
+	s.visit(MV{})
 	if s.pred != (MV{}) {
-		s.try(s.pred)
+		s.visit(s.pred)
 	}
 }
 

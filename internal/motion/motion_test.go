@@ -62,7 +62,7 @@ func (FullSearch) run(s *searchState, pred MV) {
 	s.seed(pred)
 	for dy := -s.window; dy <= s.window; dy++ {
 		for dx := -s.window; dx <= s.window; dx++ {
-			s.try(MV{dx, dy})
+			s.visit(MV{dx, dy})
 		}
 	}
 }
@@ -92,7 +92,7 @@ func SADAt(b Block, v MV) (int64, error) {
 	if rx < 0 || ry < 0 || rx+b.W > b.Ref.W || ry+b.H > b.Ref.H {
 		return 0, fmt.Errorf("motion: candidate %v out of frame", v)
 	}
-	return sad(b, v, 1<<62), nil
+	return sad(&b, v, 1<<62), nil
 }
 
 // label names a searcher by its type and configuration in failure messages.
@@ -471,21 +471,29 @@ func runOn(alg algorithm, memo *searchState, b Block, window int, pred MV) Resul
 	return Result{MV: memo.best, Cost: memo.rawSAD, Evals: memo.evals}
 }
 
+// withSums returns b carrying a sum table of its reference.
+func withSums(b Block) Block {
+	b.RefSums = new(SumTable)
+	b.RefSums.Reset(b.Ref)
+	return b
+}
+
 // TestMemoReuseBitIdentical drives every searcher on one recycled memo —
 // growing, shrinking, and across a forced generation wrap — and holds each
 // result to the one a fresh memo gives. The memo's first search stamps a
 // whole 64-window grid at generation 1, so a wrap that failed to clear
-// would read those cells back as cached.
+// would read those cells back as cached. Blocks carry RefSums, so TZ's
+// rejection marks ride through the recycled memo too.
 func TestMemoReuseBitIdentical(t *testing.T) {
 	curA, refA := shiftedPlanes(176, 176, 3, -2)
 	curB, refB := shiftedPlanes(176, 176, -5, 4)
 	curS, refS := shiftedPlanes(40, 36, 1, 1) // memo clamped by the frame
 	blocks := []Block{
-		interiorBlock(curA, refA),
-		interiorBlock(curB, refB),
-		{Cur: curA, Ref: refA, X: 0, Y: 0, W: 16, H: 16},
-		{Cur: curS, Ref: refS, X: 12, Y: 10, W: 16, H: 16},
-		{Cur: curS, Ref: refS, X: 24, Y: 20, W: 16, H: 16}, // the clamp is tight
+		withSums(interiorBlock(curA, refA)),
+		withSums(interiorBlock(curB, refB)),
+		withSums(Block{Cur: curA, Ref: refA, X: 0, Y: 0, W: 16, H: 16}),
+		withSums(Block{Cur: curS, Ref: refS, X: 12, Y: 10, W: 16, H: 16}),
+		withSums(Block{Cur: curS, Ref: refS, X: 24, Y: 20, W: 16, H: 16}), // the clamp is tight
 	}
 	memo := new(searchState)
 	runOn(FullSearch{}, memo, blocks[1], 64, MV{})
@@ -537,7 +545,7 @@ func TestSearchAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	cur, ref := shiftedPlanes(176, 176, 3, -2)
-	b := interiorBlock(cur, ref)
+	b := withSums(interiorBlock(cur, ref))
 	for _, c := range []struct {
 		s      Searcher
 		window int
@@ -556,18 +564,23 @@ func TestSearchAllocatesNothing(t *testing.T) {
 
 // TestConcurrentPooledSearches runs every searcher from several goroutines
 // at once, so pooled states pass between them, and holds each result to a
-// fresh memo's. Run it under -race.
+// fresh memo's without rejection. The blocks share one sum table that no
+// search has built yet, so the goroutines race to build it, as a frame's
+// tiles do. Run it under -race.
 func TestConcurrentPooledSearches(t *testing.T) {
 	cur, ref := shiftedPlanes(176, 176, 3, -2)
+	sums := new(SumTable)
+	sums.Reset(ref)
 	var blocks []Block
 	for y := 0; y+16 <= 176; y += 40 {
 		for x := 0; x+16 <= 176; x += 40 {
-			blocks = append(blocks, Block{Cur: cur, Ref: ref, X: x, Y: y, W: 16, H: 16})
+			blocks = append(blocks, Block{Cur: cur, Ref: ref, X: x, Y: y, W: 16, H: 16, RefSums: sums})
 		}
 	}
 	want := make([][]Result, len(allSearchers))
 	for i, s := range allSearchers {
 		for _, b := range blocks {
+			b.RefSums = nil
 			want[i] = append(want[i], runOn(s.(algorithm), new(searchState), b, 16, MV{1, 0}))
 		}
 	}
