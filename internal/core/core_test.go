@@ -462,10 +462,11 @@ func TestServerSharesLUTAcrossSameClassSessions(t *testing.T) {
 }
 
 func TestServerBaselineAllocator(t *testing.T) {
+	baseline, _ := sched.Lookup(sched.NameBaseline)
 	srv, err := NewServer(ServerConfig{
 		Platform:  mpsoc.XeonE5_2667V4(),
 		FPS:       24,
-		Allocator: sched.AllocateBaseline,
+		Allocator: AllocatorFunc(baseline),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -523,10 +524,10 @@ func TestRetileRegionsMatchContent(t *testing.T) {
 	var corner, center tiling.Tile
 	foundCorner, foundCenter := false, false
 	for _, tile := range s.grid.Tiles {
-		switch tile.Region {
-		case tiling.RegionCorner:
+		switch tile.Region.String() {
+		case "corner":
 			corner, foundCorner = tile, true
-		case tiling.RegionCenter:
+		case "center":
 			center, foundCenter = tile, true
 		}
 	}

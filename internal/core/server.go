@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// AllocatorFunc is the pluggable stage-D2 policy; sched provides
-// AllocateContentAware (Algorithm 2) and AllocateBaseline ([19]).
+// AllocatorFunc is the pluggable stage-D2 policy; sched.Default holds
+// Algorithm 2 and the baseline of [19] by name.
 type AllocatorFunc func(sched.Input) (*sched.Result, error)
 
 // CalibrationConfig once switched the server's LUT feedback on. The

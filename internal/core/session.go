@@ -141,6 +141,11 @@ type GOPReport struct {
 	MeanKbps float64
 	// CPUTime is the total encode CPU time of the GOP.
 	CPUTime time.Duration
+	// Work is the GOP's modelled encode work, the sum of the prices learn
+	// feeds the LUT (Session.tileWork per tile), stamped when the LUT
+	// learns the GOP: the currency stage D2 prices a round in, the same
+	// for one seed on every run and host.
+	Work time.Duration
 	// Digest chains the frames' bitstream digests (see FrameReport.Digest).
 	Digest uint64
 }
@@ -607,11 +612,15 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 // learn feeds every tile of every frame of gop into lut, in frame order:
 // the LUT's one write site. The EWMA update is order-sensitive, so its two
 // callers run it in a fixed order: a bare session's EncodeGOPContext after
-// its own GOP, and Server.settleRound in ascending session order.
+// its own GOP, and Server.settleRound in ascending session order. It sums
+// the same prices into gop.Work, so each tile is priced here once: a
+// TimeModel may count its calls.
 func learn(lut *workload.LUT, sess *Session, gop *GOPReport) {
 	for _, fr := range gop.Frames {
 		for i, ts := range fr.Tiles {
-			lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), sess.tileWork(ts))
+			w := sess.tileWork(ts)
+			lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), w)
+			gop.Work += w
 		}
 	}
 }

@@ -90,7 +90,7 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			cpu += gopWork(gop)
+			cpu += gop.Work
 			psnr += gop.MeanPSNR
 			kbps += gop.MeanKbps
 			frames += len(gop.Frames)

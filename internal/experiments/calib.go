@@ -69,15 +69,6 @@ func tileDemand(gop *core.GOPReport, timeScale float64) []time.Duration {
 	return perTile
 }
 
-// gopWork is the GOP's total modelled CPU time.
-func gopWork(gop *core.GOPReport) time.Duration {
-	var total time.Duration
-	for _, d := range tileWork(gop) {
-		total += d
-	}
-	return total
-}
-
 // calibrate derives the two platform-calibration values the scheduling
 // experiments share, from work counters alone:
 //
@@ -110,7 +101,7 @@ func calibrate(videos []*medgen.Generator, anchorCores float64) (timeScale float
 		if err != nil {
 			return 0, 0, err
 		}
-		cpu += gopWork(gop)
+		cpu += gop.Work
 		frames += len(gop.Frames)
 	}
 	perFrame := cpu / time.Duration(frames)

@@ -16,19 +16,19 @@ type CostModel struct {
 	DollarsPerDeadlineMiss float64
 }
 
-// Cost prices a cumulative platform ledger. Deterministic and exact for
+// cost prices a cumulative platform ledger. Deterministic and exact for
 // a given Totals: one multiply-add per term, no accumulation of its own
 // — which is what lets the exporter tests demand bit-exact equality
 // between the scraped dollar total and the one derived from
 // mpsoc.Totals directly.
-func (m CostModel) Cost(t mpsoc.Totals) float64 {
+func (m CostModel) cost(t mpsoc.Totals) float64 {
 	return t.EnergyJ*m.DollarsPerJoule + float64(t.DeadlineMisses)*m.DollarsPerDeadlineMiss
 }
 
-// QoEInput describes one served GOP from the viewer's side: the encoded
+// qoeInput describes one served GOP from the viewer's side: the encoded
 // quality, the admission-ladder degradations in force when it was
 // served, and the deadline misses of the round that served it.
-type QoEInput struct {
+type qoeInput struct {
 	// PSNRdB is the GOP's mean luma PSNR.
 	PSNRdB float64
 	// QPOffset is the session's accumulated admission-ladder QP
@@ -45,7 +45,7 @@ type QoEInput struct {
 	DeadlineMisses int
 }
 
-// QoEScore maps a served GOP to [0, 1]: 1 is transparent quality at
+// qoeScore maps a served GOP to [0, 1]: 1 is transparent quality at
 // full service rate with no misses; 0 is unwatchable. The base term is
 // PSNR mapped linearly over 20–45 dB (below 20 dB artifacts dominate,
 // above 45 dB differences are imperceptible); each active degradation
@@ -55,7 +55,7 @@ type QoEInput struct {
 // 5%. Penalties are calibrated so a fully degraded session still beats
 // a rejected one (score 0) — matching the admission ladder's premise
 // that degraded service is better than none.
-func QoEScore(in QoEInput) float64 {
+func qoeScore(in qoeInput) float64 {
 	score := (in.PSNRdB - 20) / 25
 	if score < 0 {
 		score = 0

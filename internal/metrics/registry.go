@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,11 +39,15 @@ type Registry struct {
 	byName   map[string]*family
 	series   int
 	dropped  int
+	// agent, when non-empty, is the value of the constant "agent" label
+	// every series carries first: the distributed mode's per-node dimension.
+	agent string
 }
 
-// NewRegistry builds a registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+// newRegistry builds a registry; a non-empty agent labels every series
+// with it.
+func newRegistry(agent string) *Registry {
+	return &Registry{byName: make(map[string]*family), agent: agent}
 }
 
 type kind int
@@ -92,6 +95,9 @@ type series struct {
 // with different shape — two call sites disagreeing about a metric's
 // labels is a programming error, not runtime input.
 func (r *Registry) register(name, help string, k kind, buckets []float64, labels []string) *family {
+	if r.agent != "" {
+		labels = append([]string{"agent"}, labels...)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
@@ -118,10 +124,13 @@ func (r *Registry) register(name, help string, k kind, buckets []float64, labels
 	return f
 }
 
-// get fetches or allocates the series for the given label values,
-// enforcing the maxSeries bound. Returns nil when the bound refused the
-// allocation. Caller must hold r.mu.
+// getLocked fetches or allocates the series for the given label values,
+// after the agent label's, enforcing the maxSeries bound. Returns nil when
+// the bound refused the allocation. Caller must hold r.mu.
 func (r *Registry) getLocked(f *family, labelValues []string) *series {
+	if r.agent != "" {
+		labelValues = append(append(make([]string, 0, 1+len(labelValues)), r.agent), labelValues...)
+	}
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s given %d label values for %d labels",
 			f.name, len(labelValues), len(f.labels)))
@@ -144,22 +153,22 @@ func (r *Registry) getLocked(f *family, labelValues []string) *series {
 	return s
 }
 
-// Counter is a monotonically increasing metric. Set exists for the
+// counter is a monotonically increasing metric. set exists for the
 // ledger pattern: when an authoritative cumulative total already exists
 // (core's mpsoc.Totals), setting the counter to it is bit-exact where
 // re-accumulating deltas might not be.
-type Counter struct {
+type counter struct {
 	r *Registry
 	f *family
 }
 
-// Counter registers (or fetches) a counter family.
-func (r *Registry) Counter(name, help string, labels ...string) Counter {
-	return Counter{r, r.register(name, help, counterKind, nil, labels)}
+// counter registers (or fetches) a counter family.
+func (r *Registry) counter(name, help string, labels ...string) counter {
+	return counter{r, r.register(name, help, counterKind, nil, labels)}
 }
 
-// Add increments the labeled series by v.
-func (c Counter) Add(v float64, labelValues ...string) {
+// add increments the labeled series by v.
+func (c counter) add(v float64, labelValues ...string) {
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
 	if s := c.r.getLocked(c.f, labelValues); s != nil {
@@ -167,8 +176,8 @@ func (c Counter) Add(v float64, labelValues ...string) {
 	}
 }
 
-// Set pins the labeled series to the cumulative value v.
-func (c Counter) Set(v float64, labelValues ...string) {
+// set pins the labeled series to the cumulative value v.
+func (c counter) set(v float64, labelValues ...string) {
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
 	if s := c.r.getLocked(c.f, labelValues); s != nil {
@@ -176,19 +185,19 @@ func (c Counter) Set(v float64, labelValues ...string) {
 	}
 }
 
-// Gauge is a point-in-time value.
-type Gauge struct {
+// gauge is a point-in-time value.
+type gauge struct {
 	r *Registry
 	f *family
 }
 
-// Gauge registers (or fetches) a gauge family.
-func (r *Registry) Gauge(name, help string, labels ...string) Gauge {
-	return Gauge{r, r.register(name, help, gaugeKind, nil, labels)}
+// gauge registers (or fetches) a gauge family.
+func (r *Registry) gauge(name, help string, labels ...string) gauge {
+	return gauge{r, r.register(name, help, gaugeKind, nil, labels)}
 }
 
-// Set pins the labeled series to v.
-func (g Gauge) Set(v float64, labelValues ...string) {
+// set pins the labeled series to v.
+func (g gauge) set(v float64, labelValues ...string) {
 	g.r.mu.Lock()
 	defer g.r.mu.Unlock()
 	if s := g.r.getLocked(g.f, labelValues); s != nil {
@@ -196,26 +205,26 @@ func (g Gauge) Set(v float64, labelValues ...string) {
 	}
 }
 
-// Histogram is a fixed-bucket distribution.
-type Histogram struct {
+// histogram is a fixed-bucket distribution.
+type histogram struct {
 	r *Registry
 	f *family
 }
 
-// Histogram registers (or fetches) a histogram family with the given
+// histogram registers (or fetches) a histogram family with the given
 // ascending upper bucket bounds (+Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) Histogram {
+func (r *Registry) histogram(name, help string, buckets []float64, labels ...string) histogram {
 	for i := 1; i < len(buckets); i++ {
 		if !(buckets[i] > buckets[i-1]) {
 			panic(fmt.Sprintf("metrics: %s buckets not ascending", name))
 		}
 	}
-	return Histogram{r, r.register(name, help, histogramKind, buckets, labels)}
+	return histogram{r, r.register(name, help, histogramKind, buckets, labels)}
 }
 
-// Observe records one sample. Non-finite samples are dropped — a NaN
+// observe records one sample. Non-finite samples are dropped — a NaN
 // would poison the sum and every quantile estimate built on it.
-func (h Histogram) Observe(v float64, labelValues ...string) {
+func (h histogram) observe(v float64, labelValues ...string) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
@@ -265,7 +274,7 @@ func (f *family) write(w io.Writer) error {
 		s := f.series[key]
 		switch f.k {
 		case histogramKind:
-			// bucketCounts are cumulative (Observe increments every bucket
+			// bucketCounts are cumulative (observe increments every bucket
 			// whose bound covers the sample), as the exposition format wants.
 			for i, le := range f.buckets {
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
@@ -352,17 +361,4 @@ func escapeLabel(v string) string {
 // equality between scraped and in-process totals.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler serves the registry as a Prometheus scrape endpoint.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		io.WriteString(w, b.String())
-	})
 }

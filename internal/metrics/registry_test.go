@@ -19,10 +19,10 @@ func (r *Registry) DroppedSeries() int {
 // label flood allocates nothing past it, refused series are counted, and
 // the scrape stays well-formed with the dropped counter visible.
 func TestRegistryBoundsCardinality(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("repro_test_total", "t", "id")
+	reg := newRegistry("")
+	c := reg.counter("repro_test_total", "t", "id")
 	for i := 0; i < maxSeries+92; i++ {
-		c.Add(1, strconv.Itoa(i))
+		c.add(1, strconv.Itoa(i))
 	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -49,15 +49,15 @@ func TestRegistryBoundsCardinality(t *testing.T) {
 // the Prometheus text format — HELP/TYPE headers, escaped label values,
 // cumulative buckets with +Inf, and round-trip-exact float values.
 func TestRegistryExpositionFormat(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry("")
 	exact := 1.0 / 3.0
-	reg.Counter("repro_c_total", "counter help", "shard").Add(exact, "0")
-	reg.Gauge("repro_g", "gauge help").Set(-2.5)
-	h := reg.Histogram("repro_h", "hist help", []float64{1, 2}, "k")
-	h.Observe(0.5, `a"b\c`)
-	h.Observe(1.5, `a"b\c`)
-	h.Observe(99, `a"b\c`)
-	h.Observe(math.NaN(), `a"b\c`) // dropped, must not poison the sum
+	reg.counter("repro_c_total", "counter help", "shard").add(exact, "0")
+	reg.gauge("repro_g", "gauge help").set(-2.5)
+	h := reg.histogram("repro_h", "hist help", []float64{1, 2}, "k")
+	h.observe(0.5, `a"b\c`)
+	h.observe(1.5, `a"b\c`)
+	h.observe(99, `a"b\c`)
+	h.observe(math.NaN(), `a"b\c`) // dropped, must not poison the sum
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

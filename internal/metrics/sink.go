@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -35,40 +38,6 @@ const (
 	qoeAlpha = 0.25
 )
 
-// counter, gauge and histogram prepend the sink's constant agent label
-// (when configured) to every update, so the event handlers below stay
-// label-agnostic.
-type counter struct {
-	m     Counter
-	agent []string
-}
-
-func (c counter) Add(v float64, lv ...string) { c.m.Add(v, withAgent(c.agent, lv)...) }
-func (c counter) Set(v float64, lv ...string) { c.m.Set(v, withAgent(c.agent, lv)...) }
-
-type gauge struct {
-	m     Gauge
-	agent []string
-}
-
-func (g gauge) Set(v float64, lv ...string) { g.m.Set(v, withAgent(g.agent, lv)...) }
-
-type histogram struct {
-	m     Histogram
-	agent []string
-}
-
-func (h histogram) Observe(v float64, lv ...string) { h.m.Observe(v, withAgent(h.agent, lv)...) }
-
-func withAgent(agent, lv []string) []string {
-	if len(agent) == 0 {
-		return lv
-	}
-	out := make([]string, 0, len(agent)+len(lv))
-	out = append(out, agent...)
-	return append(out, lv...)
-}
-
 // Sink implements serve.Sink, translating the fleet's event stream into
 // bounded-cardinality registry series: per-shard load and platform
 // ledgers, per-class throughput and quality, admission-ladder depth,
@@ -86,9 +55,8 @@ func withAgent(agent, lv []string) []string {
 type Sink struct {
 	serve.NopSink // session-scoped events we consume are overridden below
 
-	reg   *Registry
-	cost  CostModel
-	agent []string // nil, or the one constant "agent" label value
+	reg  *Registry
+	cost CostModel
 
 	// classOf maps (shard, session) → folded class label; classes is the
 	// bounded set of label values handed out so far. doomed marks
@@ -148,7 +116,7 @@ type Sink struct {
 
 // NewSink builds the exporter sink and registers its metric families.
 func NewSink(cfg SinkConfig) *Sink {
-	reg := NewRegistry()
+	reg := newRegistry(cfg.Agent)
 	s := &Sink{
 		reg:        reg,
 		cost:       cfg.Cost,
@@ -161,74 +129,59 @@ func NewSink(cfg SinkConfig) *Sink {
 		qoe:        make(map[[2]string]float64),
 		prevCost:   make(map[int]float64),
 	}
-	if cfg.Agent != "" {
-		s.agent = []string{cfg.Agent}
-	}
-	// lbl prefixes the constant "agent" label name when configured; the
-	// wrappers prefix its value on every update.
-	lbl := func(names ...string) []string { return withAgent(agentLabelName(s.agent), names) }
-	ctr := func(name, help string, labels ...string) counter {
-		return counter{reg.Counter(name, help, lbl(labels...)...), s.agent}
-	}
-	gge := func(name, help string, labels ...string) gauge {
-		return gauge{reg.Gauge(name, help, lbl(labels...)...), s.agent}
-	}
-	hst := func(name, help string, buckets []float64, labels ...string) histogram {
-		return histogram{reg.Histogram(name, help, buckets, lbl(labels...)...), s.agent}
-	}
-	s.rounds = ctr("repro_rounds_total", "Settled serving rounds per shard.", "shard")
-	s.gops = ctr("repro_gops_total", "GOPs served, by shard and workload class.", "shard", "class")
-	s.frames = ctr("repro_frames_total", "Frames encoded, by shard and workload class.", "shard", "class")
-	s.placements = ctr("repro_placements_total", "Session placements routed to each shard.", "shard")
-	s.migrations = ctr("repro_migrations_total", "Session migration hops from resize drains.")
-	s.rebalances = ctr("repro_rebalances_total", "Session hops shed by hot-shard rebalancing.")
-	s.shardsAdded = ctr("repro_shards_added_total", "Shards added by resizes.")
-	s.shardsRemoved = ctr("repro_shards_removed_total", "Shards removed by resizes.")
-	s.states = ctr("repro_session_states_total", "Session lifecycle transitions, by shard and state.", "shard", "state")
-	s.energy = ctr("repro_energy_joules_total", "Cumulative platform energy per shard (exact mpsoc ledger).", "shard")
-	s.misses = ctr("repro_deadline_misses_total", "Cumulative frame-deadline misses per shard (exact mpsoc ledger).", "shard")
-	s.costDollars = ctr("repro_cost_dollars_total", "Cumulative operating cost per shard under the cost model.", "shard")
-	s.classCost = ctr("repro_class_cost_dollars_total", "Operating cost attributed to workload classes by encode-time share.", "class")
-	s.tenantGops = ctr("repro_tenant_gops_total", "GOPs served, by tenant.", "tenant")
-	s.tenantCost = ctr("repro_tenant_cost_dollars_total", "Operating cost attributed to tenants by encode-time share.", "tenant")
-	s.preemptions = ctr("repro_preemptions_total", "Ladder pushdowns inflicted on lower-priority sessions to seat higher-priority arrivals, by shard and victim tenant.", "shard", "tenant")
+	s.rounds = reg.counter("repro_rounds_total", "Settled serving rounds per shard.", "shard")
+	s.gops = reg.counter("repro_gops_total", "GOPs served, by shard and workload class.", "shard", "class")
+	s.frames = reg.counter("repro_frames_total", "Frames encoded, by shard and workload class.", "shard", "class")
+	s.placements = reg.counter("repro_placements_total", "Session placements routed to each shard.", "shard")
+	s.migrations = reg.counter("repro_migrations_total", "Session migration hops from resize drains.")
+	s.rebalances = reg.counter("repro_rebalances_total", "Session hops shed by hot-shard rebalancing.")
+	s.shardsAdded = reg.counter("repro_shards_added_total", "Shards added by resizes.")
+	s.shardsRemoved = reg.counter("repro_shards_removed_total", "Shards removed by resizes.")
+	s.states = reg.counter("repro_session_states_total", "Session lifecycle transitions, by shard and state.", "shard", "state")
+	s.energy = reg.counter("repro_energy_joules_total", "Cumulative platform energy per shard (exact mpsoc ledger).", "shard")
+	s.misses = reg.counter("repro_deadline_misses_total", "Cumulative frame-deadline misses per shard (exact mpsoc ledger).", "shard")
+	s.costDollars = reg.counter("repro_cost_dollars_total", "Cumulative operating cost per shard under the cost model.", "shard")
+	s.classCost = reg.counter("repro_class_cost_dollars_total", "Operating cost attributed to workload classes by modelled-work share.", "class")
+	s.tenantGops = reg.counter("repro_tenant_gops_total", "GOPs served, by tenant.", "tenant")
+	s.tenantCost = reg.counter("repro_tenant_cost_dollars_total", "Operating cost attributed to tenants by modelled-work share.", "tenant")
+	s.preemptions = reg.counter("repro_preemptions_total", "Ladder pushdowns inflicted on lower-priority sessions to seat higher-priority arrivals, by shard and victim tenant.", "shard", "tenant")
 
-	s.sessions = gge("repro_sessions", "Live sessions per shard.", "shard")
-	s.demand = gge("repro_demand_cores", "Summed core demand of live sessions per shard.", "shard")
-	s.capacity = gge("repro_capacity_cores", "Platform core capacity per shard.", "shard")
-	s.util = gge("repro_utilization", "Demand over capacity per shard.", "shard")
-	s.coresUsed = gge("repro_cores_used", "Cores the last settled round's allocation used.", "shard")
-	s.avgPower = gge("repro_avg_power_watts", "Lifetime average platform power per shard.", "shard")
-	s.peakPower = gge("repro_peak_power_watts", "Highest per-slot average power seen per shard.", "shard")
-	s.ladder = gge("repro_ladder_sessions", "Live sessions per admission-ladder rung, as of each shard's last round.", "shard", "rung")
-	s.liveNow = gge("repro_live_shards", "Routable shards after the last membership change.")
-	s.qoeGauge = gge("repro_qoe_score", "EWMA QoE score per shard and class (1 = transparent full-rate service).", "shard", "class")
-	s.tenantCores = gge("repro_tenant_cores", "Cores granted to each tenant by the shard's last settled round (weighted apportionment).", "shard", "tenant")
+	s.sessions = reg.gauge("repro_sessions", "Live sessions per shard.", "shard")
+	s.demand = reg.gauge("repro_demand_cores", "Summed core demand of live sessions per shard.", "shard")
+	s.capacity = reg.gauge("repro_capacity_cores", "Platform core capacity per shard.", "shard")
+	s.util = reg.gauge("repro_utilization", "Demand over capacity per shard.", "shard")
+	s.coresUsed = reg.gauge("repro_cores_used", "Cores the last settled round's allocation used.", "shard")
+	s.avgPower = reg.gauge("repro_avg_power_watts", "Lifetime average platform power per shard.", "shard")
+	s.peakPower = reg.gauge("repro_peak_power_watts", "Highest per-slot average power seen per shard.", "shard")
+	s.ladder = reg.gauge("repro_ladder_sessions", "Live sessions per admission-ladder rung, as of each shard's last round.", "shard", "rung")
+	s.liveNow = reg.gauge("repro_live_shards", "Routable shards after the last membership change.")
+	s.qoeGauge = reg.gauge("repro_qoe_score", "EWMA QoE score per shard and class (1 = transparent full-rate service).", "shard", "class")
+	s.tenantCores = reg.gauge("repro_tenant_cores", "Cores granted to each tenant by the shard's last settled round (weighted apportionment).", "shard", "tenant")
 
-	s.estErr = hst("repro_estimate_error",
+	s.estErr = reg.histogram("repro_estimate_error",
 		"Per-round mean relative stage-D1 estimation error.",
 		[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2}, "shard")
-	s.psnr = hst("repro_gop_psnr_db",
+	s.psnr = reg.histogram("repro_gop_psnr_db",
 		"Mean GOP PSNR by shard and workload class.",
 		[]float64{25, 30, 32, 34, 36, 38, 40, 42, 45}, "shard", "class")
 	return s
 }
 
-// agentLabelName returns the label-NAME prefix matching an agent
-// label-value prefix: ["agent"] when one is configured, nil otherwise.
-func agentLabelName(agent []string) []string {
-	if len(agent) == 0 {
-		return nil
-	}
-	return []string{"agent"}
-}
-
-// Registry exposes the sink's registry (for composing extra metrics or
-// scraping programmatically).
+// Registry exposes the sink's registry, for scraping programmatically.
 func (s *Sink) Registry() *Registry { return s.reg }
 
 // Handler serves the registry as a Prometheus scrape endpoint.
-func (s *Sink) Handler() http.Handler { return s.reg.Handler() }
+func (s *Sink) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		var b strings.Builder
+		if err := s.reg.WritePrometheus(&b); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		io.WriteString(w, b.String())
+	})
+}
 
 // classLabel folds a raw workload class into the bounded label set.
 func (s *Sink) classLabel(class string) string {
@@ -280,14 +233,14 @@ var rungNames = []string{"none", "degraded-tiling", "qp-offset", "rate-halved"}
 
 func (s *Sink) OnSessionPlaced(e serve.PlacementEvent) {
 	shard := shardLabel(e.Shard)
-	s.placements.Add(1, shard)
+	s.placements.add(1, shard)
 	key := [2]int{e.Shard, e.Session}
 	s.classOf[key] = s.classLabel(e.Class)
 	s.tenantOf[key] = s.tenantLabel(e.Tenant)
 }
 
 func (s *Sink) OnSessionStateChange(e serve.SessionEvent) {
-	s.states.Add(1, shardLabel(e.Shard), e.State.String())
+	s.states.add(1, shardLabel(e.Shard), e.State.String())
 	if e.State != core.StateQueued {
 		// Terminal — but the session's final OnGOP is still to come this
 		// round; prune after the round's metrics instead of now.
@@ -301,10 +254,10 @@ func (s *Sink) OnGOP(e serve.GOPEvent) {
 	if class == "" {
 		class = "other"
 	}
-	s.gops.Add(1, shard, class)
-	s.frames.Add(float64(len(e.GOP.Frames)), shard, class)
-	s.psnr.Observe(e.GOP.MeanPSNR, shard, class)
-	s.tenantGops.Add(1, s.sessionTenant(e.Shard, e.Session))
+	s.gops.add(1, shard, class)
+	s.frames.add(float64(len(e.GOP.Frames)), shard, class)
+	s.psnr.observe(e.GOP.MeanPSNR, shard, class)
+	s.tenantGops.add(1, s.sessionTenant(e.Shard, e.Session))
 }
 
 // sessionTenant looks up a session's folded tenant label, falling back
@@ -320,28 +273,28 @@ func (s *Sink) sessionTenant(shard, session int) string {
 func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 	shard := shardLabel(e.Shard)
 	out := e.Outcome
-	s.rounds.Add(1, shard)
+	s.rounds.add(1, shard)
 
 	// The cumulative platform ledger, set (not re-accumulated) so the
 	// exported totals are bit-exact with core's mpsoc.Totals.
 	t := out.Totals
-	s.energy.Set(t.EnergyJ, shard)
-	s.misses.Set(float64(t.DeadlineMisses), shard)
-	s.avgPower.Set(t.AvgPowerW(), shard)
-	s.peakPower.Set(t.PeakPowerW, shard)
-	costNow := s.cost.Cost(t)
-	s.costDollars.Set(costNow, shard)
+	s.energy.set(t.EnergyJ, shard)
+	s.misses.set(float64(t.DeadlineMisses), shard)
+	s.avgPower.set(t.AvgPowerW(), shard)
+	s.peakPower.set(t.PeakPowerW, shard)
+	costNow := s.cost.cost(t)
+	s.costDollars.set(costNow, shard)
 
 	// Load as of the settlement.
-	s.sessions.Set(float64(e.Load.Sessions), shard)
-	s.demand.Set(float64(e.Load.DemandCores), shard)
-	s.capacity.Set(float64(e.Load.CapacityCores), shard)
-	s.util.Set(e.Load.Util, shard)
+	s.sessions.set(float64(e.Load.Sessions), shard)
+	s.demand.set(float64(e.Load.DemandCores), shard)
+	s.capacity.set(float64(e.Load.CapacityCores), shard)
+	s.util.set(e.Load.Util, shard)
 	if out.Allocation != nil {
-		s.coresUsed.Set(float64(out.Allocation.CoresUsed), shard)
+		s.coresUsed.set(float64(out.Allocation.CoresUsed), shard)
 	}
 	if out.EstimateTiles > 0 {
-		s.estErr.Observe(out.EstimateErr, shard)
+		s.estErr.observe(out.EstimateErr, shard)
 	}
 
 	// Admission-ladder depth: reset every rung each round so recovered
@@ -351,7 +304,7 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 		depth[rungName(ls)]++
 	}
 	for _, rung := range rungNames {
-		s.ladder.Set(float64(depth[rung]), shard, rung)
+		s.ladder.set(float64(depth[rung]), shard, rung)
 	}
 
 	// Per-tenant core grants: zero every label this shard ever exported
@@ -359,7 +312,7 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 	// stale last grant.
 	seen := s.tenantSeen[shard]
 	for t := range seen {
-		s.tenantCores.Set(0, shard, t)
+		s.tenantCores.set(0, shard, t)
 	}
 	for t, c := range out.TenantCores {
 		label := s.tenantLabel(t)
@@ -368,21 +321,21 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 			s.tenantSeen[shard] = seen
 		}
 		seen[label] = true
-		s.tenantCores.Set(float64(c), shard, label)
+		s.tenantCores.set(float64(c), shard, label)
 	}
 
 	// Priority preemptions, attributed to the victim's tenant.
 	for _, id := range out.Preempted {
-		s.preemptions.Add(1, shard, s.sessionTenant(e.Shard, id))
+		s.preemptions.add(1, shard, s.sessionTenant(e.Shard, id))
 	}
 
 	// Per-GOP QoE and the per-class attribution of this round's cost
 	// delta, both in ascending session id so EWMA state is reproducible.
 	ids := make([]int, 0, len(out.GOPs))
-	totalCPU := 0.0
+	var totalWork time.Duration // an integer sum: exact in any map order
 	for id, gop := range out.GOPs {
 		ids = append(ids, id)
-		totalCPU += gop.CPUTime.Seconds()
+		totalWork += gop.Work
 	}
 	sort.Ints(ids)
 	costDelta := costNow - s.prevCost[e.Shard]
@@ -397,18 +350,18 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 		if class == "" {
 			class = "other"
 		}
-		// Cost attribution: reported encode CPU time, the measured side of
-		// the work the allocator prices, is the share each class pays. A
-		// round with no measurable CPU splits evenly.
+		// Cost attribution: each GOP's modelled work, the currency the
+		// allocator priced the round in, is the share its class and tenant
+		// pay. A round with no modelled work splits evenly.
 		share := 1.0 / float64(len(ids))
-		if totalCPU > 0 {
-			share = gop.CPUTime.Seconds() / totalCPU
+		if totalWork > 0 {
+			share = float64(gop.Work) / float64(totalWork)
 		}
-		s.classCost.Add(costDelta*share, class)
-		s.tenantCost.Add(costDelta*share, s.sessionTenant(e.Shard, id))
+		s.classCost.add(costDelta*share, class)
+		s.tenantCost.add(costDelta*share, s.sessionTenant(e.Shard, id))
 
 		ls := out.Ladder[id]
-		score := QoEScore(QoEInput{
+		score := qoeScore(qoeInput{
 			PSNRdB:         gop.MeanPSNR,
 			QPOffset:       ls.QPOffset,
 			DegradedTiling: ls.Rung > 0 && ls.QPOffset == 0 && !ls.RateHalved,
@@ -422,7 +375,7 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 		}
 		ewma := qoeAlpha*score + (1-qoeAlpha)*prev
 		s.qoe[key] = ewma
-		s.qoeGauge.Set(ewma, shard, class)
+		s.qoeGauge.set(ewma, shard, class)
 	}
 
 	// This round's terminal sessions have had their final GOPs
@@ -437,22 +390,22 @@ func (s *Sink) OnRoundMetrics(e serve.RoundEvent) {
 }
 
 func (s *Sink) OnShardAdded(e serve.ShardEvent) {
-	s.shardsAdded.Add(1)
-	s.liveNow.Set(float64(e.Live))
+	s.shardsAdded.add(1)
+	s.liveNow.set(float64(e.Live))
 }
 
 func (s *Sink) OnShardRemoved(e serve.ShardEvent) {
-	s.shardsRemoved.Add(1)
-	s.liveNow.Set(float64(e.Live))
+	s.shardsRemoved.add(1)
+	s.liveNow.set(float64(e.Live))
 }
 
 func (s *Sink) OnSessionMigrated(e serve.MigrationEvent) {
-	s.migrations.Add(1)
+	s.migrations.add(1)
 	s.moveClass(e)
 }
 
 func (s *Sink) OnSessionRebalanced(e serve.MigrationEvent) {
-	s.rebalances.Add(1)
+	s.rebalances.add(1)
 	s.moveClass(e)
 }
 

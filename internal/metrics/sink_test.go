@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -156,10 +157,12 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	cost := CostModel{DollarsPerJoule: 0.0005, DollarsPerDeadlineMiss: 0.01}
 	sink := NewSink(SinkConfig{Cost: cost})
 	ring := serve.NewRingSink(4096)
+	gate := &roundGate{}
 	f, err := serve.New(
 		serve.WithShards(3),
 		serve.WithSink(ring),
 		serve.WithMetrics(sink),
+		serve.WithRoundHook(gate.hook),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +186,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	}()
 
 	// Wait for live rounds, then scrape mid-churn.
-	waitFor(t, func() bool { return ring.Report().Rounds >= 2 })
+	gate.wait(t, func() bool { return ring.Report().Rounds >= 2 })
 	mid := scrape(t, srv.URL)
 	midSamples := parseExposition(t, mid)
 	if len(midSamples) == 0 {
@@ -205,7 +208,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 		}
 	}
 	// Shard 3 settled a round with its sessions (8 GOPs each) still live.
-	waitFor(t, func() bool {
+	gate.wait(t, func() bool {
 		shards := ring.Report().Shards
 		return len(shards) > 3 && shards[3].Report.Rounds > 0
 	})
@@ -236,7 +239,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 		if got := find(t, samples, "repro_deadline_misses_total", lbl); got != float64(rep.Energy.DeadlineMisses) {
 			t.Errorf("shard %d misses: exported %v, ledger %d", shard, got, rep.Energy.DeadlineMisses)
 		}
-		if got, want := find(t, samples, "repro_cost_dollars_total", lbl), cost.Cost(rep.Energy); got != want {
+		if got, want := find(t, samples, "repro_cost_dollars_total", lbl), cost.cost(rep.Energy); got != want {
 			t.Errorf("shard %d cost: exported %v, ledger-derived %v", shard, got, want)
 		}
 		if got := find(t, samples, "repro_rounds_total", lbl); got != float64(rep.Rounds) {
@@ -336,15 +339,42 @@ func homedClasses(t *testing.T, f *serve.Fleet, n int) []string {
 	return out
 }
 
-// waitFor polls cond with a deadline.
-func waitFor(t *testing.T, cond func() bool) {
+// roundGate waits for a fleet state without polling: installed with
+// serve.WithRoundHook, it checks the armed condition after every settled
+// round, once the sinks have seen the round, and closes the waiter's
+// channel the first time the condition holds.
+type roundGate struct {
+	mu   sync.Mutex // the hook runs on every shard's serving goroutine
+	cond func() bool
+	done chan struct{}
+}
+
+func (g *roundGate) hook(int, *core.GOPOutcome) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cond != nil && g.cond() {
+		close(g.done)
+		g.cond = nil
+	}
+}
+
+// wait arms cond and blocks until it holds, failing after 30 s. A condition
+// that already holds returns at once: the round that made it true may have
+// been the last.
+func (g *roundGate) wait(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 30s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	done := make(chan struct{})
+	g.mu.Lock()
+	if cond() {
+		g.mu.Unlock()
+		return
+	}
+	g.cond, g.done = cond, done
+	g.mu.Unlock()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("condition not reached in 30s")
 	}
 }
 
@@ -533,5 +563,76 @@ func TestReimportKeepsTenantBilling(t *testing.T) {
 	}
 	if got := sum(samples, "repro_tenant_gops_total", nil); got != 2 {
 		t.Fatalf("repro_tenant_gops_total over all tenants = %v, want 2 — GOPs billed to the wrong tenant", got)
+	}
+}
+
+// TestBillsAreSeedDeterministic: the class and tenant bills split each
+// round's cost by modelled work, never by the host's stopwatch, so one
+// seeded two-tenant, two-class fleet bills the same in every run, and each
+// split adds up to the shards' cost.
+func TestBillsAreSeedDeterministic(t *testing.T) {
+	bills := []string{"repro_class_cost_dollars_total", "repro_tenant_cost_dollars_total"}
+	serveOnce := func() string {
+		sink := NewSink(SinkConfig{Cost: CostModel{DollarsPerJoule: 0.0005, DollarsPerDeadlineMiss: 0.01}})
+		f, err := serve.New(serve.WithShards(1), serve.WithMetrics(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sub := range []struct{ class, tenant string }{
+			{"brain", "clinic"}, {"chest", "batch"}, {"chest", "clinic"}, {"brain", "batch"},
+		} {
+			if _, err := f.SubmitWith(serve.SubmitRequest{
+				Source: testSource(t, sub.class, int64(i+1), 12),
+				Config: testSessionConfig(),
+				Tenant: sub.tenant,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close()
+		if _, err := f.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := sink.Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	// billLines keeps the exposition lines of the bill series, which
+	// render shortest-round-trip floats: equal lines are equal bits.
+	billLines := func(text string) string {
+		var out []string
+		for _, line := range strings.Split(text, "\n") {
+			for _, name := range bills {
+				if strings.HasPrefix(line, name+"{") {
+					out = append(out, line)
+				}
+			}
+		}
+		return strings.Join(out, "\n")
+	}
+
+	first := serveOnce()
+	if a, b := billLines(first), billLines(serveOnce()); a != b {
+		t.Fatalf("one seed billed differently in two runs:\n%s\n--- vs ---\n%s", a, b)
+	}
+	samples := parseExposition(t, first)
+	total := sum(samples, "repro_cost_dollars_total", nil)
+	if !(total > 0) {
+		t.Fatalf("repro_cost_dollars_total = %v, want > 0: the bills below would prove nothing", total)
+	}
+	for _, name := range bills {
+		if got := sum(samples, name, nil); math.Abs(got-total) > 1e-9*total {
+			t.Errorf("%s sums to %v, the shards' cost is %v", name, got, total)
+		}
+	}
+	for _, payer := range []struct{ series, label, value string }{
+		{bills[0], "class", "brain"}, {bills[0], "class", "chest"},
+		{bills[1], "tenant", "clinic"}, {bills[1], "tenant", "batch"},
+	} {
+		if got := find(t, samples, payer.series, map[string]string{payer.label: payer.value}); !(got > 0) {
+			t.Errorf("%s{%s=%q} = %v, want a share of the cost", payer.series, payer.label, payer.value, got)
+		}
 	}
 }

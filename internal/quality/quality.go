@@ -16,22 +16,22 @@ import (
 // extreme values explored by the adaptation loop (42 for very-low-texture
 // tiles, 22 to rescue PSNR on extreme high-texture tiles).
 const (
-	QPLowTexture    = 37
-	QPMediumTexture = 32
-	QPHighTexture   = 27
-	QPMaxExtreme    = 42
-	QPMinExtreme    = 22
+	qpLowTexture    = 37
+	qpMediumTexture = 32
+	qpHighTexture   = 27
+	qpMaxExtreme    = 42
+	qpMinExtreme    = 22
 )
 
-// DefaultQP returns the paper's default QP for a texture class.
-func DefaultQP(t analysis.TextureClass) int {
+// defaultQP returns the paper's default QP for a texture class.
+func defaultQP(t analysis.TextureClass) int {
 	switch t {
 	case analysis.TextureLow:
-		return QPLowTexture
+		return qpLowTexture
 	case analysis.TextureMedium:
-		return QPMediumTexture
+		return qpMediumTexture
 	default:
-		return QPHighTexture
+		return qpHighTexture
 	}
 }
 
@@ -53,8 +53,8 @@ func DefaultConstraints() Constraints {
 	return Constraints{MinPSNR: 38, PSNRMargin: 2, MaxBitrateKbps: 4000}
 }
 
-// Validate reports constraint errors.
-func (c Constraints) Validate() error {
+// validate reports constraint errors.
+func (c Constraints) validate() error {
 	if c.MinPSNR <= 0 || c.MinPSNR >= 100 {
 		return fmt.Errorf("quality: MinPSNR %v outside (0, 100)", c.MinPSNR)
 	}
@@ -88,7 +88,7 @@ type Adapter struct {
 
 // NewAdapter builds an adapter with ΔQP = 1 if stepQP ≤ 0.
 func NewAdapter(constraints Constraints, stepQP int) (*Adapter, error) {
-	if err := constraints.Validate(); err != nil {
+	if err := constraints.validate(); err != nil {
 		return nil, err
 	}
 	if stepQP <= 0 {
@@ -100,7 +100,7 @@ func NewAdapter(constraints Constraints, stepQP int) (*Adapter, error) {
 // ResetTile installs the texture-derived default QP for a tile, called when
 // a GOP starts or the tile structure changes.
 func (a *Adapter) ResetTile(tile int, texture analysis.TextureClass) int {
-	qp := DefaultQP(texture)
+	qp := defaultQP(texture)
 	a.qps[tile] = qp
 	return qp
 }
@@ -113,13 +113,13 @@ func (a *Adapter) ResetTile(tile int, texture analysis.TextureClass) int {
 //	else if PSNR_{t−Δt} < PSNR_const:           QP ← QP − ΔQP  (rescue)
 //	else:                                       default QP per texture
 //
-// The result is clamped to [QPMinExtreme, QPMaxExtreme] — the paper's
+// The result is clamped to [qpMinExtreme, qpMaxExtreme] — the paper's
 // extreme values — and additionally nudged up when the bitrate bound is
 // exceeded (compression is a hard requisite for online streaming).
 func (a *Adapter) Adapt(tile int, m Measurement, texture analysis.TextureClass) int {
 	qp, ok := a.qps[tile]
 	if !ok {
-		qp = DefaultQP(texture)
+		qp = defaultQP(texture)
 	}
 	switch {
 	case m.PSNR > a.constraints.MinPSNR+a.constraints.PSNRMargin:
@@ -127,7 +127,7 @@ func (a *Adapter) Adapt(tile int, m Measurement, texture analysis.TextureClass) 
 	case m.PSNR < a.constraints.MinPSNR:
 		qp -= a.stepQP
 	default:
-		qp = DefaultQP(texture)
+		qp = defaultQP(texture)
 	}
 	if a.constraints.MaxBitrateKbps > 0 && m.BitrateKbps > a.constraints.MaxBitrateKbps {
 		qp += a.stepQP
@@ -140,11 +140,11 @@ func (a *Adapter) Adapt(tile int, m Measurement, texture analysis.TextureClass) 
 // clampQP bounds QP to the paper's explored range, which itself sits inside
 // the codec's legal range.
 func clampQP(qp int) int {
-	if qp < QPMinExtreme {
-		return QPMinExtreme
+	if qp < qpMinExtreme {
+		return qpMinExtreme
 	}
-	if qp > QPMaxExtreme {
-		return QPMaxExtreme
+	if qp > qpMaxExtreme {
+		return qpMaxExtreme
 	}
 	return qp
 }
@@ -152,7 +152,7 @@ func clampQP(qp int) int {
 // Compile-time guards: the extreme QPs must be legal for the codec (array
 // lengths must be non-negative constants).
 var (
-	_ [QPMaxExtreme - transform.MinQP]struct{}
-	_ [transform.MaxQP - QPMaxExtreme]struct{}
-	_ [QPMinExtreme - transform.MinQP]struct{}
+	_ [qpMaxExtreme - transform.MinQP]struct{}
+	_ [transform.MaxQP - qpMaxExtreme]struct{}
+	_ [qpMinExtreme - transform.MinQP]struct{}
 )

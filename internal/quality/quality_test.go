@@ -17,19 +17,19 @@ func newAdapter(t *testing.T) *Adapter {
 }
 
 func TestDefaultQPPerTexture(t *testing.T) {
-	if DefaultQP(analysis.TextureLow) != 37 {
+	if defaultQP(analysis.TextureLow) != 37 {
 		t.Fatal("low texture default")
 	}
-	if DefaultQP(analysis.TextureMedium) != 32 {
+	if defaultQP(analysis.TextureMedium) != 32 {
 		t.Fatal("medium texture default")
 	}
-	if DefaultQP(analysis.TextureHigh) != 27 {
+	if defaultQP(analysis.TextureHigh) != 27 {
 		t.Fatal("high texture default")
 	}
 }
 
 func TestConstraintsValidate(t *testing.T) {
-	if err := DefaultConstraints().Validate(); err != nil {
+	if err := DefaultConstraints().validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Constraints{
@@ -39,7 +39,7 @@ func TestConstraintsValidate(t *testing.T) {
 		{MinPSNR: 40, PSNRMargin: 1, MaxBitrateKbps: -5},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("case %d validated", i)
 		}
 	}
@@ -67,8 +67,8 @@ func TestAdaptRaisesQPWhenComfortable(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		qp = a.Adapt(0, Measurement{PSNR: c.MinPSNR + c.PSNRMargin + 5}, analysis.TextureMedium)
 	}
-	if qp != QPMaxExtreme {
-		t.Fatalf("QP = %d, want capped at %d", qp, QPMaxExtreme)
+	if qp != qpMaxExtreme {
+		t.Fatalf("QP = %d, want capped at %d", qp, qpMaxExtreme)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestAdaptLowersQPWhenViolating(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		qp = a.Adapt(0, Measurement{PSNR: c.MinPSNR - 3}, analysis.TextureHigh)
 	}
-	if qp != QPMinExtreme {
-		t.Fatalf("QP = %d, want floored at %d", qp, QPMinExtreme)
+	if qp != qpMinExtreme {
+		t.Fatalf("QP = %d, want floored at %d", qp, qpMinExtreme)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestAdaptQPAlwaysInExploredRange(t *testing.T) {
 				PSNR:        float64(psnr%60) + 20,
 				BitrateKbps: float64(kbps),
 			}, texture)
-			if qp < QPMinExtreme || qp > QPMaxExtreme {
+			if qp < qpMinExtreme || qp > qpMaxExtreme {
 				return false
 			}
 		}

@@ -19,7 +19,7 @@ var invariantPolicies = []struct {
 	ordering string // "cores" (ascending core demand) or "threads" (ascending thread count)
 }{
 	{"content-aware", AllocateContentAware, "cores"},
-	{"baseline", AllocateBaseline, "threads"},
+	{"baseline", allocateBaseline, "threads"},
 	{"greedy", placeWith(func(_ int, loads []time.Duration) int {
 		best := 0
 		for k, l := range loads {
@@ -40,7 +40,7 @@ var invariantPolicies = []struct {
 // policies do not produce.
 func placeWith(pick func(i int, loads []time.Duration) int) func(Input) (*Result, error) {
 	return func(in Input) (*Result, error) {
-		if err := in.Validate(); err != nil {
+		if err := in.validate(); err != nil {
 			return nil, err
 		}
 		res := &Result{Plans: make([]mpsoc.CorePlan, in.Platform.Cores)}
@@ -216,7 +216,7 @@ func checkInvariants(t *testing.T, in Input, res *Result, ordering string) {
 	case "cores":
 		var total time.Duration
 		for _, id := range res.Admitted {
-			total += byUser[id].TotalTime()
+			total += byUser[id].totalTime()
 		}
 		if cap := time.Duration(in.Platform.Cores) * slot; total > cap {
 			t.Fatalf("admitted %v of work into %v of capacity", total, cap)

@@ -56,8 +56,8 @@ func (r *Registry) Register(name, description string, fn Allocator) error {
 	return nil
 }
 
-// Lookup returns the allocator registered under name.
-func (r *Registry) Lookup(name string) (Allocator, bool) {
+// lookup returns the allocator registered under name.
+func (r *Registry) lookup(name string) (Allocator, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.entries[name]
@@ -67,18 +67,18 @@ func (r *Registry) Lookup(name string) (Allocator, bool) {
 	return e.Func, true
 }
 
-// MustLookup is Lookup with an error naming the known policies — the
+// MustLookup is lookup with an error naming the known policies — the
 // message a CLI wants verbatim when the user typo-ed a flag value.
 func (r *Registry) MustLookup(name string) (Allocator, error) {
-	fn, ok := r.Lookup(name)
+	fn, ok := r.lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("sched: unknown allocator %q (have %v)", name, r.Names())
+		return nil, fmt.Errorf("sched: unknown allocator %q (have %v)", name, r.names())
 	}
 	return fn, nil
 }
 
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
+// names returns the registered names in sorted order.
+func (r *Registry) names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.entries))
@@ -113,7 +113,7 @@ var Default = func() *Registry {
 	r := NewRegistry()
 	for _, e := range []Entry{
 		{NameContentAware, "Algorithm 2: dense packing + DVFS slack", AllocateContentAware},
-		{NameBaseline, "work of [19]: one tile per core, all cores at fmax", AllocateBaseline},
+		{NameBaseline, "work of [19]: one tile per core, all cores at fmax", allocateBaseline},
 	} {
 		if err := r.Register(e.Name, e.Description, e.Func); err != nil {
 			panic(err)
@@ -123,7 +123,7 @@ var Default = func() *Registry {
 }()
 
 // Lookup finds an allocator in the Default registry.
-func Lookup(name string) (Allocator, bool) { return Default.Lookup(name) }
+func Lookup(name string) (Allocator, bool) { return Default.lookup(name) }
 
 // Names lists the Default registry's allocator names, sorted.
-func Names() []string { return Default.Names() }
+func Names() []string { return Default.names() }

@@ -41,17 +41,17 @@ func TestRegistryRejectsDuplicatesAndNils(t *testing.T) {
 	if err := r.Register("x", "", AllocateContentAware); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register("x", "", AllocateBaseline); err == nil {
+	if err := r.Register("x", "", allocateBaseline); err == nil {
 		t.Fatal("duplicate registration allowed")
 	}
-	if err := r.Register("", "", AllocateBaseline); err == nil {
+	if err := r.Register("", "", allocateBaseline); err == nil {
 		t.Fatal("empty name allowed")
 	}
 	if err := r.Register("y", "", nil); err == nil {
 		t.Fatal("nil allocator allowed")
 	}
-	if _, ok := r.Lookup("missing"); ok {
-		t.Fatal("Lookup found an unregistered name")
+	if _, ok := r.lookup("missing"); ok {
+		t.Fatal("lookup found an unregistered name")
 	}
 	if _, err := r.MustLookup("missing"); err == nil || !strings.Contains(err.Error(), "x") {
 		t.Fatalf("MustLookup error should name the known policies, got %v", err)

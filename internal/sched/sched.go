@@ -42,8 +42,8 @@ type UserDemand struct {
 	Priority int
 }
 
-// TotalTime returns the summed CPU time of the user's threads.
-func (u UserDemand) TotalTime() time.Duration {
+// totalTime returns the summed CPU time of the user's threads.
+func (u UserDemand) totalTime() time.Duration {
 	var sum time.Duration
 	for _, th := range u.Threads {
 		sum += th.TimeFmax
@@ -55,7 +55,7 @@ func (u UserDemand) TotalTime() time.Duration {
 // cores for user i is ceil(Σ_j T_fmax,j · FPS) — the user's utilization in
 // core units.
 func (u UserDemand) CoresNeeded(fps float64) int {
-	util := u.TotalTime().Seconds() * fps
+	util := u.totalTime().Seconds() * fps
 	n := int(math.Ceil(util - 1e-9))
 	if n < 1 {
 		n = 1
@@ -102,7 +102,7 @@ type Result struct {
 // *where* a session should live before any allocator has seen it, and a
 // shard's utilization is its queued sessions' demands over its cores.
 func DemandOf(in Input) (map[int]int, error) {
-	if err := in.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	out := make(map[int]int, len(in.Users))
@@ -143,8 +143,8 @@ type Input struct {
 	Users []UserDemand
 }
 
-// Validate reports input errors.
-func (in Input) Validate() error {
+// validate reports input errors.
+func (in Input) validate() error {
 	if in.Platform == nil {
 		return fmt.Errorf("sched: nil platform")
 	}
@@ -195,7 +195,7 @@ func (in Input) slotOf() time.Duration {
 //     and spend their slack at the minimum frequency; overloaded cores run
 //     the whole slot at fmax and carry the residue into the next slot.
 func AllocateContentAware(in Input) (*Result, error) {
-	if err := in.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	slot := in.slotOf()
@@ -285,15 +285,15 @@ func finalizeDVFS(p *mpsoc.Platform, loads []time.Duration, slot time.Duration, 
 	}
 }
 
-// AllocateBaseline implements the allocation of [19] (Khan et al.): the
+// allocateBaseline implements the allocation of [19] (Khan et al.): the
 // workload-balancing tiler sizes each tile to fill one core's capacity, so
 // exactly one thread runs per core, and all active cores operate at the
 // maximum frequency for the whole slot (the baseline re-tiles only when
 // every core is already pinned at the minimum or maximum frequency, so in
 // the steady state of a saturated server its cores never leave fmax).
 // Admission packs users while their thread counts fit the core budget.
-func AllocateBaseline(in Input) (*Result, error) {
-	if err := in.Validate(); err != nil {
+func allocateBaseline(in Input) (*Result, error) {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	nc := in.Platform.Cores

@@ -194,7 +194,7 @@ func TestDVFSSlackGoesToMinLevel(t *testing.T) {
 
 func TestBaselineOneThreadPerCore(t *testing.T) {
 	in := input(demand(0, ms(30), ms(30), ms(30)), demand(1, ms(30), ms(30)))
-	res, err := AllocateBaseline(in)
+	res, err := allocateBaseline(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestBaselineAdmissionByThreadCount(t *testing.T) {
 		}
 		return demand(id, ts...)
 	}
-	res, err := AllocateBaseline(input(mk(0), mk(1), mk(2)))
+	res, err := allocateBaseline(input(mk(0), mk(1), mk(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestProposedAdmitsMoreUsersThanBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := AllocateBaseline(in)
+	base, err := allocateBaseline(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestProposedSavesPowerVsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := AllocateBaseline(in)
+	base, err := allocateBaseline(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestProposedSavesPowerVsBaseline(t *testing.T) {
 func TestAllAllocatorsAssignEveryAdmittedThread(t *testing.T) {
 	allocs := map[string]func(Input) (*Result, error){
 		"content-aware": AllocateContentAware,
-		"baseline":      AllocateBaseline,
+		"baseline":      allocateBaseline,
 	}
 	in := input(demand(0, ms(9), ms(7)), demand(1, ms(6), ms(4), ms(2)), demand(2, ms(12)))
 	for name, alloc := range allocs {

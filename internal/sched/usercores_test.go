@@ -31,7 +31,7 @@ func coresInput() Input {
 func TestUserCoresPopulatedByAllAllocators(t *testing.T) {
 	allocators := map[string]func(Input) (*Result, error){
 		"content-aware": AllocateContentAware,
-		"baseline":      AllocateBaseline,
+		"baseline":      allocateBaseline,
 	}
 	for name, alloc := range allocators {
 		res, err := alloc(coresInput())

@@ -15,6 +15,10 @@
 //	              function no production command line runs has a verdict in
 //	              testdata/unreached.golden, checked against a coverage run;
 //	              TestUnreachedGolden checks the golden itself in tier-1.
+//	TestExports   every exported name under internal/ that no other package
+//	              outside bench/ names has a checked verdict in
+//	              testdata/exports.golden (exports_test.go): the public
+//	              surface is what another package calls.
 //	TestClocks    every read of the wall clock, a random source or a
 //	              report-only stopwatch field in production code has a
 //	              report, supervision or identity verdict in
@@ -41,7 +45,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/knobs.golden")
+var update = flag.Bool("update", false, "rewrite testdata/knobs.golden and testdata/exports.golden")
 
 // knobStructs is the fixed list of configuration structs whose exported
 // fields are knobs: everything a caller fills in to build a server, a
@@ -300,6 +304,40 @@ func lineDiff(want, got string) string {
 	return strings.Join(out, "\n")
 }
 
+// moduleInterfaces lists the interfaces a method call can go through:
+// error, the standard-library interfaces the module's types are
+// passed as, and every interface the module declares, each with the path of
+// the package that declares it ("" for error).
+func moduleInterfaces(t *testing.T) ([]*types.Interface, []string) {
+	m := load(t)
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	paths := []string{""}
+	for _, ref := range [][2]string{
+		{"fmt", "Stringer"}, {"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+		{"net/http", "Handler"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+		{"sort", "Interface"},
+	} {
+		sp, err := m.std.Import(ref[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, sp.Scope().Lookup(ref[1]).Type().Underlying().(*types.Interface))
+		paths = append(paths, ref[0])
+	}
+	for path, p := range m.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+					paths = append(paths, path)
+				}
+			}
+		}
+	}
+	return ifaces, paths
+}
+
 func TestNoOrphans(t *testing.T) {
 	m := load(t)
 
@@ -313,28 +351,7 @@ func TestNoOrphans(t *testing.T) {
 
 	// A method reached through an interface is named on the interface, not
 	// on the type: collect the interfaces such calls can go through.
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	for _, ref := range [][2]string{
-		{"fmt", "Stringer"}, {"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
-		{"net/http", "Handler"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
-		{"sort", "Interface"},
-	} {
-		sp, err := m.std.Import(ref[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ifaces = append(ifaces, sp.Scope().Lookup(ref[1]).Type().Underlying().(*types.Interface))
-	}
-	for _, p := range m.pkgs {
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-	}
+	ifaces, _ := moduleInterfaces(t)
 	viaInterface := func(recv types.Type, method string) bool {
 		ptr := types.NewPointer(recv)
 		for _, it := range ifaces {

@@ -126,15 +126,15 @@ func Retile(frameW, frameH int, cfg RetileConfig, probe ContentProbe) (*Grid, er
 		}
 	}
 	// Corners.
-	add(Rect{0, 0, left, top}, RegionCorner)
-	add(Rect{cx + cw, 0, right, top}, RegionCorner)
-	add(Rect{0, cy + ch, left, bottom}, RegionCorner)
-	add(Rect{cx + cw, cy + ch, right, bottom}, RegionCorner)
+	add(Rect{0, 0, left, top}, regionCorner)
+	add(Rect{cx + cw, 0, right, top}, regionCorner)
+	add(Rect{0, cy + ch, left, bottom}, regionCorner)
+	add(Rect{cx + cw, cy + ch, right, bottom}, regionCorner)
 	// Borders.
-	add(Rect{cx, 0, cw, top}, RegionBorder)
-	add(Rect{cx, cy + ch, cw, bottom}, RegionBorder)
-	add(Rect{0, cy, left, ch}, RegionBorder)
-	add(Rect{cx + cw, cy, right, ch}, RegionBorder)
+	add(Rect{cx, 0, cw, top}, regionBorder)
+	add(Rect{cx, cy + ch, cw, bottom}, regionBorder)
+	add(Rect{0, cy, left, ch}, regionBorder)
+	add(Rect{cx + cw, cy, right, ch}, regionBorder)
 
 	// Center split: texture selects the density.
 	nx, ny := centerSplit(cfg, probe.CenterTexture(center), cw, ch, cfg.MaxTiles-len(g.Tiles))
@@ -144,7 +144,7 @@ func Retile(frameW, frameH int, cfg RetileConfig, probe ContentProbe) (*Grid, er
 	for _, th := range ys {
 		ox := cx
 		for _, tw := range xs {
-			add(Rect{ox, oy, tw, th}, RegionCenter)
+			add(Rect{ox, oy, tw, th}, regionCenter)
 			ox += tw
 		}
 		oy += th

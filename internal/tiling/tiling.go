@@ -21,8 +21,8 @@ func (r Rect) Area() int { return r.W * r.H }
 // Empty reports whether the rectangle has no area.
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
-// Intersects reports whether two rectangles share any sample.
-func (r Rect) Intersects(o Rect) bool {
+// intersects reports whether two rectangles share any sample.
+func (r Rect) intersects(o Rect) bool {
 	return r.X < o.X+o.W && o.X < r.X+r.W && r.Y < o.Y+o.H && o.Y < r.Y+r.H
 }
 
@@ -35,19 +35,19 @@ type Region int
 
 // Tile regions produced by the content-aware re-tiler.
 const (
-	RegionCenter Region = iota
-	RegionCorner
-	RegionBorder
+	regionCenter Region = iota
+	regionCorner
+	regionBorder
 )
 
 // String returns the region name.
 func (r Region) String() string {
 	switch r {
-	case RegionCenter:
+	case regionCenter:
 		return "center"
-	case RegionCorner:
+	case regionCorner:
 		return "corner"
-	case RegionBorder:
+	case regionBorder:
 		return "border"
 	default:
 		return fmt.Sprintf("Region(%d)", int(r))
@@ -91,7 +91,7 @@ func (g *Grid) Validate() error {
 		}
 		area += t.Area()
 		for j := i + 1; j < len(g.Tiles); j++ {
-			if t.Intersects(g.Tiles[j].Rect) {
+			if t.intersects(g.Tiles[j].Rect) {
 				return fmt.Errorf("tiling: tiles %d and %d overlap: %s vs %s", i, j, t.Rect, g.Tiles[j].Rect)
 			}
 		}
@@ -138,7 +138,7 @@ func Uniform(frameW, frameH, nx, ny int) (*Grid, error) {
 	for _, th := range ys {
 		ox := 0
 		for _, tw := range xs {
-			g.Tiles = append(g.Tiles, Tile{Rect: Rect{X: ox, Y: oy, W: tw, H: th}, Region: RegionCenter})
+			g.Tiles = append(g.Tiles, Tile{Rect: Rect{X: ox, Y: oy, W: tw, H: th}, Region: regionCenter})
 			ox += tw
 		}
 		oy += th

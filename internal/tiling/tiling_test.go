@@ -62,10 +62,10 @@ func TestRectIntersects(t *testing.T) {
 		{Rect{3, 3, 2, 2}, true}, // contained
 	}
 	for _, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
+		if got := a.intersects(c.b); got != c.want {
 			t.Errorf("%v ∩ %v = %v, want %v", a, c.b, got, c.want)
 		}
-		if got := c.b.Intersects(a); got != c.want {
+		if got := c.b.intersects(a); got != c.want {
 			t.Errorf("intersection not symmetric for %v", c.b)
 		}
 	}
@@ -181,7 +181,7 @@ type stubProbe struct {
 	texture int
 }
 
-func (s stubProbe) LowContent(r Rect) bool { return !r.Intersects(s.content) }
+func (s stubProbe) LowContent(r Rect) bool { return !r.intersects(s.content) }
 func (s stubProbe) CenterTexture(Rect) int { return s.texture }
 
 func TestRetileProducesValidPartition(t *testing.T) {
@@ -208,7 +208,7 @@ func TestRetileCenterTileCount(t *testing.T) {
 	}
 	var center int
 	for _, tl := range g.Tiles {
-		if tl.Region == RegionCenter {
+		if tl.Region == regionCenter {
 			center++
 		}
 	}
@@ -228,7 +228,7 @@ func TestRetileLowTextureFewerCenterTiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tl := range g.Tiles {
-			if tl.Region == RegionCenter {
+			if tl.Region == regionCenter {
 				counts[tex]++
 			}
 		}
@@ -249,7 +249,7 @@ func TestRetileGrowsAwayFromContent(t *testing.T) {
 	}
 	var leftW, rightW int
 	for _, tl := range g.Tiles {
-		if tl.Region != RegionCorner {
+		if tl.Region != regionCorner {
 			continue
 		}
 		if tl.X == 0 && tl.Y == 0 {
@@ -289,7 +289,7 @@ func TestRetileAllHighContentStillValid(t *testing.T) {
 	}
 	// Margins should be at the minimum: corner tiles at min size.
 	for _, tl := range g.Tiles {
-		if tl.Region == RegionCorner && (tl.W > cfg.MinTileW || tl.H > cfg.MinTileH) {
+		if tl.Region == regionCorner && (tl.W > cfg.MinTileW || tl.H > cfg.MinTileH) {
 			t.Fatalf("corner tile %v grew despite high content everywhere", tl.Rect)
 		}
 	}
@@ -303,7 +303,7 @@ func TestRetileRespectsMinTileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tl := range g.Tiles {
-		if tl.Region == RegionCenter && (tl.W < cfg.MinTileW || tl.H < cfg.MinTileH) {
+		if tl.Region == regionCenter && (tl.W < cfg.MinTileW || tl.H < cfg.MinTileH) {
 			t.Fatalf("center tile %v below minimum %dx%d", tl.Rect, cfg.MinTileW, cfg.MinTileH)
 		}
 	}
@@ -349,7 +349,7 @@ func TestRetilePropertyAlwaysPartition(t *testing.T) {
 }
 
 func TestRegionAndStringMethods(t *testing.T) {
-	if RegionCenter.String() != "center" || RegionCorner.String() != "corner" || RegionBorder.String() != "border" {
+	if regionCenter.String() != "center" || regionCorner.String() != "corner" || regionBorder.String() != "border" {
 		t.Fatal("region names wrong")
 	}
 	if Region(99).String() == "" {

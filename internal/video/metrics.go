@@ -5,8 +5,9 @@ import (
 	"math"
 )
 
-// MSE returns the mean squared error between two planes of equal size.
-func MSE(a, b *Plane) (float64, error) {
+// meanSquaredError returns the mean squared error between two planes of
+// equal size.
+func meanSquaredError(a, b *Plane) (float64, error) {
 	if a.W != b.W || a.H != b.H {
 		return 0, fmt.Errorf("video: mse %dx%d vs %dx%d: %w", a.W, a.H, b.W, b.H, ErrSizeMismatch)
 	}
@@ -24,7 +25,7 @@ func MSE(a, b *Plane) (float64, error) {
 // PSNR returns the peak signal-to-noise ratio in dB between two planes.
 // Identical planes return +Inf.
 func PSNR(a, b *Plane) (float64, error) {
-	mse, err := MSE(a, b)
+	mse, err := meanSquaredError(a, b)
 	if err != nil {
 		return 0, err
 	}

@@ -139,7 +139,7 @@ func TestMSEAndPSNR(t *testing.T) {
 	a, b := NewPlane(4, 4), NewPlane(4, 4)
 	a.Fill(100)
 	b.Fill(110)
-	mse, err := MSE(a, b)
+	mse, err := meanSquaredError(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
