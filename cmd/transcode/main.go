@@ -650,7 +650,7 @@ func serveFleet(ctx context.Context, o options, stdout io.Writer) error {
 				// if this round retired the last live session before the
 				// next stagger threshold, no further round (and hence no
 				// further hook) would ever fire — submit the next user now.
-				if submitted < o.users && fleet.Load() == 0 {
+				if submitted < o.users && serve.SumLoads(fleet.Loads()).Sessions == 0 {
 					submitStaggered(submitted)
 					submitted++
 				}

@@ -120,10 +120,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// CV returns the floor-stabilized coefficient of variation (stddev/mean) of
+// cv returns the floor-stabilized coefficient of variation (stddev/mean) of
 // the luma samples inside r (see Config.MeanFloor). A zero-mean (all black)
 // region under a zero floor returns 0: it carries no texture.
-func (c Config) CV(p *video.Plane, r tiling.Rect) (float64, error) {
+func (c Config) cv(p *video.Plane, r tiling.Rect) (float64, error) {
 	sp, err := p.SubPlane(r.X, r.Y, r.W, r.H)
 	if err != nil {
 		return 0, err
@@ -138,8 +138,8 @@ func (c Config) CV(p *video.Plane, r tiling.Rect) (float64, error) {
 	return stddev / mean, nil
 }
 
-// ClassifyTexture applies Eq. 1 to the coefficient of variation.
-func (c Config) ClassifyTexture(cv float64) TextureClass {
+// classifyTexture applies Eq. 1 to the coefficient of variation.
+func (c Config) classifyTexture(cv float64) TextureClass {
 	switch {
 	case cv <= c.TextureLowTh:
 		return TextureLow
@@ -150,10 +150,10 @@ func (c Config) ClassifyTexture(cv float64) TextureClass {
 	}
 }
 
-// MotionScore computes M of Eq. 2 for rectangle r between the current and
+// motionScore computes M of Eq. 2 for rectangle r between the current and
 // previous frames: a weighted count of differing probe pixels at the four
 // corners (weight α each), the center (β) and the maximum-luma point (γ).
-func (c Config) MotionScore(cur, prev *video.Plane, r tiling.Rect) (int, error) {
+func (c Config) motionScore(cur, prev *video.Plane, r tiling.Rect) (int, error) {
 	if cur.W != prev.W || cur.H != prev.H {
 		return 0, fmt.Errorf("analysis: frame size mismatch %dx%d vs %dx%d: %w",
 			cur.W, cur.H, prev.W, prev.H, video.ErrSizeMismatch)
@@ -186,7 +186,10 @@ func (c Config) MotionScore(cur, prev *video.Plane, r tiling.Rect) (int, error) 
 		m += c.Beta
 	}
 	// Maximum-luma point of the current tile, weight γ.
-	sub := cur.MustSubPlane(r.X, r.Y, r.W, r.H)
+	sub, err := cur.SubPlane(r.X, r.Y, r.W, r.H)
+	if err != nil {
+		return 0, err
+	}
 	_, mx, my := sub.Max()
 	if differs(r.X+mx, r.Y+my) {
 		m += c.Gamma
@@ -194,8 +197,8 @@ func (c Config) MotionScore(cur, prev *video.Plane, r tiling.Rect) (int, error) 
 	return m, nil
 }
 
-// ClassifyMotion applies Eq. 3 to the motion score.
-func (c Config) ClassifyMotion(score int) MotionClass {
+// classifyMotion applies Eq. 3 to the motion score.
+func (c Config) classifyMotion(score int) MotionClass {
 	if score >= c.MotionTh {
 		return MotionHigh
 	}
@@ -236,24 +239,24 @@ func NewEvaluator(cfg Config, cur, prev *video.Plane) (*Evaluator, error) {
 	return &Evaluator{cfg: cfg, cur: cur, prev: prev}, nil
 }
 
-// Evaluate classifies a single tile.
-func (e *Evaluator) Evaluate(t tiling.Tile) (TileContent, error) {
-	cv, err := e.cfg.CV(e.cur, t.Rect)
+// evaluate classifies a single tile.
+func (e *Evaluator) evaluate(t tiling.Tile) (TileContent, error) {
+	cv, err := e.cfg.cv(e.cur, t.Rect)
 	if err != nil {
 		return TileContent{}, err
 	}
-	tc := TileContent{Tile: t, CV: cv, Texture: e.cfg.ClassifyTexture(cv)}
+	tc := TileContent{Tile: t, CV: cv, Texture: e.cfg.classifyTexture(cv)}
 	if e.prev == nil {
 		tc.Score = e.cfg.MotionTh
 		tc.Motion = MotionHigh
 		return tc, nil
 	}
-	score, err := e.cfg.MotionScore(e.cur, e.prev, t.Rect)
+	score, err := e.cfg.motionScore(e.cur, e.prev, t.Rect)
 	if err != nil {
 		return TileContent{}, err
 	}
 	tc.Score = score
-	tc.Motion = e.cfg.ClassifyMotion(score)
+	tc.Motion = e.cfg.classifyMotion(score)
 	return tc, nil
 }
 
@@ -261,7 +264,7 @@ func (e *Evaluator) Evaluate(t tiling.Tile) (TileContent, error) {
 func (e *Evaluator) EvaluateGrid(g *tiling.Grid) ([]TileContent, error) {
 	out := make([]TileContent, 0, len(g.Tiles))
 	for _, t := range g.Tiles {
-		tc, err := e.Evaluate(t)
+		tc, err := e.evaluate(t)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +278,7 @@ func (e *Evaluator) EvaluateGrid(g *tiling.Grid) ([]TileContent, error) {
 // corner/border growth continues "until the texture or the motion is not
 // low anymore".)
 func (e *Evaluator) LowContent(r tiling.Rect) bool {
-	tc, err := e.Evaluate(tiling.Tile{Rect: r})
+	tc, err := e.evaluate(tiling.Tile{Rect: r})
 	if err != nil {
 		return false
 	}
@@ -287,11 +290,11 @@ func (e *Evaluator) LowContent(r tiling.Rect) bool {
 // considered: the paper observes center motion is consistent and uses only
 // texture for the center split.
 func (e *Evaluator) CenterTexture(r tiling.Rect) int {
-	cv, err := e.cfg.CV(e.cur, r)
+	cv, err := e.cfg.cv(e.cur, r)
 	if err != nil {
 		return 2 // unknown: assume dense content
 	}
-	return int(e.cfg.ClassifyTexture(cv))
+	return int(e.cfg.classifyTexture(cv))
 }
 
 var _ tiling.ContentProbe = (*Evaluator)(nil)

@@ -22,7 +22,7 @@ func mustEval(t *testing.T, cur, prev *video.Plane) *Evaluator {
 func TestCVConstantPlaneIsZero(t *testing.T) {
 	p := video.NewPlane(32, 32)
 	p.Fill(100)
-	cv, err := Config{}.CV(p, tiling.Rect{X: 0, Y: 0, W: 32, H: 32})
+	cv, err := Config{}.cv(p, tiling.Rect{X: 0, Y: 0, W: 32, H: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCVConstantPlaneIsZero(t *testing.T) {
 
 func TestCVAllBlackIsZero(t *testing.T) {
 	p := video.NewPlane(8, 8)
-	cv, err := Config{}.CV(p, tiling.Rect{W: 8, H: 8})
+	cv, err := Config{}.cv(p, tiling.Rect{W: 8, H: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCVKnownValue(t *testing.T) {
 	p := video.NewPlane(2, 1)
 	p.Set(0, 0, 10)
 	p.Set(1, 0, 20)
-	cv, err := Config{}.CV(p, tiling.Rect{W: 2, H: 1})
+	cv, err := Config{}.cv(p, tiling.Rect{W: 2, H: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,35 +65,35 @@ func TestConfigCVAppliesMeanFloor(t *testing.T) {
 		}
 	}
 	r := tiling.Rect{W: 16, H: 16}
-	raw, err := Config{}.CV(p, r)
+	raw, err := Config{}.cv(p, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	floored, err := cfg.CV(p, r)
+	floored, err := cfg.cv(p, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if floored >= raw {
 		t.Fatalf("floored CV %v not below raw %v", floored, raw)
 	}
-	if cfg.ClassifyTexture(floored) != TextureLow {
-		t.Fatalf("dark region classified %v, want low", cfg.ClassifyTexture(floored))
+	if cfg.classifyTexture(floored) != TextureLow {
+		t.Fatalf("dark region classified %v, want low", cfg.classifyTexture(floored))
 	}
 }
 
 func TestClassifyTextureThresholds(t *testing.T) {
 	cfg := DefaultConfig()
-	if got := cfg.ClassifyTexture(cfg.TextureLowTh); got != TextureLow {
+	if got := cfg.classifyTexture(cfg.TextureLowTh); got != TextureLow {
 		t.Fatalf("at low threshold: %v (boundary is inclusive per Eq. 1)", got)
 	}
-	if got := cfg.ClassifyTexture(cfg.TextureLowTh + 1e-9); got != TextureMedium {
+	if got := cfg.classifyTexture(cfg.TextureLowTh + 1e-9); got != TextureMedium {
 		t.Fatalf("just above low threshold: %v", got)
 	}
-	if got := cfg.ClassifyTexture(cfg.TextureHighTh); got != TextureMedium {
+	if got := cfg.classifyTexture(cfg.TextureHighTh); got != TextureMedium {
 		t.Fatalf("at high threshold: %v", got)
 	}
-	if got := cfg.ClassifyTexture(cfg.TextureHighTh + 1e-9); got != TextureHigh {
+	if got := cfg.classifyTexture(cfg.TextureHighTh + 1e-9); got != TextureHigh {
 		t.Fatalf("just above high threshold: %v", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestMotionScoreStaticIsZero(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	m, err := cfg.MotionScore(p, p.Clone(), tiling.Rect{W: 64, H: 64})
+	m, err := cfg.motionScore(p, p.Clone(), tiling.Rect{W: 64, H: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMotionScoreWeights(t *testing.T) {
 	cur.Set(5, 5, 200) // max point at (5,5), unchanged? No: prev has 100.
 	prev.Set(5, 5, 200)
 	cur.Set(0, 0, 120) // corner differs
-	m, err := cfg.MotionScore(cur, prev, r)
+	m, err := cfg.motionScore(cur, prev, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMotionScoreWeights(t *testing.T) {
 	cur.Set(5, 5, 200)
 	prev.Set(5, 5, 200)
 	cur.Set(16, 16, 250) // center pixel (33/2 = 16)... also becomes max!
-	m, err = cfg.MotionScore(cur, prev, r)
+	m, err = cfg.motionScore(cur, prev, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMotionScoreWeights(t *testing.T) {
 	if m != cfg.Beta+cfg.Gamma {
 		t.Fatalf("center+max score = %d, want β+γ = %d", m, cfg.Beta+cfg.Gamma)
 	}
-	if cfg.ClassifyMotion(m) != MotionHigh {
+	if cfg.classifyMotion(m) != MotionHigh {
 		t.Fatal("center+max change not classified high motion")
 	}
 }
@@ -165,7 +165,7 @@ func TestMotionScoreTolerance(t *testing.T) {
 	prev.Fill(100)
 	// A change within tolerance is "equal".
 	cur.Set(0, 0, uint8(100+cfg.PixelTolerance))
-	m, err := cfg.MotionScore(cur, prev, tiling.Rect{W: 16, H: 16})
+	m, err := cfg.motionScore(cur, prev, tiling.Rect{W: 16, H: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestMotionScoreTolerance(t *testing.T) {
 func TestMotionScoreErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	a, b := video.NewPlane(8, 8), video.NewPlane(16, 8)
-	if _, err := cfg.MotionScore(a, b, tiling.Rect{W: 8, H: 8}); err == nil {
+	if _, err := cfg.motionScore(a, b, tiling.Rect{W: 8, H: 8}); err == nil {
 		t.Fatal("accepted mismatched planes")
 	}
 	c := video.NewPlane(8, 8)
-	if _, err := cfg.MotionScore(a, c, tiling.Rect{X: 4, Y: 0, W: 8, H: 8}); err == nil {
+	if _, err := cfg.motionScore(a, c, tiling.Rect{X: 4, Y: 0, W: 8, H: 8}); err == nil {
 		t.Fatal("accepted out-of-bounds rect")
 	}
 }
@@ -189,7 +189,7 @@ func TestMotionScoreErrors(t *testing.T) {
 func TestEvaluatorNilPrevIsHighMotion(t *testing.T) {
 	p := video.NewPlane(64, 64)
 	e := mustEval(t, p, nil)
-	tc, err := e.Evaluate(tiling.Tile{Rect: tiling.Rect{W: 64, H: 64}})
+	tc, err := e.evaluate(tiling.Tile{Rect: tiling.Rect{W: 64, H: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestCornersAreLowContentOnCorpus(t *testing.T) {
 			{X: 576, Y: 416, W: 64, H: 64},
 		} {
 			if !e.LowContent(r) {
-				tc, _ := e.Evaluate(tiling.Tile{Rect: r})
+				tc, _ := e.evaluate(tiling.Tile{Rect: r})
 				t.Errorf("class %v: corner %v not low content (CV %.3f, tex %v, M %d)",
 					class, r, tc.CV, tc.Texture, tc.Score)
 			}
@@ -276,7 +276,7 @@ func TestCenterIsNotLowOnCorpus(t *testing.T) {
 		cur, prev := corpusFrames(t, class, medgen.Rotate)
 		e := mustEval(t, cur, prev)
 		center := tiling.Rect{X: 192, Y: 144, W: 256, H: 192}
-		tc, err := e.Evaluate(tiling.Tile{Rect: center})
+		tc, err := e.evaluate(tiling.Tile{Rect: center})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestRotatingVideoHasHighMotionCenter(t *testing.T) {
 		{X: 320, Y: 240, W: 160, H: 120},
 	}
 	for _, r := range probes {
-		tc, err := e.Evaluate(tiling.Tile{Rect: r})
+		tc, err := e.evaluate(tiling.Tile{Rect: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestEvaluateGridMatchesEvaluate(t *testing.T) {
 		t.Fatalf("%d contents for 9 tiles", len(tcs))
 	}
 	for i, tc := range tcs {
-		single, err := e.Evaluate(grid.Tiles[i])
+		single, err := e.evaluate(grid.Tiles[i])
 		if err != nil {
 			t.Fatal(err)
 		}

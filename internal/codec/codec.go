@@ -108,9 +108,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TypeOf returns the frame type for display-order frame n under the
+// frameTypeOf returns the frame type for display-order frame n under the
 // configured intra period.
-func (c Config) TypeOf(n int) FrameType {
+func (c Config) frameTypeOf(n int) FrameType {
 	if n == 0 {
 		return FrameI
 	}

@@ -64,20 +64,20 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTypeOfSchedule(t *testing.T) {
 	c := DefaultConfig() // intra period 48
-	if c.TypeOf(0) != FrameI {
+	if c.frameTypeOf(0) != FrameI {
 		t.Fatal("frame 0 must be I")
 	}
-	if c.TypeOf(1) != FrameP || c.TypeOf(47) != FrameP {
+	if c.frameTypeOf(1) != FrameP || c.frameTypeOf(47) != FrameP {
 		t.Fatal("mid-period frames must be P")
 	}
-	if c.TypeOf(48) != FrameI || c.TypeOf(96) != FrameI {
+	if c.frameTypeOf(48) != FrameI || c.frameTypeOf(96) != FrameI {
 		t.Fatal("intra refresh missing")
 	}
 	c.IntraPeriod = 0
-	if c.TypeOf(48) != FrameP {
+	if c.frameTypeOf(48) != FrameP {
 		t.Fatal("intra period 0 should never refresh")
 	}
-	if c.TypeOf(0) != FrameI {
+	if c.frameTypeOf(0) != FrameI {
 		t.Fatal("frame 0 must be I even with period 0")
 	}
 }

@@ -123,7 +123,7 @@ func (e *Encoder) encode(ctx context.Context, f *video.Frame, grid *tiling.Grid,
 	if len(params) != len(grid.Tiles) {
 		return nil, nil, fmt.Errorf("codec: %d tile params for %d tiles", len(params), len(grid.Tiles))
 	}
-	ftype := e.cfg.TypeOf(e.frames)
+	ftype := e.cfg.frameTypeOf(e.frames)
 	if ftype == FrameP && e.ref == nil {
 		return nil, nil, fmt.Errorf("codec: P-frame %d without reference", e.frames)
 	}

@@ -12,10 +12,10 @@ import (
 // degrades the refused sessions' service level step by step instead of
 // letting them starve silently:
 //
-//	rung 1 — newcomers fall back to the uniform tiling (Session.Degrade);
+//	rung 1 — newcomers fall back to the uniform tiling (Session.degrade);
 //	rung 2+ — the session's QP is offset upward in qpOffsetStep increments
 //	          up to maxQPOffset, shrinking its estimated workload;
-//	next    — the session's frame rate is halved (Session.HalveRate): it is
+//	next    — the session's frame rate is halved (Session.rateHalved): it is
 //	          served every other GOP round, so a heavily-overloaded platform
 //	          keeps it connected at half rate instead of starving it;
 //	then    — the session queues, re-competing every round, for at most
@@ -33,14 +33,14 @@ type AdmissionConfig struct {
 	// session may wait for admission before being rejected (0 → 8).
 	MaxQueueRounds int
 	// RecoverAfterRounds enables rate-rung recovery: a rate-halved
-	// session returns to full rate (Session.RestoreRate) once the
+	// session returns to full rate once the
 	// platform has held spare allocation headroom for it — no session
 	// refused, spare cores ≥ the session's own demand — for this many
 	// consecutive rounds. Any round without headroom resets the count
 	// (hysteresis against flapping). 0 (the default) leaves recovery
-	// off: HalveRate stays one-way, the historical behavior. Recovery
-	// runs whenever it is non-zero, even with Enabled false, so manually
-	// halved sessions (tests, external policies) recover too.
+	// off: the rate rung stays one-way, the historical behavior.
+	// Recovery runs whenever it is non-zero, even with Enabled false, so
+	// sessions imported already halved recover too.
 	RecoverAfterRounds int
 }
 
@@ -306,24 +306,28 @@ func (s *Server) escalate(rs *roundSession) (applied, demandChanged bool, err er
 			// Tiling degradation applies to newcomers on the proposed
 			// pipeline; sessions already streaming (or already uniform)
 			// skip to the QP rung.
-			if sess.NextFrame() == 0 && sess.Config().Mode == ModeProposed && !sess.Config().DisableRetile {
-				if err := sess.Degrade(); err != nil {
+			if sess.frame == 0 && sess.cfg.Mode == ModeProposed && !sess.cfg.DisableRetile {
+				if err := sess.degrade(); err != nil {
 					return false, false, err
 				}
 				return true, true, nil
 			}
-		case sess.QPOffset() < maxQPOffset:
+		case sess.qpOffset < maxQPOffset:
+			// From the next encoded frame on, every tile's QP and its
+			// estimation key shift with the offset, so stage D1 prices the
+			// degraded configuration the encoder will run. The offset never
+			// steps below 0, even from a negative one a wire restored.
 			rs.rec.rung++
-			sess.SetQPOffset(min(sess.QPOffset()+qpOffsetStep, maxQPOffset))
+			sess.qpOffset = max(0, min(sess.qpOffset+qpOffsetStep, maxQPOffset))
 			return true, true, nil
-		case !sess.RateHalved():
+		case !sess.rateHalved:
 			// Frame-rate rung: the session is served every other GOP
 			// round from now on. Its per-round demand is unchanged (the
 			// allocator sees the same threads when it competes), but on
 			// alternating rounds it is absent entirely, freeing its share
 			// of the platform for the sessions it was crowding out.
 			rs.rec.rung++
-			sess.HalveRate()
+			sess.rateHalved = true
 			return true, false, nil
 		default:
 			return false, false, nil

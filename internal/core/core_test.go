@@ -136,7 +136,7 @@ func TestSessionEncodesWholeVideo(t *testing.T) {
 
 func TestSessionMeetsQualityConstraint(t *testing.T) {
 	s := newTestSession(t, ModeProposed)
-	min := s.Config().Constraints.MinPSNR
+	min := s.cfg.Constraints.MinPSNR
 	for !s.Finished() {
 		fr, err := s.EncodeNextFrame()
 		if err != nil {
@@ -235,7 +235,7 @@ func TestBaselineDefaultTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PrepareForEstimation(); err != nil {
+		if err := s.prepareForEstimation(); err != nil {
 			t.Fatal(err)
 		}
 		if n := s.grid.NumTiles(); n != 2 {
@@ -306,7 +306,7 @@ func TestEstimationKeysMatchEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for gop := 0; !s.Finished(); gop++ {
-			if err := s.PrepareForEstimation(); err != nil {
+			if err := s.prepareForEstimation(); err != nil {
 				t.Fatal(err)
 			}
 			estimated, err := s.appendEstimationKeys(nil)

@@ -47,8 +47,8 @@ type Handoff struct {
 	// of the video).
 	Frame int `json:"frame"`
 	// QPOffset, Degraded and RateHalved mirror the admission ladder's
-	// service-level degradations (Session.SetQPOffset, Degrade,
-	// HalveRate); in process they ride inside the Session and are surfaced
+	// service-level degradations (the Session's qpOffset, degraded and
+	// rateHalved); in process they ride inside the Session and are surfaced
 	// here so the target's record (and tests) can see them without poking
 	// the session, and Restore reapplies them to a rebuilt one.
 	QPOffset   int  `json:"qp_offset"`
@@ -125,9 +125,9 @@ func (s *Server) ExportSessions() ([]*SessionSnapshot, error) {
 	}
 	// Validate before mutating: an export is all-or-nothing.
 	for id, rec := range s.records {
-		if rec.state == StateQueued && !rec.sess.AtGOPBoundary() {
+		if rec.state == StateQueued && !rec.sess.atGOPBoundary() {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("core: session %d is mid-GOP (frame %d) — cannot export", id, rec.sess.NextFrame())
+			return nil, fmt.Errorf("core: session %d is mid-GOP (frame %d) — cannot export", id, rec.sess.frame)
 		}
 	}
 	var snaps []*SessionSnapshot
@@ -150,12 +150,12 @@ func (s *Server) snapshot(id int) *SessionSnapshot {
 	rec := s.records[id]
 	sess := rec.sess
 	return &SessionSnapshot{Session: sess, Handoff: Handoff{
-		Class:      sess.Class(),
+		Class:      sess.src.Class(),
 		DonorID:    id,
-		Frame:      sess.NextFrame(),
-		QPOffset:   sess.QPOffset(),
-		Degraded:   sess.Degraded(),
-		RateHalved: sess.RateHalved(),
+		Frame:      sess.frame,
+		QPOffset:   sess.qpOffset,
+		Degraded:   sess.degraded,
+		RateHalved: sess.rateHalved,
 		Demand:     rec.lastDemand,
 		Rung:       rec.rung,
 		Waited:     rec.waited,
@@ -198,9 +198,9 @@ func (s *Server) ExportSession(id int) (*SessionSnapshot, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: session %d is %v, not exportable", id, st)
 	}
-	if !rec.sess.AtGOPBoundary() {
+	if !rec.sess.atGOPBoundary() {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("core: session %d is mid-GOP (frame %d) — cannot export", id, rec.sess.NextFrame())
+		return nil, fmt.Errorf("core: session %d is mid-GOP (frame %d) — cannot export", id, rec.sess.frame)
 	}
 	snap := s.exportLocked(id)
 	s.mu.Unlock()
@@ -221,8 +221,8 @@ func (s *Server) Import(snap *SessionSnapshot) (*Session, error) {
 		return nil, fmt.Errorf("core: nil session snapshot")
 	}
 	sess := snap.Session
-	if !sess.AtGOPBoundary() {
-		return nil, fmt.Errorf("core: snapshot of session mid-GOP (frame %d)", sess.NextFrame())
+	if !sess.atGOPBoundary() {
+		return nil, fmt.Errorf("core: snapshot of session mid-GOP (frame %d)", sess.frame)
 	}
 	s.mu.Lock()
 	lut := s.store.ForClass(snap.Class)

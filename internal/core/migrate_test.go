@@ -126,11 +126,11 @@ func TestMigrationCarriesDegradationState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Degrade(); err != nil {
+	if err := sess.degrade(); err != nil {
 		t.Fatal(err)
 	}
-	sess.SetQPOffset(8)
-	sess.HalveRate()
+	sess.qpOffset = 8
+	sess.rateHalved = true
 	if _, err := donor.ServeGOP(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMigrationCarriesDegradationState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Degraded() || got.QPOffset() != 8 || !got.RateHalved() {
+	if !got.degraded || got.qpOffset != 8 || !got.rateHalved {
 		t.Fatal("imported session lost its degradations")
 	}
 	// The pending skip survives: the session sits out the target's first
@@ -427,7 +427,7 @@ func TestMigrationCarriesTenantIdentity(t *testing.T) {
 
 	// Across the wire: the JSON encoding carries the identity, and a
 	// restore on the far side reconstructs it.
-	w, err := snap.Wire()
+	w, err := snap.wire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestMigrationKeepsSubmittedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Config().Workers; got != 3 {
+	if got := sess.cfg.Workers; got != 3 {
 		t.Fatalf("adopted session has Workers %d, submitted 3", got)
 	}
 	wires, err := target.CheckpointSessions()

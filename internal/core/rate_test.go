@@ -10,6 +10,7 @@ import (
 	"repro/internal/medgen"
 	"repro/internal/mpsoc"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // TestHalveRateServesEveryOtherRound: a rate-halved session encodes a GOP,
@@ -28,8 +29,8 @@ func TestHalveRateServesEveryOtherRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	halved.HalveRate()
-	if !halved.RateHalved() || full.RateHalved() {
+	halved.rateHalved = true
+	if !halved.rateHalved || full.rateHalved {
 		t.Fatal("HalveRate flag wrong")
 	}
 	srv.Close()
@@ -93,13 +94,13 @@ func TestAdmissionLadderReachesRateRung(t *testing.T) {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
 	victim := srv.records[1].sess
-	if !victim.Degraded() || victim.QPOffset() == 0 {
+	if !victim.degraded || victim.qpOffset == 0 {
 		t.Fatal("ladder skipped the tiling/QP rungs")
 	}
-	if !victim.RateHalved() {
+	if !victim.rateHalved {
 		t.Fatal("ladder never reached the frame-rate rung")
 	}
-	if srv.records[0].sess.RateHalved() {
+	if srv.records[0].sess.rateHalved {
 		t.Fatal("ladder halved the admitted session's rate too")
 	}
 	if rep.FramesEncoded != 2*8 {
@@ -127,13 +128,13 @@ func TestRateRungRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	halved.HalveRate()
+	halved.rateHalved = true
 	srv.Close()
 	rep, outs := runKeeping(t, srv)
 	if len(rep.Completed) != 2 {
 		t.Fatalf("completed %v, want both", rep.Completed)
 	}
-	if halved.RateHalved() {
+	if halved.rateHalved {
 		t.Fatal("session still rate-halved despite sustained headroom")
 	}
 	var halvedRounds, recoveredAt []int
@@ -179,7 +180,7 @@ func TestRateRecoveryHysteresisCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.HalveRate()
+	sess.rateHalved = true
 	srv.records[0].lastDemand = 4
 
 	clean := func() *GOPOutcome {
@@ -206,11 +207,11 @@ func TestRateRecoveryHysteresisCounter(t *testing.T) {
 	}
 	step(clean())
 	step(clean())
-	if sess.RateHalved() != true {
+	if sess.rateHalved != true {
 		t.Fatal("recovered before K consecutive headroom rounds — flapping")
 	}
-	if got := step(clean()); fmt.Sprint(got) != "[0]" || sess.RateHalved() {
-		t.Fatalf("third consecutive headroom round: recovered %v, halved %v", got, sess.RateHalved())
+	if got := step(clean()); fmt.Sprint(got) != "[0]" || sess.rateHalved {
+		t.Fatalf("third consecutive headroom round: recovered %v, halved %v", got, sess.rateHalved)
 	}
 	// Once restored, clean rounds are a no-op until the ladder halves the
 	// session again.
@@ -250,7 +251,7 @@ func TestRateRecoveryHoldsUnderPressure(t *testing.T) {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
 	victim := srv.records[1].sess
-	if !victim.RateHalved() {
+	if !victim.rateHalved {
 		t.Fatal("saturated platform un-halved the victim — recovery flapped under pressure")
 	}
 	if rep.FramesEncoded != 2*8 {
@@ -358,5 +359,27 @@ func TestAbortFailsPendingSessions(t *testing.T) {
 	ids, err = srv.Abort(cause)
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("second Abort = %v, %v", ids, err)
+	}
+}
+
+// TestQPRungNeverNegative: the QP rung steps a session's offset up to
+// maxQPOffset and never leaves it below 0, even from a negative offset a
+// restored wire carried.
+func TestQPRungNeverNegative(t *testing.T) {
+	sess, err := NewSession(0, testSource(t, medgen.Brain, medgen.Rotate, 8), testSessionConfig(ModeProposed), workload.NewLUT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.qpOffset = -100
+	rs := &roundSession{rec: &sessionRecord{sess: sess, rung: rungDegradedTiling}}
+	var got []int
+	for i := 0; i < 3; i++ {
+		if _, _, err := (&Server{}).escalate(rs); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, sess.qpOffset)
+	}
+	if fmt.Sprint(got) != "[0 4 8]" {
+		t.Fatalf("QP offsets after each escalation = %v, want [0 4 8]", got)
 	}
 }

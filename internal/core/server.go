@@ -147,7 +147,7 @@ type sessionRecord struct {
 	// waited counts consecutive rounds the session was refused admission
 	// after the ladder ran out of degradation rungs.
 	waited int
-	// skipRound marks a rate-halved session (Session.HalveRate) to sit out
+	// skipRound marks a rate-halved session (Session.rateHalved) to sit out
 	// the next round: set after each GOP it is served, cleared when the
 	// skip is taken, so the session encodes every other GOP.
 	skipRound bool
@@ -182,7 +182,7 @@ type sessionRecord struct {
 // Concurrency contract: Submit, Close, Store, StateOf, LoadReport and
 // Report are safe to call from any goroutine, at any time — including
 // while Run is serving. The serving methods themselves (Run, ServeGOP,
-// ServeGOPContext, ServeAll) must be driven by a single goroutine at a
+// ServeAll) must be driven by a single goroutine at a
 // time; Run enforces this by failing when a Run is already active.
 type Server struct {
 	cfg   ServerConfig
@@ -439,23 +439,17 @@ type roundSession struct {
 
 // ServeGOP runs one full round: estimate → allocate → simulate → encode.
 // Sessions that are finished are skipped; if every session is finished an
-// error is returned. See ServeGOPContext for the error contract.
+// error is returned. The admitted sessions encode concurrently, each with
+// the tile-worker budget of its allocated cores, and every session that
+// finishes its GOP immediately runs stage A–C analysis for its next GOP so
+// the following round's estimation is already prepared (estimate-ahead,
+// overlapping the slower sessions' encodes). If any session fails, the
+// round's partial outcome is returned alongside the error: the other
+// sessions' completed GOP reports are in GOPs (the outcome is nil when
+// every live session failed in stages A–C, before there was a round to
+// serve).
 func (s *Server) ServeGOP() (*GOPOutcome, error) {
-	return s.ServeGOPContext(context.Background())
-}
-
-// ServeGOPContext is ServeGOP with cancellation. The admitted sessions
-// encode concurrently, each with the tile-worker budget of its allocated
-// cores, and every session that finishes its GOP immediately runs stage
-// A–C analysis for its next GOP so the following round's estimation is
-// already prepared (estimate-ahead, overlapping the slower sessions'
-// encodes). If any session fails, the round's partial outcome is returned
-// alongside the error: the other sessions' completed GOP reports are in
-// GOPs (the outcome is nil when every live session failed in stages A–C,
-// before there was a round to serve). After a cancellation, sessions may be stopped mid-GOP and the
-// server must not be reused.
-func (s *Server) ServeGOPContext(ctx context.Context) (*GOPOutcome, error) {
-	out, sessErrs, err := s.serveRound(ctx)
+	out, sessErrs, err := s.serveRound(context.Background())
 	if err != nil {
 		return out, err
 	}
@@ -610,8 +604,8 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 		}
 		out.Ladder[rec.sess.ID] = LadderState{
 			Rung:       rec.rung,
-			QPOffset:   rec.sess.QPOffset(),
-			RateHalved: rec.sess.RateHalved(),
+			QPOffset:   rec.sess.qpOffset,
+			RateHalved: rec.sess.rateHalved,
 		}
 	}
 	s.mu.Unlock()
@@ -619,12 +613,12 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 }
 
 // recoverRates is the rate-rung recovery pass (the reverse of the
-// admission ladder's HalveRate): after a settled round, every rate-halved
+// admission ladder's frame-rate rung): after a settled round, every rate-halved
 // live session accumulates one headroom round when nobody was refused
 // service this round and the platform kept enough spare cores to absorb
 // the session's own demand on the rounds it currently sits out. Once a
 // session has RecoverAfterRounds consecutive headroom rounds it is
-// restored to full rate (Session.RestoreRate, reported in
+// restored to full rate (reported in
 // GOPOutcome.Recovered); any round without headroom resets the count —
 // the hysteresis that keeps a borderline platform from flapping between
 // half and full rate. Disabled when RecoverAfterRounds is 0.
@@ -637,7 +631,7 @@ func (s *Server) recoverRates(out *GOPOutcome) {
 	clean := len(out.Allocation.Rejected) == 0 && len(out.TimedOut) == 0
 	s.mu.Lock()
 	for _, rec := range s.records {
-		if rec.state != StateQueued || !rec.sess.RateHalved() {
+		if rec.state != StateQueued || !rec.sess.rateHalved {
 			continue
 		}
 		if !clean || rec.lastDemand <= 0 || spare < rec.lastDemand {
@@ -648,7 +642,7 @@ func (s *Server) recoverRates(out *GOPOutcome) {
 		if rec.headroom < k {
 			continue
 		}
-		rec.sess.RestoreRate()
+		rec.sess.rateHalved = false
 		rec.skipRound = false
 		rec.headroom = 0
 		out.Recovered = append(out.Recovered, rec.sess.ID)
@@ -705,7 +699,7 @@ func (s *Server) failSession(rec *sessionRecord, err error) {
 // analysed and refreshes the per-tile workload keys.
 func (s *Server) prepareKeys(rs *roundSession) error {
 	sess := rs.rec.sess
-	if err := guardSession(sess.ID, sess.PrepareForEstimation); err != nil {
+	if err := guardSession(sess.ID, sess.prepareForEstimation); err != nil {
 		return err
 	}
 	keys, err := sess.appendEstimationKeys(rs.keys[:0])
@@ -790,28 +784,23 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 
 	var errSum float64
 	var errTiles int
+	var tileSums []time.Duration
 	for _, id := range admitted {
 		rs := byID[id]
 		gop := out.GOPs[id]
 		if gop == nil {
 			continue
 		}
+		// Feed every served tile's work back into the LUT. Applied here —
+		// once per round, from the serving goroutine, in ascending session
+		// order — so the update order (and with it every estimate) is
+		// reproducible even though the encodes ran concurrently.
+		tileSums = append(tileSums[:0], make([]time.Duration, len(gop.Grid.Tiles))...)
+		learn(rs.rec.lut, rs.rec.sess, gop, tileSums)
 		// Estimation error: pre-round prediction vs the GOP's mean
-		// modelled tile work.
-		n := len(gop.Grid.Tiles)
-		meas := make([]time.Duration, n)
-		counts := make([]int, n)
-		for _, fr := range gop.Frames {
-			for i, ts := range fr.Tiles {
-				meas[i] += rs.rec.sess.tileWork(ts)
-				counts[i]++
-			}
-		}
-		for i := 0; i < n && i < len(rs.estimates); i++ {
-			if counts[i] == 0 {
-				continue
-			}
-			m := meas[i] / time.Duration(counts[i])
+		// modelled tile work. Every frame of a GOP has the grid's tiles.
+		for i := 0; i < len(tileSums) && i < len(rs.estimates) && len(gop.Frames) > 0; i++ {
+			m := tileSums[i] / time.Duration(len(gop.Frames))
 			if m <= 0 {
 				continue
 			}
@@ -822,14 +811,9 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 			errSum += d
 			errTiles++
 		}
-		// Feed every served tile's work back into the LUT. Applied here —
-		// once per round, from the serving goroutine, in ascending session
-		// order — so the update order (and with it every estimate) is
-		// reproducible even though the encodes ran concurrently.
-		learn(rs.rec.lut, rs.rec.sess, gop)
 		// A rate-halved session just served a GOP: it sits out the next
 		// round (admission ladder's frame-rate rung).
-		if rs.rec.sess.RateHalved() {
+		if rs.rec.sess.rateHalved {
 			s.mu.Lock()
 			rs.rec.skipRound = true
 			s.mu.Unlock()
@@ -912,7 +896,7 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 				// while slower sessions are still encoding, so the next
 				// round's estimation loop finds the analysis already done.
 				if !sess.Finished() {
-					if err := sess.PrepareForEstimation(); err != nil {
+					if err := sess.prepareForEstimation(); err != nil {
 						return fmt.Errorf("estimate-ahead: %w", err)
 					}
 				}

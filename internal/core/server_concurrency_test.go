@@ -179,8 +179,8 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 	if containsInt(out1.AdmittedUsers, 0) || !containsInt(out1.RejectedUsers, 0) {
 		t.Fatalf("round 1 should reject user 0: admitted %v rejected %v", out1.AdmittedUsers, out1.RejectedUsers)
 	}
-	if srv.records[0].sess.NextFrame() != 0 {
-		t.Fatalf("rejected session advanced to frame %d", srv.records[0].sess.NextFrame())
+	if srv.records[0].sess.frame != 0 {
+		t.Fatalf("rejected session advanced to frame %d", srv.records[0].sess.frame)
 	}
 
 	out2, err := srv.ServeGOP()
@@ -197,7 +197,7 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := control.PrepareForEstimation(); err != nil {
+	if err := control.prepareForEstimation(); err != nil {
 		t.Fatal(err)
 	}
 	want, err := control.EncodeGOP()
@@ -432,7 +432,7 @@ func TestServeGOPCancellation(t *testing.T) {
 	srv := fourUserServer(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.ServeGOPContext(ctx); err != context.Canceled {
+	if _, _, err := srv.serveRound(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -451,9 +451,9 @@ func TestEstimateAheadPreparesNextGOP(t *testing.T) {
 		if sess.Finished() {
 			continue
 		}
-		if sess.preparedFor != sess.NextFrame() {
+		if sess.preparedFor != sess.frame {
 			t.Fatalf("session %d prepared for frame %d, next frame %d — estimation would see a stale grid",
-				sess.ID, sess.preparedFor, sess.NextFrame())
+				sess.ID, sess.preparedFor, sess.frame)
 		}
 	}
 }
@@ -478,8 +478,8 @@ func TestEncodeGOPResumesToBoundary(t *testing.T) {
 	if gop.Index != 0 {
 		t.Fatalf("resumed GOP index %d, want 0", gop.Index)
 	}
-	if s.NextFrame() != 4 {
-		t.Fatalf("session at frame %d after resume, want the GOP boundary 4", s.NextFrame())
+	if s.frame != 4 {
+		t.Fatalf("session at frame %d after resume, want the GOP boundary 4", s.frame)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,7 +139,7 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 // bare session on a LUT of its own.
 func TestDriftEstimateError(t *testing.T) {
 	_, outs, _ := churnService(t)
-	const want = 0.380405884620
+	const want = 0.482022653907
 	got, tiles := MeanEstimateErr(outs, 3)
 	if tiles == 0 || math.Abs(got-want) > 1e-9 {
 		t.Fatalf("relative estimate error from round 3 = %.12f over %d tiles, want %.12f", got, tiles, want)
@@ -165,6 +166,49 @@ func TestDriftEstimateError(t *testing.T) {
 				t.Fatalf("session %d GOP %d: served digests %x, bare %x", id, g, served[id], gop.Digest)
 			}
 		}
+	}
+}
+
+// TestSettlePricesEachTileOnce: a served tile's modelled work is priced
+// once per round — the LUT update, GOPReport.Work and the estimate error
+// all read that one price — so a TimeModel that counts its calls, as
+// driftModel does, advances once per served tile.
+func TestSettlePricesEachTileOnce(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	for _, motion := range []medgen.MotionKind{medgen.Rotate, medgen.Pan} {
+		cfg := testSessionConfig(ModeProposed)
+		cfg.TimeModel = func(ts codec.TileStats) time.Duration {
+			calls.Add(1)
+			return ts.Work(220)
+		}
+		if _, err := srv.Submit(testSource(t, medgen.Brain, motion, 8), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	var priced int64
+	srv.cfg.OnRound = func(out *GOPOutcome) {
+		tiles := 0
+		for _, gop := range out.GOPs {
+			for _, fr := range gop.Frames {
+				tiles += len(fr.Tiles)
+			}
+		}
+		if got := calls.Load() - priced; tiles == 0 || got != int64(tiles) {
+			t.Errorf("round %d: %d TimeModel calls for %d served tiles, want one each", out.Round, got, tiles)
+		}
+		priced = calls.Load()
+	}
+	rep, err := srv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rounds == 0 {
+		t.Fatal("no round served")
 	}
 }
 
@@ -262,7 +306,7 @@ func TestRunGoldenRegression(t *testing.T) {
 	_, outs, srv, _ := goldenService(t, false, true)
 	for _, rec := range srv.records {
 		sess := rec.sess
-		dec, err := codec.NewDecoder(sess.Config().Codec)
+		dec, err := codec.NewDecoder(sess.cfg.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,13 +398,13 @@ func TestAdmissionLadderDegradesAndServes(t *testing.T) {
 		t.Fatalf("round 0 rejected %v, want [1]", got)
 	}
 	victim := srv.records[1].sess
-	if !victim.Degraded() {
+	if !victim.degraded {
 		t.Fatal("ladder did not degrade the newcomer's tiling")
 	}
-	if victim.QPOffset() == 0 {
+	if victim.qpOffset == 0 {
 		t.Fatal("ladder did not raise the newcomer's QP offset")
 	}
-	if srv.records[0].sess.Degraded() || srv.records[0].sess.QPOffset() != 0 {
+	if srv.records[0].sess.degraded || srv.records[0].sess.qpOffset != 0 {
 		t.Fatal("ladder degraded the admitted session too")
 	}
 	if rep.FramesEncoded != 2*8 {

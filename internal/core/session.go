@@ -192,7 +192,9 @@ type Session struct {
 	// rateHalved records the admission ladder's frame-rate rung: the
 	// server serves the session every other GOP round (it sits out the
 	// round after each GOP it encodes), halving its delivered frame rate
-	// so a heavily-overloaded platform keeps it connected.
+	// so a heavily-overloaded platform keeps it connected. The encoded
+	// output is unaffected, so the rung is reversible: the server's
+	// headroom recovery (AdmissionConfig.RecoverAfterRounds) clears it.
 	rateHalved bool
 
 	frame int // next frame to encode
@@ -274,28 +276,8 @@ func NewSession(id int, src FrameSource, cfg SessionConfig, lut *workload.LUT) (
 	}, nil
 }
 
-// Config returns the session's (defaulted) configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
-// NextFrame returns the index of the next frame to encode.
-func (s *Session) NextFrame() int { return s.frame }
-
 // Finished reports whether the whole video has been encoded.
 func (s *Session) Finished() bool { return s.frame >= s.src.Len() }
-
-// QPOffset returns the admission ladder's current QP degradation offset.
-func (s *Session) QPOffset() int { return s.qpOffset }
-
-// SetQPOffset installs a service-level QP degradation: off is added to
-// every tile's QP from the next encoded frame on (negative values clamp to
-// 0). Estimation keys shift with it, so stage D1 prices the degraded
-// configuration the encoder will actually run.
-func (s *Session) SetQPOffset(off int) {
-	if off < 0 {
-		off = 0
-	}
-	s.qpOffset = off
-}
 
 // effectiveQP applies the service-level QP offset within codec bounds.
 func (s *Session) effectiveQP(qp int) int {
@@ -309,36 +291,9 @@ func (s *Session) effectiveQP(qp int) int {
 	return qp
 }
 
-// Degraded reports whether the admission ladder has replaced the content
-// -aware re-tiler for this session.
-func (s *Session) Degraded() bool { return s.degraded }
-
-// HalveRate applies the admission ladder's frame-rate rung: from now on
-// the server serves this session every other GOP round, so it receives
-// half the service frame rate instead of starving in the queue. The
-// session's encoded output is unaffected — only the serving cadence
-// changes — so the degradation is reversible: RestoreRate (driven by the
-// server's headroom-based recovery, AdmissionConfig.RecoverAfterRounds)
-// returns the session to full rate.
-func (s *Session) HalveRate() { s.rateHalved = true }
-
-// RestoreRate undoes HalveRate: the session is served every round again.
-// The server applies it once the platform has shown spare allocation
-// headroom for enough consecutive rounds (the rate-rung recovery
-// hysteresis); nothing stops the ladder from halving the rate again if
-// the platform saturates later.
-func (s *Session) RestoreRate() { s.rateHalved = false }
-
-// RateHalved reports whether the admission ladder has halved the
-// session's service frame rate.
-func (s *Session) RateHalved() bool { return s.rateHalved }
-
-// Class returns the session's workload class (the routing and LUT key).
-func (s *Session) Class() string { return s.src.Class() }
-
-// AtGOPBoundary reports whether the next frame starts a new GOP (or the
+// atGOPBoundary reports whether the next frame starts a new GOP (or the
 // video is finished) — the only positions a session may migrate from.
-func (s *Session) AtGOPBoundary() bool {
+func (s *Session) atGOPBoundary() bool {
 	return s.Finished() || s.cfg.Codec.FrameInGOP(s.frame) == 0
 }
 
@@ -353,12 +308,12 @@ func (s *Session) adopt(id int, lut *workload.LUT) {
 	s.lut = lut
 }
 
-// Degrade switches the session to the uniform fallback tiling (the
+// degrade switches the session to the uniform fallback tiling (the
 // admission ladder's first rung, applied to newcomers when the platform
 // cannot admit everyone) and re-runs stages A–C so subsequent estimation
 // prices the degraded grid. Only legal at a GOP boundary — mid-GOP the
 // tile structure is pinned by the frames already encoded.
-func (s *Session) Degrade() error {
+func (s *Session) degrade() error {
 	if s.cfg.Codec.FrameInGOP(s.frame) != 0 {
 		return fmt.Errorf("core: session %d cannot degrade mid-GOP (frame %d)", s.ID, s.frame)
 	}
@@ -366,7 +321,7 @@ func (s *Session) Degrade() error {
 	s.cfg.DisableRetile = true
 	s.grid = nil
 	s.preparedFor = -1
-	return s.PrepareForEstimation()
+	return s.prepareForEstimation()
 }
 
 // prepareGOP runs stages A–C for the GOP starting at the current frame:
@@ -605,7 +560,7 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 	if err != nil {
 		return nil, err
 	}
-	learn(s.lut, s, gop)
+	learn(s.lut, s, gop, nil)
 	return gop, nil
 }
 
@@ -613,14 +568,18 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 // the LUT's one write site. The EWMA update is order-sensitive, so its two
 // callers run it in a fixed order: a bare session's EncodeGOPContext after
 // its own GOP, and Server.settleRound in ascending session order. It sums
-// the same prices into gop.Work, so each tile is priced here once: a
+// the same prices into gop.Work and, when tileSums is non-nil, into
+// tileSums[i] for tile index i, so each served tile is priced here once: a
 // TimeModel may count its calls.
-func learn(lut *workload.LUT, sess *Session, gop *GOPReport) {
+func learn(lut *workload.LUT, sess *Session, gop *GOPReport, tileSums []time.Duration) {
 	for _, fr := range gop.Frames {
 		for i, ts := range fr.Tiles {
 			w := sess.tileWork(ts)
 			lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), w)
 			gop.Work += w
+			if tileSums != nil {
+				tileSums[i] += w
+			}
 		}
 	}
 }
@@ -681,13 +640,13 @@ func tileKey(tile tiling.Tile, tc analysis.TileContent, qp, window int) workload
 	return workload.MakeKey(tile.Area(), int(tc.Texture), int(tc.Motion), qp, window)
 }
 
-// PrepareForEstimation runs stages A–C for the upcoming frame without
+// prepareForEstimation runs stages A–C for the upcoming frame without
 // encoding, so the session can report thread estimates for admission
 // control. It is a no-op when the current frame's GOP is already prepared
 // — a session rejected in one round keeps its preparation for the next —
 // and re-runs the analysis when the session has advanced past the frame it
 // last prepared (otherwise estimates would price the previous GOP's grid).
-func (s *Session) PrepareForEstimation() error {
+func (s *Session) prepareForEstimation() error {
 	if s.grid != nil && (s.preparedFor == s.frame || s.cfg.Codec.FrameInGOP(s.frame) != 0) {
 		return nil
 	}

@@ -33,14 +33,14 @@ import (
 // rebuilds deterministically at the boundary the snapshot was taken at, so
 // it never needs to travel. A restored session continues bit-identically.
 //
-// Versioning rules: SessionWireVersion is bumped on any change that alters
+// Versioning rules: sessionWireVersion is bumped on any change that alters
 // the meaning of existing fields or removes one; adding an optional field
 // with a zero-value default is compatible and does not bump. Decoders
 // reject versions they do not know (no silent best-effort).
 
-// SessionWireVersion is the wire-format version stamped into every
+// sessionWireVersion is the wire-format version stamped into every
 // SessionWire (see the versioning rules above).
-const SessionWireVersion = 1
+const sessionWireVersion = 1
 
 // SourceSpec is a portable description of a FrameSource: a kind tag naming
 // the binder that can rebuild it and an opaque, kind-specific JSON payload
@@ -174,17 +174,17 @@ func uniformDims(g *tiling.Grid) (nx, ny int) {
 	return nx, ny
 }
 
-// Wire encodes a snapshot for the wire. The snapshot's session must be at
+// wire encodes a snapshot for the wire. The snapshot's session must be at
 // a GOP boundary (migrate.go guarantees exported snapshots are) and its
 // source must be respecifiable (SpeccedSource); anything else is an
 // error, not a silent partial encoding. Wire does not mutate the session,
 // so it also backs non-destructive checkpointing (CheckpointSessions).
-func (snap *SessionSnapshot) Wire() (*SessionWire, error) {
+func (snap *SessionSnapshot) wire() (*SessionWire, error) {
 	if snap == nil || snap.Session == nil {
 		return nil, fmt.Errorf("core: wire of nil session snapshot")
 	}
 	sess := snap.Session
-	if !sess.AtGOPBoundary() {
+	if !sess.atGOPBoundary() {
 		return nil, fmt.Errorf("core: session %d mid-GOP (frame %d) — cannot wire", sess.ID, sess.frame)
 	}
 	specced, ok := sess.src.(SpeccedSource)
@@ -196,7 +196,7 @@ func (snap *SessionSnapshot) Wire() (*SessionWire, error) {
 		return nil, fmt.Errorf("core: session %d: %w", sess.ID, err)
 	}
 	w := &SessionWire{
-		Version: SessionWireVersion,
+		Version: sessionWireVersion,
 		Handoff: snap.Handoff,
 		Source:  spec,
 		Config:  sess.cfg,
@@ -223,8 +223,8 @@ func (w *SessionWire) Restore(bind SourceBinder) (*SessionSnapshot, error) {
 	if w == nil {
 		return nil, fmt.Errorf("core: nil session wire")
 	}
-	if w.Version != SessionWireVersion {
-		return nil, fmt.Errorf("core: session wire version %d, want %d", w.Version, SessionWireVersion)
+	if w.Version != sessionWireVersion {
+		return nil, fmt.Errorf("core: session wire version %d, want %d", w.Version, sessionWireVersion)
 	}
 	if bind == nil {
 		return nil, fmt.Errorf("core: nil source binder")
@@ -262,7 +262,7 @@ func (w *SessionWire) Restore(bind SourceBinder) (*SessionSnapshot, error) {
 		}
 		sess.baselineGrid = grid
 	}
-	if !sess.AtGOPBoundary() {
+	if !sess.atGOPBoundary() {
 		return nil, fmt.Errorf("core: wire frame cursor %d is mid-GOP", w.Frame)
 	}
 	return &SessionSnapshot{Session: sess, Handoff: w.Handoff}, nil
@@ -280,7 +280,7 @@ func (s *Server) CheckpointSessions() ([]*SessionWire, error) {
 	s.mu.Lock()
 	var snaps []*SessionSnapshot
 	for id, rec := range s.records {
-		if rec.state != StateQueued || !rec.sess.AtGOPBoundary() {
+		if rec.state != StateQueued || !rec.sess.atGOPBoundary() {
 			continue
 		}
 		if _, ok := rec.sess.src.(SpeccedSource); ok {
@@ -290,7 +290,7 @@ func (s *Server) CheckpointSessions() ([]*SessionWire, error) {
 	s.mu.Unlock()
 	var wires []*SessionWire
 	for _, snap := range snaps {
-		w, err := snap.Wire()
+		w, err := snap.wire()
 		if err != nil {
 			return nil, err
 		}

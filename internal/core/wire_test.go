@@ -54,14 +54,14 @@ func speccedSource(t *testing.T, class medgen.Class, motion medgen.MotionKind, f
 func wireSnapshotOf(t *testing.T, sess *Session) *SessionWire {
 	t.Helper()
 	snap := &SessionSnapshot{Session: sess, Handoff: Handoff{
-		Class:      sess.Class(),
+		Class:      sess.src.Class(),
 		DonorID:    sess.ID,
-		Frame:      sess.NextFrame(),
-		QPOffset:   sess.QPOffset(),
-		Degraded:   sess.Degraded(),
-		RateHalved: sess.RateHalved(),
+		Frame:      sess.frame,
+		QPOffset:   sess.qpOffset,
+		Degraded:   sess.degraded,
+		RateHalved: sess.rateHalved,
 	}}
-	w, err := snap.Wire()
+	w, err := snap.wire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func TestSessionWireRoundTripBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		resumed := snap.Session
-		if resumed.NextFrame() != donor.NextFrame() {
-			t.Fatalf("mode %v: resumed at frame %d, donor stopped at %d", mode, resumed.NextFrame(), donor.NextFrame())
+		if resumed.frame != donor.frame {
+			t.Fatalf("mode %v: resumed at frame %d, donor stopped at %d", mode, resumed.frame, donor.frame)
 		}
 		for !resumed.Finished() {
 			gop, err := resumed.EncodeGOP()
@@ -227,7 +227,7 @@ func TestSessionWireRejectsUnknownVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := wireSnapshotOf(t, sess)
-	w.Version = SessionWireVersion + 1
+	w.Version = sessionWireVersion + 1
 	if _, err := w.Restore(bindTestSource); err == nil {
 		t.Fatal("accepted an unknown wire version")
 	}
@@ -239,8 +239,8 @@ func TestSessionWireRejectsUnknownVersion(t *testing.T) {
 // checkpointable sessions around it.
 func TestWireRequiresSpeccedSource(t *testing.T) {
 	sess := newTestSession(t, ModeProposed) // plain, spec-less test source
-	snap := &SessionSnapshot{Session: sess, Handoff: Handoff{Class: sess.Class()}}
-	if _, err := snap.Wire(); err == nil {
+	snap := &SessionSnapshot{Session: sess, Handoff: Handoff{Class: sess.src.Class()}}
+	if _, err := snap.wire(); err == nil {
 		t.Fatal("wired a session with an unrespecifiable source")
 	}
 	srv := newMigrationServer(t)
@@ -274,7 +274,7 @@ func TestSessionSnapshotFieldsCovered(t *testing.T) {
 	}
 }
 
-// bindGoldenSource is a bounded stand-in for dist.BindSource (core cannot
+// bindGoldenSource is a bounded stand-in for dist's source binder (core cannot
 // import dist): it accepts the "medgen" kind the wire golden carries,
 // refuses geometry a fuzzed spec could blow up — so whatever
 // FuzzSessionWireRestore finds is Restore's own — and binds like
@@ -377,7 +377,7 @@ func FuzzSessionWireRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := snap.Wire(); err != nil {
+		if _, err := snap.wire(); err != nil {
 			t.Fatalf("restored session does not wire again: %v", err)
 		}
 		if !snap.Session.Finished() {

@@ -41,7 +41,7 @@ type AgentConfig struct {
 	// per shard (serve.WithCheckpoint). Every checkpoint refreshes the
 	// failover inventory the next heartbeat ships. Default 2.
 	CheckpointEvery int
-	// Binder re-opens submitted and imported sources (nil = BindSource).
+	// Binder re-opens submitted and imported sources (nil = bindSource).
 	Binder core.SourceBinder
 	// Sink receives the fleet's telemetry (optional); it is handed to the
 	// embedded fleet as its serve.WithSink.
@@ -92,7 +92,7 @@ func NewAgent(cfg AgentConfig, fleetOpts ...serve.Option) (*Agent, error) {
 		cfg.CheckpointEvery = 2
 	}
 	if cfg.Binder == nil {
-		cfg.Binder = BindSource
+		cfg.Binder = bindSource
 	}
 	a := &Agent{
 		cfg:         cfg,
@@ -126,8 +126,8 @@ func (a *Agent) storeCheckpoint(shard int, wires []*core.SessionWire) {
 	a.mu.Unlock()
 }
 
-// URL is the base URL peers reach this agent at (valid after Start).
-func (a *Agent) URL() string {
+// url is the base URL peers reach this agent at (valid after Start).
+func (a *Agent) url() string {
 	if a.cfg.AdvertiseURL != "" {
 		return a.cfg.AdvertiseURL
 	}
@@ -175,7 +175,7 @@ func (a *Agent) Start(ctx context.Context) error {
 	if a.cfg.MasterURL != "" {
 		go a.heartbeatLoop(ctx)
 	}
-	a.logf("agent %s: serving on %s (master %q)", a.cfg.Name, a.URL(), a.cfg.MasterURL)
+	a.logf("agent %s: serving on %s (master %q)", a.cfg.Name, a.url(), a.cfg.MasterURL)
 	return nil
 }
 
@@ -214,7 +214,7 @@ func (a *Agent) heartbeat() Heartbeat {
 	hb := Heartbeat{
 		Version:     ProtocolVersion,
 		Name:        a.cfg.Name,
-		URL:         a.URL(),
+		URL:         a.url(),
 		Incarnation: a.incarnation,
 		Seq:         a.seq.Add(1),
 		Loads:       a.fleet.Loads(),

@@ -14,7 +14,7 @@
 //   - retry.go: the Client every master→agent call goes through —
 //     jittered exponential backoff with per-call timeouts, transient
 //     failures (network errors, 5xx, 429) retried, permanent ones
-//     (other 4xx) surfaced immediately as ErrPermanent.
+//     (other 4xx) surfaced immediately as errPermanent.
 //   - agent.go: the Agent — serve.Fleet behind an HTTP API (submit,
 //     import, health) with a heartbeat loop shipping loads, session
 //     checkpoints and LUT snapshots to the master.
@@ -32,11 +32,11 @@ import (
 	"repro/internal/medgen"
 )
 
-// SourceKindMedgen names the synthetic bio-medical generator in a
+// sourceKindMedgen names the synthetic bio-medical generator in a
 // core.SourceSpec — the one source kind this repo can re-open on any
 // machine from its spec alone (the generator is deterministic in its
 // config).
-const SourceKindMedgen = "medgen"
+const sourceKindMedgen = "medgen"
 
 // MedgenSource is a core.SpeccedSource over the synthetic generator:
 // the production FrameSource of the distributed fleet. Its spec is the
@@ -73,7 +73,7 @@ func (s *MedgenSource) Spec() (core.SourceSpec, error) {
 	if err != nil {
 		return core.SourceSpec{}, err
 	}
-	return core.SourceSpec{Kind: SourceKindMedgen, Class: s.class, Data: data}, nil
+	return core.SourceSpec{Kind: sourceKindMedgen, Class: s.class, Data: data}, nil
 }
 
 var _ core.SpeccedSource = (*MedgenSource)(nil)
@@ -84,13 +84,13 @@ var _ core.SpeccedSource = (*MedgenSource)(nil)
 // not be able to size that.
 const maxSourcePixels = 7680 * 4320
 
-// BindSource is the default core.SourceBinder of the distributed fleet:
+// bindSource is the default core.SourceBinder of the distributed fleet:
 // it re-opens the source kinds this package knows how to ship. Unknown
 // kinds are an explicit error — an agent must refuse a session it cannot
 // actually feed rather than serve garbage.
-func BindSource(spec core.SourceSpec) (core.FrameSource, error) {
+func bindSource(spec core.SourceSpec) (core.FrameSource, error) {
 	switch spec.Kind {
-	case SourceKindMedgen:
+	case sourceKindMedgen:
 		var cfg medgen.Config
 		if err := json.Unmarshal(spec.Data, &cfg); err != nil {
 			return nil, fmt.Errorf("dist: medgen spec: %w", err)

@@ -10,14 +10,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/medgen"
+	"repro/internal/mpsoc"
 	"repro/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenSessionWire builds a fully deterministic mid-stream session
-// checkpoint: fixed generator config, one GOP encoded, wired at the
-// boundary with every ladder field populated.
+// checkpoint: fixed generator config, one GOP encoded, checkpointed at the
+// boundary as session 3 with every ladder field the server keeps
+// populated.
 func goldenSessionWire(t *testing.T) *core.SessionWire {
 	t.Helper()
 	mc := medgen.Default()
@@ -41,23 +43,48 @@ func goldenSessionWire(t *testing.T) *core.SessionWire {
 	if _, err := sess.EncodeGOP(); err != nil {
 		t.Fatal(err)
 	}
-	snap := &core.SessionSnapshot{Session: sess, Handoff: core.Handoff{
-		Class:      sess.Class(),
-		DonorID:    3,
-		Frame:      sess.NextFrame(),
-		QPOffset:   sess.QPOffset(),
-		Degraded:   sess.Degraded(),
-		RateHalved: sess.RateHalved(),
-		Demand:     2,
-		Rung:       1,
-		Waited:     1,
-		SkipRound:  false,
-	}}
-	wire, err := snap.Wire()
+	return checkpointAs(t, 3, &core.SessionSnapshot{Session: sess, Handoff: core.Handoff{
+		Class:  src.Class(),
+		Demand: 2,
+		Rung:   1,
+		Waited: 1,
+	}})
+}
+
+// checkpointAs wires snap the way a serving shard does: imported into a
+// server as its session id, then checkpointed. The sessions before it
+// render from a bare generator, which has no wire spec, so the checkpoint
+// skips them and holds snap alone.
+func checkpointAs(tb testing.TB, id int, snap *core.SessionSnapshot) *core.SessionWire {
+	tb.Helper()
+	srv, err := core.NewServer(core.ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return wire
+	for i := 0; i < id; i++ {
+		gen, err := medgen.NewGenerator(testMedgenConfig(medgen.Brain, medgen.Rotate, 4))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sess, err := core.NewSession(i, gen, testSessionConfig(), workload.NewLUT())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := srv.Import(&core.SessionSnapshot{Session: sess, Handoff: core.Handoff{Class: gen.Class()}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := srv.Import(snap); err != nil {
+		tb.Fatal(err)
+	}
+	wires, err := srv.CheckpointSessions()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(wires) != 1 || wires[0].DonorID != id {
+		tb.Fatalf("checkpoint holds %d wires, want session %d alone", len(wires), id)
+	}
+	return wires[0]
 }
 
 // checkGolden compares got against the named golden file (-update
@@ -114,15 +141,11 @@ func TestSessionWireGolden(t *testing.T) {
 	if err := json.Unmarshal(got, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := decoded.Restore(BindSource)
+	snap, err := decoded.Restore(bindSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewired, err := snap.Wire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := json.MarshalIndent(rewired, "", "  ")
+	back, err := json.MarshalIndent(checkpointAs(t, decoded.DonorID, snap), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +157,8 @@ func TestSessionWireGolden(t *testing.T) {
 // TestSessionWireVersionPinned: bumping the wire version is a conscious
 // act that must come with a fresh golden file.
 func TestSessionWireVersionPinned(t *testing.T) {
-	if core.SessionWireVersion != 1 {
-		t.Fatalf("SessionWireVersion = %d: add a session_wire_v%d.json golden and update this pin",
-			core.SessionWireVersion, core.SessionWireVersion)
+	if v := goldenSessionWire(t).Version; v != 1 {
+		t.Fatalf("a checkpoint writes wire version %d: add a session_wire_v%d.json golden and update this pin", v, v)
 	}
 }
 

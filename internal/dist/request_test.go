@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/medgen"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -76,19 +77,19 @@ func TestHandlersRefuseHostileBodies(t *testing.T) {
 	if len(m.agents) != 0 {
 		t.Errorf("a refused heartbeat registered an agent: %v", m.agents)
 	}
-	if n := a.fleet.Load(); n != 0 {
+	if n := serve.SumLoads(a.fleet.Loads()).Sessions; n != 0 {
 		t.Errorf("a refused request left %d sessions on the agent", n)
 	}
 }
 
-// bindSmall is BindSource behind a fuzz-sized geometry bound, so an
+// bindSmall is bindSource behind a fuzz-sized geometry bound, so an
 // accepted submission renders its first frame in microseconds.
 func bindSmall(spec core.SourceSpec) (core.FrameSource, error) {
 	var cfg medgen.Config
 	if json.Unmarshal(spec.Data, &cfg) == nil && (cfg.Width > 256 || cfg.Height > 256) {
 		return nil, fmt.Errorf("%dx%d is beyond what the fuzz binds", cfg.Width, cfg.Height)
 	}
-	return BindSource(spec)
+	return bindSource(spec)
 }
 
 // TestBindSourceBoundsGeometry: a few hundred bytes of spec must not be
@@ -111,7 +112,7 @@ func TestBindSourceBoundsGeometry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := BindSource(core.SourceSpec{Kind: SourceKindMedgen, Data: data})
+			src, err := bindSource(core.SourceSpec{Kind: sourceKindMedgen, Data: data})
 			if !tc.binds {
 				if err == nil {
 					t.Fatal("the spec bound to a source")
@@ -158,10 +159,7 @@ func FuzzRequestBodies(f *testing.F) {
 	if _, err := sess.EncodeGOP(); err != nil {
 		f.Fatal(err)
 	}
-	wire, err := (&core.SessionSnapshot{Session: sess, Handoff: core.Handoff{Class: sess.Class(), Frame: sess.NextFrame(), Demand: 1}}).Wire()
-	if err != nil {
-		f.Fatal(err)
-	}
+	wire := checkpointAs(f, 0, &core.SessionSnapshot{Session: sess, Handoff: core.Handoff{Class: src.Class(), Demand: 1}})
 	for handler, msg := range []any{
 		SubmitRequest{Version: ProtocolVersion, Source: spec, Config: scfg, Tenant: "clinic", Priority: 2},
 		ImportRequest{Version: ProtocolVersion, Session: wire},
@@ -187,7 +185,7 @@ func FuzzRequestBodies(f *testing.F) {
 		handle := []http.HandlerFunc{a.handleSubmit, a.handleImport, m.handleHeartbeat}[int(handler)%3]
 		rec := httptest.NewRecorder()
 		handle(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
-		accepted := a.fleet.Load() + len(m.agents)
+		accepted := serve.SumLoads(a.fleet.Loads()).Sessions + len(m.agents)
 		switch {
 		case rec.Code == http.StatusOK:
 			if accepted != 1 {

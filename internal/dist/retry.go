@@ -12,12 +12,12 @@ import (
 	"time"
 )
 
-// ErrPermanent marks a remote failure that retrying cannot fix — the
+// errPermanent marks a remote failure that retrying cannot fix — the
 // peer understood the request and refused it (a non-429 4xx status).
 // Callers branch with errors.Is: a permanent error means drop or
 // dead-letter the work, while any other Client error means the peer was
 // unreachable or transiently failing and the work is still owed.
-var ErrPermanent = errors.New("dist: permanent remote failure")
+var errPermanent = errors.New("dist: permanent remote failure")
 
 // retryConfig shapes the Client's backoff. The zero value selects the
 // defaults noted per field.
@@ -67,7 +67,7 @@ func (c retryConfig) withDefaults() retryConfig {
 // heartbeats): JSON over HTTP with jittered exponential backoff and a
 // per-attempt timeout. Network errors, 5xx and 429 responses are
 // retried up to MaxAttempts; other 4xx responses fail immediately with
-// ErrPermanent. Safe for concurrent use.
+// errPermanent. Safe for concurrent use.
 type Client struct {
 	cfg  retryConfig
 	http *http.Client
@@ -124,7 +124,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 		if err == nil {
 			return nil
 		}
-		if errors.Is(err, ErrPermanent) || ctx.Err() != nil {
+		if errors.Is(err, errPermanent) || ctx.Err() != nil {
 			return err
 		}
 		lastErr = err
@@ -143,7 +143,7 @@ func (c *Client) attempt(ctx context.Context, method, url string, body []byte, o
 	}
 	req, err := http.NewRequestWithContext(actx, method, url, rd)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrPermanent, err)
+		return fmt.Errorf("%w: %v", errPermanent, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -159,7 +159,7 @@ func (c *Client) attempt(ctx context.Context, method, url string, body []byte, o
 		if retryableStatus(resp.StatusCode) {
 			return err
 		}
-		return fmt.Errorf("%w: %v", ErrPermanent, err)
+		return fmt.Errorf("%w: %v", errPermanent, err)
 	}
 	if out == nil {
 		_, err := io.Copy(io.Discard, resp.Body)

@@ -73,7 +73,7 @@ func TestRetry429Retried(t *testing.T) {
 	}
 }
 
-// TestRetryPermanent: a non-429 4xx fails immediately with ErrPermanent
+// TestRetryPermanent: a non-429 4xx fails immediately with errPermanent
 // — no second attempt, no backoff.
 func TestRetryPermanent(t *testing.T) {
 	var calls atomic.Int32
@@ -85,8 +85,8 @@ func TestRetryPermanent(t *testing.T) {
 
 	c, slept := testClient(retryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond})
 	err := c.GetJSON(context.Background(), srv.URL, nil)
-	if !errors.Is(err, ErrPermanent) {
-		t.Fatalf("4xx error = %v, want ErrPermanent", err)
+	if !errors.Is(err, errPermanent) {
+		t.Fatalf("4xx error = %v, want errPermanent", err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("%d calls for a permanent failure, want 1", calls.Load())
@@ -100,7 +100,7 @@ func TestRetryPermanent(t *testing.T) {
 }
 
 // TestRetryExhausted: a peer that never recovers yields a distinct
-// exhaustion error — not ErrPermanent, the work is still pending.
+// exhaustion error — not errPermanent, the work is still pending.
 func TestRetryExhausted(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -114,7 +114,7 @@ func TestRetryExhausted(t *testing.T) {
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
-	if errors.Is(err, ErrPermanent) {
+	if errors.Is(err, errPermanent) {
 		t.Fatalf("transient exhaustion classified permanent: %v", err)
 	}
 	if calls.Load() != 3 {
@@ -145,7 +145,7 @@ func TestRetryTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("hung peer reported success")
 	}
-	if errors.Is(err, ErrPermanent) {
+	if errors.Is(err, errPermanent) {
 		t.Fatalf("timeout classified permanent: %v", err)
 	}
 	if calls.Load() != 2 {
@@ -165,7 +165,7 @@ func TestRetryNetworkError(t *testing.T) {
 	if err == nil {
 		t.Fatal("dead peer reported success")
 	}
-	if errors.Is(err, ErrPermanent) {
+	if errors.Is(err, errPermanent) {
 		t.Fatalf("network error classified permanent: %v", err)
 	}
 	if len(*slept) != 2 {

@@ -10,8 +10,8 @@ import (
 	"fmt"
 )
 
-// ErrTruncated reports that a read ran past the end of the bitstream.
-var ErrTruncated = errors.New("entropy: truncated bitstream")
+// errTruncated reports that a read ran past the end of the bitstream.
+var errTruncated = errors.New("entropy: truncated bitstream")
 
 // BitWriter accumulates bits MSB-first into a byte buffer.
 type BitWriter struct {
@@ -80,7 +80,7 @@ func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf, nRem: 8} 
 // ReadBit returns the next bit.
 func (r *BitReader) ReadBit() (uint, error) {
 	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	r.nRem--
 	b := uint(r.buf[r.pos]>>r.nRem) & 1
@@ -91,10 +91,10 @@ func (r *BitReader) ReadBit() (uint, error) {
 	return b, nil
 }
 
-// ReadBits returns the next n bits as the low bits of a uint64 (n ≤ 64).
-func (r *BitReader) ReadBits(n uint) (uint64, error) {
+// readBits returns the next n bits as the low bits of a uint64 (n ≤ 64).
+func (r *BitReader) readBits(n uint) (uint64, error) {
 	if n > 64 {
-		return 0, fmt.Errorf("entropy: ReadBits(%d) > 64", n)
+		return 0, fmt.Errorf("entropy: readBits(%d) > 64", n)
 	}
 	var v uint64
 	for i := uint(0); i < n; i++ {
@@ -131,7 +131,7 @@ func (r *BitReader) ReadUE() (uint32, error) {
 			return 0, fmt.Errorf("entropy: ue(v) prefix too long")
 		}
 	}
-	rest, err := r.ReadBits(zeros)
+	rest, err := r.readBits(zeros)
 	if err != nil {
 		return 0, err
 	}

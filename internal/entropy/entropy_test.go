@@ -32,20 +32,20 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	if b, _ := r.ReadBit(); b != 0 {
 		t.Fatal("second bit")
 	}
-	if v, _ := r.ReadBits(4); v != 0b1101 {
+	if v, _ := r.readBits(4); v != 0b1101 {
 		t.Fatalf("nibble = %b", v)
 	}
-	if v, _ := r.ReadBits(16); v != 0xABCD {
+	if v, _ := r.readBits(16); v != 0xABCD {
 		t.Fatalf("word = %x", v)
 	}
 }
 
 func TestBitReaderTruncated(t *testing.T) {
 	r := NewBitReader([]byte{0xFF})
-	if _, err := r.ReadBits(8); err != nil {
+	if _, err := r.readBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBit(); err != ErrTruncated {
+	if _, err := r.ReadBit(); err != errTruncated {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }

@@ -109,16 +109,13 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 	return res, nil
 }
 
-// Table renders the study.
-func (r *AblationResult) Table() *trace.Table {
+// Render writes the study as a table.
+func (r *AblationResult) Render(w io.Writer) error {
 	t := trace.NewTable("Pipeline ablation — what each contribution buys (modelled time)",
 		"variant", "tiles", "CPU/frame", "cores@24fps", "PSNR (dB)", "kbps")
 	for _, row := range r.Rows {
 		t.AddRow(row.Variant, fmt.Sprint(row.Tiles), fmtDuration(row.CPUPerFrame),
 			fmt.Sprintf("%.2f", row.Cores), fmt.Sprintf("%.1f", row.PSNR), fmt.Sprintf("%.0f", row.Kbps))
 	}
-	return t
+	return t.Render(w)
 }
-
-// Render writes the table.
-func (r *AblationResult) Render(w io.Writer) error { return r.Table().Render(w) }

@@ -16,12 +16,12 @@ import (
 	"repro/internal/medgen"
 )
 
-// Corpus opens the synthetic substitute for the paper's ten anonymized
+// buildCorpus opens the synthetic substitute for the paper's ten anonymized
 // clinical videos: five body-part classes × two review motions, all at the
 // given geometry. Seeds are fixed so every run sees the same corpus. A run
 // holds the generators for its length, so every session that plays a
 // video shares its rendered frames.
-func Corpus(width, height, frames int) ([]*medgen.Generator, error) {
+func buildCorpus(width, height, frames int) ([]*medgen.Generator, error) {
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Sweep}
 	var out []*medgen.Generator
 	for class := medgen.Class(0); int(class) < medgen.NumClasses; class++ {

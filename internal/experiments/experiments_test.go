@@ -51,7 +51,7 @@ func smallVideo(frames int) medgen.Config {
 }
 
 func TestCorpusShape(t *testing.T) {
-	c, err := Corpus(640, 480, 48)
+	c, err := buildCorpus(640, 480, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCorpusShape(t *testing.T) {
 // I-frame searches nothing) is Kvazaar's 70–80%. Counters only — no
 // stopwatch reading enters the verdict.
 func TestWorkTimeMEShare(t *testing.T) {
-	corpus, err := Corpus(320, 240, 8)
+	corpus, err := buildCorpus(320, 240, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +110,19 @@ func TestTable1SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Proposed) != len(Table1Tilings) || len(res.Hexagon) != len(Table1Tilings) {
+	if len(res.Proposed) != len(table1Tilings) || len(res.Hexagon) != len(table1Tilings) {
 		t.Fatalf("row counts %d/%d", len(res.Proposed), len(res.Hexagon))
 	}
 	for i, row := range res.Proposed {
 		if row.Speedup <= 0 || row.EvalSpeedup <= 0 {
-			t.Fatalf("tiling %v: degenerate speedups %+v", Table1Tilings[i], row)
+			t.Fatalf("tiling %v: degenerate speedups %+v", table1Tilings[i], row)
 		}
 		// The paper's quality contract: fast ME loses little quality.
 		if row.PSNRLoss > 1.0 {
-			t.Fatalf("tiling %v: PSNR loss %.2f dB too high", Table1Tilings[i], row.PSNRLoss)
+			t.Fatalf("tiling %v: PSNR loss %.2f dB too high", table1Tilings[i], row.PSNRLoss)
 		}
 		if row.EvalSpeedup < 1 {
-			t.Fatalf("tiling %v: proposed evaluated more points than TZ", Table1Tilings[i])
+			t.Fatalf("tiling %v: proposed evaluated more points than TZ", table1Tilings[i])
 		}
 	}
 	var sb strings.Builder
@@ -137,11 +137,11 @@ func TestTable1SmallRun(t *testing.T) {
 func TestProjectedSpeedup(t *testing.T) {
 	row := Table1Row{EvalSpeedup: 8}
 	// At 75% ME share: 1/(0.25 + 0.75/8) ≈ 2.9.
-	got := row.ProjectedSpeedup(0.75)
+	got := row.projectedSpeedup(0.75)
 	if got < 2.8 || got > 3.0 {
 		t.Fatalf("projected = %v", got)
 	}
-	if (Table1Row{}).ProjectedSpeedup(0.75) != 0 {
+	if (Table1Row{}).projectedSpeedup(0.75) != 0 {
 		t.Fatal("zero eval speedup should project 0")
 	}
 }
@@ -198,7 +198,7 @@ func TestFig4SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(Fig4UserCounts) {
+	if len(res.Points) != len(fig4UserCounts) {
 		t.Fatalf("%d points", len(res.Points))
 	}
 	for _, p := range res.Points {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig4UserCounts is the paper's x-axis.
-var Fig4UserCounts = []int{1, 2, 3, 4, 5, 6, 8, 10, 12}
+// fig4UserCounts is the paper's x-axis.
+var fig4UserCounts = []int{1, 2, 3, 4, 5, 6, 8, 10, 12}
 
 // Fig4Options parametrizes the power-savings sweep.
 type Fig4Options struct {
@@ -59,7 +59,7 @@ type Fig4Result struct {
 // re-encoding — exactly how the scheduler consumes the workload LUT.
 func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 	platform := mpsoc.XeonE5_2667V4()
-	corpus, err := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	corpus, err := buildCorpus(opt.Width, opt.Height, opt.FramesPerVideo)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 
 	res := &Fig4Result{TimeScale: timeScale, BaselineTiles: baselineTiles}
 	var sum float64
-	for _, n := range Fig4UserCounts {
+	for _, n := range fig4UserCounts {
 		prop, err := allocatorFor(core.ModeProposed)(sched.Input{Platform: platform, FPS: 24, Users: mkUsers(n, propDemand)})
 		if err != nil {
 			return nil, err
@@ -140,8 +140,8 @@ func RunFig4(opt Fig4Options) (*Fig4Result, error) {
 	return res, nil
 }
 
-// Table renders the sweep.
-func (r *Fig4Result) Table() *trace.Table {
+// Render writes the table, an ASCII bar chart and the headline average.
+func (r *Fig4Result) Render(w io.Writer) error {
 	t := trace.NewTable("Fig. 4 — average power savings vs [19] at equal throughput",
 		"users", "proposed (W)", "[19] (W)", "savings (%)")
 	for _, p := range r.Points {
@@ -150,12 +150,7 @@ func (r *Fig4Result) Table() *trace.Table {
 			fmt.Sprintf("%.1f", p.BaselineWatts),
 			fmt.Sprintf("%.1f", p.SavingsPct))
 	}
-	return t
-}
-
-// Render writes the table, an ASCII bar chart and the headline average.
-func (r *Fig4Result) Render(w io.Writer) error {
-	if err := r.Table().Render(w); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 	for _, p := range r.Points {

@@ -68,7 +68,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 	if opt.QueueLen <= 0 || opt.FramesPerVideo <= 0 {
 		return nil, fmt.Errorf("experiments: bad table2 options %+v", opt)
 	}
-	corpus, err := Corpus(opt.Width, opt.Height, opt.FramesPerVideo)
+	corpus, err := buildCorpus(opt.Width, opt.Height, opt.FramesPerVideo)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +148,9 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 	return res, nil
 }
 
-// Table renders the result in the layout of the paper's Table II.
-func (r *Table2Result) Table() *trace.Table {
+// Render writes the result in the layout of the paper's Table II and the
+// headline throughput ratio.
+func (r *Table2Result) Render(w io.Writer) error {
 	t := trace.NewTable("Table II — PSNR, bitrate and number of served users (saturated queue)",
 		"approach", "", "PSNR (dB)", "Bitrate (Mbps)", "# of Users")
 	add := func(s Table2Side) {
@@ -159,12 +160,7 @@ func (r *Table2Result) Table() *trace.Table {
 	}
 	add(r.Proposed)
 	add(r.Baseline)
-	return t
-}
-
-// Render writes the table and the headline throughput ratio.
-func (r *Table2Result) Render(w io.Writer) error {
-	if err := r.Table().Render(w); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 	ratio := 0.0

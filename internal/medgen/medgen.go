@@ -133,8 +133,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("medgen: invalid size %dx%d", c.Width, c.Height)
 	}
@@ -171,7 +171,7 @@ const maxKeptBytes = 8 << 20
 
 // NewGenerator validates cfg and returns a renderer for it.
 func NewGenerator(cfg Config) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()

@@ -24,7 +24,7 @@ func gen(t *testing.T, mutate func(*Config)) *Generator {
 
 func TestConfigValidate(t *testing.T) {
 	good := Default()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	cases := []func(*Config){
@@ -38,7 +38,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range cases {
 		c := Default()
 		mutate(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("case %d validated", i)
 		}
 	}
@@ -123,8 +123,8 @@ func TestCenterBrighterThanBorders(t *testing.T) {
 	// texture) concentrates in the center.
 	for _, class := range []Class{Brain, Chest, Bone, SpinalCord, Ligament} {
 		f := gen(t, func(c *Config) { c.Class = class }).Frame(0)
-		center := f.Y.MustSubPlane(240, 180, 160, 120)
-		corner := f.Y.MustSubPlane(0, 0, 80, 60)
+		center := f2plane(f, 240, 180, 160, 120)
+		corner := f2plane(f, 0, 0, 80, 60)
 		cm, _ := center.MeanStddev()
 		bm, bs := corner.MeanStddev()
 		if cm <= bm {
@@ -176,7 +176,7 @@ func TestRotateMovesRim(t *testing.T) {
 	})
 	a, b := g.Frame(0), g.Frame(6) // 12° apart
 	// The rim of the anatomy must change; the rotation center must not.
-	rim := func(f *video.Frame) *video.Plane { return f.Y.MustSubPlane(320+120, 240, 60, 40) }
+	rim := func(f *video.Frame) *video.Plane { return f2plane(f, 320+120, 240, 60, 40) }
 	mseRim := meanSquaredError(rim(a), rim(b))
 	centerA := f2plane(a, 312, 232, 16, 16)
 	centerB := f2plane(b, 312, 232, 16, 16)
@@ -186,7 +186,15 @@ func TestRotateMovesRim(t *testing.T) {
 	}
 }
 
-func f2plane(f *video.Frame, x, y, w, h int) *video.Plane { return f.Y.MustSubPlane(x, y, w, h) }
+// f2plane is the luma window of f at (x, y), w×h, which the caller knows
+// is in range.
+func f2plane(f *video.Frame, x, y, w, h int) *video.Plane {
+	p, err := f.Y.SubPlane(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 // meanSquaredError is the mean squared sample difference of two planes of
 // one size.
@@ -252,8 +260,8 @@ func TestTilingStabilityAcrossGOP(t *testing.T) {
 	g := gen(t, nil)
 	a, b := g.Frame(0), g.Frame(23)
 	for _, r := range [][4]int{{0, 0, 160, 120}, {240, 180, 160, 120}, {480, 360, 160, 120}} {
-		ma, _ := a.Y.MustSubPlane(r[0], r[1], r[2], r[3]).MeanStddev()
-		mb, _ := b.Y.MustSubPlane(r[0], r[1], r[2], r[3]).MeanStddev()
+		ma, _ := f2plane(a, r[0], r[1], r[2], r[3]).MeanStddev()
+		mb, _ := f2plane(b, r[0], r[1], r[2], r[3]).MeanStddev()
 		if math.Abs(ma-mb) > 0.15*math.Max(ma, 1) {
 			t.Errorf("region %v mean drifted %.1f → %.1f across 24 frames", r, ma, mb)
 		}

@@ -158,11 +158,28 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	sink := NewSink(SinkConfig{Cost: cost})
 	ring := serve.NewRingSink(4096)
 	gate := &roundGate{}
+	// The autoscaler grows the fleet to 4 shards after two rounds and then
+	// shrinks it back to 3; the shrink waits in OnResize until the test has
+	// landed sessions on the fourth shard, so the drain must migrate them.
+	// No utilization reaches TargetUtil, so the load policy never resizes.
+	shrinking, release := make(chan struct{}), make(chan struct{})
+	removals := shardRemovals{ch: make(chan int, 1)}
 	f, err := serve.New(
 		serve.WithShards(3),
 		serve.WithSink(ring),
 		serve.WithMetrics(sink),
+		serve.WithMetrics(removals),
 		serve.WithRoundHook(gate.hook),
+		serve.WithAutoscale(serve.AutoscaleConfig{
+			TargetUtil: math.MaxFloat64,
+			Schedule:   []serve.ScheduledResize{{AfterRounds: 2, Shards: 4}, {AfterRounds: 3, Shards: 3}},
+			OnResize: func(from, to int, _ string) {
+				if to < from {
+					close(shrinking)
+					<-release
+				}
+			},
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +213,13 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 		t.Fatalf("mid-churn energy total %v, want > 0 and finite", v)
 	}
 
-	// Grow, land sessions on the new shard, then shrink — forcing
-	// migrations the exporter must count.
-	if err := f.Resize(4); err != nil {
-		t.Fatal(err)
+	// The grow has landed once the shrink is due: land sessions on the new
+	// shard, then let the shrink run — forcing migrations the exporter
+	// must count.
+	select {
+	case <-shrinking:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the scheduled shrink never came due")
 	}
 	grown := homedClasses(t, f, 4)
 	for i, class := range grown[3:] {
@@ -212,8 +232,11 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 		shards := ring.Report().Shards
 		return len(shards) > 3 && shards[3].Report.Rounds > 0
 	})
-	if err := f.Resize(3); err != nil {
-		t.Fatal(err)
+	close(release)
+	select {
+	case <-removals.ch:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the scheduled shrink removed no shard")
 	}
 	f.Close()
 	if err := <-runDone; err != nil {
@@ -337,6 +360,19 @@ func homedClasses(t *testing.T, f *serve.Fleet, n int) []string {
 		t.Fatalf("no class homed on every one of %d shards: %v", n, out)
 	}
 	return out
+}
+
+// shardRemovals signals the first shard removal the fleet delivers.
+type shardRemovals struct {
+	serve.NopSink
+	ch chan int
+}
+
+func (r shardRemovals) OnShardRemoved(e serve.ShardEvent) {
+	select {
+	case r.ch <- e.Shard:
+	default:
+	}
 }
 
 // roundGate waits for a fleet state without polling: installed with
@@ -519,15 +555,11 @@ func TestReimportKeepsTenantBilling(t *testing.T) {
 	if _, err := donor.ServeGOP(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := donor.ExportSession(0)
-	if err != nil {
-		t.Fatal(err)
+	wires, err := donor.CheckpointSessions()
+	if err != nil || len(wires) != 1 {
+		t.Fatalf("checkpoint: %d wires, %v", len(wires), err)
 	}
-	wire, err := snap.Wire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := wire.Restore(dist.BindSource)
+	restored, err := wires[0].Restore(func(core.SourceSpec) (core.FrameSource, error) { return dist.NewMedgenSource(vc, "") })
 	if err != nil {
 		t.Fatal(err)
 	}

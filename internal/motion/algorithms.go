@@ -104,19 +104,19 @@ var square1 = [8]MV{
 // sdsp is the small diamond search pattern.
 var sdsp = [4]MV{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
 
-// Cross is the cross-search algorithm of Ghanbari (1990): a logarithmic
+// cross is the cross-search algorithm of Ghanbari (1990): a logarithmic
 // search evaluating the four diagonal (×) neighbours at a halving step,
 // finishing with the orthogonal (+) pattern at step one.
-type Cross struct{}
+type cross struct{}
 
 // Search implements Searcher.
-func (c Cross) Search(b Block, window int, pred MV) Result {
+func (c cross) Search(b Block, window int, pred MV) Result {
 	s := newSearchState(b, window)
 	c.run(s, pred)
 	return s.result()
 }
 
-func (Cross) run(s *searchState, pred MV) {
+func (cross) run(s *searchState, pred MV) {
 	s.seed(pred)
 	step := 1
 	for step*2 <= s.window {
@@ -147,7 +147,7 @@ func (Cross) run(s *searchState, pred MV) {
 // Primary axis can be set from a known motion direction; the zero value
 // walks horizontally first (the original formulation).
 type OneAtATime struct {
-	// Direction orients the first axis: Horizontalish() chooses the axis
+	// Direction orients the first axis: horizontalish() chooses the axis
 	// and its sign gives the first step direction. Zero value = +X first.
 	Direction MV
 }
@@ -161,7 +161,7 @@ func (o OneAtATime) Search(b Block, window int, pred MV) Result {
 
 func (o OneAtATime) run(s *searchState, pred MV) {
 	s.seed(pred)
-	firstHorizontal := o.Direction.Horizontalish()
+	firstHorizontal := o.Direction.horizontalish()
 	axes := [2]MV{{1, 0}, {0, 1}}
 	if !firstHorizontal {
 		axes = [2]MV{{0, 1}, {1, 0}}

@@ -25,10 +25,10 @@ func (v MV) String() string { return fmt.Sprintf("(%d,%d)", v.X, v.Y) }
 // AbsSum returns |X|+|Y|, used as a motion-vector rate proxy.
 func (v MV) AbsSum() int { return abs(v.X) + abs(v.Y) }
 
-// Horizontalish reports whether the vector is predominantly horizontal.
+// horizontalish reports whether the vector is predominantly horizontal.
 // Ties count as horizontal, matching the hexagon-search convention that the
 // horizontal pattern wins for lateral motion.
-func (v MV) Horizontalish() bool { return abs(v.X) >= abs(v.Y) }
+func (v MV) horizontalish() bool { return abs(v.X) >= abs(v.Y) }
 
 func abs(v int) int {
 	if v < 0 {

@@ -101,7 +101,7 @@ func label(s Searcher) string { return fmt.Sprintf("%T%+v", s, s) }
 var allSearchers = []Searcher{
 	FullSearch{},
 	TZSearch{},
-	Cross{},
+	cross{},
 	OneAtATime{},
 	Hexagon{Orientation: HexHorizontal},
 	Hexagon{Orientation: HexVertical},
@@ -258,7 +258,7 @@ func TestPredictorSeedsSearch(t *testing.T) {
 	shift := MV{14, 9}
 	cur, ref := shiftedPlanes(192, 192, shift.X, shift.Y)
 	b := interiorBlock(cur, ref)
-	for _, s := range []Searcher{Cross{}, Hexagon{Orientation: HexRotating}, OneAtATime{}} {
+	for _, s := range []Searcher{cross{}, Hexagon{Orientation: HexRotating}, OneAtATime{}} {
 		seeded := s.Search(b, 16, shift)
 		if seeded.MV != shift || seeded.Cost != 0 {
 			t.Errorf("%s with exact predictor: MV %v cost %d", label(s), seeded.MV, seeded.Cost)
@@ -351,10 +351,10 @@ func TestMVHelpers(t *testing.T) {
 	if (MV{3, -4}).AbsSum() != 7 {
 		t.Fatal("AbsSum")
 	}
-	if !(MV{5, 4}).Horizontalish() || (MV{3, -4}).Horizontalish() {
+	if !(MV{5, 4}).horizontalish() || (MV{3, -4}).horizontalish() {
 		t.Fatal("Horizontalish")
 	}
-	if !(MV{0, 0}).Horizontalish() {
+	if !(MV{0, 0}).horizontalish() {
 		t.Fatal("zero vector should count horizontal (tie)")
 	}
 	if (MV{1, 2}).Add(MV{3, -5}) != (MV{4, -3}) {
@@ -391,7 +391,7 @@ func TestGOPPolicySelection(t *testing.T) {
 	// Low motion: cross on first frame, OTS along the learned direction
 	// after.
 	s, w = p.Choose(2, false, 0)
-	if s != (Cross{}) || w != 16 {
+	if s != (cross{}) || w != 16 {
 		t.Fatalf("low/first: %s window %d", label(s), w)
 	}
 	p.Observe(2, MV{-3, 1})
@@ -420,7 +420,7 @@ func TestGOPPolicyReset(t *testing.T) {
 	p, _ := NewGOPPolicy(DefaultPolicyConfig())
 	p.Observe(0, MV{-7, 0})
 	p.Reset()
-	if p.Direction(0) != (MV{}) {
+	if p.direction(0) != (MV{}) {
 		t.Fatal("reset did not clear directions")
 	}
 }
@@ -553,7 +553,7 @@ func TestSearchAllocatesNothing(t *testing.T) {
 		{TZSearch{}, 64},
 		{Hexagon{Orientation: HexRotating}, 32},
 		{OneAtATime{}, 8},
-		{Cross{}, 16},
+		{cross{}, 16},
 	} {
 		c.s.Search(b, c.window, MV{}) // warm the pool
 		if n := testing.AllocsPerRun(50, func() { c.s.Search(b, c.window, MV{1, 1}) }); n != 0 {

@@ -31,8 +31,8 @@ func DefaultPolicyConfig() PolicyConfig {
 	return PolicyConfig{MaxWindow: 64, FollowWindow: 32, LowFirstWindow: 16, LowFollowWindow: 8}
 }
 
-// Validate reports configuration errors.
-func (c PolicyConfig) Validate() error {
+// validate reports configuration errors.
+func (c PolicyConfig) validate() error {
 	for _, w := range []int{c.MaxWindow, c.FollowWindow, c.LowFirstWindow, c.LowFollowWindow} {
 		if w <= 0 {
 			return fmt.Errorf("motion: non-positive window in policy config %+v", c)
@@ -60,7 +60,7 @@ type GOPPolicy struct {
 
 // NewGOPPolicy returns a policy with the given window schedule.
 func NewGOPPolicy(cfg PolicyConfig) (*GOPPolicy, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &GOPPolicy{cfg: cfg, dir: make(map[int]MV), obs: make(map[int]int)}, nil
@@ -79,9 +79,9 @@ func (p *GOPPolicy) Observe(tile int, mv MV) {
 	p.obs[tile]++
 }
 
-// Direction returns the learned dominant direction for a tile (the
+// direction returns the learned dominant direction for a tile (the
 // accumulated vector; only its orientation and sign matter).
-func (p *GOPPolicy) Direction(tile int) MV { return p.dir[tile] }
+func (p *GOPPolicy) direction(tile int) MV { return p.dir[tile] }
 
 // Choose returns the searcher and window for a tile given its motion class
 // and position in the GOP (frameInGOP 0 is the GOP's first frame).
@@ -92,15 +92,15 @@ func (p *GOPPolicy) Choose(tile int, highMotion bool, frameInGOP int) (Searcher,
 			return Hexagon{Orientation: HexRotating}, p.cfg.MaxWindow
 		}
 		orient := HexVertical
-		if p.Direction(tile).Horizontalish() {
+		if p.direction(tile).horizontalish() {
 			orient = HexHorizontal
 		}
 		return Hexagon{Orientation: orient}, p.cfg.FollowWindow
 	}
 	if first {
-		return Cross{}, p.cfg.LowFirstWindow
+		return cross{}, p.cfg.LowFirstWindow
 	}
-	return OneAtATime{Direction: p.Direction(tile)}, p.cfg.LowFollowWindow
+	return OneAtATime{Direction: p.direction(tile)}, p.cfg.LowFollowWindow
 }
 
 // PredFor returns the predicted start vector for a tile after the first

@@ -241,7 +241,7 @@ func TestOnlyTZBuildsSums(t *testing.T) {
 	b := interiorBlock(cur, ref)
 	b.RefSums = new(SumTable)
 	b.RefSums.Reset(ref)
-	for _, s := range []Searcher{Cross{}, OneAtATime{}, Hexagon{Orientation: HexRotating}} {
+	for _, s := range []Searcher{cross{}, OneAtATime{}, Hexagon{Orientation: HexRotating}} {
 		s.Search(b, 16, MV{})
 		if b.RefSums.sums != nil {
 			t.Fatalf("%s built the sum table", label(s))

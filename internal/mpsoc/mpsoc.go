@@ -36,13 +36,13 @@ type FreqLevel struct {
 	Volt float64
 }
 
-// GHz returns the frequency in GHz.
-func (f FreqLevel) GHz() float64 { return f.Hz / 1e9 }
+// ghz returns the frequency in GHz.
+func (f FreqLevel) ghz() float64 { return f.Hz / 1e9 }
 
-// PowerModel parametrizes per-core power: P_busy = Static + Ceff·V²·f and
+// powerModel parametrizes per-core power: P_busy = Static + Ceff·V²·f and
 // P_idle = Static + IdleFrac·Ceff·V²·f (clock tree and uncore keep
 // switching while idle, at a fraction of the busy activity factor).
-type PowerModel struct {
+type powerModel struct {
 	// StaticW is the leakage (voltage-independent simplification) per core.
 	StaticW float64
 	// CeffWPerV2GHz is the effective switched capacitance in W/(V²·GHz).
@@ -55,14 +55,14 @@ type PowerModel struct {
 	GatedW float64
 }
 
-// BusyWatts returns the active power of one core at level f.
-func (m PowerModel) BusyWatts(f FreqLevel) float64 {
-	return m.StaticW + m.CeffWPerV2GHz*f.Volt*f.Volt*f.GHz()
+// busyWatts returns the active power of one core at level f.
+func (m powerModel) busyWatts(f FreqLevel) float64 {
+	return m.StaticW + m.CeffWPerV2GHz*f.Volt*f.Volt*f.ghz()
 }
 
-// IdleWatts returns the idle power of one core clocked at level f.
-func (m PowerModel) IdleWatts(f FreqLevel) float64 {
-	return m.StaticW + m.IdleFrac*m.CeffWPerV2GHz*f.Volt*f.Volt*f.GHz()
+// idleWatts returns the idle power of one core clocked at level f.
+func (m powerModel) idleWatts(f FreqLevel) float64 {
+	return m.StaticW + m.IdleFrac*m.CeffWPerV2GHz*f.Volt*f.Volt*f.ghz()
 }
 
 // Platform describes the target MPSoC.
@@ -78,7 +78,7 @@ type Platform struct {
 	// DVFSLatency is the frequency transition latency.
 	DVFSLatency time.Duration
 	// Power is the per-core power model.
-	Power PowerModel
+	Power powerModel
 }
 
 // XeonE5_2667V4 returns the paper's evaluation platform: 4 processors × 8
@@ -96,7 +96,7 @@ func XeonE5_2667V4() *Platform {
 			{Hz: 3.6e9, Volt: 1.10},
 		},
 		DVFSLatency: 10 * time.Microsecond,
-		Power: PowerModel{
+		Power: powerModel{
 			StaticW:       1.5,
 			CeffWPerV2GHz: 2.6, // 1.5 + 2.6·1.1²·3.6 ≈ 12.8 W busy at fmax
 			IdleFrac:      0.25,
@@ -136,7 +136,7 @@ func (p *Platform) Validate() error {
 	if p.Power.StaticW < 0 || p.Power.CeffWPerV2GHz <= 0 || p.Power.IdleFrac < 0 || p.Power.IdleFrac >= 1 {
 		return fmt.Errorf("mpsoc: invalid power model %+v", p.Power)
 	}
-	if p.Power.GatedW < 0 || p.Power.GatedW > p.Power.IdleWatts(p.Levels[0]) {
+	if p.Power.GatedW < 0 || p.Power.GatedW > p.Power.idleWatts(p.Levels[0]) {
 		return fmt.Errorf("mpsoc: gated power %v above idle power", p.Power.GatedW)
 	}
 	return nil
@@ -148,14 +148,14 @@ func (p *Platform) MinLevel() int { return 0 }
 // MaxLevel returns the index of the highest operating point.
 func (p *Platform) MaxLevel() int { return len(p.Levels) - 1 }
 
-// Fmax returns the highest-frequency level.
-func (p *Platform) Fmax() FreqLevel { return p.Levels[p.MaxLevel()] }
+// fmax returns the highest-frequency level.
+func (p *Platform) fmax() FreqLevel { return p.Levels[p.MaxLevel()] }
 
-// ScaleToLevel converts a CPU time measured (or estimated) at fmax into
+// scaleToLevel converts a CPU time measured (or estimated) at fmax into
 // execution time at level l: work is frequency-bound, so t_l = t_max·fmax/f_l.
-func (p *Platform) ScaleToLevel(atFmax time.Duration, level int) time.Duration {
+func (p *Platform) scaleToLevel(atFmax time.Duration, level int) time.Duration {
 	f := p.Levels[level]
-	return time.Duration(float64(atFmax) * p.Fmax().Hz / f.Hz)
+	return time.Duration(float64(atFmax) * p.fmax().Hz / f.Hz)
 }
 
 // CorePlan is one core's plan for a scheduling slot: how much work it
@@ -225,21 +225,21 @@ func (p *Platform) SimulateSlot(plans []CorePlan, slot time.Duration) (*SlotRepo
 			rep.EnergyJ += p.Power.GatedW * slot.Seconds()
 			continue
 		}
-		busy := p.ScaleToLevel(plan.LoadAtFmax, plan.BusyLevel)
+		busy := p.scaleToLevel(plan.LoadAtFmax, plan.BusyLevel)
 		busy += time.Duration(plan.Transitions) * p.DVFSLatency
 		if busy > slot {
 			// Deadline miss: execute until the slot ends, carry the rest
 			// (expressed back at fmax) into the next interval.
 			overrun := busy - slot
 			f := p.Levels[plan.BusyLevel]
-			rep.CarryOver[i] = time.Duration(float64(overrun) * f.Hz / p.Fmax().Hz)
+			rep.CarryOver[i] = time.Duration(float64(overrun) * f.Hz / p.fmax().Hz)
 			busy = slot
 			rep.DeadlineMisses++
 		}
 		rep.BusyTime[i] = busy
 		idle := slot - busy
-		eBusy := p.Power.BusyWatts(p.Levels[plan.BusyLevel]) * busy.Seconds()
-		eIdle := p.Power.IdleWatts(p.Levels[plan.IdleLevel]) * idle.Seconds()
+		eBusy := p.Power.busyWatts(p.Levels[plan.BusyLevel]) * busy.Seconds()
+		eIdle := p.Power.idleWatts(p.Levels[plan.IdleLevel]) * idle.Seconds()
 		rep.EnergyJ += eBusy + eIdle
 	}
 	// Guarded like Totals.AvgPowerW: a degenerate slot must yield 0, not

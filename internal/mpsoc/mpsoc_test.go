@@ -19,8 +19,8 @@ func TestXeonPlatformValid(t *testing.T) {
 	if len(p.Levels) != 3 {
 		t.Fatalf("%d levels, want 3 (2.9/3.2/3.6 GHz)", len(p.Levels))
 	}
-	if p.Fmax().Hz != 3.6e9 {
-		t.Fatalf("fmax = %v", p.Fmax().Hz)
+	if p.fmax().Hz != 3.6e9 {
+		t.Fatalf("fmax = %v", p.fmax().Hz)
 	}
 	if p.DVFSLatency != 10*time.Microsecond {
 		t.Fatalf("DVFS latency = %v (paper: 10 µs)", p.DVFSLatency)
@@ -51,21 +51,21 @@ func TestPowerModelOrdering(t *testing.T) {
 	p := XeonE5_2667V4()
 	m := p.Power
 	for i, l := range p.Levels {
-		if m.IdleWatts(l) >= m.BusyWatts(l) {
-			t.Fatalf("level %d: idle %.2f W ≥ busy %.2f W", i, m.IdleWatts(l), m.BusyWatts(l))
+		if m.idleWatts(l) >= m.busyWatts(l) {
+			t.Fatalf("level %d: idle %.2f W ≥ busy %.2f W", i, m.idleWatts(l), m.busyWatts(l))
 		}
 		if i > 0 {
 			prev := p.Levels[i-1]
-			if m.BusyWatts(l) <= m.BusyWatts(prev) {
+			if m.busyWatts(l) <= m.busyWatts(prev) {
 				t.Fatalf("busy power not increasing with frequency at level %d", i)
 			}
-			if m.IdleWatts(l) <= m.IdleWatts(prev) {
+			if m.idleWatts(l) <= m.idleWatts(prev) {
 				t.Fatalf("idle power not increasing with frequency at level %d", i)
 			}
 		}
 	}
 	// Calibration: a busy core at fmax should draw roughly 13 W (TDP/8).
-	busy := m.BusyWatts(p.Fmax())
+	busy := m.busyWatts(p.fmax())
 	if busy < 8 || busy > 20 {
 		t.Fatalf("busy watts at fmax = %.1f, want ≈13", busy)
 	}
@@ -75,11 +75,11 @@ func TestScaleToLevel(t *testing.T) {
 	p := XeonE5_2667V4()
 	work := 29 * time.Millisecond
 	// At fmax the time is unchanged.
-	if got := p.ScaleToLevel(work, p.MaxLevel()); got != work {
+	if got := p.scaleToLevel(work, p.MaxLevel()); got != work {
 		t.Fatalf("fmax scaling changed time: %v", got)
 	}
 	// At 2.9 GHz the same work takes 3.6/2.9 longer.
-	got := p.ScaleToLevel(work, 0)
+	got := p.scaleToLevel(work, 0)
 	want := time.Duration(float64(work) * 3.6 / 2.9)
 	if d := got - want; d < -time.Microsecond || d > time.Microsecond {
 		t.Fatalf("scaled = %v, want %v", got, want)
@@ -94,7 +94,7 @@ func TestSimulateSlotAllIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW := float64(p.Cores) * p.Power.IdleWatts(p.Levels[0])
+	wantW := float64(p.Cores) * p.Power.idleWatts(p.Levels[0])
 	if math.Abs(rep.AvgPowerW-wantW) > 1e-6 {
 		t.Fatalf("idle power %.3f W, want %.3f", rep.AvgPowerW, wantW)
 	}

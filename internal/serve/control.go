@@ -17,10 +17,10 @@ import (
 // every decision is made from one Fleet.Loads() snapshot, through one
 // hysteresis type and one ordering of the members (PlacementOrder, which
 // the dist master ranks its agents with as well). Each action still runs
-// where it is legal: Resize on the autoscaler's own goroutine (a drain
+// where it is legal: resize on the autoscaler's own goroutine (a drain
 // waits for serving goroutines), a shed on the donor's serving goroutine
-// at its round boundary (the ExportSession contract). Resize and a shed
-// exclude each other through Fleet.resizeMu alone: Resize (or a shard's
+// at its round boundary (the ExportSession contract). resize and a shed
+// exclude each other through Fleet.resizeMu alone: resize (or a shard's
 // give-up handoff) holds it, a shed takes its read side with TryRLock and
 // stands down if it cannot — sheds of different donors still run side by
 // side.
@@ -153,16 +153,16 @@ type AutoscaleConfig struct {
 	// entry is still to fire the load policy is suppressed.
 	Schedule []ScheduledResize
 	// OnResize, when set, is invoked from the scaling goroutine just
-	// before each Resize call.
+	// before each resize call.
 	OnResize func(from, to int, reason string)
-	// OnError, when set, receives Resize failures (the loop keeps going).
+	// OnError, when set, receives resize failures (the loop keeps going).
 	OnError func(err error)
 }
 
 // WithAutoscale runs the load-watching scaling loop inside Fleet.Run: a
 // dedicated goroutine (resizes must never run on serving goroutines)
 // observes every settled fleet round and applies cfg's schedule and
-// hysteresis policy through Fleet.Resize. The loop starts with Run and
+// hysteresis policy through Fleet.resize. The loop starts with Run and
 // stops when Run returns.
 func WithAutoscale(cfg AutoscaleConfig) Option {
 	return func(o *options) { o.autoscale = &cfg }
@@ -264,7 +264,7 @@ func (p *scalePolicy) clamp(n int) int { return min(max(n, p.min), p.max) }
 
 // autoscaler is the runtime around the policy: a goroutine fed one tick
 // per settled fleet round (non-blocking from the serving goroutines), so
-// Resize — which waits for drained shards' serving loops — never runs on
+// resize — which waits for drained shards' serving loops — never runs on
 // a serving goroutine.
 type autoscaler struct {
 	fleet   *Fleet
@@ -329,14 +329,14 @@ func (a *autoscaler) loop() {
 
 // resize applies one decision, skipping no-ops.
 func (a *autoscaler) resize(n int, reason string) {
-	from := a.fleet.Shards()
+	from := a.fleet.liveShards()
 	if n == from {
 		return
 	}
 	if a.cfg.OnResize != nil {
 		a.cfg.OnResize(from, n, reason)
 	}
-	if err := a.fleet.Resize(n); err != nil && a.cfg.OnError != nil {
+	if err := a.fleet.resize(n); err != nil && a.cfg.OnError != nil {
 		a.cfg.OnError(err)
 	}
 }
@@ -360,7 +360,7 @@ type shedKey struct {
 }
 
 // WithRebalance makes hot shards shed sessions to idle peers while the
-// fleet keeps its size. Resize migrates sessions only off removed shards;
+// fleet keeps its size. resize migrates sessions only off removed shards;
 // a hot shard inside a stable fleet — class routing piled one popular
 // class onto it — would never shed load. With this option a shard hot for
 // controlWindow consecutive settled rounds hands demand-picked sessions

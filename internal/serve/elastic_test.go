@@ -137,10 +137,10 @@ func TestFleetElasticChurn(t *testing.T) {
 
 	// Grow 2→4 once the fleet is visibly serving.
 	waitRound(-1)
-	if err := f.Resize(4); err != nil {
+	if err := f.resize(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Shards(); got != 4 {
+	if got := f.liveShards(); got != 4 {
 		t.Fatalf("live shards %d after grow, want 4", got)
 	}
 
@@ -162,10 +162,10 @@ func TestFleetElasticChurn(t *testing.T) {
 	// drains at the next GOP boundary and hands the victim over.
 	waitRound(3)
 	waitRound(3)
-	if err := f.Resize(3); err != nil {
+	if err := f.resize(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Shards(); got != 3 {
+	if got := f.liveShards(); got != 3 {
 		t.Fatalf("live shards %d after shrink, want 3", got)
 	}
 	f.Close()
@@ -271,7 +271,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 			t.Fatal("shard 2 never served")
 		}
 	}
-	if err := f.Resize(2); err != nil {
+	if err := f.resize(2); err != nil {
 		t.Fatal(err)
 	}
 	// A post-shrink arrival of the same class routes to the new home —
@@ -335,13 +335,13 @@ func TestResizeUpThenImmediatelyDown(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("fleet never served")
 	}
-	if err := f.Resize(4); err != nil {
+	if err := f.resize(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Resize(2); err != nil {
+	if err := f.resize(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Shards(); got != 2 {
+	if got := f.liveShards(); got != 2 {
 		t.Fatalf("live shards %d, want 2", got)
 	}
 	f.Close()
@@ -379,7 +379,7 @@ func TestResizeIdleFleet(t *testing.T) {
 	}
 	// Shrink to 1 with nothing running: shard 1's session migrates
 	// inline onto shard 0.
-	if err := f.Resize(1); err != nil {
+	if err := f.resize(1); err != nil {
 		t.Fatal(err)
 	}
 	loads = f.Loads()
@@ -389,8 +389,8 @@ func TestResizeIdleFleet(t *testing.T) {
 	if dead := loads[1]; dead.Alive || dead.Sessions != 0 || dead.DemandCores != 0 || dead.CapacityCores != 0 {
 		t.Fatalf("gone shard reports %+v, want a dead zero report", dead)
 	}
-	if got := f.Load(); got != 2 {
-		t.Fatalf("Load() = %d, want 2", got)
+	if got := SumLoads(loads).Sessions; got != 2 {
+		t.Fatalf("SumLoads(Loads()).Sessions = %d, want 2", got)
 	}
 	f.Close()
 	rep, err := f.Run(context.Background())
@@ -403,7 +403,7 @@ func TestResizeIdleFleet(t *testing.T) {
 	if rep.FramesEncoded != 16 || rep.GOPReports != 4 {
 		t.Fatalf("frames/GOPs %d/%d, want 16/4", rep.FramesEncoded, rep.GOPReports)
 	}
-	if err := f.Resize(0); err == nil {
+	if err := f.resize(0); err == nil {
 		t.Fatal("Resize(0) accepted")
 	}
 }

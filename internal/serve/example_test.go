@@ -84,7 +84,7 @@ func ExampleWithAutoscale() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(fleet.Shards(), "shards to start")
+	fmt.Println(len(fleet.Loads()), "shards to start")
 	// Output: 2 shards to start
 }
 

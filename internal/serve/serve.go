@@ -208,17 +208,17 @@ func WithShardCapacity(n int) Option {
 const maxRestarts = 1
 
 // Fleet is the multi-shard serving front door. Build with New, feed with
-// SubmitWith, drive with Run, scale with Resize, stop with Close (drain)
-// or context cancellation (abort).
+// SubmitWith, drive with Run, let WithAutoscale resize it, stop with Close
+// (drain) or context cancellation (abort).
 //
-// Concurrency: SubmitWith, Close, Resize, Report, Load, Loads, Shards,
-// HomeShard and SaveLUTs are safe from any goroutine; Run must be called
-// once at a time. Resize must not be called from a round hook or a sink
-// — a shard being drained cannot wait for its own serving goroutine;
-// give the autoscaler its own goroutine.
+// Concurrency: SubmitWith, Close, Report, Loads and HomeShard are safe
+// from any goroutine; Run must be called once at a time. resize must not
+// be called from a round hook or a sink — a shard being drained cannot
+// wait for its own serving goroutine — so the autoscaler runs it on its
+// own goroutine.
 type Fleet struct {
 	opts options
-	// proto is the first shard's platform; shards added by Resize run on
+	// proto is the first shard's platform; shards added by resize run on
 	// copies of it.
 	proto *mpsoc.Platform
 	// seed is the loaded WithLUTStore snapshot (nil without one); every
@@ -257,7 +257,7 @@ type Fleet struct {
 	// rebalanced counts session hops performed by hot-shard rebalancing.
 	rebalanced int
 
-	// resizeMu serializes Resize calls (a resize blocks until its
+	// resizeMu serializes resize calls (a resize blocks until its
 	// migrations land; overlapping resizes would fight over victims) and
 	// give-up handoffs, and excludes hot-shard sheds: a shed takes the read
 	// side with TryRLock and stands down if it cannot, so a shed's target
@@ -275,7 +275,7 @@ type shardState struct {
 	hot hysteresis
 	// dead: the supervisor gave the shard up; routing skips it.
 	dead bool
-	// draining: a Resize is removing the shard; routing skips it, its
+	// draining: a resize is removing the shard; routing skips it, its
 	// sessions are being handed to their new home shards.
 	draining bool
 	// removed: the drain finished; the shard is gone for good.
@@ -284,7 +284,7 @@ type shardState struct {
 	// serving loop.
 	supervising bool
 	// migrated is closed exactly once, when the shard's drain completes
-	// (or is abandoned by cancellation) — what Resize blocks on.
+	// (or is abandoned by cancellation) — what resize blocks on.
 	migrated chan struct{}
 	// The supervisor's side of the shard's report (everything else is the
 	// server's own ledger): loop restarts performed and the give-up error.
@@ -447,8 +447,8 @@ func (f *Fleet) rebuildRingLocked() {
 	f.ring = newHashRing(members, RingReplicas)
 }
 
-// Shards returns the number of live (routable) shards.
-func (f *Fleet) Shards() int {
+// liveShards returns the number of live (routable) shards.
+func (f *Fleet) liveShards() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.liveCountLocked()
@@ -589,7 +589,7 @@ func (f *Fleet) shardAt(i int) *shardState {
 
 // Close closes every shard's arrival queue: no further SubmitWith succeeds
 // and Run returns once the submitted sessions drain. Shards added by a
-// later Resize are born closed. Safe to call from any goroutine, more
+// later resize are born closed. Safe to call from any goroutine, more
 // than once.
 func (f *Fleet) Close() {
 	f.mu.Lock()
@@ -644,7 +644,7 @@ type Report struct {
 // past that the shard is given up: it leaves the ring, its queue closes,
 // and its sessions re-home onto the other shards the way a resize drain
 // hands them over (a session no shard will take fails, and the sink sees
-// the failure). Resize adds supervisors for grown shards and retires
+// the failure). resize adds supervisors for grown shards and retires
 // the drained ones mid-flight. Run returns the aggregated report with
 // ctx.Err() after cancellation, an error when every shard died, and nil
 // otherwise (check ShardReport.Err for partial failures). With
@@ -684,12 +684,12 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		return rep, err
 	}
 	if f.opts.lutPath != "" {
-		if err := f.SaveLUTs(); err != nil {
+		if err := f.saveLUTs(); err != nil {
 			return rep, err
 		}
 	}
 	// "Every shard died" is judged over the shards that could still
-	// serve: slots retired by a Resize drain don't count either way, even
+	// serve: slots retired by a resize drain don't count either way, even
 	// one whose loop gave up as the drain took it.
 	f.mu.Lock()
 	serving, deadShards, first := 0, 0, error(nil)
@@ -781,7 +781,7 @@ func (f *Fleet) startSupervisorLocked(ctx context.Context, s *shardState) {
 			f.mu.Unlock()
 			if release {
 				// An abnormal exit (give-up, cancellation) on a draining
-				// shard: unblock the Resize waiting for the drain.
+				// shard: unblock the resize waiting for the drain.
 				f.markRemoved(s)
 			}
 			if exit {
@@ -798,7 +798,7 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 	for restarts := 0; ; restarts++ {
 		_, err := s.srv.Run(ctx)
 		if f.isDrainingShard(s) {
-			// A Resize is removing this shard: migrate its sessions and
+			// A resize is removing this shard: migrate its sessions and
 			// retire it, whatever the loop returned.
 			f.finishDrain(s, ctx)
 			return
@@ -822,7 +822,7 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 // budget, the way a resize victim leaves: off the ring first (so HomeShard
 // and MergeLUTs stop naming it), then its sessions re-home through rehome.
 // Every one of them sits at a GOP boundary — a round-level error is raised
-// before any encode starts. A shard a Resize already marked for draining
+// before any encode starts. A shard a resize already marked for draining
 // books the cause too, then finishes that drain instead (it leaves the
 // fleet removed, so Run's verdict does not count it). The handoff holds
 // resizeMu's write side,
@@ -830,7 +830,7 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) {
 // draining away mid-handoff, and it serializes give-ups with each other,
 // so a dying shard's export sees every session another give-up landed on
 // it. It cannot wait on itself: a dead shard is never routable, so never a
-// Resize victim.
+// resize victim.
 func (f *Fleet) giveUp(ctx context.Context, s *shardState, err error) {
 	f.mu.Lock()
 	draining := s.draining
@@ -858,7 +858,7 @@ func (f *Fleet) isDrainingShard(s *shardState) bool {
 }
 
 // markRemoved retires a draining shard, closing its migrated channel
-// exactly once (what Resize blocks on).
+// exactly once (what resize blocks on).
 func (f *Fleet) markRemoved(s *shardState) {
 	f.mu.Lock()
 	already := s.removed
@@ -871,8 +871,8 @@ func (f *Fleet) markRemoved(s *shardState) {
 
 // finishDrain completes a shard's removal: its sessions re-home (rehome)
 // and the shard retires. Runs on the shard's supervisor goroutine while
-// the fleet is running, or on the Resize caller's goroutine otherwise —
-// never both — and either way under the Resize's hold of resizeMu.
+// the fleet is running, or on the resize caller's goroutine otherwise —
+// never both — and either way under the resize's hold of resizeMu.
 func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	if ctx != nil && ctx.Err() != nil {
 		// The fleet is being cancelled: nobody is left to serve a
@@ -882,7 +882,7 @@ func (f *Fleet) finishDrain(s *shardState, ctx context.Context) {
 	}
 	f.rehome(s, nil)
 
-	// The draining shard already left the routable set when the Resize
+	// The draining shard already left the routable set when the resize
 	// marked it, so the live count needs no adjustment.
 	f.mu.Lock()
 	live := f.liveCountLocked()
@@ -980,7 +980,7 @@ func (f *Fleet) adopt(snap *core.SessionSnapshot, from int, candidates []int, re
 	return Placement{}, lastErr
 }
 
-// Resize grows or shrinks the fleet to n live shards, while Run is live
+// resize grows or shrinks the fleet to n live shards, while Run is live
 // or between runs. Growing builds fresh shards on copies of the fleet's
 // prototype platform and splices them into the consistent-hash ring:
 // only the classes whose arc the new shards take over move home (their
@@ -989,14 +989,14 @@ func (f *Fleet) adopt(snap *core.SessionSnapshot, from int, candidates []int, re
 // removes the highest-indexed live shards: each victim leaves the ring
 // (new arrivals route around it), drains at the next GOP boundary, and
 // hands its live sessions — with their admission-ladder state and their
-// classes' warm LUTs — to their new home shards; Resize returns
+// classes' warm LUTs — to their new home shards; resize returns
 // once every victim's sessions have landed. Zero frames are lost and a
 // migrated session's bitstream continues bit-identically.
 //
-// Resize must not be called from a round hook or a sink: draining a
+// resize must not be called from a round hook or a sink: draining a
 // shard waits for that shard's serving goroutine, which is the goroutine
 // hooks run on. Call it from its own goroutine (an autoscaler loop).
-func (f *Fleet) Resize(n int) error {
+func (f *Fleet) resize(n int) error {
 	if n < 1 {
 		return fmt.Errorf("serve: resize to %d shards", n)
 	}
@@ -1089,9 +1089,9 @@ func (f *Fleet) Resize(n int) error {
 	return nil
 }
 
-// SaveLUTs merges every shard's workload store and writes it atomically
+// saveLUTs merges every shard's workload store and writes it atomically
 // to the WithLUTStore path. Without a configured path it is a no-op.
-func (f *Fleet) SaveLUTs() error {
+func (f *Fleet) saveLUTs() error {
 	if f.opts.lutPath == "" {
 		return nil
 	}
@@ -1119,10 +1119,6 @@ func (f *Fleet) SaveLUTs() error {
 	}
 	return nil
 }
-
-// Load reports the fleet-wide live-session count (the sum of the alive
-// shards' queue depths).
-func (f *Fleet) Load() int { return SumLoads(f.Loads()).Sessions }
 
 // deliver hands each of the fleet's sinks in turn to fn under the
 // fleet-wide dispatch lock — the Sink contract's "no two methods run

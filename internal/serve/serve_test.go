@@ -82,9 +82,9 @@ func testSessionConfig() core.SessionConfig {
 // n-shard fleet.
 func classesPerShard(t *testing.T, f *Fleet) []string {
 	t.Helper()
-	out := make([]string, f.Shards())
+	out := make([]string, f.liveShards())
 	found := 0
-	for i := 0; found < f.Shards() && i < 10000; i++ {
+	for i := 0; found < f.liveShards() && i < 10000; i++ {
 		class := fmt.Sprintf("class-%d", i)
 		home := f.HomeShard(class)
 		if out[home] == "" {
@@ -92,7 +92,7 @@ func classesPerShard(t *testing.T, f *Fleet) []string {
 			found++
 		}
 	}
-	if found != f.Shards() {
+	if found != f.liveShards() {
 		t.Fatalf("could not find a class for every shard: %v", out)
 	}
 	return out
@@ -612,7 +612,7 @@ func TestShardGiveUpRacesResize(t *testing.T) {
 		rep, err := f.Run(context.Background())
 		done <- result{rep, err}
 	}()
-	if err := f.Resize(f.Shards() - 1); err != nil {
+	if err := f.resize(f.liveShards() - 1); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

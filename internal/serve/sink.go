@@ -64,7 +64,7 @@ type PlacementEvent struct {
 	Priority int
 }
 
-// ShardEvent reports a fleet membership change (Resize).
+// ShardEvent reports a fleet membership change (resize).
 type ShardEvent struct {
 	// Shard is the index of the shard that joined or left.
 	Shard int
@@ -119,10 +119,10 @@ type MigrationEvent struct {
 // callers inject arrivals through WithRoundHook, which runs after the
 // round's sink delivery with no sink lock held.
 //
-// Elasticity events (Fleet.Resize, DESIGN.md §6): OnShardAdded arrives
-// after the new shard is routable, from the Resize caller's goroutine.
+// Elasticity events (Fleet.resize, DESIGN.md §6): OnShardAdded arrives
+// after the new shard is routable, from the resize caller's goroutine.
 // A removal delivers, from the draining shard's supervisor goroutine
-// (or the Resize caller's when the fleet is idle), in order: one
+// (or the resize caller's when the fleet is idle), in order: one
 // StateMigrated OnSessionStateChange per exported session on the donor,
 // then per migrated session a StateQueued OnSessionStateChange on the
 // target followed by the OnSessionMigrated linking the two ids, then
@@ -371,15 +371,15 @@ func (s *RingSink) Outcomes() []*core.GOPOutcome {
 	return ordered
 }
 
-// JSONLPolicy selects what a JSONLSink does when its buffer is
+// jsonlPolicy selects what a JSONLSink does when its buffer is
 // full: block the serving goroutine until the writer catches up (no data
 // loss) or drop the line and count it (no serving stall, ever).
-type JSONLPolicy int
+type jsonlPolicy int
 
 const (
 	// JSONLBlock waits for buffer space — telemetry is complete, but a
 	// writer slower than the event rate eventually stalls serving.
-	JSONLBlock JSONLPolicy = iota
+	JSONLBlock jsonlPolicy = iota
 	// JSONLDrop discards the line when the buffer is full and counts it
 	// (Dropped) — serving never waits on the writer.
 	JSONLDrop
@@ -394,7 +394,7 @@ const (
 // serialized sink dispatch for as long as it blocks (a slow network pipe
 // stalls every serving goroutine), so the sink is buffered: events marshal
 // on the serving goroutine into a bounded buffer a dedicated writer
-// goroutine drains, with a JSONLPolicy choosing block-or-drop when the
+// goroutine drains, with a jsonlPolicy choosing block-or-drop when the
 // buffer fills. Call Close to flush and stop the writer.
 type JSONLSink struct {
 	lines     chan []byte
@@ -412,7 +412,7 @@ type JSONLSink struct {
 // block-or-drop on a full buffer; dropped lines are counted (Dropped).
 // Close flushes the buffer, stops the writer and returns its first
 // write error.
-func NewBufferedJSONLSink(w io.Writer, depth int, policy JSONLPolicy) *JSONLSink {
+func NewBufferedJSONLSink(w io.Writer, depth int, policy jsonlPolicy) *JSONLSink {
 	if depth < 1 {
 		depth = 1
 	}

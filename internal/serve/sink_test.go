@@ -280,7 +280,7 @@ func TestRingReportMatchesFleetLedger(t *testing.T) {
 		done <- result{rep, err}
 	}()
 	<-leavingServed
-	if err := f.Resize(2); err != nil {
+	if err := f.resize(2); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -21,30 +21,29 @@ import (
 // bench/ names, sorted, with no file names or line numbers. A verdict is
 // one of
 //
-//	interface: reason    a method that satisfies an interface declared in
-//	                     another package, which callers go through
+//	interface: reason    a method that satisfies an interface callers go
+//	                     through: one declared in another package, or one
+//	                     of its own package that another package names
 //	return-type: reason  a type callers receive from an exported function,
-//	                     method or field and never have to spell
-//	wire: reason         a JSON-encoded type of the dist or core wire
+//	                     method or field and never have to spell, or a
+//	                     constant of such a type that callers compare against
+//	wire: reason         a JSON-encoded type: a dist or core wire message,
+//	                     or the tenants file
 //	test-seam            only tests name it; orphanAllow says why it stays
 //	bench: reason        only bench/ names it, and bench/ changes only in a
 //	                     benchmark change
-//	open                 not yet judged; only packages outside cutPkgs
 //
 // Verdicts are checked, not trusted: a bench line needs a use in bench/, a
-// test-seam line an orphanAllow key, an interface line a method some other
-// package's interface holds, a return-type line a type an exported
-// signature or field mentions, and a wire line a struct with JSON tags. A
-// new exported name without a line fails, and a line whose name gained an
-// outside caller or is gone fails as stale; -update rewrites the golden,
-// keeping every verdict and marking new names open.
+// test-seam line an orphanAllow key, an interface line a method of an
+// interface another package declares or names, a return-type line a type
+// (or a constant of a type) an exported signature or field mentions, and a
+// wire line a struct with JSON tags. A new exported name without a line
+// fails until it gets a verdict or is unexported, and a line whose name
+// gained an outside caller or is gone fails as stale; -update drops the
+// stale lines and keeps every verdict.
 const exportsGolden = "testdata/exports.golden"
 
-var exportVerdictRE = regexp.MustCompile(`^(interface: \S.*|return-type: \S.*|wire: \S.*|test-seam|bench: \S.*|open)$`)
-
-// cutPkgs are the packages cut to their callers: every exported name there
-// is named by another package or has a checked verdict, and none is open.
-var cutPkgs = map[string]bool{"metrics": true, "quality": true, "sched": true, "tiling": true, "video": true}
+var exportVerdictRE = regexp.MustCompile(`^(interface: \S.*|return-type: \S.*|wire: \S.*|test-seam|bench: \S.*)$`)
 
 const exportsHeader = `# The export census: every exported name of an internal/ package (top-level
 # objects and methods of exported named types) that no non-test code of
@@ -113,21 +112,32 @@ func exportCensus(t *testing.T) map[string]*exported {
 	return out
 }
 
-// satisfiesForeign reports whether meth, a method of a named type, is a
-// method of an interface declared outside the type's package that the type
-// (or its pointer) implements.
-func satisfiesForeign(meth *types.Func, ifaces []*types.Interface, paths []string) bool {
+// satisfiesInterface reports whether meth, a method of a named type, is a
+// method of an interface the type (or its pointer) implements and callers
+// go through: one declared outside the type's package, or one of its own
+// package that non-test code of another package outside bench/ names.
+func satisfiesInterface(census map[string]*exported, meth *types.Func, ifaces []*types.Interface, paths []string) bool {
 	recv := recvType(meth)
 	if recv == nil {
 		return false
 	}
 	ptr := types.NewPointer(recv.Type())
-	for i, it := range ifaces {
-		if paths[i] == meth.Pkg().Path() {
-			continue
-		}
+	holds := func(it *types.Interface) bool {
 		for j := 0; j < it.NumMethods(); j++ {
 			if it.Method(j).Name() == meth.Name() && types.Implements(ptr, it) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, it := range ifaces {
+		if paths[i] != meth.Pkg().Path() && holds(it) {
+			return true
+		}
+	}
+	for _, e := range census {
+		if tn, ok := e.obj.(*types.TypeName); ok && e.outside && tn.Pkg() == meth.Pkg() {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && holds(it) {
 				return true
 			}
 		}
@@ -212,20 +222,23 @@ func checkExportVerdict(census map[string]*exported, e *exported, key, verdict s
 		}
 	case "interface":
 		meth, ok := e.obj.(*types.Func)
-		if !ok || !satisfiesForeign(meth, ifaces, paths) {
-			return "it satisfies no interface declared in another package"
+		if !ok || !satisfiesInterface(census, meth, ifaces, paths) {
+			return "it satisfies no interface declared or named by another package"
 		}
 	case "return-type":
+		// A constant holds when its named type does: an enum value
+		// callers compare against.
+		if c, ok := e.obj.(*types.Const); ok {
+			if named, ok := c.Type().(*types.Named); ok {
+				tn, isType = named.Obj(), true
+			}
+		}
 		if !isType || !reachesCallers(census, tn) {
 			return "no exported function, method or field hands it to callers"
 		}
 	case "wire":
 		if !isType || !hasJSONTags(tn) {
 			return "it is no struct with JSON tags"
-		}
-	case "open":
-		if pkg, _, _ := strings.Cut(key, "."); cutPkgs[pkg] {
-			return "package " + pkg + " is cut: unexport the name or give it a checked verdict"
 		}
 	}
 	return ""
@@ -248,18 +261,16 @@ func TestExports(t *testing.T) {
 	}
 	sort.Strings(names)
 
-	golden := readVerdicts(t, exportsGolden, exportVerdictRE, "interface: reason, return-type: reason, wire: reason, test-seam, bench: reason, open")
+	golden := readVerdicts(t, exportsGolden, exportVerdictRE, "interface: reason, return-type: reason, wire: reason, test-seam, bench: reason")
 	if *update {
 		kept := map[string]string{}
 		var b strings.Builder
 		b.WriteString(exportsHeader)
 		for _, name := range names {
-			verdict, ok := golden[name]
-			if !ok {
-				verdict = "open"
+			if verdict, ok := golden[name]; ok {
+				kept[name] = verdict
+				fmt.Fprintf(&b, "%s\t%s\n", name, verdict)
 			}
-			kept[name] = verdict
-			fmt.Fprintf(&b, "%s\t%s\n", name, verdict)
 		}
 		if err := os.WriteFile(exportsGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -290,4 +301,55 @@ func TestExports(t *testing.T) {
 	sort.Strings(counts)
 	t.Logf("%d exported names under internal/, %d named by no other package outside bench/ (%s)",
 		len(census), len(names), strings.Join(counts, ", "))
+}
+
+// TestExportVerdicts holds checkExportVerdict itself to its rules, on real
+// names of the module: each verdict kind holds where its rule is met and
+// is refused where it is not.
+func TestExportVerdicts(t *testing.T) {
+	census := exportCensus(t)
+	ifaces, paths := moduleInterfaces(t)
+	for _, tc := range []struct {
+		key, verdict string
+		// hide clears the outside flag of these names first: the census as
+		// if no other package named them.
+		hide  []string
+		holds bool
+	}{
+		{key: "metrics.Sink.OnGOP", verdict: "interface: serve.Sink", holds: true},
+		{key: "serve.JSONLSink.OnGOP", verdict: "interface: Sink, named by metrics", holds: true},
+		{key: "serve.JSONLSink.OnGOP", verdict: "interface: Sink, named by nobody", hide: []string{"serve.Sink"}},
+		{key: "core.Server.ServeAll", verdict: "interface: none"},
+		{key: "sched.Assignment", verdict: "return-type: Result.Assignments", holds: true},
+		{key: "tenancy.Config", verdict: "return-type: nothing returns it"},
+		{key: "core.StateFailed", verdict: "return-type: a SessionState value", holds: true},
+		{key: "serve.JSONLDrop", verdict: "return-type: its type is unexported and handed to nobody"},
+		{key: "dist.Heartbeat", verdict: "wire: the heartbeat body", holds: true},
+		{key: "sched.Assignment", verdict: "wire: no JSON tags"},
+		{key: "video.SAD", verdict: "test-seam", holds: true},
+		{key: "core.StateFailed", verdict: "test-seam"},
+		{key: "video.PSNR", verdict: "bench: the decode checks", holds: true},
+		{key: "core.StateFailed", verdict: "bench: bench/ does not name it"},
+	} {
+		view := census
+		if len(tc.hide) > 0 {
+			view = make(map[string]*exported, len(census))
+			for k, e := range census {
+				view[k] = e
+			}
+			for _, k := range tc.hide {
+				hidden := *census[k]
+				hidden.outside = false
+				view[k] = &hidden
+			}
+		}
+		e := view[tc.key]
+		if e == nil {
+			t.Fatalf("%s is not an exported name of the module", tc.key)
+		}
+		why := checkExportVerdict(view, e, tc.key, tc.verdict, ifaces, paths)
+		if (why == "") != tc.holds {
+			t.Errorf("%s %q (hiding %v): holds %v (%q), want %v", tc.key, tc.verdict, tc.hide, why == "", why, tc.holds)
+		}
+	}
 }

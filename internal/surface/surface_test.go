@@ -1,7 +1,8 @@
 // Package surface has no code of its own: its tests pin the module's
 // settable surface and keep dead exported code from coming back
-// (ROADMAP item 7). Standard library only — go/parser and go/types over
-// the checkout, the "source" importer for the standard library.
+// (ROADMAP item 7; DESIGN.md §12 describes the four census goldens).
+// Standard library only — go/parser and go/types over the checkout, the
+// "source" importer for the standard library.
 //
 //	TestKnobs     one golden line per exported field of the non-wire config
 //	              structs, per serve.With* constructor and per transcode flag;
@@ -18,7 +19,8 @@
 //	TestExports   every exported name under internal/ that no other package
 //	              outside bench/ names has a checked verdict in
 //	              testdata/exports.golden (exports_test.go): the public
-//	              surface is what another package calls.
+//	              surface is what another package calls. TestExportVerdicts
+//	              checks the verdict rules themselves.
 //	TestClocks    every read of the wall clock, a random source or a
 //	              report-only stopwatch field in production code has a
 //	              report, supervision or identity verdict in
@@ -45,7 +47,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/knobs.golden and testdata/exports.golden")
+var update = flag.Bool("update", false, "rewrite testdata/knobs.golden, and drop stale lines from testdata/exports.golden")
 
 // knobStructs is the fixed list of configuration structs whose exported
 // fields are knobs: everything a caller fills in to build a server, a
@@ -68,7 +70,6 @@ var knobStructs = []string{
 	"metrics.SinkConfig",
 	"metrics.CostModel",
 	"motion.TZSearch",
-	"motion.Cross",
 	"motion.OneAtATime",
 	"motion.Hexagon",
 	"experiments.AblationOptions",

@@ -93,14 +93,14 @@ type Registry struct {
 func NewRegistry(tenants ...Tenant) *Registry {
 	r := &Registry{now: time.Now, byID: make(map[string]*bucket, len(tenants))}
 	for _, t := range tenants {
-		r.Register(t)
+		r.register(t)
 	}
 	return r
 }
 
-// Register adds (or replaces) one tenant's policy. The bucket starts
+// register adds (or replaces) one tenant's policy. The bucket starts
 // full.
-func (r *Registry) Register(t Tenant) {
+func (r *Registry) register(t Tenant) {
 	t = t.withDefaults()
 	id := t.ID
 	if id == DefaultID {
@@ -121,9 +121,9 @@ func canonical(id string) string {
 	return id
 }
 
-// Lookup returns the policy for a tenant id. Unknown ids get the default
+// lookup returns the policy for a tenant id. Unknown ids get the default
 // policy (weight 1, priority 0, unlimited) under their own id.
-func (r *Registry) Lookup(id string) Tenant {
+func (r *Registry) lookup(id string) Tenant {
 	id = canonical(id)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,7 +135,7 @@ func (r *Registry) Lookup(id string) Tenant {
 
 // Weight returns the tenant's core-share weight (≥ 1).
 func (r *Registry) Weight(id string) int {
-	return r.Lookup(id).Weight
+	return r.lookup(id).Weight
 }
 
 // Priority resolves a submission's effective priority class: the
@@ -145,12 +145,12 @@ func (r *Registry) Priority(id string, requested int) int {
 	if requested != 0 {
 		return requested
 	}
-	return r.Lookup(id).Priority
+	return r.lookup(id).Priority
 }
 
-// Tenants lists the registered tenant ids in sorted order (the default
+// tenants lists the registered tenant ids in sorted order (the default
 // tenant, when registered explicitly, appears as DefaultID).
-func (r *Registry) Tenants() []string {
+func (r *Registry) tenants() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.byID))
@@ -203,10 +203,10 @@ func (r *Registry) Admit(id string) error {
 // submission.
 func (r *Registry) WithoutRates() *Registry {
 	stripped := NewRegistry()
-	for _, id := range r.Tenants() {
-		t := r.Lookup(id)
+	for _, id := range r.tenants() {
+		t := r.lookup(id)
 		t.Rate, t.Burst = 0, 0
-		stripped.Register(t)
+		stripped.register(t)
 	}
 	return stripped
 }
@@ -226,8 +226,8 @@ type Config struct {
 // must not be able to overflow either.
 const maxWeight = 1 << 20
 
-// Parse reads a Config and builds its registry.
-func Parse(r io.Reader) (*Registry, error) {
+// parse reads a Config and builds its registry.
+func parse(r io.Reader) (*Registry, error) {
 	var cfg Config
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&cfg); err != nil {
@@ -257,7 +257,7 @@ func LoadFile(path string) (*Registry, error) {
 		return nil, err
 	}
 	defer f.Close()
-	reg, err := Parse(f)
+	reg, err := parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

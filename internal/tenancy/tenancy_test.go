@@ -41,7 +41,7 @@ func TestRegistryDefaultsAndLookup(t *testing.T) {
 	if got := r.Priority("unknown", 0); got != 0 {
 		t.Fatalf("unknown priority = %d, want 0", got)
 	}
-	if got := r.Tenants(); len(got) != 2 || got[0] != "batch" || got[1] != "er" {
+	if got := r.tenants(); len(got) != 2 || got[0] != "batch" || got[1] != "er" {
 		t.Fatalf("Tenants() = %v", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestRegistryDefaultTenantAliases(t *testing.T) {
 func TestTokenBucketDeterministic(t *testing.T) {
 	now := time.Unix(0, 0)
 	r := NewRegistry().WithClock(func() time.Time { return now })
-	r.Register(Tenant{ID: "t", Rate: 1, Burst: 2})
+	r.register(Tenant{ID: "t", Rate: 1, Burst: 2})
 
 	// Burst drains, then the bucket refuses.
 	for i := 0; i < 2; i++ {
@@ -98,31 +98,31 @@ func TestParseConfig(t *testing.T) {
 		{"id": "batch", "weight": 3, "rate": 2.5},
 		{"id": "er", "priority": 9}
 	]}`
-	r, err := Parse(strings.NewReader(cfg))
+	r, err := parse(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Weight("batch"); got != 3 {
 		t.Fatalf("batch weight = %d, want 3", got)
 	}
-	if got := r.Lookup("batch").Burst; got != 3 {
+	if got := r.lookup("batch").Burst; got != 3 {
 		t.Fatalf("batch burst = %d, want ceil(2.5)=3", got)
 	}
 	if got := r.Priority("er", 0); got != 9 {
 		t.Fatalf("er priority = %d, want 9", got)
 	}
 
-	if _, err := Parse(strings.NewReader(`{"tenants":[{"id":"a"},{"id":"a"}]}`)); err == nil {
+	if _, err := parse(strings.NewReader(`{"tenants":[{"id":"a"},{"id":"a"}]}`)); err == nil {
 		t.Fatal("duplicate tenant id accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"tenants":[{"id":"a","weight":-1}]}`)); err == nil {
+	if _, err := parse(strings.NewReader(`{"tenants":[{"id":"a","weight":-1}]}`)); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 	// Three such weights sum to zero in 64 bits — the allocator's divisor.
-	if _, err := Parse(strings.NewReader(`{"tenants":[{"id":"a","weight":9223372036854775807}]}`)); err == nil {
+	if _, err := parse(strings.NewReader(`{"tenants":[{"id":"a","weight":9223372036854775807}]}`)); err == nil {
 		t.Fatal("a weight that overflows the allocator's sums accepted")
 	}
-	if _, err := Parse(strings.NewReader(`not json`)); err == nil {
+	if _, err := parse(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("malformed config accepted")
 	}
 }
@@ -139,17 +139,17 @@ func FuzzTenancyParse(f *testing.F) {
 	f.Add([]byte(`{"tenants":[{"id":"a","rate":1e308,"burst":-1}]}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reg, err := Parse(bytes.NewReader(data))
+		reg, err := parse(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		ids := reg.Tenants()
+		ids := reg.tenants()
 		if len(ids) > len(data) {
 			t.Fatalf("%d tenants out of %d bytes", len(ids), len(data))
 		}
 		wsum := 0
 		for _, id := range ids {
-			p := reg.Lookup(id)
+			p := reg.lookup(id)
 			if p.Weight < 1 || p.Rate < 0 || (p.Rate > 0 && p.Burst < 1) {
 				t.Fatalf("tenant %q parsed to an unusable policy %+v", id, p)
 			}
@@ -161,7 +161,7 @@ func FuzzTenancyParse(f *testing.F) {
 			}
 			reg.Priority(id, 0)
 		}
-		if got := reg.WithoutRates().Tenants(); len(got) != len(ids) {
+		if got := reg.WithoutRates().tenants(); len(got) != len(ids) {
 			t.Fatalf("WithoutRates kept %d of %d tenants", len(got), len(ids))
 		}
 	})

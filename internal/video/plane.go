@@ -54,15 +54,6 @@ func (p *Plane) SubPlane(x, y, w, h int) (*Plane, error) {
 	return &Plane{W: w, H: h, Stride: p.Stride, Pix: p.Pix[y*p.Stride+x:]}, nil
 }
 
-// MustSubPlane is SubPlane for windows known to be in range.
-func (p *Plane) MustSubPlane(x, y, w, h int) *Plane {
-	sp, err := p.SubPlane(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
 // Fill sets every sample to v.
 func (p *Plane) Fill(v uint8) {
 	for y := 0; y < p.H; y++ {

@@ -67,7 +67,7 @@ func FuzzObserve(f *testing.F) {
 		l := NewLUT()
 		// Two keys identical except for the area class.
 		small := Key{AreaClass: 0, Texture: int(tex % 3), Motion: int(mot % 2),
-			QPBucket: QPBucket(int(qp)), SearchLevel: SearchLevel(int(window) + 1)}
+			QPBucket: qpBucket(int(qp)), SearchLevel: searchLevel(int(window) + 1)}
 		large := small
 		large.AreaClass = 2
 

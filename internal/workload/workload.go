@@ -47,8 +47,8 @@ func (k Key) String() string {
 	return fmt.Sprintf("a%d/t%d/m%d/q%d/s%d", k.AreaClass, k.Texture, k.Motion, k.QPBucket, k.SearchLevel)
 }
 
-// AreaClass buckets a tile area in pixels.
-func AreaClass(area int) int {
+// areaClass buckets a tile area in pixels.
+func areaClass(area int) int {
 	for i, b := range areaBounds {
 		if area <= b {
 			return i
@@ -57,9 +57,9 @@ func AreaClass(area int) int {
 	return len(areaBounds)
 }
 
-// QPBucket maps a QP to the nearest paper operating point index
+// qpBucket maps a QP to the nearest paper operating point index
 // (0→22, 1→27, 2→32, 3→37, 4→42).
-func QPBucket(qp int) int {
+func qpBucket(qp int) int {
 	points := []int{22, 27, 32, 37, 42}
 	best, bestD := 0, 1<<30
 	for i, p := range points {
@@ -74,9 +74,9 @@ func QPBucket(qp int) int {
 	return best
 }
 
-// SearchLevel maps a search window to a small level index (8→3, 16→4,
+// searchLevel maps a search window to a small level index (8→3, 16→4,
 // 32→5, 64→6); non-power-of-two windows round down.
-func SearchLevel(window int) int {
+func searchLevel(window int) int {
 	level := 0
 	for w := window; w > 1; w >>= 1 {
 		level++
@@ -87,11 +87,11 @@ func SearchLevel(window int) int {
 // MakeKey assembles a Key from raw tile properties.
 func MakeKey(area int, texture, motion, qp, window int) Key {
 	return Key{
-		AreaClass:   AreaClass(area),
+		AreaClass:   areaClass(area),
 		Texture:     texture,
 		Motion:      motion,
-		QPBucket:    QPBucket(qp),
-		SearchLevel: SearchLevel(window),
+		QPBucket:    qpBucket(qp),
+		SearchLevel: searchLevel(window),
 	}
 }
 

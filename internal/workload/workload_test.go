@@ -29,16 +29,16 @@ func (l *LUT) observations() uint64 {
 func TestAreaClassMonotone(t *testing.T) {
 	prev := -1
 	for _, area := range []int{1, 4096, 8000, 20000, 40000, 100000, 400000} {
-		c := AreaClass(area)
+		c := areaClass(area)
 		if c < prev {
 			t.Fatalf("AreaClass(%d) = %d below previous %d", area, c, prev)
 		}
 		prev = c
 	}
-	if AreaClass(64*64) != 0 {
-		t.Fatalf("min tile (64×64) should land in class 0, got %d", AreaClass(64*64))
+	if areaClass(64*64) != 0 {
+		t.Fatalf("min tile (64×64) should land in class 0, got %d", areaClass(64*64))
 	}
-	if AreaClass(640*480) != len(areaBounds) {
+	if areaClass(640*480) != len(areaBounds) {
 		t.Fatal("full frame should land in the top class")
 	}
 }
@@ -46,7 +46,7 @@ func TestAreaClassMonotone(t *testing.T) {
 func TestQPBucketNearestOperatingPoint(t *testing.T) {
 	cases := map[int]int{22: 0, 24: 0, 25: 1, 27: 1, 29: 1, 30: 2, 32: 2, 35: 3, 37: 3, 40: 4, 42: 4, 51: 4}
 	for qp, want := range cases {
-		if got := QPBucket(qp); got != want {
+		if got := qpBucket(qp); got != want {
 			t.Errorf("QPBucket(%d) = %d, want %d", qp, got, want)
 		}
 	}
@@ -55,7 +55,7 @@ func TestQPBucketNearestOperatingPoint(t *testing.T) {
 func TestSearchLevel(t *testing.T) {
 	cases := map[int]int{8: 3, 16: 4, 32: 5, 64: 6, 1: 0}
 	for w, want := range cases {
-		if got := SearchLevel(w); got != want {
+		if got := searchLevel(w); got != want {
 			t.Errorf("SearchLevel(%d) = %d, want %d", w, got, want)
 		}
 	}
