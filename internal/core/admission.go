@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/mpsoc"
@@ -70,19 +72,19 @@ const (
 )
 
 // allocate runs stage D2 over the live sessions, escalating the admission
-// ladder until the allocation stops improving. It returns the final
-// allocation, the ids whose queue deadline expired this round (their
-// records are already StateRejected), and the ids pushed down the ladder
-// under priority preemption (ascending).
-func (s *Server) allocate(live []*roundSession) (*sched.Result, []int, []int, error) {
-	byID := make(map[int]*roundSession, len(live))
-	for _, rs := range live {
-		byID[rs.rec.sess.ID] = rs
+// ladder until the allocation stops improving, and opens r.out on the
+// final allocation with the ids whose queue deadline expired this round
+// (already StateRejected) and those pushed down the ladder under priority
+// preemption (ascending). A refused session whose rung fails — its source
+// fails the degrade's re-read — is retired, and the allocator re-solves
+// without it.
+func (s *Server) allocate(r *round) error {
+	if len(r.live) == 0 {
+		return nil
 	}
-
-	alloc, err := s.solveTenants(live)
+	alloc, err := s.solveTenants(r.live)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 
 	preempted := map[int]bool{}
@@ -96,63 +98,57 @@ func (s *Server) allocate(live []*roundSession) (*sched.Result, []int, []int, er
 		// escalation is the preemption pushdown and is reported as such.
 		const maxPasses = 3 + maxQPOffset/qpOffsetStep
 		for pass := 0; pass < maxPasses && len(alloc.Rejected) > 0; pass++ {
-			topPriority := maxAdmittedPriority(alloc, byID)
-			escalated, demandChanged := false, false
+			topPriority := 0
+			for _, id := range alloc.Admitted {
+				topPriority = max(topPriority, r.byID[id].rec.priority)
+			}
+			demandChanged := false
 			for _, id := range alloc.Rejected {
-				rs := byID[id]
+				rs := r.byID[id]
 				applied, changed, err := s.escalate(rs)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				if changed {
+				if err == nil && changed {
 					// The degraded configuration changes the session's
 					// grid and/or keys: re-run stage D1 on it.
-					if err := s.estimate(rs); err != nil {
-						return nil, nil, nil, err
+					if err = s.prepareKeys(rs); err == nil {
+						s.resolveEstimates([]*roundSession{rs})
 					}
+				}
+				if err != nil {
+					r.retire(rs, err)
 					demandChanged = true
+					continue
 				}
-				if applied {
-					escalated = true
-					if rs.rec.priority < topPriority {
-						preempted[id] = true
-					}
+				demandChanged = demandChanged || changed
+				if applied && rs.rec.priority < topPriority {
+					preempted[id] = true
 				}
 			}
-			if !escalated {
+			if !demandChanged || len(r.live) == 0 {
+				// Only the frame-rate rung applied, or none: this round's
+				// demand is unchanged (the rate rung acts when the session is
+				// next served), so another solve would repeat the rejection.
 				break
 			}
-			if !demandChanged {
-				// Only the frame-rate rung applied: it changes nothing
-				// about this round's demand (its effect starts when the
-				// session is next served), so re-running the allocator on
-				// byte-identical input would just reproduce the rejection.
-				break
-			}
-			if alloc, err = s.solveTenants(live); err != nil {
-				return nil, nil, nil, err
+			if alloc, err = s.solveTenants(r.live); err != nil {
+				return err
 			}
 		}
 	}
-
-	var pushed []int
-	for id := range preempted {
-		pushed = append(pushed, id)
+	s.depart(r)
+	if len(r.live) == 0 {
+		return nil // every refused session failed its rung: no round to serve
 	}
-	sort.Ints(pushed)
-	return alloc, s.finishRound(alloc, byID, live), pushed, nil
-}
 
-// maxAdmittedPriority returns the highest priority class among the
-// admitted sessions (0 when none).
-func maxAdmittedPriority(alloc *sched.Result, byID map[int]*roundSession) int {
-	top := 0
-	for _, id := range alloc.Admitted {
-		if p := byID[id].rec.priority; p > top {
-			top = p
-		}
+	r.out = &GOPOutcome{
+		Round:         r.index,
+		Allocation:    alloc,
+		GOPs:          make(map[int]*GOPReport, len(alloc.Admitted)),
+		AdmittedUsers: alloc.Admitted,
+		RejectedUsers: alloc.Rejected,
+		Preempted:     slices.Sorted(maps.Keys(preempted)),
 	}
-	return top
+	s.finishRound(r)
+	return nil
 }
 
 // solveTenants runs one stage-D2 solve over the live roster. With zero or
@@ -261,12 +257,13 @@ func (s *Server) solveTenants(live []*roundSession) (*sched.Result, error) {
 
 // finishRound applies the post-allocation queue bookkeeping: admitted
 // sessions reset their wait; refused sessions at the end of the ladder
-// accumulate it and time out. It returns the ids that timed out (ascending,
-// already StateRejected).
-func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, live []*roundSession) []int {
+// accumulate it and time out, listed in r.out.TimedOut (ascending, already
+// StateRejected).
+func (s *Server) finishRound(r *round) {
+	alloc := r.out.Allocation
 	var timedOut []int
 	s.mu.Lock()
-	for _, rs := range live {
+	for _, rs := range r.live {
 		// Remember each competitor's core demand — the headroom bar its
 		// rate-rung recovery must clear on the rounds it sits out.
 		if d, ok := alloc.DemandCores[rs.rec.sess.ID]; ok {
@@ -274,10 +271,10 @@ func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, li
 		}
 	}
 	for _, id := range alloc.Admitted {
-		byID[id].rec.waited = 0
+		r.byID[id].rec.waited = 0
 	}
 	for _, id := range alloc.Rejected {
-		rec := byID[id].rec
+		rec := r.byID[id].rec
 		rec.waited++
 		if s.cfg.Admission.Enabled && rec.waited > s.cfg.Admission.MaxQueueRounds {
 			rec.state = StateRejected
@@ -289,7 +286,7 @@ func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, li
 	for _, id := range timedOut {
 		s.notifyState(id, StateRejected, nil)
 	}
-	return timedOut
+	r.out.TimedOut = timedOut
 }
 
 // escalate applies the next admission-ladder rung to a refused session.
@@ -299,38 +296,34 @@ func (s *Server) finishRound(alloc *sched.Result, byID map[int]*roundSession, li
 // re-estimate and another allocator pass worth running.
 func (s *Server) escalate(rs *roundSession) (applied, demandChanged bool, err error) {
 	sess := rs.rec.sess
-	for {
-		switch {
-		case rs.rec.rung == rungNone:
-			rs.rec.rung = rungDegradedTiling
-			// Tiling degradation applies to newcomers on the proposed
-			// pipeline; sessions already streaming (or already uniform)
-			// skip to the QP rung.
-			if sess.frame == 0 && sess.cfg.Mode == ModeProposed && !sess.cfg.DisableRetile {
-				if err := sess.degrade(); err != nil {
-					return false, false, err
-				}
-				return true, true, nil
-			}
-		case sess.qpOffset < maxQPOffset:
-			// From the next encoded frame on, every tile's QP and its
-			// estimation key shift with the offset, so stage D1 prices the
-			// degraded configuration the encoder will run. The offset never
-			// steps below 0, even from a negative one a wire restored.
-			rs.rec.rung++
-			sess.qpOffset = max(0, min(sess.qpOffset+qpOffsetStep, maxQPOffset))
-			return true, true, nil
-		case !sess.rateHalved:
-			// Frame-rate rung: the session is served every other GOP
-			// round from now on. Its per-round demand is unchanged (the
-			// allocator sees the same threads when it competes), but on
-			// alternating rounds it is absent entirely, freeing its share
-			// of the platform for the sessions it was crowding out.
-			rs.rec.rung++
-			sess.rateHalved = true
-			return true, false, nil
-		default:
-			return false, false, nil
+	if rs.rec.rung == rungNone {
+		rs.rec.rung = rungDegradedTiling
+		// Tiling degradation applies to newcomers on the proposed
+		// pipeline; sessions already streaming (or already uniform) skip
+		// to the QP rung. degrade re-reads the source, whose I/O error is
+		// a panic.
+		if sess.frame == 0 && sess.cfg.Mode == ModeProposed && !sess.cfg.DisableRetile {
+			return true, true, guardSession(sess.ID, sess.degrade)
 		}
 	}
+	switch {
+	case sess.qpOffset < maxQPOffset:
+		// From the next encoded frame on, every tile's QP and its
+		// estimation key shift with the offset, so stage D1 prices the
+		// degraded configuration the encoder will run. The offset never
+		// steps below 0, even from a negative one a wire restored.
+		rs.rec.rung++
+		sess.qpOffset = max(0, min(sess.qpOffset+qpOffsetStep, maxQPOffset))
+		return true, true, nil
+	case !sess.rateHalved:
+		// Frame-rate rung: the session is served every other GOP
+		// round from now on. Its per-round demand is unchanged (the
+		// allocator sees the same threads when it competes), but on
+		// alternating rounds it is absent entirely, freeing its share
+		// of the platform for the sessions it was crowding out.
+		rs.rec.rung++
+		sess.rateHalved = true
+		return true, false, nil
+	}
+	return false, false, nil
 }

@@ -229,7 +229,6 @@ func (s *Server) Import(snap *SessionSnapshot) (*Session, error) {
 	sess.adopt(len(s.records), lut)
 	s.records = append(s.records, &sessionRecord{
 		sess:       sess,
-		lut:        lut,
 		rung:       snap.Rung,
 		waited:     snap.Waited,
 		skipRound:  snap.SkipRound,

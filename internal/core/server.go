@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -137,7 +139,6 @@ func (s SessionState) String() string {
 // only by the serving goroutine; record fields are guarded by Server.mu.
 type sessionRecord struct {
 	sess *Session
-	lut  *workload.LUT
 
 	state SessionState
 	// err is the terminal error of a StateFailed session.
@@ -291,7 +292,7 @@ func (s *Server) Submit(src FrameSource, cfg SessionConfig, options ...SubmitOpt
 		return nil, err
 	}
 	s.records = append(s.records, &sessionRecord{
-		sess: sess, lut: lut, lastDemand: cfg.DemandHint,
+		sess: sess, lastDemand: cfg.DemandHint,
 		tenant: opts.Tenant, priority: opts.Priority,
 	})
 	s.mu.Unlock()
@@ -437,6 +438,55 @@ type roundSession struct {
 	estimates []time.Duration
 }
 
+// round is one GOP round's working state: serveRound opens it and hands it
+// from stage to stage, all on the serving goroutine.
+type round struct {
+	index int         // the server-wide round index, read as the round opened
+	out   *GOPOutcome // set by allocate; stays nil if nobody is left to seat
+	// live are the sessions still competing, ascending by id; byID indexes
+	// every session the round opened with, errs every retired one's error.
+	live []*roundSession
+	byID map[int]*roundSession
+	errs map[int]error
+}
+
+// retire takes rs out of the round after its share failed — stages A–C,
+// the admission ladder's re-read, or its encode: err is recorded, rs
+// leaves r.live, and it departs as StateFailed at the round's next
+// departure (depart before the encodes, settle after them). It costs the
+// session its stream, not the shard a restart.
+func (r *round) retire(rs *roundSession, err error) {
+	r.errs[rs.rec.sess.ID] = err
+	r.live = slices.DeleteFunc(r.live, func(x *roundSession) bool { return x == rs })
+}
+
+// departLocked moves the retired sessions still queued to StateFailed and
+// returns their ids, ascending, for notification; s.mu is held.
+func (r *round) departLocked() []int {
+	var ids []int
+	for id, err := range r.errs {
+		if rec := r.byID[id].rec; rec.state == StateQueued {
+			rec.state, rec.err = StateFailed, err
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// depart applies the pending StateFailed transitions and notifies them.
+func (s *Server) depart(r *round) {
+	if len(r.errs) == 0 {
+		return
+	}
+	s.mu.Lock()
+	ids := r.departLocked()
+	s.mu.Unlock()
+	for _, id := range ids {
+		s.notifyState(id, StateFailed, r.errs[id])
+	}
+}
+
 // ServeGOP runs one full round: estimate → allocate → simulate → encode.
 // Sessions that are finished are skipped; if every session is finished an
 // error is returned. The admitted sessions encode concurrently, each with
@@ -446,7 +496,7 @@ type roundSession struct {
 // overlapping the slower sessions' encodes). If any session fails, the
 // round's partial outcome is returned alongside the error: the other
 // sessions' completed GOP reports are in GOPs (the outcome is nil when
-// every live session failed in stages A–C, before there was a round to
+// every live session failed before allocation, so there was no round to
 // serve).
 func (s *Server) ServeGOP() (*GOPOutcome, error) {
 	out, sessErrs, err := s.serveRound(context.Background())
@@ -455,35 +505,52 @@ func (s *Server) ServeGOP() (*GOPOutcome, error) {
 	}
 	// Historical contract: surface the first failing session's error (in
 	// session order) alongside the partial outcome.
-	ids := make([]int, 0, len(sessErrs))
-	for id := range sessErrs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if len(ids) > 0 {
-		return out, sessErrs[ids[0]]
+	if len(sessErrs) > 0 {
+		return out, sessErrs[slices.Min(slices.Collect(maps.Keys(sessErrs)))]
 	}
 	return out, nil
 }
 
-// serveRound is the shared round implementation. It returns the round's
-// outcome (nil when every live session failed stages A–C, so no round was
-// served), the per-session errors (the failed sessions are already marked
-// StateFailed), and a round-level error (invalid state,
-// cancellation, allocator or platform failure) on which no outcome
-// bookkeeping beyond the partial outcome should be trusted.
+// serveRound is the shared round implementation: one call per stage over
+// one round value. It returns the outcome (nil when every live session
+// failed before allocation: no round was served), the per-session errors
+// (those sessions departed as StateFailed), and a round-level error
+// (invalid state, cancellation, allocator or platform failure) after which
+// only the partial outcome is to be trusted.
 func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, error) {
-	if err := ctx.Err(); err != nil {
+	r := new(round)
+	if err := s.openRound(ctx, r); err != nil {
 		return nil, nil, err
 	}
+	s.estimateRound(r)
+	if err := s.allocate(r); err != nil {
+		return nil, nil, err
+	}
+	if err := s.simulate(r); err != nil {
+		return nil, nil, err
+	}
+	s.encode(ctx, r)
+	// A cancelled round aborts service; sessions may be mid-GOP and are
+	// not marked failed (the historical "server must not be reused after
+	// cancellation" contract).
+	if r.out != nil && ctx.Err() != nil {
+		return r.out, nil, ctx.Err()
+	}
+	s.settle(r)
+	return r.out, r.errs, nil
+}
 
-	// Snapshot the live session set. Sessions finished outside the server
-	// are retired on sight so they never block Run's completion, and
-	// rate-halved sessions due a skip sit this round out — unless nobody
-	// else needs it, in which case skipping would only idle the platform.
+// openRound snapshots the live session set into r. Sessions finished
+// outside the server complete on sight so they never block Run's
+// completion, and rate-halved sessions due a skip sit this round out —
+// unless nobody else needs it, in which case skipping would only idle the
+// platform.
+func (s *Server) openRound(ctx context.Context, r *round) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	var live []*roundSession
-	var skipped []*sessionRecord
+	var live, skipped []*sessionRecord
 	var retired []int
 	for _, rec := range s.records {
 		if rec.state != StateQueued {
@@ -499,129 +566,65 @@ func (s *Server) serveRound(ctx context.Context) (*GOPOutcome, map[int]error, er
 			skipped = append(skipped, rec)
 			continue
 		}
-		live = append(live, &roundSession{rec: rec})
+		live = append(live, rec)
 	}
 	if len(live) == 0 {
-		for _, rec := range skipped {
-			live = append(live, &roundSession{rec: rec})
-		}
+		live = skipped
 	}
-	round := s.rounds
+	r.index = s.rounds
 	s.mu.Unlock()
 	for _, id := range retired {
 		s.notifyState(id, StateCompleted, nil)
 	}
 	if len(live) == 0 {
-		return nil, nil, fmt.Errorf("core: no active sessions")
+		return fmt.Errorf("core: no active sessions")
 	}
-
-	// Stage D1: prepare and estimate the live sessions, batching the LUT
-	// resolution across sessions of the same workload class. A session
-	// whose stages A–C fail departs here; the round serves the rest.
-	live, sessErrs := s.estimateRound(live)
-	if len(live) == 0 {
-		return nil, sessErrs, nil
+	r.byID = make(map[int]*roundSession, len(live))
+	for _, rec := range live {
+		rs := &roundSession{rec: rec}
+		r.live = append(r.live, rs)
+		r.byID[rec.sess.ID] = rs
 	}
+	r.errs = make(map[int]error)
+	return nil
+}
 
-	// Stage D2 with the admission ladder (admission.go).
-	alloc, timedOut, preempted, err := s.allocate(live)
-	if err != nil {
-		return nil, nil, err
+// simulate prices the allocation's slot energy on the platform and counts
+// the distinct cores carrying each tenant's threads: a round solves one
+// tenant on the whole platform, or each tenant on its own core slice, so
+// no core carries two tenants and the counts are exact shares.
+func (s *Server) simulate(r *round) error {
+	if r.out == nil {
+		return nil
 	}
-
+	alloc := r.out.Allocation
 	slot := time.Duration(float64(time.Second) / s.cfg.FPS)
 	energy, err := s.cfg.Platform.SimulateSlot(alloc.Plans, slot)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-
-	out := &GOPOutcome{
-		Round:         round,
-		Allocation:    alloc,
-		Energy:        energy,
-		GOPs:          make(map[int]*GOPReport, len(alloc.Admitted)),
-		AdmittedUsers: alloc.Admitted,
-		RejectedUsers: alloc.Rejected,
-		TimedOut:      timedOut,
-		Preempted:     preempted,
-	}
-	byID := make(map[int]*roundSession, len(live))
-	for _, rs := range live {
-		byID[rs.rec.sess.ID] = rs
-	}
-	// Per-tenant core accounting: distinct cores carrying each tenant's
-	// threads this round (tenant partitions never share a core when the
-	// weighted split is active, so the counts are exact shares).
-	out.TenantCores = make(map[string]int)
-	seenCore := make(map[[2]int]bool, alloc.CoresUsed)
-	tenantIdx := make(map[string]int)
-	for _, rs := range live {
-		if _, ok := tenantIdx[rs.rec.tenant]; !ok {
-			tenantIdx[rs.rec.tenant] = len(tenantIdx)
-		}
-	}
+	r.out.Energy = energy
+	r.out.TenantCores = make(map[string]int)
+	seen := make(map[int]bool, alloc.CoresUsed)
 	for _, a := range alloc.Assignments {
-		rs, ok := byID[a.Thread.User]
-		if !ok {
-			continue
-		}
-		k := [2]int{tenantIdx[rs.rec.tenant], a.Core}
-		if !seenCore[k] {
-			seenCore[k] = true
-			out.TenantCores[rs.rec.tenant]++
+		if rs, ok := r.byID[a.Thread.User]; ok && !seen[a.Core] {
+			seen[a.Core] = true
+			r.out.TenantCores[rs.rec.tenant]++
 		}
 	}
-	encode := s.encodeConcurrent
-	if s.cfg.Sequential {
-		encode = s.encodeSequential
-	}
-	encErrs := encode(ctx, alloc, byID, out)
-
-	// A cancelled round aborts service; sessions may be mid-GOP and are
-	// not marked failed (the historical "server must not be reused after
-	// cancellation" contract).
-	if ctx.Err() != nil {
-		return out, nil, ctx.Err()
-	}
-
-	s.settleRound(byID, out, encErrs)
-	for id, err := range encErrs {
-		sessErrs[id] = err
-	}
-	s.recoverRates(out)
-	s.mu.Lock()
-	s.rounds++
-	s.energy.Add(out.Energy)
-	for _, gop := range out.GOPs {
-		s.gopReports++
-		s.frames += len(gop.Frames)
-	}
-	out.Totals = s.energy
-	out.Ladder = make(map[int]LadderState)
-	for _, rec := range s.records {
-		if rec.state != StateQueued {
-			continue
-		}
-		out.Ladder[rec.sess.ID] = LadderState{
-			Rung:       rec.rung,
-			QPOffset:   rec.sess.qpOffset,
-			RateHalved: rec.sess.rateHalved,
-		}
-	}
-	s.mu.Unlock()
-	return out, sessErrs, nil
+	return nil
 }
 
 // recoverRates is the rate-rung recovery pass (the reverse of the
-// admission ladder's frame-rate rung): after a settled round, every rate-halved
-// live session accumulates one headroom round when nobody was refused
-// service this round and the platform kept enough spare cores to absorb
-// the session's own demand on the rounds it currently sits out. Once a
-// session has RecoverAfterRounds consecutive headroom rounds it is
-// restored to full rate (reported in
-// GOPOutcome.Recovered); any round without headroom resets the count —
-// the hysteresis that keeps a borderline platform from flapping between
-// half and full rate. Disabled when RecoverAfterRounds is 0.
+// admission ladder's frame-rate rung), run by settle with s.mu held: every
+// rate-halved live session accumulates one headroom round when nobody was
+// refused service this round and the platform kept enough spare cores to
+// absorb the session's own demand on the rounds it currently sits out.
+// Once a session has RecoverAfterRounds consecutive headroom rounds it is
+// restored to full rate (reported in GOPOutcome.Recovered); any round
+// without headroom resets the count — the hysteresis that keeps a
+// borderline platform from flapping between half and full rate. Disabled
+// when RecoverAfterRounds is 0.
 func (s *Server) recoverRates(out *GOPOutcome) {
 	k := s.cfg.Admission.RecoverAfterRounds
 	if k <= 0 {
@@ -629,7 +632,6 @@ func (s *Server) recoverRates(out *GOPOutcome) {
 	}
 	spare := s.cfg.Platform.Cores - out.Allocation.CoresUsed
 	clean := len(out.Allocation.Rejected) == 0 && len(out.TimedOut) == 0
-	s.mu.Lock()
 	for _, rec := range s.records {
 		if rec.state != StateQueued || !rec.sess.rateHalved {
 			continue
@@ -647,19 +649,7 @@ func (s *Server) recoverRates(out *GOPOutcome) {
 		rec.headroom = 0
 		out.Recovered = append(out.Recovered, rec.sess.ID)
 	}
-	s.mu.Unlock()
 	sort.Ints(out.Recovered)
-}
-
-// estimate runs stages A–C (when needed) and D1 for one live session,
-// filling rs.keys and rs.estimates. The admission ladder uses it to
-// re-price a single degraded session mid-round.
-func (s *Server) estimate(rs *roundSession) error {
-	if err := s.prepareKeys(rs); err != nil {
-		return err
-	}
-	s.resolveEstimates([]*roundSession{rs})
-	return nil
 }
 
 // estimateRound is stage D1 for the whole round: stages A–C (when
@@ -667,32 +657,15 @@ func (s *Server) estimate(rs *roundSession) error {
 // instead of a locked lookup per tile per session. A session whose
 // stages A–C fail — a source that panics on its first GOP, or on any GOP
 // in Sequential mode, where no estimate-ahead ran on an encode goroutine —
-// is marked StateFailed like an encode failure and leaves the roster: it
-// costs the session its stream, not the shard a restart. It returns the
-// sessions still competing and the failures by session id.
-func (s *Server) estimateRound(live []*roundSession) ([]*roundSession, map[int]error) {
-	sessErrs := make(map[int]error)
-	ok := live[:0]
-	for _, rs := range live {
+// is retired and departs before the round allocates.
+func (s *Server) estimateRound(r *round) {
+	for _, rs := range slices.Clone(r.live) {
 		if err := s.prepareKeys(rs); err != nil {
-			s.failSession(rs.rec, err)
-			sessErrs[rs.rec.sess.ID] = err
-			continue
+			r.retire(rs, err)
 		}
-		ok = append(ok, rs)
 	}
-	s.resolveEstimates(ok)
-	return ok, sessErrs
-}
-
-// failSession retires a session whose share of a round failed: it departs
-// as StateFailed carrying err, and the service keeps serving the others.
-func (s *Server) failSession(rec *sessionRecord, err error) {
-	s.mu.Lock()
-	rec.state = StateFailed
-	rec.err = err
-	s.mu.Unlock()
-	s.notifyState(rec.sess.ID, StateFailed, err)
+	s.resolveEstimates(r.live)
+	s.depart(r)
 }
 
 // prepareKeys runs stages A–C for the session when its GOP is not yet
@@ -716,7 +689,7 @@ func (s *Server) prepareKeys(rs *roundSession) error {
 // (workload.LUT.EstimateInto), so N same-class sessions with duplicate
 // tile keys cost one lookup each instead of N. Values are exactly what
 // per-tile lookups would return — the LUT is quiescent during
-// estimation (it learns only in settleRound).
+// estimation (it learns only in settle).
 func (s *Server) resolveEstimates(live []*roundSession) {
 	if s.estGroups == nil {
 		s.estGroups = make(map[*workload.LUT]map[workload.Key]time.Duration)
@@ -725,10 +698,10 @@ func (s *Server) resolveEstimates(live []*roundSession) {
 		clear(g)
 	}
 	for _, rs := range live {
-		g := s.estGroups[rs.rec.lut]
+		g := s.estGroups[rs.rec.sess.lut]
 		if g == nil {
 			g = make(map[workload.Key]time.Duration)
-			s.estGroups[rs.rec.lut] = g
+			s.estGroups[rs.rec.sess.lut] = g
 		}
 		for _, k := range rs.keys {
 			g[k] = 0
@@ -738,7 +711,7 @@ func (s *Server) resolveEstimates(live []*roundSession) {
 		lut.EstimateInto(g)
 	}
 	for _, rs := range live {
-		g := s.estGroups[rs.rec.lut]
+		g := s.estGroups[rs.rec.sess.lut]
 		if cap(rs.estimates) < len(rs.keys) {
 			rs.estimates = make([]time.Duration, len(rs.keys))
 		}
@@ -763,31 +736,28 @@ func (s *Server) demandOf(rs *roundSession) sched.UserDemand {
 	return sched.UserDemand{User: sess.ID, Threads: threads, Priority: rs.rec.priority}
 }
 
-// settleRound finalizes a round after the encodes: lifecycle transitions,
-// estimation-error accounting and the LUT update.
-func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessErrs map[int]error) {
-	failedIDs := make([]int, 0, len(sessErrs))
-	for id := range sessErrs {
-		failedIDs = append(failedIDs, id)
+// settle finalizes a round after the encodes. It feeds every served tile
+// back into the LUT and scores the round's estimation error outside the
+// lock, then holds s.mu once: the encode failures depart, finished
+// sessions complete, rate-halved ones are flagged to skip, rates recover,
+// and the ledger and the ladder snapshot are taken. The notifications
+// follow the lock: failures, then completions, each in ascending id.
+func (s *Server) settle(r *round) {
+	out := r.out
+	if out == nil {
+		return
 	}
-	sort.Ints(failedIDs)
-	for _, id := range failedIDs {
-		s.failSession(byID[id].rec, sessErrs[id])
-	}
-
 	// The built-in allocators return Admitted sorted by id, but a custom
 	// AllocatorFunc may not: sort a copy so the order-sensitive LUT update
 	// really is applied in ascending session order (the documented
 	// reproducibility invariant).
-	admitted := append([]int(nil), out.AdmittedUsers...)
-	sort.Ints(admitted)
+	admitted := slices.Sorted(slices.Values(out.AdmittedUsers))
 
 	var errSum float64
 	var errTiles int
 	var tileSums []time.Duration
 	for _, id := range admitted {
-		rs := byID[id]
-		gop := out.GOPs[id]
+		rs, gop := r.byID[id], out.GOPs[id]
 		if gop == nil {
 			continue
 		}
@@ -796,7 +766,7 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 		// order — so the update order (and with it every estimate) is
 		// reproducible even though the encodes ran concurrently.
 		tileSums = append(tileSums[:0], make([]time.Duration, len(gop.Grid.Tiles))...)
-		learn(rs.rec.lut, rs.rec.sess, gop, tileSums)
+		rs.rec.sess.learn(gop, tileSums)
 		// Estimation error: pre-round prediction vs the GOP's mean
 		// modelled tile work. Every frame of a GOP has the grid's tiles.
 		for i := 0; i < len(tileSums) && i < len(rs.estimates) && len(gop.Frames) > 0; i++ {
@@ -811,23 +781,55 @@ func (s *Server) settleRound(byID map[int]*roundSession, out *GOPOutcome, sessEr
 			errSum += d
 			errTiles++
 		}
-		// A rate-halved session just served a GOP: it sits out the next
-		// round (admission ladder's frame-rate rung).
-		if rs.rec.sess.rateHalved {
-			s.mu.Lock()
-			rs.rec.skipRound = true
-			s.mu.Unlock()
-		}
-		if rs.rec.sess.Finished() && sessErrs[id] == nil {
-			s.mu.Lock()
-			rs.rec.state = StateCompleted
-			s.mu.Unlock()
-			s.notifyState(id, StateCompleted, nil)
-		}
 	}
 	if errTiles > 0 {
 		out.EstimateErr = errSum / float64(errTiles)
 		out.EstimateTiles = errTiles
+	}
+
+	var completed []int
+	s.mu.Lock()
+	failed := r.departLocked()
+	for _, id := range admitted {
+		rec := r.byID[id].rec
+		if out.GOPs[id] == nil {
+			continue
+		}
+		// A rate-halved session just served a GOP: it sits out the next
+		// round (admission ladder's frame-rate rung).
+		if rec.sess.rateHalved {
+			rec.skipRound = true
+		}
+		if rec.sess.Finished() && r.errs[id] == nil {
+			rec.state = StateCompleted
+			completed = append(completed, id)
+		}
+	}
+	s.recoverRates(out)
+	s.rounds++
+	s.energy.Add(out.Energy)
+	s.gopReports += len(out.GOPs)
+	for _, gop := range out.GOPs {
+		s.frames += len(gop.Frames)
+	}
+	out.Totals = s.energy
+	out.Ladder = make(map[int]LadderState)
+	for _, rec := range s.records {
+		if rec.state != StateQueued {
+			continue
+		}
+		out.Ladder[rec.sess.ID] = LadderState{
+			Rung:       rec.rung,
+			QPOffset:   rec.sess.qpOffset,
+			RateHalved: rec.sess.rateHalved,
+		}
+	}
+	s.mu.Unlock()
+	for _, id := range failed {
+		s.notifyState(id, StateFailed, r.errs[id])
+	}
+	for _, id := range completed {
+		s.notifyState(id, StateCompleted, nil)
 	}
 }
 
@@ -852,33 +854,41 @@ func guardSession(id int, fn func() error) (err error) {
 // encodeSequential is the reference serving path: admitted sessions encode
 // one after another, each with its configured worker budget. A failure stops
 // the round (later sessions are not started and stay queued), but the
-// sessions already encoded keep their reports in out. The returned map
-// holds the failing session's error.
-func (s *Server) encodeSequential(ctx context.Context, alloc *sched.Result, byID map[int]*roundSession, out *GOPOutcome) map[int]error {
-	for _, id := range alloc.Admitted {
-		sess := byID[id].rec.sess
-		err := guardSession(sess.ID, func() error {
-			gop, err := sess.encodeGOP(ctx, 0)
+// sessions already encoded keep their reports.
+func (s *Server) encodeSequential(ctx context.Context, r *round) {
+	for _, id := range r.out.AdmittedUsers {
+		rs := r.byID[id]
+		err := guardSession(id, func() error {
+			gop, err := rs.rec.sess.encodeGOP(ctx, 0)
 			if err == nil {
-				out.GOPs[id] = gop
+				r.out.GOPs[id] = gop
 			}
 			return err
 		})
 		if err != nil {
-			return map[int]error{id: err}
+			r.retire(rs, err)
+			return
 		}
 	}
-	return nil
 }
 
-// encodeConcurrent runs the admitted sessions in parallel, one goroutine
-// per session. Each session's intra-frame tile parallelism is budgeted
+// encode runs the admitted sessions' GOPs into r.out.GOPs and retires
+// each session whose encode fails. Unless Sequential, the sessions run in
+// parallel, one goroutine per session. Each session's intra-frame tile parallelism is budgeted
 // from the cores the allocator assigned to it this round, so the execution
 // mirrors the plan the platform simulation priced. Encoded output does not
 // depend on goroutine scheduling: the encodes leave the shared workload LUT
-// alone (settleRound feeds it afterwards), and per-session state is touched
+// alone (settle feeds it afterwards), and per-session state is touched
 // by exactly one goroutine.
-func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID map[int]*roundSession, out *GOPOutcome) map[int]error {
+func (s *Server) encode(ctx context.Context, r *round) {
+	if r.out == nil {
+		return
+	}
+	if s.cfg.Sequential {
+		s.encodeSequential(ctx, r)
+		return
+	}
+	alloc := r.out.Allocation
 	gops := make([]*GOPReport, len(alloc.Admitted))
 	errs := make([]error, len(alloc.Admitted))
 	var wg sync.WaitGroup
@@ -902,22 +912,17 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 				}
 				return nil
 			})
-		}(i, byID[id].rec.sess)
+		}(i, r.byID[id].rec.sess)
 	}
 	wg.Wait()
-	var sessErrs map[int]error
 	for i, id := range alloc.Admitted {
 		if gops[i] != nil {
-			out.GOPs[id] = gops[i]
+			r.out.GOPs[id] = gops[i]
 		}
 		if errs[i] != nil {
-			if sessErrs == nil {
-				sessErrs = make(map[int]error)
-			}
-			sessErrs[id] = errs[i]
+			r.retire(r.byID[id], errs[i])
 		}
 	}
-	return sessErrs
 }
 
 // ServeAll runs ServeGOP until every session finishes or maxRounds is

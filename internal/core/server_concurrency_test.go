@@ -127,12 +127,19 @@ func TestConcurrentWorkersFollowAllocation(t *testing.T) {
 // rejectUserOnce wraps Algorithm 2 so a chosen user is refused exactly
 // once — the following rounds use the plain allocator.
 func rejectUserOnce(user int) AllocatorFunc {
-	done := false
+	reject, done := rejectUserAlways(user), false
 	return func(in sched.Input) (*sched.Result, error) {
 		if done {
 			return sched.AllocateContentAware(in)
 		}
 		done = true
+		return reject(in)
+	}
+}
+
+// rejectUserAlways wraps Algorithm 2 so user is refused on every solve.
+func rejectUserAlways(user int) AllocatorFunc {
+	return func(in sched.Input) (*sched.Result, error) {
 		kept := in
 		kept.Users = nil
 		for _, u := range in.Users {
@@ -353,21 +360,32 @@ func TestPanickingSourceInStageACostsOneSession(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		sequential bool
-		victim     func() FrameSource
+		// ladder refuses the victim once with the admission ladder on, so
+		// its first rung re-reads the frame stage A just read.
+		ladder bool
+		victim func() FrameSource
 	}{
-		{"first GOP, concurrent", false, func() FrameSource {
+		{"first GOP, concurrent", false, false, func() FrameSource {
 			return &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
 		}},
-		{"first GOP, sequential", true, func() FrameSource {
+		{"first GOP, sequential", true, false, func() FrameSource {
 			return &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
 		}},
-		{"second GOP, sequential", true, func() FrameSource {
+		{"second GOP, sequential", true, false, func() FrameSource {
 			return &panicAtSource{testSource(t, medgen.Chest, medgen.Pan, 12), 4}
+		}},
+		{"ladder's degrade re-read", false, true, func() FrameSource {
+			return &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 3}
 		}},
 	} {
 		var states []string
+		var allocator AllocatorFunc
+		if tc.ladder {
+			allocator = rejectUserOnce(1)
+		}
 		srv, err := NewServer(ServerConfig{
 			Platform: mpsoc.XeonE5_2667V4(), FPS: 24, Sequential: tc.sequential,
+			Allocator: allocator, Admission: AdmissionConfig{Enabled: tc.ladder},
 			OnSessionState: func(id int, state SessionState, _ error) {
 				if state != StateQueued {
 					states = append(states, fmt.Sprintf("%d:%v", id, state))
@@ -423,6 +441,61 @@ func TestPanickingSourceInStageACostsOneSession(t *testing.T) {
 	rep, outs := runKeeping(t, srv)
 	if fmt.Sprint(rep.Failed) != "[0]" || rep.Rounds != 0 || len(outs) != 0 {
 		t.Fatalf("solo victim: failed %v, %d rounds, %d outcomes; want [0], 0, 0", rep.Failed, rep.Rounds, len(outs))
+	}
+}
+
+// TestRoundEventOrder pins the cross-session order of the hooks a Run
+// fires, which sinks (JSONL, metrics, the ring) see as the event stream:
+// within a round, stage A–C failures, then queue-deadline rejections, then
+// encode failures, then completions, each ascending by id, and OnRound
+// last. Sessions 0 and 1 complete in the same round; session 2's encode
+// fails on its second frame; session 3 is refused every solve and times
+// out; session 4 arrives after round 0 and its stage A fails. Both serving
+// paths fire the same sequence.
+func TestRoundEventOrder(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		var events []string
+		var srv *Server
+		srv, err := NewServer(ServerConfig{
+			Platform: mpsoc.XeonE5_2667V4(), FPS: 24, Sequential: sequential,
+			Allocator: rejectUserAlways(3),
+			Admission: AdmissionConfig{Enabled: true, MaxQueueRounds: 1},
+			OnSessionState: func(id int, state SessionState, _ error) {
+				if state != StateQueued {
+					events = append(events, fmt.Sprintf("%d:%v", id, state))
+				}
+			},
+			OnRound: func(out *GOPOutcome) {
+				events = append(events, fmt.Sprintf("round %d", out.Round))
+				if out.Round == 0 {
+					victim := &panicOnCallSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 12), n: 2}
+					if _, err := srv.Submit(victim, testSessionConfig(ModeProposed)); err != nil {
+						t.Error(err)
+					}
+					srv.Close()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, src := range []FrameSource{
+			testSource(t, medgen.Brain, medgen.Rotate, 8),
+			testSource(t, medgen.Bone, medgen.Sweep, 8),
+			&badAfterSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 8), badFrom: 1},
+			testSource(t, medgen.SpinalCord, medgen.Still, 8),
+		} {
+			if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		if _, err := srv.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want := "[2:failed round 0 4:failed 3:rejected 0:completed 1:completed round 1]"
+		if got := fmt.Sprint(events); got != want {
+			t.Fatalf("sequential=%v: events\n got %s\nwant %s", sequential, got, want)
+		}
 	}
 }
 

@@ -560,22 +560,22 @@ func (s *Session) EncodeGOPContext(ctx context.Context, workers int) (*GOPReport
 	if err != nil {
 		return nil, err
 	}
-	learn(s.lut, s, gop, nil)
+	s.learn(gop, nil)
 	return gop, nil
 }
 
-// learn feeds every tile of every frame of gop into lut, in frame order:
-// the LUT's one write site. The EWMA update is order-sensitive, so its two
-// callers run it in a fixed order: a bare session's EncodeGOPContext after
-// its own GOP, and Server.settleRound in ascending session order. It sums
-// the same prices into gop.Work and, when tileSums is non-nil, into
-// tileSums[i] for tile index i, so each served tile is priced here once: a
-// TimeModel may count its calls.
-func learn(lut *workload.LUT, sess *Session, gop *GOPReport, tileSums []time.Duration) {
+// learn feeds every tile of every frame of gop into the session's LUT, in
+// frame order: the LUT's one write site. The EWMA update is
+// order-sensitive, so its two callers run it in a fixed order: a bare
+// session's EncodeGOPContext after its own GOP, and Server.settle in
+// ascending session order. It sums the same prices into gop.Work and, when
+// tileSums is non-nil, into tileSums[i] for tile index i, so each served
+// tile is priced here once: a TimeModel may count its calls.
+func (s *Session) learn(gop *GOPReport, tileSums []time.Duration) {
 	for _, fr := range gop.Frames {
 		for i, ts := range fr.Tiles {
-			w := sess.tileWork(ts)
-			lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), w)
+			w := s.tileWork(ts)
+			s.lut.Observe(tileKey(ts.Tile, gop.Contents[i], ts.QP, ts.Window), w)
 			gop.Work += w
 			if tileSums != nil {
 				tileSums[i] += w

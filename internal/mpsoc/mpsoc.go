@@ -77,8 +77,8 @@ type Platform struct {
 	Levels []FreqLevel
 	// DVFSLatency is the frequency transition latency.
 	DVFSLatency time.Duration
-	// Power is the per-core power model.
-	Power powerModel
+	// power is the per-core power model.
+	power powerModel
 }
 
 // XeonE5_2667V4 returns the paper's evaluation platform: 4 processors × 8
@@ -96,7 +96,7 @@ func XeonE5_2667V4() *Platform {
 			{Hz: 3.6e9, Volt: 1.10},
 		},
 		DVFSLatency: 10 * time.Microsecond,
-		Power: powerModel{
+		power: powerModel{
 			StaticW:       1.5,
 			CeffWPerV2GHz: 2.6, // 1.5 + 2.6·1.1²·3.6 ≈ 12.8 W busy at fmax
 			IdleFrac:      0.25,
@@ -130,14 +130,14 @@ func (p *Platform) Validate() error {
 	if p.DVFSLatency < 0 {
 		return fmt.Errorf("mpsoc: negative DVFS latency")
 	}
-	if !finite(p.Power.StaticW) || !finite(p.Power.CeffWPerV2GHz) || !finite(p.Power.IdleFrac) || !finite(p.Power.GatedW) {
-		return fmt.Errorf("mpsoc: non-finite power model %+v", p.Power)
+	if !finite(p.power.StaticW) || !finite(p.power.CeffWPerV2GHz) || !finite(p.power.IdleFrac) || !finite(p.power.GatedW) {
+		return fmt.Errorf("mpsoc: non-finite power model %+v", p.power)
 	}
-	if p.Power.StaticW < 0 || p.Power.CeffWPerV2GHz <= 0 || p.Power.IdleFrac < 0 || p.Power.IdleFrac >= 1 {
-		return fmt.Errorf("mpsoc: invalid power model %+v", p.Power)
+	if p.power.StaticW < 0 || p.power.CeffWPerV2GHz <= 0 || p.power.IdleFrac < 0 || p.power.IdleFrac >= 1 {
+		return fmt.Errorf("mpsoc: invalid power model %+v", p.power)
 	}
-	if p.Power.GatedW < 0 || p.Power.GatedW > p.Power.idleWatts(p.Levels[0]) {
-		return fmt.Errorf("mpsoc: gated power %v above idle power", p.Power.GatedW)
+	if p.power.GatedW < 0 || p.power.GatedW > p.power.idleWatts(p.Levels[0]) {
+		return fmt.Errorf("mpsoc: gated power %v above idle power", p.power.GatedW)
 	}
 	return nil
 }
@@ -222,7 +222,7 @@ func (p *Platform) SimulateSlot(plans []CorePlan, slot time.Duration) (*SlotRepo
 			if plan.LoadAtFmax > 0 {
 				return nil, fmt.Errorf("mpsoc: core %d gated with pending load", i)
 			}
-			rep.EnergyJ += p.Power.GatedW * slot.Seconds()
+			rep.EnergyJ += p.power.GatedW * slot.Seconds()
 			continue
 		}
 		busy := p.scaleToLevel(plan.LoadAtFmax, plan.BusyLevel)
@@ -238,8 +238,8 @@ func (p *Platform) SimulateSlot(plans []CorePlan, slot time.Duration) (*SlotRepo
 		}
 		rep.BusyTime[i] = busy
 		idle := slot - busy
-		eBusy := p.Power.busyWatts(p.Levels[plan.BusyLevel]) * busy.Seconds()
-		eIdle := p.Power.idleWatts(p.Levels[plan.IdleLevel]) * idle.Seconds()
+		eBusy := p.power.busyWatts(p.Levels[plan.BusyLevel]) * busy.Seconds()
+		eIdle := p.power.idleWatts(p.Levels[plan.IdleLevel]) * idle.Seconds()
 		rep.EnergyJ += eBusy + eIdle
 	}
 	// Guarded like Totals.AvgPowerW: a degenerate slot must yield 0, not

@@ -35,8 +35,8 @@ func TestValidateCatchesBadPlatforms(t *testing.T) {
 		func(p *Platform) { p.Levels[1].Hz = p.Levels[0].Hz }, // not ascending
 		func(p *Platform) { p.Levels[0].Volt = -1 },
 		func(p *Platform) { p.DVFSLatency = -time.Second },
-		func(p *Platform) { p.Power.CeffWPerV2GHz = 0 },
-		func(p *Platform) { p.Power.IdleFrac = 1.5 },
+		func(p *Platform) { p.power.CeffWPerV2GHz = 0 },
+		func(p *Platform) { p.power.IdleFrac = 1.5 },
 	}
 	for i, mutate := range mutations {
 		p := XeonE5_2667V4()
@@ -49,7 +49,7 @@ func TestValidateCatchesBadPlatforms(t *testing.T) {
 
 func TestPowerModelOrdering(t *testing.T) {
 	p := XeonE5_2667V4()
-	m := p.Power
+	m := p.power
 	for i, l := range p.Levels {
 		if m.idleWatts(l) >= m.busyWatts(l) {
 			t.Fatalf("level %d: idle %.2f W ≥ busy %.2f W", i, m.idleWatts(l), m.busyWatts(l))
@@ -94,7 +94,7 @@ func TestSimulateSlotAllIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW := float64(p.Cores) * p.Power.idleWatts(p.Levels[0])
+	wantW := float64(p.Cores) * p.power.idleWatts(p.Levels[0])
 	if math.Abs(rep.AvgPowerW-wantW) > 1e-6 {
 		t.Fatalf("idle power %.3f W, want %.3f", rep.AvgPowerW, wantW)
 	}
@@ -305,11 +305,11 @@ func TestValidateRejectsNonFinitePlatform(t *testing.T) {
 	mutations := []func(*Platform){
 		func(p *Platform) { p.Levels[0].Volt = nan },
 		func(p *Platform) { p.Levels[1].Hz = inf },
-		func(p *Platform) { p.Power.StaticW = inf },
-		func(p *Platform) { p.Power.StaticW = nan },
-		func(p *Platform) { p.Power.CeffWPerV2GHz = nan },
-		func(p *Platform) { p.Power.IdleFrac = nan },
-		func(p *Platform) { p.Power.GatedW = nan },
+		func(p *Platform) { p.power.StaticW = inf },
+		func(p *Platform) { p.power.StaticW = nan },
+		func(p *Platform) { p.power.CeffWPerV2GHz = nan },
+		func(p *Platform) { p.power.IdleFrac = nan },
+		func(p *Platform) { p.power.GatedW = nan },
 	}
 	for i, mutate := range mutations {
 		p := XeonE5_2667V4()
